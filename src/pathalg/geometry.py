@@ -317,7 +317,14 @@ def random_real_tangent(x: ProjPoint, rng: np.random.Generator
     while True:
         v = rng.standard_normal(r.shape[0])
         v = v - np.dot(v, r) * r
-        if np.linalg.norm(v) > 1e-6:
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            # the rounding left along r by one projection grows by
+            # 1/norm when normalizing, which can pass the tangency
+            # tolerance when the draw lay close to r; a second
+            # projection of the unit vector removes it
+            v = v / norm
+            v = v - np.dot(v, r) * r
             return TangentVector(base=ProjPoint(r.astype(complex)),
                                  vec=normalize(v))
 
@@ -420,6 +427,36 @@ def _complex_frame(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return q[:, 1:]
 
 
+def _critical_configuration(n: int, k: int, segments: int,
+                            rng: np.random.Generator
+                            ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Base samples and coordinate frames of the level-k critical
+    configuration.
+
+    The samples lie on the geodesic that leaves a random real point in
+    a purely imaginary direction, evenly spaced over arclength
+    k pi / 2.  The two endpoints get real frames of the real locus
+    (n columns); interior samples get frames of the full tangent space
+    (2n real columns: a complex frame and i times it).
+    """
+    x = random_real_point(n, rng)
+    u = random_real_tangent(x, rng)
+    w = 1j * u.vec
+    s_vals = np.linspace(0.0, 0.5 * math.pi * k, segments + 1)
+    base_pts = [math.cos(s) * x.rep + math.sin(s) * w for s in s_vals]
+
+    frames = []
+    for j, p in enumerate(base_pts):
+        if j == 0 or j == segments:
+            r = ProjPoint(p).real_representative()
+            base_pts[j] = r.astype(complex)
+            frames.append(_real_frame(r, rng).astype(complex))
+        else:
+            wf = _complex_frame(p, rng)
+            frames.append(np.column_stack([wf, 1j * wf]))
+    return np.array(base_pts), frames
+
+
 def critical_index(n: int, k: int, segments: int,
                    h: float = 1e-4, ztol: float = 1e-3,
                    grad_tol: float = 1e-8,
@@ -436,93 +473,108 @@ def critical_index(n: int, k: int, segments: int,
     energy is exactly critical there, which is verified to grad_tol
     before differentiating twice.
 
+    The energy is a sum of per-segment terms, so moving sample j
+    changes only the segments on either side of it, and the Hessian is
+    block tridiagonal in the samples: blocks of samples two or more
+    apart are exactly zero.  Every derivative is a central difference
+    (fourth order for the gradient, second order for the Hessian) of
+    the energy of just the segments its perturbation touches, and one
+    numpy pass per sample builds all of its perturbed points.  The cost
+    is O(segments * w^2) segment evaluations for frame width w <= 2n,
+    where a dense Hessian of full-path energies needs O(dim^2) path
+    evaluations of segments terms each.
+
     Eigenvalues below -ztol * spectral_radius count toward the index,
     those within ztol * spectral_radius of zero toward the nullity.
     Expected: (0, n) for k = 0 and (1 + (k-1)n, 2n - 1) for k >= 1.
+    The default ztol = 1e-3 sits between method error and geometry:
+    measured over n = 1..3 with k = 0..5, and n = 5 with k = 4 (seeds
+    0 to 3), the null eigenvalues stay below 3e-8 * spectral_radius
+    (finite-difference error at h = 1e-4), while the smallest non-null
+    eigenvalue, which shrinks as k grows, is 4.3e-3 * spectral_radius
+    at k = 5.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if segments < max(2, 4 * k):
         raise ValueError("need segments >= max(2, 4k) so each segment "
                          "stays below an eighth turn")
-    length = 0.5 * math.pi * k
     if k > 0:
-        assert length / segments <= math.pi / 8 + 1e-12
+        assert 0.5 * math.pi * k / segments <= math.pi / 8 + 1e-12
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    x = random_real_point(n, rng)
-    u = random_real_tangent(x, rng)
-    w = 1j * u.vec
-    s_vals = np.linspace(0.0, length, segments + 1)
-    base_pts = [math.cos(s) * x.rep + math.sin(s) * w for s in s_vals]
-
-    frames = []
-    for j, p in enumerate(base_pts):
-        if j == 0 or j == segments:
-            r = ProjPoint(p).real_representative()
-            base_pts[j] = r.astype(complex)
-            frames.append(_real_frame(r, rng).astype(complex))
-        else:
-            wf = _complex_frame(p, rng)
-            frames.append(np.column_stack([wf, 1j * wf]))
-    widths = [f.shape[1] for f in frames]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
+    base, frames = _critical_configuration(n, k, segments, rng)
+    offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
     dim = int(offsets[-1])
-    base_mat = np.array(base_pts)
 
-    def energy(xi: np.ndarray) -> float:
-        pts = base_mat.copy()
-        for j in range(segments + 1):
-            block = xi[offsets[j]:offsets[j + 1]]
-            if np.any(block):
-                v = pts[j] + frames[j] @ block
-                pts[j] = v / np.linalg.norm(v)
-        inner = np.abs(np.einsum("ij,ij->i", pts[:-1], pts[1:].conj()))
+    def seg_energy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Energy of the segment from each row of p to the matching
+        row of q (broadcast), at uniform duration 1/segments."""
+        inner = np.abs(np.sum(p * q.conj(), axis=-1))
         d = np.arccos(np.clip(inner, 0.0, 1.0))
-        return float(segments * np.sum(d * d))
+        return segments * d * d
+
+    def moved(j: int, dirs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Sample j moved by each step along each column of dirs and
+        renormalized: shape (len(steps), dirs.shape[1], n + 1)."""
+        v = base[j] + np.multiply.outer(steps, dirs.T)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def sides(pts: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Energies of the segments before and after sample j with pts
+        in its place; zero where the path ends."""
+        none = np.zeros(pts.shape[:-1])
+        before = seg_energy(pts, base[j - 1]) if j > 0 else none
+        after = seg_energy(pts, base[j + 1]) if j < segments else none
+        return before, after
 
     # fourth-order central differences keep the truncation error of the
-    # gradient check well below the tolerance
+    # gradient check well below the tolerance; the +-h points and their
+    # segment energies are kept for the Hessian
     grad = np.empty(dim)
-    for a in range(dim):
-        xi = np.zeros(dim)
-
-        def at(step: float) -> float:
-            xi[a] = step
-            val = energy(xi)
-            xi[a] = 0.0
-            return val
-
-        grad[a] = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12 * h)
+    singles = []
+    for j, frame in enumerate(frames):
+        pts = moved(j, frame, np.array([h, -h, 2 * h, -2 * h]))
+        before, after = sides(pts, j)
+        e = before + after
+        grad[offsets[j]:offsets[j + 1]] = \
+            (8.0 * (e[0] - e[1]) - (e[2] - e[3])) / (12 * h)
+        singles.append((pts[:2], before[:2], after[:2]))
     gnorm = float(np.linalg.norm(grad))
     if gnorm >= grad_tol:
         raise GradientCheckError(
             f"configuration is not critical: |grad E| = {gnorm:.3e}")
 
-    e0 = energy(np.zeros(dim))
-    hess = np.empty((dim, dim))
-    singles = np.empty((dim, 2))
-    for a in range(dim):
-        xi = np.zeros(dim)
-        xi[a] = h
-        ep = energy(xi)
-        xi[a] = -h
-        em = energy(xi)
-        singles[a] = (ep, em)
-        hess[a, a] = (ep - 2.0 * e0 + em) / (h * h)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            xi = np.zeros(dim)
-            xi[a] = h
-            xi[b] = h
-            epp = energy(xi)
-            xi[a] = -h
-            xi[b] = -h
-            emm = energy(xi)
-            val = (epp + emm + 2.0 * e0
-                   - singles[a, 0] - singles[a, 1]
-                   - singles[b, 0] - singles[b, 1]) / (2.0 * h * h)
-            hess[a, b] = hess[b, a] = val
+    seg0 = seg_energy(base[:-1], base[1:])
+    hess = np.zeros((dim, dim))
+    for j, frame in enumerate(frames):
+        pts, before, after = singles[j]
+        e0 = (seg0[j - 1] if j > 0 else 0.0) + \
+            (seg0[j] if j < segments else 0.0)
+        ep, em = before + after
+        a, b = np.triu_indices(frame.shape[1], 1)
+        epp, emm = np.add(*sides(moved(j, frame[:, a] + frame[:, b],
+                                       np.array([h, -h])), j))
+        block = np.diag((ep - 2.0 * e0 + em) / (h * h))
+        block[a, b] = block[b, a] = \
+            (epp + emm + 2.0 * e0 - ep[a] - em[a] - ep[b] - em[b]) \
+            / (2.0 * h * h)
+        lo, mid = offsets[j], offsets[j + 1]
+        hess[lo:mid, lo:mid] = block
+        if j == segments:
+            break
+        # moving samples j and j+1 together touches segments j-1, j and
+        # j+1, but the stencil cancels j-1 and j+1 exactly: only the
+        # shared segment j enters the cross block
+        nxt, nxt_before, _ = singles[j + 1]
+        cross = (seg_energy(pts[0][:, None], nxt[0][None])
+                 + seg_energy(pts[1][:, None], nxt[1][None])
+                 + 2.0 * seg0[j]
+                 - (after[0] + after[1])[:, None]
+                 - (nxt_before[0] + nxt_before[1])[None, :]) / (2.0 * h * h)
+        hi = offsets[j + 2]
+        hess[lo:mid, mid:hi] = cross
+        hess[mid:hi, lo:mid] = cross.T
     eig = np.linalg.eigvalsh(hess)
     scale = float(np.max(np.abs(eig)))
     if scale == 0.0:

@@ -447,11 +447,9 @@ def compare(alg: BigradedDimTable, hom: BigradedDimTable) -> ComparisonReport:
         if a.get(key, 0) != h.get(key, 0):
             d, l = key
             cells.append((d, l, a.get(key, 0), h.get(key, 0)))
-    totals = []
-    for d in range(alg.degree_bound + 1):
-        ta, th = alg.degree_total(d), hom.degree_total(d)
-        if ta != th:
-            totals.append((d, ta, th))
+    ta, th = alg.degree_totals(), hom.degree_totals()
+    totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
+              if ta[d] != th[d]]
     return ComparisonReport(degree_bound=alg.degree_bound,
                             cell_mismatches=tuple(cells),
                             total_mismatches=tuple(totals))

@@ -7,7 +7,9 @@ came from.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -30,10 +32,18 @@ class BigradedDimTable:
         return dict(self.entries)
 
     def dim(self, degree: int, level: int) -> int:
-        return self.as_dict().get((degree, level), 0)
+        return self._cells.get((degree, level), 0)
 
-    def degree_total(self, degree: int) -> int:
-        return sum(v for (d, _), v in self.entries if d == degree)
+    def degree_totals(self) -> Counter[int]:
+        """Sum over levels per degree, in one pass over the cells."""
+        totals: Counter[int] = Counter()
+        for (d, _), v in self.entries:
+            totals[d] += v
+        return totals
+
+    @cached_property
+    def _cells(self) -> dict[tuple[int, int], int]:
+        return dict(self.entries)
 
     def levels(self) -> tuple[int, ...]:
         return tuple(sorted({l for (_, l), _ in self.entries}))

@@ -195,13 +195,15 @@ def test_criterion_08_concatenation_calculus():
 def test_criterion_09_morse_indices():
     t0 = time.perf_counter()
     with criterion(9, "second-variation index and nullity at criticals"):
-        for n, k in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        grid = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
+        for n, k in grid:
             segments = max(8, 4 * k + 4)
             res = geometry.critical_index(
                 n, k, segments, grad_tol=1e-8,
                 rng=np.random.default_rng(0))
             assert res.gradient_norm < 1e-8
-            assert (res.index, res.nullity) == (1 + (k - 1) * n, 2 * n - 1), \
+            want = (0, n) if k == 0 else (1 + (k - 1) * n, 2 * n - 1)
+            assert (res.index, res.nullity) == want, \
                 (n, k, res.index, res.nullity)
         assert time.perf_counter() - t0 < 60.0
 

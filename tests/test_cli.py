@@ -127,6 +127,18 @@ class TestGeomCommands:
         assert code == 0
         assert "family dimension" in out
 
+    @pytest.mark.parametrize("suite, trials, seed", [
+        ("concat-check", "60", "18"),
+        ("yk-check", "100", "202"),
+    ])
+    def test_n1_tangents_stay_tangent(self, capsys, suite, trials, seed):
+        # these seeds draw an n = 1 tangent close to its base point,
+        # where a single projection left a component along the base
+        # past the tangency tolerance and the suite exited 2
+        code, _ = run(capsys, "geom", suite, "--trials", trials,
+                      "--seed", seed)
+        assert code == 0
+
     def test_grad_tol_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHALG_GRAD_TOL", "1e-18")
         assert main(["geom", "index", "--n", "1", "--k", "1",

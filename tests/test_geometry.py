@@ -1,6 +1,7 @@
 """Numerical geometry: projective points, discrete paths, half-circles,
 second-variation indices."""
 
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from pathalg.geometry import (
     ParityError,
     ProjPoint,
     TangentVector,
+    _critical_configuration,
     concat_min,
     constant_path,
     critical_index,
@@ -33,6 +35,10 @@ from pathalg.geometry import (
 )
 
 RNG = np.random.default_rng(20240814)
+
+# (n, k) pairs of the second-variation tests: n = 1..3 up to k = 5,
+# and the dimension-200 case n = 5, k = 4
+INDEX_GRID = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
 
 
 def defect(p: ProjPoint, q: ProjPoint) -> float:
@@ -69,6 +75,16 @@ class TestPoints:
         q = proj_point([0.0, 1.0])
         assert fs_distance(p, q) == pytest.approx(math.pi / 2)
         assert fs_distance(p, p) == 0.0
+
+
+class TestTangents:
+    def test_n1_tangents_pass_the_tangency_check(self):
+        # at n = 1 a draw close to the base point used to leave a
+        # component along it past the 1e-12 tangency tolerance, about
+        # once in 10^4 draws
+        rng = np.random.default_rng(1)
+        for _ in range(20000):
+            random_real_tangent(random_real_point(1, rng), rng)
 
 
 class TestGeodesics:
@@ -280,3 +296,65 @@ class TestCriticalIndex:
     def test_gradient_guard_rejects_noncritical_setups(self):
         with pytest.raises(GradientCheckError):
             critical_index(2, 1, 12, grad_tol=1e-18)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_banded_hessian_matches_dense_reference(self, n, k):
+        segments = max(8, 4 * k + 4)
+        base, frames = _critical_configuration(
+            n, k, segments, np.random.default_rng(0))
+        want = np.linalg.eigvalsh(dense_hessian(base, frames))
+        got = critical_index(n, k, segments,
+                             rng=np.random.default_rng(0)).eigenvalues
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+    def test_ztol_sits_between_method_error_and_geometry(self):
+        ztol = inspect.signature(critical_index).parameters["ztol"].default
+        for n, k in INDEX_GRID:
+            res = critical_index(n, k, max(8, 4 * k + 4),
+                                 rng=np.random.default_rng(0))
+            mags = np.sort(np.abs(res.eigenvalues))
+            scale = mags[-1]
+            nullity = n if k == 0 else 2 * n - 1
+            assert mags[nullity - 1] <= 1e-6 * scale, (n, k)
+            assert mags[nullity] >= 2 * ztol * scale, (n, k)
+
+
+def dense_hessian(base: np.ndarray, frames: list, h: float = 1e-4
+                  ) -> np.ndarray:
+    """Reference second variation: every entry, band or not, from the
+    energy of the whole path under the same stencils critical_index
+    uses."""
+    segments = base.shape[0] - 1
+    offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
+    dim = int(offsets[-1])
+
+    def energy(xi: np.ndarray) -> float:
+        pts = base.copy()
+        for j in range(segments + 1):
+            block = xi[offsets[j]:offsets[j + 1]]
+            if np.any(block):
+                v = pts[j] + frames[j] @ block
+                pts[j] = v / np.linalg.norm(v)
+        inner = np.abs(np.einsum("ij,ij->i", pts[:-1], pts[1:].conj()))
+        d = np.arccos(np.clip(inner, 0.0, 1.0))
+        return float(segments * np.sum(d * d))
+
+    def at(*coords: tuple[int, float]) -> float:
+        xi = np.zeros(dim)
+        for a, step in coords:
+            xi[a] = step
+        return energy(xi)
+
+    e0 = energy(np.zeros(dim))
+    singles = np.array([(at((a, h)), at((a, -h))) for a in range(dim)])
+    hess = np.diag((singles[:, 0] - 2.0 * e0 + singles[:, 1]) / (h * h))
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            epp = at((a, h), (b, h))
+            emm = at((a, -h), (b, -h))
+            hess[a, b] = hess[b, a] = \
+                (epp + emm + 2.0 * e0 - singles[a].sum()
+                 - singles[b].sum()) / (2.0 * h * h)
+    return hess
