@@ -77,15 +77,19 @@ from .geometry import (
     ParityError,
     ProjPoint,
     TangentVector,
+    concat_check,
     concat_min,
     constant_path,
     critical_index,
+    expected_index,
     fs_distance,
     geodesic,
     half_circle,
     half_circle_endpoint,
     half_circle_norm,
+    halfcircle_check,
     hopf_vector,
+    index_check,
     path_energy,
     path_length,
     path_norm,
@@ -94,6 +98,7 @@ from .geometry import (
     random_real_tangent,
     real_point,
     sample_yk,
+    yk_check,
     yk_parameter_count,
 )
 

@@ -8,7 +8,8 @@ Exit codes: 0 all checks pass, 1 mathematical discrepancy, 2 usage or
 runtime error.  Tolerance defaults can be overridden by environment
 variables PATHALG_GRAD_TOL, PATHALG_ZTOL, PATHALG_STEP,
 PATHALG_CONCAT_TOL and PATHALG_GEOM_TOL; command-line flags win over
-the environment.
+the environment.  Every tolerance, from either source, must be a
+positive finite number.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -30,15 +29,18 @@ from .algebra import signature
 from .homology import COEFF_F2, COEFF_PULLBACK, COEFF_Z
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+def _positive_float(text: str) -> float:
+    """Positive finite float.  argparse applies it to string defaults
+    too, which carry the PATHALG_* values, so both sources are checked
+    alike."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name} is not a number: "
-                         f"{raw!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -220,181 +222,14 @@ def cmd_verify(args) -> int:
 # geom
 
 
-def _expected_index(n: int, k: int) -> tuple[int, int]:
-    if k == 0:
-        return (0, n)
-    return (1 + (k - 1) * n, 2 * n - 1)
-
-
-def cmd_geom_index(args) -> int:
-    n, k = args.n, args.k
-    segments = args.segments if args.segments is not None else max(8, 4 * k + 4)
-    res = geometry.critical_index(
-        n, k, segments, h=args.step, ztol=args.ztol,
-        grad_tol=args.grad_tol, rng=np.random.default_rng(args.seed))
-    want = _expected_index(n, k)
-    got = (res.index, res.nullity)
-    print(f"n={n} k={k} segments={segments}: index={res.index} "
-          f"nullity={res.nullity} |grad|={res.gradient_norm:.2e} "
-          f"expected {want}")
-    return 0 if got == want else 1
-
-
-def _run_trials(trials: int, jobs: int, worker) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, range(trials)))
-    return [worker(i) for i in range(trials)]
-
-
-def _random_chain(rng: np.random.Generator, n: int, arcs: int,
-                  samples: int = 12) -> geometry.DiscretePath:
-    x = geometry.random_real_point(n, rng)
-    path = None
-    for _ in range(arcs):
-        u = geometry.random_real_tangent(x, rng)
-        theta = float(rng.uniform(0.05, 0.5 * math.pi))
-        arc = geometry.half_circle(x, u, theta, samples=samples)
-        path = arc if path is None else geometry.concat_min(path, arc)
-        x = arc.end()
-    return path
-
-
-def cmd_geom_concat(args) -> int:
-    tol = args.tol
-
-    def trial(i: int) -> tuple[float, float]:
-        rng = np.random.default_rng([args.seed, i])
-        n = int(rng.integers(1, 4))
-        a = _random_chain(rng, n, int(rng.integers(1, 3)))
-        b = _random_chain_from(rng, a.end())
-        c = _random_chain_from(rng, b.end())
-        ab = geometry.concat_min(a, b)
-        add_err = abs(geometry.path_norm(ab) - geometry.path_norm(a)
-                      - geometry.path_norm(b))
-        left = geometry.concat_min(ab, c)
-        right = geometry.concat_min(a, geometry.concat_min(b, c))
-        assoc_err = float(np.max(np.abs(left.params - right.params)))
-        return add_err, assoc_err
-
-    results = _run_trials(args.trials, args.jobs, trial)
-    worst_add = max(r[0] for r in results)
-    worst_assoc = max(r[1] for r in results)
-    print(f"{args.trials} trials: worst additivity error {worst_add:.3e}, "
-          f"worst associativity breakpoint error {worst_assoc:.3e} "
-          f"(tolerance {tol:.1e})")
-    return 0 if worst_add < tol and worst_assoc < tol else 1
-
-
-def _random_chain_from(rng: np.random.Generator,
-                       x: geometry.ProjPoint) -> geometry.DiscretePath:
-    u = geometry.random_real_tangent(x, rng)
-    theta = float(rng.uniform(0.05, 0.5 * math.pi))
-    return geometry.half_circle(x, u, theta, samples=12)
-
-
-def cmd_geom_halfcircle(args) -> int:
-    tol = args.tol
-    failures = []
-
-    def trial(i: int) -> dict:
-        rng = np.random.default_rng([args.seed, i])
-        n = int(rng.integers(1, 4))
-        x = geometry.random_real_point(n, rng)
-        u = geometry.random_real_tangent(x, rng)
-        theta = float(rng.uniform(-math.pi, math.pi))
-        hc = geometry.half_circle(x, u, theta, samples=48)
-        ep = geometry.half_circle_endpoint(x, u, theta)
-        pairing_defect = 1.0 - abs(np.vdot(hc.samples[-1], ep.rep))
-        norm_slack = geometry.path_norm(hc) - 0.5 * math.pi
-        basis = np.vstack([x.real_representative().astype(complex),
-                           u.vec])
-        coeff = hc.samples @ basis.conj().T
-        span_err = float(np.max(np.abs(coeff @ basis - hc.samples)))
-        # the geodesic leaving in the normal direction returns to the
-        # real locus every quarter period, alternating the two points;
-        # compare pairings, not arccos distances, which amplify roundoff
-        v = geometry.TangentVector(base=geometry.ProjPoint(x.rep),
-                                   vec=1j * u.vec)
-        anti_err = 0.0
-        for k in range(5):
-            c = abs(np.vdot(x.rep, geometry.geodesic(x, v, k * math.pi / 2).rep))
-            defect = 1.0 - c if k % 2 == 0 else c
-            anti_err = max(anti_err, defect)
-        period_defect = 1.0 - abs(np.vdot(
-            geometry.geodesic(x, v, 0.3).rep,
-            geometry.geodesic(x, v, 0.3 + math.pi).rep))
-        return {"pairing": pairing_defect, "norm_slack": norm_slack,
-                "span": span_err, "anti": anti_err, "period": period_defect}
-
-    results = _run_trials(args.trials, args.jobs, trial)
-    worst = {key: max(r[key] for r in results) for key in results[0]}
-    checks = [
-        ("endpoint matches the geodesic construction", worst["pairing"], tol),
-        ("norm never exceeds a quarter circumference", worst["norm_slack"], tol),
-        ("samples stay on the spanned line", worst["span"], tol),
-        ("quarter-period antipode distances", worst["anti"], tol),
-        ("period-pi recurrence", worst["period"], tol),
-    ]
-    ok = True
-    for name, value, bound in checks:
-        passed = value < bound
-        ok = ok and passed
-        print(f"[{'ok ' if passed else 'BAD'}] {name}: worst {value:.3e}")
-    # reported, not asserted: where the norm peaks across angles
-    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 101)
-    rng = np.random.default_rng(args.seed)
-    x = geometry.random_real_point(2, rng)
-    u = geometry.random_real_tangent(x, rng)
-    norms = [geometry.path_norm(geometry.half_circle(x, u, float(t), 48))
-             if abs(t) > 1e-9 else 0.0 for t in grid]
-    peak = grid[int(np.argmax(norms))]
-    print(f"note: over a 101-point angle grid the norm peaks at "
-          f"theta = {peak:+.4f} (quarter turn = {math.pi/2:.4f})")
-    return 0 if ok else 1
-
-
-def cmd_geom_yk(args) -> int:
-    tol = args.tol
-
-    def trial(i: int) -> float:
-        rng = np.random.default_rng([args.seed, i])
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        p = geometry.sample_yk(n, k, rng, samples_per_arc=16)
-        return geometry.path_norm(p) - k * 0.5 * math.pi
-
-    results = _run_trials(args.trials, args.jobs, trial)
-    worst_slack = max(results)
-    ok = worst_slack < tol
-    print(f"[{'ok ' if ok else 'BAD'}] norm stays below k quarter-turns: "
-          f"worst excess {worst_slack:.3e}")
-
-    full = True
-    for (n, k) in ((1, 2), (2, 2), (3, 3)):
-        rng = np.random.default_rng([args.seed, 10_000 + n, k])
-        p = geometry.sample_yk(n, k, rng, thetas=[0.5 * math.pi] * k)
-        err = abs(geometry.path_norm(p) - k * 0.5 * math.pi)
-        good = err < 1e-6
-        full = full and good
-        print(f"[{'ok ' if good else 'BAD'}] right-angle sample n={n} k={k} "
-              f"reaches the critical norm: error {err:.3e}")
-        print(f"      family dimension (k+1)n = "
-              f"{geometry.yk_parameter_count(n, k)}")
-
-    gram_ok = True
-    rng = np.random.default_rng(args.seed)
-    for _ in range(20):
-        x = geometry.random_real_point(3, rng)
-        triple = np.vstack([geometry.hopf_vector(x, w).vec.real
-                            for w in ("J1", "J2", "J3")])
-        gram = triple @ triple.T
-        gram_ok = gram_ok and bool(
-            np.max(np.abs(gram - np.eye(3))) < 1e-10
-            and np.max(np.abs(triple @ x.real_representative())) < 1e-10)
-    print(f"[{'ok ' if gram_ok else 'BAD'}] skew-pairing triple is "
-          f"orthonormal and tangent (n=3)")
-    return 0 if ok and full and gram_ok else 1
+def cmd_geom(args) -> int:
+    """Run the geometry suite named by args.suite; every other option of
+    the subcommand is a keyword argument of that suite."""
+    kwargs = {key: value for key, value in vars(args).items()
+              if key not in ("command", "geom_command", "func", "suite")}
+    report = getattr(geometry, args.suite)(**kwargs)
+    print("\n".join(report.lines()))
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -488,41 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--n", type=_positive_int, default=2)
     p_idx.add_argument("--k", type=_nonnegative_int, default=1)
     p_idx.add_argument("--segments", type=_positive_int, default=None)
-    p_idx.add_argument("--seed", type=int, default=0)
-    p_idx.add_argument("--step", type=float,
-                       default=_env_float("PATHALG_STEP", 1e-4))
-    p_idx.add_argument("--ztol", type=float,
-                       default=_env_float("PATHALG_ZTOL", 1e-3))
-    p_idx.add_argument("--grad-tol", type=float,
-                       default=_env_float("PATHALG_GRAD_TOL", 1e-8))
-    p_idx.set_defaults(func=cmd_geom_index)
+    p_idx.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_idx.add_argument("--step", dest="h", metavar="STEP",
+                       type=_positive_float,
+                       default=os.environ.get("PATHALG_STEP", "1e-4"))
+    p_idx.add_argument("--ztol", type=_positive_float,
+                       default=os.environ.get("PATHALG_ZTOL", "1e-3"))
+    p_idx.add_argument("--grad-tol", type=_positive_float,
+                       default=os.environ.get("PATHALG_GRAD_TOL", "1e-8"))
+    p_idx.set_defaults(func=cmd_geom, suite="index_check")
 
-    p_cc = geom_sub.add_parser("concat-check",
-                               help="norm additivity and associativity")
-    p_cc.add_argument("--trials", type=_positive_int, default=1000)
-    p_cc.add_argument("--seed", type=int, default=0)
-    p_cc.add_argument("--jobs", type=_positive_int, default=1)
-    p_cc.add_argument("--tol", type=float,
-                      default=_env_float("PATHALG_CONCAT_TOL", 1e-9))
-    p_cc.set_defaults(func=cmd_geom_concat)
-
-    p_hc = geom_sub.add_parser("halfcircle-check",
-                               help="half-circle construction invariants")
-    p_hc.add_argument("--trials", type=_positive_int, default=200)
-    p_hc.add_argument("--seed", type=int, default=0)
-    p_hc.add_argument("--jobs", type=_positive_int, default=1)
-    p_hc.add_argument("--tol", type=float,
-                      default=_env_float("PATHALG_GEOM_TOL", 1e-9))
-    p_hc.set_defaults(func=cmd_geom_halfcircle)
-
-    p_yk = geom_sub.add_parser("yk-check",
-                               help="iterated half-circle family checks")
-    p_yk.add_argument("--trials", type=_positive_int, default=200)
-    p_yk.add_argument("--seed", type=int, default=0)
-    p_yk.add_argument("--jobs", type=_positive_int, default=1)
-    p_yk.add_argument("--tol", type=float,
-                      default=_env_float("PATHALG_GEOM_TOL", 1e-9))
-    p_yk.set_defaults(func=cmd_geom_yk)
+    for name, suite, trials, env, help_text in (
+            ("concat-check", "concat_check", 1000, "PATHALG_CONCAT_TOL",
+             "norm additivity and associativity"),
+            ("halfcircle-check", "halfcircle_check", 200, "PATHALG_GEOM_TOL",
+             "half-circle construction invariants"),
+            ("yk-check", "yk_check", 200, "PATHALG_GEOM_TOL",
+             "iterated half-circle family checks")):
+        p_suite = geom_sub.add_parser(name, help=help_text)
+        p_suite.add_argument("--trials", type=_positive_int, default=trials)
+        p_suite.add_argument("--seed", type=_nonnegative_int, default=0)
+        p_suite.add_argument("--tol", type=_positive_float,
+                             default=os.environ.get(env, "1e-9"))
+        p_suite.set_defaults(func=cmd_geom, suite=suite)
 
     p_tab = sub.add_parser("table", help="named generator cells")
     p_tab.add_argument("--n", type=_positive_int, required=True)

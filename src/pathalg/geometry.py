@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .tables import CheckItem, CheckReport
+
 _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
 _ENDPOINT_TOL = 1e-8
@@ -237,17 +239,6 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath,
 # Vertical half-circles
 
 
-def _sphere_chart(p: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse of the line-to-sphere map: a point p with |p| = 1/2 on
-    the radius-1/2 sphere lifts to a*r + c*u with a real >= 0."""
-    a2 = 0.5 + p[1]
-    if a2 <= 1e-15:
-        return u.astype(complex)
-    a = math.sqrt(a2)
-    c = (p[0] + 1j * p[2]) / a
-    return a * r.astype(complex) + c * u
-
-
 def half_circle(x: ProjPoint, u: TangentVector, theta: float,
                 samples: int = 48) -> DiscretePath:
     """Vertical half-circle from x to exp_x(theta * u), traversed at
@@ -277,18 +268,24 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     t = np.linspace(0.0, 1.0, samples)
     if abs(math.sin(theta)) < 1e-13:
         return constant_path(ProjPoint(r.astype(complex)), samples)
-    a = np.array([0.0, 0.5, 0.0])
-    b = np.array([0.5 * math.sin(2 * theta), 0.5 * math.cos(2 * theta), 0.0])
-    mid = (a + b) / 2.0
+    p0 = np.array([0.0, 0.5, 0.0])
+    p1 = np.array([0.5 * math.sin(2 * theta), 0.5 * math.cos(2 * theta), 0.0])
+    mid = (p0 + p1) / 2.0
     rho = 0.5 * abs(math.sin(theta))
-    e1 = (a - mid) / rho
+    e1 = (p0 - mid) / rho
     e2 = np.array([0.0, 0.0, 1.0])
-    pts = []
-    for ti in t:
-        phi = math.pi * ti
-        p = mid + rho * (math.cos(phi) * e1 + math.sin(phi) * e2)
-        pts.append(normalize(_sphere_chart(p, r, ur.astype(complex))))
-    return DiscretePath(samples=np.array(pts), params=t)
+    phi = math.pi * t
+    p = mid + rho * (np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2))
+    # invert the sphere map: p lifts to a*r + c*u with a real >= 0; at
+    # the south pole (a = 0) the lift is u itself
+    a2 = 0.5 + p[:, 1]
+    south = a2 <= 1e-15
+    a = np.sqrt(np.where(south, 1.0, a2))
+    c = (p[:, 0] + 1j * p[:, 2]) / a
+    pts = np.outer(a, r) + np.outer(c, ur)
+    pts[south] = ur
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return DiscretePath(samples=pts, params=t)
 
 
 def half_circle_norm(theta: float) -> float:
@@ -338,21 +335,25 @@ def yk_parameter_count(n: int, k: int) -> int:
 
 
 def sample_yk(n: int, k: int, rng: np.random.Generator,
-              thetas=None, samples_per_arc: int = 40) -> DiscretePath:
+              thetas=None, samples_per_arc: int = 40,
+              start: Optional[ProjPoint] = None) -> DiscretePath:
     """Random k-fold concatenation of vertical half-circles.
 
-    Draws a real base point, then repeatedly a real unit direction and
-    an angle, concatenating with concat_min.  The norm never exceeds
-    k pi/2, with equality when every angle is pi/2.
+    Draws a real base point (or starts at the real point start), then
+    repeatedly a real unit direction and an angle, concatenating with
+    concat_min.  The norm never exceeds k pi/2, with equality when
+    every angle is pi/2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if start is not None and start.ambient_dim != n + 1:
+        raise ValueError(f"start point does not lie in dimension n={n}")
     if thetas is None:
         thetas = rng.uniform(0.0, 0.5 * math.pi, size=k)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
-    x = random_real_point(n, rng)
+    x = random_real_point(n, rng) if start is None else start
     path: Optional[DiscretePath] = None
     for j in range(k):
         u = random_real_tangent(x, rng)
@@ -499,6 +500,10 @@ def critical_index(n: int, k: int, segments: int,
     if segments < max(2, 4 * k):
         raise ValueError("need segments >= max(2, 4k) so each segment "
                          "stays below an eighth turn")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    if not 0.0 < ztol < 1.0:
+        raise ValueError(f"ztol must lie strictly between 0 and 1, got {ztol}")
     if k > 0:
         assert 0.5 * math.pi * k / segments <= math.pi / 8 + 1e-12
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -541,7 +546,7 @@ def critical_index(n: int, k: int, segments: int,
             (8.0 * (e[0] - e[1]) - (e[2] - e[3])) / (12 * h)
         singles.append((pts[:2], before[:2], after[:2]))
     gnorm = float(np.linalg.norm(grad))
-    if gnorm >= grad_tol:
+    if not gnorm < grad_tol:
         raise GradientCheckError(
             f"configuration is not critical: |grad E| = {gnorm:.3e}")
 
@@ -583,3 +588,167 @@ def critical_index(n: int, k: int, segments: int,
     nullity = int(np.sum(np.abs(eig) <= ztol * scale))
     return IndexResult(index=index, nullity=nullity, gradient_norm=gnorm,
                        eigenvalues=eig)
+
+
+# ---------------------------------------------------------------------------
+# Check suites
+
+
+def _trial_rngs(trials: int, seed: int):
+    """One generator per trial, seeded with [seed, i], so a suite's
+    report depends only on its arguments."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    return (np.random.default_rng([seed, i]) for i in range(trials))
+
+
+def expected_index(n: int, k: int) -> tuple[int, int]:
+    """(index, nullity) at the level-k critical geodesics: (0, n) for
+    the constant paths, (1 + (k-1)n, 2n - 1) for k >= 1."""
+    if k == 0:
+        return (0, n)
+    return (1 + (k - 1) * n, 2 * n - 1)
+
+
+def index_check(n: int, k: int, segments: Optional[int] = None,
+                seed: int = 0, h: float = 1e-4, ztol: float = 1e-3,
+                grad_tol: float = 1e-8) -> CheckReport:
+    """critical_index against expected_index; segments defaults to
+    max(8, 4k + 4)."""
+    if segments is None:
+        segments = max(8, 4 * k + 4)
+    res = critical_index(n, k, segments, h=h, ztol=ztol, grad_tol=grad_tol,
+                         rng=np.random.default_rng(seed))
+    want = expected_index(n, k)
+    got = (res.index, res.nullity)
+    item = CheckItem(f"index={got[0]} nullity={got[1]}, expected {want}",
+                     got == want, f"|grad|={res.gradient_norm:.2e}")
+    return CheckReport(f"discrete index (n={n} k={k} segments={segments})",
+                       (item,))
+
+
+def concat_check(trials: int, seed: int = 0, tol: float = 1e-9
+                 ) -> CheckReport:
+    """Norm additivity and associativity of concat_min on chains of
+    half-circles: a of one or two arcs, b and c of one arc each, each
+    starting where the previous one ends."""
+    # angles stay above 0.05 because the concatenation error grows like
+    # 3e-15 / (smallest factor norm): arccos distances lose precision on
+    # short segments.  Measured: with sample_yk's default uniform(0,
+    # pi/2) angles, 30 000 trials gave a worst error of 1.7e-12 at factor
+    # norm 7.2e-4; a factor at angle 1e-6 gives 2.4e-9, past the default
+    # 1e-9 tolerance.  With the floor, seeds 0-149 at 200 trials give a
+    # worst of 1.3e-13.
+    lo, hi = 0.05, 0.5 * math.pi
+    worst_add = worst_assoc = 0.0
+    for rng in _trial_rngs(trials, seed):
+        n = int(rng.integers(1, 4))
+        arcs = int(rng.integers(1, 3))
+        a = sample_yk(n, arcs, rng, rng.uniform(lo, hi, arcs), 12)
+        b = sample_yk(n, 1, rng, rng.uniform(lo, hi, 1), 12, start=a.end())
+        c = sample_yk(n, 1, rng, rng.uniform(lo, hi, 1), 12, start=b.end())
+        ab = concat_min(a, b)
+        worst_add = max(worst_add, abs(path_norm(ab) - path_norm(a)
+                                       - path_norm(b)))
+        left = concat_min(ab, c)
+        right = concat_min(a, concat_min(b, c))
+        worst_assoc = max(worst_assoc,
+                          float(np.max(np.abs(left.params - right.params))))
+    return CheckReport(
+        f"concatenation ({trials} trials, tolerance {tol:.1e})",
+        (CheckItem("norm is additive", worst_add < tol,
+                   f"worst error {worst_add:.3e}"),
+         CheckItem("associativity breakpoints agree", worst_assoc < tol,
+                   f"worst error {worst_assoc:.3e}")))
+
+
+def halfcircle_check(trials: int, seed: int = 0, tol: float = 1e-9
+                     ) -> CheckReport:
+    """Invariants of half_circle and of the geodesic leaving the real
+    locus in a normal direction, plus where the norm peaks over a grid
+    of angles."""
+    rows = []
+    for rng in _trial_rngs(trials, seed):
+        n = int(rng.integers(1, 4))
+        x = random_real_point(n, rng)
+        u = random_real_tangent(x, rng)
+        theta = float(rng.uniform(-math.pi, math.pi))
+        hc = half_circle(x, u, theta, samples=48)
+        ep = half_circle_endpoint(x, u, theta)
+        pairing_defect = 1.0 - abs(np.vdot(hc.samples[-1], ep.rep))
+        norm_slack = path_norm(hc) - 0.5 * math.pi
+        basis = np.vstack([x.real_representative().astype(complex), u.vec])
+        coeff = hc.samples @ basis.conj().T
+        span_err = float(np.max(np.abs(coeff @ basis - hc.samples)))
+        # the geodesic leaving in the normal direction returns to the
+        # real locus every quarter period, alternating the two points;
+        # compare pairings, not arccos distances, which amplify roundoff
+        v = TangentVector(base=ProjPoint(x.rep), vec=1j * u.vec)
+        anti_err = 0.0
+        for k in range(5):
+            c = abs(np.vdot(x.rep, geodesic(x, v, k * math.pi / 2).rep))
+            anti_err = max(anti_err, 1.0 - c if k % 2 == 0 else c)
+        period_defect = 1.0 - abs(np.vdot(geodesic(x, v, 0.3).rep,
+                                          geodesic(x, v, 0.3 + math.pi).rep))
+        rows.append((pairing_defect, norm_slack, span_err, anti_err,
+                     period_defect))
+    names = ("endpoint matches the geodesic construction",
+             "norm never exceeds a quarter circumference",
+             "samples stay on the spanned line",
+             "quarter-period antipode distances",
+             "period-pi recurrence")
+    items = [CheckItem(name, bool(w < tol), f"worst {w:.3e}")
+             for name, w in zip(names, np.max(rows, axis=0))]
+    # the closed form (pi/2) sin|theta| peaks at both ends of the grid,
+    # which tie up to roundoff; the nearest other grid point is about
+    # 7.7e-4 lower
+    grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 101)
+    rng = np.random.default_rng(seed)
+    x = random_real_point(2, rng)
+    u = random_real_tangent(x, rng)
+    norms = [path_norm(half_circle(x, u, float(t), 48))
+             if abs(t) > 1e-9 else 0.0 for t in grid]
+    peak = float(grid[int(np.argmax(norms))])
+    step = float(grid[1] - grid[0])
+    items.append(CheckItem(
+        f"norm peaks at theta = {peak:+.4f}",
+        abs(abs(peak) - 0.5 * math.pi) <= step,
+        f"within a grid step of the quarter turn {0.5 * math.pi:.4f}"))
+    return CheckReport(f"half-circles ({trials} trials, tolerance {tol:.1e})",
+                       tuple(items))
+
+
+def yk_check(trials: int, seed: int = 0, tol: float = 1e-9) -> CheckReport:
+    """Norm bound of the k-fold half-circle family, its right-angle
+    samples at the critical norm, and the skew-pairing triple at n = 3."""
+    worst = -math.inf
+    for rng in _trial_rngs(trials, seed):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
+        p = sample_yk(n, k, rng, samples_per_arc=16)
+        worst = max(worst, path_norm(p) - k * 0.5 * math.pi)
+    items = [CheckItem("norm stays below k quarter-turns", worst < tol,
+                       f"worst excess {worst:.3e}")]
+    for (n, k) in ((1, 2), (2, 2), (3, 3)):
+        rng = np.random.default_rng([seed, 10_000 + n, k])
+        p = sample_yk(n, k, rng, thetas=[0.5 * math.pi] * k)
+        err = abs(path_norm(p) - k * 0.5 * math.pi)
+        items.append(CheckItem(
+            f"right-angle sample n={n} k={k} reaches the critical norm",
+            err < 1e-6, f"error {err:.3e}; family dimension (k+1)n = "
+            f"{yk_parameter_count(n, k)}"))
+    gram_ok = True
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        x = random_real_point(3, rng)
+        triple = np.vstack([hopf_vector(x, w).vec.real
+                            for w in ("J1", "J2", "J3")])
+        gram = triple @ triple.T
+        gram_ok = gram_ok and bool(
+            np.max(np.abs(gram - np.eye(3))) < 1e-10
+            and np.max(np.abs(triple @ x.real_representative())) < 1e-10)
+    items.append(CheckItem(
+        "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
+    return CheckReport(
+        f"iterated half-circles ({trials} trials, tolerance {tol:.1e})",
+        tuple(items))

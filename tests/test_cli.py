@@ -104,12 +104,39 @@ class TestGeomCommands:
                         "--seed", "7")
         assert code == 0
 
-    def test_concat_check_is_deterministic_across_jobs(self, capsys):
-        _, out1 = run(capsys, "geom", "concat-check", "--trials", "16",
-                      "--seed", "3")
-        _, out2 = run(capsys, "geom", "concat-check", "--trials", "16",
-                      "--seed", "3", "--jobs", "4")
+    @pytest.mark.parametrize("argv", [
+        ("index", "--n", "1", "--k", "2", "--seed", "3"),
+        ("concat-check", "--trials", "16", "--seed", "3"),
+        ("halfcircle-check", "--trials", "8", "--seed", "3"),
+        ("yk-check", "--trials", "16", "--seed", "3"),
+    ])
+    def test_output_depends_only_on_the_arguments(self, capsys, argv):
+        _, out1 = run(capsys, "geom", *argv)
+        _, out2 = run(capsys, "geom", *argv)
         assert out1 == out2
+
+    def test_concat_check_depends_on_the_seed(self, capsys):
+        _, out3 = run(capsys, "geom", "concat-check", "--trials", "16",
+                      "--seed", "3")
+        _, out4 = run(capsys, "geom", "concat-check", "--trials", "16",
+                      "--seed", "4")
+        assert out3 != out4
+
+    @pytest.mark.parametrize("argv, env", [
+        (("index", "--step", "0"), {}),
+        (("index", "--step", "inf"), {}),
+        (("index", "--grad-tol", "nan"), {}),
+        (("index", "--ztol", "nan"), {}),
+        (("index", "--ztol", "1"), {}),
+        (("index",), {"PATHALG_STEP": "-1e-4"}),
+        (("concat-check", "--tol", "nan", "--trials", "5"), {}),
+        (("yk-check", "--trials", "5"), {"PATHALG_GEOM_TOL": "nan"}),
+    ])
+    def test_bad_tolerances_are_usage_errors(self, capsys, monkeypatch,
+                                             argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["geom", *argv]) == 2
 
     def test_concat_tolerance_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHALG_CONCAT_TOL", "1e-20")

@@ -14,15 +14,19 @@ from pathalg.geometry import (
     ProjPoint,
     TangentVector,
     _critical_configuration,
+    concat_check,
     concat_min,
     constant_path,
     critical_index,
+    expected_index,
     fs_distance,
     geodesic,
     half_circle,
     half_circle_endpoint,
     half_circle_norm,
+    halfcircle_check,
     hopf_vector,
+    index_check,
     path_energy,
     path_length,
     path_norm,
@@ -31,6 +35,7 @@ from pathalg.geometry import (
     random_real_tangent,
     real_point,
     sample_yk,
+    yk_check,
     yk_parameter_count,
 )
 
@@ -222,6 +227,16 @@ class TestHalfCircle:
         b = half_circle(x, u, 0.7 + math.pi, samples=12)
         assert np.allclose(a.samples, b.samples, atol=1e-12)
 
+    def test_matches_the_per_sample_reference(self):
+        rng = np.random.default_rng(5)
+        for theta in [math.pi / 2, -math.pi / 2, 1e-6, 3.0] + \
+                list(rng.uniform(-math.pi, math.pi, 20)):
+            x = random_real_point(int(rng.integers(1, 4)), rng)
+            u = random_real_tangent(x, rng)
+            got = half_circle(x, u, float(theta), samples=17)
+            want = half_circle_reference(x, u, float(theta), samples=17)
+            assert np.max(np.abs(got.samples - want)) < 1e-14
+
     def test_rejects_complex_direction(self):
         x = random_real_point(2, RNG)
         u = random_real_tangent(x, RNG)
@@ -253,6 +268,16 @@ class TestYkFamily:
     def test_endpoints_are_real(self):
         p = sample_yk(3, 2, np.random.default_rng(4))
         assert p.start().is_real() and p.end().is_real()
+
+    def test_start_point(self):
+        rng = np.random.default_rng(6)
+        a = sample_yk(2, 2, rng)
+        b = sample_yk(2, 1, rng, start=a.end())
+        assert defect(b.start(), a.end()) < 1e-12
+        ab = concat_min(a, b)
+        assert ab.num_samples == a.num_samples + b.num_samples - 1
+        with pytest.raises(ValueError):
+            sample_yk(3, 1, rng, start=a.end())
 
 
 class TestHopfVectors:
@@ -296,6 +321,15 @@ class TestCriticalIndex:
     def test_gradient_guard_rejects_noncritical_setups(self):
         with pytest.raises(GradientCheckError):
             critical_index(2, 1, 12, grad_tol=1e-18)
+        with pytest.raises(GradientCheckError):
+            critical_index(2, 1, 12, grad_tol=math.nan)
+
+    @pytest.mark.parametrize("h, ztol", [
+        (0.0, 1e-3), (-1e-4, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+        (1e-4, 0.0), (1e-4, 1.0), (1e-4, math.nan)])
+    def test_step_and_zero_threshold_are_checked(self, h, ztol):
+        with pytest.raises(ValueError):
+            critical_index(1, 1, 8, h=h, ztol=ztol)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -358,3 +392,59 @@ def dense_hessian(base: np.ndarray, frames: list, h: float = 1e-4
                 (epp + emm + 2.0 * e0 - singles[a].sum()
                  - singles[b].sum()) / (2.0 * h * h)
     return hess
+
+
+def half_circle_reference(x: ProjPoint, u: TangentVector, theta: float,
+                          samples: int) -> np.ndarray:
+    """Samples of the half-circle built one point at a time: each point
+    of the arc on the radius-1/2 sphere is lifted to a*r + c*u with a
+    real >= 0, or to u at the south pole, and normalized."""
+    r = x.real_representative()
+    ur = u.vec.real
+    theta = math.remainder(theta, math.pi)
+    a = np.array([0.0, 0.5, 0.0])
+    b = np.array([0.5 * math.sin(2 * theta), 0.5 * math.cos(2 * theta), 0.0])
+    mid = (a + b) / 2.0
+    rho = 0.5 * abs(math.sin(theta))
+    e1 = (a - mid) / rho
+    e2 = np.array([0.0, 0.0, 1.0])
+    pts = []
+    for ti in np.linspace(0.0, 1.0, samples):
+        phi = math.pi * ti
+        p = mid + rho * (math.cos(phi) * e1 + math.sin(phi) * e2)
+        a2 = 0.5 + p[1]
+        if a2 <= 1e-15:
+            z = ur.astype(complex)
+        else:
+            z = math.sqrt(a2) * r + (p[0] + 1j * p[2]) / math.sqrt(a2) * ur
+        pts.append(z / np.linalg.norm(z))
+    return np.array(pts)
+
+
+class TestCheckSuites:
+    def test_expected_index(self):
+        assert expected_index(3, 0) == (0, 3)
+        assert expected_index(2, 2) == (3, 3)
+        assert expected_index(1, 4) == (4, 1)
+
+    def test_index_check_reports_the_pair(self):
+        report = index_check(2, 2, 12)
+        assert report.passed
+        assert "index=3 nullity=3" in report.items[0].name
+
+    @pytest.mark.parametrize("suite", [concat_check, halfcircle_check,
+                                       yk_check])
+    def test_sampling_suites(self, suite):
+        assert suite(10, seed=1).passed
+        with pytest.raises(ValueError):
+            suite(0)
+
+    def test_concat_check_fails_below_roundoff(self):
+        report = concat_check(10, seed=1, tol=1e-20)
+        assert [item.passed for item in report.items] == [False, False]
+
+    def test_halfcircle_peak_sits_at_a_quarter_turn(self):
+        # both grid ends tie; roundoff decides which one is reported
+        peak = halfcircle_check(4, seed=833820).items[-1]
+        assert "norm peaks at theta" in peak.name
+        assert peak.passed
