@@ -116,10 +116,6 @@ def _emit_sections(sections: list[tuple[str, list[dict]]], fmt: str) -> None:
         print(file=out)
 
 
-def _emit_cells(title: str, cells: list[dict], fmt: str) -> None:
-    _emit_sections([(title, cells)], fmt)
-
-
 def _graded_cells(table, level: int = 0) -> list[dict]:
     if isinstance(table, homology.GradedDimTable):
         return [_dim_cell(d, level, table.dim(d))
@@ -265,23 +261,20 @@ def cmd_table(args) -> int:
     n = args.n
     levels = args.levels if args.levels is not None else (3 if n == 1 else 2)
     table = homology.generator_table(n, levels - 1)
-    if args.format == "json":
-        cells = [_dim_cell(c.degree, c.level, len(c.names), c.names)
-                 for c in table.cells]
-        _emit_cells(f"named generating cells, n={n}", cells, "json")
-    elif args.format == "csv":
-        cells = [_dim_cell(c.degree, c.level, len(c.names), c.names)
-                 for c in table.cells]
-        _emit_cells(f"named generating cells, n={n}", cells, "csv")
-    else:
+    if args.format == "md":
         print(_table_text(table), end="")
+    else:
+        cells = [_dim_cell(c.degree, c.level, len(c.names), c.names)
+                 for c in table.cells]
+        _emit_sections([(f"named generating cells, n={n}", cells)],
+                       args.format)
     if not args.golden:
         return 0
     if n > 4:
         print(f"no golden fixture for n={n}", file=sys.stderr)
         return 2
     want = _parse_table_text(_golden_text(n))
-    got = _parse_table_text(_table_text(table))
+    got = {(c.degree, c.level): c.names for c in table.cells}
     if want == got:
         print(f"golden comparison: {len(want)} cells match")
         return 0

@@ -141,13 +141,6 @@ class BigradedGroupTable:
     def group(self, degree: int, level: int) -> AbelianGroup:
         return self.as_dict().get((degree, level), ZERO_GROUP)
 
-    def degree_total(self, degree: int) -> AbelianGroup:
-        total = ZERO_GROUP
-        for (d, _), g in self.entries:
-            if d == degree:
-                total = total.plus(g)
-        return total
-
     def levels(self) -> tuple[int, ...]:
         return tuple(sorted({l for (_, l), _ in self.entries}))
 

@@ -38,7 +38,6 @@ from .algebra import (
     reverse_poly,
     signature,
     unshifted_degree,
-    word_degree,
     word_level,
 )
 
@@ -46,7 +45,6 @@ INCOMPLETE = "incomplete"
 COMPLETE = "complete-up-to-bound"
 
 _STEP_LIMIT = 10 ** 6
-_NODE_LIMIT = 10 ** 6
 
 
 class OrderRejectedError(ValueError):
@@ -115,9 +113,6 @@ class RewriteSystem:
     rules: tuple[RewriteRule, ...]
     weight_bound: int = 0
     completion_status: str = INCOMPLETE
-
-    def rule_map(self) -> dict[Word, Polynomial]:
-        return {r.lhs: r.rhs for r in self.rules}
 
     def max_lhs_len(self) -> int:
         return max((len(r.lhs) for r in self.rules), default=0)
@@ -294,32 +289,36 @@ def required_weight_bound(sig: Signature, degree_bound: int) -> int:
     return (n + 1) + (n + 1) + math.ceil((degree_bound + n) / n) + 4
 
 
-def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
-    """All words of weight <= max_weight avoiding every rule lhs as a
-    factor, by depth-first extension."""
-    lhs_set = {r.lhs for r in rs.rules}
+def _graded_walk(rs: RewriteSystem, max_weight: int
+                 ) -> Iterator[tuple[Word, int, int]]:
+    """(word, unshifted degree, level) for every word of weight <=
+    max_weight avoiding every rule lhs as a factor.  Depth-first on an
+    explicit stack: a word comes before its extensions, which come in
+    alphabet order.  Gradings are summed letter by letter as words grow."""
+    lhs = tuple(r.lhs for r in rs.rules)
     maxlen = rs.max_lhs_len()
     weights = rs.order.weight_map
-    alphabet = rs.sig.alphabet
-    nodes = 0
-
-    def extend(word: Word, weight: int) -> Iterator[Word]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _NODE_LIMIT:
-            raise RuntimeError("irreducible-word enumeration exceeded node limit")
-        yield word
-        for c in alphabet:
-            w2 = weight + weights[c]
-            if w2 > max_weight:
+    sig = rs.sig
+    letters = [(c, weights[c], sig.degree[c], sig.level[c])
+               for c in reversed(sig.alphabet)]
+    stack = [("", 0, sig.n, 0)]
+    while stack:
+        word, weight, degree, level = stack.pop()
+        yield word, degree, level
+        for c, wc, dc, lc in letters:
+            if weight + wc > max_weight:
                 continue
             new = word + c
-            tail = new[-maxlen:] if maxlen else new
-            if any(tail.endswith(l) for l in lhs_set):
+            if new[-maxlen:].endswith(lhs):
                 continue
-            yield from extend(new, w2)
+            stack.append((new, weight + wc, degree + dc, level + lc))
 
-    yield from extend("", 0)
+
+def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
+    """All words of weight <= max_weight avoiding every rule lhs as a
+    factor, depth-first and iterative (no recursion, so no depth limit)."""
+    for w, *_ in _graded_walk(rs, max_weight):
+        yield w
 
 
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
@@ -332,11 +331,9 @@ def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
     if rs.weight_bound < need:
         raise InsufficientWeightBoundError(rs.weight_bound, need)
     counts: dict[tuple[int, int], int] = {}
-    for w in irreducible_words(rs, rs.weight_bound):
-        d = unshifted_degree(w, rs.sig)
+    for _, d, level in _graded_walk(rs, rs.weight_bound):
         if 0 <= d <= degree_bound:
-            key = (d, word_level(w))
-            counts[key] = counts.get(key, 0) + 1
+            counts[d, level] = counts.get((d, level), 0) + 1
     return BigradedDimTable.from_dict(counts, degree_bound)
 
 
@@ -469,21 +466,18 @@ class Augmentation:
 
 
 def _words_in_cell(rs: RewriteSystem, degree: int, level: int) -> list[Word]:
-    out = [w for w in irreducible_words(rs, rs.weight_bound)
-           if unshifted_degree(w, rs.sig) == degree and word_level(w) == level]
+    out = [w for w, d, l in _graded_walk(rs, rs.weight_bound)
+           if d == degree and l == level]
     return sorted(out, key=rs.order.sort_key)
 
 
 def _candidate_rhs_pool(rs: RewriteSystem, lhs: Word) -> list[Word]:
     """Irreducible words of equal degree, level at most level(lhs), and
     strictly below lhs in the order."""
-    deg = word_degree(lhs, rs.sig)
+    deg = unshifted_degree(lhs, rs.sig)
     lv = word_level(lhs)
-    pool = [w for w in irreducible_words(rs, rs.order.weight(lhs))
-            if w != lhs
-            and word_degree(w, rs.sig) == deg
-            and word_level(w) <= lv
-            and rs.order.less(w, lhs)]
+    pool = [w for w, d, l in _graded_walk(rs, rs.order.weight(lhs))
+            if d == deg and l <= lv and w != lhs and rs.order.less(w, lhs)]
     return sorted(pool, key=rs.order.sort_key)
 
 
@@ -506,7 +500,8 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
             degree_bound.
 
     Distinct search paths reaching the same rule set are reported once.
-    RepairError is raised when no candidate survives.
+    RepairError is raised when no candidate survives.  Only a
+    CompletionError rejects a candidate; any other error propagates.
     """
     wb = weight_bound if weight_bound is not None else \
         required_weight_bound(sig, degree_bound)
@@ -525,7 +520,7 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
         try:
             done = complete(RewriteSystem(sig=sig, order=base.order,
                                           rules=start), wb)
-        except RuntimeError:
+        except CompletionError:
             return None
         if done.rules != start:
             return None
@@ -573,7 +568,7 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
                         rules=current.rules + (rule,))
                     try:
                         nxt = complete(enlarged, wb)
-                    except RuntimeError:
+                    except CompletionError:
                         continue
                     progressed = True
                     search(nxt, depth + 1)

@@ -84,6 +84,16 @@ class TestVerifyCommand:
         assert "{HHT -> 0, HHY -> 0}" in out
         assert "{HHT -> HH, HHY -> 0}" in out
 
+    def test_large_degree_bounds(self, capsys):
+        # both overflowed the recursive word enumerator and exited 2
+        code, out = run(capsys, "verify", "--n", "1", "--max-degree", "1000")
+        assert code == 0
+        assert "matches homology up to degree 1000" in out
+        code, out = run(capsys, "verify", "--n", "2", "--max-degree", "3000")
+        assert code == 1
+        assert "{HHT -> 0, HHY -> 0}" in out
+        assert "{HHT -> HH, HHY -> 0}" in out
+
     def test_insufficient_weight_bound_is_a_runtime_error(self, capsys):
         assert main(["verify", "--n", "3", "--max-degree", "40",
                      "--weight-bound", "10"]) == 2

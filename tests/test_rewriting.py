@@ -5,6 +5,7 @@ the defining relations and are frozen as oracles."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathalg import rewriting
 from pathalg.algebra import (
     MonomialOrder,
     ONE,
@@ -13,6 +14,8 @@ from pathalg.algebra import (
     poly,
     poly_mul,
     signature,
+    unshifted_degree,
+    word_level,
 )
 from pathalg.rewriting import (
     CompletionError,
@@ -41,6 +44,42 @@ from pathalg.tables import BigradedDimTable
 def completed(n: int, degree_bound: int = 40) -> RewriteSystem:
     sig = signature(n)
     return complete(orient(sig), required_weight_bound(sig, degree_bound))
+
+
+def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
+    """Reference enumerator: the recursive depth-first extension that
+    irreducible_words used before it became an iterative walk.  It
+    recurses once per letter, so it only serves small weight bounds."""
+    lhs_set = {r.lhs for r in rs.rules}
+    maxlen = rs.max_lhs_len()
+    weights = rs.order.weight_map
+    alphabet = rs.sig.alphabet
+
+    def extend(word, weight):
+        yield word
+        for c in alphabet:
+            w2 = weight + weights[c]
+            if w2 > max_weight:
+                continue
+            new = word + c
+            tail = new[-maxlen:] if maxlen else new
+            if any(tail.endswith(l) for l in lhs_set):
+                continue
+            yield from extend(new, w2)
+
+    yield from extend("", 0)
+
+
+def reference_hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
+    """Hilbert counts with every word's gradings recomputed from its
+    letters."""
+    counts = {}
+    for w in recursive_irreducible_words(rs, rs.weight_bound):
+        d = unshifted_degree(w, rs.sig)
+        if 0 <= d <= degree_bound:
+            key = (d, word_level(w))
+            counts[key] = counts.get(key, 0) + 1
+    return BigradedDimTable.from_dict(counts, degree_bound)
 
 
 # frozen completed rule tables; completion adds nothing to the oriented
@@ -156,6 +195,33 @@ class TestNormalForm:
         assert set(irreducible_words(rs, 4)) == brute
 
 
+class TestIrreducibleWords:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_walk_matches_the_recursive_reference(self, n):
+        rs = completed(n, degree_bound=60)
+        assert list(irreducible_words(rs, rs.weight_bound)) == \
+            list(recursive_irreducible_words(rs, rs.weight_bound))
+        assert hilbert(rs, 60) == reference_hilbert(rs, 60)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_walk_matches_the_reference_on_repaired_systems(self, n):
+        hom = path_space_homology(n, COEFF_F2, 20)
+        found = repair_search(signature(n), hom, 20)
+        assert len(found) == 2
+        for rs in (a.system for a in found):
+            assert list(irreducible_words(rs, rs.weight_bound)) == \
+                list(recursive_irreducible_words(rs, rs.weight_bound))
+            assert hilbert(rs, 20) == reference_hilbert(rs, 20)
+
+    def test_degree_bound_far_past_the_recursion_limit(self):
+        # the recursive enumerator overflowed the interpreter stack at
+        # D = 1000 for n = 1; the walk has no depth limit
+        rs = completed(1, degree_bound=10_000)
+        table = hilbert(rs, 10_000)
+        hom = path_space_homology(1, COEFF_F2, 10_000)
+        assert compare(table, hom).is_match
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="HSY", min_size=0, max_size=6),
        st.text(alphabet="HSY", min_size=0, max_size=6))
@@ -253,6 +319,34 @@ class TestRepairSearch:
         hom = path_space_homology(3, COEFF_F2, 20)
         with pytest.raises(ValueError):
             repair_search(signature(3), hom, 20)
+
+    def test_unexpected_completion_failures_propagate(self, monkeypatch):
+        # only CompletionError means "candidate rejected"; any other
+        # failure of a completion inside the search must surface, in the
+        # candidate loop and in the final check alike
+        hom = path_space_homology(2, COEFF_F2, 20)
+        real = rewriting.complete
+        calls = []
+
+        def counting(rs, wb):
+            calls.append(rs)
+            return real(rs, wb)
+
+        monkeypatch.setattr(rewriting, "complete", counting)
+        repair_search(signature(2), hom, 20)
+        assert len(calls) > 2
+        for k in range(1, len(calls)):  # call 0 completes the base system
+            seen = []
+
+            def failing(rs, wb):
+                seen.append(rs)
+                if len(seen) == k + 1:
+                    raise RuntimeError("injected")
+                return real(rs, wb)
+
+            monkeypatch.setattr(rewriting, "complete", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                repair_search(signature(2), hom, 20)
 
     def test_unreachable_target_raises(self):
         hom = path_space_homology(2, COEFF_F2, 12)
