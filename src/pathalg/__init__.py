@@ -36,6 +36,9 @@ from .rewriting import (
     RepairError,
     RewriteRule,
     RewriteSystem,
+    RuleLimitError,
+    SearchCapError,
+    StepLimitError,
     TruncationError,
     anti_automorphism_check,
     apply_rule,

@@ -14,6 +14,8 @@ paths are sample matrices with strictly increasing breakpoints in
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,6 +42,18 @@ def _as_complex(vec) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(-1)
 
 
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a real or complex vector: one vdot, one sqrt.
+    On a contiguous real vector this is np.linalg.norm's arithmetic."""
+    return math.sqrt(np.vdot(vec, vec).real)
+
+
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; the arithmetic of
+    np.linalg.norm(mat, axis=1) without its argument handling."""
+    return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=1))
+
+
 def normalize(vec) -> np.ndarray:
     v = _as_complex(vec)
     norm = np.linalg.norm(v)
@@ -57,7 +71,7 @@ class ProjPoint:
 
     def __post_init__(self) -> None:
         self.rep = _as_complex(self.rep)
-        if abs(np.linalg.norm(self.rep) - 1.0) > _UNIT_TOL:
+        if abs(_norm(self.rep) - 1.0) > _UNIT_TOL:
             raise ValueError("representative must be a unit vector")
 
     @property
@@ -71,17 +85,18 @@ class ProjPoint:
         """Whether some representative has all coordinates real; the
         squared-sum modulus |sum z_j^2| equals 1 exactly on such
         points and drops below 1 away from them."""
-        return abs(np.sum(self.rep * self.rep)) >= 1.0 - tol
+        return abs(np.add.reduce(self.rep * self.rep)) >= 1.0 - tol
 
     def real_representative(self, tol: float = _REAL_TOL) -> np.ndarray:
-        s = np.sum(self.rep * self.rep)
+        s = complex(np.add.reduce(self.rep * self.rep))
         if abs(s) < 1.0 - tol:
             raise ValueError("point has no real representative")
-        z = self.rep * np.exp(-0.5j * np.angle(s))
-        if np.linalg.norm(z.imag) > math.sqrt(tol):
+        z = self.rep * cmath.exp(-0.5j * cmath.phase(s))
+        if _norm(z.imag) > math.sqrt(tol):
             raise ValueError("point has no real representative")
-        re = z.real
-        return re / np.linalg.norm(re)
+        # a strided view would round differently from np.linalg.norm
+        re = np.ascontiguousarray(z.real)
+        return re / _norm(re)
 
 
 def proj_point(vec) -> ProjPoint:
@@ -109,7 +124,7 @@ class TangentVector:
 
     @property
     def is_unit(self) -> bool:
-        return abs(np.linalg.norm(self.vec) - 1.0) <= _UNIT_TOL
+        return abs(_norm(self.vec) - 1.0) <= _UNIT_TOL
 
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
@@ -132,7 +147,7 @@ def geodesic(x: ProjPoint, v: TangentVector, s: float) -> ProjPoint:
 # Discrete paths, energy, concatenation
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscretePath:
     """Piecewise-geodesic path: one unit sample row per breakpoint.
 
@@ -140,6 +155,12 @@ class DiscretePath:
     on the real locus.  degenerate_junction records that some
     concatenation along the way had two constant factors, where the
     junction placement is a convention rather than an energy minimizer.
+
+    A path is immutable: its fields cannot be reassigned, and samples
+    and params are read-only copies of the arrays passed in, so nothing
+    the caller still holds can change them.  It is validated once, in
+    one vectorized pass, and caches its energy on first use.  Two paths
+    are equal only when they are the same object.
     """
 
     samples: np.ndarray
@@ -147,22 +168,45 @@ class DiscretePath:
     degenerate_junction: bool = False
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=complex)
-        self.params = np.asarray(self.params, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[0] < 2:
+        samples = np.array(self.samples, dtype=complex, order="C")
+        params = np.array(self.params, dtype=float)
+        samples.flags.writeable = False
+        params.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "params", params)
+        if samples.ndim != 2 or samples.shape[0] < 2:
             raise ValueError("path needs at least two samples")
-        if self.params.shape != (self.samples.shape[0],):
+        if params.shape != (samples.shape[0],):
             raise ValueError("one breakpoint per sample required")
-        if abs(self.params[0]) > 1e-12 or abs(self.params[-1] - 1.0) > 1e-12:
+        if abs(params[0]) > 1e-12 or abs(params[-1] - 1.0) > 1e-12:
             raise ValueError("breakpoints must run from 0 to 1")
-        if np.any(np.diff(self.params) <= 0):
+        if np.count_nonzero(params[1:] <= params[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
-        norms = np.linalg.norm(self.samples, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        defect = np.abs(_row_norms(samples) - 1.0)
+        if defect.max() > 1e-9:
             raise ValueError("samples must be unit vectors")
+        # each endpoint must also pass ProjPoint's unit check and
+        # ProjPoint.is_real at the endpoint tolerance
         for idx in (0, -1):
-            if not ProjPoint(self.samples[idx]).is_real(tol=_ENDPOINT_TOL):
+            if defect[idx] > _UNIT_TOL:
+                raise ValueError("representative must be a unit vector")
+            end = samples[idx]
+            if not abs(np.add.reduce(end * end)) >= 1.0 - _ENDPOINT_TOL:
                 raise ValueError("path endpoints must lie on the real locus")
+
+    def __reduce__(self):
+        # copies and unpickled paths go through __init__ as well, which
+        # makes their arrays read-only again
+        return (DiscretePath,
+                (self.samples, self.params, self.degenerate_junction))
+
+    @functools.cached_property
+    def _energy(self) -> float:
+        """Sum of squared segment distances over segment durations,
+        computed from the samples on first use and then kept."""
+        d = _segment_distances(self.samples)
+        dt = self.params[1:] - self.params[:-1]
+        return float(np.add.reduce(d * d / dt))
 
     @property
     def num_samples(self) -> int:
@@ -175,8 +219,8 @@ class DiscretePath:
         return ProjPoint(self.samples[-1])
 
     def reversed(self) -> "DiscretePath":
-        return DiscretePath(samples=self.samples[::-1].copy(),
-                            params=(1.0 - self.params[::-1]).copy(),
+        return DiscretePath(samples=self.samples[::-1],
+                            params=1.0 - self.params[::-1],
                             degenerate_junction=self.degenerate_junction)
 
 
@@ -185,18 +229,17 @@ def constant_path(x: ProjPoint, samples: int = 2) -> DiscretePath:
     return DiscretePath(samples=pts, params=np.linspace(0.0, 1.0, samples))
 
 
-def _segment_distances(path: DiscretePath) -> np.ndarray:
-    inner = np.abs(np.einsum("ij,ij->i",
-                             path.samples[:-1], path.samples[1:].conj()))
-    return np.arccos(np.clip(inner, 0.0, 1.0))
+def _segment_distances(samples: np.ndarray) -> np.ndarray:
+    inner = np.abs(np.einsum("ij,ij->i", samples[:-1], samples[1:].conj()))
+    # inner >= 0, so this is the clip of inner to [0, 1]
+    return np.arccos(np.minimum(inner, 1.0))
 
 
 def path_energy(path: DiscretePath) -> float:
     """Energy of the piecewise-geodesic path with its parametrization:
-    sum of squared segment distances over segment durations."""
-    d = _segment_distances(path)
-    dt = np.diff(path.params)
-    return float(np.sum(d * d / dt))
+    sum of squared segment distances over segment durations, computed
+    on the first call for a path and kept on it."""
+    return path._energy
 
 
 def path_norm(path: DiscretePath) -> float:
@@ -206,7 +249,7 @@ def path_norm(path: DiscretePath) -> float:
 
 
 def path_length(path: DiscretePath) -> float:
-    return float(np.sum(_segment_distances(path)))
+    return float(np.sum(_segment_distances(path.samples)))
 
 
 def concat_min(gamma: DiscretePath, delta: DiscretePath,
@@ -215,7 +258,12 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath,
     s = F(gamma) / (F(gamma) + F(delta)), which makes the norm exactly
     additive.  Two constant factors leave the junction undetermined;
     the convention s = 1/2 is used and the result is flagged."""
-    if not gamma.end().equals(delta.start(), tol=tol):
+    # both junction rows passed the unit check when their paths were
+    # built, and paths cannot change: one pairing decides whether they
+    # are the same point and aligns the phase of the second factor
+    z = np.vdot(delta.samples[0], gamma.samples[-1])
+    pairing = abs(z)
+    if not pairing > 1.0 - tol:
         raise ValueError("paths do not share the junction point")
     f1, f2 = path_norm(gamma), path_norm(delta)
     degenerate = gamma.degenerate_junction or delta.degenerate_junction
@@ -225,11 +273,10 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath,
     else:
         s = f1 / (f1 + f2)
         s = min(max(s, 1e-12), 1.0 - 1e-12)
-    # align the phase of the second factor so the junction sample is
-    # shared exactly
-    z = np.vdot(delta.samples[0], gamma.samples[-1])
-    second = delta.samples * (z / abs(z)) if abs(z) > 0.5 else delta.samples
-    pts = np.vstack([gamma.samples, second[1:]])
+    second = delta.samples[1:]
+    if pairing > 0.5:
+        second = second * (z / pairing)
+    pts = np.concatenate([gamma.samples, second])
     t = np.concatenate([gamma.params * s, s + delta.params[1:] * (1.0 - s)])
     t[-1] = 1.0
     return DiscretePath(samples=pts, params=t, degenerate_junction=degenerate)
@@ -237,6 +284,18 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath,
 
 # ---------------------------------------------------------------------------
 # Vertical half-circles
+
+
+@functools.lru_cache(maxsize=64)
+def _arc_grid(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints t of a half-circle with the given sample count, with
+    cos(pi t) and sin(pi t); read-only, since every call shares them."""
+    t = np.linspace(0.0, 1.0, samples)
+    phi = math.pi * t
+    grid = (t, np.cos(phi), np.sin(phi))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
 
 
 def half_circle(x: ProjPoint, u: TangentVector, theta: float,
@@ -257,7 +316,7 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
         raise ValueError("need at least two samples")
     r = x.real_representative()
     ur = u.vec
-    if np.linalg.norm(ur.imag) > _REAL_TOL or not u.is_unit:
+    if _norm(ur.imag) > _REAL_TOL or not u.is_unit:
         raise ValueError("half-circle direction must be a real unit tangent")
     if not u.base.equals(x):
         raise ValueError("tangent vector is not based at x")
@@ -265,26 +324,29 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     if abs(float(np.dot(r, ur))) > _REAL_TOL:
         raise ValueError("direction must be orthogonal to the real base")
     theta = math.remainder(theta, math.pi)
-    t = np.linspace(0.0, 1.0, samples)
     if abs(math.sin(theta)) < 1e-13:
         return constant_path(ProjPoint(r.astype(complex)), samples)
-    p0 = np.array([0.0, 0.5, 0.0])
-    p1 = np.array([0.5 * math.sin(2 * theta), 0.5 * math.cos(2 * theta), 0.0])
-    mid = (p0 + p1) / 2.0
+    t, cos_phi, sin_phi = _arc_grid(samples)
+    # the chord runs from x's image (0, 1/2, 0) to the endpoint's image
+    # (sin 2theta, cos 2theta, 0) / 2; the arc is centred at its
+    # midpoint (mx, my, 0), has radius rho, and starts along the unit
+    # vector (ex, ey, 0), bending towards (0, 0, 1)
+    mx = 0.25 * math.sin(2 * theta)
+    my = 0.25 + 0.25 * math.cos(2 * theta)
     rho = 0.5 * abs(math.sin(theta))
-    e1 = (p0 - mid) / rho
-    e2 = np.array([0.0, 0.0, 1.0])
-    phi = math.pi * t
-    p = mid + rho * (np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2))
+    ex, ey = -mx / rho, (0.5 - my) / rho
+    px = mx + rho * (cos_phi * ex)
+    py = my + rho * (cos_phi * ey)
+    pz = rho * sin_phi
     # invert the sphere map: p lifts to a*r + c*u with a real >= 0; at
     # the south pole (a = 0) the lift is u itself
-    a2 = 0.5 + p[:, 1]
+    a2 = 0.5 + py
     south = a2 <= 1e-15
     a = np.sqrt(np.where(south, 1.0, a2))
-    c = (p[:, 0] + 1j * p[:, 2]) / a
-    pts = np.outer(a, r) + np.outer(c, ur)
+    c = (px + 1j * pz) / a
+    pts = a[:, None] * r + c[:, None] * ur
     pts[south] = ur
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts /= _row_norms(pts)[:, None]
     return DiscretePath(samples=pts, params=t)
 
 
@@ -314,7 +376,7 @@ def random_real_tangent(x: ProjPoint, rng: np.random.Generator
     while True:
         v = rng.standard_normal(r.shape[0])
         v = v - np.dot(v, r) * r
-        norm = np.linalg.norm(v)
+        norm = _norm(v)
         if norm > 1e-6:
             # the rounding left along r by one projection grows by
             # 1/norm when normalizing, which can pass the tangency

@@ -44,7 +44,17 @@ from .algebra import (
 INCOMPLETE = "incomplete"
 COMPLETE = "complete-up-to-bound"
 
+# guards against runaway rewriting: reduction steps of one _poly_nf
+# call, and rules in one completion
 _STEP_LIMIT = 10 ** 6
+_RULE_LIMIT = 400
+# caps on the repair search: words whose combinations are tried as
+# right sides of one left side, and rules chosen along one search path.
+# Neither is reached for even n from 2 to 20 (the pool never holds more
+# than one word); a search that would pass one raises SearchCapError
+# instead of dropping the rest.
+_POOL_CAP = 10
+_DEPTH_CAP = 8
 
 
 class OrderRejectedError(ValueError):
@@ -89,8 +99,41 @@ class InsufficientWeightBoundError(ValueError):
             f"{need}; recomplete with weight_bound >= {need}")
 
 
+class StepLimitError(RuntimeError):
+    """A reduction took more steps than _STEP_LIMIT."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"reduction exceeded the step limit "
+                         f"_STEP_LIMIT = {limit}")
+
+
+class RuleLimitError(RuntimeError):
+    """A completion produced more rules than _RULE_LIMIT."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"completion generated more rules than "
+                         f"_RULE_LIMIT = {limit}")
+
+
 class RepairError(RuntimeError):
     """No augmentation reconciles the presentation with the target table."""
+
+
+class SearchCapError(RepairError):
+    """The repair search would pass one of its caps, so it cannot claim
+    to have tried every augmentation.  Not a mathematical answer: the
+    CLI reports it as a runtime error (exit 2)."""
+
+    def __init__(self, cap: str, limit: int, cell: tuple[int, int]):
+        self.cap = cap
+        self.limit = limit
+        self.cell = cell
+        super().__init__(
+            f"repair search would pass {cap} = {limit} at cell "
+            f"(degree {cell[0]}, level {cell[1]}); raise the cap to "
+            f"search exhaustively")
 
 
 @dataclass(frozen=True)
@@ -170,7 +213,7 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...],
         w = stack.pop()
         steps += 1
         if steps > _STEP_LIMIT:
-            raise RuntimeError("reduction exceeded the step limit")
+            raise StepLimitError(_STEP_LIMIT)
         if weight_cap is not None and weight_fn(w) > weight_cap:
             raise TruncationError(w, weight_cap)
         m = _leftmost_match(w, rules)
@@ -240,8 +283,8 @@ def complete(rs: RewriteSystem, weight_bound: int) -> RewriteSystem:
     order = rs.order
     rule_map = {r.lhs: r.rhs for r in rs.rules}
     while True:
-        if len(rule_map) > 400:
-            raise RuntimeError("completion generated too many rules")
+        if len(rule_map) > _RULE_LIMIT:
+            raise RuleLimitError(_RULE_LIMIT)
         rule_map = _interreduce(rule_map, order)
         rules = tuple(RewriteRule(l, r) for l, r in
                       sorted(rule_map.items(), key=lambda kv: order.sort_key(kv[0])))
@@ -499,14 +542,36 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
       (iii) the dimension table matches the target exactly up to
             degree_bound.
 
-    Distinct search paths reaching the same rule set are reported once.
+    Distinct search paths reaching the same rule set are reported once,
+    and each distinct rule set is counted by hilbert once.
     RepairError is raised when no candidate survives.  Only a
     CompletionError rejects a candidate; any other error propagates.
+    The search is exhaustive: where it would need more than _POOL_CAP
+    right-side words, or more than _DEPTH_CAP rules on one search path,
+    it raises SearchCapError instead of leaving candidates untried.
     """
     wb = weight_bound if weight_bound is not None else \
         required_weight_bound(sig, degree_bound)
     base = complete(orient(sig), wb)
-    if compare(hilbert(base, degree_bound), hom).is_match:
+    if hom.degree_bound != degree_bound:
+        raise ValueError(
+            f"degree bounds differ: {degree_bound} vs {hom.degree_bound}")
+    homd = hom.as_dict()
+    excesses: dict[tuple[RewriteRule, ...], dict[tuple[int, int], int]] = {}
+
+    def excess(rs: RewriteSystem) -> dict[tuple[int, int], int]:
+        """alg - hom on every cell where rs's table differs from the
+        target.  Each distinct rule set is counted once; only the few
+        differing cells are kept, not the whole table."""
+        if rs.rules not in excesses:
+            alg = hilbert(rs, degree_bound).as_dict()
+            excesses[rs.rules] = {
+                k: alg.get(k, 0) - homd.get(k, 0)
+                for k in alg.keys() | homd.keys()
+                if alg.get(k, 0) != homd.get(k, 0)}
+        return excesses[rs.rules]
+
+    if not excess(base):
         raise ValueError("presentation already matches; nothing to repair")
     base_set = set(base.rules)
 
@@ -526,16 +591,14 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
             return None
         if not filtration_check(done).passed:
             return None
-        if not compare(hilbert(done, degree_bound), hom).is_match:
+        if excess(done):
             return None
         return done
 
     def search(current: RewriteSystem, depth: int) -> None:
-        alg = hilbert(current, degree_bound).as_dict()
-        homd = hom.as_dict()
-        keys = set(alg) | set(homd)
-        deficit = [k for k in keys if alg.get(k, 0) < homd.get(k, 0)]
-        surplus = sorted(k for k in keys if alg.get(k, 0) > homd.get(k, 0))
+        diff = excess(current)
+        deficit = [k for k, v in diff.items() if v < 0]
+        surplus = sorted(k for k, v in diff.items() if v > 0)
         if deficit:
             dead_degrees.append(min(d for d, _ in deficit))
             return
@@ -551,15 +614,14 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
             if done is not None:
                 survivors.append(Augmentation(rules=candidate, system=done))
             return
-        if depth >= 8:
-            dead_degrees.append(surplus[0][0])
-            return
+        if depth >= _DEPTH_CAP:
+            raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, surplus[0])
         degree, level = surplus[0]
         progressed = False
         for lhs in _words_in_cell(current, degree, level):
             pool = _candidate_rhs_pool(current, lhs)
-            if len(pool) > 10:
-                pool = pool[:10]
+            if len(pool) > _POOL_CAP:
+                raise SearchCapError("_POOL_CAP", _POOL_CAP, (degree, level))
             for size in range(len(pool) + 1):
                 for combo in itertools.combinations(pool, size):
                     rule = RewriteRule(lhs, frozenset(combo))

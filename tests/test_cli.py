@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from pathalg import rewriting
 from pathalg.cli import main
 
 
@@ -97,6 +98,43 @@ class TestVerifyCommand:
     def test_insufficient_weight_bound_is_a_runtime_error(self, capsys):
         assert main(["verify", "--n", "3", "--max-degree", "40",
                      "--weight-bound", "10"]) == 2
+
+    def test_each_rewriting_system_is_counted_once(self, capsys, monkeypatch):
+        # the base system once for the comparison and once inside the
+        # repair search (which memoizes by rule set), plus one count per
+        # repaired system: it used to be 7
+        real, calls = rewriting.hilbert, []
+
+        def counting(rs, degree_bound):
+            calls.append(rs.rules)
+            return real(rs, degree_bound)
+
+        monkeypatch.setattr(rewriting, "hilbert", counting)
+        code, out = run(capsys, "verify", "--n", "2")
+        assert code == 1
+        assert "{HHT -> 0, HHY -> 0}" in out
+        assert len(calls) == 4
+        assert len(set(calls[1:])) == 3
+
+    @pytest.mark.parametrize("cap, value", [("_POOL_CAP", 0),
+                                            ("_DEPTH_CAP", 0)])
+    def test_a_search_cap_that_would_cut_work_exits_2(self, capsys,
+                                                     monkeypatch, cap, value):
+        monkeypatch.setattr(rewriting, cap, value)
+        code = main(["verify", "--n", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{cap} = {value}" in err
+        assert "(degree 0, level 1)" in err
+
+    @pytest.mark.parametrize("limit, value", [("_STEP_LIMIT", 3),
+                                              ("_RULE_LIMIT", 2)])
+    def test_rewriting_limits_exit_2(self, capsys, monkeypatch, limit, value):
+        monkeypatch.setattr(rewriting, limit, value)
+        code = main(["verify", "--n", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{limit} = {value}" in err
 
 
 class TestGeomCommands:

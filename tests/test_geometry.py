@@ -1,8 +1,12 @@
 """Numerical geometry: projective points, discrete paths, half-circles,
 second-variation indices."""
 
+import copy
+import dataclasses
 import inspect
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from pathalg.geometry import (
     ParityError,
     ProjPoint,
     TangentVector,
+    _arc_grid,
     _critical_configuration,
     concat_check,
     concat_min,
@@ -129,6 +134,100 @@ class TestPaths:
                          / math.sqrt(2),
                          params=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda s, t: (s[:1], t[:1]), "path needs at least two samples"),
+        (lambda s, t: (s[0], t), "path needs at least two samples"),
+        (lambda s, t: (s, t[:-1]), "one breakpoint per sample required"),
+        (lambda s, t: (s, t + 1e-11), "breakpoints must run from 0 to 1"),
+        (lambda s, t: (s, t * 0.999), "breakpoints must run from 0 to 1"),
+        (lambda s, t: (s, t[[0, 2, 1, 3, 4]]),
+         "breakpoints must be strictly increasing"),
+        (lambda s, t: (s, np.array([0.0, 0.2, 0.2, 0.6, 1.0])),
+         "breakpoints must be strictly increasing"),
+        (lambda s, t: (scaled(s, 2, 1.0 + 1e-8), t),
+         "samples must be unit vectors"),
+        # the interior check runs over every row before the endpoint
+        # checks
+        (lambda s, t: (scaled(scaled(s, 2, 1.0 + 1e-8), 0, 1.0 + 1e-10), t),
+         "samples must be unit vectors"),
+        # endpoints off by between 1e-12 and 1e-9: the interior tolerance
+        # passes them, ProjPoint's unit check does not
+        (lambda s, t: (scaled(s, 0, 1.0 + 1e-10), t),
+         "representative must be a unit vector"),
+        (lambda s, t: (scaled(s, -1, 1.0 - 5e-11), t),
+         "representative must be a unit vector"),
+        (lambda s, t: (phased(s, 0), t),
+         "path endpoints must lie on the real locus"),
+        (lambda s, t: (phased(s, -1), t),
+         "path endpoints must lie on the real locus"),
+        # the start is checked in full before the end
+        (lambda s, t: (scaled(phased(s, 0), -1, 1.0 + 1e-10), t),
+         "path endpoints must lie on the real locus"),
+        (lambda s, t: (phased(scaled(s, 0, 1.0 + 1e-10), -1), t),
+         "representative must be a unit vector"),
+    ])
+    def test_rejections_keep_their_messages(self, change, message):
+        good = half_circle(*real_pair(2, 3), 1.1, samples=5)
+        samples, params = change(np.array(good.samples),
+                                 np.array(good.params))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DiscretePath(samples=samples, params=params)
+
+    def test_values_inside_the_tolerances_pass(self):
+        s = np.array(half_circle(*real_pair(2, 3), 1.1, samples=5).samples)
+        t = np.linspace(0.0, 1.0, 5)
+        DiscretePath(samples=scaled(s, 0, 1.0 + 5e-13), params=t)
+        DiscretePath(samples=scaled(s, 2, 1.0 + 5e-10), params=t)
+        # a phase of 5e-5 on one coordinate lowers |sum z_j^2| by at most
+        # (5e-5)^2 / 2, inside the 1e-8 endpoint tolerance
+        DiscretePath(samples=phased(s, 0, 5e-5), params=t)
+
+    def test_paths_are_immutable(self):
+        samples = np.array(constant_path(real_point([1.0, 0.0]), 3).samples)
+        params = np.linspace(0.0, 1.0, 3)
+        path = DiscretePath(samples=samples, params=params)
+        for name, value in (("samples", samples), ("params", params),
+                            ("degenerate_junction", True),
+                            ("_energy", 1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(path, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            path.samples[1, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            path.params[1] = 0.25
+        # the path keeps copies: the caller's arrays stay writable and
+        # writing into them changes nothing
+        samples[1] = [0.0, 1.0]
+        params[1] = 0.25
+        assert path.samples[1, 0] == 1.0 and path.params[1] == 0.5
+        # half_circle's shared breakpoint grid cannot be written either
+        assert not any(a.flags.writeable for a in _arc_grid(5))
+        # nor can the arrays of a copy or of an unpickled path
+        for twin in (copy.copy(path), copy.deepcopy(path),
+                     pickle.loads(pickle.dumps(path))):
+            assert np.array_equal(twin.samples, path.samples)
+            assert not twin.samples.flags.writeable
+            assert not twin.params.flags.writeable
+
+    def test_cached_energy_is_the_energy_of_the_samples(self):
+        def check(path: DiscretePath) -> None:
+            assert "_energy" not in vars(path)  # nothing seeded it
+            assert path_energy(path) == uncached_energy(path)
+            assert vars(path)["_energy"] == uncached_energy(path)
+            assert path_norm(path) == math.sqrt(uncached_energy(path))
+
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            a = sample_yk(n, int(rng.integers(1, 4)), rng,
+                          samples_per_arc=12)
+            check(a)
+            b = sample_yk(n, 1, rng, samples_per_arc=12, start=a.end())
+            check(b)
+            check(a.reversed())
+            check(concat_min(a, b))
+            check(concat_min(b.reversed(), a.reversed()))
+
     def test_norm_of_sampled_geodesic_is_its_length(self):
         x = random_real_point(2, RNG)
         u = random_real_tangent(x, RNG)
@@ -174,8 +273,34 @@ class TestConcat:
     def test_junction_mismatch_rejected(self):
         a = constant_path(real_point([1.0, 0.0, 0.0]))
         b = constant_path(real_point([0.0, 1.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^paths do not share the junction point$"):
             concat_min(a, b)
+        # a start 1e-4 away pairs to 1 - 5e-9, inside the default 1e-8
+        # but not inside 1e-9
+        near = constant_path(real_point([1.0, 1e-4, 0.0]))
+        concat_min(a, near)
+        with pytest.raises(ValueError,
+                           match="^paths do not share the junction point$"):
+            concat_min(a, near, tol=1e-9)
+
+    def test_phase_of_the_second_factor_is_aligned(self):
+        x, u = real_pair(2, 4)
+        arc = half_circle(x, u, 0.9, samples=8)
+        a = DiscretePath(samples=arc.samples * np.exp(0.7j),
+                         params=arc.params)
+        y = arc.end()
+        b = half_circle(y, random_real_tangent(y, np.random.default_rng(1)),
+                        0.6, samples=8)
+        ab = concat_min(a, b)
+        assert np.array_equal(ab.samples[:8], a.samples)
+        # after the junction ab is b times one phase, the one that
+        # carries b's first row onto a's last
+        c = np.vdot(b.samples[1], ab.samples[8])
+        assert abs(abs(c) - 1.0) < 1e-12
+        assert np.allclose(ab.samples[8:], c * b.samples[1:], atol=1e-12)
+        assert np.allclose(c * b.samples[0], a.samples[-1], atol=1e-12)
+        assert not np.allclose(b.samples[0], a.samples[-1], atol=1e-3)
 
     def test_degenerate_junction_flag(self):
         a = constant_path(real_point([1.0, 0.0]))
@@ -353,6 +478,34 @@ class TestCriticalIndex:
             nullity = n if k == 0 else 2 * n - 1
             assert mags[nullity - 1] <= 1e-6 * scale, (n, k)
             assert mags[nullity] >= 2 * ztol * scale, (n, k)
+
+
+def real_pair(n: int, seed: int) -> tuple[ProjPoint, TangentVector]:
+    rng = np.random.default_rng(seed)
+    x = random_real_point(n, rng)
+    return x, random_real_tangent(x, rng)
+
+
+def scaled(samples: np.ndarray, row: int, factor: float) -> np.ndarray:
+    out = np.array(samples)
+    out[row] *= factor
+    return out
+
+
+def phased(samples: np.ndarray, row: int, angle: float = 0.3) -> np.ndarray:
+    """Rotate one coordinate of one row by a phase: still a unit row,
+    no longer a real point unless the angle is small."""
+    out = np.array(samples)
+    out[row, 0] *= np.exp(1j * angle)
+    return out
+
+
+def uncached_energy(path: DiscretePath) -> float:
+    """The energy formula of path_energy before the energy was cached."""
+    inner = np.abs(np.einsum("ij,ij->i",
+                             path.samples[:-1], path.samples[1:].conj()))
+    d = np.arccos(np.clip(inner, 0.0, 1.0))
+    return float(np.sum(d * d / np.diff(path.params)))
 
 
 def dense_hessian(base: np.ndarray, frames: list, h: float = 1e-4

@@ -24,6 +24,9 @@ from pathalg.rewriting import (
     RepairError,
     RewriteRule,
     RewriteSystem,
+    RuleLimitError,
+    SearchCapError,
+    StepLimitError,
     TruncationError,
     anti_automorphism_check,
     compare,
@@ -142,6 +145,21 @@ class TestCompletion:
         rs = complete(orient(signature(5)), 12)
         with pytest.raises(TruncationError):
             normal_form("Y" * 11 + "S", rs)
+
+    def test_step_limit_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(rewriting, "_STEP_LIMIT", 3)
+        with pytest.raises(StepLimitError, match="_STEP_LIMIT = 3") as info:
+            complete(orient(signature(2)), 20)
+        assert info.value.limit == 3
+        assert isinstance(info.value, RuntimeError)
+
+    def test_rule_limit_is_a_typed_error(self, monkeypatch):
+        # the completed n = 2 system has 5 rules
+        monkeypatch.setattr(rewriting, "_RULE_LIMIT", 4)
+        with pytest.raises(RuleLimitError, match="_RULE_LIMIT = 4") as info:
+            complete(orient(signature(2)), 20)
+        assert info.value.limit == 4
+        assert isinstance(info.value, RuntimeError)
 
     def test_rules_respect_weights(self):
         for n in (1, 2, 3, 4, 5, 6, 7):
@@ -320,6 +338,11 @@ class TestRepairSearch:
         with pytest.raises(ValueError):
             repair_search(signature(3), hom, 20)
 
+    def test_target_of_another_degree_bound_is_rejected(self):
+        hom = path_space_homology(2, COEFF_F2, 20)
+        with pytest.raises(ValueError, match="degree bounds differ: 24 vs 20"):
+            repair_search(signature(2), hom, 24)
+
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
         # failure of a completion inside the search must surface, in the
@@ -347,6 +370,20 @@ class TestRepairSearch:
             monkeypatch.setattr(rewriting, "complete", failing)
             with pytest.raises(RuntimeError, match="injected"):
                 repair_search(signature(2), hom, 20)
+
+    @pytest.mark.parametrize("cap", ["_POOL_CAP", "_DEPTH_CAP"])
+    def test_caps_raise_instead_of_truncating(self, monkeypatch, cap):
+        # at n = 2 the pool holds one word and the search adds one rule,
+        # so a cap of 0 is the first value that would cut work
+        hom = path_space_homology(2, COEFF_F2, 20)
+        monkeypatch.setattr(rewriting, cap, 0)
+        with pytest.raises(SearchCapError) as info:
+            repair_search(signature(2), hom, 20)
+        assert (info.value.cap, info.value.limit) == (cap, 0)
+        assert info.value.cell == (0, 1)
+        assert isinstance(info.value, RepairError)
+        monkeypatch.setattr(rewriting, cap, 1)
+        assert len(repair_search(signature(2), hom, 20)) == 2
 
     def test_unreachable_target_raises(self):
         hom = path_space_homology(2, COEFF_F2, 12)
