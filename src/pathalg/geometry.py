@@ -159,8 +159,8 @@ class DiscretePath:
     A path is immutable: its fields cannot be reassigned, and samples
     and params are read-only copies of the arrays passed in, so nothing
     the caller still holds can change them.  It is validated once, in
-    one vectorized pass, and caches its energy on first use.  Two paths
-    are equal only when they are the same object.
+    one vectorized pass.  Two paths are equal only when they are the
+    same object.
     """
 
     samples: np.ndarray
@@ -194,20 +194,6 @@ class DiscretePath:
             if not abs(np.add.reduce(end * end)) >= 1.0 - _ENDPOINT_TOL:
                 raise ValueError("path endpoints must lie on the real locus")
 
-    def __reduce__(self):
-        # copies and unpickled paths go through __init__ as well, which
-        # makes their arrays read-only again
-        return (DiscretePath,
-                (self.samples, self.params, self.degenerate_junction))
-
-    @functools.cached_property
-    def _energy(self) -> float:
-        """Sum of squared segment distances over segment durations,
-        computed from the samples on first use and then kept."""
-        d = _segment_distances(self.samples)
-        dt = self.params[1:] - self.params[:-1]
-        return float(np.add.reduce(d * d / dt))
-
     @property
     def num_samples(self) -> int:
         return self.samples.shape[0]
@@ -237,9 +223,10 @@ def _segment_distances(samples: np.ndarray) -> np.ndarray:
 
 def path_energy(path: DiscretePath) -> float:
     """Energy of the piecewise-geodesic path with its parametrization:
-    sum of squared segment distances over segment durations, computed
-    on the first call for a path and kept on it."""
-    return path._energy
+    sum of squared segment distances over segment durations."""
+    d = _segment_distances(path.samples)
+    dt = path.params[1:] - path.params[:-1]
+    return float(np.add.reduce(d * d / dt))
 
 
 def path_norm(path: DiscretePath) -> float:

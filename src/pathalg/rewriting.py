@@ -121,10 +121,10 @@ class RepairError(RuntimeError):
     """No augmentation reconciles the presentation with the target table."""
 
 
-class SearchCapError(RepairError):
+class SearchCapError(RuntimeError):
     """The repair search would pass one of its caps, so it cannot claim
-    to have tried every augmentation.  Not a mathematical answer: the
-    CLI reports it as a runtime error (exit 2)."""
+    to have tried every augmentation.  Not a mathematical answer, so
+    not a RepairError: the CLI reports it as a runtime error (exit 2)."""
 
     def __init__(self, cap: str, limit: int, cell: tuple[int, int]):
         self.cap = cap
