@@ -84,7 +84,6 @@ from .geometry import (
     concat_min,
     constant_path,
     critical_index,
-    expected_index,
     fs_distance,
     geodesic,
     half_circle,

@@ -5,11 +5,7 @@ model against homology), geom (numerical geometry suites), table
 (named generator cells, with golden-file comparison).
 
 Exit codes: 0 all checks pass, 1 mathematical discrepancy, 2 usage or
-runtime error.  Tolerance defaults can be overridden by environment
-variables PATHALG_GRAD_TOL, PATHALG_ZTOL, PATHALG_STEP,
-PATHALG_CONCAT_TOL and PATHALG_GEOM_TOL; command-line flags win over
-the environment.  Every tolerance, from either source, must be a
-positive finite number.
+runtime error.  Every tolerance must be a positive finite number.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from importlib import resources
 
@@ -30,9 +25,7 @@ from .homology import COEFF_F2, COEFF_PULLBACK, COEFF_Z
 
 
 def _positive_float(text: str) -> float:
-    """Positive finite float.  argparse applies it to string defaults
-    too, which carry the PATHALG_* values, so both sources are checked
-    alike."""
+    """Positive finite float."""
     try:
         value = float(text)
     except ValueError:
@@ -317,27 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--k", type=_nonnegative_int, default=1)
     p_idx.add_argument("--segments", type=_positive_int, default=None)
     p_idx.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_idx.add_argument("--step", dest="h", metavar="STEP",
-                       type=_positive_float,
-                       default=os.environ.get("PATHALG_STEP", "1e-4"))
-    p_idx.add_argument("--ztol", type=_positive_float,
-                       default=os.environ.get("PATHALG_ZTOL", "1e-3"))
-    p_idx.add_argument("--grad-tol", type=_positive_float,
-                       default=os.environ.get("PATHALG_GRAD_TOL", "1e-8"))
+    p_idx.add_argument("--grad-tol", type=_positive_float, default=1e-8)
     p_idx.set_defaults(func=cmd_geom, suite="index_check")
 
-    for name, suite, trials, env, help_text in (
-            ("concat-check", "concat_check", 1000, "PATHALG_CONCAT_TOL",
+    for name, suite, trials, help_text in (
+            ("concat-check", "concat_check", 1000,
              "norm additivity and associativity"),
-            ("halfcircle-check", "halfcircle_check", 200, "PATHALG_GEOM_TOL",
+            ("halfcircle-check", "halfcircle_check", 200,
              "half-circle construction invariants"),
-            ("yk-check", "yk_check", 200, "PATHALG_GEOM_TOL",
+            ("yk-check", "yk_check", 200,
              "iterated half-circle family checks")):
         p_suite = geom_sub.add_parser(name, help=help_text)
         p_suite.add_argument("--trials", type=_positive_int, default=trials)
         p_suite.add_argument("--seed", type=_nonnegative_int, default=0)
-        p_suite.add_argument("--tol", type=_positive_float,
-                             default=os.environ.get(env, "1e-9"))
+        p_suite.add_argument("--tol", type=_positive_float, default=1e-9)
         p_suite.set_defaults(func=cmd_geom, suite=suite)
 
     p_tab = sub.add_parser("table", help="named generator cells")

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import homology
 from .tables import CheckItem, CheckReport
 
 _UNIT_TOL = 1e-12
@@ -507,8 +508,25 @@ def _critical_configuration(n: int, k: int, segments: int,
     return np.array(base_pts), frames
 
 
+def _segment_slopes(u: float) -> tuple[float, float]:
+    """g'(u) and g''(u) for g(u) = arcsin^2(sqrt u), the squared length
+    of a segment whose endpoints pair to modulus sqrt(1 - u).
+
+    With theta = arcsin(sqrt u), g' = 2 theta / sin 2theta and
+    g'' = (2 sin 2theta - 4 theta cos 2theta) / sin^3 2theta.  Below
+    u = 1e-6 the closed forms cancel and their series take over; the
+    dropped terms are below 1e-17 there.
+    """
+    if u < 1e-6:
+        return (1.0 + u * (2.0 / 3.0 + u * 8.0 / 15.0),
+                2.0 / 3.0 + u * (16.0 / 15.0 + u * 48.0 / 35.0))
+    theta = math.asin(math.sqrt(u))
+    s2, c2 = math.sin(2.0 * theta), math.cos(2.0 * theta)
+    return (2.0 * theta / s2,
+            (2.0 * s2 - 4.0 * theta * c2) / s2 ** 3)
+
+
 def critical_index(n: int, k: int, segments: int,
-                   h: float = 1e-4, ztol: float = 1e-3,
                    grad_tol: float = 1e-8,
                    rng: Optional[np.random.Generator] = None) -> IndexResult:
     """Index and nullity of the discrete energy at a level-k critical
@@ -521,38 +539,48 @@ def critical_index(n: int, k: int, segments: int,
     geodesic that leaves a real point in a purely imaginary direction
     and returns to the real locus every quarter period; the discrete
     energy is exactly critical there, which is verified to grad_tol
-    before differentiating twice.
+    before the Hessian is used.
 
-    The energy is a sum of per-segment terms, so moving sample j
-    changes only the segments on either side of it, and the Hessian is
-    block tridiagonal in the samples: blocks of samples two or more
-    apart are exactly zero.  Every derivative is a central difference
-    (fourth order for the gradient, second order for the Hessian) of
-    the energy of just the segments its perturbation touches, and one
-    numpy pass per sample builds all of its perturbed points.  The cost
-    is O(segments * w^2) segment evaluations for frame width w <= 2n,
-    where a dense Hessian of full-path energies needs O(dim^2) path
-    evaluations of segments terms each.
+    Sample p moves to (p + F s) / |p + F s| along the real coordinates
+    s of its frame F.  Every frame column is orthonormal and real-
+    orthogonal to its sample, so |p + F s|^2 = 1 + |s|^2, and the
+    segment from p to q has energy N g(1 - c) with N = segments,
+    g(u) = arcsin^2(sqrt u) and
 
-    Eigenvalues below -ztol * spectral_radius count toward the index,
-    those within ztol * spectral_radius of zero toward the nullity.
-    Expected: (0, n) for k = 0 and (1 + (k-1)n, 2n - 1) for k >= 1.
-    The default ztol = 1e-3 sits between method error and geometry:
-    measured over n = 1..3 with k = 0..5, and n = 5 with k = 4 (seeds
-    0 to 3), the null eigenvalues stay below 3e-8 * spectral_radius
-    (finite-difference error at h = 1e-4), while the smallest non-null
-    eigenvalue, which shrinks as k grows, is 4.3e-3 * spectral_radius
-    at k = 5.
+        c = |<p + F s, q + G t>|^2 / ((1 + |s|^2)(1 + |t|^2)).
+
+    At s = t = 0, with a = <p, q>, beta = F^T conj(q),
+    gamma = G^H p and D = F^T conj(G):
+
+        grad c   = 2 Re(conj(a) beta), 2 Re(conj(a) gamma)
+        c_ss     = 2 Re(beta beta^H) - 2 |a|^2 I  (c_tt alike, gamma)
+        c_st     = 2 Re(beta gamma^H + conj(a) D)
+
+    and the chain rule gives grad = -N g' grad c and
+    Hessian = N (g'' grad c grad c^T - g' Hess c), with g' and g'' from
+    _segment_slopes.  Each segment adds its blocks to the samples at
+    its two ends, so the Hessian is block tridiagonal; every entry is
+    exact up to rounding.
+
+    Eigenvalues below -tau count toward the index, those within tau of
+    zero toward the nullity, where tau = 64 * dim * eps * scale and
+    scale is the spectral radius: a multiple of the backward error of
+    the symmetric eigensolver, which dominates the few roundings of
+    each assembled entry.  Expected: (0, n) for k = 0 and
+    (1 + (k-1)n, 2n - 1) for k >= 1.  Measured over n = 1..3 with
+    k = 0..5, n = 5 with k = 4, and n = 1..4 with k = 12 and 30 (seeds
+    0 to 2, segments = max(8, 4k + 4)), the null eigenvalues stay below
+    4.8e-16 * scale, at most 7.2e-4 * tau, and the smallest non-null
+    eigenvalue, about 2.47 * scale / segments^2 for k >= 1, stays above
+    1.1e7 * tau (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues
+    agree within 1.6e-8 * scale with those of a finite-difference
+    Hessian at step 1e-4 (n <= 2, k <= 2).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if segments < max(2, 4 * k):
         raise ValueError("need segments >= max(2, 4k) so each segment "
                          "stays below an eighth turn")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    if not 0.0 < ztol < 1.0:
-        raise ValueError(f"ztol must lie strictly between 0 and 1, got {ztol}")
     if k > 0:
         assert 0.5 * math.pi * k / segments <= math.pi / 8 + 1e-12
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -560,81 +588,43 @@ def critical_index(n: int, k: int, segments: int,
     base, frames = _critical_configuration(n, k, segments, rng)
     offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
     dim = int(offsets[-1])
-
-    def seg_energy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Energy of the segment from each row of p to the matching
-        row of q (broadcast), at uniform duration 1/segments."""
-        inner = np.abs(np.sum(p * q.conj(), axis=-1))
-        d = np.arccos(np.clip(inner, 0.0, 1.0))
-        return segments * d * d
-
-    def moved(j: int, dirs: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Sample j moved by each step along each column of dirs and
-        renormalized: shape (len(steps), dirs.shape[1], n + 1)."""
-        v = base[j] + np.multiply.outer(steps, dirs.T)
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def sides(pts: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Energies of the segments before and after sample j with pts
-        in its place; zero where the path ends."""
-        none = np.zeros(pts.shape[:-1])
-        before = seg_energy(pts, base[j - 1]) if j > 0 else none
-        after = seg_energy(pts, base[j + 1]) if j < segments else none
-        return before, after
-
-    # fourth-order central differences keep the truncation error of the
-    # gradient check well below the tolerance; the +-h points and their
-    # segment energies are kept for the Hessian
-    grad = np.empty(dim)
-    singles = []
-    for j, frame in enumerate(frames):
-        pts = moved(j, frame, np.array([h, -h, 2 * h, -2 * h]))
-        before, after = sides(pts, j)
-        e = before + after
-        grad[offsets[j]:offsets[j + 1]] = \
-            (8.0 * (e[0] - e[1]) - (e[2] - e[3])) / (12 * h)
-        singles.append((pts[:2], before[:2], after[:2]))
+    grad = np.zeros(dim)
+    hess = np.zeros((dim, dim))
+    for j in range(segments):
+        p, q, F, G = base[j], base[j + 1], frames[j], frames[j + 1]
+        a = np.vdot(q, p)
+        beta = F.T @ q.conj()
+        gamma = G.conj().T @ p
+        a2 = abs(a) ** 2
+        cs = 2.0 * (a.conjugate() * beta).real
+        ct = 2.0 * (a.conjugate() * gamma).real
+        css = 2.0 * (np.outer(beta, beta.conj()).real
+                     - a2 * np.eye(F.shape[1]))
+        ctt = 2.0 * (np.outer(gamma, gamma.conj()).real
+                     - a2 * np.eye(G.shape[1]))
+        cst = 2.0 * (np.outer(beta, gamma.conj())
+                     + a.conjugate() * (F.T @ G.conj())).real
+        d1, d2 = _segment_slopes(max(0.0, 1.0 - a2))
+        s = slice(offsets[j], offsets[j + 1])
+        t = slice(offsets[j + 1], offsets[j + 2])
+        grad[s] -= segments * d1 * cs
+        grad[t] -= segments * d1 * ct
+        hess[s, s] += segments * (d2 * np.outer(cs, cs) - d1 * css)
+        hess[t, t] += segments * (d2 * np.outer(ct, ct) - d1 * ctt)
+        hess[s, t] = segments * (d2 * np.outer(cs, ct) - d1 * cst)
+        hess[t, s] = hess[s, t].T
     gnorm = float(np.linalg.norm(grad))
     if not gnorm < grad_tol:
         raise GradientCheckError(
             f"configuration is not critical: |grad E| = {gnorm:.3e}")
 
-    seg0 = seg_energy(base[:-1], base[1:])
-    hess = np.zeros((dim, dim))
-    for j, frame in enumerate(frames):
-        pts, before, after = singles[j]
-        e0 = (seg0[j - 1] if j > 0 else 0.0) + \
-            (seg0[j] if j < segments else 0.0)
-        ep, em = before + after
-        a, b = np.triu_indices(frame.shape[1], 1)
-        epp, emm = np.add(*sides(moved(j, frame[:, a] + frame[:, b],
-                                       np.array([h, -h])), j))
-        block = np.diag((ep - 2.0 * e0 + em) / (h * h))
-        block[a, b] = block[b, a] = \
-            (epp + emm + 2.0 * e0 - ep[a] - em[a] - ep[b] - em[b]) \
-            / (2.0 * h * h)
-        lo, mid = offsets[j], offsets[j + 1]
-        hess[lo:mid, lo:mid] = block
-        if j == segments:
-            break
-        # moving samples j and j+1 together touches segments j-1, j and
-        # j+1, but the stencil cancels j-1 and j+1 exactly: only the
-        # shared segment j enters the cross block
-        nxt, nxt_before, _ = singles[j + 1]
-        cross = (seg_energy(pts[0][:, None], nxt[0][None])
-                 + seg_energy(pts[1][:, None], nxt[1][None])
-                 + 2.0 * seg0[j]
-                 - (after[0] + after[1])[:, None]
-                 - (nxt_before[0] + nxt_before[1])[None, :]) / (2.0 * h * h)
-        hi = offsets[j + 2]
-        hess[lo:mid, mid:hi] = cross
-        hess[mid:hi, lo:mid] = cross.T
     eig = np.linalg.eigvalsh(hess)
     scale = float(np.max(np.abs(eig)))
     if scale == 0.0:
         raise GradientCheckError("second variation vanished identically")
-    index = int(np.sum(eig < -ztol * scale))
-    nullity = int(np.sum(np.abs(eig) <= ztol * scale))
+    tau = 64.0 * dim * np.finfo(float).eps * scale
+    index = int(np.sum(eig < -tau))
+    nullity = int(np.sum(np.abs(eig) <= tau))
     return IndexResult(index=index, nullity=nullity, gradient_norm=gnorm,
                        eigenvalues=eig)
 
@@ -651,24 +641,23 @@ def _trial_rngs(trials: int, seed: int):
     return (np.random.default_rng([seed, i]) for i in range(trials))
 
 
-def expected_index(n: int, k: int) -> tuple[int, int]:
-    """(index, nullity) at the level-k critical geodesics: (0, n) for
-    the constant paths, (1 + (k-1)n, 2n - 1) for k >= 1."""
-    if k == 0:
-        return (0, n)
-    return (1 + (k - 1) * n, 2 * n - 1)
-
-
 def index_check(n: int, k: int, segments: Optional[int] = None,
-                seed: int = 0, h: float = 1e-4, ztol: float = 1e-3,
-                grad_tol: float = 1e-8) -> CheckReport:
-    """critical_index against expected_index; segments defaults to
-    max(8, 4k + 4)."""
+                seed: int = 0, grad_tol: float = 1e-8) -> CheckReport:
+    """critical_index against the inputs of the homology assembly: the
+    index is the block shift 1 + (k-1)n (0 at k = 0), the nullity the
+    top degree of the critical manifold's mod-2 homology (the real
+    locus at k = 0, its unit tangent bundle for k >= 1).  segments
+    defaults to max(8, 4k + 4)."""
     if segments is None:
         segments = max(8, 4 * k + 4)
-    res = critical_index(n, k, segments, h=h, ztol=ztol, grad_tol=grad_tol,
+    res = critical_index(n, k, segments, grad_tol=grad_tol,
                          rng=np.random.default_rng(seed))
-    want = expected_index(n, k)
+    if k == 0:
+        critical = homology.real_proj_homology(n, homology.COEFF_F2)
+        want = (0, critical.top_degree)
+    else:
+        critical = homology.unit_tangent_homology(n, homology.COEFF_F2)
+        want = (homology.block_shift(n, k), critical.top_degree)
     got = (res.index, res.nullity)
     item = CheckItem(f"index={got[0]} nullity={got[1]}, expected {want}",
                      got == want, f"|grad|={res.gradient_norm:.2e}")

@@ -509,7 +509,10 @@ class Augmentation:
 
 
 def _words_in_cell(rs: RewriteSystem, degree: int, level: int) -> list[Word]:
-    out = [w for w, d, l in _graded_walk(rs, rs.weight_bound)
+    """Irreducible words of one (degree, level) cell.  The walk stops at
+    the weight that hilbert certifies for the cell's degree."""
+    wb = min(rs.weight_bound, required_weight_bound(rs.sig, degree))
+    out = [w for w, d, l in _graded_walk(rs, wb)
            if d == degree and l == level]
     return sorted(out, key=rs.order.sort_key)
 

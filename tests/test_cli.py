@@ -1,5 +1,5 @@
 """Command-line contract: exit codes, output schemas, golden fixtures,
-environment overrides."""
+tolerance flags."""
 
 import csv
 import io
@@ -144,6 +144,13 @@ class TestGeomCommands:
         assert code == 0
         assert "index=3 nullity=3" in out
 
+    def test_index_at_level_twelve(self, capsys):
+        # the first non-null eigenvalue is 9.1e-4 * scale here, below
+        # a fixed threshold of 1e-3 * scale
+        code, out = run(capsys, "geom", "index", "--n", "1", "--k", "12")
+        assert code == 0
+        assert "index=12 nullity=1" in out
+
     def test_index_rejects_coarse_subdivision(self, capsys):
         assert main(["geom", "index", "--segments", "2", "--k", "1"]) == 2
 
@@ -170,27 +177,20 @@ class TestGeomCommands:
                       "--seed", "4")
         assert out3 != out4
 
-    @pytest.mark.parametrize("argv, env", [
-        (("index", "--step", "0"), {}),
-        (("index", "--step", "inf"), {}),
-        (("index", "--grad-tol", "nan"), {}),
-        (("index", "--ztol", "nan"), {}),
-        (("index", "--ztol", "1"), {}),
-        (("index",), {"PATHALG_STEP": "-1e-4"}),
-        (("concat-check", "--tol", "nan", "--trials", "5"), {}),
-        (("yk-check", "--trials", "5"), {"PATHALG_GEOM_TOL": "nan"}),
+    @pytest.mark.parametrize("argv", [
+        ("index", "--grad-tol", "nan"),
+        ("index", "--grad-tol", "0"),
+        ("index", "--grad-tol", "-1e-8"),
+        ("concat-check", "--tol", "nan", "--trials", "5"),
+        ("halfcircle-check", "--tol", "inf", "--trials", "5"),
+        ("yk-check", "--tol", "not-a-number", "--trials", "5"),
     ])
-    def test_bad_tolerances_are_usage_errors(self, capsys, monkeypatch,
-                                             argv, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_bad_tolerances_are_usage_errors(self, capsys, argv):
         assert main(["geom", *argv]) == 2
 
-    def test_concat_tolerance_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHALG_CONCAT_TOL", "1e-20")
-        assert main(["geom", "concat-check", "--trials", "5"]) == 1
-        monkeypatch.setenv("PATHALG_CONCAT_TOL", "not-a-number")
-        assert main(["geom", "concat-check", "--trials", "5"]) == 2
+    def test_concat_tolerance_below_roundoff_fails(self, capsys):
+        assert main(["geom", "concat-check", "--trials", "5",
+                     "--tol", "1e-20"]) == 1
 
     def test_halfcircle_check(self, capsys):
         code, out = run(capsys, "geom", "halfcircle-check", "--trials", "20")
@@ -214,10 +214,9 @@ class TestGeomCommands:
                       "--seed", seed)
         assert code == 0
 
-    def test_grad_tol_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHALG_GRAD_TOL", "1e-18")
+    def test_grad_tol_below_roundoff_is_a_runtime_error(self, capsys):
         assert main(["geom", "index", "--n", "1", "--k", "1",
-                     "--segments", "8"]) == 2
+                     "--segments", "8", "--grad-tol", "1e-18"]) == 2
 
 
 class TestTableCommand:

@@ -2,7 +2,7 @@
 second-variation indices."""
 
 import dataclasses
-import inspect
+import functools
 import math
 import re
 
@@ -17,11 +17,11 @@ from pathalg.geometry import (
     TangentVector,
     _arc_grid,
     _critical_configuration,
+    _segment_slopes,
     concat_check,
     concat_min,
     constant_path,
     critical_index,
-    expected_index,
     fs_distance,
     geodesic,
     half_circle,
@@ -47,6 +47,21 @@ RNG = np.random.default_rng(20240814)
 # (n, k) pairs of the second-variation tests: n = 1..3 up to k = 5,
 # and the dimension-200 case n = 5, k = 4
 INDEX_GRID = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
+# high levels, where the first non-null eigenvalue is small: it shrinks
+# like 1 / segments^2
+HIGH_GRID = [(n, k) for n in (1, 2, 3, 4) for k in (12, 30)]
+
+
+@functools.lru_cache(maxsize=None)
+def index_at(n: int, k: int):
+    """critical_index at the default subdivision and seed 0."""
+    return critical_index(n, k, max(8, 4 * k + 4),
+                          rng=np.random.default_rng(0))
+
+
+def morse_pair(n: int, k: int) -> tuple[int, int]:
+    """(index, nullity) of the level-k critical geodesics."""
+    return (0, n) if k == 0 else (1 + (k - 1) * n, 2 * n - 1)
 
 
 def defect(p: ProjPoint, q: ProjPoint) -> float:
@@ -438,13 +453,6 @@ class TestCriticalIndex:
         with pytest.raises(GradientCheckError):
             critical_index(2, 1, 12, grad_tol=math.nan)
 
-    @pytest.mark.parametrize("h, ztol", [
-        (0.0, 1e-3), (-1e-4, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
-        (1e-4, 0.0), (1e-4, 1.0), (1e-4, math.nan)])
-    def test_step_and_zero_threshold_are_checked(self, h, ztol):
-        with pytest.raises(ValueError):
-            critical_index(1, 1, 8, h=h, ztol=ztol)
-
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_banded_hessian_matches_dense_reference(self, n, k):
@@ -457,16 +465,46 @@ class TestCriticalIndex:
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
-    def test_ztol_sits_between_method_error_and_geometry(self):
-        ztol = inspect.signature(critical_index).parameters["ztol"].default
-        for n, k in INDEX_GRID:
-            res = critical_index(n, k, max(8, 4 * k + 4),
-                                 rng=np.random.default_rng(0))
-            mags = np.sort(np.abs(res.eigenvalues))
-            scale = mags[-1]
-            nullity = n if k == 0 else 2 * n - 1
-            assert mags[nullity - 1] <= 1e-6 * scale, (n, k)
-            assert mags[nullity] >= 2 * ztol * scale, (n, k)
+    @pytest.mark.parametrize("n, k", HIGH_GRID)
+    def test_high_levels(self, n, k):
+        # the first non-null eigenvalue falls below 1e-3 * scale from
+        # k = 12 on, and to 1.6e-4 * scale at k = 30
+        res = index_at(n, k)
+        assert (res.index, res.nullity) == morse_pair(n, k)
+        assert res.gradient_norm < 1e-10
+
+    def test_null_threshold_sits_between_rounding_and_geometry(self):
+        # tau = 64 * dim * eps * scale, the threshold critical_index
+        # derives from the float error of the eigensolver
+        for n, k in INDEX_GRID + HIGH_GRID:
+            mags = np.sort(np.abs(index_at(n, k).eigenvalues))
+            tau = 64 * len(mags) * np.finfo(float).eps * mags[-1]
+            nullity = morse_pair(n, k)[1]
+            assert mags[nullity - 1] <= tau / 100, (n, k)
+            assert mags[nullity] >= 100 * tau, (n, k)
+
+    @pytest.mark.parametrize("u", [0.0, 1e-6, 1e-5, 1e-3, 0.15, 0.5, 0.9])
+    def test_segment_slopes_are_the_derivatives_of_arcsin_squared(self, u):
+        def g(v: float) -> float:
+            return math.asin(math.sqrt(v)) ** 2
+
+        def g1(v: float) -> float:
+            return _segment_slopes(v)[0]
+
+        d1, d2 = _segment_slopes(u)
+        if u == 0.0:
+            assert (d1, d2) == (1.0, 2.0 / 3.0)
+            return
+        step = 1e-3 * min(u, 1.0 - u)
+        assert d1 == pytest.approx((g(u + step) - g(u - step)) / (2 * step),
+                                   rel=1e-5)
+        assert d2 == pytest.approx((g1(u + step) - g1(u - step)) / (2 * step),
+                                   rel=1e-5)
+
+    def test_segment_slopes_are_continuous_at_the_series_switch(self):
+        below = _segment_slopes(np.nextafter(1e-6, 0.0))
+        above = _segment_slopes(1e-6)
+        assert below == pytest.approx(above, rel=1e-9, abs=0.0)
 
 
 def real_pair(n: int, seed: int) -> tuple[ProjPoint, TangentVector]:
@@ -565,15 +603,18 @@ def half_circle_reference(x: ProjPoint, u: TangentVector, theta: float,
 
 
 class TestCheckSuites:
-    def test_expected_index(self):
-        assert expected_index(3, 0) == (0, 3)
-        assert expected_index(2, 2) == (3, 3)
-        assert expected_index(1, 4) == (4, 1)
-
     def test_index_check_reports_the_pair(self):
         report = index_check(2, 2, 12)
         assert report.passed
         assert "index=3 nullity=3" in report.items[0].name
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (4, 0), (1, 3), (2, 2),
+                                      (3, 1), (4, 5)])
+    def test_index_check_expects_the_homology_inputs(self, n, k):
+        # the expected pair comes from the homology assembly: block
+        # shift and top degree of the critical manifold
+        name = index_check(n, k).items[0].name
+        assert name.endswith(f"expected {morse_pair(n, k)}")
 
     @pytest.mark.parametrize("suite", [concat_check, halfcircle_check,
                                        yk_check])

@@ -2,6 +2,8 @@
 repair search.  The expected rule tables below were derived by hand from
 the defining relations and are frozen as oracles."""
 
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +232,23 @@ class TestIrreducibleWords:
             assert list(irreducible_words(rs, rs.weight_bound)) == \
                 list(recursive_irreducible_words(rs, rs.weight_bound))
             assert hilbert(rs, 20) == reference_hilbert(rs, 20)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_cell_lists_match_the_full_walk(self, n):
+        # _words_in_cell walks only to the weight hilbert certifies for
+        # the cell's degree; a shorter walk can only drop words, so
+        # comparing the nonempty cells of the full walk covers them all
+        D = 120
+        sig = signature(n)
+        found = repair_search(sig, path_space_homology(n, COEFF_F2, D), D)
+        for rs in (completed(n, D), *(a.system for a in found)):
+            cells = defaultdict(list)
+            for w, d, l in rewriting._graded_walk(rs, rs.weight_bound):
+                if d <= D:
+                    cells[d, l].append(w)
+            for (d, l), words in cells.items():
+                assert rewriting._words_in_cell(rs, d, l) == \
+                    sorted(words, key=rs.order.sort_key), (d, l)
 
     def test_degree_bound_far_past_the_recursion_limit(self):
         # the recursive enumerator overflowed the interpreter stack at
