@@ -1,7 +1,7 @@
 """Verification toolkit for the presented path-space product algebras.
 
 Two independent routes are built and compared: a rewriting-system model
-of the presented algebras (orientation, truncated completion, bigraded
+of the presented algebras (orientation, completion, bigraded
 normal-form counts) and closed-form homology tables assembled from the
 projective base and its unit tangent bundle.  A numerical geometry
 layer checks the metric inputs behind the presentation: half-circle
@@ -31,7 +31,6 @@ from .rewriting import (
     Augmentation,
     CompletionError,
     ComparisonReport,
-    InsufficientWeightBoundError,
     OrderRejectedError,
     RepairError,
     RewriteRule,
@@ -39,7 +38,6 @@ from .rewriting import (
     RuleLimitError,
     SearchCapError,
     StepLimitError,
-    TruncationError,
     anti_automorphism_check,
     apply_rule,
     compare,

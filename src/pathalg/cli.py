@@ -166,11 +166,8 @@ def cmd_verify(args) -> int:
     n = args.n
     D = args.max_degree
     sig = signature(n)
-    wb = args.weight_bound if args.weight_bound is not None else \
-        rewriting.required_weight_bound(sig, D)
-    rs = rewriting.complete(rewriting.orient(sig), wb)
-    print(f"completed rewriting system for n={n}: {len(rs.rules)} rules, "
-          f"weight bound {wb}")
+    rs = rewriting.complete(rewriting.orient(sig))
+    print(f"completed rewriting system for n={n}: {len(rs.rules)} rules")
     for rule in rs.rules:
         print(f"  {rule.render()}")
 
@@ -197,7 +194,7 @@ def cmd_verify(args) -> int:
     if not comparison.is_match and n % 2 == 0:
         print("\nsearching for rule augmentations that restore the match:")
         try:
-            augs = rewriting.repair_search(sig, hom, D, weight_bound=wb)
+            augs = rewriting.repair_search(rs, hom)
         except rewriting.RepairError as exc:
             print(f"  none found: {exc}")
         else:
@@ -252,6 +249,9 @@ def _golden_text(n: int) -> str:
 
 def cmd_table(args) -> int:
     n = args.n
+    if args.golden and n > 4:
+        print(f"no golden fixture for n={n}", file=sys.stderr)
+        return 2
     levels = args.levels if args.levels is not None else (3 if n == 1 else 2)
     table = homology.generator_table(n, levels - 1)
     if args.format == "md":
@@ -263,9 +263,6 @@ def cmd_table(args) -> int:
                        args.format)
     if not args.golden:
         return 0
-    if n > 4:
-        print(f"no golden fixture for n={n}", file=sys.stderr)
-        return 2
     want = _parse_table_text(_golden_text(n))
     got = {(c.degree, c.level): c.names for c in table.cells}
     if want == got:
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rewriting model against homology tables")
     p_ver.add_argument("--n", type=_positive_int, required=True)
     p_ver.add_argument("--max-degree", type=_nonnegative_int, default=40)
-    p_ver.add_argument("--weight-bound", type=_positive_int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     p_geom = sub.add_parser("geom", help="numerical geometry suites")

@@ -388,8 +388,6 @@ def consistency_checks(n: int, degree_bound: Optional[int] = None) -> CheckRepor
 
     f2_st = unit_tangent_homology(n, COEFF_F2)
     integral_tags = [COEFF_Z] if n % 2 == 1 else [COEFF_Z, COEFF_PULLBACK]
-    if n == 1:
-        integral_tags = [COEFF_Z]
     for tag in integral_tags:
         got = uct_f2(unit_tangent_homology(n, tag))
         items.append(CheckItem(
@@ -459,9 +457,6 @@ class GeneratorTable:
     n: int
     max_level: int
     cells: tuple[GeneratorCell, ...]
-
-    def rows(self) -> list[tuple[int, int, tuple[str, ...]]]:
-        return [(c.degree, c.level, c.names) for c in self.cells]
 
 
 def generator_table(n: int, max_level: int) -> GeneratorTable:

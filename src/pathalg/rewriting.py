@@ -1,15 +1,16 @@
-"""Rewriting systems for the presented algebras: orientation, completion
-up to a weight bound, normal forms, bigraded Hilbert counts, and the
-verification suites built on them (filtration, reversal stability,
-inclusion transport, dimension comparison, repair search).
+"""Rewriting systems for the presented algebras: orientation, completion,
+normal forms, bigraded Hilbert counts, and the verification suites built
+on them (filtration, reversal stability, inclusion transport, dimension
+comparison, repair search).
 
 The well-order is weight-lex (see algebra.MonomialOrder).  Every rule
 keeps the weight of each right-hand word at or below the weight of its
 left-hand word, so no reduction ever increases word weight.  Completion
-restricted to superpositions of weight <= W is therefore sound on the
-universe of words of weight <= W: reductions never leave it.
+resolves every critical pair, in every weight; by the diamond lemma the
+completed system is confluent, so irreducible words form a basis of the
+presented algebra in every degree.
 
->>> rs = complete(orient(signature(3)), 20)
+>>> rs = complete(orient(signature(3)))
 >>> sorted(normal_form("SH", rs))
 ['', 'HS']
 >>> normal_form("SS", rs) == ZERO
@@ -42,7 +43,7 @@ from .algebra import (
 )
 
 INCOMPLETE = "incomplete"
-COMPLETE = "complete-up-to-bound"
+COMPLETE = "complete"
 
 # guards against runaway rewriting: reduction steps of one _poly_nf
 # call, and rules in one completion
@@ -66,17 +67,6 @@ class OrderRejectedError(ValueError):
         super().__init__(f"relation with left side {relation.lhs!r}: {message}")
 
 
-class TruncationError(RuntimeError):
-    """A reduction produced a word beyond the certified weight bound."""
-
-    def __init__(self, word: Word, bound: int):
-        self.word = word
-        self.bound = bound
-        super().__init__(
-            f"word {word!r} exceeds the certified weight bound {bound}; "
-            f"recomplete with a larger bound")
-
-
 class CompletionError(RuntimeError):
     """A critical pair reduced to the unit: the relations force 1 = 0,
     so no orientable rule exists for the pair."""
@@ -86,17 +76,6 @@ class CompletionError(RuntimeError):
         super().__init__(
             f"critical pair at {superposition!r} reduces to the unit; "
             f"the presented algebra collapses")
-
-
-class InsufficientWeightBoundError(ValueError):
-    """The system's weight bound does not certify the requested degree."""
-
-    def __init__(self, have: int, need: int):
-        self.have = have
-        self.need = need
-        super().__init__(
-            f"weight bound {have} certified, but the degree bound needs "
-            f"{need}; recomplete with weight_bound >= {need}")
 
 
 class StepLimitError(RuntimeError):
@@ -154,7 +133,6 @@ class RewriteSystem:
     sig: Signature
     order: MonomialOrder
     rules: tuple[RewriteRule, ...]
-    weight_bound: int = 0
     completion_status: str = INCOMPLETE
 
     def max_lhs_len(self) -> int:
@@ -199,8 +177,7 @@ def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]):
     return None
 
 
-def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...],
-             weight_fn, weight_cap: Optional[int]) -> Polynomial:
+def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
     """Full reduction of a polynomial; leftmost strategy per word.
 
     F2 linearity lets each word occurrence reduce independently, with
@@ -214,8 +191,6 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...],
         steps += 1
         if steps > _STEP_LIMIT:
             raise StepLimitError(_STEP_LIMIT)
-        if weight_cap is not None and weight_fn(w) > weight_cap:
-            raise TruncationError(w, weight_cap)
         m = _leftmost_match(w, rules)
         if m is None:
             acc ^= {w}
@@ -227,15 +202,12 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...],
 
 
 def normal_form(p, rs: RewriteSystem) -> Polynomial:
-    """Reduce a word or polynomial to its normal form under rs.
-
-    For a completed system every intermediate word must stay within the
-    certified weight bound; otherwise TruncationError is raised.
-    """
+    """Reduce a word or polynomial to its normal form under rs.  For a
+    completed system the normal form does not depend on the order in
+    which rules are applied."""
     if isinstance(p, str):
         p = frozenset({p})
-    cap = rs.weight_bound if rs.completion_status == COMPLETE else None
-    return _poly_nf(p, rs.rules, rs.order.weight, cap)
+    return _poly_nf(p, rs.rules)
 
 
 def _interreduce(rule_map: dict[Word, Polynomial], order: MonomialOrder
@@ -251,8 +223,7 @@ def _interreduce(rule_map: dict[Word, Polynomial], order: MonomialOrder
                            if l != lhs)
             if _leftmost_match(lhs, others) is not None:
                 del rule_map[lhs]
-                eq = _poly_nf(frozenset({lhs}) ^ rhs, others,
-                              order.weight, None)
+                eq = _poly_nf(frozenset({lhs}) ^ rhs, others)
                 if eq:
                     top = order.max_word(eq)
                     if top == "":
@@ -260,7 +231,7 @@ def _interreduce(rule_map: dict[Word, Polynomial], order: MonomialOrder
                     rule_map[top] = eq ^ {top}
                 changed = True
                 break
-            new_rhs = _poly_nf(rhs, others, order.weight, None)
+            new_rhs = _poly_nf(rhs, others)
             if new_rhs != rhs:
                 rule_map[lhs] = new_rhs
                 changed = True
@@ -276,10 +247,12 @@ def _overlap_words(l1: Word, l2: Word) -> Iterator[tuple[Word, int]]:
             yield l1 + l2[k:], len(l1) - k
 
 
-def complete(rs: RewriteSystem, weight_bound: int) -> RewriteSystem:
-    """Knuth-Bendix completion restricted to superpositions of weight at
-    most weight_bound.  Output is inter-reduced and sorted, hence
-    canonical regardless of processing order."""
+def complete(rs: RewriteSystem) -> RewriteSystem:
+    """Knuth-Bendix completion over every superposition.  It ends when
+    every critical pair resolves, so the output is confluent in every
+    weight; RuleLimitError and StepLimitError stop a completion that
+    does not end.  Output is inter-reduced and sorted, hence canonical
+    regardless of processing order, and a fixed point of complete."""
     order = rs.order
     rule_map = {r.lhs: r.rhs for r in rs.rules}
     while True:
@@ -291,10 +264,8 @@ def complete(rs: RewriteSystem, weight_bound: int) -> RewriteSystem:
         pending = []
         for r1, r2 in itertools.product(rules, repeat=2):
             for sup, off in _overlap_words(r1.lhs, r2.lhs):
-                if order.weight(sup) > weight_bound:
-                    continue
-                p1 = _poly_nf(apply_rule(sup, r1, 0), rules, order.weight, None)
-                p2 = _poly_nf(apply_rule(sup, r2, off), rules, order.weight, None)
+                p1 = _poly_nf(apply_rule(sup, r1, 0), rules)
+                p2 = _poly_nf(apply_rule(sup, r2, off), rules)
                 diff = p1 ^ p2
                 if diff:
                     pending.append((sup, diff))
@@ -302,8 +273,8 @@ def complete(rs: RewriteSystem, weight_bound: int) -> RewriteSystem:
             break
         pending.sort(key=lambda sd: order.sort_key(sd[0]))
         for sup, diff in pending:
-            diff = _poly_nf(diff, tuple(RewriteRule(l, r) for l, r in rule_map.items()),
-                            order.weight, None)
+            diff = _poly_nf(diff, tuple(RewriteRule(l, r)
+                                        for l, r in rule_map.items()))
             if not diff:
                 continue
             top = order.max_word(diff)
@@ -316,7 +287,6 @@ def complete(rs: RewriteSystem, weight_bound: int) -> RewriteSystem:
         lw = order.weight(r.lhs)
         assert all(order.weight(w) <= lw for w in r.rhs)
     return RewriteSystem(sig=rs.sig, order=order, rules=rules,
-                         weight_bound=weight_bound,
                          completion_status=COMPLETE)
 
 
@@ -325,9 +295,10 @@ def complete(rs: RewriteSystem, weight_bound: int) -> RewriteSystem:
 
 
 def required_weight_bound(sig: Signature, degree_bound: int) -> int:
-    """Weight needed so every irreducible word of unshifted degree at
-    most degree_bound fits: room for the H block, one S/T letter at its
-    maximal weight, the Y block, and a safety margin."""
+    """Walk weight covering degree degree_bound: every irreducible word
+    of unshifted degree at most degree_bound has at most this weight.
+    It leaves room for the H block, one S/T letter at its maximal
+    weight, the Y block, and a safety margin."""
     n = sig.n
     return (n + 1) + (n + 1) + math.ceil((degree_bound + n) / n) + 4
 
@@ -366,15 +337,13 @@ def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
 
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
     """Count irreducible words per (unshifted degree, level) for degrees
-    0..degree_bound.  Refuses when the certified weight bound cannot
-    cover the requested degrees."""
+    0..degree_bound, walking to the weight required_weight_bound gives
+    for degree_bound.  Refuses a system that complete did not return."""
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
-    need = required_weight_bound(rs.sig, degree_bound)
-    if rs.weight_bound < need:
-        raise InsufficientWeightBoundError(rs.weight_bound, need)
+    walk = _graded_walk(rs, required_weight_bound(rs.sig, degree_bound))
     counts: dict[tuple[int, int], int] = {}
-    for _, d, level in _graded_walk(rs, rs.weight_bound):
+    for _, d, level in walk:
         if 0 <= d <= degree_bound:
             counts[d, level] = counts.get((d, level), 0) + 1
     return BigradedDimTable.from_dict(counts, degree_bound)
@@ -414,7 +383,7 @@ def anti_automorphism_check(sig: Signature, rs: RewriteSystem) -> CheckReport:
     return CheckReport(title=f"reversal stability (n={sig.n})", items=tuple(items))
 
 
-def heredity_check(n: int, weight_bound: Optional[int] = None) -> CheckReport:
+def heredity_check(n: int) -> CheckReport:
     """Transport of classes under the dimension-raising inclusion, as
     normal-form identities in the algebra for n+1.
 
@@ -428,9 +397,7 @@ def heredity_check(n: int, weight_bound: Optional[int] = None) -> CheckReport:
     if n < 1:
         raise ValueError("heredity needs presentations for n and n+1")
     target = signature(n + 1)
-    wb = weight_bound if weight_bound is not None else \
-        required_weight_bound(target, 4 * target.n)
-    rs = complete(orient(target), wb)
+    rs = complete(orient(target))
     items = []
     if target.parity_class is EVEN:
         residue = normal_form(poly("TH", "HT", "H"), rs)
@@ -510,10 +477,9 @@ class Augmentation:
 
 def _words_in_cell(rs: RewriteSystem, degree: int, level: int) -> list[Word]:
     """Irreducible words of one (degree, level) cell.  The walk stops at
-    the weight that hilbert certifies for the cell's degree."""
-    wb = min(rs.weight_bound, required_weight_bound(rs.sig, degree))
-    out = [w for w, d, l in _graded_walk(rs, wb)
-           if d == degree and l == level]
+    the weight that covers the cell's degree, as in hilbert."""
+    walk = _graded_walk(rs, required_weight_bound(rs.sig, degree))
+    out = [w for w, d, l in walk if d == degree and l == level]
     return sorted(out, key=rs.order.sort_key)
 
 
@@ -527,10 +493,11 @@ def _candidate_rhs_pool(rs: RewriteSystem, lhs: Word) -> list[Word]:
     return sorted(pool, key=rs.order.sort_key)
 
 
-def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
-                  weight_bound: Optional[int] = None) -> tuple[Augmentation, ...]:
-    """Search for rule augmentations that reconcile the presentation
-    with the target dimension table.
+def repair_search(base: RewriteSystem, hom: BigradedDimTable
+                  ) -> tuple[Augmentation, ...]:
+    """Search for rule augmentations that reconcile the completed
+    presentation base with the target dimension table hom, up to the
+    degree bound of hom.
 
     Surplus cells are attacked in increasing (degree, level) order; for
     each candidate left side in the first surplus cell every F2
@@ -539,11 +506,12 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
     enlarged system, and any derived rules it is forced to add become
     part of the candidate augmentation.  A candidate survives only if
 
-      (i)   re-running completion on the base rules plus the candidate
-            set adds no further rules and rewrites none,
+      (i)   the base rules plus the candidate set are complete: they are
+            complete's own output, so completing them again changes
+            nothing,
       (ii)  the level filtration is preserved, and
-      (iii) the dimension table matches the target exactly up to
-            degree_bound.
+      (iii) the dimension table matches the target exactly up to the
+            degree bound.
 
     Distinct search paths reaching the same rule set are reported once,
     and each distinct rule set is counted by hilbert once.
@@ -553,12 +521,6 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
     right-side words, or more than _DEPTH_CAP rules on one search path,
     it raises SearchCapError instead of leaving candidates untried.
     """
-    wb = weight_bound if weight_bound is not None else \
-        required_weight_bound(sig, degree_bound)
-    base = complete(orient(sig), wb)
-    if hom.degree_bound != degree_bound:
-        raise ValueError(
-            f"degree bounds differ: {degree_bound} vs {hom.degree_bound}")
     homd = hom.as_dict()
     excesses: dict[tuple[RewriteRule, ...], dict[tuple[int, int], int]] = {}
 
@@ -567,7 +529,7 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
         target.  Each distinct rule set is counted once; only the few
         differing cells are kept, not the whole table."""
         if rs.rules not in excesses:
-            alg = hilbert(rs, degree_bound).as_dict()
+            alg = hilbert(rs, hom.degree_bound).as_dict()
             excesses[rs.rules] = {
                 k: alg.get(k, 0) - homd.get(k, 0)
                 for k in alg.keys() | homd.keys()
@@ -581,22 +543,6 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
     survivors: list[Augmentation] = []
     seen: set = set()
     dead_degrees: list[int] = []
-
-    def verify(candidate: tuple[RewriteRule, ...]) -> Optional[RewriteSystem]:
-        start = tuple(sorted(base.rules + candidate,
-                             key=lambda r: base.order.sort_key(r.lhs)))
-        try:
-            done = complete(RewriteSystem(sig=sig, order=base.order,
-                                          rules=start), wb)
-        except CompletionError:
-            return None
-        if done.rules != start:
-            return None
-        if not filtration_check(done).passed:
-            return None
-        if excess(done):
-            return None
-        return done
 
     def search(current: RewriteSystem, depth: int) -> None:
         diff = excess(current)
@@ -613,9 +559,8 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
             if key in seen:
                 return
             seen.add(key)
-            done = verify(candidate)
-            if done is not None:
-                survivors.append(Augmentation(rules=candidate, system=done))
+            if filtration_check(current).passed:
+                survivors.append(Augmentation(rules=candidate, system=current))
             return
         if depth >= _DEPTH_CAP:
             raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, surplus[0])
@@ -629,10 +574,10 @@ def repair_search(sig: Signature, hom: BigradedDimTable, degree_bound: int,
                 for combo in itertools.combinations(pool, size):
                     rule = RewriteRule(lhs, frozenset(combo))
                     enlarged = RewriteSystem(
-                        sig=sig, order=current.order,
+                        sig=current.sig, order=current.order,
                         rules=current.rules + (rule,))
                     try:
-                        nxt = complete(enlarged, wb)
+                        nxt = complete(enlarged)
                     except CompletionError:
                         continue
                     progressed = True

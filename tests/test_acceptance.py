@@ -41,7 +41,6 @@ from pathalg.rewriting import (
     normal_form,
     orient,
     repair_search,
-    required_weight_bound,
 )
 
 DEGREE_BOUND = 40
@@ -59,9 +58,8 @@ def criterion(number: int, label: str):
     print(f"[PASS] criterion {number:02d}: {label} ({dt:.2f}s)")
 
 
-def completed(n: int, bound: int = DEGREE_BOUND):
-    sig = signature(n)
-    return complete(orient(sig), required_weight_bound(sig, bound))
+def completed(n: int):
+    return complete(orient(signature(n)))
 
 
 def pairing_defect(p, q) -> float:
@@ -110,7 +108,7 @@ def test_criterion_03_even_case_diagnosis_and_repair():
                       if unshifted_degree(w, rs.sig) == n
                       and word_level(w) == 1]
             assert "H" * n + "Y" in shadow
-            found = repair_search(signature(n), hom, DEGREE_BOUND)
+            found = repair_search(rs, hom)
             assert found
             renders = {a.render() for a in found}
             killer = "{" + "H" * n + "T -> 0, " + "H" * n + "Y -> 0}"
@@ -144,17 +142,17 @@ def test_criterion_05_consistency_suite():
 def test_criterion_06_filtration():
     with criterion(6, "every completed rule respects the level filtration"):
         for n in range(1, 8):
-            assert filtration_check(completed(n, bound=20)).passed
+            assert filtration_check(completed(n)).passed
         for n in (2, 4):
             hom = path_space_homology(n, COEFF_F2, 20)
-            for aug in repair_search(signature(n), hom, 20):
+            for aug in repair_search(completed(n), hom):
                 assert filtration_check(aug.system).passed
 
 
 def test_criterion_07_reversal_and_transport_identities():
     with criterion(7, "reversal stability and transport identities"):
         for n in range(1, 8):
-            rs = completed(n, bound=20)
+            rs = completed(n)
             assert anti_automorphism_check(signature(n), rs).passed
         for n in (3, 5):
             rs = completed(n)

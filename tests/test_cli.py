@@ -95,26 +95,33 @@ class TestVerifyCommand:
         assert "{HHT -> 0, HHY -> 0}" in out
         assert "{HHT -> HH, HHY -> 0}" in out
 
-    def test_insufficient_weight_bound_is_a_runtime_error(self, capsys):
-        assert main(["verify", "--n", "3", "--max-degree", "40",
-                     "--weight-bound", "10"]) == 2
-
     def test_each_rewriting_system_is_counted_once(self, capsys, monkeypatch):
-        # the base system once for the comparison and once inside the
-        # repair search (which memoizes by rule set), plus one count per
-        # repaired system: it used to be 7
-        real, calls = rewriting.hilbert, []
+        # hilbert: the base system once for the comparison and once
+        # inside the repair search (which memoizes by rule set), plus one
+        # count per repaired system.  complete: the base system,
+        # heredity_check's target and one per candidate rule; the search
+        # takes the completed base from its caller, and a leaf is
+        # complete's own output, so neither is completed again
+        real_hilbert, real_complete = rewriting.hilbert, rewriting.complete
+        counted, completed = [], []
 
         def counting(rs, degree_bound):
-            calls.append(rs.rules)
-            return real(rs, degree_bound)
+            counted.append(rs.rules)
+            return real_hilbert(rs, degree_bound)
+
+        def completing(rs):
+            completed.append(rs.rules)
+            return real_complete(rs)
 
         monkeypatch.setattr(rewriting, "hilbert", counting)
+        monkeypatch.setattr(rewriting, "complete", completing)
         code, out = run(capsys, "verify", "--n", "2")
         assert code == 1
         assert "{HHT -> 0, HHY -> 0}" in out
-        assert len(calls) == 4
-        assert len(set(calls[1:])) == 3
+        assert "{HHT -> HH, HHY -> 0}" in out
+        assert len(counted) == 4
+        assert len(set(counted[1:])) == 3
+        assert len(completed) == 4
 
     @pytest.mark.parametrize("cap, value", [("_POOL_CAP", 0),
                                             ("_DEPTH_CAP", 0)])
@@ -245,7 +252,11 @@ class TestTableCommand:
         assert cells[(4, 1)]["dim"] == 2
 
     def test_no_fixture_above_four(self, capsys):
+        # a usage error, reported before the table is printed
         assert main(["table", "--n", "5", "--golden"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no golden fixture for n=5" in captured.err
 
     def test_default_level_count(self, capsys):
         _, out1 = run(capsys, "table", "--n", "1")

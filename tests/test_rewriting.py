@@ -21,7 +21,6 @@ from pathalg.algebra import (
 )
 from pathalg.rewriting import (
     CompletionError,
-    InsufficientWeightBoundError,
     OrderRejectedError,
     RepairError,
     RewriteRule,
@@ -29,7 +28,6 @@ from pathalg.rewriting import (
     RuleLimitError,
     SearchCapError,
     StepLimitError,
-    TruncationError,
     anti_automorphism_check,
     compare,
     complete,
@@ -46,9 +44,14 @@ from pathalg.homology import COEFF_F2, path_space_homology
 from pathalg.tables import BigradedDimTable
 
 
-def completed(n: int, degree_bound: int = 40) -> RewriteSystem:
-    sig = signature(n)
-    return complete(orient(sig), required_weight_bound(sig, degree_bound))
+def completed(n: int) -> RewriteSystem:
+    return complete(orient(signature(n)))
+
+
+def repairs(n: int, degree_bound: int):
+    """repair_search for n against the mod-2 target up to degree_bound."""
+    return repair_search(completed(n),
+                         path_space_homology(n, COEFF_F2, degree_bound))
 
 
 def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
@@ -79,7 +82,8 @@ def reference_hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
     """Hilbert counts with every word's gradings recomputed from its
     letters."""
     counts = {}
-    for w in recursive_irreducible_words(rs, rs.weight_bound):
+    walk = required_weight_bound(rs.sig, degree_bound)
+    for w in recursive_irreducible_words(rs, walk):
         d = unshifted_degree(w, rs.sig)
         if 0 <= d <= degree_bound:
             key = (d, word_level(w))
@@ -126,12 +130,26 @@ class TestCompletion:
     def test_base_systems_are_already_confluent(self, n):
         rs = completed(n)
         assert [r.render() for r in rs.rules] == EXPECTED_RULES[n]
-        assert rs.completion_status == "complete-up-to-bound"
+        assert rs.completion_status == "complete"
 
     def test_completion_is_idempotent(self):
         rs = completed(3)
-        again = complete(rs, rs.weight_bound)
-        assert again.rules == rs.rules
+        assert complete(rs).rules == rs.rules
+
+    @pytest.mark.parametrize("n", range(1, 42))
+    def test_oriented_relations_are_already_complete(self, n):
+        # every critical pair of the oriented relations resolves, in
+        # every weight, so by the diamond lemma the irreducible words
+        # are a basis of the presented algebra in every degree
+        rs = orient(signature(n))
+        assert complete(rs).rules == rs.rules
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_repaired_systems_are_fixed_points(self, n):
+        found = repairs(n, 40)
+        assert len(found) == 2
+        for aug in found:
+            assert complete(aug.system).rules == aug.system.rules
 
     def test_collapse_is_detected(self):
         # inverting the degree-raising middle letter forces 1 = 0
@@ -141,17 +159,12 @@ class TestCompletion:
             sig=sig, order=rs.order,
             rules=rs.rules + (RewriteRule("S", ONE),))
         with pytest.raises(CompletionError):
-            complete(poisoned, 10)
-
-    def test_truncation_surfaces_as_an_error(self):
-        rs = complete(orient(signature(5)), 12)
-        with pytest.raises(TruncationError):
-            normal_form("Y" * 11 + "S", rs)
+            complete(poisoned)
 
     def test_step_limit_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(rewriting, "_STEP_LIMIT", 3)
         with pytest.raises(StepLimitError, match="_STEP_LIMIT = 3") as info:
-            complete(orient(signature(2)), 20)
+            complete(orient(signature(2)))
         assert info.value.limit == 3
         assert isinstance(info.value, RuntimeError)
 
@@ -159,7 +172,7 @@ class TestCompletion:
         # the completed n = 2 system has 5 rules
         monkeypatch.setattr(rewriting, "_RULE_LIMIT", 4)
         with pytest.raises(RuleLimitError, match="_RULE_LIMIT = 4") as info:
-            complete(orient(signature(2)), 20)
+            complete(orient(signature(2)))
         assert info.value.limit == 4
         assert isinstance(info.value, RuntimeError)
 
@@ -218,19 +231,20 @@ class TestNormalForm:
 class TestIrreducibleWords:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_walk_matches_the_recursive_reference(self, n):
-        rs = completed(n, degree_bound=60)
-        assert list(irreducible_words(rs, rs.weight_bound)) == \
-            list(recursive_irreducible_words(rs, rs.weight_bound))
+        rs = completed(n)
+        walk = required_weight_bound(rs.sig, 60)
+        assert list(irreducible_words(rs, walk)) == \
+            list(recursive_irreducible_words(rs, walk))
         assert hilbert(rs, 60) == reference_hilbert(rs, 60)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_walk_matches_the_reference_on_repaired_systems(self, n):
-        hom = path_space_homology(n, COEFF_F2, 20)
-        found = repair_search(signature(n), hom, 20)
+        found = repairs(n, 20)
         assert len(found) == 2
         for rs in (a.system for a in found):
-            assert list(irreducible_words(rs, rs.weight_bound)) == \
-                list(recursive_irreducible_words(rs, rs.weight_bound))
+            walk = required_weight_bound(rs.sig, 20)
+            assert list(irreducible_words(rs, walk)) == \
+                list(recursive_irreducible_words(rs, walk))
             assert hilbert(rs, 20) == reference_hilbert(rs, 20)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -239,11 +253,11 @@ class TestIrreducibleWords:
         # the cell's degree; a shorter walk can only drop words, so
         # comparing the nonempty cells of the full walk covers them all
         D = 120
-        sig = signature(n)
-        found = repair_search(sig, path_space_homology(n, COEFF_F2, D), D)
-        for rs in (completed(n, D), *(a.system for a in found)):
+        found = repairs(n, D)
+        walk = required_weight_bound(signature(n), D)
+        for rs in (completed(n), *(a.system for a in found)):
             cells = defaultdict(list)
-            for w, d, l in rewriting._graded_walk(rs, rs.weight_bound):
+            for w, d, l in rewriting._graded_walk(rs, walk):
                 if d <= D:
                     cells[d, l].append(w)
             for (d, l), words in cells.items():
@@ -253,7 +267,7 @@ class TestIrreducibleWords:
     def test_degree_bound_far_past_the_recursion_limit(self):
         # the recursive enumerator overflowed the interpreter stack at
         # D = 1000 for n = 1; the walk has no depth limit
-        rs = completed(1, degree_bound=10_000)
+        rs = completed(1)
         table = hilbert(rs, 10_000)
         hom = path_space_homology(1, COEFF_F2, 10_000)
         assert compare(table, hom).is_match
@@ -263,7 +277,7 @@ class TestIrreducibleWords:
 @given(st.text(alphabet="HSY", min_size=0, max_size=6),
        st.text(alphabet="HSY", min_size=0, max_size=6))
 def test_normal_form_is_a_congruence(u, v):
-    rs = completed(3, degree_bound=20)
+    rs = completed(3)
     lhs = normal_form(u + v, rs)
     rhs = normal_form(poly_mul(normal_form(u, rs), normal_form(v, rs)), rs)
     assert lhs == rhs
@@ -272,7 +286,7 @@ def test_normal_form_is_a_congruence(u, v):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.text(alphabet="HTY", min_size=0, max_size=6), max_size=4))
 def test_normal_form_is_idempotent(words):
-    rs = completed(2, degree_bound=20)
+    rs = completed(2)
     p = poly(*words)
     once = normal_form(p, rs)
     assert normal_form(once, rs) == once
@@ -281,7 +295,7 @@ def test_normal_form_is_idempotent(words):
 class TestChecks:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_filtration_and_reversal(self, n):
-        rs = completed(n, degree_bound=20)
+        rs = completed(n)
         assert filtration_check(rs).passed
         assert anti_automorphism_check(signature(n), rs).passed
 
@@ -317,10 +331,9 @@ class TestHilbertAndCompare:
         assert report.cell_mismatches[:4] == (
             (0, 1, 1, 0), (2, 1, 2, 1), (2, 2, 1, 0), (4, 2, 2, 1))
 
-    def test_small_bound_is_refused(self):
-        rs = complete(orient(signature(3)), 10)
-        with pytest.raises(InsufficientWeightBoundError):
-            hilbert(rs, 40)
+    def test_uncompleted_system_is_refused(self):
+        with pytest.raises(ValueError, match="requires a completed system"):
+            hilbert(orient(signature(3)), 40)
 
     def test_compare_rejects_mixed_bounds(self):
         a = BigradedDimTable.from_dict({(0, 0): 1}, 5)
@@ -329,7 +342,7 @@ class TestHilbertAndCompare:
             compare(a, b)
 
     def test_hilbert_level_zero_column(self):
-        rs = completed(4, degree_bound=12)
+        rs = completed(4)
         table = hilbert(rs, 12)
         # level 0 is spanned by the powers of the degree-lowering letter
         assert [table.dim(d, 0) for d in range(5)] == [1, 1, 1, 1, 1]
@@ -339,7 +352,7 @@ class TestHilbertAndCompare:
 class TestRepairSearch:
     def test_even_candidates(self):
         hom = path_space_homology(2, COEFF_F2, 20)
-        found = repair_search(signature(2), hom, 20)
+        found = repair_search(completed(2), hom)
         renders = sorted(a.render() for a in found)
         assert renders == ["{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"]
         for aug in found:
@@ -347,48 +360,42 @@ class TestRepairSearch:
             assert filtration_check(aug.system).passed
 
     def test_repaired_systems_extend_to_the_full_bound(self):
-        hom40 = path_space_homology(2, COEFF_F2, 40)
-        found = repair_search(signature(2), hom40, 40)
+        found = repairs(2, 40)
         assert {a.render() for a in found} == {
             "{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"}
 
     def test_matching_presentation_is_rejected(self):
         hom = path_space_homology(3, COEFF_F2, 20)
         with pytest.raises(ValueError):
-            repair_search(signature(3), hom, 20)
-
-    def test_target_of_another_degree_bound_is_rejected(self):
-        hom = path_space_homology(2, COEFF_F2, 20)
-        with pytest.raises(ValueError, match="degree bounds differ: 24 vs 20"):
-            repair_search(signature(2), hom, 24)
+            repair_search(completed(3), hom)
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
-        # failure of a completion inside the search must surface, in the
-        # candidate loop and in the final check alike
+        # failure of a completion inside the search must surface
         hom = path_space_homology(2, COEFF_F2, 20)
+        base = completed(2)
         real = rewriting.complete
         calls = []
 
-        def counting(rs, wb):
+        def counting(rs):
             calls.append(rs)
-            return real(rs, wb)
+            return real(rs)
 
         monkeypatch.setattr(rewriting, "complete", counting)
-        repair_search(signature(2), hom, 20)
-        assert len(calls) > 2
-        for k in range(1, len(calls)):  # call 0 completes the base system
+        repair_search(base, hom)
+        assert len(calls) == 2  # one per candidate rule
+        for k in range(len(calls)):
             seen = []
 
-            def failing(rs, wb):
+            def failing(rs):
                 seen.append(rs)
                 if len(seen) == k + 1:
                     raise RuntimeError("injected")
-                return real(rs, wb)
+                return real(rs)
 
             monkeypatch.setattr(rewriting, "complete", failing)
             with pytest.raises(RuntimeError, match="injected"):
-                repair_search(signature(2), hom, 20)
+                repair_search(base, hom)
 
     @pytest.mark.parametrize("cap", ["_POOL_CAP", "_DEPTH_CAP"])
     def test_caps_raise_instead_of_truncating(self, monkeypatch, cap):
@@ -397,13 +404,13 @@ class TestRepairSearch:
         hom = path_space_homology(2, COEFF_F2, 20)
         monkeypatch.setattr(rewriting, cap, 0)
         with pytest.raises(SearchCapError) as info:
-            repair_search(signature(2), hom, 20)
+            repair_search(completed(2), hom)
         assert (info.value.cap, info.value.limit) == (cap, 0)
         assert info.value.cell == (0, 1)
         assert isinstance(info.value, RuntimeError)
         assert not isinstance(info.value, RepairError)
         monkeypatch.setattr(rewriting, cap, 1)
-        assert len(repair_search(signature(2), hom, 20)) == 2
+        assert len(repair_search(completed(2), hom)) == 2
 
     def test_unreachable_target_raises(self):
         hom = path_space_homology(2, COEFF_F2, 12)
@@ -411,4 +418,4 @@ class TestRepairSearch:
         cells[(0, 3)] = 7
         target = BigradedDimTable.from_dict(cells, 12)
         with pytest.raises(RepairError):
-            repair_search(signature(2), target, 12)
+            repair_search(completed(2), target)
