@@ -5,7 +5,7 @@ model against homology), geom (numerical geometry suites), table
 (named generator cells, with golden-file comparison).
 
 Exit codes: 0 all checks pass, 1 mathematical discrepancy, 2 usage or
-runtime error.  Every tolerance must be a positive finite number.
+runtime error.  Tolerances are fixed constants of pathalg.geometry.
 """
 
 from __future__ import annotations
@@ -22,18 +22,6 @@ import numpy as np
 from . import geometry, homology, rewriting
 from .algebra import signature
 from .homology import COEFF_F2, COEFF_PULLBACK, COEFF_Z
-
-
-def _positive_float(text: str) -> float:
-    """Positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -174,7 +162,7 @@ def cmd_verify(args) -> int:
     reports = [rewriting.filtration_check(rs),
                rewriting.anti_automorphism_check(sig, rs)]
     if n >= 2:
-        reports.append(rewriting.heredity_check(n - 1))
+        reports.append(rewriting.heredity_check(rs))
     reports.append(homology.consistency_checks(n))
     ok = True
     for rep in reports:
@@ -194,7 +182,7 @@ def cmd_verify(args) -> int:
     if not comparison.is_match and n % 2 == 0:
         print("\nsearching for rule augmentations that restore the match:")
         try:
-            augs = rewriting.repair_search(rs, hom)
+            augs = rewriting.repair_search(rs, alg, hom)
         except rewriting.RepairError as exc:
             print(f"  none found: {exc}")
         else:
@@ -306,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--k", type=_nonnegative_int, default=1)
     p_idx.add_argument("--segments", type=_positive_int, default=None)
     p_idx.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_idx.add_argument("--grad-tol", type=_positive_float, default=1e-8)
     p_idx.set_defaults(func=cmd_geom, suite="index_check")
 
     for name, suite, trials, help_text in (
@@ -319,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_suite = geom_sub.add_parser(name, help=help_text)
         p_suite.add_argument("--trials", type=_positive_int, default=trials)
         p_suite.add_argument("--seed", type=_nonnegative_int, default=0)
-        p_suite.add_argument("--tol", type=_positive_float, default=1e-9)
         p_suite.set_defaults(func=cmd_geom, suite=suite)
 
     p_tab = sub.add_parser("table", help="named generator cells")

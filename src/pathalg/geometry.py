@@ -28,6 +28,12 @@ from .tables import CheckItem, CheckReport
 _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
 _ENDPOINT_TOL = 1e-8
+# critical_index's bound on |grad E|: the largest measured at n = 1..5,
+# k = 0..6, 12 and 30, seeds 0-2, is 7.4e-12, about 1300 times below
+_GRAD_TOL = 1e-8
+# pass bound of the sampling suites: their worst measured error at the
+# default trials, seeds 0-9, is 7.1e-14, about 14 000 times below
+_CHECK_TOL = 1e-9
 
 
 class ParityError(ValueError):
@@ -79,21 +85,21 @@ class ProjPoint:
     def ambient_dim(self) -> int:
         return self.rep.shape[0]
 
-    def equals(self, other: "ProjPoint", tol: float = _UNIT_TOL) -> bool:
-        return abs(np.vdot(self.rep, other.rep)) > 1.0 - tol
+    def equals(self, other: "ProjPoint") -> bool:
+        return abs(np.vdot(self.rep, other.rep)) > 1.0 - _UNIT_TOL
 
-    def is_real(self, tol: float = _REAL_TOL) -> bool:
+    def is_real(self) -> bool:
         """Whether some representative has all coordinates real; the
         squared-sum modulus |sum z_j^2| equals 1 exactly on such
         points and drops below 1 away from them."""
-        return abs(np.add.reduce(self.rep * self.rep)) >= 1.0 - tol
+        return abs(np.add.reduce(self.rep * self.rep)) >= 1.0 - _REAL_TOL
 
-    def real_representative(self, tol: float = _REAL_TOL) -> np.ndarray:
+    def real_representative(self) -> np.ndarray:
         s = complex(np.add.reduce(self.rep * self.rep))
-        if abs(s) < 1.0 - tol:
+        if abs(s) < 1.0 - _REAL_TOL:
             raise ValueError("point has no real representative")
         z = self.rep * cmath.exp(-0.5j * cmath.phase(s))
-        if _norm(z.imag) > math.sqrt(tol):
+        if _norm(z.imag) > math.sqrt(_REAL_TOL):
             raise ValueError("point has no real representative")
         # a strided view would round differently from np.linalg.norm
         re = np.ascontiguousarray(z.real)
@@ -186,8 +192,8 @@ class DiscretePath:
         defect = np.abs(_row_norms(samples) - 1.0)
         if defect.max() > 1e-9:
             raise ValueError("samples must be unit vectors")
-        # each endpoint must also pass ProjPoint's unit check and
-        # ProjPoint.is_real at the endpoint tolerance
+        # each endpoint must also pass ProjPoint's unit check and lie
+        # on the real locus within _ENDPOINT_TOL
         for idx in (0, -1):
             if defect[idx] > _UNIT_TOL:
                 raise ValueError("representative must be a unit vector")
@@ -240,18 +246,18 @@ def path_length(path: DiscretePath) -> float:
     return float(np.sum(_segment_distances(path.samples)))
 
 
-def concat_min(gamma: DiscretePath, delta: DiscretePath,
-               tol: float = _ENDPOINT_TOL) -> DiscretePath:
+def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
     """Minimum-energy concatenation: the junction sits at
     s = F(gamma) / (F(gamma) + F(delta)), which makes the norm exactly
-    additive.  Two constant factors leave the junction undetermined;
-    the convention s = 1/2 is used and the result is flagged."""
+    additive; the junction rows must pair to more than 1 - _ENDPOINT_TOL.
+    Two constant factors leave the junction undetermined; the
+    convention s = 1/2 is used and the result is flagged."""
     # both junction rows passed the unit check when their paths were
     # built, and paths cannot change: one pairing decides whether they
     # are the same point and aligns the phase of the second factor
     z = np.vdot(delta.samples[0], gamma.samples[-1])
     pairing = abs(z)
-    if not pairing > 1.0 - tol:
+    if not pairing > 1.0 - _ENDPOINT_TOL:
         raise ValueError("paths do not share the junction point")
     f1, f2 = path_norm(gamma), path_norm(delta)
     degenerate = gamma.degenerate_junction or delta.degenerate_junction
@@ -527,7 +533,6 @@ def _segment_slopes(u: float) -> tuple[float, float]:
 
 
 def critical_index(n: int, k: int, segments: int,
-                   grad_tol: float = 1e-8,
                    rng: Optional[np.random.Generator] = None) -> IndexResult:
     """Index and nullity of the discrete energy at a level-k critical
     configuration.
@@ -538,8 +543,8 @@ def critical_index(n: int, k: int, segments: int,
     projective space (2n each).  The base configuration samples the
     geodesic that leaves a real point in a purely imaginary direction
     and returns to the real locus every quarter period; the discrete
-    energy is exactly critical there, which is verified to grad_tol
-    before the Hessian is used.
+    energy is exactly critical there, which is verified (|grad E| below
+    _GRAD_TOL, else GradientCheckError) before the Hessian is used.
 
     Sample p moves to (p + F s) / |p + F s| along the real coordinates
     s of its frame F.  Every frame column is orthonormal and real-
@@ -614,7 +619,7 @@ def critical_index(n: int, k: int, segments: int,
         hess[s, t] = segments * (d2 * np.outer(cs, ct) - d1 * cst)
         hess[t, s] = hess[s, t].T
     gnorm = float(np.linalg.norm(grad))
-    if not gnorm < grad_tol:
+    if not gnorm < _GRAD_TOL:
         raise GradientCheckError(
             f"configuration is not critical: |grad E| = {gnorm:.3e}")
 
@@ -642,16 +647,16 @@ def _trial_rngs(trials: int, seed: int):
 
 
 def index_check(n: int, k: int, segments: Optional[int] = None,
-                seed: int = 0, grad_tol: float = 1e-8) -> CheckReport:
+                seed: int = 0) -> CheckReport:
     """critical_index against the inputs of the homology assembly: the
     index is the block shift 1 + (k-1)n (0 at k = 0), the nullity the
     top degree of the critical manifold's mod-2 homology (the real
     locus at k = 0, its unit tangent bundle for k >= 1).  segments
-    defaults to max(8, 4k + 4)."""
+    defaults to max(8, 4k + 4).  A configuration that fails the
+    gradient guard raises GradientCheckError."""
     if segments is None:
         segments = max(8, 4 * k + 4)
-    res = critical_index(n, k, segments, grad_tol=grad_tol,
-                         rng=np.random.default_rng(seed))
+    res = critical_index(n, k, segments, rng=np.random.default_rng(seed))
     if k == 0:
         critical = homology.real_proj_homology(n, homology.COEFF_F2)
         want = (0, critical.top_degree)
@@ -665,8 +670,7 @@ def index_check(n: int, k: int, segments: Optional[int] = None,
                        (item,))
 
 
-def concat_check(trials: int, seed: int = 0, tol: float = 1e-9
-                 ) -> CheckReport:
+def concat_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm additivity and associativity of concat_min on chains of
     half-circles: a of one or two arcs, b and c of one arc each, each
     starting where the previous one ends."""
@@ -674,9 +678,8 @@ def concat_check(trials: int, seed: int = 0, tol: float = 1e-9
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
     # pi/2) angles, 30 000 trials gave a worst error of 1.7e-12 at factor
-    # norm 7.2e-4; a factor at angle 1e-6 gives 2.4e-9, past the default
-    # 1e-9 tolerance.  With the floor, seeds 0-149 at 200 trials give a
-    # worst of 1.3e-13.
+    # norm 7.2e-4; a factor at angle 1e-6 gives 2.4e-9, past _CHECK_TOL.
+    # With the floor, seeds 0-149 at 200 trials give a worst of 1.3e-13.
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
     for rng in _trial_rngs(trials, seed):
@@ -693,15 +696,14 @@ def concat_check(trials: int, seed: int = 0, tol: float = 1e-9
         worst_assoc = max(worst_assoc,
                           float(np.max(np.abs(left.params - right.params))))
     return CheckReport(
-        f"concatenation ({trials} trials, tolerance {tol:.1e})",
-        (CheckItem("norm is additive", worst_add < tol,
+        f"concatenation ({trials} trials, tolerance {_CHECK_TOL:.1e})",
+        (CheckItem("norm is additive", worst_add < _CHECK_TOL,
                    f"worst error {worst_add:.3e}"),
-         CheckItem("associativity breakpoints agree", worst_assoc < tol,
+         CheckItem("associativity breakpoints agree", worst_assoc < _CHECK_TOL,
                    f"worst error {worst_assoc:.3e}")))
 
 
-def halfcircle_check(trials: int, seed: int = 0, tol: float = 1e-9
-                     ) -> CheckReport:
+def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     """Invariants of half_circle and of the geodesic leaving the real
     locus in a normal direction, plus where the norm peaks over a grid
     of angles."""
@@ -735,7 +737,7 @@ def halfcircle_check(trials: int, seed: int = 0, tol: float = 1e-9
              "samples stay on the spanned line",
              "quarter-period antipode distances",
              "period-pi recurrence")
-    items = [CheckItem(name, bool(w < tol), f"worst {w:.3e}")
+    items = [CheckItem(name, bool(w < _CHECK_TOL), f"worst {w:.3e}")
              for name, w in zip(names, np.max(rows, axis=0))]
     # the closed form (pi/2) sin|theta| peaks at both ends of the grid,
     # which tie up to roundoff; the nearest other grid point is about
@@ -752,11 +754,12 @@ def halfcircle_check(trials: int, seed: int = 0, tol: float = 1e-9
         f"norm peaks at theta = {peak:+.4f}",
         abs(abs(peak) - 0.5 * math.pi) <= step,
         f"within a grid step of the quarter turn {0.5 * math.pi:.4f}"))
-    return CheckReport(f"half-circles ({trials} trials, tolerance {tol:.1e})",
-                       tuple(items))
+    return CheckReport(
+        f"half-circles ({trials} trials, tolerance {_CHECK_TOL:.1e})",
+        tuple(items))
 
 
-def yk_check(trials: int, seed: int = 0, tol: float = 1e-9) -> CheckReport:
+def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
     worst = -math.inf
@@ -765,7 +768,7 @@ def yk_check(trials: int, seed: int = 0, tol: float = 1e-9) -> CheckReport:
         k = int(rng.integers(1, 4))
         p = sample_yk(n, k, rng, samples_per_arc=16)
         worst = max(worst, path_norm(p) - k * 0.5 * math.pi)
-    items = [CheckItem("norm stays below k quarter-turns", worst < tol,
+    items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
                        f"worst excess {worst:.3e}")]
     for (n, k) in ((1, 2), (2, 2), (3, 3)):
         rng = np.random.default_rng([seed, 10_000 + n, k])
@@ -788,5 +791,5 @@ def yk_check(trials: int, seed: int = 0, tol: float = 1e-9) -> CheckReport:
     items.append(CheckItem(
         "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
     return CheckReport(
-        f"iterated half-circles ({trials} trials, tolerance {tol:.1e})",
+        f"iterated half-circles ({trials} trials, tolerance {_CHECK_TOL:.1e})",
         tuple(items))

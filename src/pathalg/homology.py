@@ -300,13 +300,13 @@ def path_space_homology(n: int, coeff: str, degree_bound: int):
         base = real_proj_homology(n, COEFF_F2)
         for d in range(min(degree_bound, base.top_degree) + 1):
             cells[(d, 0)] = base.dim(d)
+        block = unit_tangent_homology(n, COEFF_F2).dims()
         k = 1
         while block_shift(n, k) <= degree_bound:
-            block = unit_tangent_homology(n, COEFF_F2)
             s = block_shift(n, k)
-            for d in range(block.top_degree + 1):
-                if s + d <= degree_bound and block.dim(d):
-                    cells[(s + d, k)] = block.dim(d)
+            for d, dim in enumerate(block):
+                if s + d <= degree_bound and dim:
+                    cells[(s + d, k)] = dim
             k += 1
         return BigradedDimTable.from_dict(cells, degree_bound)
     if coeff != COEFF_Z:
@@ -317,13 +317,15 @@ def path_space_homology(n: int, coeff: str, degree_bound: int):
     base = real_proj_homology(n, COEFF_Z)
     for d in range(min(degree_bound, base.top_degree) + 1):
         gcells[(d, 0)] = base.group(d)
+    # the block system depends only on the parity of k
+    systems = {block_local_system(n, k) for k in (1, 2)}
+    blocks = {c: unit_tangent_homology(n, c).groups for c in systems}
     k = 1
     while block_shift(n, k) <= degree_bound:
-        block = unit_tangent_homology(n, block_local_system(n, k))
         s = block_shift(n, k)
-        for d in range(block.top_degree + 1):
+        for d, group in enumerate(blocks[block_local_system(n, k)]):
             if s + d <= degree_bound:
-                gcells[(s + d, k)] = block.group(d)
+                gcells[(s + d, k)] = group
         k += 1
     return BigradedGroupTable.from_dict(gcells, degree_bound)
 

@@ -383,9 +383,10 @@ def anti_automorphism_check(sig: Signature, rs: RewriteSystem) -> CheckReport:
     return CheckReport(title=f"reversal stability (n={sig.n})", items=tuple(items))
 
 
-def heredity_check(n: int) -> CheckReport:
-    """Transport of classes under the dimension-raising inclusion, as
-    normal-form identities in the algebra for n+1.
+def heredity_check(rs: RewriteSystem) -> CheckReport:
+    """Transport of classes under the dimension-raising inclusion from
+    n - 1 into n = rs.sig.n, as normal-form identities in the completed
+    system rs for n.
 
     Even n (odd target): H^2 S Y H = H^3 S Y + H^2 Y and
     H Y H^2 S = H^3 S Y; when the target picks up a correction term in
@@ -394,12 +395,13 @@ def heredity_check(n: int) -> CheckReport:
     Odd n (even target): the transported square relation TH + HT + H
     reduces to zero.
     """
+    if rs.completion_status != COMPLETE:
+        raise ValueError("heredity_check requires a completed system")
+    n = rs.sig.n - 1
     if n < 1:
         raise ValueError("heredity needs presentations for n and n+1")
-    target = signature(n + 1)
-    rs = complete(orient(target))
     items = []
-    if target.parity_class is EVEN:
+    if rs.sig.parity_class is EVEN:
         residue = normal_form(poly("TH", "HT", "H"), rs)
         items.append(CheckItem(
             name="TH + HT + H = 0",
@@ -493,11 +495,11 @@ def _candidate_rhs_pool(rs: RewriteSystem, lhs: Word) -> list[Word]:
     return sorted(pool, key=rs.order.sort_key)
 
 
-def repair_search(base: RewriteSystem, hom: BigradedDimTable
-                  ) -> tuple[Augmentation, ...]:
+def repair_search(base: RewriteSystem, alg: BigradedDimTable,
+                  hom: BigradedDimTable) -> tuple[Augmentation, ...]:
     """Search for rule augmentations that reconcile the completed
-    presentation base with the target dimension table hom, up to the
-    degree bound of hom.
+    presentation base, whose hilbert table is alg, with the target
+    dimension table hom, up to their common degree bound.
 
     Surplus cells are attacked in increasing (degree, level) order; for
     each candidate left side in the first surplus cell every F2
@@ -514,26 +516,31 @@ def repair_search(base: RewriteSystem, hom: BigradedDimTable
             degree bound.
 
     Distinct search paths reaching the same rule set are reported once,
-    and each distinct rule set is counted by hilbert once.
+    and each distinct rule set but base (alg) is counted by hilbert once.
     RepairError is raised when no candidate survives.  Only a
     CompletionError rejects a candidate; any other error propagates.
     The search is exhaustive: where it would need more than _POOL_CAP
     right-side words, or more than _DEPTH_CAP rules on one search path,
     it raises SearchCapError instead of leaving candidates untried.
     """
+    if base.completion_status != COMPLETE:
+        raise ValueError("repair_search requires a completed system")
+    if alg.degree_bound != hom.degree_bound:
+        raise ValueError("alg and hom have different degree bounds")
     homd = hom.as_dict()
     excesses: dict[tuple[RewriteRule, ...], dict[tuple[int, int], int]] = {}
 
     def excess(rs: RewriteSystem) -> dict[tuple[int, int], int]:
-        """alg - hom on every cell where rs's table differs from the
-        target.  Each distinct rule set is counted once; only the few
-        differing cells are kept, not the whole table."""
+        """table - hom on every cell where rs's table differs from the
+        target.  Each distinct rule set is counted once, base never;
+        only the few differing cells are kept, not the whole table."""
         if rs.rules not in excesses:
-            alg = hilbert(rs, hom.degree_bound).as_dict()
+            got = (alg if rs is base
+                   else hilbert(rs, hom.degree_bound)).as_dict()
             excesses[rs.rules] = {
-                k: alg.get(k, 0) - homd.get(k, 0)
-                for k in alg.keys() | homd.keys()
-                if alg.get(k, 0) != homd.get(k, 0)}
+                k: got.get(k, 0) - homd.get(k, 0)
+                for k in got.keys() | homd.keys()
+                if got.get(k, 0) != homd.get(k, 0)}
         return excesses[rs.rules]
 
     if not excess(base):

@@ -89,7 +89,8 @@ def test_criterion_03_even_case_diagnosis_and_repair():
         for n in (2, 4):
             rs = completed(n)
             hom = path_space_homology(n, COEFF_F2, DEGREE_BOUND)
-            report = compare(hilbert(rs, DEGREE_BOUND), hom)
+            alg = hilbert(rs, DEGREE_BOUND)
+            report = compare(alg, hom)
             assert not report.is_match
             # first surplus at unshifted degree 0, one extra class
             assert report.first_total_mismatch[0] == 0
@@ -108,7 +109,7 @@ def test_criterion_03_even_case_diagnosis_and_repair():
                       if unshifted_degree(w, rs.sig) == n
                       and word_level(w) == 1]
             assert "H" * n + "Y" in shadow
-            found = repair_search(rs, hom)
+            found = repair_search(rs, alg, hom)
             assert found
             renders = {a.render() for a in found}
             killer = "{" + "H" * n + "T -> 0, " + "H" * n + "Y -> 0}"
@@ -145,7 +146,8 @@ def test_criterion_06_filtration():
             assert filtration_check(completed(n)).passed
         for n in (2, 4):
             hom = path_space_homology(n, COEFF_F2, 20)
-            for aug in repair_search(completed(n), hom):
+            rs = completed(n)
+            for aug in repair_search(rs, hilbert(rs, 20), hom):
                 assert filtration_check(aug.system).passed
 
 
@@ -197,8 +199,7 @@ def test_criterion_09_morse_indices():
         for n, k in grid:
             segments = max(8, 4 * k + 4)
             res = geometry.critical_index(
-                n, k, segments, grad_tol=1e-8,
-                rng=np.random.default_rng(0))
+                n, k, segments, rng=np.random.default_rng(0))
             assert res.gradient_norm < 1e-8
             want = (0, n) if k == 0 else (1 + (k - 1) * n, 2 * n - 1)
             assert (res.index, res.nullity) == want, \

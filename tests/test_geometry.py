@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from pathalg import geometry
 from pathalg.geometry import (
     DiscretePath,
     GradientCheckError,
@@ -16,6 +17,7 @@ from pathalg.geometry import (
     ProjPoint,
     TangentVector,
     _arc_grid,
+    _complex_frame,
     _critical_configuration,
     _segment_slopes,
     concat_check,
@@ -50,6 +52,21 @@ INDEX_GRID = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
 # high levels, where the first non-null eigenvalue is small: it shrinks
 # like 1 / segments^2
 HIGH_GRID = [(n, k) for n in (1, 2, 3, 4) for k in (12, 30)]
+
+
+def move_interior_sample(base, frames, rng):
+    """Move the middle sample of a critical configuration off its
+    geodesic, rebuilding its frame there."""
+    j = len(base) // 2
+    p = base[j] + 1e-3 * frames[j][:, 0]
+    base[j] = p / np.linalg.norm(p)
+    wf = _complex_frame(base[j], rng)
+    frames[j] = np.column_stack([wf, 1j * wf])
+
+
+def spoil_interior_sample(base, frames, rng):
+    """Make the middle sample of a critical configuration not a number."""
+    base[len(base) // 2] = math.nan
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,13 +297,14 @@ class TestConcat:
         with pytest.raises(ValueError,
                            match="^paths do not share the junction point$"):
             concat_min(a, b)
-        # a start 1e-4 away pairs to 1 - 5e-9, inside the default 1e-8
-        # but not inside 1e-9
+        # a start 1e-4 away pairs to 1 - 5e-9, inside the junction
+        # tolerance 1e-8; one 3e-4 away pairs to 1 - 4.5e-8, outside it
         near = constant_path(real_point([1.0, 1e-4, 0.0]))
         concat_min(a, near)
+        off = constant_path(real_point([1.0, 3e-4, 0.0]))
         with pytest.raises(ValueError,
                            match="^paths do not share the junction point$"):
-            concat_min(a, near, tol=1e-9)
+            concat_min(a, off)
 
     def test_phase_of_the_second_factor_is_aligned(self):
         x, u = real_pair(2, 4)
@@ -447,11 +465,19 @@ class TestCriticalIndex:
         with pytest.raises(ValueError):
             critical_index(1, 1, 2)
 
-    def test_gradient_guard_rejects_noncritical_setups(self):
-        with pytest.raises(GradientCheckError):
-            critical_index(2, 1, 12, grad_tol=1e-18)
-        with pytest.raises(GradientCheckError):
-            critical_index(2, 1, 12, grad_tol=math.nan)
+    @pytest.mark.parametrize("damage", [move_interior_sample,
+                                        spoil_interior_sample])
+    def test_gradient_guard_rejects_noncritical_setups(self, monkeypatch,
+                                                       damage):
+        def damaged(n, k, segments, rng):
+            base, frames = _critical_configuration(n, k, segments, rng)
+            damage(base, frames, rng)
+            return base, frames
+
+        monkeypatch.setattr(geometry, "_critical_configuration", damaged)
+        with pytest.raises(GradientCheckError,
+                           match="configuration is not critical"):
+            critical_index(2, 1, 12)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -623,8 +649,9 @@ class TestCheckSuites:
         with pytest.raises(ValueError):
             suite(0)
 
-    def test_concat_check_fails_below_roundoff(self):
-        report = concat_check(10, seed=1, tol=1e-20)
+    def test_concat_check_fails_below_roundoff(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHECK_TOL", 1e-20)
+        report = concat_check(10, seed=1)
         assert [item.passed for item in report.items] == [False, False]
 
     def test_halfcircle_peak_sits_at_a_quarter_turn(self):

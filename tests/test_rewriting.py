@@ -50,8 +50,12 @@ def completed(n: int) -> RewriteSystem:
 
 def repairs(n: int, degree_bound: int):
     """repair_search for n against the mod-2 target up to degree_bound."""
-    return repair_search(completed(n),
-                         path_space_homology(n, COEFF_F2, degree_bound))
+    return search(completed(n), path_space_homology(n, COEFF_F2, degree_bound))
+
+
+def search(rs: RewriteSystem, hom: BigradedDimTable):
+    """repair_search for the completed rs against hom, given rs's table."""
+    return repair_search(rs, hilbert(rs, hom.degree_bound), hom)
 
 
 def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
@@ -310,8 +314,15 @@ class TestChecks:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_heredity(self, n):
-        report = heredity_check(n)
+        report = heredity_check(completed(n + 1))
         assert report.passed, "\n".join(report.lines())
+        assert report.title == f"inclusion transport (n={n} into n={n + 1})"
+
+    def test_heredity_refuses_bad_targets(self):
+        with pytest.raises(ValueError, match="requires a completed system"):
+            heredity_check(orient(signature(2)))
+        with pytest.raises(ValueError, match="presentations for n and n"):
+            heredity_check(completed(1))
 
 
 class TestHilbertAndCompare:
@@ -352,7 +363,7 @@ class TestHilbertAndCompare:
 class TestRepairSearch:
     def test_even_candidates(self):
         hom = path_space_homology(2, COEFF_F2, 20)
-        found = repair_search(completed(2), hom)
+        found = search(completed(2), hom)
         renders = sorted(a.render() for a in found)
         assert renders == ["{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"]
         for aug in found:
@@ -364,10 +375,18 @@ class TestRepairSearch:
         assert {a.render() for a in found} == {
             "{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"}
 
+    def test_base_table_must_fit_the_target(self):
+        rs = completed(2)
+        hom = path_space_homology(2, COEFF_F2, 20)
+        with pytest.raises(ValueError, match="different degree bounds"):
+            repair_search(rs, hilbert(rs, 12), hom)
+        with pytest.raises(ValueError, match="requires a completed system"):
+            repair_search(orient(signature(2)), hilbert(rs, 20), hom)
+
     def test_matching_presentation_is_rejected(self):
         hom = path_space_homology(3, COEFF_F2, 20)
         with pytest.raises(ValueError):
-            repair_search(completed(3), hom)
+            search(completed(3), hom)
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
@@ -382,7 +401,7 @@ class TestRepairSearch:
             return real(rs)
 
         monkeypatch.setattr(rewriting, "complete", counting)
-        repair_search(base, hom)
+        search(base, hom)
         assert len(calls) == 2  # one per candidate rule
         for k in range(len(calls)):
             seen = []
@@ -395,7 +414,7 @@ class TestRepairSearch:
 
             monkeypatch.setattr(rewriting, "complete", failing)
             with pytest.raises(RuntimeError, match="injected"):
-                repair_search(base, hom)
+                search(base, hom)
 
     @pytest.mark.parametrize("cap", ["_POOL_CAP", "_DEPTH_CAP"])
     def test_caps_raise_instead_of_truncating(self, monkeypatch, cap):
@@ -404,13 +423,13 @@ class TestRepairSearch:
         hom = path_space_homology(2, COEFF_F2, 20)
         monkeypatch.setattr(rewriting, cap, 0)
         with pytest.raises(SearchCapError) as info:
-            repair_search(completed(2), hom)
+            search(completed(2), hom)
         assert (info.value.cap, info.value.limit) == (cap, 0)
         assert info.value.cell == (0, 1)
         assert isinstance(info.value, RuntimeError)
         assert not isinstance(info.value, RepairError)
         monkeypatch.setattr(rewriting, cap, 1)
-        assert len(repair_search(completed(2), hom)) == 2
+        assert len(search(completed(2), hom)) == 2
 
     def test_unreachable_target_raises(self):
         hom = path_space_homology(2, COEFF_F2, 12)
@@ -418,4 +437,4 @@ class TestRepairSearch:
         cells[(0, 3)] = 7
         target = BigradedDimTable.from_dict(cells, 12)
         with pytest.raises(RepairError):
-            repair_search(completed(2), target)
+            search(completed(2), target)
