@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx = geom_sub.add_parser("index", help="discrete index and nullity")
     p_idx.add_argument("--n", type=_positive_int, default=2)
     p_idx.add_argument("--k", type=_nonnegative_int, default=1)
-    p_idx.add_argument("--segments", type=_positive_int, default=None)
     p_idx.add_argument("--seed", type=_nonnegative_int, default=0)
     p_idx.set_defaults(func=cmd_geom, suite="index_check")
 

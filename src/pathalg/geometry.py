@@ -29,7 +29,7 @@ _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
 _ENDPOINT_TOL = 1e-8
 # critical_index's bound on |grad E|: the largest measured at n = 1..5,
-# k = 0..6, 12 and 30, seeds 0-2, is 7.4e-12, about 1300 times below
+# k = 0..6, 12 and 30, seeds 0-2, is 7.5e-12, about 1300 times below
 _GRAD_TOL = 1e-8
 # pass bound of the sampling suites: their worst measured error at the
 # default trials, seeds 0-9, is 7.1e-14, about 14 000 times below
@@ -465,53 +465,49 @@ class IndexResult:
     eigenvalues: np.ndarray = field(repr=False)
 
 
-def _real_frame(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Real orthonormal frame of the orthogonal complement of r."""
-    m = r.shape[0]
-    mat = np.column_stack([r, rng.standard_normal((m, m - 1))])
-    q, _ = np.linalg.qr(mat)
-    q = q * np.sign(np.dot(q[:, 0], r))
-    return q[:, 1:]
+def _segment_count(k: int) -> int:
+    """Subdivision of the level-k critical geodesic: max(8, 4k + 4)
+    segments, each shorter than an eighth turn."""
+    return max(8, 4 * k + 4)
 
 
-def _complex_frame(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian-orthonormal frame of the complement of z."""
-    m = z.shape[0]
-    mat = np.column_stack(
-        [z, rng.standard_normal((m, m - 1))
-         + 1j * rng.standard_normal((m, m - 1))])
-    q, _ = np.linalg.qr(mat)
-    return q[:, 1:]
-
-
-def _critical_configuration(n: int, k: int, segments: int,
-                            rng: np.random.Generator
+def _critical_configuration(n: int, k: int, rng: np.random.Generator
                             ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Base samples and coordinate frames of the level-k critical
     configuration.
 
-    The samples lie on the geodesic that leaves a random real point in
-    a purely imaginary direction, evenly spaced over arclength
-    k pi / 2.  The two endpoints get real frames of the real locus
-    (n columns); interior samples get frames of the full tangent space
-    (2n real columns: a complex frame and i times it).
+    The samples lie on the geodesic p(s) = cos s x + i sin s u that
+    leaves a random real point x in the purely imaginary direction i u,
+    evenly spaced over arclength k pi / 2.  The geodesic stays in the
+    complex line of x and u, so one real orthonormal basis E of the
+    complement of that line is normal to it everywhere.  Interior
+    samples get the complex frame [p'(s), E] and i times it (2n real
+    columns); each endpoint r gets the real frame [w, E] of the real
+    locus (n columns), w the unit vector of span(x, u) orthogonal to r.
+    The generator draws x and u only.
     """
-    x = random_real_point(n, rng)
-    u = random_real_tangent(x, rng)
-    w = 1j * u.vec
+    start = random_real_point(n, rng)
+    u = random_real_tangent(start, rng).vec.real
+    x = start.rep.real
+    q, _ = np.linalg.qr(np.column_stack([x, u, np.eye(n + 1)]))
+    normal = q[:, 2:]
+    segments = _segment_count(k)
     s_vals = np.linspace(0.0, 0.5 * math.pi * k, segments + 1)
-    base_pts = [math.cos(s) * x.rep + math.sin(s) * w for s in s_vals]
+    base = np.cos(s_vals)[:, None] * x + 1j * np.sin(s_vals)[:, None] * u
+    tangent = -np.sin(s_vals)[:, None] * x + 1j * np.cos(s_vals)[:, None] * u
 
     frames = []
-    for j, p in enumerate(base_pts):
+    for j in range(segments + 1):
         if j == 0 or j == segments:
-            r = ProjPoint(p).real_representative()
-            base_pts[j] = r.astype(complex)
-            frames.append(_real_frame(r, rng).astype(complex))
+            r = ProjPoint(base[j]).real_representative()
+            base[j] = r
+            # r = a x + b u, so w = b x - a u completes it in the plane
+            w = np.dot(u, r) * x - np.dot(x, r) * u
+            frames.append(np.column_stack([w, normal]).astype(complex))
         else:
-            wf = _complex_frame(p, rng)
+            wf = np.column_stack([tangent[j], normal])
             frames.append(np.column_stack([wf, 1j * wf]))
-    return np.array(base_pts), frames
+    return base, frames
 
 
 def _segment_slopes(u: float) -> tuple[float, float]:
@@ -532,19 +528,22 @@ def _segment_slopes(u: float) -> tuple[float, float]:
             (2.0 * s2 - 4.0 * theta * c2) / s2 ** 3)
 
 
-def critical_index(n: int, k: int, segments: int,
+def critical_index(n: int, k: int,
                    rng: Optional[np.random.Generator] = None) -> IndexResult:
     """Index and nullity of the discrete energy at a level-k critical
     configuration.
 
     The path space is modeled by broken geodesics on segments+1 sample
-    points; the endpoints move along the real locus (n chart
-    coordinates each) and the interior points move in the ambient
-    projective space (2n each).  The base configuration samples the
-    geodesic that leaves a real point in a purely imaginary direction
-    and returns to the real locus every quarter period; the discrete
-    energy is exactly critical there, which is verified (|grad E| below
-    _GRAD_TOL, else GradientCheckError) before the Hessian is used.
+    points, segments = max(8, 4k + 4); the endpoints move along the
+    real locus (n chart coordinates each) and the interior points move
+    in the ambient projective space (2n each).  The base configuration
+    samples the geodesic that leaves a real point in a purely imaginary
+    direction and returns to the real locus every quarter period; the
+    discrete energy is exactly critical there, which is verified
+    (|grad E| below _GRAD_TOL, else GradientCheckError) before the
+    Hessian is used.  rng draws the real point and the direction; the
+    frames are read off the geodesic (_critical_configuration), and any
+    other orthonormal frames give an orthogonally congruent Hessian.
 
     Sample p moves to (p + F s) / |p + F s| along the real coordinates
     s of its frame F.  Every frame column is orthonormal and real-
@@ -574,23 +573,19 @@ def critical_index(n: int, k: int, segments: int,
     each assembled entry.  Expected: (0, n) for k = 0 and
     (1 + (k-1)n, 2n - 1) for k >= 1.  Measured over n = 1..3 with
     k = 0..5, n = 5 with k = 4, and n = 1..4 with k = 12 and 30 (seeds
-    0 to 2, segments = max(8, 4k + 4)), the null eigenvalues stay below
-    4.8e-16 * scale, at most 7.2e-4 * tau, and the smallest non-null
-    eigenvalue, about 2.47 * scale / segments^2 for k >= 1, stays above
-    1.1e7 * tau (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues
-    agree within 1.6e-8 * scale with those of a finite-difference
-    Hessian at step 1e-4 (n <= 2, k <= 2).
+    0 to 2), the null eigenvalues stay below 6.2e-16 * scale, at most
+    1.1e-3 * tau, and the smallest non-null eigenvalue, about
+    2.47 * scale / segments^2 for k >= 1, stays above 1.1e7 * tau
+    (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues agree within
+    2.9e-8 * scale with those of a finite-difference Hessian at step
+    1e-4 (n <= 2, k <= 2, seeds 0 to 2).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    if segments < max(2, 4 * k):
-        raise ValueError("need segments >= max(2, 4k) so each segment "
-                         "stays below an eighth turn")
-    if k > 0:
-        assert 0.5 * math.pi * k / segments <= math.pi / 8 + 1e-12
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    base, frames = _critical_configuration(n, k, segments, rng)
+    base, frames = _critical_configuration(n, k, rng)
+    segments = _segment_count(k)
     offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
     dim = int(offsets[-1])
     grad = np.zeros(dim)
@@ -646,17 +641,14 @@ def _trial_rngs(trials: int, seed: int):
     return (np.random.default_rng([seed, i]) for i in range(trials))
 
 
-def index_check(n: int, k: int, segments: Optional[int] = None,
-                seed: int = 0) -> CheckReport:
+def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
     """critical_index against the inputs of the homology assembly: the
     index is the block shift 1 + (k-1)n (0 at k = 0), the nullity the
     top degree of the critical manifold's mod-2 homology (the real
-    locus at k = 0, its unit tangent bundle for k >= 1).  segments
-    defaults to max(8, 4k + 4).  A configuration that fails the
-    gradient guard raises GradientCheckError."""
-    if segments is None:
-        segments = max(8, 4 * k + 4)
-    res = critical_index(n, k, segments, rng=np.random.default_rng(seed))
+    locus at k = 0, its unit tangent bundle for k >= 1).  The title
+    names the subdivision, max(8, 4k + 4) segments.  A configuration
+    that fails the gradient guard raises GradientCheckError."""
+    res = critical_index(n, k, rng=np.random.default_rng(seed))
     if k == 0:
         critical = homology.real_proj_homology(n, homology.COEFF_F2)
         want = (0, critical.top_degree)
@@ -666,8 +658,9 @@ def index_check(n: int, k: int, segments: Optional[int] = None,
     got = (res.index, res.nullity)
     item = CheckItem(f"index={got[0]} nullity={got[1]}, expected {want}",
                      got == want, f"|grad|={res.gradient_norm:.2e}")
-    return CheckReport(f"discrete index (n={n} k={k} segments={segments})",
-                       (item,))
+    return CheckReport(
+        f"discrete index (n={n} k={k} segments={_segment_count(k)})",
+        (item,))
 
 
 def concat_check(trials: int, seed: int = 0) -> CheckReport:
@@ -746,8 +739,7 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     rng = np.random.default_rng(seed)
     x = random_real_point(2, rng)
     u = random_real_tangent(x, rng)
-    norms = [path_norm(half_circle(x, u, float(t), 48))
-             if abs(t) > 1e-9 else 0.0 for t in grid]
+    norms = [path_norm(half_circle(x, u, float(t), 48)) for t in grid]
     peak = float(grid[int(np.argmax(norms))])
     step = float(grid[1] - grid[0])
     items.append(CheckItem(
@@ -770,13 +762,14 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
         worst = max(worst, path_norm(p) - k * 0.5 * math.pi)
     items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
                        f"worst excess {worst:.3e}")]
+    # right-angle samples: the worst error over seeds 0-199 is 5.0e-13
     for (n, k) in ((1, 2), (2, 2), (3, 3)):
         rng = np.random.default_rng([seed, 10_000 + n, k])
         p = sample_yk(n, k, rng, thetas=[0.5 * math.pi] * k)
         err = abs(path_norm(p) - k * 0.5 * math.pi)
         items.append(CheckItem(
             f"right-angle sample n={n} k={k} reaches the critical norm",
-            err < 1e-6, f"error {err:.3e}; family dimension (k+1)n = "
+            err < _CHECK_TOL, f"error {err:.3e}; family dimension (k+1)n = "
             f"{yk_parameter_count(n, k)}"))
     gram_ok = True
     rng = np.random.default_rng(seed)

@@ -22,7 +22,6 @@ nonzero range and reports the zero group outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .tables import BigradedDimTable, CheckItem, CheckReport
 
@@ -95,9 +94,6 @@ class GradedGroupTable:
             return self.groups[degree]
         return ZERO_GROUP
 
-    def render(self) -> list[str]:
-        return [f"H_{d} = {g.render()}" for d, g in enumerate(self.groups)]
-
 
 @dataclass(frozen=True)
 class GradedDimTable:
@@ -140,9 +136,6 @@ class BigradedGroupTable:
 
     def group(self, degree: int, level: int) -> AbelianGroup:
         return self.as_dict().get((degree, level), ZERO_GROUP)
-
-    def levels(self) -> tuple[int, ...]:
-        return tuple(sorted({l for (_, l), _ in self.entries}))
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +361,16 @@ def stable_ranks(degree: int) -> int:
     return 1 if degree == 0 else 2
 
 
-def consistency_checks(n: int, degree_bound: Optional[int] = None) -> CheckReport:
+def consistency_checks(n: int) -> CheckReport:
     """Internal cross-checks of the homology tables for one n.
 
     Mod-2 reduction of every integral table must reproduce the F2
     table; the unit tangent tables must satisfy closed-manifold
-    symmetry and have zero Euler characteristic; the assembled table
-    must restrict correctly to levels and match the stable range near
-    the bottom.
+    symmetry and have zero Euler characteristic; the assembled table,
+    in degrees 0..4n + 2, must restrict correctly to levels and match
+    the stable range near the bottom.
     """
-    D = degree_bound if degree_bound is not None else 4 * n + 2
+    D = 4 * n + 2
     items = []
 
     f2_base = real_proj_homology(n, COEFF_F2)

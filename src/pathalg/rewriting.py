@@ -515,8 +515,9 @@ def repair_search(base: RewriteSystem, alg: BigradedDimTable,
       (iii) the dimension table matches the target exactly up to the
             degree bound.
 
-    Distinct search paths reaching the same rule set are reported once,
-    and each distinct rule set but base (alg) is counted by hilbert once.
+    Distinct search paths reaching the same rule set are reported once.
+    base is never counted again (its table is alg); every other system
+    the search reaches is counted by hilbert once per visit.
     RepairError is raised when no candidate survives.  Only a
     CompletionError rejects a candidate; any other error propagates.
     The search is exhaustive: where it would need more than _POOL_CAP
@@ -528,22 +529,17 @@ def repair_search(base: RewriteSystem, alg: BigradedDimTable,
     if alg.degree_bound != hom.degree_bound:
         raise ValueError("alg and hom have different degree bounds")
     homd = hom.as_dict()
-    excesses: dict[tuple[RewriteRule, ...], dict[tuple[int, int], int]] = {}
 
-    def excess(rs: RewriteSystem) -> dict[tuple[int, int], int]:
-        """table - hom on every cell where rs's table differs from the
-        target.  Each distinct rule set is counted once, base never;
-        only the few differing cells are kept, not the whole table."""
-        if rs.rules not in excesses:
-            got = (alg if rs is base
-                   else hilbert(rs, hom.degree_bound)).as_dict()
-            excesses[rs.rules] = {
-                k: got.get(k, 0) - homd.get(k, 0)
+    def excess(table: BigradedDimTable) -> dict[tuple[int, int], int]:
+        """table - hom on every cell where the two differ; only the few
+        differing cells are kept, not the whole table."""
+        got = table.as_dict()
+        return {k: got.get(k, 0) - homd.get(k, 0)
                 for k in got.keys() | homd.keys()
                 if got.get(k, 0) != homd.get(k, 0)}
-        return excesses[rs.rules]
 
-    if not excess(base):
+    base_excess = excess(alg)
+    if not base_excess:
         raise ValueError("presentation already matches; nothing to repair")
     base_set = set(base.rules)
 
@@ -552,7 +548,8 @@ def repair_search(base: RewriteSystem, alg: BigradedDimTable,
     dead_degrees: list[int] = []
 
     def search(current: RewriteSystem, depth: int) -> None:
-        diff = excess(current)
+        diff = (base_excess if current is base
+                else excess(hilbert(current, hom.degree_bound)))
         deficit = [k for k, v in diff.items() if v < 0]
         surplus = sorted(k for k, v in diff.items() if v > 0)
         if deficit:

@@ -197,9 +197,7 @@ def test_criterion_09_morse_indices():
     with criterion(9, "second-variation index and nullity at criticals"):
         grid = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
         for n, k in grid:
-            segments = max(8, 4 * k + 4)
-            res = geometry.critical_index(
-                n, k, segments, rng=np.random.default_rng(0))
+            res = geometry.critical_index(n, k, rng=np.random.default_rng(0))
             assert res.gradient_norm < 1e-8
             want = (0, n) if k == 0 else (1 + (k - 1) * n, 2 * n - 1)
             assert (res.index, res.nullity) == want, \

@@ -1,6 +1,6 @@
 """Command-line contract: exit codes, output schemas, golden fixtures,
-and the refusal of tolerance flags (every tolerance is a constant of
-pathalg.geometry)."""
+and the refusal of tolerance and subdivision flags (every tolerance is
+a constant of pathalg.geometry, and the subdivision follows from k)."""
 
 import csv
 import io
@@ -146,8 +146,7 @@ class TestVerifyCommand:
 
 class TestGeomCommands:
     def test_index_expected_pair(self, capsys):
-        code, out = run(capsys, "geom", "index", "--n", "2", "--k", "2",
-                        "--segments", "12")
+        code, out = run(capsys, "geom", "index", "--n", "2", "--k", "2")
         assert code == 0
         assert "index=3 nullity=3" in out
 
@@ -158,8 +157,12 @@ class TestGeomCommands:
         assert code == 0
         assert "index=12 nullity=1" in out
 
-    def test_index_rejects_coarse_subdivision(self, capsys):
-        assert main(["geom", "index", "--segments", "2", "--k", "1"]) == 2
+    def test_segments_flag_is_refused(self, capsys):
+        # the subdivision follows from k; the flag is gone, not ignored
+        assert main(["geom", "index", "--segments", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_concat_check(self, capsys):
         code, out = run(capsys, "geom", "concat-check", "--trials", "25",
@@ -229,8 +232,7 @@ class TestGeomCommands:
     def test_grad_tol_below_roundoff_is_a_runtime_error(self, capsys,
                                                         monkeypatch):
         monkeypatch.setattr(geometry, "_GRAD_TOL", 1e-18)
-        assert main(["geom", "index", "--n", "1", "--k", "1",
-                     "--segments", "8"]) == 2
+        assert main(["geom", "index", "--n", "1", "--k", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration is not critical" in captured.err

@@ -17,8 +17,8 @@ from pathalg.geometry import (
     ProjPoint,
     TangentVector,
     _arc_grid,
-    _complex_frame,
     _critical_configuration,
+    _segment_count,
     _segment_slopes,
     concat_check,
     concat_min,
@@ -54,13 +54,24 @@ INDEX_GRID = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
 HIGH_GRID = [(n, k) for n in (1, 2, 3, 4) for k in (12, 30)]
 
 
+def qr_frame(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian-orthonormal frame of the complement of z, from the QR
+    factorization of z next to random complex columns."""
+    m = z.shape[0]
+    mat = np.column_stack(
+        [z, rng.standard_normal((m, m - 1))
+         + 1j * rng.standard_normal((m, m - 1))])
+    q, _ = np.linalg.qr(mat)
+    return q[:, 1:]
+
+
 def move_interior_sample(base, frames, rng):
     """Move the middle sample of a critical configuration off its
     geodesic, rebuilding its frame there."""
     j = len(base) // 2
     p = base[j] + 1e-3 * frames[j][:, 0]
     base[j] = p / np.linalg.norm(p)
-    wf = _complex_frame(base[j], rng)
+    wf = qr_frame(base[j], rng)
     frames[j] = np.column_stack([wf, 1j * wf])
 
 
@@ -71,9 +82,8 @@ def spoil_interior_sample(base, frames, rng):
 
 @functools.lru_cache(maxsize=None)
 def index_at(n: int, k: int):
-    """critical_index at the default subdivision and seed 0."""
-    return critical_index(n, k, max(8, 4 * k + 4),
-                          rng=np.random.default_rng(0))
+    """critical_index at seed 0."""
+    return critical_index(n, k, rng=np.random.default_rng(0))
 
 
 def morse_pair(n: int, k: int) -> tuple[int, int]:
@@ -453,41 +463,53 @@ class TestHopfVectors:
 
 class TestCriticalIndex:
     def test_constant_configuration(self):
-        res = critical_index(2, 0, 8, rng=np.random.default_rng(0))
+        res = critical_index(2, 0, rng=np.random.default_rng(0))
         assert (res.index, res.nullity) == (0, 2)
         assert res.gradient_norm < 1e-8
 
     def test_first_closed_configuration(self):
-        res = critical_index(1, 1, 8, rng=np.random.default_rng(0))
+        res = critical_index(1, 1, rng=np.random.default_rng(0))
         assert (res.index, res.nullity) == (1, 1)
 
-    def test_segment_precondition(self):
-        with pytest.raises(ValueError):
-            critical_index(1, 1, 2)
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (2, 2), (3, 1),
+                                      (4, 5)])
+    def test_frames_are_read_off_the_geodesic(self, n, k):
+        rng = np.random.default_rng(5)
+        base, frames = _critical_configuration(n, k, rng)
+        # the configuration draws the base point and the direction only
+        fresh = np.random.default_rng(5)
+        random_real_tangent(random_real_point(n, fresh), fresh)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert len(base) == len(frames) == _segment_count(k) + 1
+        for j, (p, frame) in enumerate(zip(base, frames)):
+            end = j in (0, len(base) - 1)
+            assert frame.shape == (n + 1, n if end else 2 * n)
+            gram = (frame.conj().T @ frame).real
+            assert np.max(np.abs(gram - np.eye(frame.shape[1]))) < 1e-14
+            assert np.max(np.abs((frame.conj().T @ p).real)) < 1e-14
+            if end:
+                assert not np.any(frame.imag) and not np.any(p.imag)
 
     @pytest.mark.parametrize("damage", [move_interior_sample,
                                         spoil_interior_sample])
     def test_gradient_guard_rejects_noncritical_setups(self, monkeypatch,
                                                        damage):
-        def damaged(n, k, segments, rng):
-            base, frames = _critical_configuration(n, k, segments, rng)
+        def damaged(n, k, rng):
+            base, frames = _critical_configuration(n, k, rng)
             damage(base, frames, rng)
             return base, frames
 
         monkeypatch.setattr(geometry, "_critical_configuration", damaged)
         with pytest.raises(GradientCheckError,
                            match="configuration is not critical"):
-            critical_index(2, 1, 12)
+            critical_index(2, 1)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_banded_hessian_matches_dense_reference(self, n, k):
-        segments = max(8, 4 * k + 4)
-        base, frames = _critical_configuration(
-            n, k, segments, np.random.default_rng(0))
+        base, frames = _critical_configuration(n, k, np.random.default_rng(0))
         want = np.linalg.eigvalsh(dense_hessian(base, frames))
-        got = critical_index(n, k, segments,
-                             rng=np.random.default_rng(0)).eigenvalues
+        got = critical_index(n, k, rng=np.random.default_rng(0)).eigenvalues
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
@@ -630,7 +652,7 @@ def half_circle_reference(x: ProjPoint, u: TangentVector, theta: float,
 
 class TestCheckSuites:
     def test_index_check_reports_the_pair(self):
-        report = index_check(2, 2, 12)
+        report = index_check(2, 2)
         assert report.passed
         assert "index=3 nullity=3" in report.items[0].name
 
