@@ -26,7 +26,7 @@ from .algebra import (
     word_degree,
     word_level,
 )
-from .tables import BigradedDimTable, CheckItem, CheckReport
+from .tables import BigradedTable, CheckItem, CheckReport
 from .rewriting import (
     Augmentation,
     CompletionError,
@@ -57,12 +57,9 @@ from .homology import (
     COEFF_TWISTED,
     COEFF_Z,
     AbelianGroup,
-    BigradedGroupTable,
     CoefficientError,
-    GeneratorTable,
-    GradedDimTable,
-    GradedGroupTable,
     block_local_system,
+    block_systems,
     consistency_checks,
     generator_table,
     path_space_homology,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, homology, rewriting
 from .algebra import signature
-from .homology import COEFF_F2, COEFF_PULLBACK, COEFF_Z
+from .homology import COEFF_F2, COEFF_Z
 
 
 def _positive_int(text: str) -> int:
@@ -49,22 +49,29 @@ def _nonnegative_int(text: str) -> int:
 # a mod-2 dimension or an integral group {rank, torsion[]}
 
 
-def _dim_cell(degree: int, level: int, dim: int, names=()) -> dict:
-    return {"degree": degree, "level": level, "names": list(names),
-            "dim": dim}
-
-
-def _group_cell(degree: int, level: int, group, names=()) -> dict:
-    return {"degree": degree, "level": level, "names": list(names),
-            "group": {"rank": group.rank, "torsion": list(group.torsion)}}
+def _cells(entries) -> list[dict]:
+    """Serialize ((degree, level), value) pairs of any table: an int is
+    a mod-2 dimension, an AbelianGroup a group, and a tuple of names
+    has its length as dimension."""
+    cells = []
+    for (degree, level), value in entries:
+        cell = {"degree": degree, "level": level, "names": []}
+        if isinstance(value, homology.AbelianGroup):
+            cell["group"] = {"rank": value.rank,
+                             "torsion": list(value.torsion)}
+        elif isinstance(value, tuple):
+            cell.update(names=list(value), dim=len(value))
+        else:
+            cell["dim"] = value
+        cells.append(cell)
+    return cells
 
 
 def _cell_value(cell: dict) -> str:
     if "dim" in cell:
         return str(cell["dim"])
-    g = homology.AbelianGroup(rank=cell["group"]["rank"],
-                              torsion=tuple(cell["group"]["torsion"]))
-    return g.render()
+    g = cell["group"]
+    return homology.AbelianGroup(g["rank"], tuple(g["torsion"])).render()
 
 
 def _emit_sections(sections: list[tuple[str, list[dict]]], fmt: str) -> None:
@@ -97,51 +104,25 @@ def _emit_sections(sections: list[tuple[str, list[dict]]], fmt: str) -> None:
         print(file=out)
 
 
-def _graded_cells(table, level: int = 0) -> list[dict]:
-    if isinstance(table, homology.GradedDimTable):
-        return [_dim_cell(d, level, table.dim(d))
-                for d in range(table.top_degree + 1)]
-    return [_group_cell(d, level, table.group(d))
-            for d in range(table.top_degree + 1)]
-
-
-def _bigraded_cells(table) -> list[dict]:
-    if isinstance(table, homology.BigradedGroupTable):
-        return [_group_cell(d, l, g) for (d, l), g in table.entries]
-    return [_dim_cell(d, l, v) for (d, l), v in table.entries]
-
-
 # ---------------------------------------------------------------------------
 # homology
 
 
 def cmd_homology(args) -> int:
-    n = args.n
-    sections = []
-    if args.coeff == "F2":
-        sections.append(
-            (f"projective base, mod 2, n={n}",
-             _graded_cells(homology.real_proj_homology(n, COEFF_F2))))
-        sections.append(
-            (f"unit tangent bundle, mod 2, n={n}",
-             _graded_cells(homology.unit_tangent_homology(n, COEFF_F2))))
-        path = homology.path_space_homology(n, COEFF_F2, args.max_degree)
-        sections.append(
-            (f"assembled path-space table, mod 2, n={n}, "
-             f"degrees 0..{args.max_degree}", _bigraded_cells(path)))
-    else:
-        sections.append(
-            (f"projective base, integral, n={n}",
-             _graded_cells(homology.real_proj_homology(n, COEFF_Z))))
-        tags = [COEFF_Z] if n % 2 == 1 else [COEFF_Z, COEFF_PULLBACK]
-        for tag in tags:
-            sections.append(
-                (f"unit tangent bundle, coefficients {tag}, n={n}",
-                 _graded_cells(homology.unit_tangent_homology(n, tag))))
-        path = homology.path_space_homology(n, COEFF_Z, args.max_degree)
-        sections.append(
-            (f"assembled path-space table, integral, n={n}, "
-             f"degrees 0..{args.max_degree}", _bigraded_cells(path)))
+    n, D = args.n, args.max_degree
+    coeff, ring = ((COEFF_F2, "mod 2") if args.coeff == "F2"
+                   else (COEFF_Z, "integral"))
+    graded = [(f"projective base, {ring}, n={n}",
+               homology.real_proj_homology(n, coeff))]
+    for tag in homology.block_systems(n, coeff):
+        label = ring if tag == COEFF_F2 else f"coefficients {tag}"
+        graded.append((f"unit tangent bundle, {label}, n={n}",
+                       homology.unit_tangent_homology(n, tag)))
+    sections = [(title, _cells(((d, 0), v) for d, v in enumerate(table)))
+                for title, table in graded]
+    path = homology.path_space_homology(n, coeff, D)
+    sections.append((f"assembled path-space table, {ring}, n={n}, "
+                     f"degrees 0..{D}", _cells(path.entries)))
     _emit_sections(sections, args.format)
     return 0
 
@@ -210,12 +191,11 @@ def cmd_geom(args) -> int:
 # table
 
 
-def _table_text(table: homology.GeneratorTable) -> str:
-    lines = [f"# named generating cells, n={table.n}, "
-             f"levels 0..{table.max_level}",
+def _table_text(n: int, levels: int, table) -> str:
+    lines = [f"# named generating cells, n={n}, levels 0..{levels - 1}",
              "# degree level names"]
-    for cell in table.cells:
-        lines.append(f"{cell.degree} {cell.level} {' '.join(cell.names)}")
+    for (degree, level), names in table.entries:
+        lines.append(f"{degree} {level} {' '.join(names)}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,29 +217,38 @@ def _golden_text(n: int) -> str:
 
 def cmd_table(args) -> int:
     n = args.n
-    if args.golden and n > 4:
-        print(f"no golden fixture for n={n}", file=sys.stderr)
-        return 2
     levels = args.levels if args.levels is not None else (3 if n == 1 else 2)
+    if args.golden:
+        if n > 4:
+            print(f"no golden fixture for n={n}", file=sys.stderr)
+            return 2
+        want = _parse_table_text(_golden_text(n))
+        covered = 1 + max(level for _, level in want)
+        if levels > covered:
+            print(f"golden fixture for n={n} covers levels "
+                  f"0..{covered - 1}, not 0..{levels - 1}", file=sys.stderr)
+            return 2
+        # a listing of fewer levels is checked against their cells
+        want = {key: names for key, names in want.items() if key[1] < levels}
     table = homology.generator_table(n, levels - 1)
     if args.format == "md":
-        print(_table_text(table), end="")
+        print(_table_text(n, levels, table), end="")
     else:
-        cells = [_dim_cell(c.degree, c.level, len(c.names), c.names)
-                 for c in table.cells]
-        _emit_sections([(f"named generating cells, n={n}", cells)],
-                       args.format)
+        _emit_sections([(f"named generating cells, n={n}",
+                         _cells(table.entries))], args.format)
     if not args.golden:
         return 0
-    want = _parse_table_text(_golden_text(n))
-    got = {(c.degree, c.level): c.names for c in table.cells}
+    # a json or csv stdout holds one document, so the verdict goes aside
+    out = sys.stdout if args.format == "md" else sys.stderr
+    got = table.as_dict()
     if want == got:
-        print(f"golden comparison: {len(want)} cells match")
+        print(f"golden comparison: {len(want)} cells match", file=out)
         return 0
-    print("golden comparison FAILED:")
+    print("golden comparison FAILED:", file=out)
     for key in sorted(set(want) | set(got)):
         if want.get(key) != got.get(key):
-            print(f"  cell {key}: expected {want.get(key)}, got {got.get(key)}")
+            print(f"  cell {key}: expected {want.get(key)}, "
+                  f"got {got.get(key)}", file=out)
     return 1
 
 

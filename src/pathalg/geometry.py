@@ -28,6 +28,29 @@ from .tables import CheckItem, CheckReport
 _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
 _ENDPOINT_TOL = 1e-8
+# worst cases below are measured over the four suites at their default
+# sizes, seeds 0-9 (index at (n, k) = (1, 1), (2, 2), (3, 1), (4, 3),
+# (1, 12)).  DiscretePath's bounds on its end breakpoints' distance
+# from 0 and 1 (every constructor sets both exactly: worst 0.0) and on
+# the unit defect of a sample (worst 2.2e-16)
+_PARAM_END_TOL = 1e-12
+_SAMPLE_UNIT_TOL = 1e-9
+# concat_min keeps the junction breakpoint s this far inside (0, 1), so
+# the breakpoints stay increasing after a zero-norm factor; the smallest
+# min(s, 1 - s) of two nonzero factors is 1.3e-4
+_JUNCTION_CLAMP = 1e-12
+# half_circle returns the constant path when |sin theta| < _FLAT_SIN
+# (theta = 0 reduced mod pi leaves at most 2.2e-16; the smallest other
+# value is 2.4e-4), and lifts a sample to u itself when a^2 <= _SOUTH_A2
+# (exactly 0.0 at the south pole; the smallest elsewhere is 4.5e-10)
+_FLAT_SIN = 1e-13
+_SOUTH_A2 = 1e-15
+# random_real_tangent redraws a projection shorter than this; the
+# shortest drawn is 5.5e-5, so none was redrawn
+_TANGENT_REDRAW = 1e-6
+# yk_check's bound on the Gram and tangency defects of the skew-pairing
+# triple: worst 4.4e-16
+_GRAM_TOL = 1e-10
 # critical_index's bound on |grad E|: the largest measured at n = 1..5,
 # k = 0..6, 12 and 30, seeds 0-2, is 7.5e-12, about 1300 times below
 _GRAD_TOL = 1e-8
@@ -185,12 +208,13 @@ class DiscretePath:
             raise ValueError("path needs at least two samples")
         if params.shape != (samples.shape[0],):
             raise ValueError("one breakpoint per sample required")
-        if abs(params[0]) > 1e-12 or abs(params[-1] - 1.0) > 1e-12:
+        if (abs(params[0]) > _PARAM_END_TOL
+                or abs(params[-1] - 1.0) > _PARAM_END_TOL):
             raise ValueError("breakpoints must run from 0 to 1")
         if np.count_nonzero(params[1:] <= params[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         defect = np.abs(_row_norms(samples) - 1.0)
-        if defect.max() > 1e-9:
+        if defect.max() > _SAMPLE_UNIT_TOL:
             raise ValueError("samples must be unit vectors")
         # each endpoint must also pass ProjPoint's unit check and lie
         # on the real locus within _ENDPOINT_TOL
@@ -266,7 +290,7 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
         degenerate = True
     else:
         s = f1 / (f1 + f2)
-        s = min(max(s, 1e-12), 1.0 - 1e-12)
+        s = min(max(s, _JUNCTION_CLAMP), 1.0 - _JUNCTION_CLAMP)
     second = delta.samples[1:]
     if pairing > 0.5:
         second = second * (z / pairing)
@@ -318,7 +342,7 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     if abs(float(np.dot(r, ur))) > _REAL_TOL:
         raise ValueError("direction must be orthogonal to the real base")
     theta = math.remainder(theta, math.pi)
-    if abs(math.sin(theta)) < 1e-13:
+    if abs(math.sin(theta)) < _FLAT_SIN:
         return constant_path(ProjPoint(r.astype(complex)), samples)
     t, cos_phi, sin_phi = _arc_grid(samples)
     # the chord runs from x's image (0, 1/2, 0) to the endpoint's image
@@ -335,7 +359,7 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     # invert the sphere map: p lifts to a*r + c*u with a real >= 0; at
     # the south pole (a = 0) the lift is u itself
     a2 = 0.5 + py
-    south = a2 <= 1e-15
+    south = a2 <= _SOUTH_A2
     a = np.sqrt(np.where(south, 1.0, a2))
     c = (px + 1j * pz) / a
     pts = a[:, None] * r + c[:, None] * ur
@@ -371,7 +395,7 @@ def random_real_tangent(x: ProjPoint, rng: np.random.Generator
         v = rng.standard_normal(r.shape[0])
         v = v - np.dot(v, r) * r
         norm = _norm(v)
-        if norm > 1e-6:
+        if norm > _TANGENT_REDRAW:
             # the rounding left along r by one projection grows by
             # 1/norm when normalizing, which can pass the tangency
             # tolerance when the draw lay close to r; a second
@@ -651,10 +675,10 @@ def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
     res = critical_index(n, k, rng=np.random.default_rng(seed))
     if k == 0:
         critical = homology.real_proj_homology(n, homology.COEFF_F2)
-        want = (0, critical.top_degree)
+        want = (0, len(critical) - 1)
     else:
         critical = homology.unit_tangent_homology(n, homology.COEFF_F2)
-        want = (homology.block_shift(n, k), critical.top_degree)
+        want = (homology.block_shift(n, k), len(critical) - 1)
     got = (res.index, res.nullity)
     item = CheckItem(f"index={got[0]} nullity={got[1]}, expected {want}",
                      got == want, f"|grad|={res.gradient_norm:.2e}")
@@ -779,8 +803,8 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
                             for w in ("J1", "J2", "J3")])
         gram = triple @ triple.T
         gram_ok = gram_ok and bool(
-            np.max(np.abs(gram - np.eye(3))) < 1e-10
-            and np.max(np.abs(triple @ x.real_representative())) < 1e-10)
+            np.max(np.abs(gram - np.eye(3))) < _GRAM_TOL
+            and np.max(np.abs(triple @ x.real_representative())) < _GRAM_TOL)
     items.append(CheckItem(
         "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
     return CheckReport(

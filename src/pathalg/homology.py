@@ -8,22 +8,28 @@ one shifted unit-tangent block per filtration level.  No rewriting code
 is consulted; agreement with the presented algebras is established by
 the comparison layer on top.
 
-Degrees are homological and tables are finite: a table stores its top
-nonzero range and reports the zero group outside it.
+Degrees are homological and tables are finite.  A graded table is a
+tuple with one value per degree 0..top, the zero of its kind beyond:
+an int (an F2 dimension) or an AbelianGroup.  Bigraded tables, the
+assembled homology in either coefficient ring and the named generator
+cells, are tables.BigradedTable.
 
->>> real_proj_homology(3, COEFF_Z).group(1).render()
+>>> real_proj_homology(3, COEFF_Z)[1].render()
 'Z/2'
->>> unit_tangent_homology(2, COEFF_Z).group(1).render()
+>>> unit_tangent_homology(2, COEFF_Z)[1].render()
 'Z/4'
->>> uct_f2(unit_tangent_homology(2, COEFF_Z)).dims()
+>>> uct_f2(unit_tangent_homology(2, COEFF_Z))
 (1, 1, 1, 1)
+>>> path_space_homology(2, COEFF_Z, 3).get(2, 1, ZERO_GROUP).render()
+'Z/4'
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .tables import BigradedDimTable, CheckItem, CheckReport
+from .tables import BigradedTable, CheckItem, CheckReport
 
 COEFF_Z = "Z-trivial"
 COEFF_TWISTED = "Z-twisted-o"
@@ -51,11 +57,11 @@ class AbelianGroup:
         if tuple(sorted(self.torsion)) != self.torsion:
             raise ValueError("torsion orders must be ascending")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
+    def __bool__(self) -> bool:
+        """True unless trivial, as a dimension is true unless zero."""
+        return self.rank > 0 or bool(self.torsion)
 
-    def plus(self, other: "AbelianGroup") -> "AbelianGroup":
+    def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(rank=self.rank + other.rank,
                             torsion=tuple(sorted(self.torsion + other.torsion)))
 
@@ -79,71 +85,18 @@ Z2 = AbelianGroup(torsion=(2,))
 Z4 = AbelianGroup(torsion=(4,))
 
 
-@dataclass(frozen=True)
-class GradedGroupTable:
-    """Graded abelian group, one entry per degree 0..top_degree."""
-
-    groups: tuple[AbelianGroup, ...]
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.groups) - 1
-
-    def group(self, degree: int) -> AbelianGroup:
-        if 0 <= degree <= self.top_degree:
-            return self.groups[degree]
-        return ZERO_GROUP
-
-
-@dataclass(frozen=True)
-class GradedDimTable:
-    """Graded F2 vector space, one dimension per degree 0..top_degree."""
-
-    values: tuple[int, ...]
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.values) - 1
-
-    def dim(self, degree: int) -> int:
-        if 0 <= degree <= self.top_degree:
-            return self.values[degree]
-        return 0
-
-    def dims(self) -> tuple[int, ...]:
-        return self.values
-
-    def euler(self) -> int:
-        return sum((-1) ** d * v for d, v in enumerate(self.values))
-
-
-@dataclass(frozen=True)
-class BigradedGroupTable:
-    """Abelian group per (degree, level) cell, degrees 0..degree_bound."""
-
-    entries: tuple[tuple[tuple[int, int], AbelianGroup], ...]
-    degree_bound: int
-
-    @classmethod
-    def from_dict(cls, entries: dict[tuple[int, int], AbelianGroup],
-                  degree_bound: int) -> "BigradedGroupTable":
-        items = tuple(sorted(
-            (k, g) for k, g in entries.items() if not g.is_trivial))
-        return cls(entries=items, degree_bound=degree_bound)
-
-    def as_dict(self) -> dict[tuple[int, int], AbelianGroup]:
-        return dict(self.entries)
-
-    def group(self, degree: int, level: int) -> AbelianGroup:
-        return self.as_dict().get((degree, level), ZERO_GROUP)
+def _at(table: tuple, degree: int, zero=0):
+    """Entry of a graded table, zero outside its range."""
+    return table[degree] if 0 <= degree < len(table) else zero
 
 
 # ---------------------------------------------------------------------------
 # Real projective space
 
 
-def real_proj_homology(n: int, coeff: str):
-    """Homology of n-dimensional real projective space.
+def real_proj_homology(n: int, coeff: str) -> tuple:
+    """Homology of n-dimensional real projective space, one dimension
+    (COEFF_F2) or AbelianGroup per degree 0..n.
 
     Coefficients: COEFF_Z, COEFF_TWISTED (the orientation system, which
     is trivial for odd n), or COEFF_F2.  The twisted groups follow from
@@ -154,7 +107,7 @@ def real_proj_homology(n: int, coeff: str):
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if coeff == COEFF_F2:
-        return GradedDimTable(values=(1,) * (n + 1))
+        return (1,) * (n + 1)
     if coeff not in (COEFF_Z, COEFF_TWISTED):
         raise CoefficientError(
             f"projective space supports {COEFF_Z}, {COEFF_TWISTED}, "
@@ -173,21 +126,23 @@ def real_proj_homology(n: int, coeff: str):
             groups.append(Z2)
         else:
             groups.append(ZERO_GROUP)
-    return GradedGroupTable(groups=tuple(groups))
+    return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
 # Unit tangent bundle
 
 
-def _shift_sum(row0: GradedGroupTable, row1: GradedGroupTable, shift: int,
-               top: int) -> list[AbelianGroup]:
-    return [row0.group(d).plus(row1.group(d - shift)) for d in range(top + 1)]
+def _shift_sum(row0: tuple, row1: tuple, shift: int, top: int) -> list:
+    zero = type(row0[0])()  # 0 or the zero group
+    return [_at(row0, d, zero) + _at(row1, d - shift, zero)
+            for d in range(top + 1)]
 
 
-def unit_tangent_homology(n: int, coeff: str):
+def unit_tangent_homology(n: int, coeff: str) -> tuple:
     """Homology of the unit tangent bundle of n-dimensional real
-    projective space, a sphere bundle with (n-1)-dimensional fiber.
+    projective space, a sphere bundle with (n-1)-dimensional fiber,
+    one dimension (COEFF_F2) or AbelianGroup per degree 0..2n-1.
 
     Coefficients: COEFF_Z, COEFF_PULLBACK (the pullback of the
     orientation system of the base), or COEFF_F2.
@@ -221,36 +176,28 @@ def unit_tangent_homology(n: int, coeff: str):
             f"{COEFF_F2}; got {coeff!r}")
     if n == 1:
         # Circle base, 0-sphere fiber: two disjoint circles.
-        if coeff == COEFF_F2:
-            return GradedDimTable(values=(2, 2))
-        return GradedGroupTable(groups=(AbelianGroup(rank=2),
-                                        AbelianGroup(rank=2)))
+        return (2, 2) if coeff == COEFF_F2 else (AbelianGroup(rank=2),) * 2
     top = 2 * n - 1
-    if coeff == COEFF_F2:
-        if n % 2 == 1:
-            base = real_proj_homology(n, COEFF_F2)
-            vals = tuple(base.dim(d) + base.dim(d - (n - 1))
-                         for d in range(top + 1))
-            return GradedDimTable(values=vals)
-        return GradedDimTable(values=(1,) * (top + 1))
     if n % 2 == 1:
-        base = real_proj_homology(n, COEFF_Z)
-        return GradedGroupTable(
-            groups=tuple(_shift_sum(base, base, n - 1, top)))
+        base = real_proj_homology(
+            n, COEFF_F2 if coeff == COEFF_F2 else COEFF_Z)
+        return tuple(_shift_sum(base, base, n - 1, top))
+    if coeff == COEFF_F2:
+        return (1,) * (top + 1)
     if coeff == COEFF_Z:
         row0 = real_proj_homology(n, COEFF_Z)
         row1 = real_proj_homology(n, COEFF_TWISTED)
         groups = _shift_sum(row0, row1, n - 1, top)
-        assert groups[n - 1] == Z2.plus(Z2)
+        assert groups[n - 1] == Z2 + Z2
         groups[n - 1] = Z4
-        return GradedGroupTable(groups=tuple(groups))
+        return tuple(groups)
     row0 = real_proj_homology(n, COEFF_TWISTED)
     row1 = real_proj_homology(n, COEFF_Z)
     groups = _shift_sum(row0, row1, n - 1, top)
-    assert groups[n - 1] == Z and groups[n] == Z.plus(Z2)
+    assert groups[n - 1] == Z and groups[n] == Z + Z2
     groups[n - 1] = ZERO_GROUP
     groups[n] = Z2
-    return GradedGroupTable(groups=tuple(groups))
+    return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -277,50 +224,44 @@ def block_shift(n: int, k: int) -> int:
     return 1 + (k - 1) * n
 
 
-def path_space_homology(n: int, coeff: str, degree_bound: int):
+def block_systems(n: int, coeff: str) -> tuple[str, ...]:
+    """Coefficient systems of the unit tangent blocks of the assembly
+    over coeff; block k carries entry (k - 1) % len.  For COEFF_Z these
+    are read off block_local_system at k = 1 and 2, since it depends
+    only on the parity of k; COEFF_F2 has the one system."""
+    if coeff == COEFF_F2:
+        return (COEFF_F2,)
+    if coeff != COEFF_Z:
+        raise CoefficientError(
+            f"path-space assembly supports {COEFF_Z} and {COEFF_F2}; "
+            f"got {coeff!r}")
+    return tuple(dict.fromkeys(block_local_system(n, k) for k in (1, 2)))
+
+
+def path_space_homology(n: int, coeff: str,
+                        degree_bound: int) -> BigradedTable:
     """Assembled homology table of the space of paths with endpoints on
     the real locus, bigraded by (degree, filtration level).
 
     Level 0 is the base projective space; level k >= 1 contributes the
     unit tangent bundle with its block coefficient system, shifted up
     by 1 + (k-1)n.  Supported coefficients: COEFF_Z (each block keeps
-    its own integral system) and COEFF_F2.
+    its own integral system, cells hold AbelianGroups) and COEFF_F2
+    (cells hold dimensions).
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    if coeff == COEFF_F2:
-        cells: dict[tuple[int, int], int] = {}
-        base = real_proj_homology(n, COEFF_F2)
-        for d in range(min(degree_bound, base.top_degree) + 1):
-            cells[(d, 0)] = base.dim(d)
-        block = unit_tangent_homology(n, COEFF_F2).dims()
-        k = 1
-        while block_shift(n, k) <= degree_bound:
-            s = block_shift(n, k)
-            for d, dim in enumerate(block):
-                if s + d <= degree_bound and dim:
-                    cells[(s + d, k)] = dim
-            k += 1
-        return BigradedDimTable.from_dict(cells, degree_bound)
-    if coeff != COEFF_Z:
-        raise CoefficientError(
-            f"path-space assembly supports {COEFF_Z} and {COEFF_F2}; "
-            f"got {coeff!r}")
-    gcells: dict[tuple[int, int], AbelianGroup] = {}
-    base = real_proj_homology(n, COEFF_Z)
-    for d in range(min(degree_bound, base.top_degree) + 1):
-        gcells[(d, 0)] = base.group(d)
-    # the block system depends only on the parity of k
-    systems = {block_local_system(n, k) for k in (1, 2)}
-    blocks = {c: unit_tangent_homology(n, c).groups for c in systems}
+    blocks = [unit_tangent_homology(n, c) for c in block_systems(n, coeff)]
+    base = real_proj_homology(n, coeff)[:degree_bound + 1]
+    cells = {(d, 0): v for d, v in enumerate(base)}
     k = 1
     while block_shift(n, k) <= degree_bound:
         s = block_shift(n, k)
-        for d, group in enumerate(blocks[block_local_system(n, k)]):
-            if s + d <= degree_bound:
-                gcells[(s + d, k)] = group
+        block = blocks[(k - 1) % len(blocks)][:degree_bound - s + 1]
+        for d, v in enumerate(block):
+            cells[(s + d, k)] = v
         k += 1
-    return BigradedGroupTable.from_dict(gcells, degree_bound)
+    return BigradedTable.from_dict(cells, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +269,27 @@ def path_space_homology(n: int, coeff: str, degree_bound: int):
 
 
 def uct_f2(table):
-    """Mod-2 dimensions determined by an integral table.
+    """Mod-2 dimensions determined by an integral table, graded (a
+    tuple) or bigraded.
 
     dim H_d(-; F2) = rank H_d + t(H_d) + t(H_{d-1}) where t counts
     cyclic summands of even order.  The formula also holds for the
     twisted systems used here because they reduce mod 2 to the trivial
     one.
     """
-    if isinstance(table, GradedGroupTable):
-        vals = []
-        for d in range(table.top_degree + 2):
-            g, prev = table.group(d), table.group(d - 1)
-            vals.append(g.rank + g.two_torsion() + prev.two_torsion())
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return GradedDimTable(values=tuple(vals))
-    if isinstance(table, BigradedGroupTable):
-        cells: dict[tuple[int, int], int] = {}
-        for (d, l), g in table.entries:
-            cells[(d, l)] = cells.get((d, l), 0) + g.rank + g.two_torsion()
-            if d + 1 <= table.degree_bound:
-                cells[(d + 1, l)] = cells.get((d + 1, l), 0) + g.two_torsion()
-        return BigradedDimTable.from_dict(cells, table.degree_bound)
-    raise TypeError(f"no mod-2 reduction for {type(table).__name__}")
+    if isinstance(table, tuple):
+        dims = [g.rank + g.two_torsion()
+                + _at(table, d - 1, ZERO_GROUP).two_torsion()
+                for d, g in enumerate(table + (ZERO_GROUP,))]
+        while dims and dims[-1] == 0:
+            dims.pop()
+        return tuple(dims)
+    cells: Counter[tuple[int, int]] = Counter()
+    for (d, l), g in table.entries:
+        cells[d, l] += g.rank + g.two_torsion()
+        if d < table.degree_bound:
+            cells[d + 1, l] += g.two_torsion()
+    return BigradedTable.from_dict(cells, table.degree_bound)
 
 
 def stable_ranks(degree: int) -> int:
@@ -378,27 +317,26 @@ def consistency_checks(n: int) -> CheckReport:
         got = uct_f2(real_proj_homology(n, tag))
         items.append(CheckItem(
             name=f"projective space mod-2 reduction [{tag}]",
-            passed=got.dims() == f2_base.dims(),
-            detail=f"{got.dims()} vs {f2_base.dims()}"))
+            passed=got == f2_base,
+            detail=f"{got} vs {f2_base}"))
 
     f2_st = unit_tangent_homology(n, COEFF_F2)
-    integral_tags = [COEFF_Z] if n % 2 == 1 else [COEFF_Z, COEFF_PULLBACK]
-    for tag in integral_tags:
+    for tag in block_systems(n, COEFF_Z):
         got = uct_f2(unit_tangent_homology(n, tag))
         items.append(CheckItem(
             name=f"unit tangent mod-2 reduction [{tag}]",
-            passed=got.dims() == f2_st.dims(),
-            detail=f"{got.dims()} vs {f2_st.dims()}"))
+            passed=got == f2_st,
+            detail=f"{got} vs {f2_st}"))
 
-    dims = f2_st.dims()
     items.append(CheckItem(
         name="unit tangent mod-2 palindrome",
-        passed=dims == dims[::-1],
-        detail=f"{dims}"))
+        passed=f2_st == f2_st[::-1],
+        detail=f"{f2_st}"))
+    chi = sum((-1) ** d * v for d, v in enumerate(f2_st))
     items.append(CheckItem(
         name="unit tangent Euler characteristic zero",
-        passed=f2_st.euler() == 0,
-        detail=f"chi = {f2_st.euler()}"))
+        passed=chi == 0,
+        detail=f"chi = {chi}"))
 
     zt = path_space_homology(n, COEFF_Z, D)
     f2t = path_space_homology(n, COEFF_F2, D)
@@ -407,7 +345,7 @@ def consistency_checks(n: int) -> CheckReport:
         passed=uct_f2(zt).as_dict() == f2t.as_dict(),
         detail=""))
 
-    low = [sum(f2t.dim(d, l) for l in (0, 1)) for d in range(n)]
+    low = [sum(f2t.get(d, l) for l in (0, 1)) for d in range(n)]
     want = [stable_ranks(d) for d in range(n)]
     items.append(CheckItem(
         name="stable range at levels 0..1",
@@ -440,22 +378,9 @@ def _alternating(start: str, length: int) -> str:
     return "".join(start if i % 2 == 0 else other for i in range(length))
 
 
-@dataclass(frozen=True)
-class GeneratorCell:
-    degree: int
-    level: int
-    names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class GeneratorTable:
-    n: int
-    max_level: int
-    cells: tuple[GeneratorCell, ...]
-
-
-def generator_table(n: int, max_level: int) -> GeneratorTable:
-    """Named basis cells of the assembled table, levels 0..max_level.
+def generator_table(n: int, max_level: int) -> BigradedTable:
+    """Named basis cells of the assembled table, levels 0..max_level:
+    each cell holds its tuple of names, degrees run to the top cell.
 
     Level 0 lists the unit in degree n and the powers of the
     degree-lowering generator below it.  For n >= 2 each level k >= 1
@@ -492,10 +417,8 @@ def generator_table(n: int, max_level: int) -> GeneratorTable:
             for j in range(n):
                 put((k + 1) * n - j, k, _cell_name(j, "", k))
 
-    cells = []
-    for (degree, level) in sorted(cellmap):
-        # insertion order inside a cell lists the middle-generator
-        # family before the pure-power family
-        cells.append(GeneratorCell(degree=degree, level=level,
-                                   names=tuple(cellmap[(degree, level)])))
-    return GeneratorTable(n=n, max_level=max_level, cells=tuple(cells))
+    # insertion order inside a cell lists the middle-generator family
+    # before the pure-power family
+    return BigradedTable.from_dict(
+        {key: tuple(names) for key, names in cellmap.items()},
+        max(d for d, _ in cellmap))

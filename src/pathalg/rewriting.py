@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .tables import BigradedDimTable, CheckItem, CheckReport
+from .tables import BigradedTable, CheckItem, CheckReport
 from .algebra import (
     EVEN,
     ZERO,
@@ -335,7 +335,7 @@ def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
         yield w
 
 
-def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
+def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Count irreducible words per (unshifted degree, level) for degrees
     0..degree_bound, walking to the weight required_weight_bound gives
     for degree_bound.  Refuses a system that complete did not return."""
@@ -346,7 +346,7 @@ def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
     for _, d, level in walk:
         if 0 <= d <= degree_bound:
             counts[d, level] = counts.get((d, level), 0) + 1
-    return BigradedDimTable.from_dict(counts, degree_bound)
+    return BigradedTable.from_dict(counts, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ class ComparisonReport:
         return out
 
 
-def compare(alg: BigradedDimTable, hom: BigradedDimTable) -> ComparisonReport:
+def compare(alg: BigradedTable, hom: BigradedTable) -> ComparisonReport:
     """Cell-by-cell and per-degree comparison of two dimension tables."""
     if alg.degree_bound != hom.degree_bound:
         raise ValueError(
@@ -495,8 +495,8 @@ def _candidate_rhs_pool(rs: RewriteSystem, lhs: Word) -> list[Word]:
     return sorted(pool, key=rs.order.sort_key)
 
 
-def repair_search(base: RewriteSystem, alg: BigradedDimTable,
-                  hom: BigradedDimTable) -> tuple[Augmentation, ...]:
+def repair_search(base: RewriteSystem, alg: BigradedTable,
+                  hom: BigradedTable) -> tuple[Augmentation, ...]:
     """Search for rule augmentations that reconcile the completed
     presentation base, whose hilbert table is alg, with the target
     dimension table hom, up to their common degree bound.
@@ -530,7 +530,7 @@ def repair_search(base: RewriteSystem, alg: BigradedDimTable,
         raise ValueError("alg and hom have different degree bounds")
     homd = hom.as_dict()
 
-    def excess(table: BigradedDimTable) -> dict[tuple[int, int], int]:
+    def excess(table: BigradedTable) -> dict[tuple[int, int], int]:
         """table - hom on every cell where the two differ; only the few
         differing cells are kept, not the whole table."""
         got = table.as_dict()

@@ -1,8 +1,12 @@
-"""Shared result containers: bigraded dimension tables and check reports.
+"""Shared result containers: bigraded tables and check reports.
 
-Both the rewriting side and the homology side produce values of these
-types, so the comparison layer can stay agnostic about where a table
-came from.
+A BigradedTable holds one value per (degree, level) cell, whatever the
+value is: a mod-2 dimension (the rewriting side's Hilbert counts and
+the homology side's F2 tables), an integral AbelianGroup, or a tuple
+of generator names.  A value that tests false is the zero of its kind
+and is not stored.  Graded tables are plain tuples, one value per
+degree.  Both routes produce these types, so the comparison layer can
+stay agnostic about where a table came from.
 """
 
 from __future__ import annotations
@@ -13,36 +17,36 @@ from functools import cached_property
 
 
 @dataclass(frozen=True)
-class BigradedDimTable:
-    """Dimension per (degree, level) cell, degrees 0..degree_bound.
+class BigradedTable:
+    """Value per (degree, level) cell, degrees 0..degree_bound.
 
-    Zero cells are omitted from entries; dim() returns 0 for them.
+    Zero cells are omitted from entries; get() returns the caller's
+    zero for them.
     """
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    entries: tuple[tuple[tuple[int, int], object], ...]
     degree_bound: int
 
     @classmethod
-    def from_dict(cls, entries: dict[tuple[int, int], int],
-                  degree_bound: int) -> "BigradedDimTable":
+    def from_dict(cls, entries: dict, degree_bound: int) -> "BigradedTable":
         items = tuple(sorted((k, v) for k, v in entries.items() if v))
         return cls(entries=items, degree_bound=degree_bound)
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
+    def as_dict(self) -> dict:
         return dict(self.entries)
 
-    def dim(self, degree: int, level: int) -> int:
-        return self._cells.get((degree, level), 0)
+    def get(self, degree: int, level: int, zero=0):
+        return self._cells.get((degree, level), zero)
 
     def degree_totals(self) -> Counter[int]:
-        """Sum over levels per degree, in one pass over the cells."""
+        """Sum of dimensions over levels per degree, in one pass."""
         totals: Counter[int] = Counter()
         for (d, _), v in self.entries:
             totals[d] += v
         return totals
 
     @cached_property
-    def _cells(self) -> dict[tuple[int, int], int]:
+    def _cells(self) -> dict:
         return dict(self.entries)
 
     def levels(self) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from pathalg import geometry, rewriting
+from pathalg import geometry, homology, rewriting
 from pathalg.cli import main
 
 
@@ -72,6 +72,42 @@ class TestHomologyCommand:
         assert totals == {0: 1, **{d: 2 for d in range(1, 9)}}
         assert levels == {0, 1}
 
+
+    @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+    @pytest.mark.parametrize("coeff", ["Z", "F2"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_assembled_section_carries_the_library_cells(self, capsys, n,
+                                                         coeff, fmt):
+        D = 4 * n + 2
+        table = homology.path_space_homology(
+            n, homology.COEFF_F2 if coeff == "F2" else homology.COEFF_Z, D)
+        code, out = run(capsys, "homology", "--n", str(n), "--coeff", coeff,
+                        "--format", fmt)
+        assert code == 0
+        title = (f"assembled path-space table, "
+                 f"{'mod 2' if coeff == 'F2' else 'integral'}, n={n}, "
+                 f"degrees 0..{D}")
+        if fmt == "json":
+            section, = [s for s in json.loads(out)["sections"]
+                        if s["title"] == title]
+            key = "dim" if coeff == "F2" else "group"
+            got = {(c["degree"], c["level"]): c[key]
+                   for c in section["cells"]}
+            want = {cell: v if coeff == "F2" else
+                    {"rank": v.rank, "torsion": list(v.torsion)}
+                    for cell, v in table.entries}
+        else:
+            if fmt == "csv":
+                rows = [r[1:4] for r in csv.reader(io.StringIO(out))
+                        if r[0] == title]
+            else:
+                block = out.split(f"## {title}\n")[1].split("\n\n")[0]
+                rows = [line.split(None, 2)
+                        for line in block.splitlines()[1:]]
+            got = {(int(d), int(l)): v for d, l, v in rows}
+            want = {cell: str(v) if coeff == "F2" else v.render()
+                    for cell, v in table.entries}
+        assert got == want
 
 class TestVerifyCommand:
     def test_odd_passes(self, capsys):
@@ -269,6 +305,35 @@ class TestTableCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no golden fixture for n=5" in captured.err
+
+    def test_no_fixture_for_more_levels(self, capsys):
+        # the fixture lists levels 0..2; a usage error, before printing
+        assert main(["table", "--n", "1", "--golden", "--levels", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "levels 0..2" in captured.err
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fewer_levels_match_the_fixture_at_those_levels(self, capsys, n):
+        code, out = run(capsys, "table", "--n", str(n), "--golden",
+                        "--levels", "1")
+        assert code == 0
+        assert f"golden comparison: {n + 1} cells match" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_golden_verdict_leaves_the_document_whole(self, capsys, fmt):
+        code = main(["table", "--n", "3", "--golden", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "golden comparison: 10 cells match\n"
+        code = main(["table", "--n", "3", "--format", fmt])
+        assert code == 0
+        assert captured.out == capsys.readouterr().out
+        if fmt == "json":
+            json.loads(captured.out)
+        else:
+            rows = list(csv.reader(io.StringIO(captured.out)))
+            assert all(len(r) == 5 for r in rows)
 
     def test_default_level_count(self, capsys):
         _, out1 = run(capsys, "table", "--n", "1")

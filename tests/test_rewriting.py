@@ -41,7 +41,7 @@ from pathalg.rewriting import (
     required_weight_bound,
 )
 from pathalg.homology import COEFF_F2, path_space_homology
-from pathalg.tables import BigradedDimTable
+from pathalg.tables import BigradedTable
 
 
 def completed(n: int) -> RewriteSystem:
@@ -53,7 +53,7 @@ def repairs(n: int, degree_bound: int):
     return search(completed(n), path_space_homology(n, COEFF_F2, degree_bound))
 
 
-def search(rs: RewriteSystem, hom: BigradedDimTable):
+def search(rs: RewriteSystem, hom: BigradedTable):
     """repair_search for the completed rs against hom, given rs's table."""
     return repair_search(rs, hilbert(rs, hom.degree_bound), hom)
 
@@ -82,7 +82,7 @@ def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
     yield from extend("", 0)
 
 
-def reference_hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
+def reference_hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Hilbert counts with every word's gradings recomputed from its
     letters."""
     counts = {}
@@ -92,7 +92,7 @@ def reference_hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedDimTable:
         if 0 <= d <= degree_bound:
             key = (d, word_level(w))
             counts[key] = counts.get(key, 0) + 1
-    return BigradedDimTable.from_dict(counts, degree_bound)
+    return BigradedTable.from_dict(counts, degree_bound)
 
 
 # frozen completed rule tables; completion adds nothing to the oriented
@@ -347,8 +347,8 @@ class TestHilbertAndCompare:
             hilbert(orient(signature(3)), 40)
 
     def test_compare_rejects_mixed_bounds(self):
-        a = BigradedDimTable.from_dict({(0, 0): 1}, 5)
-        b = BigradedDimTable.from_dict({(0, 0): 1}, 6)
+        a = BigradedTable.from_dict({(0, 0): 1}, 5)
+        b = BigradedTable.from_dict({(0, 0): 1}, 6)
         with pytest.raises(ValueError):
             compare(a, b)
 
@@ -356,8 +356,8 @@ class TestHilbertAndCompare:
         rs = completed(4)
         table = hilbert(rs, 12)
         # level 0 is spanned by the powers of the degree-lowering letter
-        assert [table.dim(d, 0) for d in range(5)] == [1, 1, 1, 1, 1]
-        assert table.dim(5, 0) == 0
+        assert [table.get(d, 0) for d in range(5)] == [1, 1, 1, 1, 1]
+        assert table.get(5, 0) == 0
 
 
 class TestRepairSearch:
@@ -435,6 +435,6 @@ class TestRepairSearch:
         hom = path_space_homology(2, COEFF_F2, 12)
         cells = hom.as_dict()
         cells[(0, 3)] = 7
-        target = BigradedDimTable.from_dict(cells, 12)
+        target = BigradedTable.from_dict(cells, 12)
         with pytest.raises(RepairError):
             search(completed(2), target)
