@@ -10,12 +10,18 @@ distance arccos|<z, w>| in [0, pi/2].  Tangent vectors are Hermitian
 orthogonal to the base representative (horizontal lifts).  Discrete
 paths are sample matrices with strictly increasing breakpoints in
 [0, 1] and both endpoints on the real locus.
+
+Batches.  The kernels (underscored) take rows on leading axes and
+round each row as a call on that row alone: one BLAS dot per row, the
+math module for scalar trigonometry.  The per-object functions are
+their batch-of-one case; the sampling suites run trials on the axis.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,6 +63,11 @@ _GRAD_TOL = 1e-8
 # pass bound of the sampling suites: their worst measured error at the
 # default trials, seeds 0-9, is 7.1e-14, about 14 000 times below
 _CHECK_TOL = 1e-9
+# the sampling suites take their trials this many at a time: a block
+# splits by n into groups of about 85 trials, enough to share each numpy
+# call, and concat_check's traced peak stays near 1.4 MB (1.6 MB at four
+# blocks) where one array per trial would grow without bound
+_TRIAL_BLOCK = 256
 
 
 class ParityError(ValueError):
@@ -68,28 +79,69 @@ class GradientCheckError(RuntimeError):
     not numerically critical."""
 
 
+def _require(ok, message: str) -> None:
+    if not ok.all():
+        raise ValueError(message)
+
+
 def _as_complex(vec) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(-1)
 
 
-def _norm(vec: np.ndarray) -> float:
-    """Euclidean norm of a real or complex vector: one vdot, one sqrt.
-    On a contiguous real vector this is np.linalg.norm's arithmetic."""
-    return math.sqrt(np.vdot(vec, vec).real)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (last axis), one BLAS dot per row
+    with the strides np.dot would pass it, so each rounds as np.dot of
+    its two rows; a.conj() in place of a gives np.vdot."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row; the arithmetic of
-    np.linalg.norm(mat, axis=1) without its argument handling."""
-    return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=1))
+    np.linalg.norm(mat, axis=-1) without its argument handling."""
+    return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=-1))
+
+
+def _unit_defect(v: np.ndarray) -> np.ndarray:
+    """||v| - 1| of each row, |v| from np.vdot's one BLAS dot."""
+    return np.abs(np.sqrt(_dots(v.conj(), v).real) - 1.0)
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as abs() of one complex scalar; np.abs on an array
+    may round differently."""
+    return np.hypot(z.real, z.imag)
+
+
+def _each(fn, values) -> np.ndarray:
+    """fn of each entry of values, one Python call each: the math
+    module's rounding, which numpy's vector loops need not share."""
+    return np.reshape([fn(v) for v in np.ravel(values).tolist()],
+                      np.shape(values))
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Complex rows over their norms, each norm with np.linalg.norm's
+    arithmetic: the dots of the real and of the imaginary parts."""
+    norm = np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
+    _require(norm != 0, "cannot normalize the zero vector")
+    return v / norm[..., None]
 
 
 def normalize(vec) -> np.ndarray:
-    v = _as_complex(vec)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / norm
+    return _unit_rows(_as_complex(vec))
+
+
+def _real_reps(reps: np.ndarray) -> np.ndarray:
+    """Real unit representative of each row on the real locus: the
+    squared-sum modulus |sum z_j^2| equals 1 exactly on such points and
+    drops below 1 away from them; half its phase turns the row real."""
+    s = np.add.reduce(reps * reps, axis=-1)
+    _require(_moduli(s) >= 1.0 - _REAL_TOL, "point has no real representative")
+    z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
+    _require(np.sqrt(_dots(z.imag, z.imag)) <= math.sqrt(_REAL_TOL),
+             "point has no real representative")
+    re = np.ascontiguousarray(z.real)
+    return re / np.sqrt(_dots(re, re))[..., None]
 
 
 @dataclass
@@ -101,7 +153,7 @@ class ProjPoint:
 
     def __post_init__(self) -> None:
         self.rep = _as_complex(self.rep)
-        if abs(_norm(self.rep) - 1.0) > _UNIT_TOL:
+        if _unit_defect(self.rep) > _UNIT_TOL:
             raise ValueError("representative must be a unit vector")
 
     @property
@@ -112,21 +164,11 @@ class ProjPoint:
         return abs(np.vdot(self.rep, other.rep)) > 1.0 - _UNIT_TOL
 
     def is_real(self) -> bool:
-        """Whether some representative has all coordinates real; the
-        squared-sum modulus |sum z_j^2| equals 1 exactly on such
-        points and drops below 1 away from them."""
+        """Whether some representative has all coordinates real."""
         return abs(np.add.reduce(self.rep * self.rep)) >= 1.0 - _REAL_TOL
 
     def real_representative(self) -> np.ndarray:
-        s = complex(np.add.reduce(self.rep * self.rep))
-        if abs(s) < 1.0 - _REAL_TOL:
-            raise ValueError("point has no real representative")
-        z = self.rep * cmath.exp(-0.5j * cmath.phase(s))
-        if _norm(z.imag) > math.sqrt(_REAL_TOL):
-            raise ValueError("point has no real representative")
-        # a strided view would round differently from np.linalg.norm
-        re = np.ascontiguousarray(z.real)
-        return re / _norm(re)
+        return _real_reps(self.rep)
 
 
 def proj_point(vec) -> ProjPoint:
@@ -154,7 +196,7 @@ class TangentVector:
 
     @property
     def is_unit(self) -> bool:
-        return abs(_norm(self.vec) - 1.0) <= _UNIT_TOL
+        return bool(_unit_defect(self.vec) <= _UNIT_TOL)
 
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
@@ -163,18 +205,47 @@ def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
     return math.acos(min(1.0, max(0.0, c)))
 
 
+def _geodesics(x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
+    """Points at the arclengths s on the geodesics leaving the rows of x
+    with the unit velocities v; s broadcasts against the leading axes."""
+    _require(_unit_defect(v) <= _UNIT_TOL,
+             "geodesic requires a unit tangent vector")
+    pts = _each(math.cos, s)[..., None] * x + _each(math.sin, s)[..., None] * v
+    _require(_unit_defect(pts) <= _UNIT_TOL,
+             "representative must be a unit vector")
+    return pts
+
+
 def geodesic(x: ProjPoint, v: TangentVector, s: float) -> ProjPoint:
     """Point at arclength s on the geodesic leaving x with velocity v;
     periodic with period pi."""
-    if not v.is_unit:
-        raise ValueError("geodesic requires a unit tangent vector")
     if not v.base.equals(x):
         raise ValueError("tangent vector is not based at x")
-    return ProjPoint(rep=math.cos(s) * x.rep + math.sin(s) * v.vec)
+    return ProjPoint(rep=_geodesics(x.rep, v.vec, s))
 
 
 # ---------------------------------------------------------------------------
 # Discrete paths, energy, concatenation
+
+
+def _check_paths(samples: np.ndarray, params: np.ndarray) -> None:
+    """DiscretePath's value checks, in its order, on paths stacked on
+    leading axes; params may also be one grid that all paths share."""
+    _require(np.abs(params[..., [0, -1]] - [0.0, 1.0]) <= _PARAM_END_TOL,
+             "breakpoints must run from 0 to 1")
+    _require(params[..., 1:] > params[..., :-1],
+             "breakpoints must be strictly increasing")
+    defect = np.abs(_row_norms(samples) - 1.0)
+    _require(defect <= _SAMPLE_UNIT_TOL, "samples must be unit vectors")
+    # each endpoint must also pass ProjPoint's unit check and lie on the
+    # real locus within _ENDPOINT_TOL
+    for idx in (0, -1):
+        _require(defect[..., idx] <= _UNIT_TOL,
+                 "representative must be a unit vector")
+        end = samples[..., idx, :]
+        _require(np.abs(np.add.reduce(end * end, axis=-1))
+                 >= 1.0 - _ENDPOINT_TOL,
+                 "path endpoints must lie on the real locus")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,22 +279,7 @@ class DiscretePath:
             raise ValueError("path needs at least two samples")
         if params.shape != (samples.shape[0],):
             raise ValueError("one breakpoint per sample required")
-        if (abs(params[0]) > _PARAM_END_TOL
-                or abs(params[-1] - 1.0) > _PARAM_END_TOL):
-            raise ValueError("breakpoints must run from 0 to 1")
-        if np.count_nonzero(params[1:] <= params[:-1]):
-            raise ValueError("breakpoints must be strictly increasing")
-        defect = np.abs(_row_norms(samples) - 1.0)
-        if defect.max() > _SAMPLE_UNIT_TOL:
-            raise ValueError("samples must be unit vectors")
-        # each endpoint must also pass ProjPoint's unit check and lie
-        # on the real locus within _ENDPOINT_TOL
-        for idx in (0, -1):
-            if defect[idx] > _UNIT_TOL:
-                raise ValueError("representative must be a unit vector")
-            end = samples[idx]
-            if not abs(np.add.reduce(end * end)) >= 1.0 - _ENDPOINT_TOL:
-                raise ValueError("path endpoints must lie on the real locus")
+        _check_paths(samples, params)
 
     @property
     def num_samples(self) -> int:
@@ -247,17 +303,22 @@ def constant_path(x: ProjPoint, samples: int = 2) -> DiscretePath:
 
 
 def _segment_distances(samples: np.ndarray) -> np.ndarray:
-    inner = np.abs(np.einsum("ij,ij->i", samples[:-1], samples[1:].conj()))
+    inner = np.abs(np.einsum("...ij,...ij->...i", samples[..., :-1, :],
+                             samples[..., 1:, :].conj()))
     # inner >= 0, so this is the clip of inner to [0, 1]
     return np.arccos(np.minimum(inner, 1.0))
+
+
+def _energies(samples: np.ndarray, params: np.ndarray) -> np.ndarray:
+    d = _segment_distances(samples)
+    return np.add.reduce(d * d / (params[..., 1:] - params[..., :-1]),
+                         axis=-1)
 
 
 def path_energy(path: DiscretePath) -> float:
     """Energy of the piecewise-geodesic path with its parametrization:
     sum of squared segment distances over segment durations."""
-    d = _segment_distances(path.samples)
-    dt = path.params[1:] - path.params[:-1]
-    return float(np.add.reduce(d * d / dt))
+    return float(_energies(path.samples, path.params))
 
 
 def path_norm(path: DiscretePath) -> float:
@@ -270,34 +331,40 @@ def path_length(path: DiscretePath) -> float:
     return float(np.sum(_segment_distances(path.samples)))
 
 
+def _concat(gamma: tuple, delta: tuple) -> tuple:
+    """concat_min of matching rows of two batches of paths, each batch
+    (samples, params, degenerate flags) with one leading axis."""
+    # the junction check passes only pairings above 1/2, so the phase of
+    # the second factor can always be aligned
+    z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
+    pairing = _moduli(z)
+    _require(pairing > 1.0 - _ENDPOINT_TOL,
+             "paths do not share the junction point")
+    f1, f2 = np.sqrt(_energies(*gamma[:2])), np.sqrt(_energies(*delta[:2]))
+    constant = f1 + f2 == 0.0
+    s = np.where(constant, 0.5, np.minimum(np.maximum(
+        f1 / np.where(constant, 1.0, f1 + f2), _JUNCTION_CLAMP),
+        1.0 - _JUNCTION_CLAMP))[:, None]
+    pts = np.concatenate(
+        [gamma[0], delta[0][:, 1:] * (z / pairing)[:, None, None]], axis=1)
+    t = np.concatenate([gamma[1] * s, s + delta[1][:, 1:] * (1.0 - s)], axis=1)
+    t[:, -1] = 1.0
+    _check_paths(pts, t)
+    return pts, t, gamma[2] | delta[2] | constant
+
+
 def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
     """Minimum-energy concatenation: the junction sits at
     s = F(gamma) / (F(gamma) + F(delta)), which makes the norm exactly
-    additive; the junction rows must pair to more than 1 - _ENDPOINT_TOL.
+    additive; the junction rows must pair to more than 1 - _ENDPOINT_TOL,
+    and the second factor is turned by the phase of that pairing.
     Two constant factors leave the junction undetermined; the
     convention s = 1/2 is used and the result is flagged."""
-    # both junction rows passed the unit check when their paths were
-    # built, and paths cannot change: one pairing decides whether they
-    # are the same point and aligns the phase of the second factor
-    z = np.vdot(delta.samples[0], gamma.samples[-1])
-    pairing = abs(z)
-    if not pairing > 1.0 - _ENDPOINT_TOL:
-        raise ValueError("paths do not share the junction point")
-    f1, f2 = path_norm(gamma), path_norm(delta)
-    degenerate = gamma.degenerate_junction or delta.degenerate_junction
-    if f1 + f2 == 0.0:
-        s = 0.5
-        degenerate = True
-    else:
-        s = f1 / (f1 + f2)
-        s = min(max(s, _JUNCTION_CLAMP), 1.0 - _JUNCTION_CLAMP)
-    second = delta.samples[1:]
-    if pairing > 0.5:
-        second = second * (z / pairing)
-    pts = np.concatenate([gamma.samples, second])
-    t = np.concatenate([gamma.params * s, s + delta.params[1:] * (1.0 - s)])
-    t[-1] = 1.0
-    return DiscretePath(samples=pts, params=t, degenerate_junction=degenerate)
+    pts, t, flag = _concat(
+        *((p.samples[None], p.params[None], np.array([p.degenerate_junction]))
+          for p in (gamma, delta)))
+    return DiscretePath(samples=pts[0], params=t[0],
+                        degenerate_junction=bool(flag[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +383,48 @@ def _arc_grid(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid
 
 
+def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
+                  samples: int) -> tuple:
+    """half_circle from each real unit row of r along the matching row
+    of u by the matching angle: (samples, params, flags), samples on
+    axis 1."""
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    _require((np.sqrt(_dots(u.imag, u.imag)) <= _REAL_TOL)
+             & (_unit_defect(u) <= _UNIT_TOL),
+             "half-circle direction must be a real unit tangent")
+    ur = u.real[:, None]
+    _require(np.abs(_dots(r, u.real)) <= _REAL_TOL,
+             "direction must be orthogonal to the real base")
+    # sin theta, sin 2theta and cos 2theta of theta reduced mod pi, each
+    # a column
+    sin, sin2, cos2 = np.array(
+        [(math.sin(a), math.sin(2 * a), math.cos(2 * a))
+         for a in (math.remainder(b, math.pi) for b in theta.tolist())]
+    ).reshape(-1, 3).T[..., None]
+    flat = np.abs(sin[:, 0]) < _FLAT_SIN
+    t, cos_phi, sin_phi = _arc_grid(samples)
+    # the chord runs from x's image (0, 1/2, 0) to the endpoint's image
+    # (sin 2theta, cos 2theta, 0) / 2; the arc is centred at its
+    # midpoint (mx, my, 0), has radius rho, and starts along the unit
+    # vector (-mx, 1/2 - my, 0) / rho, bending towards (0, 0, 1)
+    mx, my = 0.25 * sin2, 0.25 + 0.25 * cos2
+    rho = np.where(flat[:, None], 1.0, 0.5 * np.abs(sin))
+    px = mx + rho * (cos_phi * (-mx / rho))
+    py = my + rho * (cos_phi * ((0.5 - my) / rho))
+    # invert the sphere map: p lifts to a*r + c*u with a real >= 0; at
+    # the south pole (a = 0) the lift is u itself
+    south = (0.5 + py <= _SOUTH_A2)[..., None]
+    a = np.sqrt(np.where(south, 1.0, (0.5 + py)[..., None]))
+    c = (px + 1j * (rho * sin_phi))[..., None] / a
+    pts = np.where(south, ur, a * r[:, None] + c * ur)
+    pts /= _row_norms(pts)[..., None]
+    # theta = 0 (mod pi) gives the constant path at x
+    pts[flat] = r[flat, None]
+    _check_paths(pts, t)
+    return pts, np.broadcast_to(t, pts.shape[:2]), np.zeros(len(pts), bool)
+
+
 def half_circle(x: ProjPoint, u: TangentVector, theta: float,
                 samples: int = 48) -> DiscretePath:
     """Vertical half-circle from x to exp_x(theta * u), traversed at
@@ -330,42 +439,12 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     theta is normalized modulo pi into [-pi/2, pi/2]; theta = 0 gives
     the constant path.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
     r = x.real_representative()
-    ur = u.vec
-    if _norm(ur.imag) > _REAL_TOL or not u.is_unit:
-        raise ValueError("half-circle direction must be a real unit tangent")
     if not u.base.equals(x):
         raise ValueError("tangent vector is not based at x")
-    ur = ur.real
-    if abs(float(np.dot(r, ur))) > _REAL_TOL:
-        raise ValueError("direction must be orthogonal to the real base")
-    theta = math.remainder(theta, math.pi)
-    if abs(math.sin(theta)) < _FLAT_SIN:
-        return constant_path(ProjPoint(r.astype(complex)), samples)
-    t, cos_phi, sin_phi = _arc_grid(samples)
-    # the chord runs from x's image (0, 1/2, 0) to the endpoint's image
-    # (sin 2theta, cos 2theta, 0) / 2; the arc is centred at its
-    # midpoint (mx, my, 0), has radius rho, and starts along the unit
-    # vector (ex, ey, 0), bending towards (0, 0, 1)
-    mx = 0.25 * math.sin(2 * theta)
-    my = 0.25 + 0.25 * math.cos(2 * theta)
-    rho = 0.5 * abs(math.sin(theta))
-    ex, ey = -mx / rho, (0.5 - my) / rho
-    px = mx + rho * (cos_phi * ex)
-    py = my + rho * (cos_phi * ey)
-    pz = rho * sin_phi
-    # invert the sphere map: p lifts to a*r + c*u with a real >= 0; at
-    # the south pole (a = 0) the lift is u itself
-    a2 = 0.5 + py
-    south = a2 <= _SOUTH_A2
-    a = np.sqrt(np.where(south, 1.0, a2))
-    c = (px + 1j * pz) / a
-    pts = a[:, None] * r + c[:, None] * ur
-    pts[south] = ur
-    pts /= _row_norms(pts)[:, None]
-    return DiscretePath(samples=pts, params=t)
+    pts, t, _ = _half_circles(r[None], u.vec[None], np.array([theta]),
+                              samples)
+    return DiscretePath(samples=pts[0], params=t[0])
 
 
 def half_circle_norm(theta: float) -> float:
@@ -384,26 +463,43 @@ def half_circle_endpoint(x: ProjPoint, u: TangentVector, theta: float
 # Random sampling
 
 
+def _real_points(rngs: list, n: int) -> np.ndarray:
+    """random_real_point's draw from each generator, as complex rows."""
+    return _unit_rows(np.array([rng.standard_normal(n + 1) for rng in rngs],
+                               dtype=complex))
+
+
 def random_real_point(n: int, rng: np.random.Generator) -> ProjPoint:
-    return real_point(rng.standard_normal(n + 1))
+    return ProjPoint(_real_points([rng], n)[0])
+
+
+def _tangents(r: np.ndarray, rngs: list) -> np.ndarray:
+    """A random real unit tangent at each real unit row of r, row i
+    drawn from rngs[i]: a normal draw projected off r, drawn again
+    while the projection is shorter than _TANGENT_REDRAW."""
+    v, norm = np.empty_like(r), np.empty(len(r))
+    redraw = np.arange(len(r))
+    while redraw.size:
+        w = np.array([rngs[i].standard_normal(r.shape[1]) for i in redraw])
+        w -= _dots(w, r[redraw])[:, None] * r[redraw]
+        v[redraw], norm[redraw] = w, np.sqrt(_dots(w, w))
+        redraw = redraw[~(norm[redraw] > _TANGENT_REDRAW)]
+    # the rounding left along r by one projection grows by 1/norm when
+    # normalizing, which can pass the tangency tolerance when the draw
+    # lay close to r; a second projection of the unit vector removes it
+    v /= norm[:, None]
+    v -= _dots(v, r)[:, None] * r
+    u = _unit_rows(v.astype(complex))
+    _require(_moduli(_dots(r, u)) <= _UNIT_TOL,
+             "tangent vector must be orthogonal to the base")
+    return u
 
 
 def random_real_tangent(x: ProjPoint, rng: np.random.Generator
                         ) -> TangentVector:
     r = x.real_representative()
-    while True:
-        v = rng.standard_normal(r.shape[0])
-        v = v - np.dot(v, r) * r
-        norm = _norm(v)
-        if norm > _TANGENT_REDRAW:
-            # the rounding left along r by one projection grows by
-            # 1/norm when normalizing, which can pass the tangency
-            # tolerance when the draw lay close to r; a second
-            # projection of the unit vector removes it
-            v = v / norm
-            v = v - np.dot(v, r) * r
-            return TangentVector(base=ProjPoint(r.astype(complex)),
-                                 vec=normalize(v))
+    return TangentVector(base=ProjPoint(r.astype(complex)),
+                         vec=_tangents(r[None], [rng])[0])
 
 
 def yk_parameter_count(n: int, k: int) -> int:
@@ -412,6 +508,30 @@ def yk_parameter_count(n: int, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     return (k + 1) * n
+
+
+def _chains(rngs: list, n: int, thetas: np.ndarray, samples: int,
+            start: Optional[np.ndarray] = None) -> tuple:
+    """sample_yk on a batch, with the arcs in lockstep: row i draws from
+    rngs[i] what sample_yk draws with the angles thetas[i] (NaN past its
+    last; rows with more angles first) and the start row start[i], in
+    the same order, and gets the same path.  Returns (arc count, paths)
+    pairs in row order."""
+    counts = np.count_nonzero(~np.isnan(thetas), axis=1)
+    x = _real_points(rngs, n) if start is None else start
+    done, path = [], None
+    for j, theta in enumerate(thetas.T):
+        live = int(np.count_nonzero(counts > j))
+        if path is not None:
+            # the next arc leaves the real representative of this end
+            x = _real_reps(arc[0][:live, -1]).astype(complex)
+            done.insert(0, (j, tuple(a[live:] for a in path)))
+            path = tuple(a[:live] for a in path)
+        r = _real_reps(x)
+        arc = _half_circles(r, _tangents(r, rngs[:live]), theta[:live],
+                            samples)
+        path = arc if path is None else _concat(path, arc)
+    return [(len(thetas.T), path)] + [p for p in done if len(p[1][0])]
 
 
 def sample_yk(n: int, k: int, rng: np.random.Generator,
@@ -433,17 +553,32 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
-    x = random_real_point(n, rng) if start is None else start
-    path: Optional[DiscretePath] = None
-    for j in range(k):
-        u = random_real_tangent(x, rng)
-        arc = half_circle(x, u, float(thetas[j]), samples=samples_per_arc)
-        path = arc if path is None else concat_min(path, arc)
-        x = arc.end()
-        if x.is_real():
-            x = ProjPoint(x.real_representative().astype(complex))
-    assert path is not None
-    return path
+    [(_, (pts, t, flag))] = _chains(
+        [rng], n, thetas[None], samples_per_arc,
+        None if start is None else start.rep[None])
+    return DiscretePath(samples=pts[0], params=t[0],
+                        degenerate_junction=bool(flag[0]))
+
+
+# hopf_vector's pairings: block width, then coordinate i of each block
+# is sign * coordinate source of the real representative's block
+_PAIRINGS = {"J": (2, ((-1, 1), (1, 0))), "J1": (2, ((-1, 1), (1, 0))),
+             "J2": (4, ((-1, 2), (1, 3), (1, 0), (-1, 1))),
+             "J3": (4, ((-1, 3), (-1, 2), (1, 1), (1, 0)))}
+
+
+def _skew(r: np.ndarray, which: str) -> np.ndarray:
+    """hopf_vector's skew pairing applied to the real rows r."""
+    if which not in _PAIRINGS:
+        raise ValueError(f"unknown pairing {which!r}")
+    width, images = _PAIRINGS[which]
+    if r.shape[-1] % width != 0:
+        raise ParityError("pairwise rotation needs odd n" if width == 2
+                          else "quaternionic rotations need n = 3 mod 4")
+    out = np.empty_like(r)
+    for i, (sign, source) in enumerate(images):
+        out[..., i::width] = sign * r[..., source::width]
+    return out
 
 
 def hopf_vector(x: ProjPoint, which: str = "J") -> TangentVector:
@@ -455,26 +590,8 @@ def hopf_vector(x: ProjPoint, which: str = "J") -> TangentVector:
     three quaternionic outputs are mutually orthonormal.
     """
     r = x.real_representative()
-    m = r.shape[0]
-    if which in ("J", "J1"):
-        if m % 2 != 0:
-            raise ParityError("pairwise rotation needs odd n")
-        out = np.empty(m)
-        out[0::2] = -r[1::2]
-        out[1::2] = r[0::2]
-    elif which in ("J2", "J3"):
-        if m % 4 != 0:
-            raise ParityError("quaternionic rotations need n = 3 mod 4")
-        out = np.empty(m)
-        a, b, c, d = r[0::4], r[1::4], r[2::4], r[3::4]
-        if which == "J2":
-            out[0::4], out[1::4], out[2::4], out[3::4] = -c, d, a, -b
-        else:
-            out[0::4], out[1::4], out[2::4], out[3::4] = -d, -c, b, a
-    else:
-        raise ValueError(f"unknown pairing {which!r}")
     return TangentVector(base=ProjPoint(r.astype(complex)),
-                         vec=out.astype(complex))
+                         vec=_skew(r, which).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +782,30 @@ def _trial_rngs(trials: int, seed: int):
     return (np.random.default_rng([seed, i]) for i in range(trials))
 
 
+def _trial_groups(trials: int, seed: int):
+    """The trial generators, _TRIAL_BLOCK at a time, each block split by
+    every suite's first draw, the dimension n in 1..3, into (n,
+    generators) groups whose arrays share their shapes."""
+    rngs = _trial_rngs(trials, seed)
+    while True:
+        groups: dict = {}
+        for rng in itertools.islice(rngs, _TRIAL_BLOCK):
+            groups.setdefault(int(rng.integers(1, 4)), []).append(rng)
+        if not groups:
+            return
+        yield from groups.items()
+
+
+def _angles(rngs: list, counts: list, lo: float, hi: float) -> tuple:
+    """The generators ordered by count, most first, and the count angles
+    each draws uniformly from [lo, hi), NaN past its count."""
+    order = sorted(range(len(rngs)), key=lambda i: -counts[i])
+    thetas = np.full((len(rngs), max(counts)), np.nan)
+    for row, i in zip(thetas, order):
+        row[:counts[i]] = rngs[i].uniform(lo, hi, counts[i])
+    return [rngs[i] for i in order], thetas
+
+
 def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
     """critical_index against the inputs of the homology assembly: the
     index is the block shift 1 + (k-1)n (0 at k = 0), the nullity the
@@ -699,19 +840,26 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     # With the floor, seeds 0-149 at 200 trials give a worst of 1.3e-13.
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
-    for rng in _trial_rngs(trials, seed):
-        n = int(rng.integers(1, 4))
-        arcs = int(rng.integers(1, 3))
-        a = sample_yk(n, arcs, rng, rng.uniform(lo, hi, arcs), 12)
-        b = sample_yk(n, 1, rng, rng.uniform(lo, hi, 1), 12, start=a.end())
-        c = sample_yk(n, 1, rng, rng.uniform(lo, hi, 1), 12, start=b.end())
-        ab = concat_min(a, b)
-        worst_add = max(worst_add, abs(path_norm(ab) - path_norm(a)
-                                       - path_norm(b)))
-        left = concat_min(ab, c)
-        right = concat_min(a, concat_min(b, c))
-        worst_assoc = max(worst_assoc,
-                          float(np.max(np.abs(left.params - right.params))))
+    for n, rngs in _trial_groups(trials, seed):
+        rngs, thetas = _angles(rngs, [int(rng.integers(1, 3)) for rng in rngs],
+                               lo, hi)
+        parts = [a for _, a in _chains(rngs, n, thetas, 12)]
+        ones = [1] * len(rngs)
+        [(_, b)] = _chains(rngs, n, _angles(rngs, ones, lo, hi)[1], 12,
+                           np.concatenate([a[0][:, -1] for a in parts]))
+        [(_, c)] = _chains(rngs, n, _angles(rngs, ones, lo, hi)[1], 12,
+                           b[0][:, -1])
+        bc, first = _concat(b, c), 0
+        for a in parts:
+            rows = slice(first, first + len(a[0]))
+            first = rows.stop
+            b_, c_, bc_ = (tuple(x[rows] for x in p) for p in (b, c, bc))
+            ab = _concat(a, b_)
+            fa, fb, fab = (np.sqrt(_energies(*p[:2])) for p in (a, b_, ab))
+            worst_add = max(worst_add, float(np.max(np.abs(fab - fa - fb))))
+            left, right = _concat(ab, c_), _concat(a, bc_)
+            worst_assoc = max(worst_assoc,
+                              float(np.max(np.abs(left[1] - right[1]))))
     return CheckReport(
         f"concatenation ({trials} trials, tolerance {_CHECK_TOL:.1e})",
         (CheckItem("norm is additive", worst_add < _CHECK_TOL,
@@ -724,47 +872,49 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     """Invariants of half_circle and of the geodesic leaving the real
     locus in a normal direction, plus where the norm peaks over a grid
     of angles."""
-    rows = []
-    for rng in _trial_rngs(trials, seed):
-        n = int(rng.integers(1, 4))
-        x = random_real_point(n, rng)
-        u = random_real_tangent(x, rng)
-        theta = float(rng.uniform(-math.pi, math.pi))
-        hc = half_circle(x, u, theta, samples=48)
-        ep = half_circle_endpoint(x, u, theta)
-        pairing_defect = 1.0 - abs(np.vdot(hc.samples[-1], ep.rep))
-        norm_slack = path_norm(hc) - 0.5 * math.pi
-        basis = np.vstack([x.real_representative().astype(complex), u.vec])
-        coeff = hc.samples @ basis.conj().T
-        span_err = float(np.max(np.abs(coeff @ basis - hc.samples)))
-        # the geodesic leaving in the normal direction returns to the
-        # real locus every quarter period, alternating the two points;
-        # compare pairings, not arccos distances, which amplify roundoff
-        v = TangentVector(base=ProjPoint(x.rep), vec=1j * u.vec)
-        anti_err = 0.0
-        for k in range(5):
-            c = abs(np.vdot(x.rep, geodesic(x, v, k * math.pi / 2).rep))
-            anti_err = max(anti_err, 1.0 - c if k % 2 == 0 else c)
-        period_defect = 1.0 - abs(np.vdot(geodesic(x, v, 0.3).rep,
-                                          geodesic(x, v, 0.3 + math.pi).rep))
-        rows.append((pairing_defect, norm_slack, span_err, anti_err,
-                     period_defect))
+    # the geodesic leaving in the normal direction i u returns to the
+    # real locus every quarter period (arclengths 0..4), alternating the
+    # two points, and recurs after pi (0.3 against 0.3 + pi); compare
+    # pairings, not arccos distances, which amplify roundoff
+    arclengths = [k * math.pi / 2 for k in range(5)] + [0.3, 0.3 + math.pi]
+    worst = np.full(5, -math.inf)
+    for n, rngs in _trial_groups(trials, seed):
+        x = _real_points(rngs, n)
+        r = _real_reps(x)
+        u = _tangents(r, rngs)
+        theta = np.array([rng.uniform(-math.pi, math.pi) for rng in rngs])
+        hc, t, _ = _half_circles(r, u, theta, 48)
+        end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi),
+                                     theta))
+        basis = np.stack([r.astype(complex), u], axis=1)
+        coeff = hc @ basis.conj().transpose(0, 2, 1)
+        # i u is tangent at x: |<x, i u>| = |<x, u>|, bounded by _tangents
+        g = _geodesics(x[:, None], 1j * u[:, None], arclengths)
+        c = _moduli(_dots(x.conj()[:, None], g[:, :5]))
+        rows = (1.0 - _moduli(_dots(hc[:, -1].conj(), end)),
+                np.sqrt(_energies(hc, t)) - 0.5 * math.pi,
+                np.max(np.abs(coeff @ basis - hc), axis=(1, 2)),
+                np.maximum(0.0, np.maximum(np.max(1.0 - c[:, 0::2], axis=1),
+                                           np.max(c[:, 1::2], axis=1))),
+                1.0 - _moduli(_dots(g[:, 5].conj(), g[:, 6])))
+        worst = np.maximum(worst, [np.max(w) for w in rows])
     names = ("endpoint matches the geodesic construction",
              "norm never exceeds a quarter circumference",
              "samples stay on the spanned line",
              "quarter-period antipode distances",
              "period-pi recurrence")
     items = [CheckItem(name, bool(w < _CHECK_TOL), f"worst {w:.3e}")
-             for name, w in zip(names, np.max(rows, axis=0))]
+             for name, w in zip(names, worst)]
     # the closed form (pi/2) sin|theta| peaks at both ends of the grid,
     # which tie up to roundoff; the nearest other grid point is about
     # 7.7e-4 lower
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 101)
     rng = np.random.default_rng(seed)
-    x = random_real_point(2, rng)
-    u = random_real_tangent(x, rng)
-    norms = [path_norm(half_circle(x, u, float(t), 48)) for t in grid]
-    peak = float(grid[int(np.argmax(norms))])
+    r = _real_reps(_real_points([rng], 2))
+    u = _tangents(r, [rng])
+    arcs, t, _ = _half_circles(np.repeat(r, grid.size, axis=0),
+                               np.repeat(u, grid.size, axis=0), grid, 48)
+    peak = float(grid[int(np.argmax(np.sqrt(_energies(arcs, t))))])
     step = float(grid[1] - grid[0])
     items.append(CheckItem(
         f"norm peaks at theta = {peak:+.4f}",
@@ -779,32 +929,29 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
     worst = -math.inf
-    for rng in _trial_rngs(trials, seed):
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        p = sample_yk(n, k, rng, samples_per_arc=16)
-        worst = max(worst, path_norm(p) - k * 0.5 * math.pi)
+    for n, rngs in _trial_groups(trials, seed):
+        rngs, thetas = _angles(rngs, [int(rng.integers(1, 4)) for rng in rngs],
+                               0.0, 0.5 * math.pi)
+        for k, (pts, t, _) in _chains(rngs, n, thetas, 16):
+            worst = max(worst, float(np.max(np.sqrt(_energies(pts, t))
+                                            - k * 0.5 * math.pi)))
     items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
                        f"worst excess {worst:.3e}")]
     # right-angle samples: the worst error over seeds 0-199 is 5.0e-13
     for (n, k) in ((1, 2), (2, 2), (3, 3)):
         rng = np.random.default_rng([seed, 10_000 + n, k])
-        p = sample_yk(n, k, rng, thetas=[0.5 * math.pi] * k)
-        err = abs(path_norm(p) - k * 0.5 * math.pi)
+        [(_, (pts, t, _))] = _chains([rng], n, np.full((1, k), 0.5 * math.pi),
+                                     40)
+        err = abs(float(np.sqrt(_energies(pts, t))[0]) - k * 0.5 * math.pi)
         items.append(CheckItem(
             f"right-angle sample n={n} k={k} reaches the critical norm",
             err < _CHECK_TOL, f"error {err:.3e}; family dimension (k+1)n = "
             f"{yk_parameter_count(n, k)}"))
-    gram_ok = True
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        x = random_real_point(3, rng)
-        triple = np.vstack([hopf_vector(x, w).vec.real
-                            for w in ("J1", "J2", "J3")])
-        gram = triple @ triple.T
-        gram_ok = gram_ok and bool(
-            np.max(np.abs(gram - np.eye(3))) < _GRAM_TOL
-            and np.max(np.abs(triple @ x.real_representative())) < _GRAM_TOL)
+    r = _real_reps(_real_points([np.random.default_rng(seed)] * 20, 3))
+    triple = np.stack([_skew(r, w) for w in ("J1", "J2", "J3")], axis=1)
+    gram = triple @ triple.transpose(0, 2, 1)
+    gram_ok = bool(np.max(np.abs(gram - np.eye(3))) < _GRAM_TOL
+                   and np.max(np.abs(triple @ r[:, :, None])) < _GRAM_TOL)
     items.append(CheckItem(
         "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
     return CheckReport(

@@ -1,10 +1,15 @@
 """Numerical geometry: projective points, discrete paths, half-circles,
 second-variation indices."""
 
+import cmath
 import dataclasses
 import functools
+import json
 import math
 import re
+import tracemalloc
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +102,42 @@ def defect(p: ProjPoint, q: ProjPoint) -> float:
     return 1.0 - abs(np.vdot(p.rep, q.rep))
 
 
+# how DiscretePath rejects a changed copy of a good path: the change
+# to (samples, params), and the message
+REJECTIONS = [
+    (lambda s, t: (s[:1], t[:1]), "path needs at least two samples"),
+    (lambda s, t: (s[0], t), "path needs at least two samples"),
+    (lambda s, t: (s, t[:-1]), "one breakpoint per sample required"),
+    (lambda s, t: (s, t + 1e-11), "breakpoints must run from 0 to 1"),
+    (lambda s, t: (s, t * 0.999), "breakpoints must run from 0 to 1"),
+    (lambda s, t: (s, t[[0, 2, 1, 3, 4]]),
+     "breakpoints must be strictly increasing"),
+    (lambda s, t: (s, np.array([0.0, 0.2, 0.2, 0.6, 1.0])),
+     "breakpoints must be strictly increasing"),
+    (lambda s, t: (scaled(s, 2, 1.0 + 1e-8), t),
+     "samples must be unit vectors"),
+    # the interior check runs over every row before the endpoint
+    # checks
+    (lambda s, t: (scaled(scaled(s, 2, 1.0 + 1e-8), 0, 1.0 + 1e-10), t),
+     "samples must be unit vectors"),
+    # endpoints off by between 1e-12 and 1e-9: the interior tolerance
+    # passes them, ProjPoint's unit check does not
+    (lambda s, t: (scaled(s, 0, 1.0 + 1e-10), t),
+     "representative must be a unit vector"),
+    (lambda s, t: (scaled(s, -1, 1.0 - 5e-11), t),
+     "representative must be a unit vector"),
+    (lambda s, t: (phased(s, 0), t),
+     "path endpoints must lie on the real locus"),
+    (lambda s, t: (phased(s, -1), t),
+     "path endpoints must lie on the real locus"),
+    # the start is checked in full before the end
+    (lambda s, t: (scaled(phased(s, 0), -1, 1.0 + 1e-10), t),
+     "path endpoints must lie on the real locus"),
+    (lambda s, t: (phased(scaled(s, 0, 1.0 + 1e-10), -1), t),
+     "representative must be a unit vector"),
+]
+
+
 class TestPoints:
     def test_unit_enforced(self):
         with pytest.raises(ValueError):
@@ -174,38 +215,7 @@ class TestPaths:
                          / math.sqrt(2),
                          params=np.array([0.0, 1.0]))
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda s, t: (s[:1], t[:1]), "path needs at least two samples"),
-        (lambda s, t: (s[0], t), "path needs at least two samples"),
-        (lambda s, t: (s, t[:-1]), "one breakpoint per sample required"),
-        (lambda s, t: (s, t + 1e-11), "breakpoints must run from 0 to 1"),
-        (lambda s, t: (s, t * 0.999), "breakpoints must run from 0 to 1"),
-        (lambda s, t: (s, t[[0, 2, 1, 3, 4]]),
-         "breakpoints must be strictly increasing"),
-        (lambda s, t: (s, np.array([0.0, 0.2, 0.2, 0.6, 1.0])),
-         "breakpoints must be strictly increasing"),
-        (lambda s, t: (scaled(s, 2, 1.0 + 1e-8), t),
-         "samples must be unit vectors"),
-        # the interior check runs over every row before the endpoint
-        # checks
-        (lambda s, t: (scaled(scaled(s, 2, 1.0 + 1e-8), 0, 1.0 + 1e-10), t),
-         "samples must be unit vectors"),
-        # endpoints off by between 1e-12 and 1e-9: the interior tolerance
-        # passes them, ProjPoint's unit check does not
-        (lambda s, t: (scaled(s, 0, 1.0 + 1e-10), t),
-         "representative must be a unit vector"),
-        (lambda s, t: (scaled(s, -1, 1.0 - 5e-11), t),
-         "representative must be a unit vector"),
-        (lambda s, t: (phased(s, 0), t),
-         "path endpoints must lie on the real locus"),
-        (lambda s, t: (phased(s, -1), t),
-         "path endpoints must lie on the real locus"),
-        # the start is checked in full before the end
-        (lambda s, t: (scaled(phased(s, 0), -1, 1.0 + 1e-10), t),
-         "path endpoints must lie on the real locus"),
-        (lambda s, t: (phased(scaled(s, 0, 1.0 + 1e-10), -1), t),
-         "representative must be a unit vector"),
-    ])
+    @pytest.mark.parametrize("change, message", REJECTIONS)
     def test_rejections_keep_their_messages(self, change, message):
         good = half_circle(*real_pair(2, 3), 1.1, samples=5)
         samples, params = change(np.array(good.samples),
@@ -681,3 +691,269 @@ class TestCheckSuites:
         peak = halfcircle_check(4, seed=833820).items[-1]
         assert "norm peaks at theta" in peak.name
         assert peak.passed
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels and the trial axis of the sampling suites
+
+
+def scalar_normalize(vec) -> np.ndarray:
+    """normalize as it was written for one vector."""
+    v = np.asarray(vec, dtype=complex).reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+def scalar_real_representative(point: ProjPoint) -> np.ndarray:
+    """ProjPoint.real_representative as it was written for one point."""
+    s = complex(np.add.reduce(point.rep * point.rep))
+    z = point.rep * cmath.exp(-0.5j * cmath.phase(s))
+    re = np.ascontiguousarray(z.real)
+    return re / math.sqrt(np.vdot(re, re).real)
+
+
+def scalar_random_real_point(n: int, rng) -> ProjPoint:
+    return ProjPoint(scalar_normalize(rng.standard_normal(n + 1)))
+
+
+def scalar_random_real_tangent(x: ProjPoint, rng) -> TangentVector:
+    """random_real_tangent as it was written for one point."""
+    r = scalar_real_representative(x)
+    while True:
+        v = rng.standard_normal(r.shape[0])
+        v = v - np.dot(v, r) * r
+        norm = math.sqrt(np.vdot(v, v).real)
+        if norm > 1e-6:
+            v = v / norm
+            v = v - np.dot(v, r) * r
+            return TangentVector(base=ProjPoint(r.astype(complex)),
+                                 vec=scalar_normalize(v))
+
+
+def use_scalar_sampling(monkeypatch) -> None:
+    monkeypatch.setattr(ProjPoint, "real_representative",
+                        scalar_real_representative)
+    monkeypatch.setattr(geometry, "random_real_point",
+                        scalar_random_real_point)
+    monkeypatch.setattr(geometry, "random_real_tangent",
+                        scalar_random_real_tangent)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def batch_inputs(n: int, rows: int, seed: int):
+    """Complex points, their real representatives and real unit
+    tangents there, one row each, drawn through the kernels."""
+    rngs = [np.random.default_rng([seed, i]) for i in range(rows)]
+    x = geometry._real_points(rngs, n)
+    r = geometry._real_reps(x)
+    return x, r, geometry._tangents(r, rngs)
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_row_rounds_as_its_batch_of_one(self, n):
+        x, r, u = batch_inputs(n, 7, n)
+        phases = np.exp(1j * np.linspace(-2.0, 2.0, 7))[:, None]
+        thetas = np.array([0.0, math.pi / 2, -math.pi / 2, 0.3, 2.9,
+                           -1.2, 1e-6])
+        arcs = geometry._half_circles(r, u, thetas, 17)
+        chains = geometry._chains(
+            [np.random.default_rng([9, i]) for i in range(7)], n,
+            np.full((7, 2), 0.7), 9, arcs[0][:, -1])[0][1]
+        arclengths = [0.0, 0.3, math.pi / 2, 2.0]
+        cases = [
+            (geometry._unit_rows, (x * 3.0 - 1j,)),
+            (geometry._real_reps, (x * phases,)),
+            (geometry._geodesics, (x[:, None], 1j * u[:, None], arclengths)),
+            (geometry._geodesics, (x, u, thetas)),
+            (lambda *a: geometry._half_circles(*a, 17)[0], (r, u, thetas)),
+            (geometry._energies, arcs[:2]),
+            (lambda *a: geometry._concat(a[:3], a[3:])[0],
+             arcs + chains),
+            (lambda *a: geometry._concat(a[:3], a[3:])[1],
+             arcs + chains),
+        ]
+        if n % 2:
+            cases.append((lambda a: geometry._skew(a, "J"), (r,)))
+        for kernel, args in cases:
+            batch = kernel(*args)
+            for i in range(7):
+                alone = kernel(*(a[i:i + 1] if isinstance(a, np.ndarray)
+                                 else a for a in args))
+                assert same_bits(batch[i:i + 1], alone)
+
+    def test_tangents_draw_each_row_from_its_generator(self):
+        _, r, _ = batch_inputs(2, 5, 4)
+        batch = geometry._tangents(
+            r, [np.random.default_rng([1, i]) for i in range(5)])
+        for i in range(5):
+            alone = geometry._tangents(r[i:i + 1],
+                                       [np.random.default_rng([1, i])])
+            assert same_bits(batch[i:i + 1], alone)
+
+    # the changes that keep the shapes, so the bad path stacks with good
+    # ones
+    @pytest.mark.parametrize("change, message", [
+        case for case in REJECTIONS if case[1] not in (
+            "path needs at least two samples",
+            "one breakpoint per sample required")])
+    def test_one_bad_row_rejects_the_batch_as_discrete_path_does(
+            self, change, message):
+        good = half_circle(*real_pair(2, 3), 1.1, samples=5)
+        bad = change(np.array(good.samples), np.array(good.params))
+        samples = np.stack([good.samples, bad[0], good.samples])
+        params = np.stack([good.params, bad[1], good.params])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            geometry._check_paths(samples, params)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DiscretePath(samples=bad[0], params=bad[1])
+
+
+# report lines of the three sampling suites at the benchmark's trial
+# counts (60, 20, 100) and at the command-line defaults (1000, 200, 200),
+# seeds 0-9, written by the per-trial implementation the trial axis
+# replaced; keys are "suite trials seed"
+SAMPLING_REPORTS = json.loads(
+    (Path(__file__).parent / "sampling_reports.json").read_text())
+# printed worst errors, with the word that precedes them
+WORST = re.compile(r"^(?:worst(?: error| excess)?|error) (\S+?)(?:;|$)")
+
+
+def verdict(line: str) -> str:
+    """A report line up to its item name.  The peak's sign is dropped:
+    both grid ends tie up to roundoff, so the platform picks one."""
+    head = re.sub(r" \((?:worst|error|within) .*\)$", "", line)
+    return head.replace("theta = -", "theta = +")
+
+
+def record_trials(monkeypatch) -> tuple[list, dict, dict]:
+    """Capture the suites' trial generators in trial order, and per
+    generator the angles of each _chains call and the (base, direction)
+    rows of each _tangents call, as bytes.  Every generator seen is kept
+    alive, so no two share an id."""
+    gens, angles, tangents = [], defaultdict(list), defaultdict(list)
+    seen = []
+    trial_rngs, chains, draw = (geometry._trial_rngs, geometry._chains,
+                                geometry._tangents)
+
+    def recording_rngs(trials, seed):
+        for rng in trial_rngs(trials, seed):
+            gens.append(rng)
+            yield rng
+
+    def recording_chains(rngs, n, thetas, *rest):
+        seen.extend(rngs)
+        for rng, row in zip(rngs, thetas):
+            angles[id(rng)].append(row[~np.isnan(row)].tobytes())
+        return chains(rngs, n, thetas, *rest)
+
+    def recording_tangents(r, rngs):
+        u = draw(r, rngs)
+        seen.extend(rngs)
+        for rng, base, direction in zip(rngs, r, u):
+            tangents[id(rng)].append((base.tobytes(), direction.tobytes()))
+        return u
+
+    monkeypatch.setattr(geometry, "_trial_rngs", recording_rngs)
+    monkeypatch.setattr(geometry, "_chains", recording_chains)
+    monkeypatch.setattr(geometry, "_tangents", recording_tangents)
+    return gens, angles, tangents
+
+
+def concat_trial(rng) -> None:
+    """One trial of concat_check, drawn through sample_yk."""
+    n, arcs = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    a = sample_yk(n, arcs, rng, rng.uniform(0.05, math.pi / 2, arcs), 12)
+    b = sample_yk(n, 1, rng, rng.uniform(0.05, math.pi / 2, 1), 12,
+                  start=a.end())
+    sample_yk(n, 1, rng, rng.uniform(0.05, math.pi / 2, 1), 12,
+              start=b.end())
+
+
+def halfcircle_trial(rng) -> None:
+    """One trial of halfcircle_check, drawn through the point API."""
+    x = random_real_point(int(rng.integers(1, 4)), rng)
+    random_real_tangent(x, rng)
+    rng.uniform(-math.pi, math.pi)
+
+
+def yk_trial(rng) -> None:
+    """One trial of yk_check, drawn through sample_yk."""
+    n, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    sample_yk(n, k, rng, samples_per_arc=16)
+
+
+class TestTrialAxis:
+    @pytest.mark.parametrize("suite, trial", [
+        (concat_check, concat_trial), (halfcircle_check, halfcircle_trial),
+        (yk_check, yk_trial)])
+    def test_suites_draw_what_one_trial_at_a_time_draws(
+            self, monkeypatch, suite, trial):
+        # blocks of 16 put trials 0-39 in three blocks
+        monkeypatch.setattr(geometry, "_TRIAL_BLOCK", 16)
+        gens, angles, tangents = record_trials(monkeypatch)
+        suite(40, seed=5)
+        assert len(gens) == 40
+        for i, rng in enumerate(gens):
+            alone = np.random.default_rng([5, i])
+            trial(alone)
+            # n, the arc count, the angles, every arc's base point and
+            # direction, and no draw more or less
+            assert angles[id(rng)] == angles[id(alone)]
+            assert tangents[id(rng)] == tangents[id(alone)]
+            assert len(tangents[id(rng)]) >= 1
+            assert rng.bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("key", sorted(SAMPLING_REPORTS))
+    def test_verdicts_match_the_per_trial_reports(self, key):
+        name, trials, seed = key.split()
+        lines = getattr(geometry, name)(int(trials), seed=int(seed)).lines()
+        want = SAMPLING_REPORTS[key]
+        assert [verdict(line) for line in lines] == \
+            [verdict(line) for line in want]
+        for line in lines[1:]:
+            detail = re.search(r" \((.*)\)$", line)
+            worst = WORST.match(detail.group(1)) if detail else None
+            if worst:
+                assert float(worst.group(1)) < geometry._CHECK_TOL
+
+    def test_index_reports_keep_the_per_point_arithmetic(self, monkeypatch):
+        # critical_index draws its configuration through
+        # random_real_point and random_real_tangent, which the sampling
+        # kernels now serve
+        grid = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
+        use_scalar_sampling(monkeypatch)
+        want = [index_check(n, k).lines() for n, k in grid]
+        monkeypatch.undo()
+        assert [index_check(n, k).lines() for n, k in grid] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_point_draws_keep_the_per_point_arithmetic(self, n):
+        kernels, scalar = (np.random.default_rng([n, 1]) for _ in range(2))
+        for _ in range(200):
+            x = random_real_point(n, kernels)
+            y = scalar_random_real_point(n, scalar)
+            assert same_bits(x.rep, y.rep)
+            turned = ProjPoint(x.rep * np.exp(0.4j))
+            assert same_bits(turned.real_representative(),
+                             scalar_real_representative(turned))
+            assert same_bits(random_real_tangent(x, kernels).vec,
+                             scalar_random_real_tangent(y, scalar).vec)
+
+    def test_blocks_bound_the_memory_of_a_suite(self):
+        block = geometry._TRIAL_BLOCK
+        concat_check(block, seed=3)
+
+        def peak(trials: int) -> int:
+            tracemalloc.start()
+            try:
+                concat_check(trials, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * block) <= 1.5 * peak(block)
