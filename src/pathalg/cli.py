@@ -24,24 +24,17 @@ from .algebra import signature
 from .homology import COEFF_F2, COEFF_Z
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +127,13 @@ def cmd_homology(args) -> int:
 def cmd_verify(args) -> int:
     n = args.n
     D = args.max_degree
-    sig = signature(n)
-    rs = rewriting.complete(rewriting.orient(sig))
+    rs = rewriting.complete(rewriting.orient(signature(n)))
     print(f"completed rewriting system for n={n}: {len(rs.rules)} rules")
     for rule in rs.rules:
         print(f"  {rule.render()}")
 
     reports = [rewriting.filtration_check(rs),
-               rewriting.anti_automorphism_check(sig, rs)]
+               rewriting.anti_automorphism_check(rs)]
     if n >= 2:
         reports.append(rewriting.heredity_check(rs))
     reports.append(homology.consistency_checks(n))
@@ -263,25 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_hom = sub.add_parser("homology", help="print homology tables")
-    p_hom.add_argument("--n", type=_positive_int, required=True)
+    p_hom.add_argument("--n", type=_int_at_least(1), required=True)
     p_hom.add_argument("--coeff", choices=["Z", "F2"], default="Z")
-    p_hom.add_argument("--max-degree", type=_nonnegative_int, default=None)
+    p_hom.add_argument("--max-degree", type=_int_at_least(0), default=None)
     p_hom.add_argument("--format", choices=["md", "json", "csv"], default="md")
     p_hom.set_defaults(func=cmd_homology)
 
     p_ver = sub.add_parser("verify",
                            help="rewriting model against homology tables")
-    p_ver.add_argument("--n", type=_positive_int, required=True)
-    p_ver.add_argument("--max-degree", type=_nonnegative_int, default=40)
+    p_ver.add_argument("--n", type=_int_at_least(1), required=True)
+    p_ver.add_argument("--max-degree", type=_int_at_least(0), default=40)
     p_ver.set_defaults(func=cmd_verify)
 
     p_geom = sub.add_parser("geom", help="numerical geometry suites")
     geom_sub = p_geom.add_subparsers(dest="geom_command", required=True)
 
     p_idx = geom_sub.add_parser("index", help="discrete index and nullity")
-    p_idx.add_argument("--n", type=_positive_int, default=2)
-    p_idx.add_argument("--k", type=_nonnegative_int, default=1)
-    p_idx.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_idx.add_argument("--n", type=_int_at_least(1), default=2)
+    p_idx.add_argument("--k", type=_int_at_least(0), default=1)
+    p_idx.add_argument("--seed", type=_int_at_least(0), default=0)
     p_idx.set_defaults(func=cmd_geom, suite="index_check")
 
     for name, suite, trials, help_text in (
@@ -292,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("yk-check", "yk_check", 200,
              "iterated half-circle family checks")):
         p_suite = geom_sub.add_parser(name, help=help_text)
-        p_suite.add_argument("--trials", type=_positive_int, default=trials)
-        p_suite.add_argument("--seed", type=_nonnegative_int, default=0)
+        p_suite.add_argument("--trials", type=_int_at_least(1), default=trials)
+        p_suite.add_argument("--seed", type=_int_at_least(0), default=0)
         p_suite.set_defaults(func=cmd_geom, suite=suite)
 
     p_tab = sub.add_parser("table", help="named generator cells")
-    p_tab.add_argument("--n", type=_positive_int, required=True)
-    p_tab.add_argument("--levels", type=_positive_int, default=None,
+    p_tab.add_argument("--n", type=_int_at_least(1), required=True)
+    p_tab.add_argument("--levels", type=_int_at_least(1), default=None,
                        help="number of levels to list (0..levels-1)")
     p_tab.add_argument("--golden", action="store_true",
                        help="compare against the shipped fixture")
@@ -322,7 +314,7 @@ def main(argv=None) -> int:
     except (rewriting.CompletionError, rewriting.RepairError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, OSError, RuntimeError,
+    except (ValueError, TypeError, OSError, RuntimeError, MemoryError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

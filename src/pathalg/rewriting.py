@@ -38,7 +38,6 @@ from .algebra import (
     poly,
     reverse_poly,
     signature,
-    unshifted_degree,
     word_level,
 )
 
@@ -148,14 +147,10 @@ def orient(sig: Signature, order: Optional[MonomialOrder] = None) -> RewriteSyst
     order = order if order is not None else default_order(sig)
     rules = []
     for rel in defining_relations(sig.n):
-        lw = order.weight(rel.lhs)
         for w in rel.rhs:
             if not order.less(w, rel.lhs):
                 raise OrderRejectedError(
                     rel, f"right-hand word {w!r} is not below the left side")
-            if order.weight(w) > lw:
-                raise OrderRejectedError(
-                    rel, f"right-hand word {w!r} has larger weight")
         rules.append(RewriteRule(rel.lhs, rel.rhs))
     rules.sort(key=lambda r: order.sort_key(r.lhs))
     return RewriteSystem(sig=sig, order=order, rules=tuple(rules))
@@ -369,18 +364,21 @@ def filtration_check(rs: RewriteSystem) -> CheckReport:
     return CheckReport(title=f"filtration (n={rs.sig.n})", items=tuple(items))
 
 
-def anti_automorphism_check(sig: Signature, rs: RewriteSystem) -> CheckReport:
+def _zero_item(name: str, p: Polynomial, rs: RewriteSystem) -> CheckItem:
+    """Passes when p reduces to zero in rs; otherwise names the residue."""
+    residue = normal_form(p, rs)
+    detail = f"residue {sorted(residue)}" if residue != ZERO else ""
+    return CheckItem(name=name, passed=residue == ZERO, detail=detail)
+
+
+def anti_automorphism_check(rs: RewriteSystem) -> CheckReport:
     """Letter-order reversal fixes the generators and reverses products,
     so the reversal of every defining relation must reduce to zero."""
-    items = []
-    for rel in defining_relations(sig.n):
-        rev = reverse_poly(rel.as_polynomial())
-        nf = normal_form(rev, rs)
-        items.append(CheckItem(
-            name=f"reverse of ({rel.lhs} = rhs)",
-            passed=nf == ZERO,
-            detail="" if nf == ZERO else f"residue {sorted(nf)}"))
-    return CheckReport(title=f"reversal stability (n={sig.n})", items=tuple(items))
+    n = rs.sig.n
+    items = tuple(_zero_item(f"reverse of ({rel.lhs} = rhs)",
+                             reverse_poly(rel.as_polynomial()), rs)
+                  for rel in defining_relations(n))
+    return CheckReport(title=f"reversal stability (n={n})", items=items)
 
 
 def heredity_check(rs: RewriteSystem) -> CheckReport:
@@ -400,24 +398,15 @@ def heredity_check(rs: RewriteSystem) -> CheckReport:
     n = rs.sig.n - 1
     if n < 1:
         raise ValueError("heredity needs presentations for n and n+1")
-    items = []
     if rs.sig.parity_class is EVEN:
-        residue = normal_form(poly("TH", "HT", "H"), rs)
-        items.append(CheckItem(
-            name="TH + HT + H = 0",
-            passed=residue == ZERO,
-            detail="" if residue == ZERO else f"residue {sorted(residue)}"))
+        identities = (("TH + HT + H = 0", ("TH", "HT", "H")),)
     else:
-        for name, words in (
-                ("H^2SYH = H^3SY + H^2Y", ("HHSYH", "HHHSY", "HHY")),
-                ("HYH^2S = H^3SY", ("HYHHS", "HHHSY"))):
-            residue = normal_form(poly(*words), rs)
-            items.append(CheckItem(
-                name=name,
-                passed=residue == ZERO,
-                detail="" if residue == ZERO else f"residue {sorted(residue)}"))
+        identities = (("H^2SYH = H^3SY + H^2Y", ("HHSYH", "HHHSY", "HHY")),
+                      ("HYH^2S = H^3SY", ("HYHHS", "HHHSY")))
+    items = tuple(_zero_item(name, poly(*words), rs)
+                  for name, words in identities)
     return CheckReport(title=f"inclusion transport (n={n} into n={n + 1})",
-                       items=tuple(items))
+                       items=items)
 
 
 @dataclass(frozen=True)
@@ -450,15 +439,16 @@ def compare(alg: BigradedTable, hom: BigradedTable) -> ComparisonReport:
     if alg.degree_bound != hom.degree_bound:
         raise ValueError(
             f"degree bounds differ: {alg.degree_bound} vs {hom.degree_bound}")
-    a, h = alg.as_dict(), hom.as_dict()
-    cells = []
-    for key in sorted(set(a) | set(h)):
-        if a.get(key, 0) != h.get(key, 0):
-            d, l = key
-            cells.append((d, l, a.get(key, 0), h.get(key, 0)))
-    ta, th = alg.degree_totals(), hom.degree_totals()
-    totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
-              if ta[d] != th[d]]
+    # a cell differs where an entry (cell, value) is in one table only
+    ea, eh = set(alg.entries), set(hom.entries)
+    a, h = dict(ea - eh), dict(eh - ea)
+    cells = sorted((d, l, a.get((d, l), 0), h.get((d, l), 0))
+                   for d, l in a.keys() | h.keys())
+    totals = []
+    if cells:  # tables equal in every cell have equal degree totals
+        ta, th = alg.degree_totals, hom.degree_totals
+        totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
+                  if ta[d] != th[d]]
     return ComparisonReport(degree_bound=alg.degree_bound,
                             cell_mismatches=tuple(cells),
                             total_mismatches=tuple(totals))
@@ -477,22 +467,14 @@ class Augmentation:
         return "{" + ", ".join(r.render() for r in self.rules) + "}"
 
 
-def _words_in_cell(rs: RewriteSystem, degree: int, level: int) -> list[Word]:
-    """Irreducible words of one (degree, level) cell.  The walk stops at
-    the weight that covers the cell's degree, as in hilbert."""
+def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
+    """(word, level) for every irreducible word of one unshifted degree,
+    in the order of rs.  The walk stops at the weight that covers the
+    degree, as in hilbert; a word below another in the order has at most
+    its weight, so the words before any listed word are all listed."""
     walk = _graded_walk(rs, required_weight_bound(rs.sig, degree))
-    out = [w for w, d, l in walk if d == degree and l == level]
-    return sorted(out, key=rs.order.sort_key)
-
-
-def _candidate_rhs_pool(rs: RewriteSystem, lhs: Word) -> list[Word]:
-    """Irreducible words of equal degree, level at most level(lhs), and
-    strictly below lhs in the order."""
-    deg = unshifted_degree(lhs, rs.sig)
-    lv = word_level(lhs)
-    pool = [w for w, d, l in _graded_walk(rs, rs.order.weight(lhs))
-            if d == deg and l <= lv and w != lhs and rs.order.less(w, lhs)]
-    return sorted(pool, key=rs.order.sort_key)
+    out = [(w, l) for w, d, l in walk if d == degree]
+    return sorted(out, key=lambda wl: rs.order.sort_key(wl[0]))
 
 
 def repair_search(base: RewriteSystem, alg: BigradedTable,
@@ -528,15 +510,11 @@ def repair_search(base: RewriteSystem, alg: BigradedTable,
         raise ValueError("repair_search requires a completed system")
     if alg.degree_bound != hom.degree_bound:
         raise ValueError("alg and hom have different degree bounds")
-    homd = hom.as_dict()
 
     def excess(table: BigradedTable) -> dict[tuple[int, int], int]:
-        """table - hom on every cell where the two differ; only the few
-        differing cells are kept, not the whole table."""
-        got = table.as_dict()
-        return {k: got.get(k, 0) - homd.get(k, 0)
-                for k in got.keys() | homd.keys()
-                if got.get(k, 0) != homd.get(k, 0)}
+        """table - hom on every cell where the two differ."""
+        return {(d, l): a - h
+                for d, l, a, h in compare(table, hom).cell_mismatches}
 
     base_excess = excess(alg)
     if not base_excess:
@@ -570,8 +548,12 @@ def repair_search(base: RewriteSystem, alg: BigradedTable,
             raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, surplus[0])
         degree, level = surplus[0]
         progressed = False
-        for lhs in _words_in_cell(current, degree, level):
-            pool = _candidate_rhs_pool(current, lhs)
+        words = _degree_words(current, degree)
+        for i, (lhs, lv) in enumerate(words):
+            if lv != level:
+                continue
+            # equal degree, level at most the cell's, below lhs in order
+            pool = [w for w, l in words[:i] if l <= level]
             if len(pool) > _POOL_CAP:
                 raise SearchCapError("_POOL_CAP", _POOL_CAP, (degree, level))
             for size in range(len(pool) + 1):

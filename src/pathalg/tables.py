@@ -38,8 +38,9 @@ class BigradedTable:
     def get(self, degree: int, level: int, zero=0):
         return self._cells.get((degree, level), zero)
 
+    @cached_property
     def degree_totals(self) -> Counter[int]:
-        """Sum of dimensions over levels per degree, in one pass."""
+        """Sum of dimensions over levels per degree, in one pass, once."""
         totals: Counter[int] = Counter()
         for (d, _), v in self.entries:
             totals[d] += v

@@ -32,6 +32,16 @@ class TestUsage:
         assert main(["homology", "--n", "0"]) == 2
         assert main(["table", "--n", "-3"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--n", "0"], "must be >= 1, got 0"),
+        (["verify", "--n", "2", "--max-degree", "-1"], "must be >= 0, got -1"),
+        (["verify", "--n", "x"], "not an integer: 'x'")])
+    def test_integer_option_messages(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestHomologyCommand:
     def test_integral_table_shows_the_extension(self, capsys):
@@ -272,6 +282,18 @@ class TestGeomCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration is not critical" in captured.err
+
+    def test_out_of_memory_is_a_runtime_error(self, capsys, monkeypatch):
+        # numpy reports a failed allocation as a MemoryError subclass;
+        # it must exit 2 with a message, not 1 with a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the Hessian")
+
+        monkeypatch.setattr(geometry, "critical_index", exhausted)
+        assert main(["geom", "index", "--n", "1", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestTableCommand:

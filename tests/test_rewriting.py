@@ -253,20 +253,19 @@ class TestIrreducibleWords:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_cell_lists_match_the_full_walk(self, n):
-        # _words_in_cell walks only to the weight hilbert certifies for
-        # the cell's degree; a shorter walk can only drop words, so
-        # comparing the nonempty cells of the full walk covers them all
+        # _degree_words walks only to the weight hilbert certifies for
+        # the degree; every degree up to D, empty ones included, must
+        # list exactly the full walk's words of that degree
         D = 120
         found = repairs(n, D)
         walk = required_weight_bound(signature(n), D)
         for rs in (completed(n), *(a.system for a in found)):
-            cells = defaultdict(list)
+            degrees = defaultdict(list)
             for w, d, l in rewriting._graded_walk(rs, walk):
-                if d <= D:
-                    cells[d, l].append(w)
-            for (d, l), words in cells.items():
-                assert rewriting._words_in_cell(rs, d, l) == \
-                    sorted(words, key=rs.order.sort_key), (d, l)
+                degrees[d].append((w, l))
+            for d in range(D + 1):
+                assert rewriting._degree_words(rs, d) == sorted(
+                    degrees[d], key=lambda wl: rs.order.sort_key(wl[0])), d
 
     def test_degree_bound_far_past_the_recursion_limit(self):
         # the recursive enumerator overflowed the interpreter stack at
@@ -301,7 +300,7 @@ class TestChecks:
     def test_filtration_and_reversal(self, n):
         rs = completed(n)
         assert filtration_check(rs).passed
-        assert anti_automorphism_check(signature(n), rs).passed
+        assert anti_automorphism_check(rs).passed
 
     def test_filtration_flags_level_raising_rules(self):
         sig = signature(2)
@@ -387,6 +386,50 @@ class TestRepairSearch:
         hom = path_space_homology(3, COEFF_F2, 20)
         with pytest.raises(ValueError):
             search(completed(3), hom)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_pools_are_the_smaller_words_of_the_cell(self, n):
+        # repair_search takes a left side's right-side pool from the
+        # words listed before it; that must be every irreducible word of
+        # equal degree, level at most the left side's and strictly below
+        # it, as an independent walk to the left side's weight finds
+        D = 40
+        hom = path_space_homology(n, COEFF_F2, D)
+        base = completed(n)
+        surplus = [(d, l) for d, l, a, h in
+                   compare(hilbert(base, D), hom).cell_mismatches if a > h]
+        assert surplus
+        for rs in (base, *(a.system for a in search(base, hom))):
+            order = rs.order
+            for degree, level in surplus:
+                words = rewriting._degree_words(rs, degree)
+                for i, (lhs, lv) in enumerate(words):
+                    if lv != level:
+                        continue
+                    pool = [w for w, l in words[:i] if l <= level]
+                    want = [w for w, d, l in rewriting._graded_walk(
+                                rs, order.weight(lhs))
+                            if d == degree and l <= word_level(lhs)
+                            and w != lhs and order.less(w, lhs)]
+                    assert pool == sorted(want, key=order.sort_key), lhs
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10])
+    def test_one_walk_per_surplus_degree(self, monkeypatch, n):
+        # one walk lists the surplus degree's left sides and pools, and
+        # one hilbert count checks each of the two repaired systems
+        hom = path_space_homology(n, COEFF_F2, 40)
+        base = completed(n)
+        alg = hilbert(base, 40)
+        real = rewriting._graded_walk
+        calls = []
+
+        def counting(rs, max_weight):
+            calls.append(max_weight)
+            return real(rs, max_weight)
+
+        monkeypatch.setattr(rewriting, "_graded_walk", counting)
+        assert len(repair_search(base, alg, hom)) == 2
+        assert len(calls) == 3
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
