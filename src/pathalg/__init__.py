@@ -11,11 +11,11 @@ critical geodesics.
 
 from .algebra import (
     AlphabetError,
-    MonomialOrder,
     Relation,
     Signature,
-    default_order,
     defining_relations,
+    leading_word,
+    order_key,
     poly,
     poly_add,
     poly_mul,
@@ -25,6 +25,7 @@ from .algebra import (
     unshifted_degree,
     word_degree,
     word_level,
+    word_weight,
 )
 from .tables import BigradedTable, CheckItem, CheckReport
 from .rewriting import (

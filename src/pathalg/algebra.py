@@ -31,7 +31,7 @@ ODD1 = "odd1"  # n = 1 mod 4
 ODD3 = "odd3"  # n = 3 mod 4
 EVEN = "even"
 
-# Fixed rank order used by the lexicographic tie-break of MonomialOrder.
+# Fixed rank order used by the lexicographic tie-break of order_key.
 _LETTER_RANK = {"H": 0, "T": 1, "S": 2, "Y": 3}
 
 # Level counts the letters that each carry one half-turn of the norm
@@ -45,13 +45,19 @@ class AlphabetError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Generator data of one presented algebra: alphabet plus gradings."""
+    """Generator data of one presented algebra: alphabet plus gradings.
+    The weight grading orders the words (see order_key)."""
 
     n: int
     parity_class: str
     alphabet: tuple[str, ...]
     degree: Mapping[str, int]
     level: Mapping[str, int]
+    weight: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        if any(w <= 0 for w in self.weight.values()):
+            raise ValueError("weights must be positive")
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +74,13 @@ def signature(n: int) -> Signature:
         alphabet = ("H", "T", "Y")
         degree = {"H": -1, "T": 0, "Y": n}
     level = {c: _LETTER_LEVEL[c] for c in alphabet}
+    # unit weights, except w(S) = n + 1 when n = 1 mod 4 so that the
+    # correction term H^(n-1)Y^2 stays below YS
+    weight = {c: 1 for c in alphabet}
+    if parity is ODD1:
+        weight["S"] = n + 1
     return Signature(n=n, parity_class=parity, alphabet=alphabet,
-                     degree=degree, level=level)
+                     degree=degree, level=level, weight=weight)
 
 
 def word_degree(w: Word, sig: Signature) -> int:
@@ -95,6 +106,26 @@ def word_level(w: Word) -> int:
             raise AlphabetError(f"letter {c!r} is not a known generator")
         total += _LETTER_LEVEL[c]
     return total
+
+
+def word_weight(w: Word, sig: Signature) -> int:
+    """Sum of letter weights."""
+    return sum(sig.weight[c] for c in w)
+
+
+def order_key(w: Word, sig: Signature):
+    """Sort key of the monomial order: weight, then a left-to-right
+    lexicographic tie-break on the fixed letter ranking H < T < S < Y.
+    Positive weights make this a well-order compatible with
+    concatenation on both sides."""
+    return (word_weight(w, sig), tuple(_LETTER_RANK[c] for c in w))
+
+
+def leading_word(p: Polynomial, sig: Signature) -> Word:
+    """The largest word of p under order_key."""
+    if not p:
+        raise ValueError("empty polynomial has no leading word")
+    return max(p, key=lambda w: order_key(w, sig))
 
 
 def poly(*words: Word) -> Polynomial:
@@ -175,48 +206,3 @@ def defining_relations(n: int) -> tuple[Relation, ...]:
         degs = {word_degree(w, sig) for w in rel.words()}
         assert len(degs) == 1, f"relation {rel.lhs} not degree-homogeneous"
     return rels
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Weight order with left-to-right lexicographic tie-break on the
-    fixed letter ranking H < T < S < Y.
-
-    Positive weights make this a well-order compatible with
-    concatenation on both sides.
-    """
-
-    weights: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if any(w <= 0 for _, w in self.weights):
-            raise ValueError("weights must be positive")
-
-    @property
-    def weight_map(self) -> dict[str, int]:
-        return dict(self.weights)
-
-    def weight(self, w: Word) -> int:
-        wm = self.weight_map
-        return sum(wm[c] for c in w)
-
-    def sort_key(self, w: Word):
-        wm = self.weight_map
-        return (sum(wm[c] for c in w), tuple(_LETTER_RANK[c] for c in w))
-
-    def less(self, u: Word, v: Word) -> bool:
-        return self.sort_key(u) < self.sort_key(v)
-
-    def max_word(self, p: Polynomial) -> Word:
-        if not p:
-            raise ValueError("empty polynomial has no leading word")
-        return max(p, key=self.sort_key)
-
-
-def default_order(sig: Signature) -> MonomialOrder:
-    """Unit weights, except w(S) = n + 1 when n = 1 mod 4 so that the
-    correction term H^(n-1)Y^2 stays below YS."""
-    weights = {c: 1 for c in sig.alphabet}
-    if sig.parity_class is ODD1:
-        weights["S"] = sig.n + 1
-    return MonomialOrder(weights=tuple(sorted(weights.items())))

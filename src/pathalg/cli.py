@@ -102,7 +102,8 @@ def _emit_sections(sections: list[tuple[str, list[dict]]], fmt: str) -> None:
 
 
 def cmd_homology(args) -> int:
-    n, D = args.n, args.max_degree
+    n = args.n
+    D = args.max_degree if args.max_degree is not None else 4 * n + 2
     coeff, ring = ((COEFF_F2, "mod 2") if args.coeff == "F2"
                    else (COEFF_Z, "integral"))
     graded = [(f"projective base, {ring}, n={n}",
@@ -155,7 +156,7 @@ def cmd_verify(args) -> int:
     if not comparison.is_match and n % 2 == 0:
         print("\nsearching for rule augmentations that restore the match:")
         try:
-            augs = rewriting.repair_search(rs, alg, hom)
+            augs = rewriting.repair_search(rs, comparison, hom)
         except rewriting.RepairError as exc:
             print(f"  none found: {exc}")
         else:
@@ -202,19 +203,17 @@ def _parse_table_text(text: str) -> dict[tuple[int, int], tuple[str, ...]]:
     return cells
 
 
-def _golden_text(n: int) -> str:
-    ref = resources.files("pathalg").joinpath(f"golden/table_n{n}.txt")
-    return ref.read_text(encoding="utf-8")
-
-
 def cmd_table(args) -> int:
     n = args.n
     levels = args.levels if args.levels is not None else (3 if n == 1 else 2)
     if args.golden:
-        if n > 4:
+        # the package data is the one list of shipped fixtures
+        fixture = resources.files("pathalg").joinpath(
+            f"golden/table_n{n}.txt")
+        if not fixture.is_file():
             print(f"no golden fixture for n={n}", file=sys.stderr)
             return 2
-        want = _parse_table_text(_golden_text(n))
+        want = _parse_table_text(fixture.read_text(encoding="utf-8"))
         covered = 1 + max(level for _, level in want)
         if levels > covered:
             print(f"golden fixture for n={n} covers levels "
@@ -308,8 +307,6 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
-        if getattr(args, "max_degree", -1) is None:
-            args.max_degree = 4 * args.n + 2
         return args.func(args)
     except (rewriting.CompletionError, rewriting.RepairError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@ normal forms, bigraded Hilbert counts, and the verification suites built
 on them (filtration, reversal stability, inclusion transport, dimension
 comparison, repair search).
 
-The well-order is weight-lex (see algebra.MonomialOrder).  Every rule
+The well-order is weight-lex (see algebra.order_key).  Every rule
 keeps the weight of each right-hand word at or below the weight of its
 left-hand word, so no reduction ever increases word weight.  Completion
 resolves every critical pair, in every weight; by the diamond lemma the
@@ -20,7 +20,6 @@ True
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -28,17 +27,18 @@ from .tables import BigradedTable, CheckItem, CheckReport
 from .algebra import (
     EVEN,
     ZERO,
-    MonomialOrder,
     Polynomial,
     Relation,
     Signature,
     Word,
-    default_order,
     defining_relations,
+    leading_word,
+    order_key,
     poly,
     reverse_poly,
     signature,
     word_level,
+    word_weight,
 )
 
 INCOMPLETE = "incomplete"
@@ -130,7 +130,6 @@ class RewriteRule:
 @dataclass(frozen=True)
 class RewriteSystem:
     sig: Signature
-    order: MonomialOrder
     rules: tuple[RewriteRule, ...]
     completion_status: str = INCOMPLETE
 
@@ -138,22 +137,22 @@ class RewriteSystem:
         return max((len(r.lhs) for r in self.rules), default=0)
 
 
-def orient(sig: Signature, order: Optional[MonomialOrder] = None) -> RewriteSystem:
+def orient(sig: Signature) -> RewriteSystem:
     """Turn the defining relations into rules lhs -> rhs.
 
     Raises OrderRejectedError unless the designated left side of every
-    relation is the strict maximum of the relation under the order.
+    relation is the strict maximum of the relation under the order of
+    sig's weights.
     """
-    order = order if order is not None else default_order(sig)
     rules = []
     for rel in defining_relations(sig.n):
         for w in rel.rhs:
-            if not order.less(w, rel.lhs):
+            if not order_key(w, sig) < order_key(rel.lhs, sig):
                 raise OrderRejectedError(
                     rel, f"right-hand word {w!r} is not below the left side")
         rules.append(RewriteRule(rel.lhs, rel.rhs))
-    rules.sort(key=lambda r: order.sort_key(r.lhs))
-    return RewriteSystem(sig=sig, order=order, rules=tuple(rules))
+    rules.sort(key=lambda r: order_key(r.lhs, sig))
+    return RewriteSystem(sig=sig, rules=tuple(rules))
 
 
 def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
@@ -205,14 +204,14 @@ def normal_form(p, rs: RewriteSystem) -> Polynomial:
     return _poly_nf(p, rs.rules)
 
 
-def _interreduce(rule_map: dict[Word, Polynomial], order: MonomialOrder
+def _interreduce(rule_map: dict[Word, Polynomial], sig: Signature
                  ) -> dict[Word, Polynomial]:
     """Make every lhs irreducible by the other rules and every rhs fully
     reduced.  Dismantled rules re-enter as equations."""
     changed = True
     while changed:
         changed = False
-        for lhs in sorted(rule_map, key=order.sort_key):
+        for lhs in sorted(rule_map, key=lambda w: order_key(w, sig)):
             rhs = rule_map[lhs]
             others = tuple(RewriteRule(l, r) for l, r in rule_map.items()
                            if l != lhs)
@@ -220,7 +219,7 @@ def _interreduce(rule_map: dict[Word, Polynomial], order: MonomialOrder
                 del rule_map[lhs]
                 eq = _poly_nf(frozenset({lhs}) ^ rhs, others)
                 if eq:
-                    top = order.max_word(eq)
+                    top = leading_word(eq, sig)
                     if top == "":
                         raise CompletionError(lhs)
                     rule_map[top] = eq ^ {top}
@@ -248,14 +247,14 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
     weight; RuleLimitError and StepLimitError stop a completion that
     does not end.  Output is inter-reduced and sorted, hence canonical
     regardless of processing order, and a fixed point of complete."""
-    order = rs.order
+    sig = rs.sig
     rule_map = {r.lhs: r.rhs for r in rs.rules}
     while True:
         if len(rule_map) > _RULE_LIMIT:
             raise RuleLimitError(_RULE_LIMIT)
-        rule_map = _interreduce(rule_map, order)
+        rule_map = _interreduce(rule_map, sig)
         rules = tuple(RewriteRule(l, r) for l, r in
-                      sorted(rule_map.items(), key=lambda kv: order.sort_key(kv[0])))
+                      sorted(rule_map.items(), key=lambda kv: order_key(kv[0], sig)))
         pending = []
         for r1, r2 in itertools.product(rules, repeat=2):
             for sup, off in _overlap_words(r1.lhs, r2.lhs):
@@ -266,22 +265,22 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
                     pending.append((sup, diff))
         if not pending:
             break
-        pending.sort(key=lambda sd: order.sort_key(sd[0]))
+        pending.sort(key=lambda sd: order_key(sd[0], sig))
         for sup, diff in pending:
             diff = _poly_nf(diff, tuple(RewriteRule(l, r)
                                         for l, r in rule_map.items()))
             if not diff:
                 continue
-            top = order.max_word(diff)
+            top = leading_word(diff, sig)
             if top == "":
                 raise CompletionError(sup)
             rule_map[top] = diff ^ {top}
     rules = tuple(RewriteRule(l, r) for l, r in
-                  sorted(rule_map.items(), key=lambda kv: order.sort_key(kv[0])))
+                  sorted(rule_map.items(), key=lambda kv: order_key(kv[0], sig)))
     for r in rules:
-        lw = order.weight(r.lhs)
-        assert all(order.weight(w) <= lw for w in r.rhs)
-    return RewriteSystem(sig=rs.sig, order=order, rules=rules,
+        lw = word_weight(r.lhs, sig)
+        assert all(word_weight(w, sig) <= lw for w in r.rhs)
+    return RewriteSystem(sig=sig, rules=rules,
                          completion_status=COMPLETE)
 
 
@@ -291,11 +290,18 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
 
 def required_weight_bound(sig: Signature, degree_bound: int) -> int:
     """Walk weight covering degree degree_bound: every irreducible word
-    of unshifted degree at most degree_bound has at most this weight.
-    It leaves room for the H block, one S/T letter at its maximal
-    weight, the Y block, and a safety margin."""
-    n = sig.n
-    return (n + 1) + (n + 1) + math.ceil((degree_bound + n) / n) + 4
+    of unshifted degree at most degree_bound has at most this weight,
+    in any system that reduces the five defining left sides XH, YH, YX,
+    XX and H^(n+1), X the middle letter (S or T).
+
+    Proof.  Each of the five contains a left side, so an irreducible
+    word avoids all five as factors: it is H^a X^e Y^b with a <= n and
+    e <= 1.  Its unshifted degree n - a + e*deg(X) + n*b is at least
+    n*b (a <= n, deg(X) >= 0), so degree <= degree_bound forces
+    b <= degree_bound // n, and its weight a*w(H) + e*w(X) + b*w(Y) is
+    at most the bound returned."""
+    n, w = sig.n, sig.weight
+    return n * w["H"] + w[sig.alphabet[1]] + (degree_bound // n) * w["Y"]
 
 
 def _graded_walk(rs: RewriteSystem, max_weight: int
@@ -306,9 +312,8 @@ def _graded_walk(rs: RewriteSystem, max_weight: int
     alphabet order.  Gradings are summed letter by letter as words grow."""
     lhs = tuple(r.lhs for r in rs.rules)
     maxlen = rs.max_lhs_len()
-    weights = rs.order.weight_map
     sig = rs.sig
-    letters = [(c, weights[c], sig.degree[c], sig.level[c])
+    letters = [(c, sig.weight[c], sig.degree[c], sig.level[c])
                for c in reversed(sig.alphabet)]
     stack = [("", 0, sig.n, 0)]
     while stack:
@@ -333,9 +338,15 @@ def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Count irreducible words per (unshifted degree, level) for degrees
     0..degree_bound, walking to the weight required_weight_bound gives
-    for degree_bound.  Refuses a system that complete did not return."""
+    for degree_bound.  Refuses a system that complete did not return,
+    and one that leaves a defining left side irreducible, since the
+    bound is proved only for systems that reduce them all."""
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
+    if any(_leftmost_match(rel.lhs, rs.rules) is None
+           for rel in defining_relations(rs.sig.n)):
+        raise ValueError(
+            "hilbert requires a system that reduces the defining left sides")
     walk = _graded_walk(rs, required_weight_bound(rs.sig, degree_bound))
     counts: dict[tuple[int, int], int] = {}
     for _, d, level in walk:
@@ -469,19 +480,20 @@ class Augmentation:
 
 def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
-    in the order of rs.  The walk stops at the weight that covers the
+    in the order of rs.sig.  The walk stops at the weight that covers the
     degree, as in hilbert; a word below another in the order has at most
     its weight, so the words before any listed word are all listed."""
     walk = _graded_walk(rs, required_weight_bound(rs.sig, degree))
     out = [(w, l) for w, d, l in walk if d == degree]
-    return sorted(out, key=lambda wl: rs.order.sort_key(wl[0]))
+    return sorted(out, key=lambda wl: order_key(wl[0], rs.sig))
 
 
-def repair_search(base: RewriteSystem, alg: BigradedTable,
+def repair_search(base: RewriteSystem, comparison: ComparisonReport,
                   hom: BigradedTable) -> tuple[Augmentation, ...]:
     """Search for rule augmentations that reconcile the completed
-    presentation base, whose hilbert table is alg, with the target
-    dimension table hom, up to their common degree bound.
+    presentation base, whose hilbert table compares to the target
+    dimension table hom as comparison says, up to their common degree
+    bound.
 
     Surplus cells are attacked in increasing (degree, level) order; for
     each candidate left side in the first surplus cell every F2
@@ -498,8 +510,9 @@ def repair_search(base: RewriteSystem, alg: BigradedTable,
             degree bound.
 
     Distinct search paths reaching the same rule set are reported once.
-    base is never counted again (its table is alg); every other system
-    the search reaches is counted by hilbert once per visit.
+    base is never counted again (comparison holds its cells); every
+    other system the search reaches is counted by hilbert once per
+    visit.
     RepairError is raised when no candidate survives.  Only a
     CompletionError rejects a candidate; any other error propagates.
     The search is exhaustive: where it would need more than _POOL_CAP
@@ -508,15 +521,14 @@ def repair_search(base: RewriteSystem, alg: BigradedTable,
     """
     if base.completion_status != COMPLETE:
         raise ValueError("repair_search requires a completed system")
-    if alg.degree_bound != hom.degree_bound:
-        raise ValueError("alg and hom have different degree bounds")
+    if comparison.degree_bound != hom.degree_bound:
+        raise ValueError("comparison and hom have different degree bounds")
 
-    def excess(table: BigradedTable) -> dict[tuple[int, int], int]:
-        """table - hom on every cell where the two differ."""
-        return {(d, l): a - h
-                for d, l, a, h in compare(table, hom).cell_mismatches}
+    def excess(report: ComparisonReport) -> dict[tuple[int, int], int]:
+        """presentation - hom on every cell where the two differ."""
+        return {(d, l): a - h for d, l, a, h in report.cell_mismatches}
 
-    base_excess = excess(alg)
+    base_excess = excess(comparison)
     if not base_excess:
         raise ValueError("presentation already matches; nothing to repair")
     base_set = set(base.rules)
@@ -527,7 +539,7 @@ def repair_search(base: RewriteSystem, alg: BigradedTable,
 
     def search(current: RewriteSystem, depth: int) -> None:
         diff = (base_excess if current is base
-                else excess(hilbert(current, hom.degree_bound)))
+                else excess(compare(hilbert(current, hom.degree_bound), hom)))
         deficit = [k for k, v in diff.items() if v < 0]
         surplus = sorted(k for k, v in diff.items() if v > 0)
         if deficit:
@@ -560,8 +572,7 @@ def repair_search(base: RewriteSystem, alg: BigradedTable,
                 for combo in itertools.combinations(pool, size):
                     rule = RewriteRule(lhs, frozenset(combo))
                     enlarged = RewriteSystem(
-                        sig=current.sig, order=current.order,
-                        rules=current.rules + (rule,))
+                        sig=current.sig, rules=current.rules + (rule,))
                     try:
                         nxt = complete(enlarged)
                     except CompletionError:

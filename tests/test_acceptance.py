@@ -109,7 +109,7 @@ def test_criterion_03_even_case_diagnosis_and_repair():
                       if unshifted_degree(w, rs.sig) == n
                       and word_level(w) == 1]
             assert "H" * n + "Y" in shadow
-            found = repair_search(rs, alg, hom)
+            found = repair_search(rs, report, hom)
             assert found
             renders = {a.render() for a in found}
             killer = "{" + "H" * n + "T -> 0, " + "H" * n + "Y -> 0}"
@@ -147,7 +147,7 @@ def test_criterion_06_filtration():
         for n in (2, 4):
             hom = path_space_homology(n, COEFF_F2, 20)
             rs = completed(n)
-            for aug in repair_search(rs, hilbert(rs, 20), hom):
+            for aug in repair_search(rs, compare(hilbert(rs, 20), hom), hom):
                 assert filtration_check(aug.system).passed
 
 

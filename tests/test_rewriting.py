@@ -2,6 +2,7 @@
 repair search.  The expected rule tables below were derived by hand from
 the defining relations and are frozen as oracles."""
 
+import dataclasses
 from collections import defaultdict
 
 import pytest
@@ -9,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from pathalg import rewriting
 from pathalg.algebra import (
-    MonomialOrder,
     ONE,
     ZERO,
-    default_order,
+    order_key,
     poly,
     poly_mul,
     signature,
     unshifted_degree,
     word_level,
+    word_weight,
 )
 from pathalg.rewriting import (
     CompletionError,
@@ -55,7 +56,7 @@ def repairs(n: int, degree_bound: int):
 
 def search(rs: RewriteSystem, hom: BigradedTable):
     """repair_search for the completed rs against hom, given rs's table."""
-    return repair_search(rs, hilbert(rs, hom.degree_bound), hom)
+    return repair_search(rs, compare(hilbert(rs, hom.degree_bound), hom), hom)
 
 
 def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
@@ -64,7 +65,7 @@ def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
     recurses once per letter, so it only serves small weight bounds."""
     lhs_set = {r.lhs for r in rs.rules}
     maxlen = rs.max_lhs_len()
-    weights = rs.order.weight_map
+    weights = rs.sig.weight
     alphabet = rs.sig.alphabet
 
     def extend(word, weight):
@@ -111,18 +112,17 @@ class TestOrientation:
         for n in (1, 2, 3, 4, 5, 6):
             rs = orient(signature(n))
             assert len(rs.rules) == 5
-            order = rs.order
             for rule in rs.rules:
                 for w in rule.rhs:
-                    assert order.less(w, rule.lhs)
+                    assert order_key(w, rs.sig) < order_key(rule.lhs, rs.sig)
 
     def test_unit_weights_reject_the_exceptional_relation(self):
         # without the heavy middle letter the extra right-hand word of
         # the n = 1 mod 4 relation outweighs its left side
-        flat = MonomialOrder(
-            weights=(("H", 1), ("T", 1), ("S", 1), ("Y", 1)))
+        flat = dataclasses.replace(signature(5),
+                                   weight={"H": 1, "S": 1, "Y": 1})
         with pytest.raises(OrderRejectedError):
-            orient(signature(5), flat)
+            orient(flat)
 
     def test_render(self):
         assert RewriteRule("SH", poly("", "HS")).render() == "SH -> 1 + HS"
@@ -160,8 +160,7 @@ class TestCompletion:
         sig = signature(1)
         rs = orient(sig)
         poisoned = RewriteSystem(
-            sig=sig, order=rs.order,
-            rules=rs.rules + (RewriteRule("S", ONE),))
+            sig=sig, rules=rs.rules + (RewriteRule("S", ONE),))
         with pytest.raises(CompletionError):
             complete(poisoned)
 
@@ -183,9 +182,9 @@ class TestCompletion:
     def test_rules_respect_weights(self):
         for n in (1, 2, 3, 4, 5, 6, 7):
             rs = completed(n)
-            wt = rs.order.weight
             for rule in rs.rules:
-                assert all(wt(w) <= wt(rule.lhs) for w in rule.rhs)
+                top = word_weight(rule.lhs, rs.sig)
+                assert all(word_weight(w, rs.sig) <= top for w in rule.rhs)
 
 
 class TestNormalForm:
@@ -265,7 +264,25 @@ class TestIrreducibleWords:
                 degrees[d].append((w, l))
             for d in range(D + 1):
                 assert rewriting._degree_words(rs, d) == sorted(
-                    degrees[d], key=lambda wl: rs.order.sort_key(wl[0])), d
+                    degrees[d], key=lambda wl: order_key(wl[0], rs.sig)), d
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_the_walk_bound_suffices(self, n):
+        # walking 10 heaviest letters further finds no more words of
+        # degree at most D, for the base system and both repairs
+        systems = [completed(n)]
+        if n % 2 == 0:
+            systems += [a.system for a in repairs(n, 40)]
+        extra = 10 * max(signature(n).weight.values())
+        for rs in systems:
+            for D in sorted({0, 1, n, 40}):
+                counts = defaultdict(int)
+                for _, d, l in rewriting._graded_walk(
+                        rs, required_weight_bound(rs.sig, D) + extra):
+                    if 0 <= d <= D:
+                        counts[d, l] += 1
+                assert hilbert(rs, D) == \
+                    BigradedTable.from_dict(counts, D), (n, D)
 
     def test_degree_bound_far_past_the_recursion_limit(self):
         # the recursive enumerator overflowed the interpreter stack at
@@ -303,9 +320,7 @@ class TestChecks:
         assert anti_automorphism_check(rs).passed
 
     def test_filtration_flags_level_raising_rules(self):
-        sig = signature(2)
-        order = default_order(sig)
-        bad = RewriteSystem(sig=sig, order=order,
+        bad = RewriteSystem(sig=signature(2),
                             rules=(RewriteRule("HH", poly("Y")),))
         report = filtration_check(bad)
         assert not report.passed
@@ -345,6 +360,25 @@ class TestHilbertAndCompare:
         with pytest.raises(ValueError, match="requires a completed system"):
             hilbert(orient(signature(3)), 40)
 
+    def test_system_missing_a_defining_left_side_is_refused(self):
+        # the walk bound is proved for systems that reduce every defining
+        # left side; this completed system leaves TH irreducible
+        rs = complete(RewriteSystem(sig=signature(2),
+                                    rules=(RewriteRule("HH", ZERO),)))
+        with pytest.raises(ValueError, match="reduces the defining left"):
+            hilbert(rs, 10)
+
+    @pytest.mark.parametrize("n, weight", [
+        (3, {"H": 1, "S": 1, "Y": 3}),
+        (2, {"H": 2, "T": 1, "Y": 5}),
+        (5, {"H": 1, "S": 7, "Y": 2}),
+        (1, {"H": 3, "S": 5, "Y": 1})])
+    def test_other_weights_count_what_the_default_counts(self, n, weight):
+        # the irreducible words, hence the table, do not depend on the
+        # weights; only the walk bound does, and it reads them
+        sig = dataclasses.replace(signature(n), weight=weight)
+        assert hilbert(complete(orient(sig)), 60) == hilbert(completed(n), 60)
+
     def test_compare_rejects_mixed_bounds(self):
         a = BigradedTable.from_dict({(0, 0): 1}, 5)
         b = BigradedTable.from_dict({(0, 0): 1}, 6)
@@ -377,10 +411,12 @@ class TestRepairSearch:
     def test_base_table_must_fit_the_target(self):
         rs = completed(2)
         hom = path_space_homology(2, COEFF_F2, 20)
+        short = compare(hilbert(rs, 12), path_space_homology(2, COEFF_F2, 12))
         with pytest.raises(ValueError, match="different degree bounds"):
-            repair_search(rs, hilbert(rs, 12), hom)
+            repair_search(rs, short, hom)
         with pytest.raises(ValueError, match="requires a completed system"):
-            repair_search(orient(signature(2)), hilbert(rs, 20), hom)
+            repair_search(orient(signature(2)), compare(hilbert(rs, 20), hom),
+                          hom)
 
     def test_matching_presentation_is_rejected(self):
         hom = path_space_homology(3, COEFF_F2, 20)
@@ -400,7 +436,8 @@ class TestRepairSearch:
                    compare(hilbert(base, D), hom).cell_mismatches if a > h]
         assert surplus
         for rs in (base, *(a.system for a in search(base, hom))):
-            order = rs.order
+            def key(w):
+                return order_key(w, rs.sig)
             for degree, level in surplus:
                 words = rewriting._degree_words(rs, degree)
                 for i, (lhs, lv) in enumerate(words):
@@ -408,10 +445,10 @@ class TestRepairSearch:
                         continue
                     pool = [w for w, l in words[:i] if l <= level]
                     want = [w for w, d, l in rewriting._graded_walk(
-                                rs, order.weight(lhs))
+                                rs, word_weight(lhs, rs.sig))
                             if d == degree and l <= word_level(lhs)
-                            and w != lhs and order.less(w, lhs)]
-                    assert pool == sorted(want, key=order.sort_key), lhs
+                            and w != lhs and key(w) < key(lhs)]
+                    assert pool == sorted(want, key=key), lhs
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_one_walk_per_surplus_degree(self, monkeypatch, n):
@@ -428,7 +465,7 @@ class TestRepairSearch:
             return real(rs, max_weight)
 
         monkeypatch.setattr(rewriting, "_graded_walk", counting)
-        assert len(repair_search(base, alg, hom)) == 2
+        assert len(repair_search(base, compare(alg, hom), hom)) == 2
         assert len(calls) == 3
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
