@@ -10,6 +10,12 @@ resolves every critical pair, in every weight; by the diamond lemma the
 completed system is confluent, so irreducible words form a basis of the
 presented algebra in every degree.
 
+Both hot loops read an index of the rule left sides, built once per
+rule set inside the call that uses it.  Irreducible words are listed by
+a walk through the automaton of the left sides (_lhs_automaton), and
+reduction looks up the rules at a position by the first letter of their
+left side (_rule_index).
+
 >>> rs = complete(orient(signature(3)))
 >>> sorted(normal_form("SH", rs))
 ['', 'HS']
@@ -133,9 +139,6 @@ class RewriteSystem:
     rules: tuple[RewriteRule, ...]
     completion_status: str = INCOMPLETE
 
-    def max_lhs_len(self) -> int:
-        return max((len(r.lhs) for r in self.rules), default=0)
-
 
 def orient(sig: Signature) -> RewriteSystem:
     """Turn the defining relations into rules lhs -> rhs.
@@ -163,16 +166,33 @@ def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
     return frozenset(head + r + tail for r in rule.rhs)
 
 
-def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]):
-    for i in range(len(word)):
-        for rule in rules:
+RuleIndex = dict[str, tuple[RewriteRule, ...]]
+
+
+def _rule_index(rules: Iterable[RewriteRule]) -> RuleIndex:
+    """The rules bucketed by the first letter of their left side, in
+    their given order.  A rule with an empty left side matches at every
+    position, so it joins every bucket; the bucket of "" holds only
+    such rules."""
+    rules = tuple(rules)
+    return {c: tuple(r for r in rules if r.lhs[:1] in ("", c))
+            for c in {r.lhs[:1] for r in rules} | {""}}
+
+
+def _leftmost_match(word: Word, index: RuleIndex):
+    """The leftmost position where a left side of the indexed rules
+    occurs in word, and the first such rule in their order there."""
+    anywhere = index[""]
+    for i, c in enumerate(word):
+        for rule in index.get(c, anywhere):
             if word.startswith(rule.lhs, i):
                 return i, rule
     return None
 
 
-def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
-    """Full reduction of a polynomial; leftmost strategy per word.
+def _poly_nf(p: Iterable[Word], index: RuleIndex) -> Polynomial:
+    """Full reduction of a polynomial by the indexed rules; leftmost
+    strategy per word.
 
     F2 linearity lets each word occurrence reduce independently, with
     the results combined by symmetric difference.
@@ -185,7 +205,7 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
         steps += 1
         if steps > _STEP_LIMIT:
             raise StepLimitError(_STEP_LIMIT)
-        m = _leftmost_match(w, rules)
+        m = _leftmost_match(w, index)
         if m is None:
             acc ^= {w}
         else:
@@ -201,7 +221,7 @@ def normal_form(p, rs: RewriteSystem) -> Polynomial:
     which rules are applied."""
     if isinstance(p, str):
         p = frozenset({p})
-    return _poly_nf(p, rs.rules)
+    return _poly_nf(p, _rule_index(rs.rules))
 
 
 def _interreduce(rule_map: dict[Word, Polynomial], sig: Signature
@@ -213,8 +233,8 @@ def _interreduce(rule_map: dict[Word, Polynomial], sig: Signature
         changed = False
         for lhs in sorted(rule_map, key=lambda w: order_key(w, sig)):
             rhs = rule_map[lhs]
-            others = tuple(RewriteRule(l, r) for l, r in rule_map.items()
-                           if l != lhs)
+            others = _rule_index(RewriteRule(l, r)
+                                 for l, r in rule_map.items() if l != lhs)
             if _leftmost_match(lhs, others) is not None:
                 del rule_map[lhs]
                 eq = _poly_nf(frozenset({lhs}) ^ rhs, others)
@@ -255,11 +275,12 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
         rule_map = _interreduce(rule_map, sig)
         rules = tuple(RewriteRule(l, r) for l, r in
                       sorted(rule_map.items(), key=lambda kv: order_key(kv[0], sig)))
+        index = _rule_index(rules)
         pending = []
         for r1, r2 in itertools.product(rules, repeat=2):
             for sup, off in _overlap_words(r1.lhs, r2.lhs):
-                p1 = _poly_nf(apply_rule(sup, r1, 0), rules)
-                p2 = _poly_nf(apply_rule(sup, r2, off), rules)
+                p1 = _poly_nf(apply_rule(sup, r1, 0), index)
+                p2 = _poly_nf(apply_rule(sup, r2, off), index)
                 diff = p1 ^ p2
                 if diff:
                     pending.append((sup, diff))
@@ -267,8 +288,8 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
             break
         pending.sort(key=lambda sd: order_key(sd[0], sig))
         for sup, diff in pending:
-            diff = _poly_nf(diff, tuple(RewriteRule(l, r)
-                                        for l, r in rule_map.items()))
+            diff = _poly_nf(diff, _rule_index(RewriteRule(l, r)
+                                              for l, r in rule_map.items()))
             if not diff:
                 continue
             top = leading_word(diff, sig)
@@ -304,33 +325,53 @@ def required_weight_bound(sig: Signature, degree_bound: int) -> int:
     return n * w["H"] + w[sig.alphabet[1]] + (degree_bound // n) * w["Y"]
 
 
+def _lhs_automaton(rs: RewriteSystem) -> list[list[int]]:
+    """The automaton that recognises the words avoiding every rule lhs
+    as a factor.  Its states are the proper prefixes of the left sides,
+    state 0 the empty word; a word is in the state of its longest
+    suffix among them.  Row q, column j is the state after the j-th
+    letter of rs.sig.alphabet, or -1 where that letter completes a left
+    side.  Built by direct suffix search, since the left sides are few
+    and short."""
+    lhs = tuple(r.lhs for r in rs.rules)
+    prefixes = sorted({l[:k] for l in lhs for k in range(len(l))} | {""})
+    state = {p: q for q, p in enumerate(prefixes)}
+
+    def step(p: Word, c: str) -> int:
+        t = p + c
+        if t.endswith(lhs):
+            return -1
+        return next(state[t[k:]] for k in range(len(t) + 1) if t[k:] in state)
+
+    return [[step(p, c) for c in rs.sig.alphabet] for p in prefixes]
+
+
 def _graded_walk(rs: RewriteSystem, max_weight: int
                  ) -> Iterator[tuple[Word, int, int]]:
     """(word, unshifted degree, level) for every word of weight <=
     max_weight avoiding every rule lhs as a factor.  Depth-first on an
-    explicit stack: a word comes before its extensions, which come in
-    alphabet order.  Gradings are summed letter by letter as words grow."""
-    lhs = tuple(r.lhs for r in rs.rules)
-    maxlen = rs.max_lhs_len()
+    explicit stack through the states of _lhs_automaton: a word comes
+    before its extensions, which come in alphabet order.  Gradings are
+    summed letter by letter as words grow."""
     sig = rs.sig
-    letters = [(c, sig.weight[c], sig.degree[c], sig.level[c])
-               for c in reversed(sig.alphabet)]
-    stack = [("", 0, sig.n, 0)]
+    grades = [(c, sig.weight[c], sig.degree[c], sig.level[c])
+              for c in sig.alphabet]
+    # the live moves of each state, last letter first for the stack
+    moves = [[(*g, q) for g, q in zip(grades[::-1], row[::-1]) if q >= 0]
+             for row in _lhs_automaton(rs)]
+    stack = [("", 0, sig.n, 0, 0)] if max_weight >= 0 else []
     while stack:
-        word, weight, degree, level = stack.pop()
+        word, weight, degree, level, state = stack.pop()
         yield word, degree, level
-        for c, wc, dc, lc in letters:
-            if weight + wc > max_weight:
-                continue
-            new = word + c
-            if new[-maxlen:].endswith(lhs):
-                continue
-            stack.append((new, weight + wc, degree + dc, level + lc))
+        for c, wc, dc, lc, q in moves[state]:
+            if weight + wc <= max_weight:
+                stack.append((word + c, weight + wc, degree + dc, level + lc, q))
 
 
 def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
     """All words of weight <= max_weight avoiding every rule lhs as a
-    factor, depth-first and iterative (no recursion, so no depth limit)."""
+    factor, depth-first and iterative (no recursion, so no depth limit);
+    none when max_weight is negative."""
     for w, *_ in _graded_walk(rs, max_weight):
         yield w
 
@@ -338,12 +379,16 @@ def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Count irreducible words per (unshifted degree, level) for degrees
     0..degree_bound, walking to the weight required_weight_bound gives
-    for degree_bound.  Refuses a system that complete did not return,
+    for degree_bound.  Refuses a negative degree_bound, as
+    path_space_homology does, a system that complete did not return,
     and one that leaves a defining left side irreducible, since the
     bound is proved only for systems that reduce them all."""
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
-    if any(_leftmost_match(rel.lhs, rs.rules) is None
+    index = _rule_index(rs.rules)
+    if any(_leftmost_match(rel.lhs, index) is None
            for rel in defining_relations(rs.sig.n)):
         raise ValueError(
             "hilbert requires a system that reduces the defining left sides")

@@ -3,6 +3,7 @@ repair search.  The expected rule tables below were derived by hand from
 the defining relations and are frozen as oracles."""
 
 import dataclasses
+import itertools
 from collections import defaultdict
 
 import pytest
@@ -64,7 +65,7 @@ def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
     irreducible_words used before it became an iterative walk.  It
     recurses once per letter, so it only serves small weight bounds."""
     lhs_set = {r.lhs for r in rs.rules}
-    maxlen = rs.max_lhs_len()
+    maxlen = max((len(r.lhs) for r in rs.rules), default=0)
     weights = rs.sig.weight
     alphabet = rs.sig.alphabet
 
@@ -292,6 +293,34 @@ class TestIrreducibleWords:
         hom = path_space_homology(1, COEFF_F2, 10_000)
         assert compare(table, hom).is_match
 
+    @pytest.mark.parametrize("lhss", [("HH", "HSH"), ("SHS", "HSY", "SY"),
+                                      ("YY", "YHY", "HYH")])
+    def test_automaton_walk_on_overlapping_left_sides(self, lhss):
+        # uncompleted systems whose left sides overlap themselves or
+        # share prefixes, so the automaton falls back along suffixes
+        rs = RewriteSystem(sig=signature(3),
+                           rules=tuple(RewriteRule(l, ZERO) for l in lhss))
+        assert list(irreducible_words(rs, 8)) == \
+            list(recursive_irreducible_words(rs, 8))
+
+    def test_no_rules_lists_every_word(self):
+        rs = RewriteSystem(sig=signature(3), rules=())
+        assert rewriting._lhs_automaton(rs) == [[0, 0, 0]]
+        words = list(irreducible_words(rs, 6))
+        assert words == list(recursive_irreducible_words(rs, 6))
+        assert sorted(words) == sorted(
+            "".join(t) for k in range(7)
+            for t in itertools.product(rs.sig.alphabet, repeat=k))
+
+    def test_negative_weight_bound_lists_nothing(self):
+        # "" has weight 0, above a negative bound
+        assert list(irreducible_words(completed(2), -1)) == []
+
+    def test_negative_degree_bound_is_refused(self):
+        # as path_space_homology refuses it, so both routes agree
+        with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+            hilbert(completed(2), -1)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="HSY", min_size=0, max_size=6),
@@ -310,6 +339,27 @@ def test_normal_form_is_idempotent(words):
     p = poly(*words)
     once = normal_form(p, rs)
     assert normal_form(once, rs) == once
+
+
+def linear_leftmost_match(word, rules):
+    """Reference: every rule tried at every position, in tuple order."""
+    for i in range(len(word)):
+        for rule in rules:
+            if word.startswith(rule.lhs, i):
+                return i, rule
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="HSY", min_size=0, max_size=8),
+       st.sampled_from([("HS", "HSY"), ("HSY", "HS"), ("SY", "Y", "HSYH"),
+                        ("YS", "S", "", "SH")]))
+def test_bucketed_match_is_the_linear_scan(word, lhss):
+    # the tuples are not inter-reduced: one left side may be a prefix or
+    # a factor of another, so two can match at the same position
+    rules = tuple(RewriteRule(l, ZERO) for l in lhss)
+    assert rewriting._leftmost_match(word, rewriting._rule_index(rules)) == \
+        linear_leftmost_match(word, rules)
 
 
 class TestChecks:
