@@ -69,35 +69,35 @@ from .homology import (
     uct_f2,
     unit_tangent_homology,
 )
-from .geometry import (
-    DiscretePath,
-    GradientCheckError,
-    IndexResult,
-    ParityError,
-    ProjPoint,
-    TangentVector,
-    concat_check,
-    concat_min,
-    constant_path,
-    critical_index,
-    fs_distance,
-    geodesic,
-    half_circle,
-    half_circle_endpoint,
-    half_circle_norm,
-    halfcircle_check,
-    hopf_vector,
-    index_check,
-    path_energy,
-    path_length,
-    path_norm,
-    proj_point,
-    random_real_point,
-    random_real_tangent,
-    real_point,
-    sample_yk,
-    yk_check,
-    yk_parameter_count,
+
+# The geometry layer needs numpy and the algebra never does, so its
+# exports load pathalg.geometry on first use (PEP 562).
+_GEOMETRY = (
+    "DiscretePath", "GradientCheckError", "IndexResult", "ParityError",
+    "ProjPoint", "TangentVector", "concat_check", "concat_min",
+    "constant_path", "critical_index", "fs_distance", "geodesic",
+    "half_circle", "half_circle_endpoint", "half_circle_norm",
+    "halfcircle_check", "hopf_vector", "index_check", "path_energy",
+    "path_length", "path_norm", "proj_point", "random_real_point",
+    "random_real_tangent", "real_point", "sample_yk", "yk_check",
+    "yk_parameter_count",
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name != "geometry" and name not in _GEOMETRY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not "from . import geometry": the fromlist check
+    # would call this hook again
+    import importlib
+    geometry = importlib.import_module(".geometry", __name__)
+    # bind every export at once, so that the package namespace holds
+    # them all from the first use on
+    globals().update((attr, getattr(geometry, attr)) for attr in _GEOMETRY)
+    return geometry if name == "geometry" else globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_GEOMETRY, "geometry"})

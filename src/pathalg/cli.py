@@ -17,9 +17,7 @@ import json
 import sys
 from importlib import resources
 
-import numpy as np
-
-from . import geometry, homology, rewriting
+from . import homology, rewriting
 from .algebra import signature
 from .homology import COEFF_F2, COEFF_Z
 
@@ -173,6 +171,8 @@ def cmd_verify(args) -> int:
 def cmd_geom(args) -> int:
     """Run the geometry suite named by args.suite; every other option of
     the subcommand is a keyword argument of that suite."""
+    # only these suites load geometry, and numpy with it
+    from . import geometry
     kwargs = {key: value for key, value in vars(args).items()
               if key not in ("command", "geom_command", "func", "suite")}
     report = getattr(geometry, args.suite)(**kwargs)
@@ -311,8 +311,8 @@ def main(argv=None) -> int:
     except (rewriting.CompletionError, rewriting.RepairError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, OSError, RuntimeError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, TypeError, OSError, RuntimeError, MemoryError) as exc:
+        # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

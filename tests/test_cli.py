@@ -6,6 +6,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from pathalg import geometry, homology, rewriting
@@ -290,6 +291,20 @@ class TestGeomCommands:
             raise MemoryError("cannot allocate the Hessian")
 
         monkeypatch.setattr(geometry, "critical_index", exhausted)
+        assert main(["geom", "index", "--n", "1", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_linear_algebra_failure_is_a_runtime_error(self, capsys,
+                                                       monkeypatch):
+        # main catches it as the ValueError it is, without naming numpy
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(geometry, "critical_index", singular)
         assert main(["geom", "index", "--n", "1", "--k", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
