@@ -50,7 +50,6 @@ from .rewriting import (
     normal_form,
     orient,
     repair_search,
-    required_weight_bound,
 )
 from .homology import (
     COEFF_F2,

@@ -10,11 +10,11 @@ resolves every critical pair, in every weight; by the diamond lemma the
 completed system is confluent, so irreducible words form a basis of the
 presented algebra in every degree.
 
-Both hot loops read an index of the rule left sides, built once per
-rule set inside the call that uses it.  Irreducible words are listed by
-a walk through the automaton of the left sides (_lhs_automaton), and
-reduction looks up the rules at a position by the first letter of their
-left side (_rule_index).
+Irreducible words are counted and listed by exponent triples, not
+built letter by letter: every one has the shape H^a X^e Y^b (a <= n,
+e <= 1), and the rules bound b for each pair (a, e) (_exponent_bounds).
+Reduction looks up the rules at a position by the first letter of
+their left side (_rule_index).
 
 >>> rs = complete(orient(signature(3)))
 >>> sorted(normal_form("SH", rs))
@@ -26,6 +26,8 @@ True
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -309,94 +311,76 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
 # Hilbert counts
 
 
-def required_weight_bound(sig: Signature, degree_bound: int) -> int:
-    """Walk weight covering degree degree_bound: every irreducible word
-    of unshifted degree at most degree_bound has at most this weight,
-    in any system that reduces the five defining left sides XH, YH, YX,
-    XX and H^(n+1), X the middle letter (S or T).
+def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
+    """B(a, e) for each of the 2(n + 1) pairs a <= n, e <= 1: the
+    irreducible words of rs are exactly the words H^a X^e Y^b with
+    b < B(a, e), X the middle letter (S or T).  math.inf stands for no
+    bound.  Refuses a system that leaves a defining left side
+    irreducible, since the shape is proved only for systems that reduce
+    them all.
 
-    Proof.  Each of the five contains a left side, so an irreducible
-    word avoids all five as factors: it is H^a X^e Y^b with a <= n and
-    e <= 1.  Its unshifted degree n - a + e*deg(X) + n*b is at least
-    n*b (a <= n, deg(X) >= 0), so degree <= degree_bound forces
-    b <= degree_bound // n, and its weight a*w(H) + e*w(X) + b*w(Y) is
-    at most the bound returned."""
-    n, w = sig.n, sig.weight
-    return n * w["H"] + w[sig.alphabet[1]] + (degree_bound // n) * w["Y"]
-
-
-def _lhs_automaton(rs: RewriteSystem) -> list[list[int]]:
-    """The automaton that recognises the words avoiding every rule lhs
-    as a factor.  Its states are the proper prefixes of the left sides,
-    state 0 the empty word; a word is in the state of its longest
-    suffix among them.  Row q, column j is the state after the j-th
-    letter of rs.sig.alphabet, or -1 where that letter completes a left
-    side.  Built by direct suffix search, since the left sides are few
-    and short."""
-    lhs = tuple(r.lhs for r in rs.rules)
-    prefixes = sorted({l[:k] for l in lhs for k in range(len(l))} | {""})
-    state = {p: q for q, p in enumerate(prefixes)}
-
-    def step(p: Word, c: str) -> int:
-        t = p + c
-        if t.endswith(lhs):
-            return -1
-        return next(state[t[k:]] for k in range(len(t) + 1) if t[k:] in state)
-
-    return [[step(p, c) for c in rs.sig.alphabet] for p in prefixes]
-
-
-def _graded_walk(rs: RewriteSystem, max_weight: int
-                 ) -> Iterator[tuple[Word, int, int]]:
-    """(word, unshifted degree, level) for every word of weight <=
-    max_weight avoiding every rule lhs as a factor.  Depth-first on an
-    explicit stack through the states of _lhs_automaton: a word comes
-    before its extensions, which come in alphabet order.  Gradings are
-    summed letter by letter as words grow."""
-    sig = rs.sig
-    grades = [(c, sig.weight[c], sig.degree[c], sig.level[c])
-              for c in sig.alphabet]
-    # the live moves of each state, last letter first for the stack
-    moves = [[(*g, q) for g, q in zip(grades[::-1], row[::-1]) if q >= 0]
-             for row in _lhs_automaton(rs)]
-    stack = [("", 0, sig.n, 0, 0)] if max_weight >= 0 else []
-    while stack:
-        word, weight, degree, level, state = stack.pop()
-        yield word, degree, level
-        for c, wc, dc, lc, q in moves[state]:
-            if weight + wc <= max_weight:
-                stack.append((word + c, weight + wc, degree + dc, level + lc, q))
+    Proof.  Each of the five defining left sides XH, YH, YX, XX and
+    H^(n+1) contains a left side of rs, so an irreducible word avoids
+    all five as factors: it is H^a X^e Y^b with a <= n and e <= 1.  A
+    factor of such a word has the same shape, so only a left side
+    H^a' X^e' Y^b' can be one; the others are skipped.  It is a factor
+    of H^a X^e Y^b exactly when a >= a', b >= b' and: e = 1 if e' = 1,
+    and e = 0 if e' = 0 with a' > 0 and b' > 0 (the H-run must meet the
+    Y-run directly).  So the word is irreducible exactly when b is below
+    the least b' of the left sides that fit (a, e) this way."""
+    index = _rule_index(rs.rules)
+    if any(_leftmost_match(rel.lhs, index) is None
+           for rel in defining_relations(rs.sig.n)):
+        raise ValueError("irreducible words are known only in a system "
+                         "that reduces the defining left sides")
+    n, x = rs.sig.n, rs.sig.alphabet[1]
+    bound = {(a, e): math.inf for a in range(n + 1) for e in (0, 1)}
+    for r in rs.rules:
+        rest = r.lhs.lstrip("H")
+        a0, e0 = len(r.lhs) - len(rest), int(rest[:1] == x)
+        b0 = len(rest) - e0
+        if rest[e0:] != "Y" * b0:
+            continue
+        es = (1,) if e0 else (0,) if a0 and b0 else (0, 1)
+        for a in range(a0, n + 1):
+            for e in es:
+                bound[a, e] = min(bound[a, e], b0)
+    return bound
 
 
 def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
     """All words of weight <= max_weight avoiding every rule lhs as a
-    factor, depth-first and iterative (no recursion, so no depth limit);
-    none when max_weight is negative."""
-    for w, *_ in _graded_walk(rs, max_weight):
-        yield w
+    factor, in string order, which is the depth-first order of extending
+    words by letters in alphabet order (H < S, T < Y); none when
+    max_weight is negative.  Refuses a system that leaves a defining left
+    side irreducible (see _exponent_bounds)."""
+    w, x = rs.sig.weight, rs.sig.alphabet[1]
+    words = []
+    for (a, e), bound in _exponent_bounds(rs).items():
+        rest = max_weight - a * w["H"] - e * w[x]
+        if rest >= 0:
+            words += ("H" * a + x * e + "Y" * b
+                      for b in range(min(bound, rest // w["Y"] + 1)))
+    yield from sorted(words)
 
 
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Count irreducible words per (unshifted degree, level) for degrees
-    0..degree_bound, walking to the weight required_weight_bound gives
-    for degree_bound.  Refuses a negative degree_bound, as
+    0..degree_bound.  The words H^a X^e Y^b of one pair (a, e) have
+    degree n - a + e*deg(X) + n*b and level e + b, one arithmetic
+    progression per pair.  Refuses a negative degree_bound, as
     path_space_homology does, a system that complete did not return,
-    and one that leaves a defining left side irreducible, since the
-    bound is proved only for systems that reduce them all."""
+    and one that leaves a defining left side irreducible."""
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
-    index = _rule_index(rs.rules)
-    if any(_leftmost_match(rel.lhs, index) is None
-           for rel in defining_relations(rs.sig.n)):
-        raise ValueError(
-            "hilbert requires a system that reduces the defining left sides")
-    walk = _graded_walk(rs, required_weight_bound(rs.sig, degree_bound))
-    counts: dict[tuple[int, int], int] = {}
-    for _, d, level in walk:
-        if 0 <= d <= degree_bound:
-            counts[d, level] = counts.get((d, level), 0) + 1
+    n, dx = rs.sig.n, rs.sig.degree[rs.sig.alphabet[1]]
+    counts: Counter[tuple[int, int]] = Counter()
+    for (a, e), bound in _exponent_bounds(rs).items():
+        d0 = n - a + e * dx
+        k = min(bound, (degree_bound - d0) // n + 1)
+        counts.update(zip(range(d0, d0 + n * k, n), range(e, e + k)))
     return BigradedTable.from_dict(counts, degree_bound)
 
 
@@ -525,12 +509,16 @@ class Augmentation:
 
 def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
-    in the order of rs.sig.  The walk stops at the weight that covers the
-    degree, as in hilbert; a word below another in the order has at most
-    its weight, so the words before any listed word are all listed."""
-    walk = _graded_walk(rs, required_weight_bound(rs.sig, degree))
-    out = [(w, l) for w, d, l in walk if d == degree]
-    return sorted(out, key=lambda wl: order_key(wl[0], rs.sig))
+    in the order of rs.sig: at most one word H^a X^e Y^b per pair
+    (a, e), read off _exponent_bounds."""
+    sig = rs.sig
+    n, x = sig.n, sig.alphabet[1]
+    out = []
+    for (a, e), bound in _exponent_bounds(rs).items():
+        b, r = divmod(degree - (n - a + e * sig.degree[x]), n)
+        if r == 0 and 0 <= b < bound:
+            out.append(("H" * a + x * e + "Y" * b, e + b))
+    return sorted(out, key=lambda wl: order_key(wl[0], sig))
 
 
 def repair_search(base: RewriteSystem, comparison: ComparisonReport,

@@ -44,7 +44,7 @@ PUBLIC = GEOMETRY | {
     "RuleLimitError", "SearchCapError", "StepLimitError",
     "anti_automorphism_check", "apply_rule", "compare", "complete",
     "filtration_check", "heredity_check", "hilbert", "irreducible_words",
-    "normal_form", "orient", "repair_search", "required_weight_bound",
+    "normal_form", "orient", "repair_search",
     # homology
     "COEFF_F2", "COEFF_PULLBACK", "COEFF_TWISTED", "COEFF_Z",
     "AbelianGroup", "CoefficientError", "block_local_system",

@@ -3,7 +3,8 @@ repair search.  The expected rule tables below were derived by hand from
 the defining relations and are frozen as oracles."""
 
 import dataclasses
-import itertools
+import functools
+import math
 from collections import defaultdict
 
 import pytest
@@ -40,7 +41,6 @@ from pathalg.rewriting import (
     normal_form,
     orient,
     repair_search,
-    required_weight_bound,
 )
 from pathalg.homology import COEFF_F2, path_space_homology
 from pathalg.tables import BigradedTable
@@ -60,9 +60,16 @@ def search(rs: RewriteSystem, hom: BigradedTable):
     return repair_search(rs, compare(hilbert(rs, hom.degree_bound), hom), hom)
 
 
+@functools.lru_cache(maxsize=None)
+def repaired(n: int) -> tuple[RewriteSystem, ...]:
+    """The completed system for n, then for even n both repairs."""
+    found = repairs(n, 40) if n % 2 == 0 else ()
+    return (completed(n), *(a.system for a in found))
+
+
 def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
     """Reference enumerator: the recursive depth-first extension that
-    irreducible_words used before it became an iterative walk.  It
+    irreducible_words used before it counted on the normal shape.  It
     recurses once per letter, so it only serves small weight bounds."""
     lhs_set = {r.lhs for r in rs.rules}
     maxlen = max((len(r.lhs) for r in rs.rules), default=0)
@@ -84,16 +91,30 @@ def recursive_irreducible_words(rs: RewriteSystem, max_weight: int):
     yield from extend("", 0)
 
 
-def reference_hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
-    """Hilbert counts with every word's gradings recomputed from its
-    letters."""
-    counts = {}
-    walk = required_weight_bound(rs.sig, degree_bound)
-    for w in recursive_irreducible_words(rs, walk):
-        d = unshifted_degree(w, rs.sig)
+def weight_bound(sig, degree_bound: int) -> int:
+    """Walk weight covering degree degree_bound in a system that reduces
+    the defining left sides: its irreducible words are H^a X^e Y^b with
+    a <= n and e <= 1, of unshifted degree n - a + e*deg(X) + n*b >= n*b,
+    so degree <= degree_bound forces b <= degree_bound // n."""
+    n, w = sig.n, sig.weight
+    return n * w["H"] + w[sig.alphabet[1]] + (degree_bound // n) * w["Y"]
+
+
+def graded_reference_walk(rs: RewriteSystem, max_weight: int):
+    """(word, unshifted degree, level) along the reference walk, every
+    grading recomputed from the word's letters."""
+    for w in recursive_irreducible_words(rs, max_weight):
+        yield w, unshifted_degree(w, rs.sig), word_level(w)
+
+
+def reference_hilbert(rs: RewriteSystem, degree_bound: int,
+                      extra: int = 0) -> BigradedTable:
+    """Hilbert counts of the reference walk to weight_bound plus extra."""
+    counts = defaultdict(int)
+    walk = weight_bound(rs.sig, degree_bound) + extra
+    for _, d, l in graded_reference_walk(rs, walk):
         if 0 <= d <= degree_bound:
-            key = (d, word_level(w))
-            counts[key] = counts.get(key, 0) + 1
+            counts[d, l] += 1
     return BigradedTable.from_dict(counts, degree_bound)
 
 
@@ -236,7 +257,7 @@ class TestIrreducibleWords:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_walk_matches_the_recursive_reference(self, n):
         rs = completed(n)
-        walk = required_weight_bound(rs.sig, 60)
+        walk = weight_bound(rs.sig, 60)
         assert list(irreducible_words(rs, walk)) == \
             list(recursive_irreducible_words(rs, walk))
         assert hilbert(rs, 60) == reference_hilbert(rs, 60)
@@ -246,22 +267,22 @@ class TestIrreducibleWords:
         found = repairs(n, 20)
         assert len(found) == 2
         for rs in (a.system for a in found):
-            walk = required_weight_bound(rs.sig, 20)
+            walk = weight_bound(rs.sig, 20)
             assert list(irreducible_words(rs, walk)) == \
                 list(recursive_irreducible_words(rs, walk))
             assert hilbert(rs, 20) == reference_hilbert(rs, 20)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_cell_lists_match_the_full_walk(self, n):
-        # _degree_words walks only to the weight hilbert certifies for
-        # the degree; every degree up to D, empty ones included, must
-        # list exactly the full walk's words of that degree
+        # every degree up to D, empty ones included, must list exactly
+        # the reference walk's words of that degree, the walk going 10
+        # heaviest letters past the weight that covers D
         D = 120
-        found = repairs(n, D)
-        walk = required_weight_bound(signature(n), D)
-        for rs in (completed(n), *(a.system for a in found)):
+        extra = 10 * max(signature(n).weight.values())
+        for rs in repaired(n):
             degrees = defaultdict(list)
-            for w, d, l in rewriting._graded_walk(rs, walk):
+            for w, d, l in graded_reference_walk(
+                    rs, weight_bound(rs.sig, D) + extra):
                 degrees[d].append((w, l))
             for d in range(D + 1):
                 assert rewriting._degree_words(rs, d) == sorted(
@@ -269,25 +290,23 @@ class TestIrreducibleWords:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_the_walk_bound_suffices(self, n):
-        # walking 10 heaviest letters further finds no more words of
-        # degree at most D, for the base system and both repairs
-        systems = [completed(n)]
-        if n % 2 == 0:
-            systems += [a.system for a in repairs(n, 40)]
+        # walking 10 heaviest letters past the reference's weight bound
+        # finds no more words of degree at most D, for the base system
+        # and both repairs
         extra = 10 * max(signature(n).weight.values())
-        for rs in systems:
+        for rs in repaired(n):
             for D in sorted({0, 1, n, 40}):
-                counts = defaultdict(int)
-                for _, d, l in rewriting._graded_walk(
-                        rs, required_weight_bound(rs.sig, D) + extra):
-                    if 0 <= d <= D:
-                        counts[d, l] += 1
-                assert hilbert(rs, D) == \
-                    BigradedTable.from_dict(counts, D), (n, D)
+                assert hilbert(rs, D) == reference_hilbert(rs, D, extra), (n, D)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_tables_equal_the_reference(self, n):
+        for rs in repaired(n):
+            for D in sorted({0, 1, n, 40, 840}):
+                assert hilbert(rs, D) == reference_hilbert(rs, D), D
 
     def test_degree_bound_far_past_the_recursion_limit(self):
         # the recursive enumerator overflowed the interpreter stack at
-        # D = 1000 for n = 1; the walk has no depth limit
+        # D = 1000 for n = 1; counting by exponents has no depth limit
         rs = completed(1)
         table = hilbert(rs, 10_000)
         hom = path_space_homology(1, COEFF_F2, 10_000)
@@ -295,22 +314,19 @@ class TestIrreducibleWords:
 
     @pytest.mark.parametrize("lhss", [("HH", "HSH"), ("SHS", "HSY", "SY"),
                                       ("YY", "YHY", "HYH")])
-    def test_automaton_walk_on_overlapping_left_sides(self, lhss):
+    def test_overlapping_left_sides_without_the_premise_are_refused(self, lhss):
         # uncompleted systems whose left sides overlap themselves or
-        # share prefixes, so the automaton falls back along suffixes
+        # share prefixes; each leaves a defining left side irreducible,
+        # so the normal shape does not hold and nothing is listed
         rs = RewriteSystem(sig=signature(3),
                            rules=tuple(RewriteRule(l, ZERO) for l in lhss))
-        assert list(irreducible_words(rs, 8)) == \
-            list(recursive_irreducible_words(rs, 8))
+        with pytest.raises(ValueError, match="reduces the defining left"):
+            list(irreducible_words(rs, 8))
 
-    def test_no_rules_lists_every_word(self):
+    def test_no_rules_is_refused(self):
         rs = RewriteSystem(sig=signature(3), rules=())
-        assert rewriting._lhs_automaton(rs) == [[0, 0, 0]]
-        words = list(irreducible_words(rs, 6))
-        assert words == list(recursive_irreducible_words(rs, 6))
-        assert sorted(words) == sorted(
-            "".join(t) for k in range(7)
-            for t in itertools.product(rs.sig.alphabet, repeat=k))
+        with pytest.raises(ValueError, match="reduces the defining left"):
+            list(irreducible_words(rs, 6))
 
     def test_negative_weight_bound_lists_nothing(self):
         # "" has weight 0, above a negative bound
@@ -320,6 +336,39 @@ class TestIrreducibleWords:
         # as path_space_homology refuses it, so both routes agree
         with pytest.raises(ValueError, match="degree bound must be nonnegative"):
             hilbert(completed(2), -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("extras", [(), ("HHY",), ("HX",), ("XYYY",),
+                                    ("HHY", "XYYY"), ("HHY", "HX", "XYYY")])
+def test_exponent_bounds_match_a_factor_search(n, extras):
+    # hand-built systems in the normal shape's premise: the defining
+    # left sides plus left sides H^2Y, HX and XY^3 (X = S or T); H^2Y
+    # is a factor of H^a X^e Y^b only for e = 0, which no base or
+    # repaired system exercises
+    sig = signature(n)
+    x = sig.alphabet[1]
+    lhss = [r.lhs for r in orient(sig).rules] + \
+        [l.replace("X", x) for l in extras]
+    rs = RewriteSystem(sig=sig, rules=tuple(RewriteRule(l, ZERO) for l in lhss))
+    longest = max(map(len, lhss))
+
+    def first_reducible(a, e):
+        for b in range(longest + 1):
+            word = "H" * a + x * e + "Y" * b
+            if any(l in word for l in lhss):
+                return b
+        return math.inf
+
+    assert rewriting._exponent_bounds(rs) == {
+        (a, e): first_reducible(a, e) for a in range(n + 1) for e in (0, 1)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 200))
+def test_triple_count_is_the_reference_count(n, D):
+    for rs in repaired(n):
+        assert hilbert(rs, D) == reference_hilbert(rs, D)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,12 +460,16 @@ class TestHilbertAndCompare:
             hilbert(orient(signature(3)), 40)
 
     def test_system_missing_a_defining_left_side_is_refused(self):
-        # the walk bound is proved for systems that reduce every defining
-        # left side; this completed system leaves TH irreducible
+        # the normal shape is proved for systems that reduce every
+        # defining left side; this completed system leaves TH
+        # irreducible, and every word count refuses it alike
         rs = complete(RewriteSystem(sig=signature(2),
                                     rules=(RewriteRule("HH", ZERO),)))
-        with pytest.raises(ValueError, match="reduces the defining left"):
-            hilbert(rs, 10)
+        for count in (lambda: hilbert(rs, 10),
+                      lambda: rewriting._degree_words(rs, 0),
+                      lambda: list(irreducible_words(rs, 4))):
+            with pytest.raises(ValueError, match="reduces the defining left"):
+                count()
 
     @pytest.mark.parametrize("n, weight", [
         (3, {"H": 1, "S": 1, "Y": 3}),
@@ -425,7 +478,7 @@ class TestHilbertAndCompare:
         (1, {"H": 3, "S": 5, "Y": 1})])
     def test_other_weights_count_what_the_default_counts(self, n, weight):
         # the irreducible words, hence the table, do not depend on the
-        # weights; only the walk bound does, and it reads them
+        # weights
         sig = dataclasses.replace(signature(n), weight=weight)
         assert hilbert(complete(orient(sig)), 60) == hilbert(completed(n), 60)
 
@@ -494,27 +547,28 @@ class TestRepairSearch:
                     if lv != level:
                         continue
                     pool = [w for w, l in words[:i] if l <= level]
-                    want = [w for w, d, l in rewriting._graded_walk(
+                    want = [w for w, d, l in graded_reference_walk(
                                 rs, word_weight(lhs, rs.sig))
                             if d == degree and l <= word_level(lhs)
                             and w != lhs and key(w) < key(lhs)]
                     assert pool == sorted(want, key=key), lhs
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
-    def test_one_walk_per_surplus_degree(self, monkeypatch, n):
-        # one walk lists the surplus degree's left sides and pools, and
-        # one hilbert count checks each of the two repaired systems
+    def test_one_bound_reading_per_surplus_degree(self, monkeypatch, n):
+        # the exponent bounds are read once to list the surplus degree's
+        # left sides and pools, and once by the hilbert count of each of
+        # the two repaired systems
         hom = path_space_homology(n, COEFF_F2, 40)
         base = completed(n)
         alg = hilbert(base, 40)
-        real = rewriting._graded_walk
+        real = rewriting._exponent_bounds
         calls = []
 
-        def counting(rs, max_weight):
-            calls.append(max_weight)
-            return real(rs, max_weight)
+        def counting(rs):
+            calls.append(rs)
+            return real(rs)
 
-        monkeypatch.setattr(rewriting, "_graded_walk", counting)
+        monkeypatch.setattr(rewriting, "_exponent_bounds", counting)
         assert len(repair_search(base, compare(alg, hom), hom)) == 2
         assert len(calls) == 3
 
