@@ -8,7 +8,10 @@ keeps the weight of each right-hand word at or below the weight of its
 left-hand word, so no reduction ever increases word weight.  Completion
 resolves every critical pair, in every weight; by the diamond lemma the
 completed system is confluent, so irreducible words form a basis of the
-presented algebra in every degree.
+presented algebra in every degree.  It works through one queue of
+equations, smallest first: each is reduced, oriented into a rule, and
+followed on the queue by the rules it dismantles and by its critical
+pairs with the live rules (complete).
 
 Irreducible words are counted and listed by exponent triples, not
 built letter by letter: every one has the shape H^a X^e Y^b (a <= n,
@@ -25,6 +28,7 @@ True
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -56,12 +60,10 @@ COMPLETE = "complete"
 # call, and rules in one completion
 _STEP_LIMIT = 10 ** 6
 _RULE_LIMIT = 400
-# caps on the repair search: words whose combinations are tried as
-# right sides of one left side, and rules chosen along one search path.
-# Neither is reached for even n from 2 to 20 (the pool never holds more
-# than one word); a search that would pass one raises SearchCapError
-# instead of dropping the rest.
-_POOL_CAP = 10
+# cap on the repair search: rules chosen along one search path.  It is
+# not reached for even n from 2 to 20 (the search adds one rule); a
+# search that would pass it raises SearchCapError instead of dropping
+# the rest.
 _DEPTH_CAP = 8
 
 
@@ -75,13 +77,15 @@ class OrderRejectedError(ValueError):
 
 
 class CompletionError(RuntimeError):
-    """A critical pair reduced to the unit: the relations force 1 = 0,
-    so no orientable rule exists for the pair."""
+    """An equation of the completion reduced to the unit: the relations
+    force 1 = 0, so no orientable rule exists for it.  origin is the
+    word the equation came from: an input left side, a superposition or
+    a dismantled left side."""
 
-    def __init__(self, superposition: Word):
-        self.superposition = superposition
+    def __init__(self, origin: Word):
+        self.origin = origin
         super().__init__(
-            f"critical pair at {superposition!r} reduces to the unit; "
+            f"equation from {origin!r} reduces to the unit; "
             f"the presented algebra collapses")
 
 
@@ -108,7 +112,7 @@ class RepairError(RuntimeError):
 
 
 class SearchCapError(RuntimeError):
-    """The repair search would pass one of its caps, so it cannot claim
+    """The repair search would pass its cap, so it cannot claim
     to have tried every augmentation.  Not a mathematical answer, so
     not a RepairError: the CLI reports it as a runtime error (exit 2)."""
 
@@ -226,34 +230,6 @@ def normal_form(p, rs: RewriteSystem) -> Polynomial:
     return _poly_nf(p, _rule_index(rs.rules))
 
 
-def _interreduce(rule_map: dict[Word, Polynomial], sig: Signature
-                 ) -> dict[Word, Polynomial]:
-    """Make every lhs irreducible by the other rules and every rhs fully
-    reduced.  Dismantled rules re-enter as equations."""
-    changed = True
-    while changed:
-        changed = False
-        for lhs in sorted(rule_map, key=lambda w: order_key(w, sig)):
-            rhs = rule_map[lhs]
-            others = _rule_index(RewriteRule(l, r)
-                                 for l, r in rule_map.items() if l != lhs)
-            if _leftmost_match(lhs, others) is not None:
-                del rule_map[lhs]
-                eq = _poly_nf(frozenset({lhs}) ^ rhs, others)
-                if eq:
-                    top = leading_word(eq, sig)
-                    if top == "":
-                        raise CompletionError(lhs)
-                    rule_map[top] = eq ^ {top}
-                changed = True
-                break
-            new_rhs = _poly_nf(rhs, others)
-            if new_rhs != rhs:
-                rule_map[lhs] = new_rhs
-                changed = True
-    return rule_map
-
-
 def _overlap_words(l1: Word, l2: Word) -> Iterator[tuple[Word, int]]:
     """Superposition words where a proper suffix of l1 is a proper
     prefix of l2, together with the offset of l2 in the superposition.
@@ -264,46 +240,61 @@ def _overlap_words(l1: Word, l2: Word) -> Iterator[tuple[Word, int]]:
 
 
 def complete(rs: RewriteSystem) -> RewriteSystem:
-    """Knuth-Bendix completion over every superposition.  It ends when
-    every critical pair resolves, so the output is confluent in every
-    weight; RuleLimitError and StepLimitError stop a completion that
-    does not end.  Output is inter-reduced and sorted, hence canonical
-    regardless of processing order, and a fixed point of complete."""
+    """Knuth-Bendix completion over every superposition, as one loop
+    over a queue of equations, each keyed by order_key of the word it
+    came from.  The smallest equation is reduced by the live rules and,
+    unless it vanishes, oriented by its leading word; live rules whose
+    left side contains that word go back on the queue, and the new
+    rule's critical pairs with every live rule go on it reduced.  It
+    ends when the queue is empty, so every critical pair resolves and
+    the output is confluent in every weight; RuleLimitError and
+    StepLimitError stop a completion that does not end.  Output is
+    inter-reduced and sorted, hence canonical regardless of the order
+    of the input rules, and a fixed point of complete."""
     sig = rs.sig
-    rule_map = {r.lhs: r.rhs for r in rs.rules}
-    while True:
-        if len(rule_map) > _RULE_LIMIT:
+    # smallest first: an equation is oriented only after every smaller
+    # one, so the rules that could reduce it are already live and few
+    # rules are dismantled; last-in-first-out orients large equations
+    # before the small ones that reduce them, and runs past _RULE_LIMIT
+    # on the base systems for n = 1 mod 4
+    queue: list = []
+    seq = itertools.count()
+
+    def push(origin: Word, p: Polynomial) -> None:
+        heapq.heappush(queue, (order_key(origin, sig), next(seq), origin, p))
+
+    for r in rs.rules:
+        push(r.lhs, r.rhs ^ {r.lhs})
+    live: dict[Word, RewriteRule] = {}
+    index = _rule_index(())
+    while queue:
+        *_, origin, eq = heapq.heappop(queue)
+        eq = _poly_nf(eq, index)
+        if not eq:
+            continue
+        top = leading_word(eq, sig)
+        if top == "":
+            raise CompletionError(origin)
+        for lhs in [l for l in live if top in l]:
+            push(lhs, live.pop(lhs).rhs ^ {lhs})
+        new = live[top] = RewriteRule(top, eq ^ {top})
+        if len(live) > _RULE_LIMIT:
             raise RuleLimitError(_RULE_LIMIT)
-        rule_map = _interreduce(rule_map, sig)
-        rules = tuple(RewriteRule(l, r) for l, r in
-                      sorted(rule_map.items(), key=lambda kv: order_key(kv[0], sig)))
-        index = _rule_index(rules)
-        pending = []
-        for r1, r2 in itertools.product(rules, repeat=2):
-            for sup, off in _overlap_words(r1.lhs, r2.lhs):
-                p1 = _poly_nf(apply_rule(sup, r1, 0), index)
-                p2 = _poly_nf(apply_rule(sup, r2, off), index)
-                diff = p1 ^ p2
-                if diff:
-                    pending.append((sup, diff))
-        if not pending:
-            break
-        pending.sort(key=lambda sd: order_key(sd[0], sig))
-        for sup, diff in pending:
-            diff = _poly_nf(diff, _rule_index(RewriteRule(l, r)
-                                              for l, r in rule_map.items()))
-            if not diff:
-                continue
-            top = leading_word(diff, sig)
-            if top == "":
-                raise CompletionError(sup)
-            rule_map[top] = diff ^ {top}
-    rules = tuple(RewriteRule(l, r) for l, r in
-                  sorted(rule_map.items(), key=lambda kv: order_key(kv[0], sig)))
+        index = _rule_index(live.values())
+        for other in live.values():
+            for r1, r2 in dict.fromkeys([(new, other), (other, new)]):
+                for sup, off in _overlap_words(r1.lhs, r2.lhs):
+                    diff = _poly_nf(apply_rule(sup, r1, 0)
+                                    ^ apply_rule(sup, r2, off), index)
+                    if diff:
+                        push(sup, diff)
+    rules = sorted((RewriteRule(r.lhs, _poly_nf(r.rhs, index))
+                    for r in live.values()),
+                   key=lambda r: order_key(r.lhs, sig))
     for r in rules:
         lw = word_weight(r.lhs, sig)
         assert all(word_weight(w, sig) <= lw for w in r.rhs)
-    return RewriteSystem(sig=sig, rules=rules,
+    return RewriteSystem(sig=sig, rules=tuple(rules),
                          completion_status=COMPLETE)
 
 
@@ -479,16 +470,16 @@ def compare(alg: BigradedTable, hom: BigradedTable) -> ComparisonReport:
     if alg.degree_bound != hom.degree_bound:
         raise ValueError(
             f"degree bounds differ: {alg.degree_bound} vs {hom.degree_bound}")
+    if alg.entries == hom.entries:
+        return ComparisonReport(alg.degree_bound, (), ())
     # a cell differs where an entry (cell, value) is in one table only
     ea, eh = set(alg.entries), set(hom.entries)
     a, h = dict(ea - eh), dict(eh - ea)
     cells = sorted((d, l, a.get((d, l), 0), h.get((d, l), 0))
                    for d, l in a.keys() | h.keys())
-    totals = []
-    if cells:  # tables equal in every cell have equal degree totals
-        ta, th = alg.degree_totals, hom.degree_totals
-        totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
-                  if ta[d] != th[d]]
+    ta, th = alg.degree_totals, hom.degree_totals
+    totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
+              if ta[d] != th[d]]
     return ComparisonReport(degree_bound=alg.degree_bound,
                             cell_mismatches=tuple(cells),
                             total_mismatches=tuple(totals))
@@ -510,7 +501,12 @@ class Augmentation:
 def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
     in the order of rs.sig: at most one word H^a X^e Y^b per pair
-    (a, e), read off _exponent_bounds."""
+    (a, e), read off _exponent_bounds.
+
+    At most four words: for fixed e the degree n - a + e*deg(X) + n*b
+    fixes a modulo n, a = n + e*deg(X) - degree (mod n), and 0 <= a <= n
+    leaves at most two values of a, each fixing b.  So a repair pool,
+    the words listed before a left side, holds at most three."""
     sig = rs.sig
     n, x = sig.n, sig.alphabet[1]
     out = []
@@ -548,9 +544,9 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
     visit.
     RepairError is raised when no candidate survives.  Only a
     CompletionError rejects a candidate; any other error propagates.
-    The search is exhaustive: where it would need more than _POOL_CAP
-    right-side words, or more than _DEPTH_CAP rules on one search path,
-    it raises SearchCapError instead of leaving candidates untried.
+    The search is exhaustive: where it would need more than _DEPTH_CAP
+    rules on one search path, it raises SearchCapError instead of
+    leaving candidates untried.
     """
     if base.completion_status != COMPLETE:
         raise ValueError("repair_search requires a completed system")
@@ -599,8 +595,6 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
                 continue
             # equal degree, level at most the cell's, below lhs in order
             pool = [w for w, l in words[:i] if l <= level]
-            if len(pool) > _POOL_CAP:
-                raise SearchCapError("_POOL_CAP", _POOL_CAP, (degree, level))
             for size in range(len(pool) + 1):
                 for combo in itertools.combinations(pool, size):
                     rule = RewriteRule(lhs, frozenset(combo))

@@ -170,8 +170,7 @@ class TestVerifyCommand:
         assert len(set(counted)) == 3
         assert len(completed) == 3
 
-    @pytest.mark.parametrize("cap, value", [("_POOL_CAP", 0),
-                                            ("_DEPTH_CAP", 0)])
+    @pytest.mark.parametrize("cap, value", [("_DEPTH_CAP", 0)])
     def test_a_search_cap_that_would_cut_work_exits_2(self, capsys,
                                                      monkeypatch, cap, value):
         monkeypatch.setattr(rewriting, cap, value)

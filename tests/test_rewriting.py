@@ -4,6 +4,7 @@ the defining relations and are frozen as oracles."""
 
 import dataclasses
 import functools
+import itertools
 import math
 from collections import defaultdict
 
@@ -32,6 +33,7 @@ from pathalg.rewriting import (
     SearchCapError,
     StepLimitError,
     anti_automorphism_check,
+    apply_rule,
     compare,
     complete,
     filtration_check,
@@ -118,6 +120,41 @@ def reference_hilbert(rs: RewriteSystem, degree_bound: int,
     return BigradedTable.from_dict(counts, degree_bound)
 
 
+def assert_confluent(rs: RewriteSystem) -> None:
+    """Both one-step reductions of every overlap or inclusion of two
+    left sides have one normal form."""
+    for r1, r2 in itertools.product(rs.rules, repeat=2):
+        l1, l2 = r1.lhs, r2.lhs
+        words = [(l1 + l2[k:], len(l1) - k)
+                 for k in range(1, min(len(l1), len(l2)))
+                 if l1.endswith(l2[:k])]
+        if r1 is not r2:
+            words += [(l1, i) for i in range(len(l1) - len(l2) + 1)
+                      if l1.startswith(l2, i)]
+        for word, off in words:
+            assert normal_form(apply_rule(word, r1, 0), rs) == \
+                normal_form(apply_rule(word, r2, off), rs), (r1, r2, word)
+
+
+def completion_outcome(sig, rules):
+    """complete's rules for the given input rules, or CompletionError."""
+    try:
+        return complete(RewriteSystem(sig=sig, rules=tuple(rules))).rules
+    except CompletionError:
+        return CompletionError
+
+
+def assert_order_free(sig, orders):
+    """Every order of the input rules completes alike, and a system
+    that completes is confluent; returns the common outcome."""
+    outcomes = {completion_outcome(sig, rules) for rules in orders}
+    assert len(outcomes) == 1, outcomes
+    (outcome,) = outcomes
+    if outcome is not CompletionError:
+        assert_confluent(RewriteSystem(sig=sig, rules=outcome))
+    return outcome
+
+
 # frozen completed rule tables; completion adds nothing to the oriented
 # defining relations for these n
 EXPECTED_RULES = {
@@ -176,6 +213,34 @@ class TestCompletion:
         assert len(found) == 2
         for aug in found:
             assert complete(aug.system).rules == aug.system.rules
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_order_of_the_base_rules_completes_alike(self, n):
+        rs = orient(signature(n))
+        assert assert_order_free(
+            rs.sig, itertools.permutations(rs.rules)) == rs.rules
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_every_rotation_of_a_repair_completes_alike(self, n):
+        base, *found = repaired(n)
+        assert len(found) == 2
+        for rs in found:
+            rules = base.rules + tuple(r for r in rs.rules
+                                       if r not in base.rules)
+            orders = [rules[k:] + rules[:k] for k in range(len(rules))]
+            orders += [order[::-1] for order in orders]
+            assert assert_order_free(rs.sig, orders) == rs.rules
+
+    @pytest.mark.parametrize("extra_first", [False, True])
+    def test_repeated_left_sides_collapse_in_either_order(self, extra_first):
+        # SH -> HS beside SH -> 1 + HS forces 1 = 0; keeping only the
+        # first rule for a left side would give a "complete" system that
+        # depends on the input order
+        rs = orient(signature(1))
+        extra = (RewriteRule("SH", poly("HS")),)
+        rules = extra + rs.rules if extra_first else rs.rules + extra
+        with pytest.raises(CompletionError):
+            complete(RewriteSystem(sig=rs.sig, rules=rules))
 
     def test_collapse_is_detected(self):
         # inverting the degree-raising middle letter forces 1 = 0
@@ -371,6 +436,31 @@ def test_triple_count_is_the_reference_count(n, D):
         assert hilbert(rs, D) == reference_hilbert(rs, D)
 
 
+@st.composite
+def base_with_extra_rules(draw):
+    """A base system for n <= 6 and one or two extra rules, each with an
+    irreducible word of some degree as left side and a subset of the
+    smaller words of that degree as right side, in a drawn order."""
+    base = completed(draw(st.integers(1, 6)))
+    extra = []
+    for _ in range(draw(st.integers(1, 2))):
+        words = [w for w, _ in rewriting._degree_words(
+            base, draw(st.integers(0, 4 * base.sig.n + 4)))]
+        if words:
+            i = draw(st.integers(0, len(words) - 1))
+            rhs = draw(st.sets(st.sampled_from(words[:i]))) if i else ()
+            extra.append(RewriteRule(words[i], frozenset(rhs)))
+    rules = base.rules + tuple(extra)
+    return base.sig, rules, draw(st.permutations(rules))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base_with_extra_rules())
+def test_extra_rules_complete_alike_in_any_order(drawn):
+    sig, rules, order = drawn
+    assert_order_free(sig, [rules, order, order[::-1]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="HSY", min_size=0, max_size=6),
        st.text(alphabet="HSY", min_size=0, max_size=6))
@@ -553,6 +643,13 @@ class TestRepairSearch:
                             and w != lhs and key(w) < key(lhs)]
                     assert pool == sorted(want, key=key), lhs
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_a_degree_has_at_most_four_words(self, n):
+        # so a repair pool holds at most three words (see _degree_words)
+        for rs in repaired(n):
+            assert max(len(rewriting._degree_words(rs, d))
+                       for d in range(200)) <= 4
+
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_one_bound_reading_per_surplus_degree(self, monkeypatch, n):
         # the exponent bounds are read once to list the surplus degree's
@@ -600,10 +697,10 @@ class TestRepairSearch:
             with pytest.raises(RuntimeError, match="injected"):
                 search(base, hom)
 
-    @pytest.mark.parametrize("cap", ["_POOL_CAP", "_DEPTH_CAP"])
+    @pytest.mark.parametrize("cap", ["_DEPTH_CAP"])
     def test_caps_raise_instead_of_truncating(self, monkeypatch, cap):
-        # at n = 2 the pool holds one word and the search adds one rule,
-        # so a cap of 0 is the first value that would cut work
+        # at n = 2 the search adds one rule, so a cap of 0 is the first
+        # value that would cut work
         hom = path_space_homology(2, COEFF_F2, 20)
         monkeypatch.setattr(rewriting, cap, 0)
         with pytest.raises(SearchCapError) as info:
