@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -301,6 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The cyclic collector is paused for the call: a command's tables
+    # hold a tracked tuple per cell, and they start full collections of
+    # every live object mid-command (5-20 ms each on a 2-core VM), yet
+    # the only cycles a command leaves, its argument parser and
+    # repair_search's recursive closure with the tables it holds, are a
+    # few thousand objects at D = 840, freed after the call.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         parser = build_parser()
         try:
@@ -315,6 +324,9 @@ def main(argv=None) -> int:
         # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

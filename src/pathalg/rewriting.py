@@ -16,8 +16,11 @@ pairs with the live rules (complete).
 Irreducible words are counted and listed by exponent triples, not
 built letter by letter: every one has the shape H^a X^e Y^b (a <= n,
 e <= 1), and the rules bound b for each pair (a, e) (_exponent_bounds).
-Reduction looks up the rules at a position by the first letter of
-their left side (_rule_index).
+Reduction finds the leftmost left side with one bounded str.find per
+rule (_leftmost_match), so the H-runs of up to n + 1 letters are crossed
+at C speed.  The repair search completes each candidate by resuming
+from the completed base system: only the candidate rule and what it
+forces go through the queue (complete's extra rules).
 
 >>> rs = complete(orient(signature(3)))
 >>> sorted(normal_form("SH", rs))
@@ -172,28 +175,29 @@ def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
     return frozenset(head + r + tail for r in rule.rhs)
 
 
-RuleIndex = dict[str, tuple[RewriteRule, ...]]
+RuleIndex = tuple[RewriteRule, ...]
 
 
 def _rule_index(rules: Iterable[RewriteRule]) -> RuleIndex:
-    """The rules bucketed by the first letter of their left side, in
-    their given order.  A rule with an empty left side matches at every
-    position, so it joins every bucket; the bucket of "" holds only
-    such rules."""
-    rules = tuple(rules)
-    return {c: tuple(r for r in rules if r.lhs[:1] in ("", c))
-            for c in {r.lhs[:1] for r in rules} | {""}}
+    """The rules in their given order, which breaks ties between left
+    sides that occur at one position."""
+    return tuple(rules)
 
 
 def _leftmost_match(word: Word, index: RuleIndex):
     """The leftmost position where a left side of the indexed rules
-    occurs in word, and the first such rule in their order there."""
-    anywhere = index[""]
-    for i, c in enumerate(word):
-        for rule in index.get(c, anywhere):
-            if word.startswith(rule.lhs, i):
-                return i, rule
-    return None
+    occurs in word, and the first such rule in their order there.  Each
+    left side is looked for once, by str.find, and only where it would
+    start before the best position so far, so an H-run is crossed at C
+    speed, not letter by letter."""
+    best, found = len(word), None
+    for rule in index:
+        if not best:
+            break
+        i = word.find(rule.lhs, 0, best + len(rule.lhs) - 1)
+        if i >= 0:
+            best, found = i, rule
+    return None if found is None else (best, found)
 
 
 def _poly_nf(p: Iterable[Word], index: RuleIndex) -> Polynomial:
@@ -239,7 +243,8 @@ def _overlap_words(l1: Word, l2: Word) -> Iterator[tuple[Word, int]]:
             yield l1 + l2[k:], len(l1) - k
 
 
-def complete(rs: RewriteSystem) -> RewriteSystem:
+def complete(rs: RewriteSystem,
+             extra: tuple[RewriteRule, ...] = ()) -> RewriteSystem:
     """Knuth-Bendix completion over every superposition, as one loop
     over a queue of equations, each keyed by order_key of the word it
     came from.  The smallest equation is reduced by the live rules and,
@@ -250,8 +255,16 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
     the output is confluent in every weight; RuleLimitError and
     StepLimitError stop a completion that does not end.  Output is
     inter-reduced and sorted, hence canonical regardless of the order
-    of the input rules, and a fixed point of complete."""
+    of the input rules, and a fixed point of complete.
+
+    With extra rules, rs must be complete's own output, and completion
+    resumes from it: its rules start live, since their critical pairs
+    already resolve, and only the extra rules go on the queue.  For a
+    fixed order a theory has one reduced convergent system, so this
+    gives the rules of completing rs.rules and extra together."""
     sig = rs.sig
+    if extra and rs.completion_status != COMPLETE:
+        raise ValueError("complete resumes only from a completed system")
     # smallest first: an equation is oriented only after every smaller
     # one, so the rules that could reduce it are already live and few
     # rules are dismantled; last-in-first-out orients large equations
@@ -263,10 +276,10 @@ def complete(rs: RewriteSystem) -> RewriteSystem:
     def push(origin: Word, p: Polynomial) -> None:
         heapq.heappush(queue, (order_key(origin, sig), next(seq), origin, p))
 
-    for r in rs.rules:
+    live = {r.lhs: r for r in rs.rules} if extra else {}
+    for r in extra or rs.rules:
         push(r.lhs, r.rhs ^ {r.lhs})
-    live: dict[Word, RewriteRule] = {}
-    index = _rule_index(())
+    index = _rule_index(live.values())
     while queue:
         *_, origin, eq = heapq.heappop(queue)
         eq = _poly_nf(eq, index)
@@ -527,9 +540,10 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
     Surplus cells are attacked in increasing (degree, level) order; for
     each candidate left side in the first surplus cell every F2
     combination of equal-degree, level-compatible, smaller irreducible
-    words is tried as a right side.  Completion then runs on the
-    enlarged system, and any derived rules it is forced to add become
-    part of the candidate augmentation.  A candidate survives only if
+    words is tried as a right side.  Completion then resumes from the
+    current system with that rule, and any derived rules it is forced
+    to add become part of the candidate augmentation.  A candidate
+    survives only if
 
       (i)   the base rules plus the candidate set are complete: they are
             complete's own output, so completing them again changes
@@ -598,10 +612,8 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
             for size in range(len(pool) + 1):
                 for combo in itertools.combinations(pool, size):
                     rule = RewriteRule(lhs, frozenset(combo))
-                    enlarged = RewriteSystem(
-                        sig=current.sig, rules=current.rules + (rule,))
                     try:
-                        nxt = complete(enlarged)
+                        nxt = complete(current, (rule,))
                     except CompletionError:
                         continue
                     progressed = True

@@ -3,6 +3,7 @@ and the refusal of tolerance and subdivision flags (every tolerance is
 a constant of pathalg.geometry, and the subdivision follows from k)."""
 
 import csv
+import gc
 import io
 import json
 
@@ -42,6 +43,33 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_the_collector_is_paused_for_the_call_only(
+            self, capsys, monkeypatch, collecting):
+        seen, fail = [], []
+        real = homology.path_space_homology
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise KeyError("unexpected")
+            return real(*args)
+
+        monkeypatch.setattr(homology, "path_space_homology", spy)
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["verify", "--n", "2"]) == 1
+            assert gc.isenabled() is collecting
+            fail.append(True)
+            with pytest.raises(KeyError):
+                main(["verify", "--n", "2"])
+            assert gc.isenabled() is collecting
+            assert main(["verify", "--n", "x"]) == 2
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+        assert seen and not any(seen)
 
 
 class TestHomologyCommand:
@@ -143,12 +171,25 @@ class TestVerifyCommand:
         assert "{HHT -> 0, HHY -> 0}" in out
         assert "{HHT -> HH, HHY -> 0}" in out
 
+    def test_top_of_the_dimension_range(self, capsys):
+        # the README's supported range for --n ends at 1000: the repair
+        # search completes candidates with 1000 letters H, and neither
+        # rewriting guard fires (one that fires exits 2 and names itself)
+        code = main(["verify", "--n", "1000"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        h = "H" * 1000
+        assert f"{{{h}T -> 0, {h}Y -> 0}}" in out
+        assert f"{{{h}T -> {h}, {h}Y -> 0}}" in out
+        assert "_STEP_LIMIT" not in err and "_RULE_LIMIT" not in err
+
     def test_each_rewriting_system_is_counted_once(self, capsys, monkeypatch):
         # hilbert: the base system once, for the comparison, whose
         # table the repair search reuses, plus one count per repaired
         # system.  complete: the base system, which heredity_check and
-        # the search take from the caller, and one per candidate rule; a
-        # leaf is complete's own output, so it is not completed again
+        # the search take from the caller, and one per candidate rule,
+        # resumed from the base; a leaf is complete's own output, so it
+        # is not completed again
         real_hilbert, real_complete = rewriting.hilbert, rewriting.complete
         counted, completed = [], []
 
@@ -156,9 +197,10 @@ class TestVerifyCommand:
             counted.append(rs.rules)
             return real_hilbert(rs, degree_bound)
 
-        def completing(rs):
-            completed.append(rs.rules)
-            return real_complete(rs)
+        def completing(rs, extra=()):
+            out = real_complete(rs, extra)
+            completed.append((rs, tuple(extra), out))
+            return out
 
         monkeypatch.setattr(rewriting, "hilbert", counting)
         monkeypatch.setattr(rewriting, "complete", completing)
@@ -169,6 +211,10 @@ class TestVerifyCommand:
         assert len(counted) == 3
         assert len(set(counted)) == 3
         assert len(completed) == 3
+        (_, none, base), *candidates = completed
+        assert none == ()
+        assert all(rs is base and len(extra) == 1
+                   for rs, extra, _ in candidates)
 
     @pytest.mark.parametrize("cap, value", [("_DEPTH_CAP", 0)])
     def test_a_search_cap_that_would_cut_work_exits_2(self, capsys,

@@ -144,6 +144,14 @@ def completion_outcome(sig, rules):
         return CompletionError
 
 
+def resumed_outcome(base, extra):
+    """complete's rules resumed from base with extra, or CompletionError."""
+    try:
+        return complete(base, extra).rules
+    except CompletionError:
+        return CompletionError
+
+
 def assert_order_free(sig, orders):
     """Every order of the input rules completes alike, and a system
     that completes is confluent; returns the common outcome."""
@@ -213,6 +221,32 @@ class TestCompletion:
         assert len(found) == 2
         for aug in found:
             assert complete(aug.system).rules == aug.system.rules
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_repair_candidates_resume_as_from_scratch(self, monkeypatch, n):
+        # the repair search resumes from the base for every candidate
+        # rule of the first surplus cell; completing the base rules and
+        # the candidate from scratch must give the same rules
+        base = completed(n)
+        real = rewriting.complete
+        candidates = []
+
+        def recording(rs, extra=()):
+            candidates.append((rs, tuple(extra)))
+            return real(rs, extra)
+
+        monkeypatch.setattr(rewriting, "complete", recording)
+        search(base, path_space_homology(n, COEFF_F2, 40))
+        assert candidates
+        for rs, extra in candidates:
+            assert rs == base and len(extra) == 1
+            assert resumed_outcome(base, extra) == \
+                completion_outcome(base.sig, base.rules + extra)
+
+    def test_resuming_needs_a_completed_system(self):
+        rs = orient(signature(2))
+        with pytest.raises(ValueError, match="completed system"):
+            complete(rs, (RewriteRule("HHT", ZERO),))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_order_of_the_base_rules_completes_alike(self, n):
@@ -437,11 +471,12 @@ def test_triple_count_is_the_reference_count(n, D):
 
 
 @st.composite
-def base_with_extra_rules(draw):
-    """A base system for n <= 6 and one or two extra rules, each with an
-    irreducible word of some degree as left side and a subset of the
-    smaller words of that degree as right side, in a drawn order."""
-    base = completed(draw(st.integers(1, 6)))
+def extra_rules(draw, max_n=6):
+    """A base system for n <= max_n and one or two extra rules, each
+    with an irreducible word of some degree as left side and a subset
+    of the smaller words of that degree as right side; a degree without
+    words gives no rule."""
+    base = completed(draw(st.integers(1, max_n)))
     extra = []
     for _ in range(draw(st.integers(1, 2))):
         words = [w for w, _ in rewriting._degree_words(
@@ -450,7 +485,15 @@ def base_with_extra_rules(draw):
             i = draw(st.integers(0, len(words) - 1))
             rhs = draw(st.sets(st.sampled_from(words[:i]))) if i else ()
             extra.append(RewriteRule(words[i], frozenset(rhs)))
-    rules = base.rules + tuple(extra)
+    return base, tuple(extra)
+
+
+@st.composite
+def base_with_extra_rules(draw):
+    """A base system for n <= 6 and its extra rules (extra_rules), in a
+    drawn order."""
+    base, extra = draw(extra_rules())
+    rules = base.rules + extra
     return base.sig, rules, draw(st.permutations(rules))
 
 
@@ -459,6 +502,16 @@ def base_with_extra_rules(draw):
 def test_extra_rules_complete_alike_in_any_order(drawn):
     sig, rules, order = drawn
     assert_order_free(sig, [rules, order, order[::-1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra_rules(max_n=8))
+def test_resumed_completion_is_completion_from_scratch(drawn):
+    # one reduced convergent system per theory and order, however it
+    # was reached; collapses must agree too
+    base, extra = drawn
+    assert resumed_outcome(base, extra) == \
+        completion_outcome(base.sig, base.rules + extra)
 
 
 @settings(max_examples=60, deadline=None)
@@ -496,6 +549,30 @@ def linear_leftmost_match(word, rules):
 def test_bucketed_match_is_the_linear_scan(word, lhss):
     # the tuples are not inter-reduced: one left side may be a prefix or
     # a factor of another, so two can match at the same position
+    rules = tuple(RewriteRule(l, ZERO) for l in lhss)
+    assert rewriting._leftmost_match(word, rewriting._rule_index(rules)) == \
+        linear_leftmost_match(word, rules)
+
+
+def runs(letters, max_run):
+    """Words of at most 60 letters made of runs of up to max_run equal
+    letters, so long H-runs are common."""
+    return st.lists(st.tuples(st.sampled_from(letters),
+                              st.integers(1, max_run)), max_size=12).map(
+        lambda rs: "".join(c * k for c, k in rs)[:60])
+
+
+# left sides H^k and H^kT (k <= 20) and words of at most two letters,
+# the empty one among them; two of them often match at one position
+# (H^j and H^k, or H and HT)
+left_sides = st.one_of(st.integers(1, 20).map(lambda k: "H" * k),
+                       st.integers(0, 20).map(lambda k: "H" * k + "T"),
+                       st.text(alphabet="HTY", max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs("HTY", 25), st.lists(left_sides, min_size=1, max_size=6))
+def test_find_match_is_the_linear_scan_on_long_runs(word, lhss):
     rules = tuple(RewriteRule(l, ZERO) for l in lhss)
     assert rewriting._leftmost_match(word, rewriting._rule_index(rules)) == \
         linear_leftmost_match(word, rules)
@@ -677,9 +754,9 @@ class TestRepairSearch:
         real = rewriting.complete
         calls = []
 
-        def counting(rs):
+        def counting(rs, extra=()):
             calls.append(rs)
-            return real(rs)
+            return real(rs, extra)
 
         monkeypatch.setattr(rewriting, "complete", counting)
         search(base, hom)
@@ -687,11 +764,11 @@ class TestRepairSearch:
         for k in range(len(calls)):
             seen = []
 
-            def failing(rs):
+            def failing(rs, extra=()):
                 seen.append(rs)
                 if len(seen) == k + 1:
                     raise RuntimeError("injected")
-                return real(rs)
+                return real(rs, extra)
 
             monkeypatch.setattr(rewriting, "complete", failing)
             with pytest.raises(RuntimeError, match="injected"):
