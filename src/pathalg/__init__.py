@@ -17,10 +17,8 @@ from .algebra import (
     leading_word,
     order_key,
     poly,
-    poly_add,
     poly_mul,
     reverse_poly,
-    reverse_word,
     signature,
     unshifted_degree,
     word_degree,
@@ -46,7 +44,6 @@ from .rewriting import (
     filtration_check,
     heredity_check,
     hilbert,
-    irreducible_words,
     normal_form,
     orient,
     repair_search,

@@ -52,7 +52,6 @@ class Signature:
     parity_class: str
     alphabet: tuple[str, ...]
     degree: Mapping[str, int]
-    level: Mapping[str, int]
     weight: Mapping[str, int]
 
     def __post_init__(self) -> None:
@@ -73,14 +72,13 @@ def signature(n: int) -> Signature:
         parity = EVEN
         alphabet = ("H", "T", "Y")
         degree = {"H": -1, "T": 0, "Y": n}
-    level = {c: _LETTER_LEVEL[c] for c in alphabet}
     # unit weights, except w(S) = n + 1 when n = 1 mod 4 so that the
     # correction term H^(n-1)Y^2 stays below YS
     weight = {c: 1 for c in alphabet}
     if parity is ODD1:
         weight["S"] = n + 1
     return Signature(n=n, parity_class=parity, alphabet=alphabet,
-                     degree=degree, level=level, weight=weight)
+                     degree=degree, weight=weight)
 
 
 def word_degree(w: Word, sig: Signature) -> int:
@@ -135,20 +133,12 @@ def poly(*words: Word) -> Polynomial:
     return p
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p ^ q
-
-
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     out: set = set()
     for u in p:
         for v in q:
             out ^= {u + v}
     return frozenset(out)
-
-
-def reverse_word(w: Word) -> Word:
-    return w[::-1]
 
 
 def reverse_poly(p: Polynomial) -> Polynomial:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
-import io
 import json
 import sys
 from importlib import resources
@@ -75,14 +75,12 @@ def _emit_sections(sections: list[tuple[str, list[dict]]], fmt: str) -> None:
         print(json.dumps(doc, indent=2), file=out)
         return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(out)
         writer.writerow(["section", "degree", "level", "value", "names"])
         for title, cells in sections:
             for c in cells:
                 writer.writerow([title, c["degree"], c["level"],
                                  _cell_value(c), " ".join(c["names"])])
-        print(buf.getvalue(), end="", file=out)
         return
     for title, cells in sections:
         print(f"## {title}", file=out)
@@ -248,7 +246,10 @@ def cmd_table(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pathalg parser, built once per process: no option has a
+    mutable default, and each parse_args call fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="pathalg",
         description="verification suites for the path-space product algebras")
@@ -305,15 +306,14 @@ def main(argv=None) -> int:
     # The cyclic collector is paused for the call: a command's tables
     # hold a tracked tuple per cell, and they start full collections of
     # every live object mid-command (5-20 ms each on a 2-core VM), yet
-    # the only cycles a command leaves, its argument parser and
-    # repair_search's recursive closure with the tables it holds, are a
-    # few thousand objects at D = 840, freed after the call.
+    # the only cycles a command leaves, repair_search's recursive
+    # closure and the tables it holds, are a few thousand objects at
+    # D = 840, freed after the call.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
         return args.func(args)

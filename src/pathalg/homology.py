@@ -342,7 +342,7 @@ def consistency_checks(n: int) -> CheckReport:
     f2t = path_space_homology(n, COEFF_F2, D)
     items.append(CheckItem(
         name=f"assembled mod-2 reduction, cell by cell, degrees 0..{D}",
-        passed=uct_f2(zt).as_dict() == f2t.as_dict(),
+        passed=uct_f2(zt) == f2t,
         detail=""))
 
     low = [sum(f2t.get(d, l) for l in (0, 1)) for d in range(n)]

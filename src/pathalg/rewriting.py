@@ -13,9 +13,10 @@ equations, smallest first: each is reduced, oriented into a rule, and
 followed on the queue by the rules it dismantles and by its critical
 pairs with the live rules (complete).
 
-Irreducible words are counted and listed by exponent triples, not
-built letter by letter: every one has the shape H^a X^e Y^b (a <= n,
-e <= 1), and the rules bound b for each pair (a, e) (_exponent_bounds).
+Irreducible words are read off exponent triples, not built letter by
+letter: every one has the shape H^a X^e Y^b (a <= n, e <= 1), and the
+rules bound b for each pair (a, e) (_exponent_bounds).  hilbert counts
+them, and _degree_words lists those of one degree.
 Reduction finds the leftmost left side with one bounded str.find per
 rule (_leftmost_match), so the H-runs of up to n + 1 letters are crossed
 at C speed.  The repair search completes each candidate by resuming
@@ -36,7 +37,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .tables import BigradedTable, CheckItem, CheckReport
 from .algebra import (
@@ -175,23 +176,14 @@ def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
     return frozenset(head + r + tail for r in rule.rhs)
 
 
-RuleIndex = tuple[RewriteRule, ...]
-
-
-def _rule_index(rules: Iterable[RewriteRule]) -> RuleIndex:
-    """The rules in their given order, which breaks ties between left
-    sides that occur at one position."""
-    return tuple(rules)
-
-
-def _leftmost_match(word: Word, index: RuleIndex):
-    """The leftmost position where a left side of the indexed rules
-    occurs in word, and the first such rule in their order there.  Each
-    left side is looked for once, by str.find, and only where it would
-    start before the best position so far, so an H-run is crossed at C
-    speed, not letter by letter."""
+def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]):
+    """The leftmost position where a left side of rules occurs in word,
+    and the first such rule in their order there.  Each left side is
+    looked for once, by str.find, and only where it would start before
+    the best position so far, so an H-run is crossed at C speed, not
+    letter by letter."""
     best, found = len(word), None
-    for rule in index:
+    for rule in rules:
         if not best:
             break
         i = word.find(rule.lhs, 0, best + len(rule.lhs) - 1)
@@ -200,9 +192,9 @@ def _leftmost_match(word: Word, index: RuleIndex):
     return None if found is None else (best, found)
 
 
-def _poly_nf(p: Iterable[Word], index: RuleIndex) -> Polynomial:
-    """Full reduction of a polynomial by the indexed rules; leftmost
-    strategy per word.
+def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
+    """Full reduction of a polynomial by rules; leftmost strategy per
+    word.
 
     F2 linearity lets each word occurrence reduce independently, with
     the results combined by symmetric difference.
@@ -215,7 +207,7 @@ def _poly_nf(p: Iterable[Word], index: RuleIndex) -> Polynomial:
         steps += 1
         if steps > _STEP_LIMIT:
             raise StepLimitError(_STEP_LIMIT)
-        m = _leftmost_match(w, index)
+        m = _leftmost_match(w, rules)
         if m is None:
             acc ^= {w}
         else:
@@ -231,7 +223,7 @@ def normal_form(p, rs: RewriteSystem) -> Polynomial:
     which rules are applied."""
     if isinstance(p, str):
         p = frozenset({p})
-    return _poly_nf(p, _rule_index(rs.rules))
+    return _poly_nf(p, rs.rules)
 
 
 def _overlap_words(l1: Word, l2: Word) -> Iterator[tuple[Word, int]]:
@@ -279,10 +271,10 @@ def complete(rs: RewriteSystem,
     live = {r.lhs: r for r in rs.rules} if extra else {}
     for r in extra or rs.rules:
         push(r.lhs, r.rhs ^ {r.lhs})
-    index = _rule_index(live.values())
+    rules = tuple(live.values())
     while queue:
         *_, origin, eq = heapq.heappop(queue)
-        eq = _poly_nf(eq, index)
+        eq = _poly_nf(eq, rules)
         if not eq:
             continue
         top = leading_word(eq, sig)
@@ -293,21 +285,21 @@ def complete(rs: RewriteSystem,
         new = live[top] = RewriteRule(top, eq ^ {top})
         if len(live) > _RULE_LIMIT:
             raise RuleLimitError(_RULE_LIMIT)
-        index = _rule_index(live.values())
-        for other in live.values():
+        rules = tuple(live.values())
+        for other in rules:
             for r1, r2 in dict.fromkeys([(new, other), (other, new)]):
                 for sup, off in _overlap_words(r1.lhs, r2.lhs):
                     diff = _poly_nf(apply_rule(sup, r1, 0)
-                                    ^ apply_rule(sup, r2, off), index)
+                                    ^ apply_rule(sup, r2, off), rules)
                     if diff:
                         push(sup, diff)
-    rules = sorted((RewriteRule(r.lhs, _poly_nf(r.rhs, index))
-                    for r in live.values()),
-                   key=lambda r: order_key(r.lhs, sig))
-    for r in rules:
+    out = sorted((RewriteRule(r.lhs, _poly_nf(r.rhs, rules))
+                  for r in rules),
+                 key=lambda r: order_key(r.lhs, sig))
+    for r in out:
         lw = word_weight(r.lhs, sig)
         assert all(word_weight(w, sig) <= lw for w in r.rhs)
-    return RewriteSystem(sig=sig, rules=tuple(rules),
+    return RewriteSystem(sig=sig, rules=tuple(out),
                          completion_status=COMPLETE)
 
 
@@ -332,8 +324,7 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
     and e = 0 if e' = 0 with a' > 0 and b' > 0 (the H-run must meet the
     Y-run directly).  So the word is irreducible exactly when b is below
     the least b' of the left sides that fit (a, e) this way."""
-    index = _rule_index(rs.rules)
-    if any(_leftmost_match(rel.lhs, index) is None
+    if any(_leftmost_match(rel.lhs, rs.rules) is None
            for rel in defining_relations(rs.sig.n)):
         raise ValueError("irreducible words are known only in a system "
                          "that reduces the defining left sides")
@@ -350,22 +341,6 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
             for e in es:
                 bound[a, e] = min(bound[a, e], b0)
     return bound
-
-
-def irreducible_words(rs: RewriteSystem, max_weight: int) -> Iterator[Word]:
-    """All words of weight <= max_weight avoiding every rule lhs as a
-    factor, in string order, which is the depth-first order of extending
-    words by letters in alphabet order (H < S, T < Y); none when
-    max_weight is negative.  Refuses a system that leaves a defining left
-    side irreducible (see _exponent_bounds)."""
-    w, x = rs.sig.weight, rs.sig.alphabet[1]
-    words = []
-    for (a, e), bound in _exponent_bounds(rs).items():
-        rest = max_weight - a * w["H"] - e * w[x]
-        if rest >= 0:
-            words += ("H" * a + x * e + "Y" * b
-                      for b in range(min(bound, rest // w["Y"] + 1)))
-    yield from sorted(words)
 
 
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
@@ -462,10 +437,6 @@ class ComparisonReport:
     @property
     def is_match(self) -> bool:
         return not self.cell_mismatches and not self.total_mismatches
-
-    @property
-    def first_total_mismatch(self) -> Optional[tuple[int, int, int]]:
-        return self.total_mismatches[0] if self.total_mismatches else None
 
     def lines(self) -> list[str]:
         if self.is_match:
@@ -576,8 +547,9 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
         raise ValueError("presentation already matches; nothing to repair")
     base_set = set(base.rules)
 
-    survivors: list[Augmentation] = []
-    seen: set = set()
+    # each rule set reached, once: its augmentation, or None where the
+    # filtration fails
+    found: dict[frozenset, Augmentation | None] = {}
     dead_degrees: list[int] = []
 
     def search(current: RewriteSystem, depth: int) -> None:
@@ -593,11 +565,9 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
                 return
             candidate = tuple(r for r in current.rules if r not in base_set)
             key = frozenset(candidate)
-            if key in seen:
-                return
-            seen.add(key)
-            if filtration_check(current).passed:
-                survivors.append(Augmentation(rules=candidate, system=current))
+            if key not in found:
+                found[key] = (Augmentation(rules=candidate, system=current)
+                              if filtration_check(current).passed else None)
             return
         if depth >= _DEPTH_CAP:
             raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, surplus[0])
@@ -622,10 +592,11 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
             dead_degrees.append(degree)
 
     search(base, 0)
+    survivors = sorted((a for a in found.values() if a is not None),
+                       key=lambda a: tuple(r.render() for r in a.rules))
     if not survivors:
         first = min(dead_degrees) if dead_degrees else 0
         raise RepairError(
             f"no confluent, filtration-compatible augmentation matches the "
             f"table; first unrepairable degree: {first}")
-    survivors.sort(key=lambda a: tuple(r.render() for r in a.rules))
     return tuple(survivors)

@@ -50,9 +50,6 @@ class BigradedTable:
     def _cells(self) -> dict:
         return dict(self.entries)
 
-    def levels(self) -> tuple[int, ...]:
-        return tuple(sorted({l for (_, l), _ in self.entries}))
-
 
 @dataclass(frozen=True)
 class CheckItem:

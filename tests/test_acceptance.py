@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from pathalg import cli, geometry
-from pathalg.algebra import poly, signature, unshifted_degree, word_level
+from pathalg.algebra import poly, signature
 from pathalg.homology import (
     COEFF_F2,
     COEFF_PULLBACK,
@@ -32,12 +32,12 @@ from pathalg.homology import (
     unit_tangent_homology,
 )
 from pathalg.rewriting import (
+    _degree_words,
     anti_automorphism_check,
     compare,
     complete,
     filtration_check,
     hilbert,
-    irreducible_words,
     normal_form,
     orient,
     repair_search,
@@ -93,21 +93,16 @@ def test_criterion_03_even_case_diagnosis_and_repair():
             report = compare(alg, hom)
             assert not report.is_match
             # first surplus at unshifted degree 0, one extra class
-            assert report.first_total_mismatch[0] == 0
+            assert report.total_mismatches[0][0] == 0
             mismatch_degrees = {d for d, _, _ in report.total_mismatches}
             assert n in mismatch_degrees
             cells = set(report.cell_mismatches)
             assert (0, 1, 1, 0) in cells
             assert (n, 1, 2, 1) in cells
             # the surplus classes are the expected irreducible words
-            words = set(irreducible_words(rs, n + 2))
-            surplus_zero = [w for w in words
-                            if unshifted_degree(w, rs.sig) == 0
-                            and word_level(w) == 1]
+            surplus_zero = [w for w, l in _degree_words(rs, 0) if l == 1]
             assert surplus_zero == ["H" * n + "T"]
-            shadow = [w for w in words
-                      if unshifted_degree(w, rs.sig) == n
-                      and word_level(w) == 1]
+            shadow = [w for w, l in _degree_words(rs, n) if l == 1]
             assert "H" * n + "Y" in shadow
             found = repair_search(rs, report, hom)
             assert found
@@ -259,7 +254,7 @@ def test_criterion_11_stable_ranks():
     with criterion(11, "stable low-degree ranks for n = 10"):
         table = path_space_homology(10, COEFF_F2, 8)
         for d in range(9):
-            active = {l for l in table.levels() if table.get(d, l)}
+            active = {l for (e, l), _ in table.entries if e == d}
             assert active <= {0, 1}
             total = sum(table.get(d, l) for l in (0, 1))
             assert total == (1 if d == 0 else 2)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from pathalg import geometry, homology, rewriting
+from pathalg import cli, geometry, homology, rewriting
 from pathalg.cli import main
 
 
@@ -70,6 +70,29 @@ class TestUsage:
         finally:
             gc.enable()
         assert seen and not any(seen)
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_the_shared_parser_answers_as_a_fresh_one(self, capsys):
+        # the commands run one after another on the shared parser, then
+        # each on a parser built for it alone
+        argvs = [["--help"], ["verify", "--n", "x"], ["verify", "--n", "2"],
+                 ["homology", "--n", "2", "--format", "csv"],
+                 ["table", "--n", "3", "--golden"]]
+
+        def answer(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [answer(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(answer(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 2, 1, 0, 0]
 
 
 class TestHomologyCommand:

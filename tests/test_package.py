@@ -33,9 +33,9 @@ PUBLIC = GEOMETRY | {
     "algebra", "geometry", "homology", "rewriting", "tables",
     # algebra
     "AlphabetError", "Relation", "Signature", "defining_relations",
-    "leading_word", "order_key", "poly", "poly_add", "poly_mul",
-    "reverse_poly", "reverse_word", "signature", "unshifted_degree",
-    "word_degree", "word_level", "word_weight",
+    "leading_word", "order_key", "poly", "poly_mul", "reverse_poly",
+    "signature", "unshifted_degree", "word_degree", "word_level",
+    "word_weight",
     # tables
     "BigradedTable", "CheckItem", "CheckReport",
     # rewriting
@@ -43,8 +43,8 @@ PUBLIC = GEOMETRY | {
     "OrderRejectedError", "RepairError", "RewriteRule", "RewriteSystem",
     "RuleLimitError", "SearchCapError", "StepLimitError",
     "anti_automorphism_check", "apply_rule", "compare", "complete",
-    "filtration_check", "heredity_check", "hilbert", "irreducible_words",
-    "normal_form", "orient", "repair_search",
+    "filtration_check", "heredity_check", "hilbert", "normal_form",
+    "orient", "repair_search",
     # homology
     "COEFF_F2", "COEFF_PULLBACK", "COEFF_TWISTED", "COEFF_Z",
     "AbelianGroup", "CoefficientError", "block_local_system",
