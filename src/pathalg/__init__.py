@@ -69,8 +69,8 @@ from .homology import (
 # The geometry layer needs numpy and the algebra never does, so its
 # exports load pathalg.geometry on first use (PEP 562).
 _GEOMETRY = (
-    "DiscretePath", "GradientCheckError", "IndexResult", "ParityError",
-    "ProjPoint", "TangentVector", "concat_check", "concat_min",
+    "DiscretePath", "GradientCheckError", "HessianSizeError", "IndexResult",
+    "ParityError", "ProjPoint", "TangentVector", "concat_check", "concat_min",
     "constant_path", "critical_index", "fs_distance", "geodesic",
     "half_circle", "half_circle_endpoint", "half_circle_norm",
     "halfcircle_check", "hopf_vector", "index_check", "path_energy",

@@ -60,6 +60,10 @@ _GRAM_TOL = 1e-10
 # critical_index's bound on |grad E|: the largest measured at n = 1..5,
 # k = 0..6, 12 and 30, seeds 0-2, is 7.5e-12, about 1300 times below
 _GRAD_TOL = 1e-8
+# critical_index refuses a Hessian dimension 2n * max(8, 4k + 4) past
+# this: the dense matrix takes dim^2 memory and eigvalsh dim^3 time, and
+# n = 10, k = 50 (dim 4080) takes about 6 s and 295 MB on a 2-core VM
+_MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
 # default trials, seeds 0-9, is 7.1e-14, about 14 000 times below
 _CHECK_TOL = 1e-9
@@ -72,6 +76,10 @@ _TRIAL_BLOCK = 256
 
 class ParityError(ValueError):
     """Construction requires a parity the dimension does not have."""
+
+
+class HessianSizeError(ValueError):
+    """The dense second variation would pass _MAX_HESSIAN_DIM."""
 
 
 class GradientCheckError(RuntimeError):
@@ -613,60 +621,103 @@ def _segment_count(k: int) -> int:
 
 
 def _critical_configuration(n: int, k: int, rng: np.random.Generator
-                            ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Base samples and coordinate frames of the level-k critical
-    configuration.
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Base samples (segments+1, n+1) and frames (segments+1, n+1, 2n)
+    of the level-k critical configuration.
 
     The samples lie on the geodesic p(s) = cos s x + i sin s u that
     leaves a random real point x in the purely imaginary direction i u,
     evenly spaced over arclength k pi / 2.  The geodesic stays in the
     complex line of x and u, so one real orthonormal basis E of the
-    complement of that line is normal to it everywhere.  Interior
-    samples get the complex frame [p'(s), E] and i times it (2n real
-    columns); each endpoint r gets the real frame [w, E] of the real
-    locus (n columns), w the unit vector of span(x, u) orthogonal to r.
-    The generator draws x and u only.
+    complement of that line is normal to it everywhere.  Each frame is
+    [f, E] and i times it, with f = p'(s) inside and, at the two
+    endpoints r (made real by one _real_reps call), the unit vector w of
+    span(x, u) orthogonal to r: their first n columns are the real frame
+    [w, E] of the real locus.  The generator draws x and u only.
     """
     start = random_real_point(n, rng)
     u = random_real_tangent(start, rng).vec.real
     x = start.rep.real
     q, _ = np.linalg.qr(np.column_stack([x, u, np.eye(n + 1)]))
-    normal = q[:, 2:]
     segments = _segment_count(k)
-    s_vals = np.linspace(0.0, 0.5 * math.pi * k, segments + 1)
-    base = np.cos(s_vals)[:, None] * x + 1j * np.sin(s_vals)[:, None] * u
-    tangent = -np.sin(s_vals)[:, None] * x + 1j * np.cos(s_vals)[:, None] * u
-
-    frames = []
-    for j in range(segments + 1):
-        if j == 0 or j == segments:
-            r = ProjPoint(base[j]).real_representative()
-            base[j] = r
-            # r = a x + b u, so w = b x - a u completes it in the plane
-            w = np.dot(u, r) * x - np.dot(x, r) * u
-            frames.append(np.column_stack([w, normal]).astype(complex))
-        else:
-            wf = np.column_stack([tangent[j], normal])
-            frames.append(np.column_stack([wf, 1j * wf]))
+    s_vals = np.linspace(0.0, 0.5 * math.pi * k, segments + 1)[:, None]
+    base = np.cos(s_vals) * x + 1j * np.sin(s_vals) * u
+    frames = np.empty((segments + 1, n + 1, 2 * n), complex)
+    frames[:, :, 0] = -np.sin(s_vals) * x + 1j * np.cos(s_vals) * u
+    frames[:, :, 1:n] = q[:, 2:]
+    base[[0, -1]] = r = _real_reps(base[[0, -1]])
+    # r = a x + b u, so w = b x - a u completes it in the plane
+    frames[[0, -1], :, 0] = _dots(r, u)[:, None] * x - _dots(r, x)[:, None] * u
+    np.multiply(frames[:, :, :n], 1j, out=frames[:, :, n:])
     return base, frames
 
 
-def _segment_slopes(u: float) -> tuple[float, float]:
+def _segment_slopes(u):
     """g'(u) and g''(u) for g(u) = arcsin^2(sqrt u), the squared length
-    of a segment whose endpoints pair to modulus sqrt(1 - u).
+    of a segment whose endpoints pair to modulus sqrt(1 - u), for a
+    number u or each entry of an array.
 
     With theta = arcsin(sqrt u), g' = 2 theta / sin 2theta and
     g'' = (2 sin 2theta - 4 theta cos 2theta) / sin^3 2theta.  Below
     u = 1e-6 the closed forms cancel and their series take over; the
     dropped terms are below 1e-17 there.
     """
-    if u < 1e-6:
-        return (1.0 + u * (2.0 / 3.0 + u * 8.0 / 15.0),
-                2.0 / 3.0 + u * (16.0 / 15.0 + u * 48.0 / 35.0))
-    theta = math.asin(math.sqrt(u))
-    s2, c2 = math.sin(2.0 * theta), math.cos(2.0 * theta)
-    return (2.0 * theta / s2,
-            (2.0 * s2 - 4.0 * theta * c2) / s2 ** 3)
+    series = np.less(u, 1e-6)
+    theta = np.arcsin(np.sqrt(np.where(series, 0.5, u)))
+    s2, c2 = np.sin(2.0 * theta), np.cos(2.0 * theta)
+    # [()] makes the 0-d results of a number numbers
+    return (np.where(series, 1.0 + u * (2.0 / 3.0 + u * 8.0 / 15.0),
+                     2.0 * theta / s2)[()],
+            np.where(series, 2.0 / 3.0 + u * (16.0 / 15.0 + u * 48.0 / 35.0),
+                     (2.0 * s2 - 4.0 * theta * c2) / s2 ** 3)[()])
+
+
+def _bands(base: np.ndarray, frames: np.ndarray) -> tuple:
+    """Gradient and band of the second variation, every segment at once
+    on a leading axis: diagonal blocks (segments+1, 2n, 2n) and
+    off-diagonal blocks (segments, 2n, 2n).  The gradient keeps each
+    endpoint's first n coordinates, as _hessian_matrix does."""
+    segments, n = len(base) - 1, frames.shape[2] // 2
+    p, q = base[:-1], base[1:]
+    ft, gh = frames[:-1].swapaxes(1, 2), frames[1:].conj().swapaxes(1, 2)
+    a = _dots(q.conj(), p)
+    beta = (ft @ q.conj()[..., None])[..., 0]
+    gamma = (gh @ p[..., None])[..., 0]
+    a2, ac = _moduli(a) ** 2, a.conj()[:, None]
+    cs, ct = 2.0 * (ac * beta).real, 2.0 * (ac * gamma).real
+    d1, d2 = _segment_slopes(np.maximum(0.0, 1.0 - a2))
+    grad = np.zeros((segments + 1, 2 * n))
+    grad[:-1] -= segments * d1[:, None] * cs
+    grad[1:] -= segments * d1[:, None] * ct
+    d1, d2 = d1[:, None, None], d2[:, None, None]
+    eye = a2[:, None, None] * np.eye(2 * n)
+    diag = np.zeros((segments + 1, 2 * n, 2 * n))
+    for rows, c, z in ((slice(-1), cs, beta), (slice(1, None), ct, gamma)):
+        czz = 2.0 * ((z[..., None] * z.conj()[:, None]).real - eye)
+        diag[rows] += segments * (d2 * (c[..., None] * c[:, None]) - d1 * czz)
+    cst = 2.0 * (beta[..., None] * gamma.conj()[:, None]
+                 + ac[..., None] * (ft @ gh.swapaxes(1, 2))).real
+    off = segments * (d2 * (cs[..., None] * ct[:, None]) - d1 * cst)
+    return (np.concatenate([grad[0, :n], grad[1:-1].ravel(), grad[-1, :n]]),
+            diag, off)
+
+
+def _hessian_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dim x dim Hessian, dim = 2n * segments, written from the band
+    in place: each endpoint keeps its first n coordinates (the real
+    locus), and the interior samples fill the square between them
+    through a view as (segments-1) x (segments-1) blocks of 2n."""
+    segments, n = len(off), diag.shape[1] // 2
+    hess = np.zeros((2 * n * segments,) * 2)
+    inner = hess[n:-n, n:-n].reshape(segments - 1, 2 * n, -1, 2 * n)
+    j = np.arange(segments - 1)
+    inner[j, :, j] = diag[1:-1]
+    inner[j[:-1], :, j[1:]] = off[1:-1]
+    inner[j[1:], :, j[:-1]] = off[1:-1].swapaxes(1, 2)
+    hess[:n, :n], hess[-n:, -n:] = diag[0, :n, :n], diag[-1, :n, :n]
+    hess[:n, n:3 * n], hess[-3 * n:-n, -n:] = off[0, :n], off[-1, :, :n]
+    hess[n:3 * n, :n], hess[-n:, -3 * n:-n] = off[0, :n].T, off[-1, :, :n].T
+    return hess
 
 
 def critical_index(n: int, k: int,
@@ -703,9 +754,13 @@ def critical_index(n: int, k: int,
 
     and the chain rule gives grad = -N g' grad c and
     Hessian = N (g'' grad c grad c^T - g' Hess c), with g' and g'' from
-    _segment_slopes.  Each segment adds its blocks to the samples at
-    its two ends, so the Hessian is block tridiagonal; every entry is
-    exact up to rounding.
+    _segment_slopes.  _bands evaluates these for every segment at once
+    on a leading axis; each segment adds its blocks to the samples at
+    its two ends, so the Hessian is block tridiagonal, and
+    _hessian_matrix writes the band straight into the dense matrix,
+    keeping only each endpoint's real frame [w, E].  Every entry is
+    exact up to rounding.  A matrix past _MAX_HESSIAN_DIM raises
+    HessianSizeError before anything of its size is allocated.
 
     Eigenvalues below -tau count toward the index, those within tau of
     zero toward the nullity, where tau = 64 * dim * eps * scale and
@@ -723,42 +778,21 @@ def critical_index(n: int, k: int,
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    dim = 2 * n * _segment_count(k)
+    if dim > _MAX_HESSIAN_DIM:
+        raise HessianSizeError(
+            f"the second variation at n={n} k={k} has dimension {dim}, "
+            f"past the dense limit {_MAX_HESSIAN_DIM}")
     rng = rng if rng is not None else np.random.default_rng(0)
-
-    base, frames = _critical_configuration(n, k, rng)
-    segments = _segment_count(k)
-    offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
-    dim = int(offsets[-1])
-    grad = np.zeros(dim)
-    hess = np.zeros((dim, dim))
-    for j in range(segments):
-        p, q, F, G = base[j], base[j + 1], frames[j], frames[j + 1]
-        a = np.vdot(q, p)
-        beta = F.T @ q.conj()
-        gamma = G.conj().T @ p
-        a2 = abs(a) ** 2
-        cs = 2.0 * (a.conjugate() * beta).real
-        ct = 2.0 * (a.conjugate() * gamma).real
-        css = 2.0 * (np.outer(beta, beta.conj()).real
-                     - a2 * np.eye(F.shape[1]))
-        ctt = 2.0 * (np.outer(gamma, gamma.conj()).real
-                     - a2 * np.eye(G.shape[1]))
-        cst = 2.0 * (np.outer(beta, gamma.conj())
-                     + a.conjugate() * (F.T @ G.conj())).real
-        d1, d2 = _segment_slopes(max(0.0, 1.0 - a2))
-        s = slice(offsets[j], offsets[j + 1])
-        t = slice(offsets[j + 1], offsets[j + 2])
-        grad[s] -= segments * d1 * cs
-        grad[t] -= segments * d1 * ct
-        hess[s, s] += segments * (d2 * np.outer(cs, cs) - d1 * css)
-        hess[t, t] += segments * (d2 * np.outer(ct, ct) - d1 * ctt)
-        hess[s, t] = segments * (d2 * np.outer(cs, ct) - d1 * cst)
-        hess[t, s] = hess[s, t].T
+    grad, diag, off = _bands(*_critical_configuration(n, k, rng))
     gnorm = float(np.linalg.norm(grad))
     if not gnorm < _GRAD_TOL:
         raise GradientCheckError(
             f"configuration is not critical: |grad E| = {gnorm:.3e}")
 
+    hess = _hessian_matrix(diag, off)
+    # only the matrix stays alive while the eigensolver copies it
+    del diag, off
     eig = np.linalg.eigvalsh(hess)
     scale = float(np.max(np.abs(eig)))
     if scale == 0.0:

@@ -6,12 +6,19 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pathalg import cli, geometry, homology, rewriting
 from pathalg.cli import main
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -278,6 +285,65 @@ class TestGeomCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--n", "3", "--k", "0"), 0),   # dimension 48, at the limit
+        (("--n", "1", "--k", "6"), 2),   # dimension 56, the next past it
+    ])
+    def test_index_refuses_a_hessian_past_the_limit(self, capsys,
+                                                    monkeypatch, argv, code):
+        monkeypatch.setattr(geometry, "_MAX_HESSIAN_DIM", 48)
+        assert main(["geom", "index", *argv]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("error: the second variation")
+            assert "dimension 56, past the dense limit 48" in captured.err
+        else:
+            assert "index=0 nullity=3" in captured.out
+
+    def test_index_refusal_allocates_nothing_sized_by_the_hessian(self):
+        # at n = 10, k = 500 the dense matrix alone would take 2 GB; the
+        # refusal comes before the configuration is drawn
+        tracemalloc.start()
+        try:
+            with pytest.raises(geometry.HessianSizeError,
+                               match="dimension 40080"):
+                geometry.critical_index(10, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert issubclass(geometry.HessianSizeError, ValueError)
+
+    def test_index_range_top_passes_the_size_guard(self, monkeypatch):
+        # n = 10, k = 50 (dimension 4080) is inside the documented
+        # range and k = 51 (4160) is past it; the guard is checked
+        # without running the 7 s eigensolve
+        class Drawn(Exception):
+            pass
+
+        def drawn(n, k, rng):
+            raise Drawn
+
+        monkeypatch.setattr(geometry, "_critical_configuration", drawn)
+        with pytest.raises(Drawn):
+            geometry.critical_index(10, 50)
+        with pytest.raises(geometry.HessianSizeError):
+            geometry.critical_index(10, 51)
+
+    def test_index_past_the_range_exits_2_fast_in_a_fresh_process(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pathalg.cli", "geom", "index", "--n", "10",
+             "--k", "500"], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
     def test_concat_check(self, capsys):
         code, out = run(capsys, "geom", "concat-check", "--trials", "25",

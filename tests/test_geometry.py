@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathalg import geometry
 from pathalg.geometry import (
@@ -22,7 +23,9 @@ from pathalg.geometry import (
     ProjPoint,
     TangentVector,
     _arc_grid,
+    _bands,
     _critical_configuration,
+    _hessian_matrix,
     _segment_count,
     _segment_slopes,
     concat_check,
@@ -72,7 +75,7 @@ def qr_frame(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def move_interior_sample(base, frames, rng):
     """Move the middle sample of a critical configuration off its
-    geodesic, rebuilding its frame there."""
+    geodesic, rebuilding its frame, [f, i f], there."""
     j = len(base) // 2
     p = base[j] + 1e-3 * frames[j][:, 0]
     base[j] = p / np.linalg.norm(p)
@@ -89,6 +92,72 @@ def spoil_interior_sample(base, frames, rng):
 def index_at(n: int, k: int):
     """critical_index at seed 0."""
     return critical_index(n, k, rng=np.random.default_rng(0))
+
+
+def kept_frames(frames: np.ndarray) -> list[np.ndarray]:
+    """Each sample's frame in the Hessian's coordinates: an endpoint
+    keeps its first n columns, its real frame of the real locus."""
+    n, last = frames.shape[2] // 2, len(frames) - 1
+    return [f[:, :n] if j in (0, last) else f for j, f in enumerate(frames)]
+
+
+def loop_hessian(base: np.ndarray, frames: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference gradient and Hessian, assembled one segment at a time
+    from the closed-form segment derivatives critical_index documents;
+    each segment adds its blocks at its two ends."""
+    segments = base.shape[0] - 1
+    frames = kept_frames(frames)
+    offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
+    dim = int(offsets[-1])
+    grad = np.zeros(dim)
+    hess = np.zeros((dim, dim))
+    for j in range(segments):
+        p, q, F, G = base[j], base[j + 1], frames[j], frames[j + 1]
+        a = np.vdot(q, p)
+        beta = F.T @ q.conj()
+        gamma = G.conj().T @ p
+        a2 = abs(a) ** 2
+        cs = 2.0 * (a.conjugate() * beta).real
+        ct = 2.0 * (a.conjugate() * gamma).real
+        css = 2.0 * (np.outer(beta, beta.conj()).real
+                     - a2 * np.eye(F.shape[1]))
+        ctt = 2.0 * (np.outer(gamma, gamma.conj()).real
+                     - a2 * np.eye(G.shape[1]))
+        cst = 2.0 * (np.outer(beta, gamma.conj())
+                     + a.conjugate() * (F.T @ G.conj())).real
+        d1, d2 = (float(d) for d in _segment_slopes(max(0.0, 1.0 - a2)))
+        s = slice(offsets[j], offsets[j + 1])
+        t = slice(offsets[j + 1], offsets[j + 2])
+        grad[s] -= segments * d1 * cs
+        grad[t] -= segments * d1 * ct
+        hess[s, s] += segments * (d2 * np.outer(cs, cs) - d1 * css)
+        hess[t, t] += segments * (d2 * np.outer(ct, ct) - d1 * ctt)
+        hess[s, t] = segments * (d2 * np.outer(cs, ct) - d1 * cst)
+        hess[t, s] = hess[s, t].T
+    return grad, hess
+
+
+def pair_of(eig: np.ndarray) -> tuple[int, int]:
+    """(index, nullity) under critical_index's threshold tau."""
+    tau = 64.0 * len(eig) * np.finfo(float).eps * np.max(np.abs(eig))
+    return int(np.sum(eig < -tau)), int(np.sum(np.abs(eig) <= tau))
+
+
+def assert_matches_the_loop(n: int, k: int, seed: int) -> None:
+    """The batched gradient and Hessian equal the segment loop's entry
+    by entry within 1e-13 * scale, and give critical_index's pair."""
+    base, frames = _critical_configuration(n, k, np.random.default_rng(seed))
+    grad, diag, off = _bands(base, frames)
+    hess = _hessian_matrix(diag, off)
+    want_grad, want_hess = loop_hessian(base, frames)
+    scale = float(np.max(np.abs(want_hess)))
+    assert hess.shape == want_hess.shape == (2 * n * _segment_count(k),) * 2
+    assert np.max(np.abs(hess - want_hess)) <= 1e-13 * scale
+    assert np.max(np.abs(grad - want_grad)) <= 1e-13 * scale
+    res = critical_index(n, k, rng=np.random.default_rng(seed))
+    assert (res.index, res.nullity) == pair_of(np.linalg.eigvalsh(want_hess))
+    assert (res.index, res.nullity) == morse_pair(n, k)
 
 
 def morse_pair(n: int, k: int) -> tuple[int, int]:
@@ -490,15 +559,19 @@ class TestCriticalIndex:
         fresh = np.random.default_rng(5)
         random_real_tangent(random_real_point(n, fresh), fresh)
         assert rng.bit_generator.state == fresh.bit_generator.state
-        assert len(base) == len(frames) == _segment_count(k) + 1
+        segments = _segment_count(k)
+        assert base.shape == (segments + 1, n + 1)
+        assert frames.shape == (segments + 1, n + 1, 2 * n)
         for j, (p, frame) in enumerate(zip(base, frames)):
-            end = j in (0, len(base) - 1)
-            assert frame.shape == (n + 1, n if end else 2 * n)
+            # [f, E] and i times it, each column of unit length and
+            # real-orthogonal to the others and to the sample
+            assert np.array_equal(frame[:, n:], 1j * frame[:, :n])
             gram = (frame.conj().T @ frame).real
-            assert np.max(np.abs(gram - np.eye(frame.shape[1]))) < 1e-14
+            assert np.max(np.abs(gram - np.eye(2 * n))) < 1e-14
             assert np.max(np.abs((frame.conj().T @ p).real)) < 1e-14
-            if end:
-                assert not np.any(frame.imag) and not np.any(p.imag)
+            if j in (0, segments):
+                # the real half is a frame of the real locus at p
+                assert not np.any(frame[:, :n].imag) and not np.any(p.imag)
 
     @pytest.mark.parametrize("damage", [move_interior_sample,
                                         spoil_interior_sample])
@@ -517,11 +590,40 @@ class TestCriticalIndex:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_banded_hessian_matches_dense_reference(self, n, k):
+        # finite differences of the whole path's energy
         base, frames = _critical_configuration(n, k, np.random.default_rng(0))
         want = np.linalg.eigvalsh(dense_hessian(base, frames))
         got = critical_index(n, k, rng=np.random.default_rng(0)).eigenvalues
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, k", INDEX_GRID + HIGH_GRID)
+    def test_batched_assembly_matches_the_segment_loop(self, n, k, seed):
+        assert_matches_the_loop(n, k, seed)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 0)])
+    def test_batched_assembly_matches_the_loop_off_the_critical_point(
+            self, n, k):
+        # on the geodesic the interior coupling blocks are symmetric up
+        # to rounding; a moved sample with a random frame makes them
+        # generic, so each block must sit the right way round
+        base, frames = _critical_configuration(n, k, np.random.default_rng(0))
+        move_interior_sample(base, frames, np.random.default_rng(1))
+        grad, diag, off = _bands(base, frames)
+        want_grad, want_hess = loop_hessian(base, frames)
+        scale = float(np.max(np.abs(want_hess)))
+        inner = off[1:-1]
+        assert np.max(np.abs(inner - inner.swapaxes(1, 2))) > 1e-3 * scale
+        hess = _hessian_matrix(diag, off)
+        assert np.max(np.abs(hess - want_hess)) <= 1e-13 * scale
+        assert np.max(np.abs(grad - want_grad)) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+    def test_batched_assembly_matches_the_loop_at_drawn_seeds(self, n, k,
+                                                              seed):
+        assert_matches_the_loop(n, k, seed)
 
     @pytest.mark.parametrize("n, k", HIGH_GRID)
     def test_high_levels(self, n, k):
@@ -594,12 +696,13 @@ def reference_energy(path: DiscretePath) -> float:
     return float(np.sum(d * d / np.diff(path.params)))
 
 
-def dense_hessian(base: np.ndarray, frames: list, h: float = 1e-4
+def dense_hessian(base: np.ndarray, frames: np.ndarray, h: float = 1e-4
                   ) -> np.ndarray:
     """Reference second variation: every entry, band or not, from the
     energy of the whole path under the same stencils critical_index
     uses."""
     segments = base.shape[0] - 1
+    frames = kept_frames(frames)
     offsets = np.concatenate([[0], np.cumsum([f.shape[1] for f in frames])])
     dim = int(offsets[-1])
 

@@ -19,8 +19,8 @@ from pathalg.cli import main
 SRC = Path(pathalg.__file__).resolve().parents[1]
 
 GEOMETRY = {
-    "DiscretePath", "GradientCheckError", "IndexResult", "ParityError",
-    "ProjPoint", "TangentVector", "concat_check", "concat_min",
+    "DiscretePath", "GradientCheckError", "HessianSizeError", "IndexResult",
+    "ParityError", "ProjPoint", "TangentVector", "concat_check", "concat_min",
     "constant_path", "critical_index", "fs_distance", "geodesic",
     "half_circle", "half_circle_endpoint", "half_circle_norm",
     "halfcircle_check", "hopf_vector", "index_check", "path_energy",
