@@ -62,7 +62,7 @@ _GRAM_TOL = 1e-10
 _GRAD_TOL = 1e-8
 # critical_index refuses a Hessian dimension 2n * max(8, 4k + 4) past
 # this: the dense matrix takes dim^2 memory and eigvalsh dim^3 time, and
-# n = 10, k = 50 (dim 4080) takes about 6 s and 295 MB on a 2-core VM
+# n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
 # default trials, seeds 0-9, is 7.1e-14, about 14 000 times below

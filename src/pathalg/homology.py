@@ -62,6 +62,8 @@ class AbelianGroup:
         return self.rank > 0 or bool(self.torsion)
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
+        if not self or not other:
+            return other or self
         return AbelianGroup(rank=self.rank + other.rank,
                             torsion=tuple(sorted(self.torsion + other.torsion)))
 
@@ -254,13 +256,11 @@ def path_space_homology(n: int, coeff: str,
     blocks = [unit_tangent_homology(n, c) for c in block_systems(n, coeff)]
     base = real_proj_homology(n, coeff)[:degree_bound + 1]
     cells = {(d, 0): v for d, v in enumerate(base)}
-    k = 1
-    while block_shift(n, k) <= degree_bound:
-        s = block_shift(n, k)
-        block = blocks[(k - 1) % len(blocks)][:degree_bound - s + 1]
-        for d, v in enumerate(block):
-            cells[(s + d, k)] = v
-        k += 1
+    # level k starts at block_shift(n, k) = 1 + (k - 1)n
+    cells.update(((s + d, k), v)
+                 for k, s in enumerate(range(1, degree_bound + 1, n), 1)
+                 for d, v in enumerate(blocks[(k - 1) % len(blocks)]
+                                       [:degree_bound - s + 1]))
     return BigradedTable.from_dict(cells, degree_bound)
 
 

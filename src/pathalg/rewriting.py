@@ -343,23 +343,30 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
     return bound
 
 
+def _pair_cells(sig: Signature, a: int, e: int, lo, hi,
+                degree_bound: int) -> Iterator[tuple[int, int]]:
+    """(degree n - a + e*deg(X) + n*b, level e + b) of each word
+    H^a X^e Y^b with lo <= b < hi (hi may be math.inf), up to degree
+    degree_bound: one arithmetic progression."""
+    n = sig.n
+    d0 = n - a + e * sig.degree[sig.alphabet[1]]
+    hi = min(hi, (degree_bound - d0) // n + 1)
+    return zip(range(d0 + n * lo, d0 + n * hi, n), range(e + lo, e + hi))
+
+
 def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Count irreducible words per (unshifted degree, level) for degrees
-    0..degree_bound.  The words H^a X^e Y^b of one pair (a, e) have
-    degree n - a + e*deg(X) + n*b and level e + b, one arithmetic
-    progression per pair.  Refuses a negative degree_bound, as
+    0..degree_bound, one progression of cells per pair (a, e)
+    (_pair_cells).  Refuses a negative degree_bound, as
     path_space_homology does, a system that complete did not return,
     and one that leaves a defining left side irreducible."""
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
-    n, dx = rs.sig.n, rs.sig.degree[rs.sig.alphabet[1]]
     counts: Counter[tuple[int, int]] = Counter()
     for (a, e), bound in _exponent_bounds(rs).items():
-        d0 = n - a + e * dx
-        k = min(bound, (degree_bound - d0) // n + 1)
-        counts.update(zip(range(d0, d0 + n * k, n), range(e, e + k)))
+        counts.update(_pair_cells(rs.sig, a, e, 0, bound, degree_bound))
     return BigradedTable.from_dict(counts, degree_bound)
 
 
@@ -450,20 +457,23 @@ class ComparisonReport:
 
 
 def compare(alg: BigradedTable, hom: BigradedTable) -> ComparisonReport:
-    """Cell-by-cell and per-degree comparison of two dimension tables."""
+    """Cell-by-cell and per-degree comparison of two dimension tables.
+    Past one scan of the cell maps, work grows with the differing cells:
+    a degree total differs only where a cell does (hom's plus those)."""
     if alg.degree_bound != hom.degree_bound:
         raise ValueError(
             f"degree bounds differ: {alg.degree_bound} vs {hom.degree_bound}")
     if alg.entries == hom.entries:
         return ComparisonReport(alg.degree_bound, (), ())
-    # a cell differs where an entry (cell, value) is in one table only
-    ea, eh = set(alg.entries), set(hom.entries)
-    a, h = dict(ea - eh), dict(eh - ea)
-    cells = sorted((d, l, a.get((d, l), 0), h.get((d, l), 0))
-                   for d, l in a.keys() | h.keys())
-    ta, th = alg.degree_totals, hom.degree_totals
-    totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
-              if ta[d] != th[d]]
+    ca, ch = alg.cells, hom.cells
+    keys = sorted([k for k, v in ca.items() if ch.get(k, 0) != v]
+                  + [k for k in ch if k not in ca])
+    cells = [(d, l, ca.get((d, l), 0), ch.get((d, l), 0)) for d, l in keys]
+    delta: dict[int, int] = {}
+    for d, _, a, h in cells:
+        delta[d] = delta.get(d, 0) + a - h
+    th = hom.degree_totals
+    totals = [(d, th[d] + v, th[d]) for d, v in delta.items() if v]
     return ComparisonReport(degree_bound=alg.degree_bound,
                             cell_mismatches=tuple(cells),
                             total_mismatches=tuple(totals))
@@ -482,10 +492,11 @@ class Augmentation:
         return "{" + ", ".join(r.render() for r in self.rules) + "}"
 
 
-def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
+def _degree_words(rs: RewriteSystem, degree: int,
+                  bounds: dict | None = None) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
     in the order of rs.sig: at most one word H^a X^e Y^b per pair
-    (a, e), read off _exponent_bounds.
+    (a, e), read off rs's _exponent_bounds (bounds, if given).
 
     At most four words: for fixed e the degree n - a + e*deg(X) + n*b
     fixes a modulo n, a = n + e*deg(X) - degree (mod n), and 0 <= a <= n
@@ -494,11 +505,31 @@ def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     sig = rs.sig
     n, x = sig.n, sig.alphabet[1]
     out = []
-    for (a, e), bound in _exponent_bounds(rs).items():
+    for (a, e), bound in (bounds or _exponent_bounds(rs)).items():
         b, r = divmod(degree - (n - a + e * sig.degree[x]), n)
         if r == 0 and 0 <= b < bound:
             out.append(("H" * a + x * e + "Y" * b, e + b))
     return sorted(out, key=lambda wl: order_key(wl[0], sig))
+
+
+def _bound_excess(base_excess: dict, base_bounds: dict, bounds: dict,
+                  sig: Signature, degree_bound: int) -> dict:
+    """presentation - target on each differing cell up to degree_bound
+    of a completed system whose ideal contains base's: more leading
+    words leave fewer irreducible words (a basis, Bergman 1978), so its
+    exponent bounds are at most base's (else ValueError), and base's
+    excess loses the words H^a X^e Y^b with bounds <= b < base_bounds."""
+    diff = dict(base_excess)
+    for pair, lo in bounds.items():
+        hi = base_bounds[pair]
+        if lo > hi:
+            raise ValueError(f"bound {lo} of pair {pair} above base's {hi}")
+        if lo < hi:
+            for cell in _pair_cells(sig, *pair, lo, hi, degree_bound):
+                v = diff.pop(cell, 0) - 1
+                if v:
+                    diff[cell] = v
+    return diff
 
 
 def repair_search(base: RewriteSystem, comparison: ComparisonReport,
@@ -524,9 +555,8 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
             degree bound.
 
     Distinct search paths reaching the same rule set are reported once.
-    base is never counted again (comparison holds its cells); every
-    other system the search reaches is counted by hilbert once per
-    visit.
+    No table is counted: comparison holds base's cells, and every other
+    system reached extends base, so _bound_excess reads its excess.
     RepairError is raised when no candidate survives.  Only a
     CompletionError rejects a candidate; any other error propagates.
     The search is exhaustive: where it would need more than _DEPTH_CAP
@@ -537,15 +567,11 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
         raise ValueError("repair_search requires a completed system")
     if comparison.degree_bound != hom.degree_bound:
         raise ValueError("comparison and hom have different degree bounds")
-
-    def excess(report: ComparisonReport) -> dict[tuple[int, int], int]:
-        """presentation - hom on every cell where the two differ."""
-        return {(d, l): a - h for d, l, a, h in report.cell_mismatches}
-
-    base_excess = excess(comparison)
+    base_excess = {(d, l): a - h for d, l, a, h in comparison.cell_mismatches}
     if not base_excess:
         raise ValueError("presentation already matches; nothing to repair")
     base_set = set(base.rules)
+    base_bounds = _exponent_bounds(base)
 
     # each rule set reached, once: its augmentation, or None where the
     # filtration fails
@@ -553,14 +579,14 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
     dead_degrees: list[int] = []
 
     def search(current: RewriteSystem, depth: int) -> None:
-        diff = (base_excess if current is base
-                else excess(compare(hilbert(current, hom.degree_bound), hom)))
-        deficit = [k for k, v in diff.items() if v < 0]
-        surplus = sorted(k for k, v in diff.items() if v > 0)
+        bounds = base_bounds if current is base else _exponent_bounds(current)
+        diff = _bound_excess(base_excess, base_bounds, bounds, base.sig,
+                             hom.degree_bound)
+        deficit = [d for (d, _), v in diff.items() if v < 0]
         if deficit:
-            dead_degrees.append(min(d for d, _ in deficit))
+            dead_degrees.append(min(deficit))
             return
-        if not surplus:
+        if not diff:
             if not base_set <= set(current.rules):
                 return
             candidate = tuple(r for r in current.rules if r not in base_set)
@@ -569,11 +595,12 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
                 found[key] = (Augmentation(rules=candidate, system=current)
                               if filtration_check(current).passed else None)
             return
+        # no deficit, so every cell left is a surplus
+        degree, level = min(diff)
         if depth >= _DEPTH_CAP:
-            raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, surplus[0])
-        degree, level = surplus[0]
+            raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, (degree, level))
         progressed = False
-        words = _degree_words(current, degree)
+        words = _degree_words(current, degree, bounds)
         for i, (lhs, lv) in enumerate(words):
             if lv != level:
                 continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -29,25 +30,27 @@ class BigradedTable:
 
     @classmethod
     def from_dict(cls, entries: dict, degree_bound: int) -> "BigradedTable":
-        items = tuple(sorted((k, v) for k, v in entries.items() if v))
+        items = tuple(sorted(filter(itemgetter(1), entries.items()),
+                             key=itemgetter(0)))
         return cls(entries=items, degree_bound=degree_bound)
 
     def as_dict(self) -> dict:
         return dict(self.entries)
 
     def get(self, degree: int, level: int, zero=0):
-        return self._cells.get((degree, level), zero)
+        return self.cells.get((degree, level), zero)
 
     @cached_property
     def degree_totals(self) -> Counter[int]:
         """Sum of dimensions over levels per degree, in one pass, once."""
         totals: Counter[int] = Counter()
         for (d, _), v in self.entries:
-            totals[d] += v
+            totals[d] = totals.get(d, 0) + v
         return totals
 
     @cached_property
-    def _cells(self) -> dict:
+    def cells(self) -> dict:
+        """The nonzero cells as a dict, built once; read only."""
         return dict(self.entries)
 
 

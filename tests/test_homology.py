@@ -5,6 +5,8 @@ oracles: projective spaces from the two-term cellular complex, unit
 tangent bundles from the two-row Gysin sequence.
 """
 
+import math
+
 import pytest
 
 from pathalg.homology import (
@@ -129,6 +131,97 @@ class TestUnitTangent:
     def test_rejects_twisted_tag(self):
         with pytest.raises(CoefficientError):
             unit_tangent_homology(2, COEFF_TWISTED)
+
+
+def _group(rank: int, torsion) -> AbelianGroup:
+    return AbelianGroup(rank=rank, torsion=tuple(sorted(torsion)))
+
+
+def kunneth(hx: tuple, hy: tuple) -> tuple:
+    """Integral homology of a product X x Y from graded tables of X and
+    Y, by the Künneth theorem: H_d(X x Y) is the sum of
+    H_i(X) (x) H_j(Y) over i + j = d and of Tor(H_i(X), H_j(Y)) over
+    i + j = d - 1.  Over Z, Z (x) G = G, Tor(Z, G) = 0, and
+    Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t)."""
+    def tensor(g, h):
+        return _group(g.rank * h.rank,
+                      [t for t in h.torsion for _ in range(g.rank)]
+                      + [t for t in g.torsion for _ in range(h.rank)]
+                      + list(tor(g, h).torsion))
+
+    def tor(g, h):
+        return _group(0, [math.gcd(s, t) for s in g.torsion
+                          for t in h.torsion if math.gcd(s, t) > 1])
+
+    out = []
+    for d in range(len(hx) + len(hy)):
+        total = ZERO_GROUP
+        for i, g in enumerate(hx):
+            if 0 <= d - i < len(hy):
+                total += tensor(g, hy[d - i])
+            if 0 <= d - 1 - i < len(hy):
+                total += tor(g, hy[d - 1 - i])
+        out.append(total)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def sphere_homology(m: int) -> tuple:
+    """H_*(S^m; Z): Z in degrees 0 and m; S^0 is two points."""
+    if m == 0:
+        return (ZZ,)
+    return (Z,) + (ZERO_GROUP,) * (m - 1) + (Z,)
+
+
+def lens_space_homology(p: int) -> tuple:
+    """H_*(L(p, q); Z) = Z, Z/p, 0, Z for every q: the lens space is
+    the quotient of S^3 by a free Z/p action, so H_1 is that group."""
+    return (Z, _group(0, (p,)), ZERO_GROUP, Z)
+
+
+def kunneth_anchor(n: int, table: tuple) -> bool:
+    """RP^n is parallelizable for n = 1, 3 and 7, so its unit tangent
+    bundle is RP^n x S^(n-1), and its table is their Künneth product."""
+    return table == kunneth(real_proj_homology(n, COEFF_Z),
+                            sphere_homology(n - 1))
+
+
+def lens_space_anchor(table: tuple) -> bool:
+    """The unit tangent bundle of RP^2 is L(4, 1): H_1 is Z/4, not
+    Z/2 + Z/2, which pins the extension the Gysin sequence leaves."""
+    return table == lens_space_homology(4)
+
+
+class TestAnchors:
+    """Known theorems as a second route to the integral unit tangent
+    tables, which the closed forms and the golden data share."""
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_parallelizable_cases_are_products(self, n):
+        assert kunneth_anchor(n, unit_tangent_homology(n, COEFF_Z))
+
+    def test_kunneth_of_rp3(self):
+        assert kunneth(real_proj_homology(3, COEFF_Z), sphere_homology(2)) \
+            == (Z, Z2, Z, Z_Z2, ZERO_GROUP, Z)
+
+    def test_unit_tangent_of_rp2_is_a_lens_space(self):
+        assert lens_space_anchor(unit_tangent_homology(2, COEFF_Z))
+
+    @pytest.mark.parametrize("anchor, n, degree, damage", [
+        (lens_space_anchor, 2, 1, Z2 + Z2),
+        (kunneth_anchor, 1, 0, Z),
+        (kunneth_anchor, 3, 3, Z),
+        (kunneth_anchor, 7, 6, Z4),
+    ])
+    def test_each_anchor_fails_on_a_damaged_table(self, anchor, n, degree,
+                                                  damage):
+        table = list(unit_tangent_homology(n, COEFF_Z))
+        assert table[degree] != damage
+        table[degree] = damage
+        args = (tuple(table),) if anchor is lens_space_anchor \
+            else (n, tuple(table))
+        assert not anchor(*args)
 
 
 class TestUct:

@@ -9,7 +9,7 @@ import math
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathalg import rewriting
 from pathalg.algebra import (
@@ -24,6 +24,7 @@ from pathalg.algebra import (
     word_weight,
 )
 from pathalg.rewriting import (
+    ComparisonReport,
     CompletionError,
     OrderRejectedError,
     RepairError,
@@ -117,6 +118,36 @@ def reference_hilbert(rs: RewriteSystem, degree_bound: int,
         if 0 <= d <= degree_bound:
             counts[d, l] += 1
     return BigradedTable.from_dict(counts, degree_bound)
+
+
+def reference_compare(alg: BigradedTable,
+                      hom: BigradedTable) -> ComparisonReport:
+    """compare by sets of every entry of both tables and every degree
+    total up to the bound."""
+    ea, eh = set(alg.entries), set(hom.entries)
+    a, h = dict(ea - eh), dict(eh - ea)
+    cells = sorted((d, l, a.get((d, l), 0), h.get((d, l), 0))
+                   for d, l in a.keys() | h.keys())
+    ta, th = alg.degree_totals, hom.degree_totals
+    totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
+              if ta[d] != th[d]]
+    return ComparisonReport(alg.degree_bound, tuple(cells), tuple(totals))
+
+
+def reference_excess(rs: RewriteSystem, hom: BigradedTable) -> dict:
+    """presentation - hom on every differing cell, from rs's full
+    table."""
+    report = reference_compare(hilbert(rs, hom.degree_bound), hom)
+    return {(d, l): a - h for d, l, a, h in report.cell_mismatches}
+
+
+def bound_excess(rs: RewriteSystem, base: RewriteSystem,
+                 hom: BigradedTable) -> dict:
+    """repair_search's excess of rs, read off its exponent bounds
+    against base's and base's reference excess."""
+    return rewriting._bound_excess(
+        reference_excess(base, hom), rewriting._exponent_bounds(base),
+        rewriting._exponent_bounds(rs), base.sig, hom.degree_bound)
 
 
 def assert_confluent(rs: RewriteSystem) -> None:
@@ -508,6 +539,22 @@ def test_resumed_completion_is_completion_from_scratch(drawn):
 
 
 @settings(max_examples=60, deadline=None)
+@given(extra_rules(), st.integers(0, 60))
+def test_bound_excess_of_an_extension_of_an_extension(drawn, D):
+    # the excess moves from any completed system to any that extends
+    # it, finite bounds included: base plus the first rule, then plus
+    # both
+    base, extra = drawn
+    try:
+        mid = complete(base, extra[:1])
+        rs = complete(base, extra)
+    except CompletionError:
+        return
+    hom = path_space_homology(base.sig.n, COEFF_F2, D)
+    assert bound_excess(rs, mid, hom) == reference_excess(rs, hom)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="HSY", min_size=0, max_size=6),
        st.text(alphabet="HSY", min_size=0, max_size=6))
 def test_normal_form_is_a_congruence(u, v):
@@ -647,6 +694,25 @@ class TestHilbertAndCompare:
         with pytest.raises(ValueError):
             compare(a, b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 3)),
+                           st.integers(0, 3), max_size=12),
+           st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 3)),
+                           st.integers(0, 3), max_size=12),
+           st.sampled_from(["drawn", "equal", "one value changed"]))
+    @example({(0, 0): 1, (2, 1): 2}, {(0, 0): 1, (3, 2): 1}, "drawn")
+    @example({(0, 0): 1, (2, 1): 2}, {(0, 0): 2, (2, 1): 2}, "drawn")
+    def test_compare_is_the_set_based_reference(self, a, b, how):
+        # cells in one table only, differing values, and equal tables
+        if how == "equal":
+            b = dict(a)
+        elif how == "one value changed" and a:
+            b = dict(a)
+            key = min(a)
+            b[key] = a[key] % 3 + 1
+        alg, hom = BigradedTable.from_dict(a, 6), BigradedTable.from_dict(b, 6)
+        assert compare(alg, hom) == reference_compare(alg, hom)
+
     def test_hilbert_level_zero_column(self):
         rs = completed(4)
         table = hilbert(rs, 12)
@@ -721,9 +787,9 @@ class TestRepairSearch:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_one_bound_reading_per_surplus_degree(self, monkeypatch, n):
-        # the exponent bounds are read once to list the surplus degree's
-        # left sides and pools, and once by the hilbert count of each of
-        # the two repaired systems
+        # the exponent bounds are read once for base, which also lists
+        # the surplus degree's left sides and pools, and once for each
+        # of the two repaired systems, whose excess they give
         hom = path_space_homology(n, COEFF_F2, 40)
         base = completed(n)
         alg = hilbert(base, 40)
@@ -737,6 +803,47 @@ class TestRepairSearch:
         monkeypatch.setattr(rewriting, "_exponent_bounds", counting)
         assert len(repair_search(base, compare(alg, hom), hom)) == 2
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("n, D", [
+        *((n, 40) for n in range(2, 21, 2)),
+        *((n, D) for n in (2, 4, 6)
+          for D in (0, 1, 2, 3, 5, 8, 13, 560, 840)),
+        (2, 10_000)])
+    def test_bound_excess_is_the_counted_excess(self, monkeypatch, n, D):
+        # every system the search reaches extends base, and its excess
+        # read off the exponent bounds is the one its full table gives
+        hom = path_space_homology(n, COEFF_F2, D)
+        base = completed(n)
+        real = rewriting.complete
+        reached = []
+
+        def recording(rs, extra=()):
+            reached.append(real(rs, extra))
+            return reached[-1]
+
+        monkeypatch.setattr(rewriting, "complete", recording)
+        assert search(base, hom)
+        assert reached
+        for rs in reached:
+            assert bound_excess(rs, base, hom) == reference_excess(rs, hom)
+
+    def test_a_bound_above_the_base_is_refused(self, monkeypatch):
+        # a doctored reading of base lowers one bound, so every system
+        # the search reaches seems to lift it: refused, naming the pair
+        hom = path_space_homology(2, COEFF_F2, 20)
+        base = completed(2)
+        comparison = compare(hilbert(base, 20), hom)
+        real = rewriting._exponent_bounds
+
+        def doctored(rs):
+            bounds = real(rs)
+            if rs is base:
+                bounds[0, 0] = 0
+            return bounds
+
+        monkeypatch.setattr(rewriting, "_exponent_bounds", doctored)
+        with pytest.raises(ValueError, match=r"pair \(0, 0\) above"):
+            repair_search(base, comparison, hom)
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
