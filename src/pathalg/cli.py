@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import gc
+import itertools
 import json
 import sys
 from importlib import resources
@@ -37,56 +38,56 @@ def _int_at_least(low: int):
 
 
 # ---------------------------------------------------------------------------
-# Cell serialization: every cell carries degree, level, names and either
-# a mod-2 dimension or an integral group {rank, torsion[]}
+# Output of ((degree, level), value) cells, one renderer per format
 
 
-def _cells(entries) -> list[dict]:
-    """Serialize ((degree, level), value) pairs of any table: an int is
-    a mod-2 dimension, an AbelianGroup a group, and a tuple of names
-    has its length as dimension."""
-    cells = []
-    for (degree, level), value in entries:
-        cell = {"degree": degree, "level": level, "names": []}
-        if isinstance(value, homology.AbelianGroup):
-            cell["group"] = {"rank": value.rank,
-                             "torsion": list(value.torsion)}
-        elif isinstance(value, tuple):
-            cell.update(names=list(value), dim=len(value))
-        else:
-            cell["dim"] = value
-        cells.append(cell)
-    return cells
+def _columns(value) -> tuple[str, str]:
+    """md and csv's value and names of a mod-2 dimension, an integral
+    AbelianGroup, or a tuple of names (its length, then the names)."""
+    if isinstance(value, homology.AbelianGroup):
+        return value.render(), ""
+    if isinstance(value, tuple):
+        return str(len(value)), " ".join(value)
+    return str(value), ""
 
 
-def _cell_value(cell: dict) -> str:
-    if "dim" in cell:
-        return str(cell["dim"])
-    g = cell["group"]
-    return homology.AbelianGroup(g["rank"], tuple(g["torsion"])).render()
+def _json_cell(degree: int, level: int, value) -> dict:
+    """A cell in the json schema: degree, level, names, then dim or group."""
+    cell = {"degree": degree, "level": level, "names": []}
+    if isinstance(value, homology.AbelianGroup):
+        cell["group"] = {"rank": value.rank, "torsion": list(value.torsion)}
+    elif isinstance(value, tuple):
+        cell.update(names=list(value), dim=len(value))
+    else:
+        cell["dim"] = value
+    return cell
 
 
-def _emit_sections(sections: list[tuple[str, list[dict]]], fmt: str) -> None:
-    """One document per invocation: a json object with a sections list,
-    a single csv stream with a section column, or aligned text blocks."""
+def _emit_sections(sections, fmt: str) -> None:
+    """One document from (title, cells) sections: a json object of
+    sections, one csv stream with a section column, or text blocks."""
     out = sys.stdout
     if fmt == "json":
-        doc = {"sections": [{"title": t, "cells": c} for t, c in sections]}
-        print(json.dumps(doc, indent=2), file=out)
+        doc = {"sections": [
+            {"title": title,
+             "cells": [_json_cell(d, l, v) for (d, l), v in cells]}
+            for title, cells in sections]}
+        # in runs of chunks: a write per chunk costs more than encoding
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        for first in chunks:
+            out.write(first + "".join(itertools.islice(chunks, 4095)))
+        print(file=out)
         return
     if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["section", "degree", "level", "value", "names"])
-        for title, cells in sections:
-            for c in cells:
-                writer.writerow([title, c["degree"], c["level"],
-                                 _cell_value(c), " ".join(c["names"])])
+        writer.writerows((title, d, l, *_columns(v))
+                         for title, cells in sections for (d, l), v in cells)
         return
     for title, cells in sections:
         print(f"## {title}", file=out)
         rows = [("degree", "level", "value", "names")]
-        rows += [(str(c["degree"]), str(c["level"]), _cell_value(c),
-                  " ".join(c["names"])) for c in cells]
+        rows += [(str(d), str(l), *_columns(v)) for (d, l), v in cells]
         widths = [max(len(r[i]) for r in rows) for i in range(4)]
         for r in rows:
             print("  ".join(r[i].ljust(widths[i]) for i in range(4)).rstrip(),
@@ -109,11 +110,11 @@ def cmd_homology(args) -> int:
         label = ring if tag == COEFF_F2 else f"coefficients {tag}"
         graded.append((f"unit tangent bundle, {label}, n={n}",
                        homology.unit_tangent_homology(n, tag)))
-    sections = [(title, _cells(((d, 0), v) for d, v in enumerate(table)))
+    sections = [(title, (((d, 0), v) for d, v in enumerate(table)))
                 for title, table in graded]
     path = homology.path_space_homology(n, coeff, D)
     sections.append((f"assembled path-space table, {ring}, n={n}, "
-                     f"degrees 0..{D}", _cells(path.entries)))
+                     f"degrees 0..{D}", path.entries))
     _emit_sections(sections, args.format)
     return 0
 
@@ -153,7 +154,7 @@ def cmd_verify(args) -> int:
     if not comparison.is_match and n % 2 == 0:
         print("\nsearching for rule augmentations that restore the match:")
         try:
-            augs = rewriting.repair_search(rs, comparison, hom)
+            augs = rewriting.repair_search(rs, comparison)
         except rewriting.RepairError as exc:
             print(f"  none found: {exc}")
         else:
@@ -224,13 +225,13 @@ def cmd_table(args) -> int:
     if args.format == "md":
         print(_table_text(n, levels, table), end="")
     else:
-        _emit_sections([(f"named generating cells, n={n}",
-                         _cells(table.entries))], args.format)
+        _emit_sections([(f"named generating cells, n={n}", table.entries)],
+                       args.format)
     if not args.golden:
         return 0
     # a json or csv stdout holds one document, so the verdict goes aside
     out = sys.stdout if args.format == "md" else sys.stderr
-    got = table.as_dict()
+    got = table.cells
     if want == got:
         print(f"golden comparison: {len(want)} cells match", file=out)
         return 0

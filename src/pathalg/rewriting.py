@@ -307,13 +307,21 @@ def complete(rs: RewriteSystem,
 # Hilbert counts
 
 
+def _check_normal_shape(rs: RewriteSystem) -> RewriteSystem:
+    """rs, if it reduces every defining left side, as _exponent_bounds's
+    proof needs; so does each system whose ideal contains rs's."""
+    if any(_leftmost_match(rel.lhs, rs.rules) is None
+           for rel in defining_relations(rs.sig.n)):
+        raise ValueError("irreducible words are known only in a system "
+                         "that reduces the defining left sides")
+    return rs
+
+
 def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
     """B(a, e) for each of the 2(n + 1) pairs a <= n, e <= 1: the
     irreducible words of rs are exactly the words H^a X^e Y^b with
     b < B(a, e), X the middle letter (S or T).  math.inf stands for no
-    bound.  Refuses a system that leaves a defining left side
-    irreducible, since the shape is proved only for systems that reduce
-    them all.
+    bound.  Holds for a system that passes _check_normal_shape.
 
     Proof.  Each of the five defining left sides XH, YH, YX, XX and
     H^(n+1) contains a left side of rs, so an irreducible word avoids
@@ -324,10 +332,6 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
     and e = 0 if e' = 0 with a' > 0 and b' > 0 (the H-run must meet the
     Y-run directly).  So the word is irreducible exactly when b is below
     the least b' of the left sides that fit (a, e) this way."""
-    if any(_leftmost_match(rel.lhs, rs.rules) is None
-           for rel in defining_relations(rs.sig.n)):
-        raise ValueError("irreducible words are known only in a system "
-                         "that reduces the defining left sides")
     n, x = rs.sig.n, rs.sig.alphabet[1]
     bound = {(a, e): math.inf for a in range(n + 1) for e in (0, 1)}
     for r in rs.rules:
@@ -365,7 +369,7 @@ def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
     counts: Counter[tuple[int, int]] = Counter()
-    for (a, e), bound in _exponent_bounds(rs).items():
+    for (a, e), bound in _exponent_bounds(_check_normal_shape(rs)).items():
         counts.update(_pair_cells(rs.sig, a, e, 0, bound, degree_bound))
     return BigradedTable.from_dict(counts, degree_bound)
 
@@ -496,7 +500,7 @@ def _degree_words(rs: RewriteSystem, degree: int,
                   bounds: dict | None = None) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
     in the order of rs.sig: at most one word H^a X^e Y^b per pair
-    (a, e), read off rs's _exponent_bounds (bounds, if given).
+    (a, e), read off bounds, else off rs's checked _exponent_bounds.
 
     At most four words: for fixed e the degree n - a + e*deg(X) + n*b
     fixes a modulo n, a = n + e*deg(X) - degree (mod n), and 0 <= a <= n
@@ -505,7 +509,8 @@ def _degree_words(rs: RewriteSystem, degree: int,
     sig = rs.sig
     n, x = sig.n, sig.alphabet[1]
     out = []
-    for (a, e), bound in (bounds or _exponent_bounds(rs)).items():
+    bounds = bounds or _exponent_bounds(_check_normal_shape(rs))
+    for (a, e), bound in bounds.items():
         b, r = divmod(degree - (n - a + e * sig.degree[x]), n)
         if r == 0 and 0 <= b < bound:
             out.append(("H" * a + x * e + "Y" * b, e + b))
@@ -532,12 +537,11 @@ def _bound_excess(base_excess: dict, base_bounds: dict, bounds: dict,
     return diff
 
 
-def repair_search(base: RewriteSystem, comparison: ComparisonReport,
-                  hom: BigradedTable) -> tuple[Augmentation, ...]:
+def repair_search(base: RewriteSystem,
+                  comparison: ComparisonReport) -> tuple[Augmentation, ...]:
     """Search for rule augmentations that reconcile the completed
-    presentation base, whose hilbert table compares to the target
-    dimension table hom as comparison says, up to their common degree
-    bound.
+    presentation base with the target table that comparison compares
+    base's hilbert table to, up to comparison.degree_bound.
 
     Surplus cells are attacked in increasing (degree, level) order; for
     each candidate left side in the first surplus cell every F2
@@ -565,13 +569,11 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
     """
     if base.completion_status != COMPLETE:
         raise ValueError("repair_search requires a completed system")
-    if comparison.degree_bound != hom.degree_bound:
-        raise ValueError("comparison and hom have different degree bounds")
     base_excess = {(d, l): a - h for d, l, a, h in comparison.cell_mismatches}
     if not base_excess:
         raise ValueError("presentation already matches; nothing to repair")
     base_set = set(base.rules)
-    base_bounds = _exponent_bounds(base)
+    base_bounds = _exponent_bounds(_check_normal_shape(base))
 
     # each rule set reached, once: its augmentation, or None where the
     # filtration fails
@@ -581,7 +583,7 @@ def repair_search(base: RewriteSystem, comparison: ComparisonReport,
     def search(current: RewriteSystem, depth: int) -> None:
         bounds = base_bounds if current is base else _exponent_bounds(current)
         diff = _bound_excess(base_excess, base_bounds, bounds, base.sig,
-                             hom.degree_bound)
+                             comparison.degree_bound)
         deficit = [d for (d, _), v in diff.items() if v < 0]
         if deficit:
             dead_degrees.append(min(deficit))

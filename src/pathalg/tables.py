@@ -34,9 +34,6 @@ class BigradedTable:
                              key=itemgetter(0)))
         return cls(entries=items, degree_bound=degree_bound)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def get(self, degree: int, level: int, zero=0):
         return self.cells.get((degree, level), zero)
 

@@ -104,7 +104,7 @@ def test_criterion_03_even_case_diagnosis_and_repair():
             assert surplus_zero == ["H" * n + "T"]
             shadow = [w for w, l in _degree_words(rs, n) if l == 1]
             assert "H" * n + "Y" in shadow
-            found = repair_search(rs, report, hom)
+            found = repair_search(rs, report)
             assert found
             renders = {a.render() for a in found}
             killer = "{" + "H" * n + "T -> 0, " + "H" * n + "Y -> 0}"
@@ -142,7 +142,7 @@ def test_criterion_06_filtration():
         for n in (2, 4):
             hom = path_space_homology(n, COEFF_F2, 20)
             rs = completed(n)
-            for aug in repair_search(rs, compare(hilbert(rs, 20), hom), hom):
+            for aug in repair_search(rs, compare(hilbert(rs, 20), hom)):
                 assert filtration_check(aug.system).passed
 
 

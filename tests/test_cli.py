@@ -178,6 +178,112 @@ class TestHomologyCommand:
                     for cell, v in table.entries}
         assert got == want
 
+def reference_cells(entries) -> list[dict]:
+    """The cells as json dicts, the route md and csv once read too."""
+    cells = []
+    for (degree, level), value in entries:
+        cell = {"degree": degree, "level": level, "names": []}
+        if isinstance(value, homology.AbelianGroup):
+            cell["group"] = {"rank": value.rank,
+                             "torsion": list(value.torsion)}
+        elif isinstance(value, tuple):
+            cell.update(names=list(value), dim=len(value))
+        else:
+            cell["dim"] = value
+        cells.append(cell)
+    return cells
+
+
+def reference_value(cell: dict) -> str:
+    """A cell's value column, rebuilt from its json dict."""
+    if "dim" in cell:
+        return str(cell["dim"])
+    g = cell["group"]
+    return homology.AbelianGroup(g["rank"], tuple(g["torsion"])).render()
+
+
+def reference_emit(sections, fmt: str) -> None:
+    """The emitter that printed every format from reference_cells."""
+    sections = [(title, reference_cells(cells)) for title, cells in sections]
+    out = sys.stdout
+    if fmt == "json":
+        doc = {"sections": [{"title": t, "cells": c} for t, c in sections]}
+        print(json.dumps(doc, indent=2), file=out)
+        return
+    if fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["section", "degree", "level", "value", "names"])
+        for title, cells in sections:
+            for c in cells:
+                writer.writerow([title, c["degree"], c["level"],
+                                 reference_value(c), " ".join(c["names"])])
+        return
+    for title, cells in sections:
+        print(f"## {title}", file=out)
+        rows = [("degree", "level", "value", "names")]
+        rows += [(str(c["degree"]), str(c["level"]), reference_value(c),
+                  " ".join(c["names"])) for c in cells]
+        widths = [max(len(r[i]) for r in rows) for i in range(4)]
+        for r in rows:
+            print("  ".join(r[i].ljust(widths[i]) for i in range(4)).rstrip(),
+                  file=out)
+        print(file=out)
+
+
+class TestEmitter:
+    """md, csv and json print the library's cells as the json-dict route
+    (reference_emit) printed them, byte for byte."""
+
+    @staticmethod
+    def outputs(capsys, monkeypatch, argv):
+        """(exit code, stdout, stderr) of argv, then of argv with its
+        sections printed by reference_emit."""
+        got = (main(argv), *capsys.readouterr())
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_emit_sections", reference_emit)
+            want = (main(argv), *capsys.readouterr())
+        return got, want
+
+    @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+    @pytest.mark.parametrize("coeff", ["Z", "F2"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_homology_prints_as_the_reference(self, capsys, monkeypatch, n,
+                                              coeff, fmt):
+        for bound in ([], ["--max-degree", "0"], ["--max-degree", "1"],
+                      ["--max-degree", str(3 * n)]):
+            argv = ["homology", "--n", str(n), "--coeff", coeff,
+                    "--format", fmt, *bound]
+            got, want = self.outputs(capsys, monkeypatch, argv)
+            assert got == want, argv
+            assert got[0] == 0 and got[1]
+
+    @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_table_prints_as_the_reference(self, capsys, monkeypatch, n, fmt):
+        for golden in ([], ["--golden"]) if n < 5 else ([],):
+            argv = ["table", "--n", str(n), "--format", fmt, *golden]
+            got, want = self.outputs(capsys, monkeypatch, argv)
+            assert got == want, argv
+            assert got[0] == 0 and got[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--n", "2", "--coeff", "Z"],
+        ["homology", "--n", "3", "--coeff", "F2"],
+        ["table", "--n", "3"]])
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_md_and_csv_build_no_json_cell(self, capsys, monkeypatch, argv,
+                                           fmt):
+        argv = [*argv, "--format", fmt]
+        want = (main(argv), *capsys.readouterr())
+
+        def refuse(*args):
+            raise AssertionError("a json cell built for md or csv")
+
+        monkeypatch.setattr(cli, "_json_cell", refuse)
+        assert (main(argv), *capsys.readouterr()) == want
+        assert want[0] == 0 and want[1]
+
+
 class TestVerifyCommand:
     def test_odd_passes(self, capsys):
         code, out = run(capsys, "verify", "--n", "3", "--max-degree", "20")

@@ -193,6 +193,21 @@ def lens_space_anchor(table: tuple) -> bool:
     return table == lens_space_homology(4)
 
 
+def duality_anchor(m: int, table: tuple, dual: tuple) -> bool:
+    """Poincaré duality with the universal coefficient theorem on a
+    closed m-manifold M: table is H_*(M; L) and dual is H_*(M; L (x) o),
+    o the orientation system of M, L of fiber Z and monodromy +-1 (so
+    its own dual).  Duality gives H^i(M; L) = H_(m-i)(M; L (x) o), and
+    the UCT puts the rank of H_i(M; L) and the torsion of H_(i-1)(M; L)
+    into H^i(M; L).  So the rank of table in degree i is dual's in
+    degree m - i, and its torsion is dual's in degree m - i - 1."""
+    def at(groups, d):
+        return groups[d] if 0 <= d < len(groups) else ZERO_GROUP
+    return all(at(table, i).rank == at(dual, m - i).rank
+               and at(table, i).torsion == at(dual, m - i - 1).torsion
+               for i in range(-1, m + 1))
+
+
 class TestAnchors:
     """Known theorems as a second route to the integral unit tangent
     tables, which the closed forms and the golden data share."""
@@ -207,6 +222,35 @@ class TestAnchors:
 
     def test_unit_tangent_of_rp2_is_a_lens_space(self):
         assert lens_space_anchor(unit_tangent_homology(2, COEFF_Z))
+
+    def test_projective_space_is_dual_to_its_orientation_system(self):
+        # o is trivial for odd n, where RP^n is orientable
+        for n in range(1, 41):
+            orientation = COEFF_Z if n % 2 else COEFF_TWISTED
+            assert duality_anchor(n, real_proj_homology(n, COEFF_Z),
+                                  real_proj_homology(n, orientation)), n
+
+    @pytest.mark.parametrize("coeff", [COEFF_Z, COEFF_PULLBACK])
+    def test_unit_tangent_bundle_is_self_dual(self, coeff):
+        # the unit sphere bundle bounds the disc bundle, an orientable
+        # 2n-manifold, so it is an orientable (2n - 1)-manifold: o is
+        # trivial and L (x) o = L
+        for n in range(1, 41):
+            table = unit_tangent_homology(n, coeff)
+            assert duality_anchor(2 * n - 1, table, table), n
+
+    def test_duality_fails_on_a_damaged_table(self):
+        # the Z/2 of degree 3 at n = 3 lost: degree 1 keeps its Z/2
+        table = list(unit_tangent_homology(3, COEFF_Z))
+        table[3] = Z
+        assert not duality_anchor(5, tuple(table), tuple(table))
+
+    def test_only_the_lens_space_anchor_sees_the_extension(self):
+        # Z/2 + Z/2 in place of Z/4 is self-dual as well
+        table = list(unit_tangent_homology(2, COEFF_Z))
+        table[1] = Z2 + Z2
+        assert duality_anchor(3, tuple(table), tuple(table))
+        assert not lens_space_anchor(tuple(table))
 
     @pytest.mark.parametrize("anchor, n, degree, damage", [
         (lens_space_anchor, 2, 1, Z2 + Z2),
@@ -266,7 +310,7 @@ class TestAssembly:
         for n in range(1, 7):
             zt = path_space_homology(n, COEFF_Z, 3 * n + 2)
             f2 = path_space_homology(n, COEFF_F2, 3 * n + 2)
-            assert uct_f2(zt).as_dict() == f2.as_dict()
+            assert uct_f2(zt).cells == f2.cells
 
     def test_stable_range(self):
         assert [stable_ranks(d) for d in range(4)] == [1, 2, 2, 2]
@@ -296,18 +340,18 @@ class TestGeneratorTable:
                 assert len(names) == hom.get(d, l), (n, d, l, names)
 
     def test_shared_cells_list_middle_family_first(self):
-        table = generator_table(3, 1).as_dict()
+        table = generator_table(3, 1).cells
         assert table[(4, 1)] == ("S", "H^2Y")
         assert table[(3, 1)] == ("HS", "H^3Y")
 
     def test_unit_and_powers(self):
-        table = generator_table(4, 1).as_dict()
+        table = generator_table(4, 1).cells
         assert table[(4, 0)] == ("U",)
         assert table[(0, 0)] == ("H^4",)
         assert table[(8, 1)] == ("Y",)
 
     def test_circle_case_alternates(self):
-        table = generator_table(1, 2).as_dict()
+        table = generator_table(1, 2).cells
         assert table[(2, 1)] == ("S", "Sb")
         assert table[(3, 2)] == ("SSb", "SbS")
         assert table[(2, 2)] == ("HSSb", "HSbS")
