@@ -11,7 +11,7 @@ critical geodesics.
 
 from .algebra import (
     AlphabetError,
-    Relation,
+    RewriteRule,
     Signature,
     defining_relations,
     leading_word,
@@ -32,7 +32,6 @@ from .rewriting import (
     ComparisonReport,
     OrderRejectedError,
     RepairError,
-    RewriteRule,
     RewriteSystem,
     RuleLimitError,
     SearchCapError,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Word = str
 Polynomial = frozenset
@@ -148,9 +148,9 @@ def reverse_poly(p: Polynomial) -> Polynomial:
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A defining relation written as lhs = rhs with a designated
-    leading word on the left."""
+class RewriteRule:
+    """A rule lhs -> rhs.  A defining relation is one too: lhs = rhs
+    with its designated leading word on the left (Bergman 1978)."""
 
     lhs: Word
     rhs: Polynomial
@@ -158,14 +158,18 @@ class Relation:
     def as_polynomial(self) -> Polynomial:
         return frozenset({self.lhs}) ^ self.rhs
 
-    def words(self) -> Iterable[Word]:
-        yield self.lhs
-        yield from self.rhs
+    def render(self) -> str:
+        if not self.rhs:
+            rhs = "0"
+        else:
+            rhs = " + ".join(w if w else "1" for w in sorted(self.rhs))
+        return f"{self.lhs} -> {rhs}"
 
 
 @lru_cache(maxsize=None)
-def defining_relations(n: int) -> tuple[Relation, ...]:
-    """The defining relations of the presented algebra for dimension n.
+def defining_relations(n: int) -> tuple[RewriteRule, ...]:
+    """The defining relations of the presented algebra for dimension n,
+    each a rule from its designated leading word.
 
     Odd n:  SH = HS + 1, YH = HY, YS = SY (+ H^(n-1)Y^2 when n = 1 mod 4),
             S^2 = 0, H^(n+1) = 0.
@@ -175,24 +179,24 @@ def defining_relations(n: int) -> tuple[Relation, ...]:
     top = "H" * (n + 1)
     if sig.parity_class is EVEN:
         rels = (
-            Relation("TH", poly("HT", "H")),
-            Relation("YH", poly("HY")),
-            Relation("YT", poly("TY", "Y")),
-            Relation("TT", poly("T")),
-            Relation(top, ZERO),
+            RewriteRule("TH", poly("HT", "H")),
+            RewriteRule("YH", poly("HY")),
+            RewriteRule("YT", poly("TY", "Y")),
+            RewriteRule("TT", poly("T")),
+            RewriteRule(top, ZERO),
         )
     else:
         ys_rhs = poly("SY")
         if sig.parity_class is ODD1:
             ys_rhs = ys_rhs ^ {"H" * (n - 1) + "YY"}
         rels = (
-            Relation("SH", poly("HS", "")),
-            Relation("YH", poly("HY")),
-            Relation("YS", ys_rhs),
-            Relation("SS", ZERO),
-            Relation(top, ZERO),
+            RewriteRule("SH", poly("HS", "")),
+            RewriteRule("YH", poly("HY")),
+            RewriteRule("YS", ys_rhs),
+            RewriteRule("SS", ZERO),
+            RewriteRule(top, ZERO),
         )
     for rel in rels:
-        degs = {word_degree(w, sig) for w in rel.words()}
+        degs = {word_degree(w, sig) for w in {rel.lhs, *rel.rhs}}
         assert len(degs) == 1, f"relation {rel.lhs} not degree-homogeneous"
     return rels

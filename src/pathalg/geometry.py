@@ -152,10 +152,11 @@ def _real_reps(reps: np.ndarray) -> np.ndarray:
     return re / np.sqrt(_dots(re, re))[..., None]
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjPoint:
-    """A point of complex projective space: unit representative, equal
-    to another point when the representatives differ by a phase."""
+    """A point of complex projective space: unit representative, the
+    same point as another (equals) when the representatives differ by a
+    phase.  == and hashing go by identity."""
 
     rep: np.ndarray
 
@@ -188,9 +189,10 @@ def real_point(coords) -> ProjPoint:
     return ProjPoint(rep=normalize(v).astype(complex))
 
 
-@dataclass
+@dataclass(eq=False)
 class TangentVector:
-    """Horizontal tangent vector: Hermitian-orthogonal to the base."""
+    """Horizontal tangent vector: Hermitian-orthogonal to the base.
+    == and hashing go by identity."""
 
     base: ProjPoint
     vec: np.ndarray
@@ -260,10 +262,8 @@ def _check_paths(samples: np.ndarray, params: np.ndarray) -> None:
 class DiscretePath:
     """Piecewise-geodesic path: one unit sample row per breakpoint.
 
-    Breakpoints are strictly increasing from 0 to 1; both endpoints lie
-    on the real locus.  degenerate_junction records that some
-    concatenation along the way had two constant factors, where the
-    junction placement is a convention rather than an energy minimizer.
+    A path is its samples and breakpoints.  Breakpoints are strictly
+    increasing from 0 to 1; both endpoints lie on the real locus.
 
     A path is immutable: its fields cannot be reassigned, and samples
     and params are read-only copies of the arrays passed in, so nothing
@@ -274,7 +274,6 @@ class DiscretePath:
 
     samples: np.ndarray
     params: np.ndarray
-    degenerate_junction: bool = False
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=complex, order="C")
@@ -301,8 +300,7 @@ class DiscretePath:
 
     def reversed(self) -> "DiscretePath":
         return DiscretePath(samples=self.samples[::-1],
-                            params=1.0 - self.params[::-1],
-                            degenerate_junction=self.degenerate_junction)
+                            params=1.0 - self.params[::-1])
 
 
 def constant_path(x: ProjPoint, samples: int = 2) -> DiscretePath:
@@ -341,14 +339,15 @@ def path_length(path: DiscretePath) -> float:
 
 def _concat(gamma: tuple, delta: tuple) -> tuple:
     """concat_min of matching rows of two batches of paths, each batch
-    (samples, params, degenerate flags) with one leading axis."""
+    (samples, params) with one leading axis; returns the same pair.
+    Two constant factors get the junction s = 1/2."""
     # the junction check passes only pairings above 1/2, so the phase of
     # the second factor can always be aligned
     z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
     pairing = _moduli(z)
     _require(pairing > 1.0 - _ENDPOINT_TOL,
              "paths do not share the junction point")
-    f1, f2 = np.sqrt(_energies(*gamma[:2])), np.sqrt(_energies(*delta[:2]))
+    f1, f2 = np.sqrt(_energies(*gamma)), np.sqrt(_energies(*delta))
     constant = f1 + f2 == 0.0
     s = np.where(constant, 0.5, np.minimum(np.maximum(
         f1 / np.where(constant, 1.0, f1 + f2), _JUNCTION_CLAMP),
@@ -358,7 +357,7 @@ def _concat(gamma: tuple, delta: tuple) -> tuple:
     t = np.concatenate([gamma[1] * s, s + delta[1][:, 1:] * (1.0 - s)], axis=1)
     t[:, -1] = 1.0
     _check_paths(pts, t)
-    return pts, t, gamma[2] | delta[2] | constant
+    return pts, t
 
 
 def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
@@ -367,12 +366,10 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
     additive; the junction rows must pair to more than 1 - _ENDPOINT_TOL,
     and the second factor is turned by the phase of that pairing.
     Two constant factors leave the junction undetermined; the
-    convention s = 1/2 is used and the result is flagged."""
-    pts, t, flag = _concat(
-        *((p.samples[None], p.params[None], np.array([p.degenerate_junction]))
-          for p in (gamma, delta)))
-    return DiscretePath(samples=pts[0], params=t[0],
-                        degenerate_junction=bool(flag[0]))
+    convention s = 1/2 is used."""
+    pts, t = _concat(*((p.samples[None], p.params[None])
+                       for p in (gamma, delta)))
+    return DiscretePath(samples=pts[0], params=t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +391,7 @@ def _arc_grid(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
                   samples: int) -> tuple:
     """half_circle from each real unit row of r along the matching row
-    of u by the matching angle: (samples, params, flags), samples on
-    axis 1."""
+    of u by the matching angle: (samples, params), samples on axis 1."""
     if samples < 2:
         raise ValueError("need at least two samples")
     _require((np.sqrt(_dots(u.imag, u.imag)) <= _REAL_TOL)
@@ -430,7 +426,7 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
     # theta = 0 (mod pi) gives the constant path at x
     pts[flat] = r[flat, None]
     _check_paths(pts, t)
-    return pts, np.broadcast_to(t, pts.shape[:2]), np.zeros(len(pts), bool)
+    return pts, np.broadcast_to(t, pts.shape[:2])
 
 
 def half_circle(x: ProjPoint, u: TangentVector, theta: float,
@@ -450,8 +446,7 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     r = x.real_representative()
     if not u.base.equals(x):
         raise ValueError("tangent vector is not based at x")
-    pts, t, _ = _half_circles(r[None], u.vec[None], np.array([theta]),
-                              samples)
+    pts, t = _half_circles(r[None], u.vec[None], np.array([theta]), samples)
     return DiscretePath(samples=pts[0], params=t[0])
 
 
@@ -561,11 +556,10 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
-    [(_, (pts, t, flag))] = _chains(
+    [(_, (pts, t))] = _chains(
         [rng], n, thetas[None], samples_per_arc,
         None if start is None else start.rep[None])
-    return DiscretePath(samples=pts[0], params=t[0],
-                        degenerate_junction=bool(flag[0]))
+    return DiscretePath(samples=pts[0], params=t[0])
 
 
 # hopf_vector's pairings: block width, then coordinate i of each block
@@ -611,7 +605,7 @@ class IndexResult:
     index: int
     nullity: int
     gradient_norm: float
-    eigenvalues: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
 def _segment_count(k: int) -> int:
@@ -889,7 +883,7 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
             first = rows.stop
             b_, c_, bc_ = (tuple(x[rows] for x in p) for p in (b, c, bc))
             ab = _concat(a, b_)
-            fa, fb, fab = (np.sqrt(_energies(*p[:2])) for p in (a, b_, ab))
+            fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b_, ab))
             worst_add = max(worst_add, float(np.max(np.abs(fab - fa - fb))))
             left, right = _concat(ab, c_), _concat(a, bc_)
             worst_assoc = max(worst_assoc,
@@ -917,7 +911,7 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
         r = _real_reps(x)
         u = _tangents(r, rngs)
         theta = np.array([rng.uniform(-math.pi, math.pi) for rng in rngs])
-        hc, t, _ = _half_circles(r, u, theta, 48)
+        hc, t = _half_circles(r, u, theta, 48)
         end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi),
                                      theta))
         basis = np.stack([r.astype(complex), u], axis=1)
@@ -946,8 +940,8 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     rng = np.random.default_rng(seed)
     r = _real_reps(_real_points([rng], 2))
     u = _tangents(r, [rng])
-    arcs, t, _ = _half_circles(np.repeat(r, grid.size, axis=0),
-                               np.repeat(u, grid.size, axis=0), grid, 48)
+    arcs, t = _half_circles(np.repeat(r, grid.size, axis=0),
+                            np.repeat(u, grid.size, axis=0), grid, 48)
     peak = float(grid[int(np.argmax(np.sqrt(_energies(arcs, t))))])
     step = float(grid[1] - grid[0])
     items.append(CheckItem(
@@ -966,7 +960,7 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     for n, rngs in _trial_groups(trials, seed):
         rngs, thetas = _angles(rngs, [int(rng.integers(1, 4)) for rng in rngs],
                                0.0, 0.5 * math.pi)
-        for k, (pts, t, _) in _chains(rngs, n, thetas, 16):
+        for k, (pts, t) in _chains(rngs, n, thetas, 16):
             worst = max(worst, float(np.max(np.sqrt(_energies(pts, t))
                                             - k * 0.5 * math.pi)))
     items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
@@ -974,8 +968,8 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     # right-angle samples: the worst error over seeds 0-199 is 5.0e-13
     for (n, k) in ((1, 2), (2, 2), (3, 3)):
         rng = np.random.default_rng([seed, 10_000 + n, k])
-        [(_, (pts, t, _))] = _chains([rng], n, np.full((1, k), 0.5 * math.pi),
-                                     40)
+        [(_, (pts, t))] = _chains([rng], n, np.full((1, k), 0.5 * math.pi),
+                                  40)
         err = abs(float(np.sqrt(_energies(pts, t))[0]) - k * 0.5 * math.pi)
         items.append(CheckItem(
             f"right-angle sample n={n} k={k} reaches the critical norm",

@@ -44,7 +44,7 @@ from .algebra import (
     EVEN,
     ZERO,
     Polynomial,
-    Relation,
+    RewriteRule,
     Signature,
     Word,
     defining_relations,
@@ -75,7 +75,7 @@ class OrderRejectedError(ValueError):
     """The monomial order does not make the designated left side of a
     relation its strict maximum."""
 
-    def __init__(self, relation: Relation, message: str):
+    def __init__(self, relation: RewriteRule, message: str):
         self.relation = relation
         super().__init__(f"relation with left side {relation.lhs!r}: {message}")
 
@@ -131,19 +131,6 @@ class SearchCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RewriteRule:
-    lhs: Word
-    rhs: Polynomial
-
-    def render(self) -> str:
-        if not self.rhs:
-            rhs = "0"
-        else:
-            rhs = " + ".join(w if w else "1" for w in sorted(self.rhs))
-        return f"{self.lhs} -> {rhs}"
-
-
-@dataclass(frozen=True)
 class RewriteSystem:
     sig: Signature
     rules: tuple[RewriteRule, ...]
@@ -151,21 +138,21 @@ class RewriteSystem:
 
 
 def orient(sig: Signature) -> RewriteSystem:
-    """Turn the defining relations into rules lhs -> rhs.
+    """The defining relations as the rules of a system, sorted by
+    order_key of their left sides.
 
     Raises OrderRejectedError unless the designated left side of every
     relation is the strict maximum of the relation under the order of
     sig's weights.
     """
-    rules = []
-    for rel in defining_relations(sig.n):
+    rules = defining_relations(sig.n)
+    for rel in rules:
         for w in rel.rhs:
             if not order_key(w, sig) < order_key(rel.lhs, sig):
                 raise OrderRejectedError(
                     rel, f"right-hand word {w!r} is not below the left side")
-        rules.append(RewriteRule(rel.lhs, rel.rhs))
-    rules.sort(key=lambda r: order_key(r.lhs, sig))
-    return RewriteSystem(sig=sig, rules=tuple(rules))
+    return RewriteSystem(sig=sig, rules=tuple(
+        sorted(rules, key=lambda r: order_key(r.lhs, sig))))
 
 
 def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
@@ -270,7 +257,7 @@ def complete(rs: RewriteSystem,
 
     live = {r.lhs: r for r in rs.rules} if extra else {}
     for r in extra or rs.rules:
-        push(r.lhs, r.rhs ^ {r.lhs})
+        push(r.lhs, r.as_polynomial())
     rules = tuple(live.values())
     while queue:
         *_, origin, eq = heapq.heappop(queue)
@@ -281,7 +268,7 @@ def complete(rs: RewriteSystem,
         if top == "":
             raise CompletionError(origin)
         for lhs in [l for l in live if top in l]:
-            push(lhs, live.pop(lhs).rhs ^ {lhs})
+            push(lhs, live.pop(lhs).as_polynomial())
         new = live[top] = RewriteRule(top, eq ^ {top})
         if len(live) > _RULE_LIMIT:
             raise RuleLimitError(_RULE_LIMIT)

@@ -1,6 +1,7 @@
 """Free graded algebra layer: words, polynomials, signatures, orders."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,3 +176,19 @@ class TestDefiningRelations:
                 d = word_degree(rel.lhs, sig)
                 for w in rel.rhs:
                     assert word_degree(w, sig) == d
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: word_level("HQ"), AlphabetError,
+     "letter 'Q' is not a known generator"),
+    (lambda: word_degree("HX", signature(2)), AlphabetError,
+     "letter 'X' not in alphabet ('H', 'T', 'Y')"),
+    (lambda: leading_word(ZERO, signature(2)), ValueError,
+     "empty polynomial has no leading word"),
+    (lambda: signature(0), ValueError,
+     "ambient dimension must be >= 1, got 0"),
+])
+def test_refusals_keep_their_types_and_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

@@ -550,6 +550,63 @@ class TestGeomCommands:
         assert captured.err.startswith("error:")
 
 
+def doctor_the_generator_table(monkeypatch):
+    """generator_table with cell (1, 1) renamed and cell (4, 1) gone."""
+    real = homology.generator_table
+
+    def doctored(n, max_level):
+        table = real(n, max_level)
+        cells = dict(table.cells)
+        cells[1, 1] = ("HX",)
+        del cells[4, 1]
+        return type(table).from_dict(cells, table.degree_bound)
+
+    monkeypatch.setattr(homology, "generator_table", doctored)
+
+
+def collapse(*args, **kwargs):
+    raise rewriting.CompletionError("SH")
+
+
+def find_no_repair(*args):
+    raise rewriting.RepairError("nothing reconciles the table")
+
+
+GOLDEN_FAILED = ("golden comparison FAILED:\n"
+                 "  cell (1, 1): expected ('HT',), got ('HX',)\n"
+                 "  cell (4, 1): expected ('Y',), got None\n")
+
+
+class TestFailureBranches:
+    # (argv, patch, end of stdout or "" for none, stderr); each exits
+    # with code 1, and a json stdout stays one document
+    @pytest.mark.parametrize("argv, patch, tail, err", [
+        (["table", "--n", "2", "--golden"], doctor_the_generator_table,
+         GOLDEN_FAILED, ""),
+        (["table", "--n", "2", "--golden", "--format", "json"],
+         doctor_the_generator_table, "}\n", GOLDEN_FAILED),
+        (["table", "--n", "2", "--golden", "--format", "csv"],
+         doctor_the_generator_table, "3,1,1,HY\r\n", GOLDEN_FAILED),
+        (["verify", "--n", "3"],
+         lambda mp: mp.setattr(rewriting, "complete", collapse), "",
+         "mathematical failure: equation from 'SH' reduces to the unit; "
+         "the presented algebra collapses\n"),
+        (["verify", "--n", "2"],
+         lambda mp: mp.setattr(rewriting, "repair_search", find_no_repair),
+         "restore the match:\n  none found: nothing reconciles the table\n"
+         "\ndiscrepancy recorded\n", ""),
+    ])
+    def test_exit_one_and_the_lines(self, capsys, monkeypatch, argv, patch,
+                                    tail, err):
+        patch(monkeypatch)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith(tail) if tail else not captured.out
+        assert captured.err == err
+        if "json" in argv:
+            json.loads(captured.out)
+
+
 class TestTableCommand:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_golden_fixtures_match(self, capsys, n):

@@ -237,6 +237,27 @@ class TestPoints:
         assert fs_distance(p, p) == 0.0
 
 
+class TestComparisons:
+    def test_equality_is_identity_and_equals_is_projective(self):
+        # the generated __eq__ compared the numpy fields with ==, whose
+        # array of results has no truth value
+        p, q = proj_point([1, 0]), proj_point([1, 0])
+        assert (p == p, p == q, p != q, p in [q], p in [q, p]) \
+            == (True, False, True, False, True)
+        assert len({p, q, p}) == 2
+        assert p.equals(q) and q.equals(ProjPoint(1j * p.rep))
+        x, u = real_pair(2, 3)
+        v = TangentVector(base=x, vec=u.vec)
+        assert (u == u, u == v, u in [v]) == (True, False, False)
+        assert len({u, v}) == 2
+        # eigenvalues take no part: the other fields decide
+        one, two = (critical_index(1, 1, np.random.default_rng(0))
+                    for _ in range(2))
+        other = critical_index(1, 1, np.random.default_rng(1))
+        assert one == two and one is not two
+        assert (one == other) is (one.gradient_norm == other.gradient_norm)
+
+
 class TestTangents:
     def test_n1_tangents_pass_the_tangency_check(self):
         # at n = 1 a draw close to the base point used to leave a
@@ -305,8 +326,7 @@ class TestPaths:
         samples = np.array(constant_path(real_point([1.0, 0.0]), 3).samples)
         params = np.linspace(0.0, 1.0, 3)
         path = DiscretePath(samples=samples, params=params)
-        for name, value in (("samples", samples), ("params", params),
-                            ("degenerate_junction", True)):
+        for name, value in (("samples", samples), ("params", params)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(path, name, value)
         with pytest.raises(ValueError, match="read-only"):
@@ -413,10 +433,11 @@ class TestConcat:
         assert np.allclose(c * b.samples[0], a.samples[-1], atol=1e-12)
         assert not np.allclose(b.samples[0], a.samples[-1], atol=1e-3)
 
-    def test_degenerate_junction_flag(self):
+    def test_two_constant_factors_join_at_one_half(self):
+        # no energy fixes the junction, so the convention s = 1/2 does
         a = constant_path(real_point([1.0, 0.0]))
-        both = concat_min(a, a)
-        assert both.degenerate_junction
+        both = concat_min(a, constant_path(real_point([1.0, 0.0]), 3))
+        assert both.params.tolist() == [0.0, 0.5, 0.75, 1.0]
         assert path_norm(both) == 0.0
 
 
@@ -875,9 +896,9 @@ class TestBatchKernels:
             (geometry._geodesics, (x, u, thetas)),
             (lambda *a: geometry._half_circles(*a, 17)[0], (r, u, thetas)),
             (geometry._energies, arcs[:2]),
-            (lambda *a: geometry._concat(a[:3], a[3:])[0],
+            (lambda *a: geometry._concat(a[:2], a[2:])[0],
              arcs + chains),
-            (lambda *a: geometry._concat(a[:3], a[3:])[1],
+            (lambda *a: geometry._concat(a[:2], a[2:])[1],
              arcs + chains),
         ]
         if n % 2:
@@ -914,6 +935,38 @@ class TestBatchKernels:
             geometry._check_paths(samples, params)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DiscretePath(samples=bad[0], params=bad[1])
+
+
+def refusals():
+    """(call, exception type, message) of the geometry layer's input
+    refusals."""
+    x, u = real_pair(2, 3)
+    y = real_point([0.0, 0.0, 1.0])
+    r, v = batch_inputs(2, 3, 4)[1:]
+    return [
+        (lambda: TangentVector(base=x, vec=np.zeros(2)), ValueError,
+         "tangent vector has wrong ambient dimension"),
+        (lambda: geodesic(y, u, 0.1), ValueError,
+         "tangent vector is not based at x"),
+        (lambda: half_circle(y, u, 0.5), ValueError,
+         "tangent vector is not based at x"),
+        (lambda: geometry._half_circles(r, v, np.full(3, 0.5), 1),
+         ValueError, "need at least two samples"),
+        (lambda: sample_yk(2, 0, RNG), ValueError, "k must be >= 1"),
+        (lambda: sample_yk(2, 2, RNG, thetas=[0.5, 0.5, 0.5]), ValueError,
+         "need exactly 2 angles"),
+        (lambda: critical_index(0, 1), ValueError,
+         "need n >= 1 and k >= 0"),
+        (lambda: critical_index(2, -1), ValueError,
+         "need n >= 1 and k >= 0"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, message", refusals())
+def test_refusals_keep_their_types_and_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error
 
 
 # report lines of the three sampling suites at the benchmark's trial

@@ -6,6 +6,7 @@ tangent bundles from the two-row Gysin sequence.
 """
 
 import math
+import re
 
 import pytest
 
@@ -355,3 +356,18 @@ class TestGeneratorTable:
         assert table[(2, 1)] == ("S", "Sb")
         assert table[(3, 2)] == ("SSb", "SbS")
         assert table[(2, 2)] == ("HSSb", "HSbS")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: unit_tangent_homology(0, COEFF_F2), ValueError,
+     "dimension must be >= 1"),
+    (lambda: path_space_homology(2, COEFF_F2, -1), ValueError,
+     "degree bound must be nonnegative"),
+    (lambda: stable_ranks(-1), ValueError, "degree must be nonnegative"),
+    (lambda: generator_table(0, 1), ValueError, "dimension must be >= 1"),
+    (lambda: generator_table(2, -1), ValueError, "max_level must be >= 0"),
+])
+def test_refusals_keep_their_types_and_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

@@ -32,7 +32,7 @@ GEOMETRY = {
 PUBLIC = GEOMETRY | {
     "algebra", "geometry", "homology", "rewriting", "tables",
     # algebra
-    "AlphabetError", "Relation", "Signature", "defining_relations",
+    "AlphabetError", "Signature", "defining_relations",
     "leading_word", "order_key", "poly", "poly_mul", "reverse_poly",
     "signature", "unshifted_degree", "word_degree", "word_level",
     "word_weight",

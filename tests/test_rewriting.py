@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 from collections import defaultdict
 
 import pytest
@@ -15,6 +16,7 @@ from pathalg import rewriting
 from pathalg.algebra import (
     ONE,
     ZERO,
+    defining_relations,
     order_key,
     poly,
     poly_mul,
@@ -220,6 +222,19 @@ class TestOrientation:
                                    weight={"H": 1, "S": 1, "Y": 1})
         with pytest.raises(OrderRejectedError):
             orient(flat)
+
+    def test_rules_are_the_defining_relations(self):
+        # a defining relation is already a rule; orient only sorts them
+        for n in (1, 2, 3, 5):
+            sig = signature(n)
+            assert orient(sig).rules == tuple(sorted(
+                defining_relations(n), key=lambda r: order_key(r.lhs, sig)))
+        flat = dataclasses.replace(signature(5),
+                                   weight={"H": 1, "S": 1, "Y": 1})
+        with pytest.raises(OrderRejectedError) as info:
+            orient(flat)
+        assert info.value.relation in defining_relations(5)
+        assert info.value.relation.lhs == "YS"
 
     def test_render(self):
         assert RewriteRule("SH", poly("", "HS")).render() == "SH -> 1 + HS"
@@ -721,6 +736,38 @@ class TestHilbertAndCompare:
         assert table.get(5, 0) == 0
 
 
+def collapse_candidates(monkeypatch, which):
+    """Make each resumed completion whose candidate rule passes which
+    raise CompletionError; returns the renders of those rules."""
+    real, tried = rewriting.complete, []
+
+    def collapsing(rs, extra=()):
+        if extra and which(extra[0]):
+            tried.append(extra[0].render())
+            raise CompletionError(extra[0].lhs)
+        return real(rs, extra)
+
+    monkeypatch.setattr(rewriting, "complete", collapsing)
+    return tried
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: apply_rule("HSH", RewriteRule("SH", ONE), 0), ValueError,
+     "'SH' does not occur in 'HSH' at 0"),
+    (lambda mp: apply_rule("SH", RewriteRule("SH", ONE), 1), ValueError,
+     "'SH' does not occur in 'SH' at 1"),
+    (lambda mp: (collapse_candidates(mp, lambda rule: True),
+                 repairs(2, 40)), RepairError,
+     "no confluent, filtration-compatible augmentation matches the table; "
+     "first unrepairable degree: 0"),
+])
+def test_refusals_keep_their_types_and_messages(monkeypatch, call, error,
+                                                message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(monkeypatch)
+    assert type(info.value) is error
+
+
 class TestRepairSearch:
     def test_even_candidates(self):
         hom = path_space_homology(2, COEFF_F2, 20)
@@ -736,11 +783,17 @@ class TestRepairSearch:
         assert {a.render() for a in found} == {
             "{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"}
 
-    def test_base_table_must_fit_the_target(self):
+    def test_search_needs_a_completed_base(self):
         rs = completed(2)
         hom = path_space_homology(2, COEFF_F2, 20)
         with pytest.raises(ValueError, match="requires a completed system"):
             repair_search(orient(signature(2)), compare(hilbert(rs, 20), hom))
+
+    def test_a_candidate_that_collapses_is_skipped(self, monkeypatch):
+        tried = collapse_candidates(monkeypatch, lambda rule: not rule.rhs)
+        found = repairs(2, 40)
+        assert tried == ["HHT -> 0"]
+        assert [a.render() for a in found] == ["{HHT -> HH, HHY -> 0}"]
 
     def test_matching_presentation_is_rejected(self):
         hom = path_space_homology(3, COEFF_F2, 20)
