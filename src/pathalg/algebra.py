@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 Word = str
@@ -46,7 +47,9 @@ class AlphabetError(ValueError):
 @dataclass(frozen=True)
 class Signature:
     """Generator data of one presented algebra: alphabet plus gradings.
-    The weight grading orders the words (see order_key)."""
+    The weight grading orders the words (see order_key).  degree and
+    weight are read-only views of copies of the mappings passed in,
+    since signature() hands one object to every caller."""
 
     n: int
     parity_class: str
@@ -55,6 +58,9 @@ class Signature:
     weight: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        for name in ("degree", "weight"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
         if any(w <= 0 for w in self.weight.values()):
             raise ValueError("weights must be positive")
 

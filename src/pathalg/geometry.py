@@ -20,7 +20,6 @@ their batch-of-one case; the sampling suites run trials on the axis.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -185,8 +184,9 @@ def proj_point(vec) -> ProjPoint:
 
 
 def real_point(coords) -> ProjPoint:
-    v = np.asarray(coords, dtype=float).reshape(-1)
-    return ProjPoint(rep=normalize(v).astype(complex))
+    v = np.asarray(coords).reshape(-1)
+    _require(np.imag(v) == 0, "coordinates must be real")
+    return ProjPoint(rep=normalize(np.real(v).astype(float)).astype(complex))
 
 
 @dataclass(eq=False)
@@ -376,24 +376,15 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
 # Vertical half-circles
 
 
-@functools.lru_cache(maxsize=64)
-def _arc_grid(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints t of a half-circle with the given sample count, with
-    cos(pi t) and sin(pi t); read-only, since every call shares them."""
-    t = np.linspace(0.0, 1.0, samples)
-    phi = math.pi * t
-    grid = (t, np.cos(phi), np.sin(phi))
-    for arr in grid:
-        arr.flags.writeable = False
-    return grid
-
-
 def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
                   samples: int) -> tuple:
     """half_circle from each real unit row of r along the matching row
-    of u by the matching angle: (samples, params), samples on axis 1."""
+    of u by the matching angle: (samples, params), samples on axis 1;
+    params is one read-only row of breakpoints broadcast to every path.
+    A non-finite angle is refused before any arithmetic."""
     if samples < 2:
         raise ValueError("need at least two samples")
+    _require(np.isfinite(theta), "angles must be finite")
     _require((np.sqrt(_dots(u.imag, u.imag)) <= _REAL_TOL)
              & (_unit_defect(u) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
@@ -407,7 +398,8 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
          for a in (math.remainder(b, math.pi) for b in theta.tolist())]
     ).reshape(-1, 3).T[..., None]
     flat = np.abs(sin[:, 0]) < _FLAT_SIN
-    t, cos_phi, sin_phi = _arc_grid(samples)
+    t = np.linspace(0.0, 1.0, samples)
+    cos_phi, sin_phi = np.cos(math.pi * t), np.sin(math.pi * t)
     # the chord runs from x's image (0, 1/2, 0) to the endpoint's image
     # (sin 2theta, cos 2theta, 0) / 2; the arc is centred at its
     # midpoint (mx, my, 0), has radius rho, and starts along the unit
@@ -441,7 +433,7 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     is the arc through the upper half-space whose chord joins the
     images of the two endpoints; its norm is (pi/2) sin|theta|.
     theta is normalized modulo pi into [-pi/2, pi/2]; theta = 0 gives
-    the constant path.
+    the constant path, and a non-finite theta raises ValueError.
     """
     r = x.real_representative()
     if not u.base.equals(x):
@@ -513,28 +505,28 @@ def yk_parameter_count(n: int, k: int) -> int:
     return (k + 1) * n
 
 
-def _chains(rngs: list, n: int, thetas: np.ndarray, samples: int,
+def _chains(rngs: list, n: int, thetas: list, samples: int,
             start: Optional[np.ndarray] = None) -> tuple:
     """sample_yk on a batch, with the arcs in lockstep: row i draws from
-    rngs[i] what sample_yk draws with the angles thetas[i] (NaN past its
-    last; rows with more angles first) and the start row start[i], in
-    the same order, and gets the same path.  Returns (arc count, paths)
-    pairs in row order."""
-    counts = np.count_nonzero(~np.isnan(thetas), axis=1)
+    rngs[i] what sample_yk draws with the 1-D angle array thetas[i]
+    (longer arrays first) and the start row start[i], in the same
+    order, and gets the same path.  Arc j runs on the rows with more
+    than j angles.  Returns (arc count, paths) pairs in row order."""
     x = _real_points(rngs, n) if start is None else start
     done, path = [], None
-    for j, theta in enumerate(thetas.T):
-        live = int(np.count_nonzero(counts > j))
+    for j in range(len(thetas[0])):
+        live = sum(len(row) > j for row in thetas)
         if path is not None:
             # the next arc leaves the real representative of this end
             x = _real_reps(arc[0][:live, -1]).astype(complex)
             done.insert(0, (j, tuple(a[live:] for a in path)))
             path = tuple(a[:live] for a in path)
         r = _real_reps(x)
-        arc = _half_circles(r, _tangents(r, rngs[:live]), theta[:live],
+        arc = _half_circles(r, _tangents(r, rngs[:live]),
+                            np.array([row[j] for row in thetas[:live]]),
                             samples)
         path = arc if path is None else _concat(path, arc)
-    return [(len(thetas.T), path)] + [p for p in done if len(p[1][0])]
+    return [(len(thetas[0]), path)] + [p for p in done if len(p[1][0])]
 
 
 def sample_yk(n: int, k: int, rng: np.random.Generator,
@@ -545,7 +537,8 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     Draws a real base point (or starts at the real point start), then
     repeatedly a real unit direction and an angle, concatenating with
     concat_min.  The norm never exceeds k pi/2, with equality when
-    every angle is pi/2.
+    every angle is pi/2.  thetas, when given, holds the k angles; a
+    non-finite one raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -557,7 +550,7 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
     [(_, (pts, t))] = _chains(
-        [rng], n, thetas[None], samples_per_arc,
+        [rng], n, [thetas], samples_per_arc,
         None if start is None else start.rep[None])
     return DiscretePath(samples=pts[0], params=t[0])
 
@@ -810,28 +803,25 @@ def _trial_rngs(trials: int, seed: int):
     return (np.random.default_rng([seed, i]) for i in range(trials))
 
 
-def _trial_groups(trials: int, seed: int):
+def _trial_groups(trials: int, seed: int, arcs: int = 0):
     """The trial generators, _TRIAL_BLOCK at a time, each block split by
-    every suite's first draw, the dimension n in 1..3, into (n,
-    generators) groups whose arrays share their shapes."""
+    every suite's first draw, the dimension n in 1..3, into (n, counts,
+    generators) groups whose arrays share their shapes.  A chain suite
+    (arcs > 0) has each generator draw next its arc count in 1..arcs,
+    and a group lists its generators by count, most first, in trial
+    order among equal counts; otherwise every count is 0."""
     rngs = _trial_rngs(trials, seed)
     while True:
         groups: dict = {}
         for rng in itertools.islice(rngs, _TRIAL_BLOCK):
-            groups.setdefault(int(rng.integers(1, 4)), []).append(rng)
+            n = int(rng.integers(1, 4))
+            groups.setdefault(n, []).append(
+                (int(rng.integers(1, arcs + 1)) if arcs else 0, rng))
         if not groups:
             return
-        yield from groups.items()
-
-
-def _angles(rngs: list, counts: list, lo: float, hi: float) -> tuple:
-    """The generators ordered by count, most first, and the count angles
-    each draws uniformly from [lo, hi), NaN past its count."""
-    order = sorted(range(len(rngs)), key=lambda i: -counts[i])
-    thetas = np.full((len(rngs), max(counts)), np.nan)
-    for row, i in zip(thetas, order):
-        row[:counts[i]] = rngs[i].uniform(lo, hi, counts[i])
-    return [rngs[i] for i in order], thetas
+        for n, group in groups.items():
+            group.sort(key=lambda pair: -pair[0])
+            yield n, [c for c, _ in group], [rng for _, rng in group]
 
 
 def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
@@ -868,14 +858,12 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     # With the floor, seeds 0-149 at 200 trials give a worst of 1.3e-13.
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
-    for n, rngs in _trial_groups(trials, seed):
-        rngs, thetas = _angles(rngs, [int(rng.integers(1, 3)) for rng in rngs],
-                               lo, hi)
-        parts = [a for _, a in _chains(rngs, n, thetas, 12)]
-        ones = [1] * len(rngs)
-        [(_, b)] = _chains(rngs, n, _angles(rngs, ones, lo, hi)[1], 12,
+    for n, counts, rngs in _trial_groups(trials, seed, arcs=2):
+        parts = [a for _, a in _chains(
+            rngs, n, [g.uniform(lo, hi, c) for g, c in zip(rngs, counts)], 12)]
+        [(_, b)] = _chains(rngs, n, [g.uniform(lo, hi, 1) for g in rngs], 12,
                            np.concatenate([a[0][:, -1] for a in parts]))
-        [(_, c)] = _chains(rngs, n, _angles(rngs, ones, lo, hi)[1], 12,
+        [(_, c)] = _chains(rngs, n, [g.uniform(lo, hi, 1) for g in rngs], 12,
                            b[0][:, -1])
         bc, first = _concat(b, c), 0
         for a in parts:
@@ -906,7 +894,7 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     # pairings, not arccos distances, which amplify roundoff
     arclengths = [k * math.pi / 2 for k in range(5)] + [0.3, 0.3 + math.pi]
     worst = np.full(5, -math.inf)
-    for n, rngs in _trial_groups(trials, seed):
+    for n, _, rngs in _trial_groups(trials, seed):
         x = _real_points(rngs, n)
         r = _real_reps(x)
         u = _tangents(r, rngs)
@@ -957,9 +945,9 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
     worst = -math.inf
-    for n, rngs in _trial_groups(trials, seed):
-        rngs, thetas = _angles(rngs, [int(rng.integers(1, 4)) for rng in rngs],
-                               0.0, 0.5 * math.pi)
+    for n, counts, rngs in _trial_groups(trials, seed, arcs=3):
+        thetas = [g.uniform(0.0, 0.5 * math.pi, c)
+                  for g, c in zip(rngs, counts)]
         for k, (pts, t) in _chains(rngs, n, thetas, 16):
             worst = max(worst, float(np.max(np.sqrt(_energies(pts, t))
                                             - k * 0.5 * math.pi)))
@@ -968,8 +956,7 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     # right-angle samples: the worst error over seeds 0-199 is 5.0e-13
     for (n, k) in ((1, 2), (2, 2), (3, 3)):
         rng = np.random.default_rng([seed, 10_000 + n, k])
-        [(_, (pts, t))] = _chains([rng], n, np.full((1, k), 0.5 * math.pi),
-                                  40)
+        [(_, (pts, t))] = _chains([rng], n, [np.full(k, 0.5 * math.pi)], 40)
         err = abs(float(np.sqrt(_energies(pts, t))[0]) - k * 0.5 * math.pi)
         items.append(CheckItem(
             f"right-angle sample n={n} k={k} reaches the critical norm",

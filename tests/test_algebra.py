@@ -57,6 +57,15 @@ class TestSignature:
         with pytest.raises(ValueError, match="weights must be positive"):
             dataclasses.replace(signature(2), weight={"H": 1, "T": 0, "Y": 1})
 
+    def test_shared_gradings_are_read_only(self):
+        # signature is cached: a write would reach every later caller
+        sig = signature(5)
+        for grading in (sig.degree, sig.weight):
+            with pytest.raises(TypeError):
+                grading["S"] = 1
+        assert signature(5).weight["S"] == 6
+        assert signature(3) == signature(3)
+
     def test_word_degree_additive(self):
         sig = signature(2)
         assert word_degree("HHT", sig) == -2

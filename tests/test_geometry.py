@@ -22,7 +22,6 @@ from pathalg.geometry import (
     ParityError,
     ProjPoint,
     TangentVector,
-    _arc_grid,
     _bands,
     _critical_configuration,
     _hessian_matrix,
@@ -338,8 +337,10 @@ class TestPaths:
         samples[1] = [0.0, 1.0]
         params[1] = 0.25
         assert path.samples[1, 0] == 1.0 and path.params[1] == 0.5
-        # half_circle's shared breakpoint grid cannot be written either
-        assert not any(a.flags.writeable for a in _arc_grid(5))
+        # nor can the breakpoints the half-circle kernel returns
+        r, u = batch_inputs(2, 3, 4)[1:]
+        grid = geometry._half_circles(r, u, np.full(3, 0.5), 5)[1]
+        assert not grid.flags.writeable
 
     def test_energy_matches_the_reference_formula(self):
         def check(path: DiscretePath) -> None:
@@ -955,6 +956,14 @@ def refusals():
         (lambda: sample_yk(2, 0, RNG), ValueError, "k must be >= 1"),
         (lambda: sample_yk(2, 2, RNG, thetas=[0.5, 0.5, 0.5]), ValueError,
          "need exactly 2 angles"),
+        *((lambda t=t: sample_yk(2, 2, RNG, thetas=t), ValueError,
+           "angles must be finite")
+          for t in ([0.5, math.nan], [math.nan, 0.5], [math.nan, math.nan])),
+        *((lambda t=t: half_circle(x, u, t), ValueError,
+           "angles must be finite")
+          for t in (math.inf, -math.inf, math.nan)),
+        (lambda: real_point(np.array([0.5j, 1.0])), ValueError,
+         "coordinates must be real"),
         (lambda: critical_index(0, 1), ValueError,
          "need n >= 1 and k >= 0"),
         (lambda: critical_index(2, -1), ValueError,
@@ -1004,7 +1013,7 @@ def record_trials(monkeypatch) -> tuple[list, dict, dict]:
     def recording_chains(rngs, n, thetas, *rest):
         seen.extend(rngs)
         for rng, row in zip(rngs, thetas):
-            angles[id(rng)].append(row[~np.isnan(row)].tobytes())
+            angles[id(rng)].append(row.tobytes())
         return chains(rngs, n, thetas, *rest)
 
     def recording_tangents(r, rngs):

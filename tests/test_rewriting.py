@@ -971,3 +971,101 @@ class TestRepairSearch:
         target = BigradedTable.from_dict(cells, 12)
         with pytest.raises(RepairError):
             search(completed(2), target)
+
+
+# ---------------------------------------------------------------------------
+# What verify can tell apart
+
+
+def verify_parts(n: int):
+    """What verify reports for the presentation of n, part by part: None
+    when completion fails, else the failing items of each check, the
+    D = 40 comparison lines and, for even n with a mismatch, the
+    renders of the repairs (or "none")."""
+    try:
+        rs = completed(n)
+    except CompletionError:
+        return None
+    checks = {"filtration": filtration_check(rs),
+              "reversal": anti_automorphism_check(rs)}
+    if n >= 2:
+        checks["heredity"] = heredity_check(rs)
+    parts = {name: [item.name for item in report.items if not item.passed]
+             for name, report in checks.items()}
+    comparison = compare(hilbert(rs, 40), path_space_homology(n, COEFF_F2, 40))
+    parts["table"] = comparison.lines()
+    parts["repairs"] = None
+    if not comparison.is_match and n % 2 == 0:
+        try:
+            parts["repairs"] = [a.render()
+                                for a in repair_search(rs, comparison)]
+        except RepairError:
+            parts["repairs"] = "none"
+    return parts
+
+
+def one_word_mutants(n: int):
+    """(relations, mutated rule): the defining relations of n with one
+    word toggled in one right side, for every irreducible word of the
+    base system of that relation's degree below its left side."""
+    sig, rels, base = signature(n), defining_relations(n), completed(n)
+    for i, rel in enumerate(rels):
+        for w, _ in rewriting._degree_words(
+                base, unshifted_degree(rel.lhs, sig)):
+            if order_key(w, sig) < order_key(rel.lhs, sig):
+                rule = RewriteRule(rel.lhs, rel.rhs ^ {w})
+                yield rels[:i] + (rule,) + rels[i + 1:], rule
+
+
+def at(ns, rule) -> set:
+    """The labels "n=<n> <rule>" at each n of ns; rule may be a
+    function of n."""
+    return {f"n={n} {rule(n) if callable(rule) else rule}" for n in ns}
+
+
+ODD, EVEN = range(1, 17, 2), range(2, 17, 2)
+ONE_MOD_4 = (1, 5, 9, 13)  # YS = SY + H^(n-1)YY there
+
+
+def h(k: int) -> str:
+    return "H" * k
+
+
+# every one-word mutant for n = 1..16, by what verify makes of it: the
+# parts of its output that differ from the presentation's.  The blind
+# ones verify cannot tell from the presentation; no mutant changes the
+# filtration check, since no word of a left side's degree below it has
+# a higher level
+VERIFY_MUTANTS = {
+    "completion fails": at(ODD, "SH -> 1"),
+    "blind": ({"n=1 SH -> HS", "n=1 YH -> 1 + HY", "n=1 SS -> YY"}
+              | at(ONE_MOD_4, "YS -> SY") | at(EVEN, "YT -> TY")),
+    ("reversal",): at(EVEN, "YH -> 0"),
+    ("heredity",): at(EVEN, "TH -> HT") | at(range(3, 17, 2), "SH -> HS"),
+    ("table",): ({"n=1 SH -> 1 + HS + HY", "n=1 SS -> HYYY"}
+                 | at(ODD, "YH -> 0") | at(range(3, 17, 4), "YS -> 0")
+                 | at(ONE_MOD_4, lambda n: f"YS -> {h(n - 1)}YY")
+                 | at(ONE_MOD_4, lambda n: f"SS -> {h(n - 1)}SY")
+                 | at((3, 5, 9, 13), lambda n: f"SS -> {h(n - 2)}Y")
+                 | at((5, 9, 13), lambda n: f"SH -> 1 + {h(n)}Y + HS")),
+    ("repairs",): at(EVEN, "TT -> 1 + T"),
+    ("table", "repairs"): at(EVEN, "TT -> 0"),
+    ("reversal", "table", "repairs"): at(EVEN, "YT -> Y"),
+    ("reversal", "heredity", "table", "repairs"): at(EVEN, "TH -> H"),
+}
+
+
+def test_verify_tells_apart_all_but_the_blind_mutants(monkeypatch):
+    outcomes = defaultdict(set)
+    for n in range(1, 17):
+        want = verify_parts(n)
+        for rels, rule in one_word_mutants(n):
+            with monkeypatch.context() as m:
+                m.setattr(rewriting, "defining_relations", lambda _: rels)
+                got = verify_parts(n)
+            caught = ("completion fails" if got is None else
+                      tuple(p for p in want if got[p] != want[p]) or "blind")
+            outcomes[caught].add(f"n={n} {rule.render()}")
+    assert dict(outcomes) == VERIFY_MUTANTS
+    assert sum(map(len, VERIFY_MUTANTS.values())) == 107
+    assert len(VERIFY_MUTANTS["blind"]) == 15
