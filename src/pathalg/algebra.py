@@ -113,15 +113,22 @@ def word_level(w: Word) -> int:
 
 
 def word_weight(w: Word, sig: Signature) -> int:
-    """Sum of letter weights."""
-    return sum(sig.weight[c] for c in w)
+    """Sum of letter weights.  A letter outside sig's alphabet raises
+    AlphabetError, found only once the lookup fails, so completion's
+    weight keys pay nothing for the check."""
+    try:
+        return sum(sig.weight[c] for c in w)
+    except KeyError as e:
+        raise AlphabetError(f"letter {e.args[0]!r} not in alphabet "
+                            f"{sig.alphabet}") from None
 
 
 def order_key(w: Word, sig: Signature):
     """Sort key of the monomial order: weight, then a left-to-right
     lexicographic tie-break on the fixed letter ranking H < T < S < Y.
     Positive weights make this a well-order compatible with
-    concatenation on both sides."""
+    concatenation on both sides.  A letter outside sig's alphabet
+    raises AlphabetError (word_weight)."""
     return (word_weight(w, sig), tuple(_LETTER_RANK[c] for c in w))
 
 

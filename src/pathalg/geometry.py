@@ -465,13 +465,20 @@ def _real_points(rngs: list, n: int) -> np.ndarray:
 
 
 def random_real_point(n: int, rng: np.random.Generator) -> ProjPoint:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return ProjPoint(_real_points([rng], n)[0])
 
 
 def _tangents(r: np.ndarray, rngs: list) -> np.ndarray:
     """A random real unit tangent at each real unit row of r, row i
     drawn from rngs[i]: a normal draw projected off r, drawn again
-    while the projection is shorter than _TANGENT_REDRAW."""
+    while the projection is shorter than _TANGENT_REDRAW.  A row of one
+    coordinate has no tangent, and every projection would be 0, so it
+    is refused before any draw."""
+    if r.shape[1] < 2:
+        raise ValueError("a point with fewer than two coordinates has "
+                         "no tangent")
     v, norm = np.empty_like(r), np.empty(len(r))
     redraw = np.arange(len(r))
     while redraw.size:
@@ -500,6 +507,8 @@ def random_real_tangent(x: ProjPoint, rng: np.random.Generator
 def yk_parameter_count(n: int, k: int) -> int:
     """Dimension of the k-fold half-circle family: n for the base point
     plus n per half-circle (n-1 for the direction, 1 for the angle)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     return (k + 1) * n
@@ -540,6 +549,8 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     every angle is pi/2.  thetas, when given, holds the k angles; a
     non-finite one raises ValueError.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if start is not None and start.ambient_dim != n + 1:

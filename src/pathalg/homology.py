@@ -87,11 +87,6 @@ Z2 = AbelianGroup(torsion=(2,))
 Z4 = AbelianGroup(torsion=(4,))
 
 
-def _at(table: tuple, degree: int, zero=0):
-    """Entry of a graded table, zero outside its range."""
-    return table[degree] if 0 <= degree < len(table) else zero
-
-
 # ---------------------------------------------------------------------------
 # Real projective space
 
@@ -101,10 +96,13 @@ def real_proj_homology(n: int, coeff: str) -> tuple:
     (COEFF_F2) or AbelianGroup per degree 0..n.
 
     Coefficients: COEFF_Z, COEFF_TWISTED (the orientation system, which
-    is trivial for odd n), or COEFF_F2.  The twisted groups follow from
-    the two-term cellular complex whose boundary maps alternate between
-    multiplication by 2 and by 0, with the roles of the two parities
-    swapped relative to the trivial system.
+    is trivial for odd n), or COEFF_F2.  The groups are read off the
+    cellular complex with one cell in each degree 0..n (Hatcher,
+    section 2.2): the boundary map out of the d-cell, 0 < d <= n,
+    multiplies by 2 for even d and by 0 for odd d, with the two parities
+    swapped for the twisted system of an even n.  So H_d = ker / im is
+    0 where the map out of the d-cell doubles, else Z modulo the image
+    of the map into it: Z/2 or Z.  Mod 2 every map vanishes.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -115,20 +113,10 @@ def real_proj_homology(n: int, coeff: str) -> tuple:
             f"projective space supports {COEFF_Z}, {COEFF_TWISTED}, "
             f"{COEFF_F2}; got {coeff!r}")
     twisted = coeff == COEFF_TWISTED and n % 2 == 0
-    groups = []
-    for d in range(n + 1):
-        if d == 0:
-            groups.append(Z2 if twisted else Z)
-        elif d == n:
-            if n % 2 == 1:
-                groups.append(Z)
-            else:
-                groups.append(Z if twisted else ZERO_GROUP)
-        elif (d % 2 == 1) != twisted:
-            groups.append(Z2)
-        else:
-            groups.append(ZERO_GROUP)
-    return tuple(groups)
+    # whether the boundary map out of the d-cell doubles, d = 0..n + 1
+    doubles = [0 < d <= n and d % 2 == twisted for d in range(n + 2)]
+    return tuple(ZERO_GROUP if out else Z2 if into else Z
+                 for out, into in zip(doubles, doubles[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +125,19 @@ def real_proj_homology(n: int, coeff: str) -> tuple:
 
 def _shift_sum(row0: tuple, row1: tuple, shift: int, top: int) -> list:
     zero = type(row0[0])()  # 0 or the zero group
-    return [_at(row0, d, zero) + _at(row1, d - shift, zero)
-            for d in range(top + 1)]
+    return [a + b for a, b in zip(row0 + (zero,) * (top + 1 - len(row0)),
+                                  (zero,) * shift + row1)]
+
+
+# unit_tangent_homology's Gysin assembly over each coefficient system:
+# the systems of the two rows, then each cell that even n corrects, as
+# (degree - (n - 1), E2 value, homology)
+_GYSIN = {
+    COEFF_Z: ((COEFF_Z, COEFF_TWISTED), ((0, Z2 + Z2, Z4),)),
+    COEFF_PULLBACK: ((COEFF_TWISTED, COEFF_Z),
+                     ((0, Z, ZERO_GROUP), (1, Z + Z2, Z2))),
+    COEFF_F2: ((COEFF_F2, COEFF_F2), ((0, 2, 1), (1, 2, 1))),
+}
 
 
 def unit_tangent_homology(n: int, coeff: str) -> tuple:
@@ -150,12 +149,18 @@ def unit_tangent_homology(n: int, coeff: str) -> tuple:
     orientation system of the base), or COEFF_F2.
 
     The Gysin sequence has two rows, the base homology and the base
-    homology shifted up by n-1; the only possibly nonzero differential
-    is capping with the Euler class of the tangent bundle.
+    homology shifted up by n-1.  The fiber sphere is oriented by the
+    orientation system of the base, so over COEFF_Z the rows carry the
+    trivial and the twisted system, over COEFF_PULLBACK the twisted and
+    the trivial one, and over F2 both carry F2.  The only possibly
+    nonzero differential is capping with the Euler class of the tangent
+    bundle.  The rows' direct sum is the E2 page; _GYSIN holds the rows'
+    systems and the cells that the cases below change.
 
     Odd n: the Euler class vanishes (Euler number 0) and the rows
     split, for both supported integral systems (the orientation system
-    is trivial then) and for F2.
+    is trivial then) and for F2.  At n = 1, a circle base with 0-sphere
+    fiber, this gives two disjoint circles.
 
     Even n, trivial coefficients: the differential vanishes because its
     source H_n of the base is zero, but the rows glue: in degree n-1
@@ -176,29 +181,13 @@ def unit_tangent_homology(n: int, coeff: str) -> tuple:
         raise CoefficientError(
             f"unit tangent bundle supports {COEFF_Z}, {COEFF_PULLBACK}, "
             f"{COEFF_F2}; got {coeff!r}")
-    if n == 1:
-        # Circle base, 0-sphere fiber: two disjoint circles.
-        return (2, 2) if coeff == COEFF_F2 else (AbelianGroup(rank=2),) * 2
-    top = 2 * n - 1
-    if n % 2 == 1:
-        base = real_proj_homology(
-            n, COEFF_F2 if coeff == COEFF_F2 else COEFF_Z)
-        return tuple(_shift_sum(base, base, n - 1, top))
-    if coeff == COEFF_F2:
-        return (1,) * (top + 1)
-    if coeff == COEFF_Z:
-        row0 = real_proj_homology(n, COEFF_Z)
-        row1 = real_proj_homology(n, COEFF_TWISTED)
-        groups = _shift_sum(row0, row1, n - 1, top)
-        assert groups[n - 1] == Z2 + Z2
-        groups[n - 1] = Z4
-        return tuple(groups)
-    row0 = real_proj_homology(n, COEFF_TWISTED)
-    row1 = real_proj_homology(n, COEFF_Z)
-    groups = _shift_sum(row0, row1, n - 1, top)
-    assert groups[n - 1] == Z and groups[n] == Z + Z2
-    groups[n - 1] = ZERO_GROUP
-    groups[n] = Z2
+    (sys0, sys1), corrected = _GYSIN[coeff]
+    groups = _shift_sum(real_proj_homology(n, sys0),
+                        real_proj_homology(n, sys1), n - 1, 2 * n - 1)
+    if n % 2 == 0:
+        for d, e2, value in corrected:
+            assert groups[n - 1 + d] == e2
+            groups[n - 1 + d] = value
     return tuple(groups)
 
 
@@ -278,9 +267,10 @@ def uct_f2(table):
     one.
     """
     if isinstance(table, tuple):
-        dims = [g.rank + g.two_torsion()
-                + _at(table, d - 1, ZERO_GROUP).two_torsion()
-                for d, g in enumerate(table + (ZERO_GROUP,))]
+        # H_d beside H_(d-1), one degree past each end
+        dims = [g.rank + g.two_torsion() + below.two_torsion()
+                for g, below in zip(table + (ZERO_GROUP,),
+                                    (ZERO_GROUP,) + table)]
         while dims and dims[-1] == 0:
             dims.pop()
         return tuple(dims)
@@ -303,30 +293,29 @@ def stable_ranks(degree: int) -> int:
 def consistency_checks(n: int) -> CheckReport:
     """Internal cross-checks of the homology tables for one n.
 
-    Mod-2 reduction of every integral table must reproduce the F2
-    table; the unit tangent tables must satisfy closed-manifold
-    symmetry and have zero Euler characteristic; the assembled table,
-    in degrees 0..4n + 2, must restrict correctly to levels and match
-    the stable range near the bottom.
+    Mod-2 reduction of every integral table (projective space over
+    both of its systems, the unit tangent bundle over each block
+    system) must reproduce the F2 table; the unit tangent tables must
+    satisfy closed-manifold symmetry and have zero Euler
+    characteristic; the assembled table, in degrees 0..4n + 2, must
+    restrict correctly to levels and match the stable range near the
+    bottom.
     """
     D = 4 * n + 2
     items = []
 
-    f2_base = real_proj_homology(n, COEFF_F2)
-    for tag in (COEFF_Z, COEFF_TWISTED):
-        got = uct_f2(real_proj_homology(n, tag))
-        items.append(CheckItem(
-            name=f"projective space mod-2 reduction [{tag}]",
-            passed=got == f2_base,
-            detail=f"{got} vs {f2_base}"))
-
     f2_st = unit_tangent_homology(n, COEFF_F2)
-    for tag in block_systems(n, COEFF_Z):
-        got = uct_f2(unit_tangent_homology(n, tag))
-        items.append(CheckItem(
-            name=f"unit tangent mod-2 reduction [{tag}]",
-            passed=got == f2_st,
-            detail=f"{got} vs {f2_st}"))
+    for space, homology, f2, systems in (
+            ("projective space", real_proj_homology,
+             real_proj_homology(n, COEFF_F2), (COEFF_Z, COEFF_TWISTED)),
+            ("unit tangent", unit_tangent_homology, f2_st,
+             block_systems(n, COEFF_Z))):
+        for tag in systems:
+            got = uct_f2(homology(n, tag))
+            items.append(CheckItem(
+                name=f"{space} mod-2 reduction [{tag}]",
+                passed=got == f2,
+                detail=f"{got} vs {f2}"))
 
     items.append(CheckItem(
         name="unit tangent mod-2 palindrome",
@@ -384,8 +373,10 @@ def generator_table(n: int, max_level: int) -> BigradedTable:
 
     Level 0 lists the unit in degree n and the powers of the
     degree-lowering generator below it.  For n >= 2 each level k >= 1
-    lists one family through the middle generator and one family of
-    pure k-th powers; every cell is one-dimensional.  For n = 1 the two
+    lists one family H^j X Y^(k-1) through the middle generator X and
+    one family H^j Y^k of pure k-th powers, j < width; every cell is
+    one-dimensional.  Parity picks X, width and the degree of X:
+    S, n + 1 and 1 for odd n; T, n and 0 for even n.  For n = 1 the two
     middle generators alternate and each cell is two-dimensional.
     """
     if n < 1:
@@ -401,21 +392,17 @@ def generator_table(n: int, max_level: int) -> BigradedTable:
     for j in range(1, n + 1):
         put(n - j, 0, _power("H", j))
 
+    mid, width, offset = ("S", n + 1, 1) if n % 2 == 1 else ("T", n, 0)
     for k in range(1, max_level + 1):
         if n == 1:
             for start in ("S", "Sb"):
                 put(k + 1, k, _alternating(start, k))
                 put(k, k, "H" + _alternating(start, k))
-        elif n % 2 == 1:
-            for j in range(n + 1):
-                put(1 + k * n - j, k, _cell_name(j, "S", k - 1))
-            for j in range(n + 1):
-                put((k + 1) * n - j, k, _cell_name(j, "", k))
-        else:
-            for j in range(n):
-                put(k * n - j, k, _cell_name(j, "T", k - 1))
-            for j in range(n):
-                put((k + 1) * n - j, k, _cell_name(j, "", k))
+            continue
+        for j in range(width):
+            put(offset + k * n - j, k, _cell_name(j, mid, k - 1))
+        for j in range(width):
+            put((k + 1) * n - j, k, _cell_name(j, "", k))
 
     # insertion order inside a cell lists the middle-generator family
     # before the pure-power family

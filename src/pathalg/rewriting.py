@@ -53,6 +53,7 @@ from .algebra import (
     poly,
     reverse_poly,
     signature,
+    word_degree,
     word_level,
     word_weight,
 )
@@ -207,9 +208,12 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
 def normal_form(p, rs: RewriteSystem) -> Polynomial:
     """Reduce a word or polynomial to its normal form under rs.  For a
     completed system the normal form does not depend on the order in
-    which rules are applied."""
+    which rules are applied.  A letter outside rs's alphabet raises
+    AlphabetError (word_degree), as no rule would ever match it."""
     if isinstance(p, str):
         p = frozenset({p})
+    for w in p:
+        word_degree(w, rs.sig)
     return _poly_nf(p, rs.rules)
 
 

@@ -192,6 +192,14 @@ class TestDefiningRelations:
      "letter 'Q' is not a known generator"),
     (lambda: word_degree("HX", signature(2)), AlphabetError,
      "letter 'X' not in alphabet ('H', 'T', 'Y')"),
+    # the order's keys and leading words refuse a foreign letter as
+    # word_degree does, not with a bare KeyError
+    (lambda: order_key("Q", signature(3)), AlphabetError,
+     "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
+    (lambda: word_weight("HT", signature(3)), AlphabetError,
+     "letter 'T' not in alphabet ('H', 'S', 'Y')"),
+    (lambda: leading_word(frozenset({"Q", "H"}), signature(3)),
+     AlphabetError, "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
     (lambda: leading_word(ZERO, signature(2)), ValueError,
      "empty polynomial has no leading word"),
     (lambda: signature(0), ValueError,

@@ -954,6 +954,16 @@ def refusals():
         (lambda: geometry._half_circles(r, v, np.full(3, 0.5), 1),
          ValueError, "need at least two samples"),
         (lambda: sample_yk(2, 0, RNG), ValueError, "k must be >= 1"),
+        # in a space of one coordinate every projection off the point
+        # is 0, so a tangent draw would never end
+        (lambda: sample_yk(0, 1, RNG), ValueError, "n must be >= 1"),
+        (lambda: random_real_point(0, RNG), ValueError, "n must be >= 1"),
+        (lambda: random_real_point(-1, RNG), ValueError, "n must be >= 1"),
+        (lambda: yk_parameter_count(0, 1), ValueError, "n must be >= 1"),
+        (lambda: random_real_tangent(real_point([1.0]), RNG), ValueError,
+         "a point with fewer than two coordinates has no tangent"),
+        (lambda: geometry._tangents(np.ones((3, 1)), [RNG] * 3), ValueError,
+         "a point with fewer than two coordinates has no tangent"),
         (lambda: sample_yk(2, 2, RNG, thetas=[0.5, 0.5, 0.5]), ValueError,
          "need exactly 2 angles"),
         *((lambda t=t: sample_yk(2, 2, RNG, thetas=t), ValueError,

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from pathalg.algebra import signature, unshifted_degree, word_level
 from pathalg.homology import (
     COEFF_F2,
     COEFF_PULLBACK,
@@ -34,6 +35,8 @@ from pathalg.homology import (
 
 Z_Z2 = Z + Z2
 ZZ = AbelianGroup(rank=2)
+# one factor of a generator name: a letter (Sb before S) and its power
+NAME_POWER = re.compile(r"(Sb|[HSTY])(?:\^(\d+))?")
 
 
 class TestAbelianGroup:
@@ -356,6 +359,24 @@ class TestGeneratorTable:
         assert table[(2, 1)] == ("S", "Sb")
         assert table[(3, 2)] == ("SSb", "SbS")
         assert table[(2, 2)] == ("HSSb", "HSbS")
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_names_carry_their_cells_gradings(self, n):
+        # each name, spelled out as a word of the presentation, has its
+        # cell's degree and level: the closed form's degree offsets are
+        # checked against the signature's letter degrees.  At n = 1, Sb
+        # has the degree (1) and level (1) of Y, so it reads as Y
+        sig = signature(n)
+        cells = generator_table(n, 6).entries
+        assert max(l for (_, l), _ in cells) == 6
+        for (d, l), names in cells:
+            for name in names:
+                assert name == "U" or not NAME_POWER.sub("", name), name
+                word = "" if name == "U" else "".join(
+                    ("Y" if letter == "Sb" else letter) * int(e or 1)
+                    for letter, e in NAME_POWER.findall(name))
+                assert (unshifted_degree(word, sig), word_level(word)) \
+                    == (d, l), (n, name, word)
 
 
 @pytest.mark.parametrize("call, error, message", [

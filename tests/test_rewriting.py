@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pathalg import rewriting
 from pathalg.algebra import (
+    AlphabetError,
     ONE,
     ZERO,
     defining_relations,
@@ -403,12 +404,12 @@ class TestNormalForm:
 
 class TestIrreducibleWords:
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_walk_matches_the_recursive_reference(self, n):
+    def test_hilbert_matches_the_recursive_reference(self, n):
         rs = completed(n)
         assert hilbert(rs, 60) == reference_hilbert(rs, 60)
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_walk_matches_the_reference_on_repaired_systems(self, n):
+    def test_hilbert_matches_the_reference_on_repaired_systems(self, n):
         found = repairs(n, 20)
         assert len(found) == 2
         for rs in (a.system for a in found):
@@ -601,7 +602,7 @@ def linear_leftmost_match(word, rules):
 @given(st.text(alphabet="HSY", min_size=0, max_size=8),
        st.sampled_from([("HS", "HSY"), ("HSY", "HS"), ("SY", "Y", "HSYH"),
                         ("YS", "S", "", "SH")]))
-def test_bucketed_match_is_the_linear_scan(word, lhss):
+def test_leftmost_match_is_the_linear_scan(word, lhss):
     # the tuples are not inter-reduced: one left side may be a prefix or
     # a factor of another, so two can match at the same position
     rules = tuple(RewriteRule(l, ZERO) for l in lhss)
@@ -756,6 +757,18 @@ def collapse_candidates(monkeypatch, which):
      "'SH' does not occur in 'HSH' at 0"),
     (lambda mp: apply_rule("SH", RewriteRule("SH", ONE), 1), ValueError,
      "'SH' does not occur in 'SH' at 1"),
+    # no rule matches a letter outside the alphabet, so a normal form
+    # would return the word unchanged
+    (lambda mp: normal_form("SQ", completed(3)), AlphabetError,
+     "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
+    (lambda mp: normal_form("HHTY", completed(3)), AlphabetError,
+     "letter 'T' not in alphabet ('H', 'S', 'Y')"),
+    (lambda mp: normal_form(poly("HS", "SQ"), completed(3)), AlphabetError,
+     "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
+    (lambda mp: complete(completed(3), (RewriteRule("QH", ZERO),)),
+     AlphabetError, "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
+    (lambda mp: complete(completed(3), (RewriteRule("HS", poly("Q")),)),
+     AlphabetError, "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
     (lambda mp: (collapse_candidates(mp, lambda rule: True),
                  repairs(2, 40)), RepairError,
      "no confluent, filtration-compatible augmentation matches the table; "
