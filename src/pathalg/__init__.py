@@ -25,7 +25,7 @@ from .algebra import (
     word_level,
     word_weight,
 )
-from .tables import BigradedTable, CheckItem, CheckReport
+from .tables import BigradedSeries, BigradedTable, CheckItem, CheckReport
 from .rewriting import (
     Augmentation,
     CompletionError,
@@ -43,6 +43,7 @@ from .rewriting import (
     filtration_check,
     heredity_check,
     hilbert,
+    hilbert_series,
     normal_form,
     orient,
     repair_search,
@@ -54,11 +55,13 @@ from .homology import (
     COEFF_Z,
     AbelianGroup,
     CoefficientError,
+    GysinError,
     block_local_system,
     block_systems,
     consistency_checks,
     generator_table,
     path_space_homology,
+    path_space_series,
     real_proj_homology,
     stable_ranks,
     uct_f2,

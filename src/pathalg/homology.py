@@ -4,7 +4,8 @@ Everything here is closed-form: homology of real projective space with
 its three coefficient systems, homology of its unit tangent bundle via
 the two-row Gysin spectral sequence of the sphere bundle, and the
 assembly of the path-space table from one projective-space block plus
-one shifted unit-tangent block per filtration level.  No rewriting code
+one shifted unit-tangent block per filtration level, as a table up to
+a degree bound or, mod 2, as a series in every degree.  No rewriting code
 is consulted; agreement with the presented algebras is established by
 the comparison layer on top.
 
@@ -26,10 +27,11 @@ cells, are tables.BigradedTable.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .tables import BigradedTable, CheckItem, CheckReport
+from .tables import BigradedSeries, BigradedTable, CheckItem, CheckReport
 
 COEFF_Z = "Z-trivial"
 COEFF_TWISTED = "Z-twisted-o"
@@ -39,6 +41,12 @@ COEFF_F2 = "F2"
 
 class CoefficientError(ValueError):
     """Unsupported coefficient system for the requested space."""
+
+
+class GysinError(RuntimeError):
+    """A cell of unit_tangent_homology's E2 page that even n corrects
+    does not hold the value that _GYSIN corrects it from: the rows'
+    closed forms and the correction disagree."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +194,10 @@ def unit_tangent_homology(n: int, coeff: str) -> tuple:
                         real_proj_homology(n, sys1), n - 1, 2 * n - 1)
     if n % 2 == 0:
         for d, e2, value in corrected:
-            assert groups[n - 1 + d] == e2
+            if groups[n - 1 + d] != e2:
+                raise GysinError(f"E2 cell of degree {n - 1 + d} over "
+                                 f"{coeff} is {groups[n - 1 + d]!r}, "
+                                 f"not {e2!r} (n={n})")
             groups[n - 1 + d] = value
     return tuple(groups)
 
@@ -236,21 +247,37 @@ def path_space_homology(n: int, coeff: str,
 
     Level 0 is the base projective space; level k >= 1 contributes the
     unit tangent bundle with its block coefficient system, shifted up
-    by 1 + (k-1)n.  Supported coefficients: COEFF_Z (each block keeps
-    its own integral system, cells hold AbelianGroups) and COEFF_F2
-    (cells hold dimensions).
+    by block_shift(n, k).  Supported coefficients: COEFF_Z (each block
+    keeps its own integral system, cells hold AbelianGroups) and
+    COEFF_F2 (cells hold dimensions).
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     blocks = [unit_tangent_homology(n, c) for c in block_systems(n, coeff)]
     base = real_proj_homology(n, coeff)[:degree_bound + 1]
     cells = {(d, 0): v for d, v in enumerate(base)}
-    # level k starts at block_shift(n, k) = 1 + (k - 1)n
-    cells.update(((s + d, k), v)
-                 for k, s in enumerate(range(1, degree_bound + 1, n), 1)
-                 for d, v in enumerate(blocks[(k - 1) % len(blocks)]
-                                       [:degree_bound - s + 1]))
+    for k in itertools.count(1):
+        s = block_shift(n, k)
+        if s > degree_bound:
+            break
+        cells.update(((s + d, k), v) for d, v in enumerate(
+            blocks[(k - 1) % len(blocks)][:degree_bound - s + 1]))
     return BigradedTable.from_dict(cells, degree_bound)
+
+
+def path_space_series(n: int) -> BigradedSeries:
+    """The mod-2 path_space_homology in every degree, as a series with
+    period n: block_shift(n, k + 1) = block_shift(n, k) + n, so the
+    levels k >= 1 sum to x^block_shift(n, 1) y P_UT(x) / (1 - x^n y),
+    and level 0 adds P_RP(x) = P_RP(x) (1 - x^n y) / (1 - x^n y), with
+    P the mod-2 Poincare polynomials of real projective space and of
+    its unit tangent bundle."""
+    rp, s = real_proj_homology(n, COEFF_F2), block_shift(n, 1)
+    ut = unit_tangent_homology(n, COEFF_F2)
+    return BigradedSeries.from_terms(
+        [((d, 0), v) for d, v in enumerate(rp)]
+        + [((d + n, 1), -v) for d, v in enumerate(rp)]
+        + [((s + d, 1), v) for d, v in enumerate(ut)], n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Rewriting systems for the presented algebras: orientation, completion,
-normal forms, bigraded Hilbert counts, and the verification suites built
-on them (filtration, reversal stability, inclusion transport, dimension
-comparison, repair search).
+normal forms, bigraded Hilbert series and counts, and the verification
+suites built on them (filtration, reversal stability, inclusion
+transport, dimension comparison, repair search).
 
 The well-order is weight-lex (see algebra.order_key).  Every rule
 keeps the weight of each right-hand word at or below the weight of its
@@ -15,8 +15,12 @@ pairs with the live rules (complete).
 
 Irreducible words are read off exponent triples, not built letter by
 letter: every one has the shape H^a X^e Y^b (a <= n, e <= 1), and the
-rules bound b for each pair (a, e) (_exponent_bounds).  hilbert counts
-them, and _degree_words lists those of one degree.
+rules bound b for each pair (a, e) (_exponent_bounds).  hilbert_series
+sums them in every degree as a numerator over 1 - x^n y, hilbert
+expands it up to a degree bound, and _degree_words lists the words of
+one degree.  compare walks only the classes where two such series
+differ, so its cost grows with the differing cells up to the bound,
+not with the bound.
 Reduction finds the leftmost left side with one bounded str.find per
 rule (_leftmost_match), so the H-runs of up to n + 1 letters are crossed
 at C speed.  The repair search completes each candidate by resuming
@@ -32,14 +36,14 @@ True
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .tables import BigradedTable, CheckItem, CheckReport
+from .tables import BigradedSeries, BigradedTable, CheckItem, CheckReport
 from .algebra import (
     EVEN,
     ZERO,
@@ -338,31 +342,47 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
     return bound
 
 
+def _pair_degree(sig: Signature, a: int, e: int) -> int:
+    """Unshifted degree of H^a X^e, the first word of pair (a, e); each
+    letter Y adds n."""
+    return sig.n - a + e * sig.degree[sig.alphabet[1]]
+
+
 def _pair_cells(sig: Signature, a: int, e: int, lo, hi,
                 degree_bound: int) -> Iterator[tuple[int, int]]:
-    """(degree n - a + e*deg(X) + n*b, level e + b) of each word
-    H^a X^e Y^b with lo <= b < hi (hi may be math.inf), up to degree
-    degree_bound: one arithmetic progression."""
-    n = sig.n
-    d0 = n - a + e * sig.degree[sig.alphabet[1]]
+    """(degree, level) of each word H^a X^e Y^b with lo <= b < hi (hi
+    may be math.inf), up to degree degree_bound: one arithmetic
+    progression."""
+    n, d0 = sig.n, _pair_degree(sig, a, e)
     hi = min(hi, (degree_bound - d0) // n + 1)
     return zip(range(d0 + n * lo, d0 + n * hi, n), range(e + lo, e + hi))
 
 
-def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
-    """Count irreducible words per (unshifted degree, level) for degrees
-    0..degree_bound, one progression of cells per pair (a, e)
-    (_pair_cells).  Refuses a negative degree_bound, as
-    path_space_homology does, a system that complete did not return,
-    and one that leaves a defining left side irreducible."""
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+def hilbert_series(rs: RewriteSystem) -> BigradedSeries:
+    """Bigraded Hilbert series of rs's irreducible words, by (unshifted
+    degree, level), in every degree: pair (a, e) adds
+    x^d0 y^e (1 - (x^n y)^B) / (1 - x^n y), d0 = _pair_degree, for its
+    words with b < B = B(a, e), and just x^d0 y^e / (1 - x^n y) when B
+    is unbounded (the finite-leading-words case of Ufnarovski 1982 and
+    Anick 1986).  Refuses a system that complete did not return and one
+    that leaves a defining left side irreducible."""
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
-    counts: Counter[tuple[int, int]] = Counter()
+    n, terms = rs.sig.n, []
     for (a, e), bound in _exponent_bounds(_check_normal_shape(rs)).items():
-        counts.update(_pair_cells(rs.sig, a, e, 0, bound, degree_bound))
-    return BigradedTable.from_dict(counts, degree_bound)
+        d0 = _pair_degree(rs.sig, a, e)
+        terms.append(((d0, e), 1))
+        if bound < math.inf:
+            terms.append(((d0 + n * bound, e + bound), -1))
+    return BigradedSeries.from_terms(terms, n)
+
+
+def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
+    """Count irreducible words per (unshifted degree, level) for degrees
+    0..degree_bound: the expansion of hilbert_series, with its
+    refusals, and a negative degree_bound refused as
+    path_space_homology refuses it."""
+    return hilbert_series(rs).expand(degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -451,25 +471,57 @@ class ComparisonReport:
         return out
 
 
-def compare(alg: BigradedTable, hom: BigradedTable) -> ComparisonReport:
-    """Cell-by-cell and per-degree comparison of two dimension tables.
-    Past one scan of the cell maps, work grows with the differing cells:
-    a degree total differs only where a cell does (hom's plus those)."""
-    if alg.degree_bound != hom.degree_bound:
-        raise ValueError(
-            f"degree bounds differ: {alg.degree_bound} vs {hom.degree_bound}")
-    if alg.entries == hom.entries:
-        return ComparisonReport(alg.degree_bound, (), ())
-    ca, ch = alg.cells, hom.cells
-    keys = sorted([k for k, v in ca.items() if ch.get(k, 0) != v]
-                  + [k for k in ch if k not in ca])
-    cells = [(d, l, ca.get((d, l), 0), ch.get((d, l), 0)) for d, l in keys]
+def compare(alg: BigradedSeries, hom: BigradedSeries,
+            degree_bound: int) -> ComparisonReport:
+    """Cell-by-cell and per-degree comparison of two series' expansions
+    up to degree_bound, in O(numerator terms + differing cells).
+
+    Equal numerators match in every degree.  Otherwise only the classes
+    of the difference are walked: cell (d, l) sums the numerator terms
+    (d0, l0) with l0 <= l and d0 - n*l0 = d - n*l, its class, so along
+    a class each side's value changes only at the levels of its terms.
+    A degree total differs only where a cell does, and hom's total at d
+    sums its terms of degree d0 <= d with d0 = d (mod n)."""
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    n = alg.period
+    if hom.period != n:
+        raise ValueError(f"periods differ: {n} vs {hom.period}")
+    if alg.numerator == hom.numerator:
+        return ComparisonReport(degree_bound, (), ())
+    classes: dict[int, tuple[dict, dict]] = {}
+    for side, series in enumerate((alg, hom)):
+        for (d, l), v in series.numerator:
+            classes.setdefault(d - n * l, ({}, {}))[side][l] = v
+    cells = []
+    for c, (ta, th) in classes.items():
+        if ta == th:
+            continue
+        end = (degree_bound - c) // n + 1  # levels below end fit the bound
+        levels = sorted(ta.keys() | th.keys())
+        a = h = 0
+        for l, nxt in zip(levels, levels[1:] + [end]):
+            a, h = a + ta.get(l, 0), h + th.get(l, 0)
+            if a != h:
+                cells.extend((c + n * k, k, a, h)
+                             for k in range(l, min(nxt, end)))
+    cells.sort()
     delta: dict[int, int] = {}
     for d, _, a, h in cells:
         delta[d] = delta.get(d, 0) + a - h
-    th = hom.degree_totals
-    totals = [(d, th[d] + v, th[d]) for d, v in delta.items() if v]
-    return ComparisonReport(degree_bound=alg.degree_bound,
+    # per residue mod n: hom's term degrees, and its totals up to each
+    runs: dict[int, tuple[list, list]] = {}
+    for (d, _), v in hom.numerator:
+        ds, sums = runs.setdefault(d % n, ([], [0]))
+        ds.append(d)
+        sums.append(sums[-1] + v)
+    totals = []
+    for d, v in delta.items():
+        if v:
+            ds, sums = runs.get(d % n, ((), (0,)))
+            t = sums[bisect.bisect_right(ds, d)]
+            totals.append((d, t + v, t))
+    return ComparisonReport(degree_bound=degree_bound,
                             cell_mismatches=tuple(cells),
                             total_mismatches=tuple(totals))
 
@@ -498,11 +550,10 @@ def _degree_words(rs: RewriteSystem, degree: int,
     leaves at most two values of a, each fixing b.  So a repair pool,
     the words listed before a left side, holds at most three."""
     sig = rs.sig
-    n, x = sig.n, sig.alphabet[1]
-    out = []
+    x, out = sig.alphabet[1], []
     bounds = bounds or _exponent_bounds(_check_normal_shape(rs))
     for (a, e), bound in bounds.items():
-        b, r = divmod(degree - (n - a + e * sig.degree[x]), n)
+        b, r = divmod(degree - _pair_degree(sig, a, e), sig.n)
         if r == 0 and 0 <= b < bound:
             out.append(("H" * a + x * e + "Y" * b, e + b))
     return sorted(out, key=lambda wl: order_key(wl[0], sig))
@@ -531,8 +582,8 @@ def _bound_excess(base_excess: dict, base_bounds: dict, bounds: dict,
 def repair_search(base: RewriteSystem,
                   comparison: ComparisonReport) -> tuple[Augmentation, ...]:
     """Search for rule augmentations that reconcile the completed
-    presentation base with the target table that comparison compares
-    base's hilbert table to, up to comparison.degree_bound.
+    presentation base with the target that comparison compares base's
+    hilbert_series to, up to comparison.degree_bound.
 
     Surplus cells are attacked in increasing (degree, level) order; for
     each candidate left side in the first surplus cell every F2

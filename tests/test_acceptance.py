@@ -28,6 +28,7 @@ from pathalg.homology import (
     Z4,
     ZERO_GROUP,
     path_space_homology,
+    path_space_series,
     uct_f2,
     unit_tangent_homology,
 )
@@ -37,7 +38,7 @@ from pathalg.rewriting import (
     compare,
     complete,
     filtration_check,
-    hilbert,
+    hilbert_series,
     normal_form,
     orient,
     repair_search,
@@ -71,8 +72,8 @@ def test_criterion_01_odd_case_theorem():
     with criterion(1, "odd-case presentations match homology to degree 40"):
         for n in (1, 3, 5, 7):
             rs = completed(n)
-            report = compare(hilbert(rs, DEGREE_BOUND),
-                             path_space_homology(n, COEFF_F2, DEGREE_BOUND))
+            report = compare(hilbert_series(rs), path_space_series(n),
+                             DEGREE_BOUND)
             assert report.is_match, (n, report.lines())
         assert time.perf_counter() - t0 < 30.0
 
@@ -88,9 +89,8 @@ def test_criterion_03_even_case_diagnosis_and_repair():
     with criterion(3, "even-case discrepancy located and repaired"):
         for n in (2, 4):
             rs = completed(n)
-            hom = path_space_homology(n, COEFF_F2, DEGREE_BOUND)
-            alg = hilbert(rs, DEGREE_BOUND)
-            report = compare(alg, hom)
+            hom = path_space_series(n)
+            report = compare(hilbert_series(rs), hom, DEGREE_BOUND)
             assert not report.is_match
             # first surplus at unshifted degree 0, one extra class
             assert report.total_mismatches[0][0] == 0
@@ -110,7 +110,8 @@ def test_criterion_03_even_case_diagnosis_and_repair():
             killer = "{" + "H" * n + "T -> 0, " + "H" * n + "Y -> 0}"
             assert killer in renders
             for aug in found:
-                again = compare(hilbert(aug.system, DEGREE_BOUND), hom)
+                again = compare(hilbert_series(aug.system), hom,
+                                DEGREE_BOUND)
                 assert again.is_match
 
 
@@ -140,9 +141,10 @@ def test_criterion_06_filtration():
         for n in range(1, 8):
             assert filtration_check(completed(n)).passed
         for n in (2, 4):
-            hom = path_space_homology(n, COEFF_F2, 20)
+            hom = path_space_series(n)
             rs = completed(n)
-            for aug in repair_search(rs, compare(hilbert(rs, 20), hom)):
+            comparison = compare(hilbert_series(rs), hom, 20)
+            for aug in repair_search(rs, comparison):
                 assert filtration_check(aug.system).passed
 
 

@@ -307,6 +307,15 @@ class TestVerifyCommand:
         assert "{HHT -> 0, HHY -> 0}" in out
         assert "{HHT -> HH, HHY -> 0}" in out
 
+    @pytest.mark.parametrize("n", [3, 41])
+    def test_odd_degree_bound_of_a_billion(self, capsys, n):
+        # equal series agree in every degree: no table of 10^9 degrees
+        # is built, so the bound costs what the default one does
+        code, out = run(capsys, "verify", "--n", str(n),
+                        "--max-degree", str(10 ** 9))
+        assert code == 0
+        assert f"matches homology up to degree {10 ** 9}" in out
+
     def test_top_of_the_dimension_range(self, capsys):
         # the README's supported range for --n ends at 1000: the repair
         # search completes candidates with 1000 letters H, and neither
@@ -320,31 +329,36 @@ class TestVerifyCommand:
         assert "_STEP_LIMIT" not in err and "_RULE_LIMIT" not in err
 
     def test_each_rewriting_system_is_counted_once(self, capsys, monkeypatch):
-        # hilbert: the base system once, for the comparison, whose
-        # table the repair search reuses; a repaired system is judged
-        # by its exponent bounds, not counted.  complete: the base
-        # system, which heredity_check and the search take from the
-        # caller, and one per candidate rule, resumed from the base; a
-        # leaf is complete's own output, so it is not completed again
-        real_hilbert, real_complete = rewriting.hilbert, rewriting.complete
-        counted, completed = [], []
+        # hilbert_series: the base system once, for the comparison,
+        # whose cells the repair search reuses; no table is counted,
+        # and a repaired system is judged by its exponent bounds.
+        # complete: the base system, which heredity_check and the
+        # search take from the caller, and one per candidate rule,
+        # resumed from the base; a leaf is complete's own output, so it
+        # is not completed again
+        real_series, real_complete = (rewriting.hilbert_series,
+                                      rewriting.complete)
+        counted, tables, completed = [], [], []
 
-        def counting(rs, degree_bound):
+        def counting(rs):
             counted.append(rs.rules)
-            return real_hilbert(rs, degree_bound)
+            return real_series(rs)
 
         def completing(rs, extra=()):
             out = real_complete(rs, extra)
             completed.append((rs, tuple(extra), out))
             return out
 
-        monkeypatch.setattr(rewriting, "hilbert", counting)
+        monkeypatch.setattr(rewriting, "hilbert_series", counting)
+        monkeypatch.setattr(rewriting, "hilbert",
+                            lambda *args: tables.append(args))
         monkeypatch.setattr(rewriting, "complete", completing)
         code, out = run(capsys, "verify", "--n", "2")
         assert code == 1
         assert "{HHT -> 0, HHY -> 0}" in out
         assert "{HHT -> HH, HHY -> 0}" in out
         assert len(counted) == 1
+        assert tables == []
         assert len(completed) == 3
         (_, none, base), *candidates = completed
         assert none == ()

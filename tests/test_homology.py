@@ -6,11 +6,19 @@ tangent bundles from the two-row Gysin sequence.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pathalg
+from pathalg import homology
 from pathalg.algebra import signature, unshifted_degree, word_level
+from pathalg.cli import main
 from pathalg.homology import (
     COEFF_F2,
     COEFF_PULLBACK,
@@ -18,6 +26,7 @@ from pathalg.homology import (
     COEFF_Z,
     AbelianGroup,
     CoefficientError,
+    GysinError,
     Z,
     Z2,
     Z4,
@@ -27,6 +36,7 @@ from pathalg.homology import (
     consistency_checks,
     generator_table,
     path_space_homology,
+    path_space_series,
     real_proj_homology,
     stable_ranks,
     uct_f2,
@@ -135,6 +145,30 @@ class TestUnitTangent:
     def test_rejects_twisted_tag(self):
         with pytest.raises(CoefficientError):
             unit_tangent_homology(2, COEFF_TWISTED)
+
+    def test_a_wrong_e2_value_is_a_typed_error(self, monkeypatch):
+        # the F2 correction in degree n - 1 starts from 3, not 2: the
+        # guard must raise in process and under python -O, which strips
+        # asserts
+        rows, cells = homology._GYSIN[COEFF_F2]
+        wrong = (rows, ((0, 3, 1),) + cells[1:])
+        monkeypatch.setitem(homology._GYSIN, COEFF_F2, wrong)
+        message = "E2 cell of degree 1 over F2 is 2, not 3 (n=2)"
+        with pytest.raises(GysinError, match=re.escape(message)):
+            unit_tangent_homology(2, COEFF_F2)
+        code = ("import sys\n"
+                "from pathalg import homology\n"
+                f"homology._GYSIN['F2'] = {wrong!r}\n"
+                "try:\n"
+                "    homology.unit_tangent_homology(2, 'F2')\n"
+                "except homology.GysinError as exc:\n"
+                "    print(sys.flags.optimize, exc)\n")
+        src = str(Path(pathalg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, f"1 {message}\n"), \
+            done.stderr
 
 
 def _group(rank: int, torsion) -> AbelianGroup:
@@ -320,13 +354,44 @@ class TestAssembly:
         assert [stable_ranks(d) for d in range(4)] == [1, 2, 2, 2]
         table = path_space_homology(10, COEFF_F2, 8)
         for d in range(9):
-            assert table.degree_totals[d] == stable_ranks(d)
+            total = sum(v for (e, _), v in table.entries if e == d)
+            assert total == stable_ranks(d)
             assert table.get(d, 0) == 1
             assert table.get(d, 1) == (1 if d >= 1 else 0)
 
     def test_rejects_unsupported_coefficients(self):
         with pytest.raises(CoefficientError):
             path_space_homology(2, COEFF_TWISTED, 10)
+
+    @pytest.mark.parametrize("n, D", [*((n, 40) for n in range(1, 13)),
+                                      *((n, 840) for n in range(1, 7))])
+    def test_series_expands_to_the_mod_two_table(self, n, D):
+        assert path_space_series(n).expand(D) == \
+            path_space_homology(n, COEFF_F2, D)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 200))
+    def test_series_expands_to_the_mod_two_table_drawn(self, n, D):
+        assert path_space_series(n).expand(D) == \
+            path_space_homology(n, COEFF_F2, D)
+
+    def test_every_level_reads_block_shift(self, monkeypatch, capsys):
+        # one level-offset formula: moving every block up one degree
+        # moves both tables and the series alike, and verify sees it
+        before = {n: (path_space_homology(n, COEFF_F2, 40),
+                      path_space_series(n)) for n in (2, 3)}
+        monkeypatch.setattr(homology, "block_shift",
+                            lambda n, k: 2 + (k - 1) * n)
+        for n, (table, series) in before.items():
+            moved = path_space_homology(n, COEFF_F2, 40)
+            assert moved != table and path_space_series(n) != series
+            assert path_space_series(n).expand(40) == moved
+            assert (moved.get(1, 1), moved.get(2, 1)) == (0, 1)
+        integral = path_space_homology(2, COEFF_Z, 10)
+        assert integral.get(1, 1, ZERO_GROUP) == ZERO_GROUP
+        assert integral.get(2, 1, ZERO_GROUP) == Z
+        assert main(["verify", "--n", "3"]) == 1
+        assert "dimension tables disagree" in capsys.readouterr().out
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_consistency_suite(self, n):

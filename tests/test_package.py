@@ -37,20 +37,20 @@ PUBLIC = GEOMETRY | {
     "signature", "unshifted_degree", "word_degree", "word_level",
     "word_weight",
     # tables
-    "BigradedTable", "CheckItem", "CheckReport",
+    "BigradedSeries", "BigradedTable", "CheckItem", "CheckReport",
     # rewriting
     "Augmentation", "CompletionError", "ComparisonReport",
     "OrderRejectedError", "RepairError", "RewriteRule", "RewriteSystem",
     "RuleLimitError", "SearchCapError", "StepLimitError",
     "anti_automorphism_check", "apply_rule", "compare", "complete",
-    "filtration_check", "heredity_check", "hilbert", "normal_form",
-    "orient", "repair_search",
+    "filtration_check", "heredity_check", "hilbert", "hilbert_series",
+    "normal_form", "orient", "repair_search",
     # homology
     "COEFF_F2", "COEFF_PULLBACK", "COEFF_TWISTED", "COEFF_Z",
-    "AbelianGroup", "CoefficientError", "block_local_system",
+    "AbelianGroup", "CoefficientError", "GysinError", "block_local_system",
     "block_systems", "consistency_checks", "generator_table",
-    "path_space_homology", "real_proj_homology", "stable_ranks", "uct_f2",
-    "unit_tangent_homology",
+    "path_space_homology", "path_space_series", "real_proj_homology",
+    "stable_ranks", "uct_f2", "unit_tangent_homology",
 }
 
 NO_NUMPY = "import sys; sys.modules['numpy'] = None\n"

@@ -43,26 +43,37 @@ from pathalg.rewriting import (
     filtration_check,
     heredity_check,
     hilbert,
+    hilbert_series,
     normal_form,
     orient,
     repair_search,
 )
-from pathalg.homology import COEFF_F2, path_space_homology
-from pathalg.tables import BigradedTable
+from pathalg.homology import COEFF_F2, path_space_homology, path_space_series
+from pathalg.tables import BigradedSeries, BigradedTable
 
 
 def completed(n: int) -> RewriteSystem:
     return complete(orient(signature(n)))
 
 
+def target_report(rs: RewriteSystem, degree_bound: int) -> ComparisonReport:
+    """verify's comparison of the completed rs with the mod-2 target."""
+    return compare(hilbert_series(rs), path_space_series(rs.sig.n),
+                   degree_bound)
+
+
 def repairs(n: int, degree_bound: int):
-    """repair_search for n against the mod-2 target up to degree_bound."""
-    return search(completed(n), path_space_homology(n, COEFF_F2, degree_bound))
+    """repair_search for n against the mod-2 target up to degree_bound,
+    as verify runs it."""
+    rs = completed(n)
+    return repair_search(rs, target_report(rs, degree_bound))
 
 
 def search(rs: RewriteSystem, hom: BigradedTable):
-    """repair_search for the completed rs against hom, given rs's table."""
-    return repair_search(rs, compare(hilbert(rs, hom.degree_bound), hom))
+    """repair_search for the completed rs against the table hom, with
+    rs's table compared to hom by the reference."""
+    return repair_search(
+        rs, reference_compare(hilbert(rs, hom.degree_bound), hom))
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,6 +134,14 @@ def reference_hilbert(rs: RewriteSystem, degree_bound: int,
     return BigradedTable.from_dict(counts, degree_bound)
 
 
+def degree_totals(table: BigradedTable) -> defaultdict:
+    """Sum of the cells over levels, per degree."""
+    totals = defaultdict(int)
+    for (d, _), v in table.entries:
+        totals[d] += v
+    return totals
+
+
 def reference_compare(alg: BigradedTable,
                       hom: BigradedTable) -> ComparisonReport:
     """compare by sets of every entry of both tables and every degree
@@ -131,7 +150,7 @@ def reference_compare(alg: BigradedTable,
     a, h = dict(ea - eh), dict(eh - ea)
     cells = sorted((d, l, a.get((d, l), 0), h.get((d, l), 0))
                    for d, l in a.keys() | h.keys())
-    ta, th = alg.degree_totals, hom.degree_totals
+    ta, th = degree_totals(alg), degree_totals(hom)
     totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
               if ta[d] != th[d]]
     return ComparisonReport(alg.degree_bound, tuple(cells), tuple(totals))
@@ -451,9 +470,7 @@ class TestIrreducibleWords:
         # the recursive enumerator overflowed the interpreter stack at
         # D = 1000 for n = 1; counting by exponents has no depth limit
         rs = completed(1)
-        table = hilbert(rs, 10_000)
-        hom = path_space_homology(1, COEFF_F2, 10_000)
-        assert compare(table, hom).is_match
+        assert hilbert(rs, 10_000) == path_space_homology(1, COEFF_F2, 10_000)
 
     @pytest.mark.parametrize("lhss", [("HH", "HSH"), ("SHS", "HSY", "SY"),
                                       ("YY", "YHY", "HYH")])
@@ -664,15 +681,11 @@ class TestChecks:
 class TestHilbertAndCompare:
     def test_odd_case_matches_homology(self):
         for n in (1, 3):
-            rs = completed(n)
-            alg = hilbert(rs, 40)
-            hom = path_space_homology(n, COEFF_F2, 40)
-            report = compare(alg, hom)
+            report = target_report(completed(n), 40)
             assert report.is_match, "\n".join(report.lines())
 
     def test_even_case_first_discrepancies(self):
-        rs = completed(2)
-        report = compare(hilbert(rs, 40), path_space_homology(2, COEFF_F2, 40))
+        report = target_report(completed(2), 40)
         assert not report.is_match
         assert report.total_mismatches[0] == (0, 2, 1)
         assert report.cell_mismatches[:4] == (
@@ -704,30 +717,40 @@ class TestHilbertAndCompare:
         sig = dataclasses.replace(signature(n), weight=weight)
         assert hilbert(complete(orient(sig)), 60) == hilbert(completed(n), 60)
 
-    def test_compare_rejects_mixed_bounds(self):
-        a = BigradedTable.from_dict({(0, 0): 1}, 5)
-        b = BigradedTable.from_dict({(0, 0): 1}, 6)
-        with pytest.raises(ValueError):
-            compare(a, b)
+    def test_compare_rejects_mixed_periods(self):
+        # the one degree bound is compare's argument; series of two
+        # periods have no common class walk
+        a = BigradedSeries.from_terms([((0, 0), 1)], 2)
+        b = BigradedSeries.from_terms([((0, 0), 1)], 3)
+        with pytest.raises(ValueError, match="periods differ: 2 vs 3"):
+            compare(a, b, 5)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 3)),
-                           st.integers(0, 3), max_size=12),
+                           st.integers(-2, 3), max_size=12),
            st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 3)),
-                           st.integers(0, 3), max_size=12),
-           st.sampled_from(["drawn", "equal", "one value changed"]))
-    @example({(0, 0): 1, (2, 1): 2}, {(0, 0): 1, (3, 2): 1}, "drawn")
-    @example({(0, 0): 1, (2, 1): 2}, {(0, 0): 2, (2, 1): 2}, "drawn")
-    def test_compare_is_the_set_based_reference(self, a, b, how):
-        # cells in one table only, differing values, and equal tables
+                           st.integers(-2, 3), max_size=12),
+           st.sampled_from(["drawn", "equal", "one value changed"]),
+           st.integers(1, 4), st.integers(0, 14))
+    @example({(0, 0): 1, (2, 1): 2}, {(0, 0): 1, (3, 2): 1}, "drawn", 2, 6)
+    @example({(0, 0): 1, (2, 1): 2}, {(0, 0): 2, (2, 1): 2}, "drawn", 2, 6)
+    # numerators that differ only past the bound
+    @example({(0, 0): 1}, {(0, 0): 1, (5, 0): 1}, "drawn", 1, 4)
+    # a difference that cancels further along its class
+    @example({(0, 0): 1, (2, 1): -1}, {}, "drawn", 2, 6)
+    def test_compare_is_the_set_based_reference(self, a, b, how, period, D):
+        # cells in one expansion only, differing values, cancelling
+        # terms, and equal series
         if how == "equal":
             b = dict(a)
         elif how == "one value changed" and a:
             b = dict(a)
             key = min(a)
             b[key] = a[key] % 3 + 1
-        alg, hom = BigradedTable.from_dict(a, 6), BigradedTable.from_dict(b, 6)
-        assert compare(alg, hom) == reference_compare(alg, hom)
+        alg = BigradedSeries.from_terms(a.items(), period)
+        hom = BigradedSeries.from_terms(b.items(), period)
+        report = compare(alg, hom, D)
+        assert report == reference_compare(alg.expand(D), hom.expand(D))
 
     def test_hilbert_level_zero_column(self):
         rs = completed(4)
@@ -735,6 +758,86 @@ class TestHilbertAndCompare:
         # level 0 is spanned by the powers of the degree-lowering letter
         assert [table.get(d, 0) for d in range(5)] == [1, 1, 1, 1, 1]
         assert table.get(5, 0) == 0
+
+
+# degree bounds at which the series comparison must give the table
+# comparison's report: small ones, the default, multiples of n around
+# the period, and the bench's deep bounds
+def series_bounds(n: int) -> list[int]:
+    return sorted({0, 1, 2, 3, 5, 8, 13, 40, n, 2 * n, 3 * n + 1, 560, 840})
+
+
+def table_report(rs: RewriteSystem, degree_bound: int) -> ComparisonReport:
+    """reference_compare of rs's table with the mod-2 target table."""
+    n = rs.sig.n
+    return reference_compare(hilbert(rs, degree_bound),
+                             path_space_homology(n, COEFF_F2, degree_bound))
+
+
+class TestSeries:
+    @pytest.mark.parametrize("n", range(1, 42))
+    def test_compare_is_the_table_comparison(self, n):
+        rs = completed(n)
+        for D in series_bounds(n):
+            report, want = target_report(rs, D), table_report(rs, D)
+            assert report == want, (n, D)
+            assert report.lines() == want.lines()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 200))
+    def test_compare_is_the_table_comparison_on_repaired_systems(self, n, D):
+        for rs in repaired(n):
+            assert target_report(rs, D) == table_report(rs, D)
+
+    @pytest.mark.parametrize("n, D", [*((n, 40) for n in range(1, 13)),
+                                      *((n, 840) for n in range(1, 7))])
+    def test_expansion_is_the_word_count(self, n, D):
+        # the base system and, for even n, both repairs
+        for rs in repaired(n):
+            assert hilbert_series(rs).expand(D) == reference_hilbert(rs, D)
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_even_difference_is_one_term(self, n):
+        # alg - hom = y (1 + x^n) / (1 - x^n y): the classes H^nT Y^b
+        # and H^nY^(b+1), and no other
+        diff = dict(hilbert_series(completed(n)).numerator)
+        for cell, c in path_space_series(n).numerator:
+            diff[cell] = diff.get(cell, 0) - c
+        assert {cell: c for cell, c in diff.items() if c} == \
+            {(0, 1): 1, (n, 1): 1}
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_each_repair_removes_the_difference(self, n):
+        _, *fixed = repaired(n)
+        assert len(fixed) == 2
+        for rs in fixed:
+            assert hilbert_series(rs) == path_space_series(n)
+
+    def test_odd_series_agree_in_every_degree(self):
+        for n in range(1, 42, 2):
+            assert hilbert_series(completed(n)) == path_space_series(n)
+        assert target_report(completed(3), 10 ** 9).is_match
+
+    def test_a_walk_is_bounded_by_degree_only(self):
+        # H^nT sits at cell (0, 1), above level D = 0
+        report = target_report(completed(2), 0)
+        assert report.cell_mismatches == ((0, 1, 1, 0),)
+        assert report.total_mismatches == ((0, 2, 1),)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="requires a completed system"):
+            hilbert_series(orient(signature(3)))
+        # a completed system that leaves TH irreducible
+        rs = complete(RewriteSystem(sig=signature(2),
+                                    rules=(RewriteRule("HH", ZERO),)))
+        with pytest.raises(ValueError, match="reduces the defining left"):
+            hilbert_series(rs)
+        series = hilbert_series(completed(2))
+        for call in (lambda: series.expand(-1),
+                     lambda: compare(series, path_space_series(2), -1)):
+            with pytest.raises(ValueError,
+                               match="degree bound must be nonnegative"):
+                call()
 
 
 def collapse_candidates(monkeypatch, which):
@@ -788,7 +891,7 @@ class TestRepairSearch:
         renders = sorted(a.render() for a in found)
         assert renders == ["{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"]
         for aug in found:
-            assert compare(hilbert(aug.system, 20), hom).is_match
+            assert target_report(aug.system, 20).is_match
             assert filtration_check(aug.system).passed
 
     def test_repaired_systems_extend_to_the_full_bound(self):
@@ -797,10 +900,8 @@ class TestRepairSearch:
             "{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"}
 
     def test_search_needs_a_completed_base(self):
-        rs = completed(2)
-        hom = path_space_homology(2, COEFF_F2, 20)
         with pytest.raises(ValueError, match="requires a completed system"):
-            repair_search(orient(signature(2)), compare(hilbert(rs, 20), hom))
+            repair_search(orient(signature(2)), target_report(completed(2), 20))
 
     def test_a_candidate_that_collapses_is_skipped(self, monkeypatch):
         tried = collapse_candidates(monkeypatch, lambda rule: not rule.rhs)
@@ -823,7 +924,7 @@ class TestRepairSearch:
         hom = path_space_homology(n, COEFF_F2, D)
         base = completed(n)
         surplus = [(d, l) for d, l, a, h in
-                   compare(hilbert(base, D), hom).cell_mismatches if a > h]
+                   target_report(base, D).cell_mismatches if a > h]
         assert surplus
         for rs in (base, *(a.system for a in search(base, hom))):
             def key(w):
@@ -852,9 +953,8 @@ class TestRepairSearch:
         # the exponent bounds are read once for base, which also lists
         # the surplus degree's left sides and pools, and once for each
         # of the two repaired systems, whose excess they give
-        hom = path_space_homology(n, COEFF_F2, 40)
         base = completed(n)
-        alg = hilbert(base, 40)
+        comparison = target_report(base, 40)
         real = rewriting._exponent_bounds
         calls = []
 
@@ -863,7 +963,7 @@ class TestRepairSearch:
             return real(rs)
 
         monkeypatch.setattr(rewriting, "_exponent_bounds", counting)
-        assert len(repair_search(base, compare(alg, hom))) == 2
+        assert len(repair_search(base, comparison)) == 2
         assert len(calls) == 3
 
     @pytest.mark.parametrize("n, D", [
@@ -894,9 +994,8 @@ class TestRepairSearch:
     def test_reached_systems_keep_the_normal_shape(self, monkeypatch, n, D):
         # the search checks base only: each system it reaches reduces
         # every defining left side too, so checking it would never refuse
-        hom = path_space_homology(n, COEFF_F2, D)
         base = completed(n)
-        comparison = compare(hilbert(base, D), hom)
+        comparison = target_report(base, D)
         real, check = rewriting.complete, rewriting._check_normal_shape
         reached, checked = [], []
 
@@ -919,9 +1018,8 @@ class TestRepairSearch:
     def test_a_bound_above_the_base_is_refused(self, monkeypatch):
         # a doctored reading of base lowers one bound, so every system
         # the search reaches seems to lift it: refused, naming the pair
-        hom = path_space_homology(2, COEFF_F2, 20)
         base = completed(2)
-        comparison = compare(hilbert(base, 20), hom)
+        comparison = target_report(base, 20)
         real = rewriting._exponent_bounds
 
         def doctored(rs):
@@ -1005,7 +1103,7 @@ def verify_parts(n: int):
         checks["heredity"] = heredity_check(rs)
     parts = {name: [item.name for item in report.items if not item.passed]
              for name, report in checks.items()}
-    comparison = compare(hilbert(rs, 40), path_space_homology(n, COEFF_F2, 40))
+    comparison = target_report(rs, 40)
     parts["table"] = comparison.lines()
     parts["repairs"] = None
     if not comparison.is_match and n % 2 == 0:
