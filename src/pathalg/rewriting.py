@@ -18,9 +18,10 @@ letter: every one has the shape H^a X^e Y^b (a <= n, e <= 1), and the
 rules bound b for each pair (a, e) (_exponent_bounds).  hilbert_series
 sums them in every degree as a numerator over 1 - x^n y, hilbert
 expands it up to a degree bound, and _degree_words lists the words of
-one degree.  compare walks only the classes where two such series
-differ, so its cost grows with the differing cells up to the bound,
-not with the bound.
+one degree.  _differing_runs walks only the classes where two such
+series differ.  compare cuts its runs at a degree bound, so its cost
+grows with the differing cells below it; the repair search reads each
+run's first cell, so its cost does not depend on any bound.
 Reduction finds the leftmost left side with one bounded str.find per
 rule (_leftmost_match), so the H-runs of up to n + 1 letters are crossed
 at C speed.  The repair search completes each candidate by resuming
@@ -117,7 +118,7 @@ class RuleLimitError(RuntimeError):
 
 
 class RepairError(RuntimeError):
-    """No augmentation reconciles the presentation with the target table."""
+    """No augmentation reconciles the presentation with the target series."""
 
 
 class SearchCapError(RuntimeError):
@@ -348,16 +349,6 @@ def _pair_degree(sig: Signature, a: int, e: int) -> int:
     return sig.n - a + e * sig.degree[sig.alphabet[1]]
 
 
-def _pair_cells(sig: Signature, a: int, e: int, lo, hi,
-                degree_bound: int) -> Iterator[tuple[int, int]]:
-    """(degree, level) of each word H^a X^e Y^b with lo <= b < hi (hi
-    may be math.inf), up to degree degree_bound: one arithmetic
-    progression."""
-    n, d0 = sig.n, _pair_degree(sig, a, e)
-    hi = min(hi, (degree_bound - d0) // n + 1)
-    return zip(range(d0 + n * lo, d0 + n * hi, n), range(e + lo, e + hi))
-
-
 def hilbert_series(rs: RewriteSystem) -> BigradedSeries:
     """Bigraded Hilbert series of rs's irreducible words, by (unshifted
     degree, level), in every degree: pair (a, e) adds
@@ -471,40 +462,49 @@ class ComparisonReport:
         return out
 
 
-def compare(alg: BigradedSeries, hom: BigradedSeries,
-            degree_bound: int) -> ComparisonReport:
-    """Cell-by-cell and per-degree comparison of two series' expansions
-    up to degree_bound, in O(numerator terms + differing cells).
-
-    Equal numerators match in every degree.  Otherwise only the classes
-    of the difference are walked: cell (d, l) sums the numerator terms
-    (d0, l0) with l0 <= l and d0 - n*l0 = d - n*l, its class, so along
-    a class each side's value changes only at the levels of its terms.
-    A degree total differs only where a cell does, and hom's total at d
-    sums its terms of degree d0 <= d with d0 = d (mod n)."""
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+def _differing_runs(alg: BigradedSeries, hom: BigradedSeries
+                    ) -> Iterator[tuple[int, int, int | None, int, int]]:
+    """Where two series differ, in every degree, as runs (class c, first
+    level, end level or None, a, h): alg has a and hom h != a at each
+    cell (c + n*k, k), first <= k < end (no end: every k >= first).
+    Cell (d, l) sums the terms (d0, l0) of its class d0 - n*l0 = d - n*l
+    with l0 <= l, so each side changes along a class only at its terms'
+    levels; only the classes where the numerators differ are walked."""
     n = alg.period
     if hom.period != n:
         raise ValueError(f"periods differ: {n} vs {hom.period}")
     if alg.numerator == hom.numerator:
-        return ComparisonReport(degree_bound, (), ())
+        return
     classes: dict[int, tuple[dict, dict]] = {}
     for side, series in enumerate((alg, hom)):
         for (d, l), v in series.numerator:
             classes.setdefault(d - n * l, ({}, {}))[side][l] = v
-    cells = []
     for c, (ta, th) in classes.items():
         if ta == th:
             continue
-        end = (degree_bound - c) // n + 1  # levels below end fit the bound
         levels = sorted(ta.keys() | th.keys())
         a = h = 0
-        for l, nxt in zip(levels, levels[1:] + [end]):
+        for l, end in zip(levels, levels[1:] + [None]):
             a, h = a + ta.get(l, 0), h + th.get(l, 0)
             if a != h:
-                cells.extend((c + n * k, k, a, h)
-                             for k in range(l, min(nxt, end)))
+                yield c, l, end, a, h
+
+
+def compare(alg: BigradedSeries, hom: BigradedSeries,
+            degree_bound: int) -> ComparisonReport:
+    """Cell-by-cell and per-degree comparison of two series' expansions
+    up to degree_bound, in O(numerator terms + differing cells): the
+    runs of _differing_runs, cut at degree_bound.  A degree total
+    differs only where a cell does, and hom's total at d sums its terms
+    of degree d0 <= d with d0 = d (mod n)."""
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    n = alg.period
+    cells = []
+    for c, first, end, a, h in _differing_runs(alg, hom):
+        top = (degree_bound - c) // n + 1  # levels below top fit the bound
+        cells.extend((c + n * k, k, a, h) for k in
+                     range(first, top if end is None else min(end, top)))
     cells.sort()
     delta: dict[int, int] = {}
     for d, _, a, h in cells:
@@ -539,11 +539,10 @@ class Augmentation:
         return "{" + ", ".join(r.render() for r in self.rules) + "}"
 
 
-def _degree_words(rs: RewriteSystem, degree: int,
-                  bounds: dict | None = None) -> list[tuple[Word, int]]:
+def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
     in the order of rs.sig: at most one word H^a X^e Y^b per pair
-    (a, e), read off bounds, else off rs's checked _exponent_bounds.
+    (a, e), read off rs's checked _exponent_bounds.
 
     At most four words: for fixed e the degree n - a + e*deg(X) + n*b
     fixes a modulo n, a = n + e*deg(X) - degree (mod n), and 0 <= a <= n
@@ -551,87 +550,67 @@ def _degree_words(rs: RewriteSystem, degree: int,
     the words listed before a left side, holds at most three."""
     sig = rs.sig
     x, out = sig.alphabet[1], []
-    bounds = bounds or _exponent_bounds(_check_normal_shape(rs))
-    for (a, e), bound in bounds.items():
+    for (a, e), bound in _exponent_bounds(_check_normal_shape(rs)).items():
         b, r = divmod(degree - _pair_degree(sig, a, e), sig.n)
         if r == 0 and 0 <= b < bound:
             out.append(("H" * a + x * e + "Y" * b, e + b))
     return sorted(out, key=lambda wl: order_key(wl[0], sig))
 
 
-def _bound_excess(base_excess: dict, base_bounds: dict, bounds: dict,
-                  sig: Signature, degree_bound: int) -> dict:
-    """presentation - target on each differing cell up to degree_bound
-    of a completed system whose ideal contains base's: more leading
-    words leave fewer irreducible words (a basis, Bergman 1978), so its
-    exponent bounds are at most base's (else ValueError), and base's
-    excess loses the words H^a X^e Y^b with bounds <= b < base_bounds."""
-    diff = dict(base_excess)
-    for pair, lo in bounds.items():
-        hi = base_bounds[pair]
-        if lo > hi:
-            raise ValueError(f"bound {lo} of pair {pair} above base's {hi}")
-        if lo < hi:
-            for cell in _pair_cells(sig, *pair, lo, hi, degree_bound):
-                v = diff.pop(cell, 0) - 1
-                if v:
-                    diff[cell] = v
-    return diff
-
-
 def repair_search(base: RewriteSystem,
-                  comparison: ComparisonReport) -> tuple[Augmentation, ...]:
+                  target: BigradedSeries) -> tuple[Augmentation, ...]:
     """Search for rule augmentations that reconcile the completed
-    presentation base with the target that comparison compares base's
-    hilbert_series to, up to comparison.degree_bound.
+    presentation base with the target series, in every degree.
 
-    Surplus cells are attacked in increasing (degree, level) order; for
-    each candidate left side in the first surplus cell every F2
-    combination of equal-degree, level-compatible, smaller irreducible
-    words is tried as a right side.  Completion then resumes from the
-    current system with that rule, and any derived rules it is forced
-    to add become part of the candidate augmentation.  A candidate
-    survives only if
+    Each system reached, base included, is judged by its hilbert_series
+    against target (_differing_runs): equal series match, a cell short
+    of target is a dead end, and otherwise the first surplus cell in
+    (degree, level) order is attacked.  For each candidate left side in
+    it every F2 combination of equal-degree, level-compatible, smaller
+    irreducible words is tried as a right side.  Completion then
+    resumes from the current system with that rule, and any derived
+    rules it is forced to add become part of the candidate
+    augmentation.  A candidate survives only if
 
       (i)   the base rules plus the candidate set are complete: they are
             complete's own output, so completing them again changes
             nothing,
       (ii)  the level filtration is preserved, and
-      (iii) the dimension table matches the target exactly up to the
-            degree bound.
+      (iii) the dimension table matches the target in every degree.
 
     Distinct search paths reaching the same rule set are reported once.
-    No table is counted: comparison holds base's cells, and every other
-    system reached extends base, so _bound_excess reads its excess.
-    RepairError is raised when no candidate survives.  Only a
-    CompletionError rejects a candidate; any other error propagates.
+    RepairError is raised when no candidate survives, naming the first
+    dead-end degree, or else the matches the filtration rejected.  Only
+    a CompletionError rejects a candidate; any other error propagates.
     The search is exhaustive: where it would need more than _DEPTH_CAP
     rules on one search path, it raises SearchCapError instead of
     leaving candidates untried.
     """
     if base.completion_status != COMPLETE:
         raise ValueError("repair_search requires a completed system")
-    base_excess = {(d, l): a - h for d, l, a, h in comparison.cell_mismatches}
-    if not base_excess:
-        raise ValueError("presentation already matches; nothing to repair")
-    base_set = set(base.rules)
-    base_bounds = _exponent_bounds(_check_normal_shape(base))
+    n, base_set = base.sig.n, set(base.rules)
 
     # each rule set reached, once: its augmentation, or None where the
-    # filtration fails
+    # filtration fails; and the matches that lost a base rule
     found: dict[frozenset, Augmentation | None] = {}
+    dropped: set[frozenset] = set()
     dead_degrees: list[int] = []
 
     def search(current: RewriteSystem, depth: int) -> None:
-        bounds = base_bounds if current is base else _exponent_bounds(current)
-        diff = _bound_excess(base_excess, base_bounds, bounds, base.sig,
-                             comparison.degree_bound)
-        deficit = [d for (d, _), v in diff.items() if v < 0]
+        # the first cell of each run where current and target differ
+        surplus, deficit = [], []
+        for c, first, _, a, h in _differing_runs(hilbert_series(current),
+                                                 target):
+            (surplus if a > h else deficit).append((c + n * first, first))
         if deficit:
-            dead_degrees.append(min(deficit))
+            dead_degrees.append(min(deficit)[0])
             return
-        if not diff:
+        if not surplus:
+            if current is base:
+                raise ValueError(
+                    "presentation already matches; nothing to repair")
             if not base_set <= set(current.rules):
+                dropped.add(frozenset(current.rules))
                 return
             candidate = tuple(r for r in current.rules if r not in base_set)
             key = frozenset(candidate)
@@ -639,12 +618,11 @@ def repair_search(base: RewriteSystem,
                 found[key] = (Augmentation(rules=candidate, system=current)
                               if filtration_check(current).passed else None)
             return
-        # no deficit, so every cell left is a surplus
-        degree, level = min(diff)
+        degree, level = min(surplus)
         if depth >= _DEPTH_CAP:
             raise SearchCapError("_DEPTH_CAP", _DEPTH_CAP, (degree, level))
         progressed = False
-        words = _degree_words(current, degree, bounds)
+        words = _degree_words(current, degree)
         for i, (lhs, lv) in enumerate(words):
             if lv != level:
                 continue
@@ -665,9 +643,12 @@ def repair_search(base: RewriteSystem,
     search(base, 0)
     survivors = sorted((a for a in found.values() if a is not None),
                        key=lambda a: tuple(r.render() for r in a.rules))
-    if not survivors:
-        first = min(dead_degrees) if dead_degrees else 0
-        raise RepairError(
-            f"no confluent, filtration-compatible augmentation matches the "
-            f"table; first unrepairable degree: {first}")
-    return tuple(survivors)
+    if survivors:
+        return tuple(survivors)
+    # with no dead end, every search path ended in a dropped match
+    reason = (f"first unrepairable degree: {min(dead_degrees)}"
+              if dead_degrees else
+              f"the filtration rejected {len(found)} matching "
+              f"augmentation(s); {len(dropped)} more lost a base rule")
+    raise RepairError("no confluent, filtration-compatible augmentation "
+                      f"matches the table; {reason}")

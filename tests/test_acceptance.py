@@ -104,12 +104,14 @@ def test_criterion_03_even_case_diagnosis_and_repair():
             assert surplus_zero == ["H" * n + "T"]
             shadow = [w for w, l in _degree_words(rs, n) if l == 1]
             assert "H" * n + "Y" in shadow
-            found = repair_search(rs, report)
+            found = repair_search(rs, hom)
             assert found
             renders = {a.render() for a in found}
             killer = "{" + "H" * n + "T -> 0, " + "H" * n + "Y -> 0}"
             assert killer in renders
+            # each repair matches in every degree, so up to any bound
             for aug in found:
+                assert hilbert_series(aug.system) == hom
                 again = compare(hilbert_series(aug.system), hom,
                                 DEGREE_BOUND)
                 assert again.is_match
@@ -141,10 +143,9 @@ def test_criterion_06_filtration():
         for n in range(1, 8):
             assert filtration_check(completed(n)).passed
         for n in (2, 4):
-            hom = path_space_series(n)
-            rs = completed(n)
-            comparison = compare(hilbert_series(rs), hom, 20)
-            for aug in repair_search(rs, comparison):
+            found = repair_search(completed(n), path_space_series(n))
+            assert found
+            for aug in found:
                 assert filtration_check(aug.system).passed
 
 

@@ -329,9 +329,10 @@ class TestVerifyCommand:
         assert "_STEP_LIMIT" not in err and "_RULE_LIMIT" not in err
 
     def test_each_rewriting_system_is_counted_once(self, capsys, monkeypatch):
-        # hilbert_series: the base system once, for the comparison,
-        # whose cells the repair search reuses; no table is counted,
-        # and a repaired system is judged by its exponent bounds.
+        # hilbert_series: the base system for the comparison, then once
+        # for each system the repair search judges against the target
+        # series: base again (the search takes a series, not cells) and
+        # the two repaired systems; no table is counted.
         # complete: the base system, which heredity_check and the
         # search take from the caller, and one per candidate rule,
         # resumed from the base; a leaf is complete's own output, so it
@@ -357,7 +358,8 @@ class TestVerifyCommand:
         assert code == 1
         assert "{HHT -> 0, HHY -> 0}" in out
         assert "{HHT -> HH, HHY -> 0}" in out
-        assert len(counted) == 1
+        assert len(counted) == 4
+        assert counted[0] == counted[1]
         assert tables == []
         assert len(completed) == 3
         (_, none, base), *candidates = completed

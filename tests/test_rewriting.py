@@ -49,7 +49,8 @@ from pathalg.rewriting import (
     repair_search,
 )
 from pathalg.homology import COEFF_F2, path_space_homology, path_space_series
-from pathalg.tables import BigradedSeries, BigradedTable
+from pathalg.tables import (
+    BigradedSeries, BigradedTable, CheckItem, CheckReport)
 
 
 def completed(n: int) -> RewriteSystem:
@@ -62,24 +63,16 @@ def target_report(rs: RewriteSystem, degree_bound: int) -> ComparisonReport:
                    degree_bound)
 
 
-def repairs(n: int, degree_bound: int):
-    """repair_search for n against the mod-2 target up to degree_bound,
-    as verify runs it."""
-    rs = completed(n)
-    return repair_search(rs, target_report(rs, degree_bound))
-
-
-def search(rs: RewriteSystem, hom: BigradedTable):
-    """repair_search for the completed rs against the table hom, with
-    rs's table compared to hom by the reference."""
-    return repair_search(
-        rs, reference_compare(hilbert(rs, hom.degree_bound), hom))
+def repairs(n: int):
+    """repair_search for n against the mod-2 target series, as verify
+    runs it."""
+    return repair_search(completed(n), path_space_series(n))
 
 
 @functools.lru_cache(maxsize=None)
 def repaired(n: int) -> tuple[RewriteSystem, ...]:
     """The completed system for n, then for even n both repairs."""
-    found = repairs(n, 40) if n % 2 == 0 else ()
+    found = repairs(n) if n % 2 == 0 else ()
     return (completed(n), *(a.system for a in found))
 
 
@@ -154,22 +147,6 @@ def reference_compare(alg: BigradedTable,
     totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
               if ta[d] != th[d]]
     return ComparisonReport(alg.degree_bound, tuple(cells), tuple(totals))
-
-
-def reference_excess(rs: RewriteSystem, hom: BigradedTable) -> dict:
-    """presentation - hom on every differing cell, from rs's full
-    table."""
-    report = reference_compare(hilbert(rs, hom.degree_bound), hom)
-    return {(d, l): a - h for d, l, a, h in report.cell_mismatches}
-
-
-def bound_excess(rs: RewriteSystem, base: RewriteSystem,
-                 hom: BigradedTable) -> dict:
-    """repair_search's excess of rs, read off its exponent bounds
-    against base's and base's reference excess."""
-    return rewriting._bound_excess(
-        reference_excess(base, hom), rewriting._exponent_bounds(base),
-        rewriting._exponent_bounds(rs), base.sig, hom.degree_bound)
 
 
 def assert_confluent(rs: RewriteSystem) -> None:
@@ -282,7 +259,7 @@ class TestCompletion:
 
     @pytest.mark.parametrize("n", range(2, 21, 2))
     def test_repaired_systems_are_fixed_points(self, n):
-        found = repairs(n, 40)
+        found = repairs(n)
         assert len(found) == 2
         for aug in found:
             assert complete(aug.system).rules == aug.system.rules
@@ -301,7 +278,7 @@ class TestCompletion:
             return real(rs, extra)
 
         monkeypatch.setattr(rewriting, "complete", recording)
-        search(base, path_space_homology(n, COEFF_F2, 40))
+        repair_search(base, path_space_series(n))
         assert candidates
         for rs, extra in candidates:
             assert rs == base and len(extra) == 1
@@ -429,7 +406,7 @@ class TestIrreducibleWords:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_hilbert_matches_the_reference_on_repaired_systems(self, n):
-        found = repairs(n, 20)
+        found = repairs(n)
         assert len(found) == 2
         for rs in (a.system for a in found):
             assert hilbert(rs, 20) == reference_hilbert(rs, 20)
@@ -573,18 +550,21 @@ def test_resumed_completion_is_completion_from_scratch(drawn):
 
 @settings(max_examples=60, deadline=None)
 @given(extra_rules(), st.integers(0, 60))
-def test_bound_excess_of_an_extension_of_an_extension(drawn, D):
-    # the excess moves from any completed system to any that extends
-    # it, finite bounds included: base plus the first rule, then plus
-    # both
+def test_series_of_an_extension_of_an_extension(drawn, D):
+    # the repair search judges any completed extension by its series,
+    # finite bounds included: base plus the first rule, then plus both;
+    # cut at D, that judgement is the one the full tables give
     base, extra = drawn
     try:
         mid = complete(base, extra[:1])
         rs = complete(base, extra)
     except CompletionError:
         return
-    hom = path_space_homology(base.sig.n, COEFF_F2, D)
-    assert bound_excess(rs, mid, hom) == reference_excess(rs, hom)
+    n = base.sig.n
+    hom = path_space_homology(n, COEFF_F2, D)
+    for system in (mid, rs):
+        assert compare(hilbert_series(system), path_space_series(n), D) \
+            == reference_compare(hilbert(system, D), hom)
 
 
 @settings(max_examples=60, deadline=None)
@@ -806,12 +786,13 @@ class TestSeries:
         assert {cell: c for cell, c in diff.items() if c} == \
             {(0, 1): 1, (n, 1): 1}
 
-    @pytest.mark.parametrize("n", range(2, 21, 2))
+    @pytest.mark.parametrize("n", range(2, 41, 2))
     def test_each_repair_removes_the_difference(self, n):
-        _, *fixed = repaired(n)
-        assert len(fixed) == 2
-        for rs in fixed:
-            assert hilbert_series(rs) == path_space_series(n)
+        found, h = repairs(n), "H" * n
+        assert [a.render() for a in found] == [
+            f"{{{h}T -> 0, {h}Y -> 0}}", f"{{{h}T -> {h}, {h}Y -> 0}}"]
+        for aug in found:
+            assert hilbert_series(aug.system) == path_space_series(n)
 
     def test_odd_series_agree_in_every_degree(self):
         for n in range(1, 42, 2):
@@ -838,6 +819,23 @@ class TestSeries:
             with pytest.raises(ValueError,
                                match="degree bound must be nonnegative"):
                 call()
+
+
+def change_a_base_rule(monkeypatch):
+    """Make each resumed completion return TT -> 0 for n = 2's base rule
+    TT -> T: the Hilbert series reads left sides only, so a match stays
+    a match but no longer holds every base rule."""
+    real = rewriting.complete
+
+    def changing(rs, extra=()):
+        out = real(rs, extra)
+        if not extra:
+            return out
+        rules = tuple(RewriteRule("TT", ZERO) if r.lhs == "TT" else r
+                      for r in out.rules)
+        return dataclasses.replace(out, rules=rules)
+
+    monkeypatch.setattr(rewriting, "complete", changing)
 
 
 def collapse_candidates(monkeypatch, which):
@@ -873,9 +871,21 @@ def collapse_candidates(monkeypatch, which):
     (lambda mp: complete(completed(3), (RewriteRule("HS", poly("Q")),)),
      AlphabetError, "letter 'Q' not in alphabet ('H', 'S', 'Y')"),
     (lambda mp: (collapse_candidates(mp, lambda rule: True),
-                 repairs(2, 40)), RepairError,
+                 repairs(2)), RepairError,
      "no confluent, filtration-compatible augmentation matches the table; "
      "first unrepairable degree: 0"),
+    # every search path ends in a match, so no degree is unrepairable
+    (lambda mp: (mp.setattr(rewriting, "filtration_check",
+                            lambda rs: CheckReport("doctored", (
+                                CheckItem("every rule", False),))),
+                 repairs(2)), RepairError,
+     "no confluent, filtration-compatible augmentation matches the table; "
+     "the filtration rejected 2 matching augmentation(s); 0 more lost a "
+     "base rule"),
+    (lambda mp: (change_a_base_rule(mp), repairs(2)), RepairError,
+     "no confluent, filtration-compatible augmentation matches the table; "
+     "the filtration rejected 0 matching augmentation(s); 2 more lost a "
+     "base rule"),
 ])
 def test_refusals_keep_their_types_and_messages(monkeypatch, call, error,
                                                 message):
@@ -886,8 +896,7 @@ def test_refusals_keep_their_types_and_messages(monkeypatch, call, error,
 
 class TestRepairSearch:
     def test_even_candidates(self):
-        hom = path_space_homology(2, COEFF_F2, 20)
-        found = search(completed(2), hom)
+        found = repairs(2)
         renders = sorted(a.render() for a in found)
         assert renders == ["{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"]
         for aug in found:
@@ -895,24 +904,24 @@ class TestRepairSearch:
             assert filtration_check(aug.system).passed
 
     def test_repaired_systems_extend_to_the_full_bound(self):
-        found = repairs(2, 40)
-        assert {a.render() for a in found} == {
-            "{HHT -> 0, HHY -> 0}", "{HHT -> HH, HHY -> 0}"}
+        found = repairs(2)
+        for aug in found:
+            assert hilbert_series(aug.system) == path_space_series(2)
+            assert target_report(aug.system, 10 ** 9).is_match
 
     def test_search_needs_a_completed_base(self):
         with pytest.raises(ValueError, match="requires a completed system"):
-            repair_search(orient(signature(2)), target_report(completed(2), 20))
+            repair_search(orient(signature(2)), path_space_series(2))
 
     def test_a_candidate_that_collapses_is_skipped(self, monkeypatch):
         tried = collapse_candidates(monkeypatch, lambda rule: not rule.rhs)
-        found = repairs(2, 40)
+        found = repairs(2)
         assert tried == ["HHT -> 0"]
         assert [a.render() for a in found] == ["{HHT -> HH, HHY -> 0}"]
 
     def test_matching_presentation_is_rejected(self):
-        hom = path_space_homology(3, COEFF_F2, 20)
-        with pytest.raises(ValueError):
-            search(completed(3), hom)
+        with pytest.raises(ValueError, match="already matches"):
+            repairs(3)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_pools_are_the_smaller_words_of_the_cell(self, n):
@@ -920,13 +929,11 @@ class TestRepairSearch:
         # words listed before it; that must be every irreducible word of
         # equal degree, level at most the left side's and strictly below
         # it, as an independent walk to the left side's weight finds
-        D = 40
-        hom = path_space_homology(n, COEFF_F2, D)
         base = completed(n)
         surplus = [(d, l) for d, l, a, h in
-                   target_report(base, D).cell_mismatches if a > h]
+                   target_report(base, 40).cell_mismatches if a > h]
         assert surplus
-        for rs in (base, *(a.system for a in search(base, hom))):
+        for rs in (base, *(a.system for a in repairs(n))):
             def key(w):
                 return order_key(w, rs.sig)
             for degree, level in surplus:
@@ -950,11 +957,10 @@ class TestRepairSearch:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_one_bound_reading_per_surplus_degree(self, monkeypatch, n):
-        # the exponent bounds are read once for base, which also lists
-        # the surplus degree's left sides and pools, and once for each
-        # of the two repaired systems, whose excess they give
+        # the exponent bounds are read once for each system's series,
+        # base and the two repaired systems, and once more for base,
+        # whose surplus degree lists the left sides and pools
         base = completed(n)
-        comparison = target_report(base, 40)
         real = rewriting._exponent_bounds
         calls = []
 
@@ -963,19 +969,21 @@ class TestRepairSearch:
             return real(rs)
 
         monkeypatch.setattr(rewriting, "_exponent_bounds", counting)
-        assert len(repair_search(base, comparison)) == 2
-        assert len(calls) == 3
+        assert len(repair_search(base, path_space_series(n))) == 2
+        assert len(calls) == 4
+        assert calls[:2] == [base, base]
 
     @pytest.mark.parametrize("n, D", [
         *((n, 40) for n in range(2, 21, 2)),
         *((n, D) for n in (2, 4, 6)
           for D in (0, 1, 2, 3, 5, 8, 13, 560, 840)),
         (2, 10_000)])
-    def test_bound_excess_is_the_counted_excess(self, monkeypatch, n, D):
-        # every system the search reaches extends base, and its excess
-        # read off the exponent bounds is the one its full table gives
+    def test_reached_series_compare_as_their_tables(self, monkeypatch, n,
+                                                    D):
+        # the search judges every system it reaches by its series; cut
+        # at D, that comparison is the one its full table gives
         hom = path_space_homology(n, COEFF_F2, D)
-        base = completed(n)
+        base, target = completed(n), path_space_series(n)
         real = rewriting.complete
         reached = []
 
@@ -984,18 +992,18 @@ class TestRepairSearch:
             return reached[-1]
 
         monkeypatch.setattr(rewriting, "complete", recording)
-        assert search(base, hom)
+        assert repair_search(base, target)
         assert reached
-        for rs in reached:
-            assert bound_excess(rs, base, hom) == reference_excess(rs, hom)
+        for rs in (base, *reached):
+            assert compare(hilbert_series(rs), target, D) == \
+                reference_compare(hilbert(rs, D), hom)
 
-    @pytest.mark.parametrize("n, D", [
-        *((n, 40) for n in range(2, 21, 2)), *((n, 840) for n in (2, 4, 6))])
-    def test_reached_systems_keep_the_normal_shape(self, monkeypatch, n, D):
-        # the search checks base only: each system it reaches reduces
-        # every defining left side too, so checking it would never refuse
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_reached_systems_keep_the_normal_shape(self, monkeypatch, n):
+        # each system the search reaches is checked for its series, base
+        # twice (its surplus degree's words too); each extends base, so
+        # it reduces every defining left side and the check never refuses
         base = completed(n)
-        comparison = target_report(base, D)
         real, check = rewriting.complete, rewriting._check_normal_shape
         reached, checked = [], []
 
@@ -1009,34 +1017,16 @@ class TestRepairSearch:
 
         monkeypatch.setattr(rewriting, "complete", recording)
         monkeypatch.setattr(rewriting, "_check_normal_shape", counting)
-        assert repair_search(base, comparison)
-        assert checked == [base]
+        assert repair_search(base, path_space_series(n))
         assert reached
+        assert checked == [base, base, *reached]
         for rs in reached:
             assert check(rs) is rs
-
-    def test_a_bound_above_the_base_is_refused(self, monkeypatch):
-        # a doctored reading of base lowers one bound, so every system
-        # the search reaches seems to lift it: refused, naming the pair
-        base = completed(2)
-        comparison = target_report(base, 20)
-        real = rewriting._exponent_bounds
-
-        def doctored(rs):
-            bounds = real(rs)
-            if rs is base:
-                bounds[0, 0] = 0
-            return bounds
-
-        monkeypatch.setattr(rewriting, "_exponent_bounds", doctored)
-        with pytest.raises(ValueError, match=r"pair \(0, 0\) above"):
-            repair_search(base, comparison)
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
         # failure of a completion inside the search must surface
-        hom = path_space_homology(2, COEFF_F2, 20)
-        base = completed(2)
+        base, target = completed(2), path_space_series(2)
         real = rewriting.complete
         calls = []
 
@@ -1045,7 +1035,7 @@ class TestRepairSearch:
             return real(rs, extra)
 
         monkeypatch.setattr(rewriting, "complete", counting)
-        search(base, hom)
+        repair_search(base, target)
         assert len(calls) == 2  # one per candidate rule
         for k in range(len(calls)):
             seen = []
@@ -1058,30 +1048,34 @@ class TestRepairSearch:
 
             monkeypatch.setattr(rewriting, "complete", failing)
             with pytest.raises(RuntimeError, match="injected"):
-                search(base, hom)
+                repair_search(base, target)
 
     @pytest.mark.parametrize("cap", ["_DEPTH_CAP"])
     def test_caps_raise_instead_of_truncating(self, monkeypatch, cap):
         # at n = 2 the search adds one rule, so a cap of 0 is the first
         # value that would cut work
-        hom = path_space_homology(2, COEFF_F2, 20)
         monkeypatch.setattr(rewriting, cap, 0)
         with pytest.raises(SearchCapError) as info:
-            search(completed(2), hom)
+            repairs(2)
         assert (info.value.cap, info.value.limit) == (cap, 0)
         assert info.value.cell == (0, 1)
         assert isinstance(info.value, RuntimeError)
         assert not isinstance(info.value, RepairError)
         monkeypatch.setattr(rewriting, cap, 1)
-        assert len(search(completed(2), hom)) == 2
+        assert len(repairs(2)) == 2
 
-    def test_unreachable_target_raises(self):
-        hom = path_space_homology(2, COEFF_F2, 12)
-        cells = dict(hom.cells)
-        cells[(0, 3)] = 7
-        target = BigradedTable.from_dict(cells, 12)
-        with pytest.raises(RepairError):
-            search(completed(2), target)
+    def test_unreachable_target_raises(self, monkeypatch):
+        # seven more words at (0, 3) than base holds there: a shortfall
+        # no added rule can fill, so base is a dead end and no candidate
+        # is tried
+        target = BigradedSeries.from_terms(
+            [*path_space_series(2).numerator, ((0, 3), 7)], 2)
+        base, calls = completed(2), []
+        monkeypatch.setattr(rewriting, "complete",
+                            lambda *args: calls.append(args))
+        with pytest.raises(RepairError, match="unrepairable degree: 0$"):
+            repair_search(base, target)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1108,8 +1102,8 @@ def verify_parts(n: int):
     parts["repairs"] = None
     if not comparison.is_match and n % 2 == 0:
         try:
-            parts["repairs"] = [a.render()
-                                for a in repair_search(rs, comparison)]
+            parts["repairs"] = [a.render() for a in
+                                repair_search(rs, path_space_series(n))]
         except RepairError:
             parts["repairs"] = "none"
     return parts
