@@ -11,6 +11,7 @@ critical geodesics.
 
 from .algebra import (
     AlphabetError,
+    GradingError,
     RewriteRule,
     Signature,
     defining_relations,

@@ -32,9 +32,6 @@ ODD1 = "odd1"  # n = 1 mod 4
 ODD3 = "odd3"  # n = 3 mod 4
 EVEN = "even"
 
-# Fixed rank order used by the lexicographic tie-break of order_key.
-_LETTER_RANK = {"H": 0, "T": 1, "S": 2, "Y": 3}
-
 # Level counts the letters that each carry one half-turn of the norm
 # filtration; H is a constant-path class and carries none.
 _LETTER_LEVEL = {"H": 0, "S": 1, "T": 1, "Y": 1}
@@ -42,6 +39,12 @@ _LETTER_LEVEL = {"H": 0, "S": 1, "T": 1, "Y": 1}
 
 class AlphabetError(ValueError):
     """A word uses a letter outside the relevant alphabet."""
+
+
+class GradingError(RuntimeError):
+    """A rule breaks a grading it must keep: a defining relation mixes
+    degrees, or a completed rule has a right-hand word heavier than its
+    left side.  Raised, not asserted, so that python -O keeps it."""
 
 
 @dataclass(frozen=True)
@@ -113,23 +116,29 @@ def word_level(w: Word) -> int:
 
 
 def word_weight(w: Word, sig: Signature) -> int:
-    """Sum of letter weights.  A letter outside sig's alphabet raises
-    AlphabetError, found only once the lookup fails, so completion's
-    weight keys pay nothing for the check."""
-    try:
-        return sum(sig.weight[c] for c in w)
-    except KeyError as e:
-        raise AlphabetError(f"letter {e.args[0]!r} not in alphabet "
-                            f"{sig.alphabet}") from None
+    """Sum of letter weights, one str.count per letter of sig, so a long
+    H-run costs what a short word does.  A letter outside sig's alphabet
+    raises AlphabetError: the counts then fall short of len(w)."""
+    total = count = 0
+    for c, k in sig.weight.items():
+        m = w.count(c)
+        total, count = total + k * m, count + m
+    if count != len(w):
+        bad = next(c for c in w if c not in sig.weight)
+        raise AlphabetError(f"letter {bad!r} not in alphabet {sig.alphabet}")
+    return total
 
 
 def order_key(w: Word, sig: Signature):
     """Sort key of the monomial order: weight, then a left-to-right
-    lexicographic tie-break on the fixed letter ranking H < T < S < Y.
+    lexicographic tie-break that ranks H lowest and Y highest.  The word
+    itself is the tie-break: in each alphabet, (H, S, Y) or (H, T, Y),
+    the letters' code order is that ranking, so str comparison orders
+    two words as a tuple of letter ranks would, with no tuple built.
     Positive weights make this a well-order compatible with
     concatenation on both sides.  A letter outside sig's alphabet
     raises AlphabetError (word_weight)."""
-    return (word_weight(w, sig), tuple(_LETTER_RANK[c] for c in w))
+    return word_weight(w, sig), w
 
 
 def leading_word(p: Polynomial, sig: Signature) -> Word:
@@ -210,6 +219,6 @@ def defining_relations(n: int) -> tuple[RewriteRule, ...]:
             RewriteRule(top, ZERO),
         )
     for rel in rels:
-        degs = {word_degree(w, sig) for w in {rel.lhs, *rel.rhs}}
-        assert len(degs) == 1, f"relation {rel.lhs} not degree-homogeneous"
+        if len({word_degree(w, sig) for w in {rel.lhs, *rel.rhs}}) != 1:
+            raise GradingError(f"relation {rel.lhs} not degree-homogeneous")
     return rels

@@ -28,8 +28,7 @@ cells, are tables.BigradedTable.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .tables import BigradedSeries, BigradedTable, CheckItem, CheckReport
 
@@ -56,6 +55,8 @@ class AbelianGroup:
 
     rank: int = 0
     torsion: tuple[int, ...] = ()
+    # two_torsion's count, made once per group, as tables repeat groups
+    _two: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -64,6 +65,8 @@ class AbelianGroup:
             raise ValueError("torsion orders must be >= 2")
         if tuple(sorted(self.torsion)) != self.torsion:
             raise ValueError("torsion orders must be ascending")
+        object.__setattr__(self, "_two",
+                           sum(1 for t in self.torsion if t % 2 == 0))
 
     def __bool__(self) -> bool:
         """True unless trivial, as a dimension is true unless zero."""
@@ -77,7 +80,7 @@ class AbelianGroup:
 
     def two_torsion(self) -> int:
         """Number of cyclic summands of even order; a Z/4 counts once."""
-        return sum(1 for t in self.torsion if t % 2 == 0)
+        return self._two
 
     def render(self) -> str:
         parts = []
@@ -301,11 +304,12 @@ def uct_f2(table):
         while dims and dims[-1] == 0:
             dims.pop()
         return tuple(dims)
-    cells: Counter[tuple[int, int]] = Counter()
+    cells: dict[tuple[int, int], int] = {}
     for (d, l), g in table.entries:
-        cells[d, l] += g.rank + g.two_torsion()
-        if d < table.degree_bound:
-            cells[d + 1, l] += g.two_torsion()
+        t = g.two_torsion()
+        cells[d, l] = cells.get((d, l), 0) + g.rank + t
+        if t and d < table.degree_bound:
+            cells[d + 1, l] = cells.get((d + 1, l), 0) + t
     return BigradedTable.from_dict(cells, table.degree_bound)
 
 

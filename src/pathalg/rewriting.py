@@ -22,11 +22,15 @@ one degree.  _differing_runs walks only the classes where two such
 series differ.  compare cuts its runs at a degree bound, so its cost
 grows with the differing cells below it; the repair search reads each
 run's first cell, so its cost does not depend on any bound.
-Reduction finds the leftmost left side with one bounded str.find per
-rule (_leftmost_match), so the H-runs of up to n + 1 letters are crossed
-at C speed.  The repair search completes each candidate by resuming
-from the completed base system: only the candidate rule and what it
-forces go through the queue (complete's extra rules).
+Reduction (_poly_nf) finds the leftmost left side in a word with one
+bounded str.find per rule, over (left side, length, right side) triples
+built once per call, so the H-runs of up to n + 1 letters are crossed at
+C speed and no rule attribute is looked up per word.  Completion skips
+the superpositions of two rules to 0, as each such critical pair is
+0 = 0: the n self-overlaps of H^(n+1), for one.  The repair search
+completes each candidate by resuming from the completed base system:
+only the candidate rule and what it forces go through the queue
+(complete's extra rules).
 
 >>> rs = complete(orient(signature(3)))
 >>> sorted(normal_form("SH", rs))
@@ -48,6 +52,7 @@ from .tables import BigradedSeries, BigradedTable, CheckItem, CheckReport
 from .algebra import (
     EVEN,
     ZERO,
+    GradingError,
     Polynomial,
     RewriteRule,
     Signature,
@@ -169,29 +174,18 @@ def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
     return frozenset(head + r + tail for r in rule.rhs)
 
 
-def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]):
-    """The leftmost position where a left side of rules occurs in word,
-    and the first such rule in their order there.  Each left side is
-    looked for once, by str.find, and only where it would start before
-    the best position so far, so an H-run is crossed at C speed, not
-    letter by letter."""
-    best, found = len(word), None
-    for rule in rules:
-        if not best:
-            break
-        i = word.find(rule.lhs, 0, best + len(rule.lhs) - 1)
-        if i >= 0:
-            best, found = i, rule
-    return None if found is None else (best, found)
-
-
 def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
     """Full reduction of a polynomial by rules; leftmost strategy per
-    word.
+    word: the leftmost position where a left side occurs, and the first
+    such rule in their order there.  Each left side is looked for once
+    per word, by str.find, and only where it would start before the best
+    position so far, so an H-run is crossed at C speed, not letter by
+    letter.
 
     F2 linearity lets each word occurrence reduce independently, with
     the results combined by symmetric difference.
     """
+    triples = [(r.lhs, len(r.lhs), r.rhs) for r in rules]
     acc: set = set()
     stack = list(p)
     steps = 0
@@ -200,13 +194,19 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
         steps += 1
         if steps > _STEP_LIMIT:
             raise StepLimitError(_STEP_LIMIT)
-        m = _leftmost_match(w, rules)
-        if m is None:
+        best, hit = len(w), None
+        for lhs, k, rhs in triples:
+            if not best:
+                break
+            i = w.find(lhs, 0, best + k - 1)
+            if i >= 0:
+                best, cut, hit = i, i + k, rhs
+        if hit is None:
             acc ^= {w}
         else:
-            i, rule = m
-            head, tail = w[:i], w[i + len(rule.lhs):]
-            stack.extend(head + r + tail for r in rule.rhs)
+            head, tail = w[:best], w[cut:]
+            for r in hit:
+                stack.append(head + r + tail)
     return frozenset(acc)
 
 
@@ -283,6 +283,8 @@ def complete(rs: RewriteSystem,
             raise RuleLimitError(_RULE_LIMIT)
         rules = tuple(live.values())
         for other in rules:
+            if not (new.rhs or other.rhs):
+                continue  # each superposition of two rules to 0 is 0 = 0
             for r1, r2 in dict.fromkeys([(new, other), (other, new)]):
                 for sup, off in _overlap_words(r1.lhs, r2.lhs):
                     diff = _poly_nf(apply_rule(sup, r1, 0)
@@ -294,7 +296,9 @@ def complete(rs: RewriteSystem,
                  key=lambda r: order_key(r.lhs, sig))
     for r in out:
         lw = word_weight(r.lhs, sig)
-        assert all(word_weight(w, sig) <= lw for w in r.rhs)
+        if any(word_weight(w, sig) > lw for w in r.rhs):
+            raise GradingError(f"rule {r.render()} has a right-hand word "
+                               f"heavier than its left side")
     return RewriteSystem(sig=sig, rules=tuple(out),
                          completion_status=COMPLETE)
 
@@ -306,8 +310,8 @@ def complete(rs: RewriteSystem,
 def _check_normal_shape(rs: RewriteSystem) -> RewriteSystem:
     """rs, if it reduces every defining left side, as _exponent_bounds's
     proof needs; so does each system whose ideal contains rs's."""
-    if any(_leftmost_match(rel.lhs, rs.rules) is None
-           for rel in defining_relations(rs.sig.n)):
+    if not all(any(r.lhs in rel.lhs for r in rs.rules)
+               for rel in defining_relations(rs.sig.n)):
         raise ValueError("irreducible words are known only in a system "
                          "that reduces the defining left sides")
     return rs

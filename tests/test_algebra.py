@@ -6,8 +6,10 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from pathalg import algebra
 from pathalg.algebra import (
     AlphabetError,
+    GradingError,
     ONE,
     ZERO,
     defining_relations,
@@ -177,6 +179,16 @@ class TestDefiningRelations:
         assert rels["YS"] == poly("SY", "HHHHYY")
         assert {r.lhs: r.rhs for r in defining_relations(1)}["YS"] == \
             poly("SY", "YY")
+
+    def test_a_mixed_degree_relation_is_a_typed_error(self, monkeypatch):
+        # a T of degree 1 puts TH and HT + H in different degrees; the
+        # cached relations are bypassed, so the check runs again
+        real = algebra.signature
+        monkeypatch.setattr(algebra, "signature", lambda n: dataclasses.replace(
+            real(n), degree={"H": -1, "T": 1, "Y": n}))
+        with pytest.raises(GradingError,
+                           match="^relation TH not degree-homogeneous$"):
+            defining_relations.__wrapped__(2)
 
     def test_relations_are_homogeneous(self):
         for n in range(1, 8):

@@ -21,6 +21,13 @@ from pathalg.cli import main
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this pathalg."""
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                         if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -454,12 +461,9 @@ class TestGeomCommands:
             geometry.critical_index(10, 51)
 
     def test_index_past_the_range_exits_2_fast_in_a_fresh_process(self):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + ([os.environ["PYTHONPATH"]]
-                          if os.environ.get("PYTHONPATH") else [])))
         done = subprocess.run(
             [sys.executable, "-m", "pathalg.cli", "geom", "index", "--n", "10",
-             "--k", "500"], env=env, capture_output=True, text=True,
+             "--k", "500"], env=fresh_env(), capture_output=True, text=True,
             timeout=60)
         assert done.returncode == 2
         assert done.stdout == ""
@@ -621,6 +625,58 @@ class TestFailureBranches:
         assert captured.err == err
         if "json" in argv:
             json.loads(captured.out)
+
+
+# code that breaks a grading the library checks, by the message of the
+# GradingError it must raise: T of degree 1 in the relations, or a
+# weight by which every rule's right side is heavier than its left
+GRADING_BREAKS = {
+    "relation TH not degree-homogeneous": (
+        "import dataclasses\n"
+        "from pathalg import algebra\n"
+        "real = algebra.signature\n"
+        "algebra.signature = lambda n: dataclasses.replace(\n"
+        "    real(n), degree={'H': -1, 'T': 1, 'Y': n})\n"),
+    "rule TH -> H + HT has a right-hand word heavier than its left side": (
+        "from pathalg import rewriting\n"
+        "rewriting.word_weight = lambda w, sig: -len(w)\n"),
+}
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("message", sorted(GRADING_BREAKS))
+    def test_a_broken_grading_exits_2(self, message, optimize):
+        # a check that raises, not an assert, so python -O keeps it
+        code = (GRADING_BREAKS[message] + "import sys\n"
+                "from pathalg import cli\n"
+                "print(sys.flags.optimize)\n"
+                "sys.exit(cli.main(['verify', '--n', '2']))\n")
+        done = subprocess.run(
+            [sys.executable, *["-O"] * optimize, "-c", code], env=fresh_env(),
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (2, f"{int(optimize)}\n", f"error: {message}\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--n", "3000", "--format", "csv"],
+        ["verify", "--n", "2", "--max-degree", "30000"]])
+    def test_a_closed_stdout_exits_2(self, argv, unbuffered):
+        # the reader takes one line and closes the pipe, as | head -1
+        # does, while far more than a pipe holds is still to come
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pathalg.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first
+        assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 class TestTableCommand:

@@ -4,6 +4,7 @@ the defining relations and are frozen as oracles."""
 
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
 import re
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from pathalg import rewriting
 from pathalg.algebra import (
     AlphabetError,
+    GradingError,
     ONE,
     ZERO,
     defining_relations,
@@ -342,6 +344,17 @@ class TestCompletion:
         assert info.value.limit == 4
         assert isinstance(info.value, RuntimeError)
 
+    def test_a_rule_heavier_on_the_right_is_a_typed_error(self, monkeypatch):
+        # with the smallest word as leading word, TTT = H orients to
+        # H -> TTT, and nothing reduces TTT
+        monkeypatch.setattr(rewriting, "leading_word", lambda p, sig: min(
+            p, key=lambda w: order_key(w, sig)))
+        rs = RewriteSystem(sig=signature(2),
+                           rules=(RewriteRule("TTT", poly("H")),))
+        message = "rule H -> TTT has a right-hand word heavier than its left side"
+        with pytest.raises(GradingError, match=f"^{re.escape(message)}$"):
+            complete(rs)
+
     def test_rules_respect_weights(self):
         for n in (1, 2, 3, 4, 5, 6, 7):
             rs = completed(n)
@@ -586,6 +599,20 @@ def test_normal_form_is_idempotent(words):
     assert normal_form(once, rs) == once
 
 
+# ---------------------------------------------------------------------------
+# Reference kernels: the order by letter-rank tuples, the reduction with
+# one leftmost-match scan per word, and the completion that resolves
+# every critical pair, 0 = 0 ones included.  The library's kernels must
+# give what these give.
+
+LETTER_RANK = {"H": 0, "T": 1, "S": 2, "Y": 3}
+
+
+def reference_order_key(w, sig):
+    """Weight by a sum over the letters, then the letter-rank tuple."""
+    return (sum(sig.weight[c] for c in w), tuple(LETTER_RANK[c] for c in w))
+
+
 def linear_leftmost_match(word, rules):
     """Reference: every rule tried at every position, in tuple order."""
     for i in range(len(word)):
@@ -595,16 +622,68 @@ def linear_leftmost_match(word, rules):
     return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.text(alphabet="HSY", min_size=0, max_size=8),
-       st.sampled_from([("HS", "HSY"), ("HSY", "HS"), ("SY", "Y", "HSYH"),
-                        ("YS", "S", "", "SH")]))
-def test_leftmost_match_is_the_linear_scan(word, lhss):
-    # the tuples are not inter-reduced: one left side may be a prefix or
-    # a factor of another, so two can match at the same position
-    rules = tuple(RewriteRule(l, ZERO) for l in lhss)
-    assert rewriting._leftmost_match(word, rules) == \
-        linear_leftmost_match(word, rules)
+def reference_poly_nf(p, rules):
+    """Full reduction, leftmost match first, one word at a time."""
+    acc, stack, steps = set(), list(p), 0
+    while stack:
+        w = stack.pop()
+        steps += 1
+        if steps > rewriting._STEP_LIMIT:
+            raise StepLimitError(rewriting._STEP_LIMIT)
+        m = linear_leftmost_match(w, rules)
+        if m is None:
+            acc ^= {w}
+        else:
+            i, rule = m
+            stack.extend(w[:i] + r + w[i + len(rule.lhs):] for r in rule.rhs)
+    return frozenset(acc)
+
+
+def reference_complete(rs, extra=()):
+    """complete with the reference order and reduction, every pair of
+    live rules superposed."""
+    sig = rs.sig
+    key = functools.partial(reference_order_key, sig=sig)
+    queue, seq = [], itertools.count()
+
+    def push(origin, p):
+        heapq.heappush(queue, (key(origin), next(seq), origin, p))
+
+    live = {r.lhs: r for r in rs.rules} if extra else {}
+    for r in extra or rs.rules:
+        push(r.lhs, r.as_polynomial())
+    rules = tuple(live.values())
+    while queue:
+        *_, origin, eq = heapq.heappop(queue)
+        eq = reference_poly_nf(eq, rules)
+        if not eq:
+            continue
+        top = max(eq, key=key)
+        if top == "":
+            raise CompletionError(origin)
+        for lhs in [l for l in live if top in l]:
+            push(lhs, live.pop(lhs).as_polynomial())
+        new = live[top] = RewriteRule(top, eq ^ {top})
+        if len(live) > rewriting._RULE_LIMIT:
+            raise RuleLimitError(rewriting._RULE_LIMIT)
+        rules = tuple(live.values())
+        for other in rules:
+            for r1, r2 in dict.fromkeys([(new, other), (other, new)]):
+                for sup, off in rewriting._overlap_words(r1.lhs, r2.lhs):
+                    diff = reference_poly_nf(apply_rule(sup, r1, 0)
+                                             ^ apply_rule(sup, r2, off), rules)
+                    if diff:
+                        push(sup, diff)
+    return tuple(sorted((RewriteRule(r.lhs, reference_poly_nf(r.rhs, rules))
+                         for r in rules), key=lambda r: key(r.lhs)))
+
+
+def kernel_outcome(call):
+    """What call returns, or the type and message of its error."""
+    try:
+        return call()
+    except (CompletionError, RuleLimitError, StepLimitError) as exc:
+        return type(exc), str(exc)
 
 
 def runs(letters, max_run):
@@ -623,12 +702,94 @@ left_sides = st.one_of(st.integers(1, 20).map(lambda k: "H" * k),
                        st.text(alphabet="HTY", max_size=2))
 
 
-@settings(max_examples=300, deadline=None)
-@given(runs("HTY", 25), st.lists(left_sides, min_size=1, max_size=6))
-def test_find_match_is_the_linear_scan_on_long_runs(word, lhss):
-    rules = tuple(RewriteRule(l, ZERO) for l in lhss)
-    assert rewriting._leftmost_match(word, rules) == \
-        linear_leftmost_match(word, rules)
+def shortening_rule(lhs: str, choice: int) -> RewriteRule:
+    """lhs -> 0, or to lhs less its first or its last letter: each step
+    shortens a word, so a reduction ends within its length."""
+    rhs = (ZERO, poly(lhs[1:]), poly(lhs[:-1]))[choice if lhs else 0]
+    return RewriteRule(lhs, rhs)
+
+
+class TestReferenceKernels:
+    @pytest.mark.parametrize("n", range(1, 42))
+    def test_base_completion_is_the_reference(self, n):
+        rs = orient(signature(n))
+        assert complete(rs).rules == reference_complete(rs)
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_repair_completions_are_the_reference(self, n):
+        # the search resumes from the base with its first rule; the
+        # augmentation is that rule and what it forces
+        base, found = completed(n), repairs(n)
+        assert len(found) == 2
+        for aug in found:
+            for extra in (aug.rules[:1], aug.rules):
+                assert complete(base, extra).rules == \
+                    reference_complete(base, extra) == aug.system.rules
+
+    def test_mutant_completions_are_the_reference(self):
+        outcomes = []
+        for n in range(1, 17):
+            for rels, _ in one_word_mutants(n):
+                rs = RewriteSystem(sig=signature(n), rules=rels)
+                got = kernel_outcome(lambda: complete(rs).rules)
+                assert got == kernel_outcome(lambda: reference_complete(rs)), \
+                    rels
+                outcomes.append(got)
+        assert len(outcomes) == 107
+        # the 8 odd-n mutants SH -> 1 collapse; each message names SH
+        assert outcomes.count(
+            (CompletionError, "equation from 'SH' reduces to the unit; "
+             "the presented algebra collapses")) == 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(runs("HTY", 25), min_size=1, max_size=3),
+           st.lists(st.tuples(left_sides, st.integers(0, 2)),
+                    min_size=1, max_size=6))
+    def test_reduction_is_the_reference_on_long_runs(self, words, drawn):
+        # the left sides are not inter-reduced: one may be a prefix or a
+        # factor of another, so two can match at the same position
+        rules = tuple(shortening_rule(*d) for d in drawn)
+        p = poly(*words)
+        assert rewriting._poly_nf(p, rules) == reference_poly_nf(p, rules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="HSY", min_size=0, max_size=8),
+           st.sampled_from([("HS", "HSY"), ("HSY", "HS"), ("SY", "Y", "HSYH"),
+                            ("YS", "S", "", "SH")]),
+           st.integers(0, 2))
+    def test_reduction_is_the_reference_on_nested_left_sides(self, word, lhss,
+                                                             choice):
+        rules = tuple(shortening_rule(l, choice) for l in lhss)
+        assert rewriting._poly_nf([word], rules) == \
+            reference_poly_nf([word], rules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_reduction_is_the_reference_in_the_repaired_systems(self, n, data):
+        # words of at most 10 letters: moving S past H doubles a word
+        for rs in repaired(n):
+            w = data.draw(st.text(alphabet=rs.sig.alphabet, max_size=10))
+            assert rewriting._poly_nf([w], rs.rules) == \
+                reference_poly_nf([w], rs.rules)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_order_key_ranks_as_the_rank_tuples(self, n, data):
+        sig = signature(n)
+        u, v = (data.draw(runs(sig.alphabet, 4)) for _ in range(2))
+        assert (order_key(u, sig) < order_key(v, sig)) == \
+            (reference_order_key(u, sig) < reference_order_key(v, sig))
+        assert (order_key(u, sig) == order_key(v, sig)) == (u == v)
+        assert word_weight(u, sig) == reference_order_key(u, sig)[0]
+
+    @pytest.mark.parametrize("n, word, letter", [
+        (3, "HSQ", "Q"), (3, "HTY", "T"), (2, "YSH", "S"), (5, "QT", "Q")])
+    def test_order_key_refuses_a_foreign_letter(self, n, word, letter):
+        # the first letter outside the alphabet, as the weight sum named it
+        sig = signature(n)
+        message = f"letter {letter!r} not in alphabet {sig.alphabet}"
+        with pytest.raises(AlphabetError, match=f"^{re.escape(message)}$"):
+            order_key(word, sig)
 
 
 class TestChecks:
