@@ -16,6 +16,7 @@ import functools
 import gc
 import itertools
 import json
+import os
 import sys
 from importlib import resources
 
@@ -313,14 +314,20 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
+            return args.func(args)
         except SystemExit as exc:
             return int(exc.code) if exc.code is not None else 0
-        return args.func(args)
-    except (rewriting.CompletionError, rewriting.RepairError) as exc:
-        print(f"mathematical failure: {exc}", file=sys.stderr)
-        return 1
+        except (rewriting.CompletionError, rewriting.RepairError) as exc:
+            print(f"mathematical failure: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            # a closed reader fails this flush, not the one at exit (120)
+            sys.stdout.flush()
     except (ValueError, TypeError, OSError, RuntimeError, MemoryError) as exc:
-        # numpy's LinAlgError is a ValueError
+        # numpy's LinAlgError is a ValueError; after a closed stdout the
+        # bytes still buffered would fail again at exit
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -324,21 +324,22 @@ def stable_ranks(degree: int) -> int:
 def consistency_checks(n: int) -> CheckReport:
     """Internal cross-checks of the homology tables for one n.
 
-    Mod-2 reduction of every integral table (projective space over
-    both of its systems, the unit tangent bundle over each block
-    system) must reproduce the F2 table; the unit tangent tables must
-    satisfy closed-manifold symmetry and have zero Euler
-    characteristic; the assembled table, in degrees 0..4n + 2, must
-    restrict correctly to levels and match the stable range near the
-    bottom.
+    Each integral table (projective space over its trivial system, and
+    its twisted one for even n; the unit tangent bundle over each block
+    system) must reduce mod 2 to the F2 table, the mod-2 unit tangent
+    table must be a palindrome, and the F2 assembly must give the stable
+    range below degree n.  The palindrome, of even length 2n, implies a
+    zero Euler characteristic.  Reducing the assembly would repeat the
+    tables' reductions, as path_space_homology places them in both rings.
+    For odd n the twisted system is trivial, and its reduction a repeat.
     """
-    D = 4 * n + 2
     items = []
 
     f2_st = unit_tangent_homology(n, COEFF_F2)
     for space, homology, f2, systems in (
             ("projective space", real_proj_homology,
-             real_proj_homology(n, COEFF_F2), (COEFF_Z, COEFF_TWISTED)),
+             real_proj_homology(n, COEFF_F2),
+             (COEFF_Z, COEFF_TWISTED) if n % 2 == 0 else (COEFF_Z,)),
             ("unit tangent", unit_tangent_homology, f2_st,
              block_systems(n, COEFF_Z))):
         for tag in systems:
@@ -352,19 +353,8 @@ def consistency_checks(n: int) -> CheckReport:
         name="unit tangent mod-2 palindrome",
         passed=f2_st == f2_st[::-1],
         detail=f"{f2_st}"))
-    chi = sum((-1) ** d * v for d, v in enumerate(f2_st))
-    items.append(CheckItem(
-        name="unit tangent Euler characteristic zero",
-        passed=chi == 0,
-        detail=f"chi = {chi}"))
 
-    zt = path_space_homology(n, COEFF_Z, D)
-    f2t = path_space_homology(n, COEFF_F2, D)
-    items.append(CheckItem(
-        name=f"assembled mod-2 reduction, cell by cell, degrees 0..{D}",
-        passed=uct_f2(zt) == f2t,
-        detail=""))
-
+    f2t = path_space_homology(n, COEFF_F2, n - 1)
     low = [sum(f2t.get(d, l) for l in (0, 1)) for d in range(n)]
     want = [stable_ranks(d) for d in range(n)]
     items.append(CheckItem(

@@ -678,6 +678,25 @@ class TestFreshProcess:
         assert first
         assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "3"], ["table", "--n", "3", "--golden"],
+        ["geom", "concat-check", "--trials", "5"]])
+    def test_a_reader_closed_before_a_buffered_write_exits_2(self, argv):
+        # a few kB that Python buffers until it flushes, to a reader
+        # that is gone before anything is written, as `| true` can be
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pathalg.cli", *argv], env=env,
+                stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == \
+            (2, b"error: [Errno 32] Broken pipe\n")
+
 
 class TestTableCommand:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -42,11 +42,19 @@ from pathalg.homology import (
     uct_f2,
     unit_tangent_homology,
 )
+from pathalg.tables import BigradedTable
 
 Z_Z2 = Z + Z2
 ZZ = AbelianGroup(rank=2)
 # one factor of a generator name: a letter (Sb before S) and its power
 NAME_POWER = re.compile(r"(Sb|[HSTY])(?:\^(\d+))?")
+# the names of consistency_checks' items
+P_Z = "projective space mod-2 reduction [Z-trivial]"
+P_TWISTED = "projective space mod-2 reduction [Z-twisted-o]"
+UT_Z = "unit tangent mod-2 reduction [Z-trivial]"
+UT_PULLBACK = "unit tangent mod-2 reduction [Z-pullback-pi*o]"
+PALINDROME = "unit tangent mod-2 palindrome"
+STABLE = "stable range at levels 0..1"
 
 
 class TestAbelianGroup:
@@ -345,10 +353,10 @@ class TestAssembly:
         assert table.get(2, 2, ZERO_GROUP) == ZERO_GROUP
 
     def test_mod_two_assembly_matches_uct(self):
-        for n in range(1, 7):
-            zt = path_space_homology(n, COEFF_Z, 3 * n + 2)
-            f2 = path_space_homology(n, COEFF_F2, 3 * n + 2)
-            assert uct_f2(zt).cells == f2.cells
+        for n in range(1, 42):
+            zt = path_space_homology(n, COEFF_Z, 4 * n + 2)
+            f2 = path_space_homology(n, COEFF_F2, 4 * n + 2)
+            assert uct_f2(zt).cells == f2.cells, n
 
     def test_stable_range(self):
         assert [stable_ranks(d) for d in range(4)] == [1, 2, 2, 2]
@@ -393,10 +401,124 @@ class TestAssembly:
         assert main(["verify", "--n", "3"]) == 1
         assert "dimension tables disagree" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 42))
     def test_consistency_suite(self, n):
         report = consistency_checks(n)
         assert report.passed, "\n".join(report.lines())
+
+    def test_consistency_suite_items(self):
+        # the twisted and pullback systems are trivial for odd n
+        odd = [P_Z, UT_Z, PALINDROME, STABLE]
+        even = [P_Z, P_TWISTED, UT_Z, UT_PULLBACK, PALINDROME, STABLE]
+        assert {n: [item.name for item in consistency_checks(n).items]
+                for n in range(1, 5)} == {1: odd, 2: even, 3: odd, 4: even}
+
+    def test_consistency_suite_assembles_only_below_degree_n(
+            self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return path_space_homology(*args)
+
+        monkeypatch.setattr(homology, "path_space_homology", spy)
+        for n in (1, 2, 3, 8):
+            calls.clear()
+            assert consistency_checks(n).passed
+            assert calls == [(n, COEFF_F2, n - 1)]
+
+
+def _f2_only(change):
+    """A mutant of unit_tangent_homology that changes only F2 tables."""
+    return lambda f: lambda n, c: change(f(n, c)) if c == COEFF_F2 else f(n, c)
+
+
+def _bump(table: tuple, *degrees: int) -> tuple:
+    """table with one class more in each of degrees."""
+    out = list(table)
+    for d in degrees:
+        out[d] += 1
+    return tuple(out)
+
+
+def _integral_levels_up(f):
+    """A mutant of path_space_homology with a branch for COEFF_Z that
+    moves every level k >= 1 up one degree; F2 is left alone."""
+    def mutant(n, coeff, degree_bound):
+        table = f(n, coeff, degree_bound)
+        if coeff != COEFF_Z:
+            return table
+        return BigradedTable.from_dict(
+            {(d + (l > 0), l): v for (d, l), v in table.entries
+             if d + (l > 0) <= degree_bound}, degree_bound)
+    return mutant
+
+
+def _unit_tangent_reductions(n: int) -> set:
+    return {UT_Z, UT_PULLBACK} if n % 2 == 0 else {UT_Z}
+
+
+# name -> (the name of pathalg.homology it replaces, the mutant as a
+# function of the original, and per n the failing consistency items or
+# the typed error).  The stable range reads degrees 0..n - 1, so it
+# sees unit-tangent degree d, at level 1, only when d + 1 < n.
+CONSISTENCY_MUTANTS = {
+    "row 1 of the Gysin sum one degree higher": (
+        "_shift_sum", lambda f: lambda r0, r1, s, top: f(r0, r1, s + 1, top),
+        lambda n: GysinError if n % 2 == 0 else {PALINDROME}),
+    "integral unit tangent table without its top group": (
+        "unit_tangent_homology",
+        lambda f: lambda n, c: f(n, c)[:-1] if c == COEFF_Z else f(n, c),
+        lambda n: {UT_Z}),
+    "F2 unit tangent table with a class more in degree 1": (
+        "unit_tangent_homology", _f2_only(lambda t: _bump(t, 1)),
+        lambda n: _unit_tangent_reductions(n) | {PALINDROME}
+        | ({STABLE} if n >= 3 else set())),
+    "F2 unit tangent table with a class more at each end": (
+        "unit_tangent_homology", _f2_only(lambda t: _bump(t, 0, -1)),
+        lambda n: _unit_tangent_reductions(n)
+        | ({STABLE} if n >= 2 else set())),
+    "block_shift one degree higher": (
+        "block_shift", lambda f: lambda n, k: f(n, k) + 1,
+        lambda n: {STABLE} if n >= 2 else set()),
+    # mod 2 cannot tell Z/4 from Z/2, and odd n corrects no E2 cell
+    "projective space with Z/4 for Z/2": (
+        "real_proj_homology",
+        lambda f: lambda n, c: tuple(Z4 if g == Z2 else g for g in f(n, c)),
+        lambda n: GysinError if n % 2 == 0 else set()),
+    # which block carries which system: ROADMAP item 7
+    "block systems reversed": (
+        "block_systems", lambda f: lambda n, c: f(n, c)[::-1],
+        lambda n: set()),
+    # the suite assembles only over F2; TestAssembly catches this one
+    "integral levels >= 1 one degree higher": (
+        "path_space_homology", _integral_levels_up, lambda n: set()),
+}
+
+
+class TestConsistencyMutants:
+    """What consistency_checks tells apart, pinned for n = 1..12."""
+
+    @pytest.mark.parametrize("mutant", sorted(CONSISTENCY_MUTANTS))
+    def test_failing_items(self, monkeypatch, mutant):
+        attr, make, want = CONSISTENCY_MUTANTS[mutant]
+        monkeypatch.setattr(homology, attr, make(getattr(homology, attr)))
+        for n in range(1, 13):
+            if want(n) is GysinError:
+                with pytest.raises(GysinError):
+                    consistency_checks(n)
+                continue
+            report = consistency_checks(n)
+            assert {item.name for item in report.items
+                    if not item.passed} == want(n), n
+
+    def test_the_integral_only_mutant_fails_the_assembly_tests(
+            self, monkeypatch):
+        # TestAssembly reads path_space_homology from this module
+        monkeypatch.setitem(globals(), "path_space_homology",
+                            _integral_levels_up(path_space_homology))
+        with pytest.raises(AssertionError):
+            TestAssembly().test_integral_cells_for_n2()
 
 
 class TestGeneratorTable:
