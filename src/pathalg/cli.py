@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import gc
-import itertools
 import json
 import os
 import sys
@@ -64,20 +63,45 @@ def _json_cell(degree: int, level: int, value) -> dict:
     return cell
 
 
+def _json_text(value, pad: str) -> str:
+    """json.dumps(value, indent=2) of a json cell's dicts, lists,
+    strings and integers, its lines after the first prefixed with pad.
+    No encoder is built: the indenting one is a cycle of closures, which
+    the collector paused by main would keep, one per cell."""
+    if not isinstance(value, (dict, list)):
+        return json.dumps(value) if isinstance(value, str) else repr(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", [f"{inner}{json.dumps(k)}: {_json_text(v, inner)}"
+                             for k, v in value.items()]
+    else:
+        ends, items = "[]", [inner + _json_text(v, inner) for v in value]
+    if not items:
+        return ends
+    return f"{ends[0]}\n" + ",\n".join(items) + f"\n{pad}{ends[1]}"
+
+
 def _emit_sections(sections, fmt: str) -> None:
     """One document from (title, cells) sections: a json object of
     sections, one csv stream with a section column, or text blocks."""
     out = sys.stdout
     if fmt == "json":
-        doc = {"sections": [
-            {"title": title,
-             "cells": [_json_cell(d, l, v) for (d, l), v in cells]}
-            for title, cells in sections]}
-        # in runs of chunks: a write per chunk costs more than encoding
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        for first in chunks:
-            out.write(first + "".join(itertools.islice(chunks, 4095)))
-        print(file=out)
+        # json.dumps(doc, indent=2) of {"sections": [{"title", "cells"}]}:
+        # the frame is written by hand and each cell as it comes, so no
+        # document is held; an empty list closes on its line, as "[]"
+        sep = "\n"
+        out.write('{\n  "sections": [')
+        for title, cells in sections:
+            out.write(f'{sep}    {{\n      "title": {json.dumps(title)},'
+                      '\n      "cells": [')
+            sep = "\n"
+            for (d, l), v in cells:
+                out.write(f"{sep}        "
+                          + _json_text(_json_cell(d, l, v), " " * 8))
+                sep = ",\n"
+            out.write("]\n    }" if sep == "\n" else "\n      ]\n    }")
+            sep = ",\n"
+        out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
         return
     if fmt == "csv":
         writer = csv.writer(out)
@@ -184,12 +208,13 @@ def cmd_geom(args) -> int:
 # table
 
 
-def _table_text(n: int, levels: int, table) -> str:
-    lines = [f"# named generating cells, n={n}, levels 0..{levels - 1}",
-             "# degree level names"]
+def _print_table(n: int, levels: int, table) -> None:
+    """The md listing, a line per cell written as it is made."""
+    out = sys.stdout
+    out.write(f"# named generating cells, n={n}, levels 0..{levels - 1}\n"
+              "# degree level names\n")
     for (degree, level), names in table.entries:
-        lines.append(f"{degree} {level} {' '.join(names)}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{degree} {level} {' '.join(names)}\n")
 
 
 def _parse_table_text(text: str) -> dict[tuple[int, int], tuple[str, ...]]:
@@ -223,7 +248,7 @@ def cmd_table(args) -> int:
         want = {key: names for key, names in want.items() if key[1] < levels}
     table = homology.generator_table(n, levels - 1)
     if args.format == "md":
-        print(_table_text(n, levels, table), end="")
+        _print_table(n, levels, table)
     else:
         _emit_sections([(f"named generating cells, n={n}", table.entries)],
                        args.format)

@@ -14,7 +14,13 @@ paths are sample matrices with strictly increasing breakpoints in
 Batches.  The kernels (underscored) take rows on leading axes and
 round each row as a call on that row alone: one BLAS dot per row, the
 math module for scalar trigonometry.  The per-object functions are
-their batch-of-one case; the sampling suites run trials on the axis.
+their batch-of-one case.  The sampling suites run each block of trials
+as one array whatever the trials' n: a row fills its first n + 1
+columns and the rest are exact zeros, which no elementwise operation or
+sum over the coordinates rounds.  BLAS picks a contraction's kernel by
+its length, so each runs per width (the kernels' spans argument), on
+views of that width's rows with the strides of unpadded rows; the draws
+run per width too, so each trial gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -66,10 +72,10 @@ _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
 # default trials, seeds 0-9, is 7.1e-14, about 14 000 times below
 _CHECK_TOL = 1e-9
-# the sampling suites take their trials this many at a time: a block
-# splits by n into groups of about 85 trials, enough to share each numpy
-# call, and concat_check's traced peak stays near 1.4 MB (1.6 MB at four
-# blocks) where one array per trial would grow without bound
+# the sampling suites take their trials this many at a time, as one
+# array, enough to share each numpy call; concat_check's traced peak
+# stays near 2.8 MB (3.0 MB at four blocks) where one array per trial
+# would grow without bound
 _TRIAL_BLOCK = 256
 
 
@@ -95,11 +101,30 @@ def _as_complex(vec) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(-1)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _spans(ns: np.ndarray) -> tuple:
+    """The spans of rows with the sorted dimensions ns: (rows, n + 1) of
+    each run of equal n, rows a slice."""
+    return tuple((slice(*np.searchsorted(ns, [n, n + 1])), n + 1)
+                 for n in sorted(set(ns.tolist())))
+
+
+def _padded(spans, width: int, draw) -> np.ndarray:
+    """draw(rows, n + 1) of each span, zero-padded to width columns."""
+    out = np.zeros((spans[-1][0].stop, width), complex)
+    for rows, w in spans:
+        out[rows, :w] = draw(rows, w)
+    return out
+
+
+def _dots(a: np.ndarray, b: np.ndarray, spans=None) -> np.ndarray:
     """Dot products of matching rows (last axis), one BLAS dot per row
     with the strides np.dot would pass it, so each rounds as np.dot of
-    its two rows; a.conj() in place of a gives np.vdot."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    its two rows; a.conj() in place of a gives np.vdot.  A dot's BLAS
+    kernel depends on its length, so spans take each over its width."""
+    if spans is None:
+        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.concatenate([_dots(a[s, ..., :w], b[s, ..., :w])
+                           for s, w in spans])
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
@@ -108,9 +133,9 @@ def _row_norms(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=-1))
 
 
-def _unit_defect(v: np.ndarray) -> np.ndarray:
+def _unit_defect(v: np.ndarray, spans=None) -> np.ndarray:
     """||v| - 1| of each row, |v| from np.vdot's one BLAS dot."""
-    return np.abs(np.sqrt(_dots(v.conj(), v).real) - 1.0)
+    return np.abs(np.sqrt(_dots(v.conj(), v, spans).real) - 1.0)
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
@@ -138,17 +163,17 @@ def normalize(vec) -> np.ndarray:
     return _unit_rows(_as_complex(vec))
 
 
-def _real_reps(reps: np.ndarray) -> np.ndarray:
+def _real_reps(reps: np.ndarray, spans=None) -> np.ndarray:
     """Real unit representative of each row on the real locus: the
     squared-sum modulus |sum z_j^2| equals 1 exactly on such points and
     drops below 1 away from them; half its phase turns the row real."""
     s = np.add.reduce(reps * reps, axis=-1)
     _require(_moduli(s) >= 1.0 - _REAL_TOL, "point has no real representative")
     z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
-    _require(np.sqrt(_dots(z.imag, z.imag)) <= math.sqrt(_REAL_TOL),
+    _require(np.sqrt(_dots(z.imag, z.imag, spans)) <= math.sqrt(_REAL_TOL),
              "point has no real representative")
     re = np.ascontiguousarray(z.real)
-    return re / np.sqrt(_dots(re, re))[..., None]
+    return re / np.sqrt(_dots(re, re, spans))[..., None]
 
 
 @dataclass(eq=False)
@@ -215,13 +240,13 @@ def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
     return math.acos(min(1.0, max(0.0, c)))
 
 
-def _geodesics(x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
+def _geodesics(x: np.ndarray, v: np.ndarray, s, spans=None) -> np.ndarray:
     """Points at the arclengths s on the geodesics leaving the rows of x
     with the unit velocities v; s broadcasts against the leading axes."""
-    _require(_unit_defect(v) <= _UNIT_TOL,
+    _require(_unit_defect(v, spans) <= _UNIT_TOL,
              "geodesic requires a unit tangent vector")
     pts = _each(math.cos, s)[..., None] * x + _each(math.sin, s)[..., None] * v
-    _require(_unit_defect(pts) <= _UNIT_TOL,
+    _require(_unit_defect(pts, spans) <= _UNIT_TOL,
              "representative must be a unit vector")
     return pts
 
@@ -337,13 +362,13 @@ def path_length(path: DiscretePath) -> float:
     return float(np.sum(_segment_distances(path.samples)))
 
 
-def _concat(gamma: tuple, delta: tuple) -> tuple:
+def _concat(gamma: tuple, delta: tuple, spans=None) -> tuple:
     """concat_min of matching rows of two batches of paths, each batch
     (samples, params) with one leading axis; returns the same pair.
     Two constant factors get the junction s = 1/2."""
     # the junction check passes only pairings above 1/2, so the phase of
     # the second factor can always be aligned
-    z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
+    z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1], spans)
     pairing = _moduli(z)
     _require(pairing > 1.0 - _ENDPOINT_TOL,
              "paths do not share the junction point")
@@ -377,7 +402,7 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
 
 
 def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
-                  samples: int) -> tuple:
+                  samples: int, spans=None) -> tuple:
     """half_circle from each real unit row of r along the matching row
     of u by the matching angle: (samples, params), samples on axis 1;
     params is one read-only row of breakpoints broadcast to every path.
@@ -385,11 +410,11 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
     if samples < 2:
         raise ValueError("need at least two samples")
     _require(np.isfinite(theta), "angles must be finite")
-    _require((np.sqrt(_dots(u.imag, u.imag)) <= _REAL_TOL)
-             & (_unit_defect(u) <= _UNIT_TOL),
+    _require((np.sqrt(_dots(u.imag, u.imag, spans)) <= _REAL_TOL)
+             & (_unit_defect(u, spans) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
     ur = u.real[:, None]
-    _require(np.abs(_dots(r, u.real)) <= _REAL_TOL,
+    _require(np.abs(_dots(r, u.real, spans)) <= _REAL_TOL,
              "direction must be orthogonal to the real base")
     # sin theta, sin 2theta and cos 2theta of theta reduced mod pi, each
     # a column
@@ -514,28 +539,33 @@ def yk_parameter_count(n: int, k: int) -> int:
     return (k + 1) * n
 
 
-def _chains(rngs: list, n: int, thetas: list, samples: int,
-            start: Optional[np.ndarray] = None) -> tuple:
+def _chains(rngs: list, ns, thetas: list, samples: int,
+            start: Optional[np.ndarray] = None) -> list:
     """sample_yk on a batch, with the arcs in lockstep: row i draws from
-    rngs[i] what sample_yk draws with the 1-D angle array thetas[i]
-    (longer arrays first) and the start row start[i], in the same
-    order, and gets the same path.  Arc j runs on the rows with more
-    than j angles.  Returns (arc count, paths) pairs in row order."""
-    x = _real_points(rngs, n) if start is None else start
-    done, path = [], None
-    for j in range(len(thetas[0])):
-        live = sum(len(row) > j for row in thetas)
+    rngs[i] what sample_yk draws at n = ns[i] (ascending) with the 1-D
+    angle array thetas[i] (longer first among equal n) and the start row
+    start[i], in the same order, and gets the same path, zero-padded to
+    the widest row.  Arc j runs on the rows with more than j angles.
+    Returns (arc count, rows, paths) by count, rows the paths' indices."""
+    ns, counts = np.asarray(ns), np.array([len(row) for row in thetas])
+    rows, spans, parts, path = np.arange(len(ns)), _spans(ns), [], None
+    x = _padded(spans, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1)
+                ) if start is None else start
+    for j in range(counts.max()):
         if path is not None:
+            live = counts[rows] > j
+            parts.append((j, rows[~live], tuple(a[~live] for a in path)))
+            path, rows = tuple(a[live] for a in path), rows[live]
+            spans = _spans(ns[rows])
             # the next arc leaves the real representative of this end
-            x = _real_reps(arc[0][:live, -1]).astype(complex)
-            done.insert(0, (j, tuple(a[live:] for a in path)))
-            path = tuple(a[:live] for a in path)
-        r = _real_reps(x)
-        arc = _half_circles(r, _tangents(r, rngs[:live]),
-                            np.array([row[j] for row in thetas[:live]]),
-                            samples)
-        path = arc if path is None else _concat(path, arc)
-    return [(len(thetas[0]), path)] + [p for p in done if len(p[1][0])]
+            x = _real_reps(arc[0][live, -1], spans).astype(complex)
+        r, gens = _real_reps(x, spans), [rngs[i] for i in rows]
+        u = _padded(spans, len(x[0]),
+                    lambda s, w: _tangents(r[s, :w], gens[s]))
+        arc = _half_circles(r, u, np.array([thetas[i][j] for i in rows]),
+                            samples, spans)
+        path = arc if path is None else _concat(path, arc, spans)
+    return [p for p in parts if len(p[1])] + [(j + 1, rows, path)]
 
 
 def sample_yk(n: int, k: int, rng: np.random.Generator,
@@ -560,8 +590,8 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
-    [(_, (pts, t))] = _chains(
-        [rng], n, [thetas], samples_per_arc,
+    [(_, _, (pts, t))] = _chains(
+        [rng], [n], [thetas], samples_per_arc,
         None if start is None else start.rep[None])
     return DiscretePath(samples=pts[0], params=t[0])
 
@@ -807,32 +837,26 @@ def critical_index(n: int, k: int,
 
 
 def _trial_rngs(trials: int, seed: int):
-    """One generator per trial, seeded with [seed, i], so a suite's
-    report depends only on its arguments."""
+    """One generator per trial, default_rng([seed, i]) built without
+    its argument handling, so a suite's report depends only on its
+    arguments."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    return (np.random.default_rng([seed, i]) for i in range(trials))
+    return (np.random.Generator(np.random.PCG64([seed, i]))
+            for i in range(trials))
 
 
-def _trial_groups(trials: int, seed: int, arcs: int = 0):
-    """The trial generators, _TRIAL_BLOCK at a time, each block split by
-    every suite's first draw, the dimension n in 1..3, into (n, counts,
-    generators) groups whose arrays share their shapes.  A chain suite
-    (arcs > 0) has each generator draw next its arc count in 1..arcs,
-    and a group lists its generators by count, most first, in trial
-    order among equal counts; otherwise every count is 0."""
+def _trial_blocks(trials: int, seed: int, arcs: int = 0):
+    """The trial generators, _TRIAL_BLOCK at a time, as (ns, counts,
+    generators): every suite's first draw, the dimension n in 1..3, and
+    for a chain suite (arcs > 0) next its arc count in 1..arcs, else 0.
+    A block lists its trials by n, then by count, most first, in trial
+    order among equal pairs, as _chains takes them."""
     rngs = _trial_rngs(trials, seed)
-    while True:
-        groups: dict = {}
-        for rng in itertools.islice(rngs, _TRIAL_BLOCK):
-            n = int(rng.integers(1, 4))
-            groups.setdefault(n, []).append(
-                (int(rng.integers(1, arcs + 1)) if arcs else 0, rng))
-        if not groups:
-            return
-        for n, group in groups.items():
-            group.sort(key=lambda pair: -pair[0])
-            yield n, [c for c, _ in group], [rng for _, rng in group]
+    while block := [(g.integers(1, 4), -g.integers(1, arcs + 1) if arcs
+                     else 0, g) for g in itertools.islice(rngs, _TRIAL_BLOCK)]:
+        ns, counts, gens = zip(*sorted(block, key=lambda row: row[:2]))
+        yield np.array(ns), [-c for c in counts], gens
 
 
 def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
@@ -869,22 +893,19 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     # With the floor, seeds 0-149 at 200 trials give a worst of 1.3e-13.
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
-    for n, counts, rngs in _trial_groups(trials, seed, arcs=2):
-        parts = [a for _, a in _chains(
-            rngs, n, [g.uniform(lo, hi, c) for g, c in zip(rngs, counts)], 12)]
-        [(_, b)] = _chains(rngs, n, [g.uniform(lo, hi, 1) for g in rngs], 12,
-                           np.concatenate([a[0][:, -1] for a in parts]))
-        [(_, c)] = _chains(rngs, n, [g.uniform(lo, hi, 1) for g in rngs], 12,
-                           b[0][:, -1])
-        bc, first = _concat(b, c), 0
-        for a in parts:
-            rows = slice(first, first + len(a[0]))
-            first = rows.stop
-            b_, c_, bc_ = (tuple(x[rows] for x in p) for p in (b, c, bc))
-            ab = _concat(a, b_)
-            fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b_, ab))
+    for ns, counts, rngs in _trial_blocks(trials, seed, arcs=2):
+        for _, rows, a in _chains(rngs, ns, [
+                g.uniform(lo, hi, c) for g, c in zip(rngs, counts)], 12):
+            gens, spans = [rngs[i] for i in rows], _spans(ns[rows])
+            [(_, _, b)] = _chains(gens, ns[rows], [
+                g.uniform(lo, hi, 1) for g in gens], 12, a[0][:, -1])
+            [(_, _, c)] = _chains(gens, ns[rows], [
+                g.uniform(lo, hi, 1) for g in gens], 12, b[0][:, -1])
+            ab = _concat(a, b, spans)
+            fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
             worst_add = max(worst_add, float(np.max(np.abs(fab - fa - fb))))
-            left, right = _concat(ab, c_), _concat(a, bc_)
+            left = _concat(ab, c, spans)
+            right = _concat(a, _concat(b, c, spans), spans)
             worst_assoc = max(worst_assoc,
                               float(np.max(np.abs(left[1] - right[1]))))
     return CheckReport(
@@ -905,25 +926,29 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     # pairings, not arccos distances, which amplify roundoff
     arclengths = [k * math.pi / 2 for k in range(5)] + [0.3, 0.3 + math.pi]
     worst = np.full(5, -math.inf)
-    for n, _, rngs in _trial_groups(trials, seed):
-        x = _real_points(rngs, n)
-        r = _real_reps(x)
-        u = _tangents(r, rngs)
+    for ns, _, rngs in _trial_blocks(trials, seed):
+        spans = _spans(ns)
+        x = _padded(spans, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1))
+        r = _real_reps(x, spans)
+        u = _padded(spans, len(x[0]), lambda s, w: _tangents(r[s, :w], rngs[s]))
         theta = np.array([rng.uniform(-math.pi, math.pi) for rng in rngs])
-        hc, t = _half_circles(r, u, theta, 48)
+        hc, t = _half_circles(r, u, theta, 48, spans)
         end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi),
-                                     theta))
+                                     theta), spans)
         basis = np.stack([r.astype(complex), u], axis=1)
-        coeff = hc @ basis.conj().transpose(0, 2, 1)
+        # each sample's distance from the line, a BLAS product per width
+        off_line = np.concatenate([np.max(np.abs(
+            h @ b.conj().transpose(0, 2, 1) @ b - h), axis=(1, 2)) for h, b in
+            ((hc[s, ..., :w], basis[s, ..., :w]) for s, w in spans)])
         # i u is tangent at x: |<x, i u>| = |<x, u>|, bounded by _tangents
-        g = _geodesics(x[:, None], 1j * u[:, None], arclengths)
-        c = _moduli(_dots(x.conj()[:, None], g[:, :5]))
-        rows = (1.0 - _moduli(_dots(hc[:, -1].conj(), end)),
+        g = _geodesics(x[:, None], 1j * u[:, None], arclengths, spans)
+        c = _moduli(_dots(x.conj()[:, None], g[:, :5], spans))
+        rows = (1.0 - _moduli(_dots(hc[:, -1].conj(), end, spans)),
                 np.sqrt(_energies(hc, t)) - 0.5 * math.pi,
-                np.max(np.abs(coeff @ basis - hc), axis=(1, 2)),
+                off_line,
                 np.maximum(0.0, np.maximum(np.max(1.0 - c[:, 0::2], axis=1),
                                            np.max(c[:, 1::2], axis=1))),
-                1.0 - _moduli(_dots(g[:, 5].conj(), g[:, 6])))
+                1.0 - _moduli(_dots(g[:, 5].conj(), g[:, 6], spans)))
         worst = np.maximum(worst, [np.max(w) for w in rows])
     names = ("endpoint matches the geodesic construction",
              "norm never exceeds a quarter circumference",
@@ -956,23 +981,26 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
     worst = -math.inf
-    for n, counts, rngs in _trial_groups(trials, seed, arcs=3):
+    for ns, counts, rngs in _trial_blocks(trials, seed, arcs=3):
         thetas = [g.uniform(0.0, 0.5 * math.pi, c)
                   for g, c in zip(rngs, counts)]
-        for k, (pts, t) in _chains(rngs, n, thetas, 16):
+        for k, _, (pts, t) in _chains(rngs, ns, thetas, 16):
             worst = max(worst, float(np.max(np.sqrt(_energies(pts, t))
                                             - k * 0.5 * math.pi)))
     items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
                        f"worst excess {worst:.3e}")]
-    # right-angle samples: the worst error over seeds 0-199 is 5.0e-13
-    for (n, k) in ((1, 2), (2, 2), (3, 3)):
-        rng = np.random.default_rng([seed, 10_000 + n, k])
-        [(_, (pts, t))] = _chains([rng], n, [np.full(k, 0.5 * math.pi)], 40)
-        err = abs(float(np.sqrt(_energies(pts, t))[0]) - k * 0.5 * math.pi)
-        items.append(CheckItem(
-            f"right-angle sample n={n} k={k} reaches the critical norm",
-            err < _CHECK_TOL, f"error {err:.3e}; family dimension (k+1)n = "
-            f"{yk_parameter_count(n, k)}"))
+    # right-angle samples, rows n = 1, 2, 3 of one chain, whose paths come
+    # in that order: the worst error over seeds 0-199 is 5.0e-13
+    for k, rows, (pts, t) in _chains(
+            [np.random.default_rng([seed, 10_000 + n, k])
+             for n, k in ((1, 2), (2, 2), (3, 3))], [1, 2, 3],
+            [np.full(k, 0.5 * math.pi) for k in (2, 2, 3)], 40):
+        for n, norm in zip(rows + 1, np.sqrt(_energies(pts, t)).tolist()):
+            err = abs(norm - k * 0.5 * math.pi)
+            items.append(CheckItem(
+                f"right-angle sample n={n} k={k} reaches the critical norm",
+                err < _CHECK_TOL, f"error {err:.3e}; family dimension "
+                f"(k+1)n = {yk_parameter_count(n, k)}"))
     r = _real_reps(_real_points([np.random.default_rng(seed)] * 20, 3))
     triple = np.stack([_skew(r, w) for w in ("J1", "J2", "J3")], axis=1)
     gram = triple @ triple.transpose(0, 2, 1)

@@ -291,6 +291,74 @@ class TestEmitter:
         assert want[0] == 0 and want[1]
 
 
+class NullOut:
+    """A stdout that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def traced_peak(monkeypatch, argv) -> int:
+    """The traced peak of main(argv), with stdout writing nowhere, after
+    one untraced run that builds what a process builds once."""
+    monkeypatch.setattr(sys, "stdout", NullOut())
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+
+
+class TestStreamedOutput:
+    """md tables and json documents go out a cell at a time, as csv
+    does, with the bytes the whole-document route printed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 25])
+    def test_md_table_is_the_joined_listing(self, capsys, n, levels):
+        table = homology.generator_table(n, levels - 1)
+        lines = [f"# named generating cells, n={n}, levels 0..{levels - 1}",
+                 "# degree level names"]
+        lines += [f"{d} {l} {' '.join(names)}"
+                  for (d, l), names in table.entries]
+        code, out = run(capsys, "table", "--n", str(n), "--levels",
+                        str(levels))
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        *(["homology", "--n", str(n), "--coeff", coeff, *bound]
+          for n in range(1, 7) for coeff in ("Z", "F2")
+          for bound in ([], ["--max-degree", "0"])),
+        *(["table", "--n", str(n), "--levels", str(levels)]
+          for n in (1, 2, 3) for levels in (1, 3))])
+    def test_json_is_the_indented_dump_of_its_document(self, capsys, argv):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        sections = doc["sections"]
+        assert sections and all(s["cells"] for s in sections)
+
+    def test_json_holds_no_document(self, monkeypatch):
+        # the whole-document route peaked at 6.2 times csv here
+        argv = ["homology", "--n", "300", "--format"]
+        assert traced_peak(monkeypatch, [*argv, "json"]) \
+            <= 1.5 * traced_peak(monkeypatch, [*argv, "csv"])
+
+    def test_md_table_holds_no_listing(self, monkeypatch):
+        # the joined listing peaked at 1.9 times csv here
+        argv = ["table", "--n", "1", "--levels", "200", "--format"]
+        assert traced_peak(monkeypatch, [*argv, "md"]) \
+            <= 1.2 * traced_peak(monkeypatch, [*argv, "csv"])
+
+
 class TestVerifyCommand:
     def test_odd_passes(self, capsys):
         code, out = run(capsys, "verify", "--n", "3", "--max-degree", "20")

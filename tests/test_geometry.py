@@ -887,8 +887,8 @@ class TestBatchKernels:
                            -1.2, 1e-6])
         arcs = geometry._half_circles(r, u, thetas, 17)
         chains = geometry._chains(
-            [np.random.default_rng([9, i]) for i in range(7)], n,
-            np.full((7, 2), 0.7), 9, arcs[0][:, -1])[0][1]
+            [np.random.default_rng([9, i]) for i in range(7)], [n] * 7,
+            np.full((7, 2), 0.7), 9, arcs[0][:, -1])[0][2]
         arclengths = [0.0, 0.3, math.pi / 2, 2.0]
         cases = [
             (geometry._unit_rows, (x * 3.0 - 1j,)),
@@ -936,6 +936,79 @@ class TestBatchKernels:
             geometry._check_paths(samples, params)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DiscretePath(samples=bad[0], params=bad[1])
+
+
+def zero_padded(a: np.ndarray, width: int = 4) -> np.ndarray:
+    """a with its last axis filled out to width columns of zeros."""
+    out = np.zeros(a.shape[:-1] + (width,), a.dtype)
+    out[..., :a.shape[-1]] = a
+    return out
+
+
+class TestPaddedBlocks:
+    """The premise of the sampling suites' one array per block: a row of
+    dimension n in zero-padded columns rounds as the row alone, provided
+    every BLAS contraction runs per width on views."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_elementwise_and_sums_keep_their_bits(self, n):
+        for seed in range(40):
+            x, r, u = batch_inputs(n, 8, 100 + seed)
+            theta = np.random.default_rng(seed).uniform(-3.0, 3.0, 8)
+            pts, t = geometry._half_circles(r, u, theta, 9)
+            padded = zero_padded(pts)
+            assert same_bits(geometry._row_norms(padded),
+                             geometry._row_norms(pts))
+            assert same_bits(geometry._energies(padded, t),
+                             geometry._energies(pts, t))
+            for a in (x, pts):
+                b = zero_padded(a)
+                assert same_bits(np.add.reduce(b * b, axis=-1),
+                                 np.add.reduce(a * a, axis=-1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dots_per_width_on_views_keep_their_bits(self, n):
+        # rows of width n + 1 between rows of other widths, as in a block
+        spans = ((slice(0, 3), 2), (slice(3, 11), n + 1), (slice(11, 14), 4))
+        for seed in range(40):
+            x, r, u = batch_inputs(n, 8, 200 + seed)
+            others = [batch_inputs(m, 3, seed) for m in (1, 3)]
+            block_x, block_r, block_u = (np.concatenate([
+                zero_padded(others[0][i]), zero_padded(a),
+                zero_padded(others[1][i])]) for i, a in enumerate((x, r, u)))
+            rows = spans[1][0]
+            for a, b, alone in (
+                    (block_r, block_r, (r, r)),
+                    (block_u.real, block_r, (u.real, r)),
+                    (block_u.imag, block_u.imag, (u.imag, u.imag)),
+                    (block_u.conj(), block_u, (u.conj(), u)),
+                    (block_x.conj()[:, None], block_u[:, None],
+                     (x.conj()[:, None], u[:, None]))):
+                assert same_bits(geometry._dots(a, b, spans)[rows],
+                                 geometry._dots(*alone))
+
+    @pytest.mark.parametrize("start", [False, True])
+    def test_a_mixed_block_of_chains_keeps_each_rows_bits(self, start):
+        ns = [1, 1, 1, 2, 2, 3, 3, 3]
+        thetas = [np.full(3, 1.3), np.full(2, 0.4), np.full(1, 0.9),
+                  np.full(2, 1.1), np.full(1, 0.2),
+                  np.full(3, 0.6), np.full(3, 1.5), np.full(1, 0.8)]
+        starts = [batch_inputs(n, 1, 7 * i)[0] for i, n in enumerate(ns)]
+        block = geometry._chains(
+            [np.random.default_rng([31, i]) for i in range(len(ns))], ns,
+            thetas, 7, np.concatenate([zero_padded(x) for x in starts])
+            if start else None)
+        assert sorted(i for _, rows, _ in block for i in rows) == \
+            list(range(len(ns)))
+        for k, rows, (pts, t) in block:
+            for j, i in enumerate(rows.tolist()):
+                [(k_alone, _, (want_pts, want_t))] = geometry._chains(
+                    [np.random.default_rng([31, i])], [ns[i]], [thetas[i]],
+                    7, starts[i] if start else None)
+                assert k == k_alone == len(thetas[i])
+                assert same_bits(pts[j, :, :ns[i] + 1], want_pts[0])
+                assert not pts[j, :, ns[i] + 1:].any()
+                assert same_bits(t[j], want_t[0])
 
 
 def refusals():
