@@ -21,6 +21,10 @@ sum over the coordinates rounds.  BLAS picks a contraction's kernel by
 its length, so each runs per width (the kernels' spans argument), on
 views of that width's rows with the strides of unpadded rows; the draws
 run per width too, so each trial gets the bits it would get alone.
+Trial i of a suite draws from default_rng([seed, i]); _seeding hashes
+the seeds of a block's generators in one vectorized pass, and
+concat_check chains its arcs b and c once per block, whatever a's arc
+count.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import homology
+from . import _seeding, homology
 from .tables import CheckItem, CheckReport
 
 _UNIT_TOL = 1e-12
@@ -475,8 +479,7 @@ def half_circle_norm(theta: float) -> float:
 def half_circle_endpoint(x: ProjPoint, u: TangentVector, theta: float
                          ) -> ProjPoint:
     """Endpoint computed independently through the geodesic flow."""
-    theta = math.remainder(theta, math.pi)
-    return geodesic(x, u, theta)
+    return geodesic(x, u, math.remainder(theta, math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -837,13 +840,13 @@ def critical_index(n: int, k: int,
 
 
 def _trial_rngs(trials: int, seed: int):
-    """One generator per trial, default_rng([seed, i]) built without
-    its argument handling, so a suite's report depends only on its
-    arguments."""
+    """The generator of each trial i in order, default_rng([seed, i]),
+    so a suite's report depends only on its arguments.  The states of
+    _TRIAL_BLOCK generators come from one vectorized SeedSequence hash
+    (_seeding), with the streams default_rng builds."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    return (np.random.Generator(np.random.PCG64([seed, i]))
-            for i in range(trials))
+    return _seeding.generators(seed, range(trials), _TRIAL_BLOCK)
 
 
 def _trial_blocks(trials: int, seed: int, arcs: int = 0):
@@ -884,7 +887,11 @@ def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
 def concat_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm additivity and associativity of concat_min on chains of
     half-circles: a of one or two arcs, b and c of one arc each, each
-    starting where the previous one ends."""
+    starting where the previous one ends.  A block chains a once, which
+    yields a part per arc count, then b and c once each on every row,
+    from a's end rows in block order; each part's rows of b and c are
+    concatenated with its a.  Each trial draws a's angles, a, b's
+    angle, b, c's angle, c, as one trial alone would."""
     # angles stay above 0.05 because the concatenation error grows like
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
@@ -894,13 +901,21 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
     for ns, counts, rngs in _trial_blocks(trials, seed, arcs=2):
-        for _, rows, a in _chains(rngs, ns, [
-                g.uniform(lo, hi, c) for g, c in zip(rngs, counts)], 12):
-            gens, spans = [rngs[i] for i in rows], _spans(ns[rows])
-            [(_, _, b)] = _chains(gens, ns[rows], [
-                g.uniform(lo, hi, 1) for g in gens], 12, a[0][:, -1])
-            [(_, _, c)] = _chains(gens, ns[rows], [
-                g.uniform(lo, hi, 1) for g in gens], 12, b[0][:, -1])
+        parts = _chains(rngs, ns, [g.uniform(lo, hi, c)
+                                   for g, c in zip(rngs, counts)], 12)
+        end = np.empty((len(ns), ns[-1] + 1), complex)
+        for _, rows, a in parts:
+            end[rows] = a[0][:, -1]
+        # b, then c, on the whole block
+        bc = []
+        for _ in range(2):
+            [(_, _, path)] = _chains(rngs, ns, [g.uniform(lo, hi, 1)
+                                                for g in rngs], 12, end)
+            bc.append(path)
+            end = path[0][:, -1]
+        for _, rows, a in parts:
+            b, c = (tuple(x[rows] for x in p) for p in bc)
+            spans = _spans(ns[rows])
             ab = _concat(a, b, spans)
             fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
             worst_add = max(worst_add, float(np.max(np.abs(fab - fa - fb))))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathalg import geometry
+from pathalg import _seeding, geometry
 from pathalg.geometry import (
     DiscretePath,
     GradientCheckError,
@@ -1135,19 +1135,57 @@ def yk_trial(rng) -> None:
     sample_yk(n, k, rng, samples_per_arc=16)
 
 
+# seeds and trial indices of one, two and more 32-bit words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+INDICES = [0, 255, 256, 2**32 - 1, 2**32, 2**33 + 5]
+
+
+class TestSeeding:
+    """_seeding's vectorized SeedSequence hash against numpy's own, so a
+    numpy release that changes SeedSequence fails here instead of
+    moving the suites' printed digits."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_are_seed_sequence_states(self, seed):
+        got = _seeding.states(seed, INDICES)
+        assert got.dtype == np.uint64 and got.shape == (len(INDICES), 4)
+        for i, state in zip(INDICES, got):
+            want = np.random.SeedSequence([seed, i]).generate_state(
+                4, np.uint64)
+            assert state.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generators_are_default_rng(self, seed):
+        # blocks of 4 split the indices where their word count changes
+        for i, rng in zip(INDICES, _seeding.generators(seed, INDICES, 4),
+                          strict=True):
+            alone = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == alone.bit_generator.state
+            assert rng.random(3).tolist() == alone.random(3).tolist()
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (1.5, TypeError)])
+    def test_seeds_default_rng_refuses_are_refused(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng([seed, 0])
+        with pytest.raises(error):
+            _seeding.states(seed, [0])
+
+
 class TestTrialAxis:
+    @pytest.mark.parametrize("seed", [5, 2**32 + 5, 2**64 + 5])
     @pytest.mark.parametrize("suite, trial", [
         (concat_check, concat_trial), (halfcircle_check, halfcircle_trial),
         (yk_check, yk_trial)])
     def test_suites_draw_what_one_trial_at_a_time_draws(
-            self, monkeypatch, suite, trial):
+            self, monkeypatch, suite, trial, seed):
         # blocks of 16 put trials 0-39 in three blocks
         monkeypatch.setattr(geometry, "_TRIAL_BLOCK", 16)
         gens, angles, tangents = record_trials(monkeypatch)
-        suite(40, seed=5)
+        suite(40, seed=seed)
         assert len(gens) == 40
         for i, rng in enumerate(gens):
-            alone = np.random.default_rng([5, i])
+            alone = np.random.default_rng([seed, i])
             trial(alone)
             # n, the arc count, the angles, every arc's base point and
             # direction, and no draw more or less

@@ -151,3 +151,17 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         pathalg.frobnicate
     assert not hasattr(pathalg, "np")
+
+
+def test_geometry_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 6 MB resident; only a command that draws
+    # loads it, so one that draws nothing does not pay for it
+    got = facts(
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "import pathalg.geometry\n"
+        "from pathalg import cli\n"
+        "print(json.dumps([eager, 'numpy.random' in sys.modules]))")
+    if got[0]:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert got == [False, False]
