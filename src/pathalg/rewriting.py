@@ -23,14 +23,18 @@ series differ.  compare cuts its runs at a degree bound, so its cost
 grows with the differing cells below it; the repair search reads each
 run's first cell, so its cost does not depend on any bound.
 Reduction (_poly_nf) finds the leftmost left side in a word with one
-bounded str.find per rule, over (left side, length, right side) triples
-built once per call, so the H-runs of up to n + 1 letters are crossed at
-C speed and no rule attribute is looked up per word.  Completion skips
-the superpositions of two rules to 0, as each such critical pair is
-0 = 0: the n self-overlaps of H^(n+1), for one.  The repair search
-completes each candidate by resuming from the completed base system:
-only the candidate rule and what it forces go through the queue
-(complete's extra rules).
+bounded str.find per rule, so the H-runs of up to n + 1 letters are
+found at C speed, and a commutation rule (SH, TH or YH) then carries its
+letter across the whole H-run in one step, X H^m -> H^m X + m q H^(m-1)
+mod 2: a base completion pops at most 47 words at every n, and the
+repair search n + 68, one for each overlap of H^(n+1) with H^nT.  Rules
+are scanned as an _index of (left side, length, right side, run)
+tuples, built once per RewriteSystem and, inside complete, once per new
+rule.  Completion skips the superpositions of two rules to 0, as each
+such critical pair is 0 = 0: the n self-overlaps of H^(n+1), for one.
+The repair search completes each candidate by resuming from the
+completed base system: only the candidate rule and what it forces go
+through the queue (complete's extra rules).
 
 >>> rs = complete(orient(signature(3)))
 >>> sorted(normal_form("SH", rs))
@@ -72,7 +76,7 @@ INCOMPLETE = "incomplete"
 COMPLETE = "complete"
 
 # guards against runaway rewriting: reduction steps of one _poly_nf
-# call, and rules in one completion
+# call (a run step counts once), and rules in one completion
 _STEP_LIMIT = 10 ** 6
 _RULE_LIMIT = 400
 # cap on the repair search: rules chosen along one search path.  It is
@@ -146,6 +150,12 @@ class RewriteSystem:
     sig: Signature
     rules: tuple[RewriteRule, ...]
     completion_status: str = INCOMPLETE
+    # the rules' _index, made once per system for normal_form and for
+    # completion resumed from it
+    _index: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", _index(self.rules))
 
 
 def orient(sig: Signature) -> RewriteSystem:
@@ -174,18 +184,27 @@ def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
     return frozenset(head + r + tail for r in rule.rhs)
 
 
-def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
-    """Full reduction of a polynomial by rules; leftmost strategy per
-    word: the leftmost position where a left side occurs, and the first
-    such rule in their order there.  Each left side is looked for once
-    per word, by str.find, and only where it would start before the best
-    position so far, so an H-run is crossed at C speed, not letter by
-    letter.
+def _entry(lhs: Word, rhs: Polynomial) -> tuple:
+    """One rule as _reduce scans it: (left side, length, right side,
+    run).  run is q for a commutation rule XH -> HX + q, X != H and q a
+    sum of H-powers (SH, TH and YH in every base system), else None."""
+    q = rhs - {lhs[::-1]}
+    run = (lhs[1:] == "H" != lhs[:1] and len(q) < len(rhs)
+           and not "".join(q).strip("H"))
+    return lhs, len(lhs), rhs, tuple(q) if run else None
 
+
+def _index(rules: Iterable[RewriteRule]) -> tuple:
+    return tuple(_entry(r.lhs, r.rhs) for r in rules)
+
+
+def _reduce(p: Iterable[Word], index: tuple) -> Polynomial:
+    """_poly_nf by an _index built beforehand.  Each left side is looked
+    for once per word, by str.find, and only where it would start before
+    the best position so far, so an H-run is crossed at C speed, not
+    letter by letter; a run step counts as one step toward _STEP_LIMIT.
     F2 linearity lets each word occurrence reduce independently, with
-    the results combined by symmetric difference.
-    """
-    triples = [(r.lhs, len(r.lhs), r.rhs) for r in rules]
+    the results combined by symmetric difference."""
     acc: set = set()
     stack = list(p)
     steps = 0
@@ -195,31 +214,51 @@ def _poly_nf(p: Iterable[Word], rules: tuple[RewriteRule, ...]) -> Polynomial:
         if steps > _STEP_LIMIT:
             raise StepLimitError(_STEP_LIMIT)
         best, hit = len(w), None
-        for lhs, k, rhs in triples:
+        for lhs, k, rhs, q in index:
             if not best:
                 break
             i = w.find(lhs, 0, best + k - 1)
             if i >= 0:
-                best, cut, hit = i, i + k, rhs
+                best, cut, hit, run = i, i + k, rhs, q
         if hit is None:
             acc ^= {w}
-        else:
-            head, tail = w[:best], w[cut:]
-            for r in hit:
-                stack.append(head + r + tail)
+            continue
+        head, tail = w[:best], w[cut:]
+        if run is not None:  # X H^m -> H^m X + m q H^(m-1)
+            tail = tail.lstrip("H")
+            m = len(w) - best - 1 - len(tail)
+            hit = ["H" * m + w[best], *[r + "H" * (m - 1) for r in run
+                                        if m % 2]]
+        for r in hit:
+            stack.append(head + r + tail)
     return frozenset(acc)
 
 
+def _poly_nf(p: Iterable[Word], rules: Iterable[RewriteRule]) -> Polynomial:
+    """Full reduction of a polynomial by rules.  Each word takes the
+    leftmost position where a left side occurs, and the first such rule
+    in their order there; except that a commutation rule XH -> HX + q
+    (_entry) crosses X's whole H-run in one step,
+    X H^m -> H^m X + m q H^(m-1), taken mod 2, since q commutes with H.
+    A run step is m single steps, so on a completed system the result is
+    the normal form.  On any other it is a reduction, one irreducible
+    representative of p modulo the rules, which is all completion needs:
+    its output is unique whatever valid steps it takes (Bergman 1978)."""
+    return _reduce(p, _index(rules))
+
+
 def normal_form(p, rs: RewriteSystem) -> Polynomial:
-    """Reduce a word or polynomial to its normal form under rs.  For a
-    completed system the normal form does not depend on the order in
-    which rules are applied.  A letter outside rs's alphabet raises
-    AlphabetError (word_degree), as no rule would ever match it."""
+    """Reduce a word or polynomial under rs, as _poly_nf does (leftmost
+    match, except that a commutation rule crosses its whole H-run), by
+    the index rs built once.  For a completed system this is the normal
+    form, which does not depend on the order in which rules are applied.
+    A letter outside rs's alphabet raises AlphabetError (word_degree),
+    as no rule would ever match it."""
     if isinstance(p, str):
         p = frozenset({p})
     for w in p:
         word_degree(w, rs.sig)
-    return _poly_nf(p, rs.rules)
+    return _reduce(p, rs._index)
 
 
 def _overlap_words(l1: Word, l2: Word) -> Iterator[tuple[Word, int]]:
@@ -238,7 +277,11 @@ def complete(rs: RewriteSystem,
     came from.  The smallest equation is reduced by the live rules and,
     unless it vanishes, oriented by its leading word; live rules whose
     left side contains that word go back on the queue, and the new
-    rule's critical pairs with every live rule go on it reduced.  It
+    rule's critical pairs with every live rule go on it reduced, each
+    pair's two sides built as words and equal words cancelled first.
+    Reductions are _poly_nf's, run steps included: they need not be
+    leftmost-only, since for a fixed order an ideal has one reduced
+    convergent system, reached by any valid reduction steps.  It
     ends when the queue is empty, so every critical pair resolves and
     the output is confluent in every weight; RuleLimitError and
     StepLimitError stop a completion that does not end.  Output is
@@ -264,35 +307,44 @@ def complete(rs: RewriteSystem,
     def push(origin: Word, p: Polynomial) -> None:
         heapq.heappush(queue, (order_key(origin, sig), next(seq), origin, p))
 
-    live = {r.lhs: r for r in rs.rules} if extra else {}
+    # left side -> _entry of each live rule
+    live = {e[0]: e for e in rs._index} if extra else {}
     for r in extra or rs.rules:
         push(r.lhs, r.as_polynomial())
-    rules = tuple(live.values())
+    index = rs._index if extra else ()
     while queue:
         *_, origin, eq = heapq.heappop(queue)
-        eq = _poly_nf(eq, rules)
+        eq = _reduce(eq, index)
         if not eq:
             continue
         top = leading_word(eq, sig)
         if top == "":
             raise CompletionError(origin)
         for lhs in [l for l in live if top in l]:
-            push(lhs, live.pop(lhs).as_polynomial())
-        new = live[top] = RewriteRule(top, eq ^ {top})
+            push(lhs, live.pop(lhs)[2] ^ {lhs})
+        new = live[top] = _entry(top, eq ^ {top})
         if len(live) > _RULE_LIMIT:
             raise RuleLimitError(_RULE_LIMIT)
-        rules = tuple(live.values())
-        for other in rules:
-            if not (new.rhs or other.rhs):
+        # the index, rebuilt only when the live rules change, longest
+        # left sides first.  Live left sides are inter-reduced, so at
+        # most one matches at a position and the scan order is free:
+        # this one ends the scan of a word opening with H^(n+1) at its
+        # first str.find
+        index = tuple(sorted(live.values(), key=lambda e: -e[1]))
+        for other in index:
+            if not (new[2] or other[2]):
                 continue  # each superposition of two rules to 0 is 0 = 0
-            for r1, r2 in dict.fromkeys([(new, other), (other, new)]):
-                for sup, off in _overlap_words(r1.lhs, r2.lhs):
-                    diff = _poly_nf(apply_rule(sup, r1, 0)
-                                    ^ apply_rule(sup, r2, off), rules)
+            for (l1, k1, rhs1, _), (l2, k2, rhs2, _) in dict.fromkeys(
+                    [(new, other), (other, new)]):
+                for sup, off in _overlap_words(l1, l2):
+                    # both sides of the pair as words, equal ones cancelled
+                    diff = _reduce({r + sup[k1:] for r in rhs1}
+                                   ^ {sup[:off] + r + sup[off + k2:]
+                                      for r in rhs2}, index)
                     if diff:
                         push(sup, diff)
-    out = sorted((RewriteRule(r.lhs, _poly_nf(r.rhs, rules))
-                  for r in rules),
+    out = sorted((RewriteRule(lhs, _reduce(rhs, index))
+                  for lhs, _, rhs, _ in index),
                  key=lambda r: order_key(r.lhs, sig))
     for r in out:
         lw = word_weight(r.lhs, sig)

@@ -391,14 +391,15 @@ class TestVerifyCommand:
         assert code == 0
         assert f"matches homology up to degree {10 ** 9}" in out
 
-    def test_top_of_the_dimension_range(self, capsys):
-        # the README's supported range for --n ends at 1000: the repair
-        # search completes candidates with 1000 letters H, and neither
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_top_of_the_dimension_range(self, capsys, n):
+        # the README's supported range for --n ends at 4000: the repair
+        # search completes candidates with n letters H, and neither
         # rewriting guard fires (one that fires exits 2 and names itself)
-        code = main(["verify", "--n", "1000"])
+        code = main(["verify", "--n", str(n)])
         out, err = capsys.readouterr()
         assert code == 1
-        h = "H" * 1000
+        h = "H" * n
         assert f"{{{h}T -> 0, {h}Y -> 0}}" in out
         assert f"{{{h}T -> {h}, {h}Y -> 0}}" in out
         assert "_STEP_LIMIT" not in err and "_RULE_LIMIT" not in err

@@ -7,6 +7,7 @@ import functools
 import heapq
 import itertools
 import math
+import random
 import re
 from collections import defaultdict
 
@@ -702,6 +703,20 @@ left_sides = st.one_of(st.integers(1, 20).map(lambda k: "H" * k),
                        st.text(alphabet="HTY", max_size=2))
 
 
+def words_of(alphabet, shortest: int, longest: int) -> list:
+    """Every word over alphabet of shortest..longest letters."""
+    return ["".join(t) for k in range(shortest, longest + 1)
+            for t in itertools.product(alphabet, repeat=k)]
+
+
+def commutation_rules(rs: RewriteSystem) -> list:
+    """rs's rules XH -> HX + q, X != H and q a sum of H-powers."""
+    return [r for r in rs.rules
+            if len(r.lhs) == 2 and r.lhs[0] != "H" == r.lhs[1]
+            and "H" + r.lhs[0] in r.rhs
+            and all(set(w) <= {"H"} for w in r.rhs - {"H" + r.lhs[0]})]
+
+
 def shortening_rule(lhs: str, choice: int) -> RewriteRule:
     """lhs -> 0, or to lhs less its first or its last letter: each step
     shortens a word, so a reduction ends within its length."""
@@ -771,6 +786,69 @@ class TestReferenceKernels:
             w = data.draw(st.text(alphabet=rs.sig.alphabet, max_size=10))
             assert rewriting._poly_nf([w], rs.rules) == \
                 reference_poly_nf([w], rs.rules)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_run_step_is_the_reference(self, n):
+        # u X H^m v with XH a commutation rule: X crosses its H-run in one
+        # step, and the term q H^(m-1) stays for odd m only; m runs past
+        # n + 1, where H^m dies.  Every u and v of at most one letter,
+        # and two drawn pairs of 2 or 3 letters, at each m
+        rng = random.Random(n)
+        for rs in repaired(n):
+            rules = commutation_rules(rs)
+            assert [e[0] for e in rs._index if e[3] is not None] == \
+                [r.lhs for r in rules] and len(rules) == 2
+            short = words_of(rs.sig.alphabet, 0, 1)
+            longer = words_of(rs.sig.alphabet, 2, 3)
+            for rule, m in itertools.product(rules, range(2 * n + 3)):
+                pairs = [*itertools.product(short, short),
+                         *((rng.choice(longer), rng.choice(longer))
+                           for _ in range(2))]
+                for u, v in pairs:
+                    w = u + rule.lhs[0] + "H" * m + v
+                    assert rewriting._poly_nf([w], rs.rules) == \
+                        reference_poly_nf([w], rs.rules), w
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_reduction_is_the_reference_across_long_h_runs(self, n, data):
+        # H-runs of up to 2n + 2 letters between up to three other
+        # letters, so runs reach and pass H^(n+1) for every n
+        for rs in repaired(n):
+            run = st.integers(0, 2 * n + 2).map(lambda m: "H" * m)
+            w = data.draw(run) + "".join(data.draw(st.lists(
+                st.tuples(st.sampled_from(rs.sig.alphabet[1:]), run).map(
+                    "".join), max_size=3)))
+            assert rewriting._poly_nf([w], rs.rules) == \
+                reference_poly_nf([w], rs.rules)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from("ST"), st.integers(1, 2),
+           st.sets(st.sampled_from(["", "H", "HH", "Y", "HY", "YH"])),
+           st.integers(0, 12), st.text(alphabet="HSTY", max_size=4))
+    def test_only_a_commutation_rule_crosses_a_run(self, x, k, q, m, v):
+        # X H^k -> H^k X + q: one step crosses the run only for k = 1 and
+        # q a sum of H-powers; with a Y in q, or k = 2, it takes the
+        # leftmost single steps, which the reference takes too
+        rules = (RewriteRule(x + "H" * k, frozenset({"H" * k + x}) ^ q),)
+        w = x + "H" * m + v
+        assert rewriting._poly_nf([w], rules) == reference_poly_nf([w], rules)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_reduction_before_completion_is_a_reduction(self, n):
+        # the base rules and one candidate, not completed: the run step
+        # and the leftmost reference may reach different irreducible
+        # polynomials, but both are reductions, so they agree modulo the
+        # ideal: their sum vanishes in the completion
+        base = completed(n)
+        for aug in repairs(n):
+            rule = aug.rules[0]
+            rules, done = base.rules + (rule,), complete(base, (rule,))
+            for w in words_of(base.sig.alphabet, 1, 7):
+                got = rewriting._poly_nf([w], rules)
+                assert not any(r.lhs in u for r in rules for u in got), w
+                assert normal_form(got ^ reference_poly_nf([w], rules),
+                                   done) == ZERO, w
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12), st.data())
