@@ -17,10 +17,13 @@ math module for scalar trigonometry.  The per-object functions are
 their batch-of-one case.  The sampling suites run each block of trials
 as one array whatever the trials' n: a row fills its first n + 1
 columns and the rest are exact zeros, which no elementwise operation or
-sum over the coordinates rounds.  BLAS picks a contraction's kernel by
-its length, so each runs per width (the kernels' spans argument), on
-views of that width's rows with the strides of unpadded rows; the draws
-run per width too, so each trial gets the bits it would get alone.
+sum over the coordinates rounds, and each contraction is one call over
+the padded width.  That keeps the bits of every value that reaches a
+report; padding can move only the last bits of a dot of strided .real
+or .imag views, which two guards take over padded rows: _half_circles'
+orthogonality bound and _real_reps' imaginary-part bound, both far
+inside their bounds.  The draws run per width (_padded), so each trial
+gets the bits it would get alone.
 Trial i of a suite draws from default_rng([seed, i]); _seeding hashes
 the seeds of a block's generators in one vectorized pass, and
 concat_check chains its arcs b and c once per block, whatever a's arc
@@ -78,8 +81,8 @@ _MAX_HESSIAN_DIM = 4096
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
-# stays near 2.8 MB (3.0 MB at four blocks) where one array per trial
-# would grow without bound
+# (seed 3) is 3.00 MB at one block and 3.17 MB at four, where one array
+# per trial would grow without bound
 _TRIAL_BLOCK = 256
 
 
@@ -105,30 +108,24 @@ def _as_complex(vec) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(-1)
 
 
-def _spans(ns: np.ndarray) -> tuple:
-    """The spans of rows with the sorted dimensions ns: (rows, n + 1) of
-    each run of equal n, rows a slice."""
-    return tuple((slice(*np.searchsorted(ns, [n, n + 1])), n + 1)
-                 for n in sorted(set(ns.tolist())))
-
-
-def _padded(spans, width: int, draw) -> np.ndarray:
-    """draw(rows, n + 1) of each span, zero-padded to width columns."""
-    out = np.zeros((spans[-1][0].stop, width), complex)
-    for rows, w in spans:
-        out[rows, :w] = draw(rows, w)
+def _padded(ns: np.ndarray, width: int, draw) -> np.ndarray:
+    """draw(rows, n + 1) of each run of equal n in the sorted dimensions
+    ns, rows a slice, zero-padded to width columns.  The draws stay per
+    width: each generator draws n + 1 normals, and _unit_rows rounds as
+    np.linalg.norm does, through dots of strided .real and .imag views,
+    whose bits padding can change."""
+    out = np.zeros((len(ns), width), complex)
+    for n in sorted(set(ns.tolist())):
+        rows = slice(*np.searchsorted(ns, [n, n + 1]))
+        out[rows, :n + 1] = draw(rows, n + 1)
     return out
 
 
-def _dots(a: np.ndarray, b: np.ndarray, spans=None) -> np.ndarray:
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows (last axis), one BLAS dot per row
     with the strides np.dot would pass it, so each rounds as np.dot of
-    its two rows; a.conj() in place of a gives np.vdot.  A dot's BLAS
-    kernel depends on its length, so spans take each over its width."""
-    if spans is None:
-        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-    return np.concatenate([_dots(a[s, ..., :w], b[s, ..., :w])
-                           for s, w in spans])
+    its two rows; a.conj() in place of a gives np.vdot."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
@@ -137,9 +134,9 @@ def _row_norms(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=-1))
 
 
-def _unit_defect(v: np.ndarray, spans=None) -> np.ndarray:
+def _unit_defect(v: np.ndarray) -> np.ndarray:
     """||v| - 1| of each row, |v| from np.vdot's one BLAS dot."""
-    return np.abs(np.sqrt(_dots(v.conj(), v, spans).real) - 1.0)
+    return np.abs(np.sqrt(_dots(v.conj(), v).real) - 1.0)
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
@@ -167,17 +164,17 @@ def normalize(vec) -> np.ndarray:
     return _unit_rows(_as_complex(vec))
 
 
-def _real_reps(reps: np.ndarray, spans=None) -> np.ndarray:
+def _real_reps(reps: np.ndarray) -> np.ndarray:
     """Real unit representative of each row on the real locus: the
     squared-sum modulus |sum z_j^2| equals 1 exactly on such points and
     drops below 1 away from them; half its phase turns the row real."""
     s = np.add.reduce(reps * reps, axis=-1)
     _require(_moduli(s) >= 1.0 - _REAL_TOL, "point has no real representative")
     z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
-    _require(np.sqrt(_dots(z.imag, z.imag, spans)) <= math.sqrt(_REAL_TOL),
+    _require(np.sqrt(_dots(z.imag, z.imag)) <= math.sqrt(_REAL_TOL),
              "point has no real representative")
     re = np.ascontiguousarray(z.real)
-    return re / np.sqrt(_dots(re, re, spans))[..., None]
+    return re / np.sqrt(_dots(re, re))[..., None]
 
 
 @dataclass(eq=False)
@@ -244,13 +241,13 @@ def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
     return math.acos(min(1.0, max(0.0, c)))
 
 
-def _geodesics(x: np.ndarray, v: np.ndarray, s, spans=None) -> np.ndarray:
+def _geodesics(x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
     """Points at the arclengths s on the geodesics leaving the rows of x
     with the unit velocities v; s broadcasts against the leading axes."""
-    _require(_unit_defect(v, spans) <= _UNIT_TOL,
+    _require(_unit_defect(v) <= _UNIT_TOL,
              "geodesic requires a unit tangent vector")
     pts = _each(math.cos, s)[..., None] * x + _each(math.sin, s)[..., None] * v
-    _require(_unit_defect(pts, spans) <= _UNIT_TOL,
+    _require(_unit_defect(pts) <= _UNIT_TOL,
              "representative must be a unit vector")
     return pts
 
@@ -366,13 +363,13 @@ def path_length(path: DiscretePath) -> float:
     return float(np.sum(_segment_distances(path.samples)))
 
 
-def _concat(gamma: tuple, delta: tuple, spans=None) -> tuple:
+def _concat(gamma: tuple, delta: tuple) -> tuple:
     """concat_min of matching rows of two batches of paths, each batch
     (samples, params) with one leading axis; returns the same pair.
     Two constant factors get the junction s = 1/2."""
     # the junction check passes only pairings above 1/2, so the phase of
     # the second factor can always be aligned
-    z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1], spans)
+    z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
     pairing = _moduli(z)
     _require(pairing > 1.0 - _ENDPOINT_TOL,
              "paths do not share the junction point")
@@ -406,7 +403,7 @@ def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
 
 
 def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
-                  samples: int, spans=None) -> tuple:
+                  samples: int) -> tuple:
     """half_circle from each real unit row of r along the matching row
     of u by the matching angle: (samples, params), samples on axis 1;
     params is one read-only row of breakpoints broadcast to every path.
@@ -414,11 +411,11 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
     if samples < 2:
         raise ValueError("need at least two samples")
     _require(np.isfinite(theta), "angles must be finite")
-    _require((np.sqrt(_dots(u.imag, u.imag, spans)) <= _REAL_TOL)
-             & (_unit_defect(u, spans) <= _UNIT_TOL),
+    _require((np.sqrt(_dots(u.imag, u.imag)) <= _REAL_TOL)
+             & (_unit_defect(u) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
     ur = u.real[:, None]
-    _require(np.abs(_dots(r, u.real, spans)) <= _REAL_TOL,
+    _require(np.abs(_dots(r, u.real)) <= _REAL_TOL,
              "direction must be orthogonal to the real base")
     # sin theta, sin 2theta and cos 2theta of theta reduced mod pi, each
     # a column
@@ -551,23 +548,22 @@ def _chains(rngs: list, ns, thetas: list, samples: int,
     the widest row.  Arc j runs on the rows with more than j angles.
     Returns (arc count, rows, paths) by count, rows the paths' indices."""
     ns, counts = np.asarray(ns), np.array([len(row) for row in thetas])
-    rows, spans, parts, path = np.arange(len(ns)), _spans(ns), [], None
-    x = _padded(spans, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1)
+    rows, parts, path = np.arange(len(ns)), [], None
+    x = _padded(ns, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1)
                 ) if start is None else start
     for j in range(counts.max()):
         if path is not None:
             live = counts[rows] > j
             parts.append((j, rows[~live], tuple(a[~live] for a in path)))
             path, rows = tuple(a[live] for a in path), rows[live]
-            spans = _spans(ns[rows])
             # the next arc leaves the real representative of this end
-            x = _real_reps(arc[0][live, -1], spans).astype(complex)
-        r, gens = _real_reps(x, spans), [rngs[i] for i in rows]
-        u = _padded(spans, len(x[0]),
+            x = _real_reps(arc[0][live, -1]).astype(complex)
+        r, gens = _real_reps(x), [rngs[i] for i in rows]
+        u = _padded(ns[rows], len(x[0]),
                     lambda s, w: _tangents(r[s, :w], gens[s]))
         arc = _half_circles(r, u, np.array([thetas[i][j] for i in rows]),
-                            samples, spans)
-        path = arc if path is None else _concat(path, arc, spans)
+                            samples)
+        path = arc if path is None else _concat(path, arc)
     return [p for p in parts if len(p[1])] + [(j + 1, rows, path)]
 
 
@@ -915,12 +911,11 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
             end = path[0][:, -1]
         for _, rows, a in parts:
             b, c = (tuple(x[rows] for x in p) for p in bc)
-            spans = _spans(ns[rows])
-            ab = _concat(a, b, spans)
+            ab = _concat(a, b)
             fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
             worst_add = max(worst_add, float(np.max(np.abs(fab - fa - fb))))
-            left = _concat(ab, c, spans)
-            right = _concat(a, _concat(b, c, spans), spans)
+            left = _concat(ab, c)
+            right = _concat(a, _concat(b, c))
             worst_assoc = max(worst_assoc,
                               float(np.max(np.abs(left[1] - right[1]))))
     return CheckReport(
@@ -931,40 +926,43 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
                    f"worst error {worst_assoc:.3e}")))
 
 
-def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
-    """Invariants of half_circle and of the geodesic leaving the real
-    locus in a normal direction, plus where the norm peaks over a grid
-    of angles."""
+def _halfcircle_rows(ns: np.ndarray, rngs) -> tuple:
+    """halfcircle_check's five measured errors of each trial of a block,
+    its dimensions ns and generators as _trial_blocks yields them."""
     # the geodesic leaving in the normal direction i u returns to the
     # real locus every quarter period (arclengths 0..4), alternating the
     # two points, and recurs after pi (0.3 against 0.3 + pi); compare
     # pairings, not arccos distances, which amplify roundoff
     arclengths = [k * math.pi / 2 for k in range(5)] + [0.3, 0.3 + math.pi]
+    x = _padded(ns, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1))
+    r = _real_reps(x)
+    u = _padded(ns, len(x[0]), lambda s, w: _tangents(r[s, :w], rngs[s]))
+    theta = np.array([rng.uniform(-math.pi, math.pi) for rng in rngs])
+    hc, t = _half_circles(r, u, theta, 48)
+    end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi), theta))
+    basis = np.stack([r.astype(complex), u], axis=1)
+    # each sample's distance from the line
+    off_line = np.max(np.abs(hc @ basis.conj().transpose(0, 2, 1) @ basis
+                             - hc), axis=(1, 2))
+    # i u is tangent at x: |<x, i u>| = |<x, u>|, bounded by _tangents
+    g = _geodesics(x[:, None], 1j * u[:, None], arclengths)
+    c = _moduli(_dots(x.conj()[:, None], g[:, :5]))
+    return (1.0 - _moduli(_dots(hc[:, -1].conj(), end)),
+            np.sqrt(_energies(hc, t)) - 0.5 * math.pi,
+            off_line,
+            np.maximum(0.0, np.maximum(np.max(1.0 - c[:, 0::2], axis=1),
+                                       np.max(c[:, 1::2], axis=1))),
+            1.0 - _moduli(_dots(g[:, 5].conj(), g[:, 6])))
+
+
+def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
+    """Invariants of half_circle and of the geodesic leaving the real
+    locus in a normal direction, plus where the norm peaks over a grid
+    of angles."""
     worst = np.full(5, -math.inf)
     for ns, _, rngs in _trial_blocks(trials, seed):
-        spans = _spans(ns)
-        x = _padded(spans, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1))
-        r = _real_reps(x, spans)
-        u = _padded(spans, len(x[0]), lambda s, w: _tangents(r[s, :w], rngs[s]))
-        theta = np.array([rng.uniform(-math.pi, math.pi) for rng in rngs])
-        hc, t = _half_circles(r, u, theta, 48, spans)
-        end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi),
-                                     theta), spans)
-        basis = np.stack([r.astype(complex), u], axis=1)
-        # each sample's distance from the line, a BLAS product per width
-        off_line = np.concatenate([np.max(np.abs(
-            h @ b.conj().transpose(0, 2, 1) @ b - h), axis=(1, 2)) for h, b in
-            ((hc[s, ..., :w], basis[s, ..., :w]) for s, w in spans)])
-        # i u is tangent at x: |<x, i u>| = |<x, u>|, bounded by _tangents
-        g = _geodesics(x[:, None], 1j * u[:, None], arclengths, spans)
-        c = _moduli(_dots(x.conj()[:, None], g[:, :5], spans))
-        rows = (1.0 - _moduli(_dots(hc[:, -1].conj(), end, spans)),
-                np.sqrt(_energies(hc, t)) - 0.5 * math.pi,
-                off_line,
-                np.maximum(0.0, np.maximum(np.max(1.0 - c[:, 0::2], axis=1),
-                                           np.max(c[:, 1::2], axis=1))),
-                1.0 - _moduli(_dots(g[:, 5].conj(), g[:, 6], spans)))
-        worst = np.maximum(worst, [np.max(w) for w in rows])
+        worst = np.maximum(worst, [np.max(w) for w in
+                                   _halfcircle_rows(ns, rngs)])
     names = ("endpoint matches the geodesic construction",
              "norm never exceeds a quarter circumference",
              "samples stay on the spanned line",

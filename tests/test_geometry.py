@@ -947,8 +947,9 @@ def zero_padded(a: np.ndarray, width: int = 4) -> np.ndarray:
 
 class TestPaddedBlocks:
     """The premise of the sampling suites' one array per block: a row of
-    dimension n in zero-padded columns rounds as the row alone, provided
-    every BLAS contraction runs per width on views."""
+    dimension n in zero-padded columns rounds as the row alone, every
+    contraction one call over the padded width, for every value that
+    reaches a report."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_elementwise_and_sums_keep_their_bits(self, n):
@@ -967,25 +968,42 @@ class TestPaddedBlocks:
                                  np.add.reduce(a * a, axis=-1))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_dots_per_width_on_views_keep_their_bits(self, n):
-        # rows of width n + 1 between rows of other widths, as in a block
-        spans = ((slice(0, 3), 2), (slice(3, 11), n + 1), (slice(11, 14), 4))
+    def test_contractions_over_the_padded_width_keep_their_bits(self, n):
+        # rows of width n + 1 between rows of widths 2 and 4, as in a
+        # block; the operands of each kind of dot whose value reaches a
+        # report, taken of the padded arrays as the suites take them
+        def operands(x, r, u, gamma, delta, g):
+            return ((r, r), (u.conj(), u),
+                    (delta[:, 0].conj(), gamma[:, -1]),
+                    (x.conj()[:, None], g))
+
+        def off_line(h, b):
+            return np.max(np.abs(h @ b.conj().transpose(0, 2, 1) @ b - h),
+                          axis=(1, 2))
+
+        arclengths = [0.0, 0.3, math.pi / 2, 2.0, math.pi]
         for seed in range(40):
-            x, r, u = batch_inputs(n, 8, 200 + seed)
-            others = [batch_inputs(m, 3, seed) for m in (1, 3)]
-            block_x, block_r, block_u = (np.concatenate([
-                zero_padded(others[0][i]), zero_padded(a),
-                zero_padded(others[1][i])]) for i, a in enumerate((x, r, u)))
-            rows = spans[1][0]
-            for a, b, alone in (
-                    (block_r, block_r, (r, r)),
-                    (block_u.real, block_r, (u.real, r)),
-                    (block_u.imag, block_u.imag, (u.imag, u.imag)),
-                    (block_u.conj(), block_u, (u.conj(), u)),
-                    (block_x.conj()[:, None], block_u[:, None],
-                     (x.conj()[:, None], u[:, None]))):
-                assert same_bits(geometry._dots(a, b, spans)[rows],
-                                 geometry._dots(*alone))
+            groups = []
+            for m, rows in ((1, 3), (n, 8), (3, 3)):
+                x, r, u = batch_inputs(m, rows, 200 + seed)
+                theta = np.random.default_rng([seed, m]).uniform(
+                    -3.0, 3.0, rows)
+                groups.append((
+                    x, r, u,
+                    geometry._half_circles(r, u, theta, 9)[0],
+                    geometry._half_circles(r, -u, 0.5 * theta, 9)[0],
+                    geometry._geodesics(x[:, None], 1j * u[:, None],
+                                        arclengths)))
+            block = [np.concatenate([zero_padded(a[i]) for a in groups])
+                     for i in range(6)]
+            for i, (a, b) in enumerate(operands(*block)):
+                assert same_bits(geometry._dots(a, b), np.concatenate(
+                    [geometry._dots(*operands(*arrays)[i])
+                     for arrays in groups]))
+            basis = [np.stack([a[1].astype(complex), a[2]], axis=1)
+                     for a in [block] + groups]
+            assert same_bits(off_line(block[3], basis[0]), np.concatenate(
+                [off_line(a[3], b) for a, b in zip(groups, basis[1:])]))
 
     @pytest.mark.parametrize("start", [False, True])
     def test_a_mixed_block_of_chains_keeps_each_rows_bits(self, start):
@@ -1009,6 +1027,38 @@ class TestPaddedBlocks:
                 assert same_bits(pts[j, :, :ns[i] + 1], want_pts[0])
                 assert not pts[j, :, ns[i] + 1:].any()
                 assert same_bits(t[j], want_t[0])
+
+    def test_a_mixed_block_of_half_circles_keeps_each_rows_bits(
+            self, monkeypatch):
+        # halfcircle_check's path on one block: the real representatives,
+        # the half-circles, both geodesic calls and the five measured
+        # errors of each row are those of the row run alone
+        ns = [1, 1, 2, 2, 2, 3, 3, 3]
+        calls = []
+        for name in ("_real_reps", "_half_circles", "_geodesics"):
+            def record(*args, kernel=getattr(geometry, name), name=name):
+                out = kernel(*args)
+                calls.append((name, out[0] if name == "_half_circles"
+                              else out))
+                return out
+            monkeypatch.setattr(geometry, name, record)
+        for seed in range(10):
+            calls.clear()
+            block = geometry._halfcircle_rows(
+                np.array(ns), [np.random.default_rng([seed, i])
+                               for i in range(len(ns))])
+            seen = calls[:]
+            assert [name for name, _ in seen] == [
+                "_real_reps", "_half_circles", "_geodesics", "_geodesics"]
+            for i, n in enumerate(ns):
+                calls.clear()
+                alone = geometry._halfcircle_rows(
+                    np.array([n]), [np.random.default_rng([seed, i])])
+                for (name, got), (_, want) in zip(seen, calls, strict=True):
+                    assert same_bits(got[i:i + 1, ..., :n + 1], want), name
+                    assert not got[i, ..., n + 1:].any(), name
+                for got, want in zip(block, alone, strict=True):
+                    assert same_bits(got[i:i + 1], want)
 
 
 def refusals():
