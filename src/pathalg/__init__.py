@@ -38,7 +38,6 @@ from .rewriting import (
     SearchCapError,
     StepLimitError,
     anti_automorphism_check,
-    apply_rule,
     compare,
     complete,
     filtration_check,

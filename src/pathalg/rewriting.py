@@ -22,7 +22,7 @@ one degree.  _differing_runs walks only the classes where two such
 series differ.  compare cuts its runs at a degree bound, so its cost
 grows with the differing cells below it; the repair search reads each
 run's first cell, so its cost does not depend on any bound.
-Reduction (_poly_nf) finds the leftmost left side in a word with one
+Reduction (_reduce) finds the leftmost left side in a word with one
 bounded str.find per rule, so the H-runs of up to n + 1 letters are
 found at C speed, and a commutation rule (SH, TH or YH) then carries its
 letter across the whole H-run in one step, X H^m -> H^m X + m q H^(m-1)
@@ -75,7 +75,7 @@ from .algebra import (
 INCOMPLETE = "incomplete"
 COMPLETE = "complete"
 
-# guards against runaway rewriting: reduction steps of one _poly_nf
+# guards against runaway rewriting: reduction steps of one _reduce
 # call (a run step counts once), and rules in one completion
 _STEP_LIMIT = 10 ** 6
 _RULE_LIMIT = 400
@@ -176,14 +176,6 @@ def orient(sig: Signature) -> RewriteSystem:
         sorted(rules, key=lambda r: order_key(r.lhs, sig))))
 
 
-def apply_rule(word: Word, rule: RewriteRule, pos: int) -> Polynomial:
-    """One replacement of rule.lhs inside word at the given position."""
-    if not word.startswith(rule.lhs, pos):
-        raise ValueError(f"{rule.lhs!r} does not occur in {word!r} at {pos}")
-    head, tail = word[:pos], word[pos + len(rule.lhs):]
-    return frozenset(head + r + tail for r in rule.rhs)
-
-
 def _entry(lhs: Word, rhs: Polynomial) -> tuple:
     """One rule as _reduce scans it: (left side, length, right side,
     run).  run is q for a commutation rule XH -> HX + q, X != H and q a
@@ -199,12 +191,23 @@ def _index(rules: Iterable[RewriteRule]) -> tuple:
 
 
 def _reduce(p: Iterable[Word], index: tuple) -> Polynomial:
-    """_poly_nf by an _index built beforehand.  Each left side is looked
-    for once per word, by str.find, and only where it would start before
-    the best position so far, so an H-run is crossed at C speed, not
-    letter by letter; a run step counts as one step toward _STEP_LIMIT.
-    F2 linearity lets each word occurrence reduce independently, with
-    the results combined by symmetric difference."""
+    """Full reduction of a polynomial by the rules of an _index.  Each
+    word takes the leftmost position where a left side occurs, and the
+    first such rule in the index's order there; except that a
+    commutation rule XH -> HX + q (_entry) crosses X's whole H-run in
+    one step, X H^m -> H^m X + m q H^(m-1), taken mod 2, since q
+    commutes with H.  A run step is m single steps, so on a completed
+    system the result is the normal form.  On any other it is a
+    reduction, one irreducible representative of p modulo the rules,
+    which is all completion needs: its output is unique whatever valid
+    steps it takes (Bergman 1978).
+
+    Each left side is looked for once per word, by str.find, and only
+    where it would start before the best position so far, so an H-run
+    is crossed at C speed, not letter by letter; a run step counts as
+    one step toward _STEP_LIMIT.  F2 linearity lets each word
+    occurrence reduce independently, with the results combined by
+    symmetric difference."""
     acc: set = set()
     stack = list(p)
     steps = 0
@@ -234,23 +237,10 @@ def _reduce(p: Iterable[Word], index: tuple) -> Polynomial:
     return frozenset(acc)
 
 
-def _poly_nf(p: Iterable[Word], rules: Iterable[RewriteRule]) -> Polynomial:
-    """Full reduction of a polynomial by rules.  Each word takes the
-    leftmost position where a left side occurs, and the first such rule
-    in their order there; except that a commutation rule XH -> HX + q
-    (_entry) crosses X's whole H-run in one step,
-    X H^m -> H^m X + m q H^(m-1), taken mod 2, since q commutes with H.
-    A run step is m single steps, so on a completed system the result is
-    the normal form.  On any other it is a reduction, one irreducible
-    representative of p modulo the rules, which is all completion needs:
-    its output is unique whatever valid steps it takes (Bergman 1978)."""
-    return _reduce(p, _index(rules))
-
-
 def normal_form(p, rs: RewriteSystem) -> Polynomial:
-    """Reduce a word or polynomial under rs, as _poly_nf does (leftmost
-    match, except that a commutation rule crosses its whole H-run), by
-    the index rs built once.  For a completed system this is the normal
+    """Reduce a word or polynomial under rs by _reduce (leftmost match,
+    except that a commutation rule crosses its whole H-run), with the
+    index rs built once.  For a completed system this is the normal
     form, which does not depend on the order in which rules are applied.
     A letter outside rs's alphabet raises AlphabetError (word_degree),
     as no rule would ever match it."""
@@ -279,7 +269,7 @@ def complete(rs: RewriteSystem,
     left side contains that word go back on the queue, and the new
     rule's critical pairs with every live rule go on it reduced, each
     pair's two sides built as words and equal words cancelled first.
-    Reductions are _poly_nf's, run steps included: they need not be
+    Reductions are _reduce's, run steps included: they need not be
     leftmost-only, since for a fixed order an ideal has one reduced
     convergent system, reached by any valid reduction steps.  It
     ends when the queue is empty, so every critical pair resolves and
@@ -359,21 +349,15 @@ def complete(rs: RewriteSystem,
 # Hilbert counts
 
 
-def _check_normal_shape(rs: RewriteSystem) -> RewriteSystem:
-    """rs, if it reduces every defining left side, as _exponent_bounds's
-    proof needs; so does each system whose ideal contains rs's."""
-    if not all(any(r.lhs in rel.lhs for r in rs.rules)
-               for rel in defining_relations(rs.sig.n)):
-        raise ValueError("irreducible words are known only in a system "
-                         "that reduces the defining left sides")
-    return rs
-
-
-def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
-    """B(a, e) for each of the 2(n + 1) pairs a <= n, e <= 1: the
-    irreducible words of rs are exactly the words H^a X^e Y^b with
-    b < B(a, e), X the middle letter (S or T).  math.inf stands for no
-    bound.  Holds for a system that passes _check_normal_shape.
+def _exponent_bounds(rs: RewriteSystem
+                     ) -> list[tuple[int, int, int, float]]:
+    """One row (a, e, d0, B) for each of the 2(n + 1) pairs a <= n,
+    e <= 1: the irreducible words of rs are exactly the words
+    H^a X^e Y^b with b < B, X the middle letter (S or T), and d0 is the
+    unshifted degree of H^a X^e; each letter Y adds n.  math.inf stands
+    for no bound.  Refuses a system that leaves a defining left side
+    irreducible, since the proof needs each one reduced; a system whose
+    ideal contains rs's reduces them too.
 
     Proof.  Each of the five defining left sides XH, YH, YX, XX and
     H^(n+1) contains a left side of rs, so an irreducible word avoids
@@ -385,6 +369,10 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
     Y-run directly).  So the word is irreducible exactly when b is below
     the least b' of the left sides that fit (a, e) this way."""
     n, x = rs.sig.n, rs.sig.alphabet[1]
+    if not all(any(r.lhs in rel.lhs for r in rs.rules)
+               for rel in defining_relations(n)):
+        raise ValueError("irreducible words are known only in a system "
+                         "that reduces the defining left sides")
     bound = {(a, e): math.inf for a in range(n + 1) for e in (0, 1)}
     for r in rs.rules:
         rest = r.lhs.lstrip("H")
@@ -396,28 +384,22 @@ def _exponent_bounds(rs: RewriteSystem) -> dict[tuple[int, int], float]:
         for a in range(a0, n + 1):
             for e in es:
                 bound[a, e] = min(bound[a, e], b0)
-    return bound
-
-
-def _pair_degree(sig: Signature, a: int, e: int) -> int:
-    """Unshifted degree of H^a X^e, the first word of pair (a, e); each
-    letter Y adds n."""
-    return sig.n - a + e * sig.degree[sig.alphabet[1]]
+    return [(a, e, n - a + e * rs.sig.degree[x], b)
+            for (a, e), b in bound.items()]
 
 
 def hilbert_series(rs: RewriteSystem) -> BigradedSeries:
     """Bigraded Hilbert series of rs's irreducible words, by (unshifted
-    degree, level), in every degree: pair (a, e) adds
-    x^d0 y^e (1 - (x^n y)^B) / (1 - x^n y), d0 = _pair_degree, for its
-    words with b < B = B(a, e), and just x^d0 y^e / (1 - x^n y) when B
-    is unbounded (the finite-leading-words case of Ufnarovski 1982 and
-    Anick 1986).  Refuses a system that complete did not return and one
-    that leaves a defining left side irreducible."""
+    degree, level), in every degree: row (a, e, d0, B) of
+    _exponent_bounds adds x^d0 y^e (1 - (x^n y)^B) / (1 - x^n y) for its
+    words with b < B, and just x^d0 y^e / (1 - x^n y) when B is
+    unbounded (the finite-leading-words case of Ufnarovski 1982 and
+    Anick 1986).  Refuses a system that complete did not return, then
+    one that leaves a defining left side irreducible."""
     if rs.completion_status != COMPLETE:
         raise ValueError("hilbert requires a completed system")
     n, terms = rs.sig.n, []
-    for (a, e), bound in _exponent_bounds(_check_normal_shape(rs)).items():
-        d0 = _pair_degree(rs.sig, a, e)
+    for _, e, d0, bound in _exponent_bounds(rs):
         terms.append(((d0, e), 1))
         if bound < math.inf:
             terms.append(((d0 + n * bound, e + bound), -1))
@@ -428,7 +410,10 @@ def hilbert(rs: RewriteSystem, degree_bound: int) -> BigradedTable:
     """Count irreducible words per (unshifted degree, level) for degrees
     0..degree_bound: the expansion of hilbert_series, with its
     refusals, and a negative degree_bound refused as
-    path_space_homology refuses it."""
+    path_space_homology refuses it.  Nothing in src/ calls it: it stays
+    for the rewriting.hilbert span that bench/tests/test_bench.py
+    asserts, the README example and the tests in tests/test_rewriting.py
+    and tests/test_cli.py that read it (ROADMAP item 17)."""
     return hilbert_series(rs).expand(degree_bound)
 
 
@@ -597,8 +582,8 @@ class Augmentation:
 
 def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     """(word, level) for every irreducible word of one unshifted degree,
-    in the order of rs.sig: at most one word H^a X^e Y^b per pair
-    (a, e), read off rs's checked _exponent_bounds.
+    in the order of rs.sig: at most one word H^a X^e Y^b per row
+    (a, e, d0, B) of _exponent_bounds, with its refusal.
 
     At most four words: for fixed e the degree n - a + e*deg(X) + n*b
     fixes a modulo n, a = n + e*deg(X) - degree (mod n), and 0 <= a <= n
@@ -606,8 +591,8 @@ def _degree_words(rs: RewriteSystem, degree: int) -> list[tuple[Word, int]]:
     the words listed before a left side, holds at most three."""
     sig = rs.sig
     x, out = sig.alphabet[1], []
-    for (a, e), bound in _exponent_bounds(_check_normal_shape(rs)).items():
-        b, r = divmod(degree - _pair_degree(sig, a, e), sig.n)
+    for a, e, d0, bound in _exponent_bounds(rs):
+        b, r = divmod(degree - d0, sig.n)
         if r == 0 and 0 <= b < bound:
             out.append(("H" * a + x * e + "Y" * b, e + b))
     return sorted(out, key=lambda wl: order_key(wl[0], sig))

@@ -42,7 +42,7 @@ PUBLIC = GEOMETRY | {
     "Augmentation", "CompletionError", "ComparisonReport",
     "OrderRejectedError", "RepairError", "RewriteRule", "RewriteSystem",
     "RuleLimitError", "SearchCapError", "StepLimitError",
-    "anti_automorphism_check", "apply_rule", "compare", "complete",
+    "anti_automorphism_check", "compare", "complete",
     "filtration_check", "heredity_check", "hilbert", "hilbert_series",
     "normal_form", "orient", "repair_search",
     # homology
@@ -54,6 +54,10 @@ PUBLIC = GEOMETRY | {
 }
 
 NO_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+# sympy and scipy may be installed where the tests run, but CI installs
+# neither, so library code may not import them, not even lazily
+NO_SCIPY_SYMPY = ("import sys; sys.modules['scipy'] = None; "
+                  "sys.modules['sympy'] = None\n")
 
 
 def python(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -90,6 +94,23 @@ def test_algebra_commands_run_without_numpy(capsys, argv, code):
     if argv == ["verify", "--n", "2"]:
         assert "candidate augmentation: {HHT -> 0, HHY -> 0}" in done.stdout
         assert "candidate augmentation: {HHT -> HH, HHY -> 0}" in done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2"],
+    ["homology", "--n", "2", "--coeff", "Z", "--format", "json"],
+    ["table", "--n", "3", "--golden"],
+    ["geom", "index", "--n", "2", "--k", "2"],
+    *(["geom", suite, "--trials", "20"]
+      for suite in ("concat-check", "halfcircle-check", "yk-check")),
+])
+def test_commands_run_without_scipy_or_sympy(capsys, argv):
+    done = python(NO_SCIPY_SYMPY + "from pathalg import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))", *argv)
+    code = main(argv)
+    want = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (code, want.out, want.err)
 
 
 def test_geometry_command_loads_numpy():

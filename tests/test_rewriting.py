@@ -40,7 +40,6 @@ from pathalg.rewriting import (
     SearchCapError,
     StepLimitError,
     anti_automorphism_check,
-    apply_rule,
     compare,
     complete,
     filtration_check,
@@ -150,6 +149,13 @@ def reference_compare(alg: BigradedTable,
     totals = [(d, ta[d], th[d]) for d in range(alg.degree_bound + 1)
               if ta[d] != th[d]]
     return ComparisonReport(alg.degree_bound, tuple(cells), tuple(totals))
+
+
+def apply_rule(word, rule, pos):
+    """One replacement of rule.lhs inside word at pos."""
+    assert word.startswith(rule.lhs, pos), (word, rule.lhs, pos)
+    return frozenset(word[:pos] + r + word[pos + len(rule.lhs):]
+                     for r in rule.rhs)
 
 
 def assert_confluent(rs: RewriteSystem) -> None:
@@ -507,8 +513,11 @@ def test_exponent_bounds_match_a_factor_search(n, extras):
                 return b
         return math.inf
 
-    assert rewriting._exponent_bounds(rs) == {
+    rows = rewriting._exponent_bounds(rs)
+    assert {(a, e): bound for a, e, _, bound in rows} == {
         (a, e): first_reducible(a, e) for a in range(n + 1) for e in (0, 1)}
+    assert all(d0 == unshifted_degree("H" * a + x * e, sig)
+               for a, e, d0, _ in rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -640,6 +649,11 @@ def reference_poly_nf(p, rules):
     return frozenset(acc)
 
 
+def reduce_by(p, rules):
+    """rewriting's reduction kernel by an index of rules."""
+    return rewriting._reduce(p, rewriting._index(rules))
+
+
 def reference_complete(rs, extra=()):
     """complete with the reference order and reduction, every pair of
     live rules superposed."""
@@ -765,7 +779,7 @@ class TestReferenceKernels:
         # factor of another, so two can match at the same position
         rules = tuple(shortening_rule(*d) for d in drawn)
         p = poly(*words)
-        assert rewriting._poly_nf(p, rules) == reference_poly_nf(p, rules)
+        assert reduce_by(p, rules) == reference_poly_nf(p, rules)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="HSY", min_size=0, max_size=8),
@@ -775,7 +789,7 @@ class TestReferenceKernels:
     def test_reduction_is_the_reference_on_nested_left_sides(self, word, lhss,
                                                              choice):
         rules = tuple(shortening_rule(l, choice) for l in lhss)
-        assert rewriting._poly_nf([word], rules) == \
+        assert reduce_by([word], rules) == \
             reference_poly_nf([word], rules)
 
     @settings(max_examples=200, deadline=None)
@@ -784,7 +798,7 @@ class TestReferenceKernels:
         # words of at most 10 letters: moving S past H doubles a word
         for rs in repaired(n):
             w = data.draw(st.text(alphabet=rs.sig.alphabet, max_size=10))
-            assert rewriting._poly_nf([w], rs.rules) == \
+            assert reduce_by([w], rs.rules) == \
                 reference_poly_nf([w], rs.rules)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -806,7 +820,7 @@ class TestReferenceKernels:
                            for _ in range(2))]
                 for u, v in pairs:
                     w = u + rule.lhs[0] + "H" * m + v
-                    assert rewriting._poly_nf([w], rs.rules) == \
+                    assert reduce_by([w], rs.rules) == \
                         reference_poly_nf([w], rs.rules), w
 
     @settings(max_examples=100, deadline=None)
@@ -819,7 +833,7 @@ class TestReferenceKernels:
             w = data.draw(run) + "".join(data.draw(st.lists(
                 st.tuples(st.sampled_from(rs.sig.alphabet[1:]), run).map(
                     "".join), max_size=3)))
-            assert rewriting._poly_nf([w], rs.rules) == \
+            assert reduce_by([w], rs.rules) == \
                 reference_poly_nf([w], rs.rules)
 
     @settings(max_examples=300, deadline=None)
@@ -832,7 +846,7 @@ class TestReferenceKernels:
         # leftmost single steps, which the reference takes too
         rules = (RewriteRule(x + "H" * k, frozenset({"H" * k + x}) ^ q),)
         w = x + "H" * m + v
-        assert rewriting._poly_nf([w], rules) == reference_poly_nf([w], rules)
+        assert reduce_by([w], rules) == reference_poly_nf([w], rules)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_reduction_before_completion_is_a_reduction(self, n):
@@ -845,7 +859,7 @@ class TestReferenceKernels:
             rule = aug.rules[0]
             rules, done = base.rules + (rule,), complete(base, (rule,))
             for w in words_of(base.sig.alphabet, 1, 7):
-                got = rewriting._poly_nf([w], rules)
+                got = reduce_by([w], rules)
                 assert not any(r.lhs in u for r in rules for u in got), w
                 assert normal_form(got ^ reference_poly_nf([w], rules),
                                    done) == ZERO, w
@@ -1093,10 +1107,6 @@ def collapse_candidates(monkeypatch, which):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda mp: apply_rule("HSH", RewriteRule("SH", ONE), 0), ValueError,
-     "'SH' does not occur in 'HSH' at 0"),
-    (lambda mp: apply_rule("SH", RewriteRule("SH", ONE), 1), ValueError,
-     "'SH' does not occur in 'SH' at 1"),
     # no rule matches a letter outside the alphabet, so a normal form
     # would return the word unchanged
     (lambda mp: normal_form("SQ", completed(3)), AlphabetError,
@@ -1243,7 +1253,7 @@ class TestRepairSearch:
         # twice (its surplus degree's words too); each extends base, so
         # it reduces every defining left side and the check never refuses
         base = completed(n)
-        real, check = rewriting.complete, rewriting._check_normal_shape
+        real, check = rewriting.complete, rewriting._exponent_bounds
         reached, checked = [], []
 
         def recording(rs, extra=()):
@@ -1255,12 +1265,12 @@ class TestRepairSearch:
             return check(rs)
 
         monkeypatch.setattr(rewriting, "complete", recording)
-        monkeypatch.setattr(rewriting, "_check_normal_shape", counting)
+        monkeypatch.setattr(rewriting, "_exponent_bounds", counting)
         assert repair_search(base, path_space_series(n))
         assert reached
         assert checked == [base, base, *reached]
         for rs in reached:
-            assert check(rs) is rs
+            assert len(check(rs)) == 2 * (n + 1)
 
     def test_unexpected_completion_failures_propagate(self, monkeypatch):
         # only CompletionError means "candidate rejected"; any other
