@@ -22,25 +22,23 @@ the padded width.  That keeps the bits of every value that reaches a
 report; padding can move only the last bits of a dot of strided .real
 or .imag views, which two guards take over padded rows: _half_circles'
 orthogonality bound and _real_reps' imaginary-part bound, both far
-inside their bounds.  The draws run per width (_padded), so each trial
-gets the bits it would get alone.
-Trial i of a suite draws from default_rng([seed, i]); _seeding hashes
-the seeds of a block's generators in one vectorized pass, and
-concat_check chains its arcs b and c once per block, whatever a's arc
-count.
+inside their bounds.  The draws run per width (_padded), so each row
+rounds as it would alone.
+Block b of a suite draws all its inputs as arrays from one generator,
+default_rng([seed, b]), and concat_check chains its arcs b and c once
+per block, whatever a's arc count.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import _seeding, homology
+from . import homology
 from .tables import CheckItem, CheckReport
 
 _UNIT_TOL = 1e-12
@@ -48,23 +46,24 @@ _REAL_TOL = 1e-9
 _ENDPOINT_TOL = 1e-8
 # worst cases below are measured over the four suites at their default
 # sizes, seeds 0-9 (index at (n, k) = (1, 1), (2, 2), (3, 1), (4, 3),
-# (1, 12)).  DiscretePath's bounds on its end breakpoints' distance
-# from 0 and 1 (every constructor sets both exactly: worst 0.0) and on
-# the unit defect of a sample (worst 2.2e-16)
+# (1, 12)), each sampling block drawing from its one generator.
+# DiscretePath's bounds on its end breakpoints' distance from 0 and 1
+# (every constructor sets both exactly: worst 0.0) and on the unit
+# defect of a sample (worst 2.2e-16)
 _PARAM_END_TOL = 1e-12
 _SAMPLE_UNIT_TOL = 1e-9
 # concat_min keeps the junction breakpoint s this far inside (0, 1), so
 # the breakpoints stay increasing after a zero-norm factor; the smallest
-# min(s, 1 - s) of two nonzero factors is 1.3e-4
+# min(s, 1 - s) of two nonzero factors is 7.8e-6
 _JUNCTION_CLAMP = 1e-12
 # half_circle returns the constant path when |sin theta| < _FLAT_SIN
 # (theta = 0 reduced mod pi leaves at most 2.2e-16; the smallest other
-# value is 2.4e-4), and lifts a sample to u itself when a^2 <= _SOUTH_A2
-# (exactly 0.0 at the south pole; the smallest elsewhere is 4.5e-10)
+# value is 2.1e-6), and lifts a sample to u itself when a^2 <= _SOUTH_A2
+# (exactly 0.0 at the south pole; the smallest elsewhere is 1.4e-10)
 _FLAT_SIN = 1e-13
 _SOUTH_A2 = 1e-15
 # random_real_tangent redraws a projection shorter than this; the
-# shortest drawn is 5.5e-5, so none was redrawn
+# shortest drawn is 1.1e-4, so none was redrawn
 _TANGENT_REDRAW = 1e-6
 # yk_check's bound on the Gram and tangency defects of the skew-pairing
 # triple: worst 4.4e-16
@@ -77,11 +76,12 @@ _GRAD_TOL = 1e-8
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
-# default trials, seeds 0-9, is 7.1e-14, about 14 000 times below
+# default trials, seeds 0-9, is 8.4e-14 on the drawn trials, about
+# 12 000 times below, and 4.3e-13 on yk_check's right-angle samples
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
-# (seed 3) is 3.00 MB at one block and 3.17 MB at four, where one array
+# (seed 3) is 3.09 MB at one block and 3.56 MB at four, where one array
 # per trial would grow without bound
 _TRIAL_BLOCK = 256
 
@@ -111,9 +111,9 @@ def _as_complex(vec) -> np.ndarray:
 def _padded(ns: np.ndarray, width: int, draw) -> np.ndarray:
     """draw(rows, n + 1) of each run of equal n in the sorted dimensions
     ns, rows a slice, zero-padded to width columns.  The draws stay per
-    width: each generator draws n + 1 normals, and _unit_rows rounds as
-    np.linalg.norm does, through dots of strided .real and .imag views,
-    whose bits padding can change."""
+    width: each run draws rows of n + 1 normals, and _unit_rows rounds
+    as np.linalg.norm does, through dots of strided .real and .imag
+    views, whose bits padding can change."""
     out = np.zeros((len(ns), width), complex)
     for n in sorted(set(ns.tolist())):
         rows = slice(*np.searchsorted(ns, [n, n + 1]))
@@ -483,31 +483,31 @@ def half_circle_endpoint(x: ProjPoint, u: TangentVector, theta: float
 # Random sampling
 
 
-def _real_points(rngs: list, n: int) -> np.ndarray:
-    """random_real_point's draw from each generator, as complex rows."""
-    return _unit_rows(np.array([rng.standard_normal(n + 1) for rng in rngs],
-                               dtype=complex))
+def _real_points(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """rows random real points of dimension n, as complex unit rows; one
+    row is random_real_point's draw."""
+    return _unit_rows(rng.standard_normal((rows, n + 1)).astype(complex))
 
 
 def random_real_point(n: int, rng: np.random.Generator) -> ProjPoint:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ProjPoint(_real_points([rng], n)[0])
+    return ProjPoint(_real_points(rng, 1, n)[0])
 
 
-def _tangents(r: np.ndarray, rngs: list) -> np.ndarray:
-    """A random real unit tangent at each real unit row of r, row i
-    drawn from rngs[i]: a normal draw projected off r, drawn again
-    while the projection is shorter than _TANGENT_REDRAW.  A row of one
-    coordinate has no tangent, and every projection would be 0, so it
-    is refused before any draw."""
+def _tangents(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random real unit tangent at each real unit row of r: a normal
+    draw projected off r, drawn again while the projection is shorter
+    than _TANGENT_REDRAW, one array for the rows left each pass.  A row
+    of one coordinate has no tangent, and every projection would be 0,
+    so it is refused before any draw."""
     if r.shape[1] < 2:
         raise ValueError("a point with fewer than two coordinates has "
                          "no tangent")
     v, norm = np.empty_like(r), np.empty(len(r))
     redraw = np.arange(len(r))
     while redraw.size:
-        w = np.array([rngs[i].standard_normal(r.shape[1]) for i in redraw])
+        w = rng.standard_normal((len(redraw), r.shape[1]))
         w -= _dots(w, r[redraw])[:, None] * r[redraw]
         v[redraw], norm[redraw] = w, np.sqrt(_dots(w, w))
         redraw = redraw[~(norm[redraw] > _TANGENT_REDRAW)]
@@ -526,7 +526,7 @@ def random_real_tangent(x: ProjPoint, rng: np.random.Generator
                         ) -> TangentVector:
     r = x.real_representative()
     return TangentVector(base=ProjPoint(r.astype(complex)),
-                         vec=_tangents(r[None], [rng])[0])
+                         vec=_tangents(r[None], rng)[0])
 
 
 def yk_parameter_count(n: int, k: int) -> int:
@@ -539,18 +539,19 @@ def yk_parameter_count(n: int, k: int) -> int:
     return (k + 1) * n
 
 
-def _chains(rngs: list, ns, thetas: list, samples: int,
+def _chains(rng: np.random.Generator, ns, thetas: list, samples: int,
             start: Optional[np.ndarray] = None) -> list:
-    """sample_yk on a batch, with the arcs in lockstep: row i draws from
-    rngs[i] what sample_yk draws at n = ns[i] (ascending) with the 1-D
-    angle array thetas[i] (longer first among equal n) and the start row
-    start[i], in the same order, and gets the same path, zero-padded to
-    the widest row.  Arc j runs on the rows with more than j angles.
+    """sample_yk on a batch, with the arcs in lockstep: row i takes
+    n = ns[i] (ascending), the 1-D angle array thetas[i] (longer first
+    among equal n) and the start row start[i], and gets the path
+    sample_yk makes of the same draws, zero-padded to the widest row.
+    The base points, then each arc's directions, are drawn from rng a
+    width at a time.  Arc j runs on the rows with more than j angles.
     Returns (arc count, rows, paths) by count, rows the paths' indices."""
     ns, counts = np.asarray(ns), np.array([len(row) for row in thetas])
     rows, parts, path = np.arange(len(ns)), [], None
-    x = _padded(ns, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1)
-                ) if start is None else start
+    x = _padded(ns, ns[-1] + 1, lambda s, w: _real_points(
+        rng, len(ns[s]), w - 1)) if start is None else start
     for j in range(counts.max()):
         if path is not None:
             live = counts[rows] > j
@@ -558,9 +559,8 @@ def _chains(rngs: list, ns, thetas: list, samples: int,
             path, rows = tuple(a[live] for a in path), rows[live]
             # the next arc leaves the real representative of this end
             x = _real_reps(arc[0][live, -1]).astype(complex)
-        r, gens = _real_reps(x), [rngs[i] for i in rows]
-        u = _padded(ns[rows], len(x[0]),
-                    lambda s, w: _tangents(r[s, :w], gens[s]))
+        r = _real_reps(x)
+        u = _padded(ns[rows], len(x[0]), lambda s, w: _tangents(r[s, :w], rng))
         arc = _half_circles(r, u, np.array([thetas[i][j] for i in rows]),
                             samples)
         path = arc if path is None else _concat(path, arc)
@@ -590,7 +590,7 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
     [(_, _, (pts, t))] = _chains(
-        [rng], [n], [thetas], samples_per_arc,
+        rng, [n], [thetas], samples_per_arc,
         None if start is None else start.rep[None])
     return DiscretePath(samples=pts[0], params=t[0])
 
@@ -835,27 +835,23 @@ def critical_index(n: int, k: int,
 # Check suites
 
 
-def _trial_rngs(trials: int, seed: int):
-    """The generator of each trial i in order, default_rng([seed, i]),
-    so a suite's report depends only on its arguments.  The states of
-    _TRIAL_BLOCK generators come from one vectorized SeedSequence hash
-    (_seeding), with the streams default_rng builds."""
+def _trial_blocks(trials: int, seed: int, arcs: int = 0):
+    """The trials _TRIAL_BLOCK at a time, as (ns, counts, rng): block b
+    draws all its inputs as arrays from rng = default_rng([seed, b]),
+    first the dimensions n in 1..3, then for a chain suite (arcs > 0)
+    the arc counts in 1..arcs, else 0s.  A block lists its trials by n,
+    then by count, most first, in trial order among equal pairs, as
+    _chains takes them."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    return _seeding.generators(seed, range(trials), _TRIAL_BLOCK)
-
-
-def _trial_blocks(trials: int, seed: int, arcs: int = 0):
-    """The trial generators, _TRIAL_BLOCK at a time, as (ns, counts,
-    generators): every suite's first draw, the dimension n in 1..3, and
-    for a chain suite (arcs > 0) next its arc count in 1..arcs, else 0.
-    A block lists its trials by n, then by count, most first, in trial
-    order among equal pairs, as _chains takes them."""
-    rngs = _trial_rngs(trials, seed)
-    while block := [(g.integers(1, 4), -g.integers(1, arcs + 1) if arcs
-                     else 0, g) for g in itertools.islice(rngs, _TRIAL_BLOCK)]:
-        ns, counts, gens = zip(*sorted(block, key=lambda row: row[:2]))
-        yield np.array(ns), [-c for c in counts], gens
+    for b, start in enumerate(range(0, trials, _TRIAL_BLOCK)):
+        rng = np.random.default_rng([seed, b])
+        size = min(_TRIAL_BLOCK, trials - start)
+        ns = rng.integers(1, 4, size)
+        counts = (rng.integers(1, arcs + 1, size) if arcs
+                  else np.zeros(size, int))
+        order = np.lexsort((-counts, ns))
+        yield ns[order], counts[order], rng
 
 
 def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
@@ -886,27 +882,28 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     starting where the previous one ends.  A block chains a once, which
     yields a part per arc count, then b and c once each on every row,
     from a's end rows in block order; each part's rows of b and c are
-    concatenated with its a.  Each trial draws a's angles, a, b's
-    angle, b, c's angle, c, as one trial alone would."""
+    concatenated with its a.  A block draws the angles of every a,
+    then the a chains, then b's angles and chains, then c's."""
     # angles stay above 0.05 because the concatenation error grows like
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
-    # pi/2) angles, 30 000 trials gave a worst error of 1.7e-12 at factor
-    # norm 7.2e-4; a factor at angle 1e-6 gives 2.4e-9, past _CHECK_TOL.
-    # With the floor, seeds 0-149 at 200 trials give a worst of 1.3e-13.
+    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.3e-12
+    # at factor norm 8.6e-4; a factor at angle 1e-6 gives 2.4e-9, past
+    # _CHECK_TOL.  With the floor, seeds 0-149 at 200 trials give a worst
+    # of 9.4e-14.
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
-    for ns, counts, rngs in _trial_blocks(trials, seed, arcs=2):
-        parts = _chains(rngs, ns, [g.uniform(lo, hi, c)
-                                   for g, c in zip(rngs, counts)], 12)
+    for ns, counts, rng in _trial_blocks(trials, seed, arcs=2):
+        parts = _chains(rng, ns, np.split(rng.uniform(lo, hi, counts.sum()),
+                                          np.cumsum(counts)[:-1]), 12)
         end = np.empty((len(ns), ns[-1] + 1), complex)
         for _, rows, a in parts:
             end[rows] = a[0][:, -1]
         # b, then c, on the whole block
         bc = []
         for _ in range(2):
-            [(_, _, path)] = _chains(rngs, ns, [g.uniform(lo, hi, 1)
-                                                for g in rngs], 12, end)
+            [(_, _, path)] = _chains(
+                rng, ns, rng.uniform(lo, hi, (len(ns), 1)), 12, end)
             bc.append(path)
             end = path[0][:, -1]
         for _, rows, a in parts:
@@ -926,18 +923,19 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
                    f"worst error {worst_assoc:.3e}")))
 
 
-def _halfcircle_rows(ns: np.ndarray, rngs) -> tuple:
+def _halfcircle_rows(ns: np.ndarray, rng: np.random.Generator) -> tuple:
     """halfcircle_check's five measured errors of each trial of a block,
-    its dimensions ns and generators as _trial_blocks yields them."""
+    its dimensions ns and generator as _trial_blocks yields them."""
     # the geodesic leaving in the normal direction i u returns to the
     # real locus every quarter period (arclengths 0..4), alternating the
     # two points, and recurs after pi (0.3 against 0.3 + pi); compare
     # pairings, not arccos distances, which amplify roundoff
     arclengths = [k * math.pi / 2 for k in range(5)] + [0.3, 0.3 + math.pi]
-    x = _padded(ns, ns[-1] + 1, lambda s, w: _real_points(rngs[s], w - 1))
+    x = _padded(ns, ns[-1] + 1,
+                lambda s, w: _real_points(rng, len(ns[s]), w - 1))
     r = _real_reps(x)
-    u = _padded(ns, len(x[0]), lambda s, w: _tangents(r[s, :w], rngs[s]))
-    theta = np.array([rng.uniform(-math.pi, math.pi) for rng in rngs])
+    u = _padded(ns, len(x[0]), lambda s, w: _tangents(r[s, :w], rng))
+    theta = rng.uniform(-math.pi, math.pi, len(ns))
     hc, t = _half_circles(r, u, theta, 48)
     end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi), theta))
     basis = np.stack([r.astype(complex), u], axis=1)
@@ -960,9 +958,9 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     locus in a normal direction, plus where the norm peaks over a grid
     of angles."""
     worst = np.full(5, -math.inf)
-    for ns, _, rngs in _trial_blocks(trials, seed):
+    for ns, _, rng in _trial_blocks(trials, seed):
         worst = np.maximum(worst, [np.max(w) for w in
-                                   _halfcircle_rows(ns, rngs)])
+                                   _halfcircle_rows(ns, rng)])
     names = ("endpoint matches the geodesic construction",
              "norm never exceeds a quarter circumference",
              "samples stay on the spanned line",
@@ -975,8 +973,8 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     # 7.7e-4 lower
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 101)
     rng = np.random.default_rng(seed)
-    r = _real_reps(_real_points([rng], 2))
-    u = _tangents(r, [rng])
+    r = _real_reps(_real_points(rng, 1, 2))
+    u = _tangents(r, rng)
     arcs, t = _half_circles(np.repeat(r, grid.size, axis=0),
                             np.repeat(u, grid.size, axis=0), grid, 48)
     peak = float(grid[int(np.argmax(np.sqrt(_energies(arcs, t))))])
@@ -994,19 +992,19 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
     worst = -math.inf
-    for ns, counts, rngs in _trial_blocks(trials, seed, arcs=3):
-        thetas = [g.uniform(0.0, 0.5 * math.pi, c)
-                  for g, c in zip(rngs, counts)]
-        for k, _, (pts, t) in _chains(rngs, ns, thetas, 16):
+    for ns, counts, rng in _trial_blocks(trials, seed, arcs=3):
+        thetas = np.split(rng.uniform(0.0, 0.5 * math.pi, counts.sum()),
+                          np.cumsum(counts)[:-1])
+        for k, _, (pts, t) in _chains(rng, ns, thetas, 16):
             worst = max(worst, float(np.max(np.sqrt(_energies(pts, t))
                                             - k * 0.5 * math.pi)))
     items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
                        f"worst excess {worst:.3e}")]
-    # right-angle samples, rows n = 1, 2, 3 of one chain, whose paths come
-    # in that order: the worst error over seeds 0-199 is 5.0e-13
+    # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
+    # generator, whose paths come in that order: the worst error over
+    # seeds 0-199 is 5.0e-13
     for k, rows, (pts, t) in _chains(
-            [np.random.default_rng([seed, 10_000 + n, k])
-             for n, k in ((1, 2), (2, 2), (3, 3))], [1, 2, 3],
+            np.random.default_rng([seed, 10_000]), [1, 2, 3],
             [np.full(k, 0.5 * math.pi) for k in (2, 2, 3)], 40):
         for n, norm in zip(rows + 1, np.sqrt(_energies(pts, t)).tolist()):
             err = abs(norm - k * 0.5 * math.pi)
@@ -1014,7 +1012,7 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
                 f"right-angle sample n={n} k={k} reaches the critical norm",
                 err < _CHECK_TOL, f"error {err:.3e}; family dimension "
                 f"(k+1)n = {yk_parameter_count(n, k)}"))
-    r = _real_reps(_real_points([np.random.default_rng(seed)] * 20, 3))
+    r = _real_reps(_real_points(np.random.default_rng(seed), 20, 3))
     triple = np.stack([_skew(r, w) for w in ("J1", "J2", "J3")], axis=1)
     gram = triple @ triple.transpose(0, 2, 1)
     gram_ok = bool(np.max(np.abs(gram - np.eye(3))) < _GRAM_TOL

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathalg import _seeding, geometry
+from pathalg import geometry
 from pathalg.geometry import (
     DiscretePath,
     GradientCheckError,
@@ -872,10 +872,58 @@ def same_bits(a, b) -> bool:
 def batch_inputs(n: int, rows: int, seed: int):
     """Complex points, their real representatives and real unit
     tangents there, one row each, drawn through the kernels."""
-    rngs = [np.random.default_rng([seed, i]) for i in range(rows)]
-    x = geometry._real_points(rngs, n)
+    rng = np.random.default_rng(seed)
+    x = geometry._real_points(rng, rows, n)
     r = geometry._real_reps(x)
-    return x, r, geometry._tangents(r, rngs)
+    return x, r, geometry._tangents(r, rng)
+
+
+class Recorded:
+    """A generator that hands on each draw of rng and keeps a copy, as
+    (method, array), in draws: the caller may change the array."""
+
+    def __init__(self, rng) -> None:
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args):
+            out = getattr(self.rng, name)(*args)
+            self.draws.append((name, np.copy(out)))
+            return out
+        return draw
+
+
+class Replayed:
+    """A generator that returns the given (method, values) draws in
+    order, each in the shape asked for, and refuses any other draw."""
+
+    def __init__(self, draws) -> None:
+        self.draws = iter(draws)
+
+    def __getattr__(self, name):
+        def draw(*args):
+            want, values = next(self.draws)
+            assert name == want
+            return np.reshape(values, args[-1])
+        return draw
+
+
+def row_draws(draws, groups) -> dict:
+    """Each row's share of a block's recorded draws: the k-th draw
+    holds one entry per row of groups[k], in that order."""
+    assert len(draws) == len(groups)
+    rows = defaultdict(list)
+    for (name, out), group in zip(draws, groups):
+        assert len(out) == len(group)
+        for i, values in zip(group, out):
+            rows[i].append((name, values))
+    return rows
+
+
+def width_runs(ns: np.ndarray, live) -> list:
+    """The rows of each run of equal n among the live rows, n
+    ascending: the rows of one draw of _padded."""
+    return [np.flatnonzero(live & (ns == n)) for n in sorted(set(ns[live]))]
 
 
 class TestBatchKernels:
@@ -887,8 +935,8 @@ class TestBatchKernels:
                            -1.2, 1e-6])
         arcs = geometry._half_circles(r, u, thetas, 17)
         chains = geometry._chains(
-            [np.random.default_rng([9, i]) for i in range(7)], [n] * 7,
-            np.full((7, 2), 0.7), 9, arcs[0][:, -1])[0][2]
+            np.random.default_rng(9), [n] * 7, np.full((7, 2), 0.7), 9,
+            arcs[0][:, -1])[0][2]
         arclengths = [0.0, 0.3, math.pi / 2, 2.0]
         cases = [
             (geometry._unit_rows, (x * 3.0 - 1j,)),
@@ -910,15 +958,6 @@ class TestBatchKernels:
                 alone = kernel(*(a[i:i + 1] if isinstance(a, np.ndarray)
                                  else a for a in args))
                 assert same_bits(batch[i:i + 1], alone)
-
-    def test_tangents_draw_each_row_from_its_generator(self):
-        _, r, _ = batch_inputs(2, 5, 4)
-        batch = geometry._tangents(
-            r, [np.random.default_rng([1, i]) for i in range(5)])
-        for i in range(5):
-            alone = geometry._tangents(r[i:i + 1],
-                                       [np.random.default_rng([1, i])])
-            assert same_bits(batch[i:i + 1], alone)
 
     # the changes that keep the shapes, so the bad path stacks with good
     # ones
@@ -1007,21 +1046,26 @@ class TestPaddedBlocks:
 
     @pytest.mark.parametrize("start", [False, True])
     def test_a_mixed_block_of_chains_keeps_each_rows_bits(self, start):
-        ns = [1, 1, 1, 2, 2, 3, 3, 3]
+        # each row is replayed alone on the draws the block gave it: its
+        # base point unless a start is given, then one direction an arc
+        ns = np.array([1, 1, 1, 2, 2, 3, 3, 3])
         thetas = [np.full(3, 1.3), np.full(2, 0.4), np.full(1, 0.9),
                   np.full(2, 1.1), np.full(1, 0.2),
                   np.full(3, 0.6), np.full(3, 1.5), np.full(1, 0.8)]
+        counts = np.array([len(row) for row in thetas])
         starts = [batch_inputs(n, 1, 7 * i)[0] for i, n in enumerate(ns)]
-        block = geometry._chains(
-            [np.random.default_rng([31, i]) for i in range(len(ns))], ns,
-            thetas, 7, np.concatenate([zero_padded(x) for x in starts])
-            if start else None)
+        rng = Recorded(np.random.default_rng(31))
+        block = geometry._chains(rng, ns, thetas, 7, np.concatenate(
+            [zero_padded(x) for x in starts]) if start else None)
+        draws = row_draws(rng.draws, [
+            *([] if start else width_runs(ns, ns > 0)),
+            *(run for j in range(3) for run in width_runs(ns, counts > j))])
         assert sorted(i for _, rows, _ in block for i in rows) == \
             list(range(len(ns)))
         for k, rows, (pts, t) in block:
             for j, i in enumerate(rows.tolist()):
                 [(k_alone, _, (want_pts, want_t))] = geometry._chains(
-                    [np.random.default_rng([31, i])], [ns[i]], [thetas[i]],
+                    Replayed(draws[i]), [ns[i]], [thetas[i]],
                     7, starts[i] if start else None)
                 assert k == k_alone == len(thetas[i])
                 assert same_bits(pts[j, :, :ns[i] + 1], want_pts[0])
@@ -1032,8 +1076,9 @@ class TestPaddedBlocks:
             self, monkeypatch):
         # halfcircle_check's path on one block: the real representatives,
         # the half-circles, both geodesic calls and the five measured
-        # errors of each row are those of the row run alone
-        ns = [1, 1, 2, 2, 2, 3, 3, 3]
+        # errors of each row are those of the row run alone on the draws
+        # the block gave it
+        ns = np.array([1, 1, 2, 2, 2, 3, 3, 3])
         calls = []
         for name in ("_real_reps", "_half_circles", "_geodesics"):
             def record(*args, kernel=getattr(geometry, name), name=name):
@@ -1044,16 +1089,19 @@ class TestPaddedBlocks:
             monkeypatch.setattr(geometry, name, record)
         for seed in range(10):
             calls.clear()
-            block = geometry._halfcircle_rows(
-                np.array(ns), [np.random.default_rng([seed, i])
-                               for i in range(len(ns))])
+            rng = Recorded(np.random.default_rng(seed))
+            block = geometry._halfcircle_rows(ns, rng)
             seen = calls[:]
             assert [name for name, _ in seen] == [
                 "_real_reps", "_half_circles", "_geodesics", "_geodesics"]
-            for i, n in enumerate(ns):
+            # the points and the directions a width at a time, then the
+            # angles of the whole block
+            draws = row_draws(rng.draws, [*width_runs(ns, ns > 0) * 2,
+                                          np.arange(len(ns))])
+            for i, n in enumerate(ns.tolist()):
                 calls.clear()
-                alone = geometry._halfcircle_rows(
-                    np.array([n]), [np.random.default_rng([seed, i])])
+                alone = geometry._halfcircle_rows(np.array([n]),
+                                                  Replayed(draws[i]))
                 for (name, got), (_, want) in zip(seen, calls, strict=True):
                     assert same_bits(got[i:i + 1, ..., :n + 1], want), name
                     assert not got[i, ..., n + 1:].any(), name
@@ -1085,7 +1133,7 @@ def refusals():
         (lambda: yk_parameter_count(0, 1), ValueError, "n must be >= 1"),
         (lambda: random_real_tangent(real_point([1.0]), RNG), ValueError,
          "a point with fewer than two coordinates has no tangent"),
-        (lambda: geometry._tangents(np.ones((3, 1)), [RNG] * 3), ValueError,
+        (lambda: geometry._tangents(np.ones((3, 1)), RNG), ValueError,
          "a point with fewer than two coordinates has no tangent"),
         (lambda: sample_yk(2, 2, RNG, thetas=[0.5, 0.5, 0.5]), ValueError,
          "need exactly 2 angles"),
@@ -1113,8 +1161,10 @@ def test_refusals_keep_their_types_and_messages(call, error, message):
 
 # report lines of the three sampling suites at the benchmark's trial
 # counts (60, 20, 100) and at the command-line defaults (1000, 200, 200),
-# seeds 0-9, written by the per-trial implementation the trial axis
-# replaced; keys are "suite trials seed"
+# seeds 0-9, written by a per-trial implementation that gave each trial
+# its own generator; keys are "suite trials seed".  The suites draw each
+# block from one generator, so only the verdicts are compared; every
+# printed worst value must stay below _CHECK_TOL
 SAMPLING_REPORTS = json.loads(
     (Path(__file__).parent / "sampling_reports.json").read_text())
 # printed worst errors, with the word that precedes them
@@ -1128,121 +1178,58 @@ def verdict(line: str) -> str:
     return head.replace("theta = -", "theta = +")
 
 
-def record_trials(monkeypatch) -> tuple[list, dict, dict]:
-    """Capture the suites' trial generators in trial order, and per
-    generator the angles of each _chains call and the (base, direction)
-    rows of each _tangents call, as bytes.  Every generator seen is kept
-    alive, so no two share an id."""
-    gens, angles, tangents = [], defaultdict(list), defaultdict(list)
-    seen = []
-    trial_rngs, chains, draw = (geometry._trial_rngs, geometry._chains,
-                                geometry._tangents)
-
-    def recording_rngs(trials, seed):
-        for rng in trial_rngs(trials, seed):
-            gens.append(rng)
-            yield rng
-
-    def recording_chains(rngs, n, thetas, *rest):
-        seen.extend(rngs)
-        for rng, row in zip(rngs, thetas):
-            angles[id(rng)].append(row.tobytes())
-        return chains(rngs, n, thetas, *rest)
-
-    def recording_tangents(r, rngs):
-        u = draw(r, rngs)
-        seen.extend(rngs)
-        for rng, base, direction in zip(rngs, r, u):
-            tangents[id(rng)].append((base.tobytes(), direction.tobytes()))
-        return u
-
-    monkeypatch.setattr(geometry, "_trial_rngs", recording_rngs)
-    monkeypatch.setattr(geometry, "_chains", recording_chains)
-    monkeypatch.setattr(geometry, "_tangents", recording_tangents)
-    return gens, angles, tangents
-
-
-def concat_trial(rng) -> None:
-    """One trial of concat_check, drawn through sample_yk."""
-    n, arcs = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-    a = sample_yk(n, arcs, rng, rng.uniform(0.05, math.pi / 2, arcs), 12)
-    b = sample_yk(n, 1, rng, rng.uniform(0.05, math.pi / 2, 1), 12,
-                  start=a.end())
-    sample_yk(n, 1, rng, rng.uniform(0.05, math.pi / 2, 1), 12,
-              start=b.end())
-
-
-def halfcircle_trial(rng) -> None:
-    """One trial of halfcircle_check, drawn through the point API."""
-    x = random_real_point(int(rng.integers(1, 4)), rng)
-    random_real_tangent(x, rng)
-    rng.uniform(-math.pi, math.pi)
-
-
-def yk_trial(rng) -> None:
-    """One trial of yk_check, drawn through sample_yk."""
-    n, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    sample_yk(n, k, rng, samples_per_arc=16)
-
-
-# seeds and trial indices of one, two and more 32-bit words
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30]
-INDICES = [0, 255, 256, 2**32 - 1, 2**32, 2**33 + 5]
-
-
-class TestSeeding:
-    """_seeding's vectorized SeedSequence hash against numpy's own, so a
-    numpy release that changes SeedSequence fails here instead of
-    moving the suites' printed digits."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_are_seed_sequence_states(self, seed):
-        got = _seeding.states(seed, INDICES)
-        assert got.dtype == np.uint64 and got.shape == (len(INDICES), 4)
-        for i, state in zip(INDICES, got):
-            want = np.random.SeedSequence([seed, i]).generate_state(
-                4, np.uint64)
-            assert state.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_generators_are_default_rng(self, seed):
-        # blocks of 4 split the indices where their word count changes
-        for i, rng in zip(INDICES, _seeding.generators(seed, INDICES, 4),
-                          strict=True):
-            alone = np.random.default_rng([seed, i])
-            assert rng.bit_generator.state == alone.bit_generator.state
-            assert rng.random(3).tolist() == alone.random(3).tolist()
-
-    @pytest.mark.parametrize("seed, error", [
-        (-1, ValueError), (1.5, TypeError)])
-    def test_seeds_default_rng_refuses_are_refused(self, seed, error):
-        with pytest.raises(error):
-            np.random.default_rng([seed, 0])
-        with pytest.raises(error):
-            _seeding.states(seed, [0])
-
-
 class TestTrialAxis:
     @pytest.mark.parametrize("seed", [5, 2**32 + 5, 2**64 + 5])
-    @pytest.mark.parametrize("suite, trial", [
-        (concat_check, concat_trial), (halfcircle_check, halfcircle_trial),
-        (yk_check, yk_trial)])
-    def test_suites_draw_what_one_trial_at_a_time_draws(
-            self, monkeypatch, suite, trial, seed):
-        # blocks of 16 put trials 0-39 in three blocks
+    @pytest.mark.parametrize("suite, arcs", [
+        (concat_check, 2), (halfcircle_check, 0), (yk_check, 3)])
+    def test_each_block_draws_from_its_own_generator(
+            self, monkeypatch, suite, arcs, seed):
+        # blocks of 16 put trials 0-39 in three blocks; block b draws
+        # from default_rng([seed, b]) its dimensions, then its arc
+        # counts, and lists its trials by n, count (most first), trial
+        blocks, made = [], []
+        trial_blocks = geometry._trial_blocks
+        default_rng = np.random.default_rng
+
+        def recording_blocks(*args, **kwargs):
+            for ns, counts, rng in trial_blocks(*args, **kwargs):
+                blocks.append((ns, counts, rng, rng.bit_generator.state))
+                yield ns, counts, rng
+
+        def recording_rng(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
         monkeypatch.setattr(geometry, "_TRIAL_BLOCK", 16)
-        gens, angles, tangents = record_trials(monkeypatch)
+        monkeypatch.setattr(geometry, "_trial_blocks", recording_blocks)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
         suite(40, seed=seed)
-        assert len(gens) == 40
-        for i, rng in enumerate(gens):
-            alone = np.random.default_rng([seed, i])
-            trial(alone)
-            # n, the arc count, the angles, every arc's base point and
-            # direction, and no draw more or less
-            assert angles[id(rng)] == angles[id(alone)]
-            assert tangents[id(rng)] == tangents[id(alone)]
-            assert len(tangents[id(rng)]) >= 1
-            assert rng.bit_generator.state == alone.bit_generator.state
+        monkeypatch.undo()
+        assert [len(ns) for ns, *_ in blocks] == [16, 16, 8]
+        for b, (ns, counts, rng, state) in enumerate(blocks):
+            assert rng is made[b]
+            alone = np.random.default_rng([seed, b])
+            want_ns = alone.integers(1, 4, len(ns))
+            want_counts = (alone.integers(1, arcs + 1, len(ns)) if arcs
+                           else np.zeros(len(ns), int))
+            order = sorted(range(len(ns)), key=lambda i: (
+                want_ns[i], -want_counts[i], i))
+            assert ns.tolist() == want_ns[order].tolist()
+            assert counts.tolist() == want_counts[order].tolist()
+            assert state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("suite", [concat_check, halfcircle_check,
+                                       yk_check])
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (1.5, TypeError), (2**64 + 3, None),
+        (10**30, None)])
+    def test_suites_take_the_seeds_default_rng_takes(self, suite, seed,
+                                                     error):
+        if error is None:
+            assert suite(5, seed=seed).passed
+        else:
+            with pytest.raises(error):
+                suite(5, seed=seed)
 
     @pytest.mark.parametrize("key", sorted(SAMPLING_REPORTS))
     def test_verdicts_match_the_per_trial_reports(self, key):
