@@ -894,8 +894,9 @@ class Recorded:
 
 
 class Replayed:
-    """A generator that returns the given (method, values) draws in
-    order, each in the shape asked for, and refuses any other draw."""
+    """A generator that returns a copy of each given (method, values)
+    draw in order, in the shape asked for, and refuses any other draw;
+    the caller may change the copy."""
 
     def __init__(self, draws) -> None:
         self.draws = iter(draws)
@@ -904,7 +905,7 @@ class Replayed:
         def draw(*args):
             want, values = next(self.draws)
             assert name == want
-            return np.reshape(values, args[-1])
+            return np.reshape(np.copy(values), args[-1])
         return draw
 
 
@@ -958,6 +959,30 @@ class TestBatchKernels:
                 alone = kernel(*(a[i:i + 1] if isinstance(a, np.ndarray)
                                  else a for a in args))
                 assert same_bits(batch[i:i + 1], alone)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tangents_redraw_only_the_short_rows(self, n):
+        # rows 1 and 3 first draw along their point, so their projections
+        # are 0; row 3 does so again on the redraw.  Each pass draws one
+        # array for the rows left, and each row keeps the bits it has
+        # alone on its own share of the draws
+        _, r, _ = batch_inputs(n, 5, 40 + n)
+        rng = np.random.default_rng(n)
+        first, second, third = (rng.standard_normal((rows, n + 1))
+                                for rows in (5, 2, 1))
+        first[[1, 3]] = 2.5 * r[[1, 3]]
+        second[1] = -r[3]
+        shares = {0: [first[0]], 1: [first[1], second[0]], 2: [first[2]],
+                  3: [first[3], second[1], third[0]], 4: [first[4]]}
+        block = Replayed(("standard_normal", a) for a in (first, second,
+                                                          third))
+        batch = geometry._tangents(r, block)
+        assert next(block.draws, None) is None
+        for i, share in shares.items():
+            alone = Replayed(("standard_normal", a) for a in share)
+            assert same_bits(batch[i:i + 1],
+                             geometry._tangents(r[i:i + 1], alone))
+            assert next(alone.draws, None) is None
 
     # the changes that keep the shapes, so the bad path stacks with good
     # ones
@@ -1149,6 +1174,8 @@ def refusals():
          "need n >= 1 and k >= 0"),
         (lambda: critical_index(2, -1), ValueError,
          "need n >= 1 and k >= 0"),
+        *((lambda suite=suite: suite(0), ValueError, "need trials >= 1")
+          for suite in (concat_check, halfcircle_check, yk_check)),
     ]
 
 
