@@ -55,7 +55,6 @@ from .homology import (
     COEFF_Z,
     AbelianGroup,
     CoefficientError,
-    GysinError,
     block_local_system,
     block_systems,
     consistency_checks,

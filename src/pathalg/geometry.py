@@ -25,8 +25,11 @@ orthogonality bound and _real_reps' imaginary-part bound, both far
 inside their bounds.  The draws run per width (_padded), so each row
 rounds as it would alone.
 Block b of a suite draws all its inputs as arrays from one generator,
-default_rng([seed, b]), and concat_check chains its arcs b and c once
-per block, whatever a's arc count.
+default_rng([0, b, seed]), and the suite's j-th stream outside its
+blocks is default_rng([1, j, seed]): two one-word prefixes before the
+seed, whose words may be many, so no two streams share a key.
+concat_check chains its arcs b and c once per block, whatever a's arc
+count.
 """
 
 from __future__ import annotations
@@ -46,24 +49,24 @@ _REAL_TOL = 1e-9
 _ENDPOINT_TOL = 1e-8
 # worst cases below are measured over the four suites at their default
 # sizes, seeds 0-9 (index at (n, k) = (1, 1), (2, 2), (3, 1), (4, 3),
-# (1, 12)), each sampling block drawing from its one generator.
+# (1, 12)), the sampling streams keyed [0, b, seed] and [1, j, seed].
 # DiscretePath's bounds on its end breakpoints' distance from 0 and 1
 # (every constructor sets both exactly: worst 0.0) and on the unit
-# defect of a sample (worst 2.2e-16)
+# defect of a sample (worst 4.4e-16)
 _PARAM_END_TOL = 1e-12
 _SAMPLE_UNIT_TOL = 1e-9
 # concat_min keeps the junction breakpoint s this far inside (0, 1), so
 # the breakpoints stay increasing after a zero-norm factor; the smallest
-# min(s, 1 - s) of two nonzero factors is 7.8e-6
+# min(s, 1 - s) of two nonzero factors is 5.0e-4
 _JUNCTION_CLAMP = 1e-12
 # half_circle returns the constant path when |sin theta| < _FLAT_SIN
 # (theta = 0 reduced mod pi leaves at most 2.2e-16; the smallest other
-# value is 2.1e-6), and lifts a sample to u itself when a^2 <= _SOUTH_A2
-# (exactly 0.0 at the south pole; the smallest elsewhere is 1.4e-10)
+# value is 2.0e-4), and lifts a sample to u itself when a^2 <= _SOUTH_A2
+# (exactly 0.0 at the south pole; the smallest elsewhere is 1.5e-9)
 _FLAT_SIN = 1e-13
 _SOUTH_A2 = 1e-15
 # random_real_tangent redraws a projection shorter than this; the
-# shortest drawn is 1.1e-4, so none was redrawn
+# shortest drawn is 9.2e-5, so none was redrawn
 _TANGENT_REDRAW = 1e-6
 # yk_check's bound on the Gram and tangency defects of the skew-pairing
 # triple: worst 4.4e-16
@@ -76,8 +79,8 @@ _GRAD_TOL = 1e-8
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
-# default trials, seeds 0-9, is 8.4e-14 on the drawn trials, about
-# 12 000 times below, and 4.3e-13 on yk_check's right-angle samples
+# default trials, seeds 0-9, is 7.1e-14 on the drawn trials, about
+# 14 000 times below, and 4.8e-13 on yk_check's right-angle samples
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
@@ -837,7 +840,7 @@ def critical_index(n: int, k: int,
 
 def _trial_blocks(trials: int, seed: int, arcs: int = 0):
     """The trials _TRIAL_BLOCK at a time, as (ns, counts, rng): block b
-    draws all its inputs as arrays from rng = default_rng([seed, b]),
+    draws all its inputs as arrays from rng = default_rng([0, b, seed]),
     first the dimensions n in 1..3, then for a chain suite (arcs > 0)
     the arc counts in 1..arcs, else 0s.  A block lists its trials by n,
     then by count, most first, in trial order among equal pairs, as
@@ -845,7 +848,7 @@ def _trial_blocks(trials: int, seed: int, arcs: int = 0):
     if trials < 1:
         raise ValueError("need trials >= 1")
     for b, start in enumerate(range(0, trials, _TRIAL_BLOCK)):
-        rng = np.random.default_rng([seed, b])
+        rng = np.random.default_rng([0, b, seed])
         size = min(_TRIAL_BLOCK, trials - start)
         ns = rng.integers(1, 4, size)
         counts = (rng.integers(1, arcs + 1, size) if arcs
@@ -890,7 +893,7 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.3e-12
     # at factor norm 8.6e-4; a factor at angle 1e-6 gives 2.4e-9, past
     # _CHECK_TOL.  With the floor, seeds 0-149 at 200 trials give a worst
-    # of 9.4e-14.
+    # of 7.2e-14.
     lo, hi = 0.05, 0.5 * math.pi
     worst_add = worst_assoc = 0.0
     for ns, counts, rng in _trial_blocks(trials, seed, arcs=2):
@@ -972,7 +975,7 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     # which tie up to roundoff; the nearest other grid point is about
     # 7.7e-4 lower
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 101)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([1, 0, seed])
     r = _real_reps(_real_points(rng, 1, 2))
     u = _tangents(r, rng)
     arcs, t = _half_circles(np.repeat(r, grid.size, axis=0),
@@ -1002,9 +1005,9 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
                        f"worst excess {worst:.3e}")]
     # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
     # generator, whose paths come in that order: the worst error over
-    # seeds 0-199 is 5.0e-13
+    # seeds 0-199 is 4.9e-13
     for k, rows, (pts, t) in _chains(
-            np.random.default_rng([seed, 10_000]), [1, 2, 3],
+            np.random.default_rng([1, 0, seed]), [1, 2, 3],
             [np.full(k, 0.5 * math.pi) for k in (2, 2, 3)], 40):
         for n, norm in zip(rows + 1, np.sqrt(_energies(pts, t)).tolist()):
             err = abs(norm - k * 0.5 * math.pi)
@@ -1012,7 +1015,8 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
                 f"right-angle sample n={n} k={k} reaches the critical norm",
                 err < _CHECK_TOL, f"error {err:.3e}; family dimension "
                 f"(k+1)n = {yk_parameter_count(n, k)}"))
-    r = _real_reps(_real_points(np.random.default_rng(seed), 20, 3))
+    r = _real_reps(_real_points(np.random.default_rng([1, 1, seed]), 20,
+                                3))
     triple = np.stack([_skew(r, w) for w in ("J1", "J2", "J3")], axis=1)
     gram = triple @ triple.transpose(0, 2, 1)
     gram_ok = bool(np.max(np.abs(gram - np.eye(3))) < _GRAM_TOL

@@ -1,13 +1,15 @@
 """Independently assembled homology tables for the verification target.
 
-Everything here is closed-form: homology of real projective space with
-its three coefficient systems, homology of its unit tangent bundle via
-the two-row Gysin spectral sequence of the sphere bundle, and the
-assembly of the path-space table from one projective-space block plus
-one shifted unit-tangent block per filtration level, as a table up to
-a degree bound or, mod 2, as a series in every degree.  No rewriting code
-is consulted; agreement with the presented algebras is established by
-the comparison layer on top.
+Real projective space, with its three coefficient systems, and its unit
+tangent bundle are read off one cellular chain complex (_cellular):
+one row of cells for the base, a second row n - 1 degrees up for the
+sphere bundle, the rows carrying a local system l and l o (o the
+orientation system), and one boundary between them weighted by the
+Euler number of the base.  The path-space table is assembled from one
+projective-space block plus one shifted unit-tangent block per
+filtration level, as a table up to a degree bound or, mod 2, as a
+series in every degree.  No rewriting code is consulted; agreement with
+the presented algebras is established by the comparison layer on top.
 
 Degrees are homological and tables are finite.  A graded table is a
 tuple with one value per degree 0..top, the zero of its kind beyond:
@@ -28,6 +30,7 @@ cells, are tables.BigradedTable.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from dataclasses import dataclass, field
 
 from .tables import BigradedSeries, BigradedTable, CheckItem, CheckReport
@@ -40,12 +43,6 @@ COEFF_F2 = "F2"
 
 class CoefficientError(ValueError):
     """Unsupported coefficient system for the requested space."""
-
-
-class GysinError(RuntimeError):
-    """A cell of unit_tangent_homology's E2 page that even n corrects
-    does not hold the value that _GYSIN corrects it from: the rows'
-    closed forms and the correction disagree."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +67,11 @@ class AbelianGroup:
 
     def __bool__(self) -> bool:
         """True unless trivial, as a dimension is true unless zero."""
-        return self.rank > 0 or bool(self.torsion)
+        return bool(self.rank or self.torsion)
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
-        if not self or not other:
-            return other or self
-        return AbelianGroup(rank=self.rank + other.rank,
-                            torsion=tuple(sorted(self.torsion + other.torsion)))
+        return AbelianGroup(self.rank + other.rank,
+                            tuple(sorted(self.torsion + other.torsion)))
 
     def two_torsion(self) -> int:
         """Number of cyclic summands of even order; a Z/4 counts once."""
@@ -99,110 +94,132 @@ Z4 = AbelianGroup(torsion=(4,))
 
 
 # ---------------------------------------------------------------------------
-# Real projective space
+# Cellular homology of real projective space and its unit tangent bundle
+
+
+def _cellular(n, systems, euler, mod2):
+    """Homology over Z, or over F2 if mod2, of a cellular chain complex
+    over n-dimensional real projective space with one or two rows of
+    cells, one AbelianGroup or dimension per degree.  Row r carries the
+    rank-one local system of monodromy systems[r] = +-1 and sits r(n - 1)
+    degrees up; euler, 0 or 1, is the boundary that crosses the rows.
+
+    The boundary.  RP^n has one cell e^i for each i = 0..n, attached by
+    the double cover S^(i-1) -> RP^(i-1).  With coefficients in a local
+    system of monodromy l around the generator of the fundamental group
+    (Hatcher, Algebraic Topology, section 3.H), the incidence number of
+    e^i on e^(i-1) sums over the two sheets of that cover.  They differ
+    by the antipodal map of S^(i-1), of degree (-1)^i, and by the deck
+    transformation, which acts on the coefficients by l.  So
+    d e^i = (1 + (-1)^i l) e^(i-1) for i >= 1, and d e^0 = 0: 2 or 0 by
+    the parity of i.  The antipodal map of S^n has degree (-1)^(n+1), so
+    RP^n has the orientation system o = (-1)^(n+1).
+
+    The unit tangent bundle has fibre S^(n-1) = e^0 u e^(n-1) and is
+    trivial over each cell, so it has the cells e^i x e^0 (row 0, degree
+    i) and e^i x e^(n-1) (row 1, degree i + n - 1).  Row 0 is the image
+    of a section, which exists over the (n - 1)-skeleton as the fibre is
+    (n - 2)-connected, and carries l.  A cell of row 1 carries the
+    fibre's fundamental class, on which the generator of the fundamental
+    group acts by the orientation character of the tangent bundle, o:
+    row 1 carries l o.  A boundary out of row 1 lies over the base's
+    (i - 1)-skeleton, where row 0 has no cell of its degree i + n - 2 (at
+    n = 1 the fibre is two points, and euler = 0).  A boundary out of
+    row 0 lands in degree i - 1 <= n - 1, where row 1 has a cell only
+    for i = n: the one cross term is d(e^n x e^0) = ... + e (e^0 x
+    e^(n-1)).  The section extends over the top cell but for one point,
+    and e (e^0 x e^(n-1)) is the fibre sphere round that point counted
+    with the index there: the obstruction to extending it, that is the
+    Euler class (Milnor and Stasheff, Characteristic Classes), and by
+    Poincare-Hopf e = chi(RP^n) = (1 + (-1)^n)/2.  Its sign depends on
+    orientations and changes no group below.
+
+    Reading the groups.  For a complex of free modules, H_d is Z to the
+    number of cells of degree d less the ranks of the boundaries out of
+    degrees d and d + 1, plus Z/f for each invariant factor f > 1 of the
+    second.  Each degree holds at most two cells, so the boundary out of
+    a degree is [[a, 0], [x, b]], rows 0 and 1 of the target by rows 0
+    and 1 of the source, with invariant factors d1 = gcd(a, x, b) and
+    d2 = |ab| / d1.  Over F2 the entries are read mod 2: the rows'
+    coefficients 1 + l and 1 - l are even and vanish, every factor is 0
+    or 1, and H_d is a dimension.  One row reads b = x = 0.  A cell is
+    alone in its degree except at degrees n - 1 and n of two rows, and
+    next to those the other row adds only a zero row or column to a
+    boundary, which moves no rank or factor.  So each row is read alone,
+    its cells 1..n - 1 one group per parity, and degrees n - 1 and n are
+    read from the 2x2 block.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    groups = {}
+
+    def read(a, a1, cells=1, b1=0, x1=0, b=0, x=0):
+        # the group of a degree of cells cells whose boundary is
+        # [[a, 0], [x, b]], with [[a1, 0], [x1, b1]] out of the degree
+        # above; each distinct group is built once per call
+        d = gcd(a1, b1, x1)
+        free = cells - bool(a + b + x) - bool(a * b) - bool(d) - bool(a1 * b1)
+        if mod2:
+            return free
+        key = free, tuple(f for f in (d, d and a1 * b1 // d) if f > 1)
+        return groups[key] if key in groups else groups.setdefault(
+            key, AbelianGroup(*key))
+
+    table = ()
+    for l in systems:
+        # the boundary coefficients 1 + l and 1 - l of the row's even and
+        # odd cells (cell 0 has none), both even
+        even, odd = pair = (0, 0) if mod2 else (1 + l, 1 - l)
+        row = (read(0, odd), *((read(odd, even), read(even, odd)) * n)[:n - 1],
+               read(pair[n % 2], 0))
+        # a second row shares degrees n - 1 and n with the first, whose
+        # cells n - 1 and n meet its cells 0 and 1 (it has no cell 2 at n = 1)
+        table = table[:n - 1] + (
+            read(n > 1 and first[1 - n % 2], first[n % 2], 2, odd, euler),
+            read(first[n % 2], 0, 2, n > 1 and even, 0, odd, euler)
+        ) + row[2:] if table else row
+        first = pair
+    return table
 
 
 def real_proj_homology(n: int, coeff: str) -> tuple:
     """Homology of n-dimensional real projective space, one dimension
-    (COEFF_F2) or AbelianGroup per degree 0..n.
+    (COEFF_F2) or AbelianGroup per degree 0..n: the one-row case of
+    _cellular.
 
-    Coefficients: COEFF_Z, COEFF_TWISTED (the orientation system, which
-    is trivial for odd n), or COEFF_F2.  The groups are read off the
-    cellular complex with one cell in each degree 0..n (Hatcher,
-    section 2.2): the boundary map out of the d-cell, 0 < d <= n,
-    multiplies by 2 for even d and by 0 for odd d, with the two parities
-    swapped for the twisted system of an even n.  So H_d = ker / im is
-    0 where the map out of the d-cell doubles, else Z modulo the image
-    of the map into it: Z/2 or Z.  Mod 2 every map vanishes.
+    Coefficients: COEFF_Z, COEFF_TWISTED (the orientation system o,
+    which is trivial for odd n), or COEFF_F2.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if coeff == COEFF_F2:
-        return (1,) * (n + 1)
-    if coeff not in (COEFF_Z, COEFF_TWISTED):
+    # _cellular refuses n < 1 before any coefficient system
+    if n > 0 and coeff not in (COEFF_Z, COEFF_TWISTED, COEFF_F2):
         raise CoefficientError(
             f"projective space supports {COEFF_Z}, {COEFF_TWISTED}, "
             f"{COEFF_F2}; got {coeff!r}")
-    twisted = coeff == COEFF_TWISTED and n % 2 == 0
-    # whether the boundary map out of the d-cell doubles, d = 0..n + 1
-    doubles = [0 < d <= n and d % 2 == twisted for d in range(n + 2)]
-    return tuple(ZERO_GROUP if out else Z2 if into else Z
-                 for out, into in zip(doubles, doubles[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Unit tangent bundle
-
-
-def _shift_sum(row0: tuple, row1: tuple, shift: int, top: int) -> list:
-    zero = type(row0[0])()  # 0 or the zero group
-    return [a + b for a, b in zip(row0 + (zero,) * (top + 1 - len(row0)),
-                                  (zero,) * shift + row1)]
-
-
-# unit_tangent_homology's Gysin assembly over each coefficient system:
-# the systems of the two rows, then each cell that even n corrects, as
-# (degree - (n - 1), E2 value, homology)
-_GYSIN = {
-    COEFF_Z: ((COEFF_Z, COEFF_TWISTED), ((0, Z2 + Z2, Z4),)),
-    COEFF_PULLBACK: ((COEFF_TWISTED, COEFF_Z),
-                     ((0, Z, ZERO_GROUP), (1, Z + Z2, Z2))),
-    COEFF_F2: ((COEFF_F2, COEFF_F2), ((0, 2, 1), (1, 2, 1))),
-}
+    return _cellular(n, ((-1) ** (n + 1) if coeff == COEFF_TWISTED else 1,),
+                     0, coeff == COEFF_F2)
 
 
 def unit_tangent_homology(n: int, coeff: str) -> tuple:
     """Homology of the unit tangent bundle of n-dimensional real
     projective space, a sphere bundle with (n-1)-dimensional fiber,
-    one dimension (COEFF_F2) or AbelianGroup per degree 0..2n-1.
+    one dimension (COEFF_F2) or AbelianGroup per degree 0..2n-1: the
+    two-row case of _cellular, with cross term chi(RP^n).
 
     Coefficients: COEFF_Z, COEFF_PULLBACK (the pullback of the
-    orientation system of the base), or COEFF_F2.
-
-    The Gysin sequence has two rows, the base homology and the base
-    homology shifted up by n-1.  The fiber sphere is oriented by the
-    orientation system of the base, so over COEFF_Z the rows carry the
-    trivial and the twisted system, over COEFF_PULLBACK the twisted and
-    the trivial one, and over F2 both carry F2.  The only possibly
-    nonzero differential is capping with the Euler class of the tangent
-    bundle.  The rows' direct sum is the E2 page; _GYSIN holds the rows'
-    systems and the cells that the cases below change.
-
-    Odd n: the Euler class vanishes (Euler number 0) and the rows
-    split, for both supported integral systems (the orientation system
-    is trivial then) and for F2.  At n = 1, a circle base with 0-sphere
-    fiber, this gives two disjoint circles.
-
-    Even n, trivial coefficients: the differential vanishes because its
-    source H_n of the base is zero, but the rows glue: in degree n-1
-    the two Z/2 summands extend to Z/4.
-
-    Even n, pullback coefficients: the Euler number of the base is 1,
-    so the differential is an isomorphism from the top twisted group of
-    row 0 onto the bottom free group of row 1; degree n-1 empties out
-    and degree n retains Z/2.
-
-    Even n, F2: the mod-2 Euler class is nonzero, killing one F2 in
-    each of degrees n-1 and n; every remaining degree 0..2n-1 carries
-    dimension 1.
+    orientation system o of the base, so l = o), or COEFF_F2.  Odd n
+    has chi = 0 and o = 1, so the rows split; at n = 1 they give two
+    disjoint circles.  Even n has chi = 1: over Z the cross term glues
+    the Z/2 of each row in degree n - 1 into Z/4, over the pullback
+    system it cancels the free group of degree n - 1 against that of
+    degree n, and mod 2 it kills one class in each of those degrees.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if coeff not in (COEFF_Z, COEFF_PULLBACK, COEFF_F2):
+    if n > 0 and coeff not in (COEFF_Z, COEFF_PULLBACK, COEFF_F2):
         raise CoefficientError(
             f"unit tangent bundle supports {COEFF_Z}, {COEFF_PULLBACK}, "
             f"{COEFF_F2}; got {coeff!r}")
-    (sys0, sys1), corrected = _GYSIN[coeff]
-    groups = _shift_sum(real_proj_homology(n, sys0),
-                        real_proj_homology(n, sys1), n - 1, 2 * n - 1)
-    if n % 2 == 0:
-        for d, e2, value in corrected:
-            if groups[n - 1 + d] != e2:
-                raise GysinError(f"E2 cell of degree {n - 1 + d} over "
-                                 f"{coeff} is {groups[n - 1 + d]!r}, "
-                                 f"not {e2!r} (n={n})")
-            groups[n - 1 + d] = value
-    return tuple(groups)
+    o = (-1) ** (n + 1)
+    return _cellular(n, (o, 1) if coeff == COEFF_PULLBACK else (1, o),
+                     1 - n % 2, coeff == COEFF_F2)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +315,15 @@ def uct_f2(table):
     """
     if isinstance(table, tuple):
         # H_d beside H_(d-1), one degree past each end
-        dims = [g.rank + g.two_torsion() + below.two_torsion()
+        dims = [g.rank + g._two + below._two
                 for g, below in zip(table + (ZERO_GROUP,),
                                     (ZERO_GROUP,) + table)]
         while dims and dims[-1] == 0:
             dims.pop()
         return tuple(dims)
-    cells: dict[tuple[int, int], int] = {}
+    cells = {}
     for (d, l), g in table.entries:
-        t = g.two_torsion()
+        t = g._two
         cells[d, l] = cells.get((d, l), 0) + g.rank + t
         if t and d < table.degree_bound:
             cells[d + 1, l] = cells.get((d + 1, l), 0) + t
@@ -355,7 +372,7 @@ def consistency_checks(n: int) -> CheckReport:
         detail=f"{f2_st}"))
 
     f2t = path_space_homology(n, COEFF_F2, n - 1)
-    low = [sum(f2t.get(d, l) for l in (0, 1)) for d in range(n)]
+    low = [f2t.get(d, 0) + f2t.get(d, 1) for d in range(n)]
     want = [stable_ranks(d) for d in range(n)]
     items.append(CheckItem(
         name="stable range at levels 0..1",

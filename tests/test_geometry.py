@@ -1212,7 +1212,7 @@ class TestTrialAxis:
     def test_each_block_draws_from_its_own_generator(
             self, monkeypatch, suite, arcs, seed):
         # blocks of 16 put trials 0-39 in three blocks; block b draws
-        # from default_rng([seed, b]) its dimensions, then its arc
+        # from default_rng([0, b, seed]) its dimensions, then its arc
         # counts, and lists its trials by n, count (most first), trial
         blocks, made = [], []
         trial_blocks = geometry._trial_blocks
@@ -1235,7 +1235,7 @@ class TestTrialAxis:
         assert [len(ns) for ns, *_ in blocks] == [16, 16, 8]
         for b, (ns, counts, rng, state) in enumerate(blocks):
             assert rng is made[b]
-            alone = np.random.default_rng([seed, b])
+            alone = np.random.default_rng([0, b, seed])
             want_ns = alone.integers(1, 4, len(ns))
             want_counts = (alone.integers(1, arcs + 1, len(ns)) if arcs
                            else np.zeros(len(ns), int))
@@ -1244,6 +1244,42 @@ class TestTrialAxis:
             assert ns.tolist() == want_ns[order].tolist()
             assert counts.tolist() == want_counts[order].tolist()
             assert state == alone.bit_generator.state
+
+    def test_seeds_past_one_word_repeat_no_block(self, monkeypatch):
+        # numpy splits a seed into 32-bit words and drops trailing zero
+        # words, so with the seed before the block index, seed
+        # 5 + 3 * 2**32 drew block 0 from the stream of seed 5, block 3
+        monkeypatch.setattr(geometry, "_TRIAL_BLOCK", 1)
+
+        def states(seed):
+            return [repr(rng.bit_generator.state)
+                    for *_, rng in geometry._trial_blocks(4, seed)]
+
+        far, near = states(5 + 3 * 2**32), states(5)
+        assert far[0] != near[3]
+        assert len(set(far + near)) == 8
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 7])
+    @pytest.mark.parametrize("suite, streams", [
+        (concat_check, 0), (halfcircle_check, 1), (yk_check, 2)])
+    def test_every_stream_of_a_suite_has_its_own_key(
+            self, monkeypatch, suite, streams, seed):
+        # blocks draw from [0, b, seed], the suite's other streams, in
+        # the order it opens them, from [1, j, seed]
+        keys, default_rng = [], np.random.default_rng
+
+        def recording_rng(key):
+            keys.append(key)
+            return default_rng(key)
+
+        monkeypatch.setattr(geometry, "_TRIAL_BLOCK", 16)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        suite(40, seed=seed)
+        monkeypatch.undo()
+        assert keys == ([[0, b, seed] for b in range(3)]
+                        + [[1, j, seed] for j in range(streams)])
+        states = {repr(default_rng(key).bit_generator.state) for key in keys}
+        assert len(states) == len(keys)
 
     @pytest.mark.parametrize("suite", [concat_check, halfcircle_check,
                                        yk_check])

@@ -1,21 +1,16 @@
-"""Closed-form homology tables and the bigraded assembly.
+"""Cellular homology tables and the bigraded assembly.
 
 The expected groups below are classical values, frozen by hand as
-oracles: projective spaces from the two-term cellular complex, unit
-tangent bundles from the two-row Gysin sequence.
+oracles: projective spaces from their cellular complex, unit tangent
+bundles from the two-row Gysin sequence and its known extension.
 """
 
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pathalg
 from pathalg import homology
 from pathalg.algebra import signature, unshifted_degree, word_level
 from pathalg.cli import main
@@ -26,7 +21,6 @@ from pathalg.homology import (
     COEFF_Z,
     AbelianGroup,
     CoefficientError,
-    GysinError,
     Z,
     Z2,
     Z4,
@@ -154,29 +148,33 @@ class TestUnitTangent:
         with pytest.raises(CoefficientError):
             unit_tangent_homology(2, COEFF_TWISTED)
 
-    def test_a_wrong_e2_value_is_a_typed_error(self, monkeypatch):
-        # the F2 correction in degree n - 1 starts from 3, not 2: the
-        # guard must raise in process and under python -O, which strips
-        # asserts
-        rows, cells = homology._GYSIN[COEFF_F2]
-        wrong = (rows, ((0, 3, 1),) + cells[1:])
-        monkeypatch.setitem(homology._GYSIN, COEFF_F2, wrong)
-        message = "E2 cell of degree 1 over F2 is 2, not 3 (n=2)"
-        with pytest.raises(GysinError, match=re.escape(message)):
-            unit_tangent_homology(2, COEFF_F2)
-        code = ("import sys\n"
-                "from pathalg import homology\n"
-                f"homology._GYSIN['F2'] = {wrong!r}\n"
-                "try:\n"
-                "    homology.unit_tangent_homology(2, 'F2')\n"
-                "except homology.GysinError as exc:\n"
-                "    print(sys.flags.optimize, exc)\n")
-        src = str(Path(pathalg.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert (done.returncode, done.stdout) == (0, f"1 {message}\n"), \
-            done.stderr
+
+class TestCellularModel:
+    """The chain complex behind both tables, read with chosen inputs."""
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_no_euler_term_gives_the_e2_page(self, n):
+        # without the cross term the rows split into the projective
+        # tables of l = 1 and of l o = -1, row 1 n - 1 degrees up: the E2
+        # page of the Gysin sequence, Z/2 + Z/2 where the bundle has Z/4
+        low = real_proj_homology(n, COEFF_Z) + (ZERO_GROUP,) * (n - 1)
+        high = (ZERO_GROUP,) * (n - 1) + real_proj_homology(n, COEFF_TWISTED)
+        e2 = homology._cellular(n, (1, -1), 0, False)
+        assert e2 == tuple(a + b for a, b in zip(low, high))
+        assert e2[n - 1] == Z2 + Z2
+        f2 = homology._cellular(n, (1, -1), 0, True)
+        assert (f2[n - 1], f2[n]) == (2, 2)
+        assert sum(f2) == 2 * n + 2
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_flipping_o_in_row_one_changes_the_integral_table(self, n):
+        # mod 2 every row's boundaries vanish, so the flip cannot show
+        o, euler = (-1) ** (n + 1), 1 - n % 2
+        for l in (1, o):
+            for mod2 in (False, True):
+                tables = [homology._cellular(n, (l, l * s * o), euler, mod2)
+                          for s in (1, -1)]
+                assert (tables[0] == tables[1]) is mod2, (n, l)
 
 
 def _group(rank: int, torsion) -> AbelianGroup:
@@ -254,6 +252,16 @@ def duality_anchor(m: int, table: tuple, dual: tuple) -> bool:
                for i in range(-1, m + 1))
 
 
+def transfer_anchor(n: int, trivial: tuple, pullback: tuple) -> bool:
+    """For even n the unit tangent bundle of S^n, the Stiefel manifold
+    V_2(R^(n+1)), is the double cover of that of RP^n given by the
+    pullback system, so by the transfer its rational homology is the sum
+    of the two tables': Q in degrees 0 and 2n - 1, as V_2(R^(n+1)) is a
+    rational (2n - 1)-sphere for even n."""
+    return [a.rank + b.rank for a, b in zip(trivial, pullback)] == \
+        [1] + [0] * (2 * n - 2) + [1]
+
+
 class TestAnchors:
     """Known theorems as a second route to the integral unit tangent
     tables, which the closed forms and the golden data share."""
@@ -284,6 +292,18 @@ class TestAnchors:
         for n in range(1, 41):
             table = unit_tangent_homology(n, coeff)
             assert duality_anchor(2 * n - 1, table, table), n
+
+    def test_transfer_to_the_sphere_bundle(self):
+        for n in range(2, 41, 2):
+            assert transfer_anchor(n, unit_tangent_homology(n, COEFF_Z),
+                                   unit_tangent_homology(n, COEFF_PULLBACK)), n
+
+    def test_transfer_fails_with_l_one_on_the_pullback_block(self):
+        # the pullback table replaced by the trivial one: l = 1 for the
+        # pullback block, which the consistency suite cannot see
+        for n in range(2, 41, 2):
+            table = unit_tangent_homology(n, COEFF_Z)
+            assert not transfer_anchor(n, table, table), n
 
     def test_duality_fails_on_a_damaged_table(self):
         # the Z/2 of degree 3 at n = 3 lost: degree 1 keeps its Z/2
@@ -454,18 +474,38 @@ def _integral_levels_up(f):
     return mutant
 
 
+def _row_one_higher(f):
+    """A mutant of homology._cellular that reads its rows alone and sets
+    row 1 n degrees up, not n - 1: the rows no longer share a degree,
+    and the cross term has nowhere to go."""
+    def mutant(n, systems, euler, mod2):
+        if len(systems) == 1:
+            return f(n, systems, euler, mod2)
+        low, high = (f(n, (l,), 0, mod2) for l in systems)
+        zero = (0 if mod2 else ZERO_GROUP,) * n
+        return tuple(a + b for a, b in zip(low + zero, zero + high))
+    return mutant
+
+
+def _z4_for_z2(f):
+    """A mutant of real_proj_homology with Z/4 wherever Z/2 was."""
+    return lambda n, c: tuple(Z4 if g == Z2 else g for g in f(n, c))
+
+
 def _unit_tangent_reductions(n: int) -> set:
     return {UT_Z, UT_PULLBACK} if n % 2 == 0 else {UT_Z}
 
 
 # name -> (the name of pathalg.homology it replaces, the mutant as a
-# function of the original, and per n the failing consistency items or
-# the typed error).  The stable range reads degrees 0..n - 1, so it
-# sees unit-tangent degree d, at level 1, only when d + 1 < n.
+# function of the original, and per n the failing consistency items).
+# The stable range reads degrees 0..n - 1, so it sees unit-tangent
+# degree d, at level 1, only when d + 1 < n.
 CONSISTENCY_MUTANTS = {
-    "row 1 of the Gysin sum one degree higher": (
-        "_shift_sum", lambda f: lambda r0, r1, s, top: f(r0, r1, s + 1, top),
-        lambda n: GysinError if n % 2 == 0 else {PALINDROME}),
+    # every table, and the F2 one it is reduced against, is the direct
+    # sum of the rows, a palindrome of 2n + 1 degrees; the self-duality
+    # anchor catches it
+    "row 1 of the unit tangent complex one degree higher": (
+        "_cellular", _row_one_higher, lambda n: set()),
     "integral unit tangent table without its top group": (
         "unit_tangent_homology",
         lambda f: lambda n, c: f(n, c)[:-1] if c == COEFF_Z else f(n, c),
@@ -481,11 +521,10 @@ CONSISTENCY_MUTANTS = {
     "block_shift one degree higher": (
         "block_shift", lambda f: lambda n, k: f(n, k) + 1,
         lambda n: {STABLE} if n >= 2 else set()),
-    # mod 2 cannot tell Z/4 from Z/2, and odd n corrects no E2 cell
+    # mod 2 cannot tell Z/4 from Z/2, and the unit tangent tables do not
+    # read the projective ones; TestProjectiveSpace catches it
     "projective space with Z/4 for Z/2": (
-        "real_proj_homology",
-        lambda f: lambda n, c: tuple(Z4 if g == Z2 else g for g in f(n, c)),
-        lambda n: GysinError if n % 2 == 0 else set()),
+        "real_proj_homology", _z4_for_z2, lambda n: set()),
     # which block carries which system: ROADMAP item 7
     "block systems reversed": (
         "block_systems", lambda f: lambda n, c: f(n, c)[::-1],
@@ -504,10 +543,6 @@ class TestConsistencyMutants:
         attr, make, want = CONSISTENCY_MUTANTS[mutant]
         monkeypatch.setattr(homology, attr, make(getattr(homology, attr)))
         for n in range(1, 13):
-            if want(n) is GysinError:
-                with pytest.raises(GysinError):
-                    consistency_checks(n)
-                continue
             report = consistency_checks(n)
             assert {item.name for item in report.items
                     if not item.passed} == want(n), n
@@ -519,6 +554,22 @@ class TestConsistencyMutants:
                             _integral_levels_up(path_space_homology))
         with pytest.raises(AssertionError):
             TestAssembly().test_integral_cells_for_n2()
+
+    def test_the_row_shift_mutant_fails_self_duality(self, monkeypatch):
+        monkeypatch.setattr(homology, "_cellular",
+                            _row_one_higher(homology._cellular))
+        with pytest.raises(AssertionError):
+            TestAnchors().test_unit_tangent_bundle_is_self_dual(COEFF_Z)
+
+    def test_the_z4_mutant_fails_the_projective_tables(self, monkeypatch):
+        # TestProjectiveSpace reads real_proj_homology from this module.
+        # The duality anchor stays blind: both of its tables carry Z/4
+        # where Z/2 was, in dual degrees
+        mutant = _z4_for_z2(real_proj_homology)
+        monkeypatch.setitem(globals(), "real_proj_homology", mutant)
+        with pytest.raises(AssertionError):
+            TestProjectiveSpace().test_trivial_coefficients()
+        TestAnchors().test_projective_space_is_dual_to_its_orientation_system()
 
 
 class TestGeneratorTable:

@@ -47,7 +47,7 @@ PUBLIC = GEOMETRY | {
     "normal_form", "orient", "repair_search",
     # homology
     "COEFF_F2", "COEFF_PULLBACK", "COEFF_TWISTED", "COEFF_Z",
-    "AbelianGroup", "CoefficientError", "GysinError", "block_local_system",
+    "AbelianGroup", "CoefficientError", "block_local_system",
     "block_systems", "consistency_checks", "generator_table",
     "path_space_homology", "path_space_series", "real_proj_homology",
     "stable_ranks", "uct_f2", "unit_tangent_homology",
