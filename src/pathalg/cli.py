@@ -137,9 +137,9 @@ def cmd_homology(args) -> int:
                        homology.unit_tangent_homology(n, tag)))
     sections = [(title, (((d, 0), v) for d, v in enumerate(table)))
                 for title, table in graded]
-    path = homology.path_space_homology(n, coeff, D)
     sections.append((f"assembled path-space table, {ring}, n={n}, "
-                     f"degrees 0..{D}", path.entries))
+                     f"degrees 0..{D}",
+                     homology.path_space_homology(n, coeff, D)))
     _emit_sections(sections, args.format)
     return 0
 

@@ -5,17 +5,19 @@ tangent bundle are read off one cellular chain complex (_cellular):
 one row of cells for the base, a second row n - 1 degrees up for the
 sphere bundle, the rows carrying a local system l and l o (o the
 orientation system), and one boundary between them weighted by the
-Euler number of the base.  The path-space table is assembled from one
+Euler number of the base.  The path-space cells are read off one
 projective-space block plus one shifted unit-tangent block per
-filtration level, as a table up to a degree bound or, mod 2, as a
-series in every degree.  No rewriting code is consulted; agreement with
-the presented algebras is established by the comparison layer on top.
+filtration level, in (degree, level) order, up to a degree bound or,
+mod 2, as a series in every degree.  No rewriting code is consulted;
+agreement with the presented algebras is established by the comparison
+layer on top.
 
 Degrees are homological and tables are finite.  A graded table is a
 tuple with one value per degree 0..top, the zero of its kind beyond:
-an int (an F2 dimension) or an AbelianGroup.  Bigraded tables, the
-assembled homology in either coefficient ring and the named generator
-cells, are tables.BigradedTable.
+an int (an F2 dimension) or an AbelianGroup.  The assembled homology,
+in either coefficient ring, is a stream of its nonzero cells
+((degree, level), value), read as it is consumed; the named generator
+cells are a tables.BigradedTable.
 
 >>> real_proj_homology(3, COEFF_Z)[1].render()
 'Z/2'
@@ -23,13 +25,12 @@ cells, are tables.BigradedTable.
 'Z/4'
 >>> uct_f2(unit_tangent_homology(2, COEFF_Z))
 (1, 1, 1, 1)
->>> path_space_homology(2, COEFF_Z, 3).get(2, 1, ZERO_GROUP).render()
-'Z/4'
+>>> [(cell, g.render()) for cell, g in path_space_homology(2, COEFF_Z, 2)]
+[((0, 0), 'Z'), ((1, 0), 'Z/2'), ((1, 1), 'Z'), ((2, 1), 'Z/4')]
 """
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from dataclasses import dataclass, field
 
@@ -151,12 +152,12 @@ def _cellular(n, systems, euler, mod2):
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    groups = {}
+    groups = {(g.rank, g.torsion): g for g in (ZERO_GROUP, Z, Z2, Z4)}
 
     def read(a, a1, cells=1, b1=0, x1=0, b=0, x=0):
         # the group of a degree of cells cells whose boundary is
         # [[a, 0], [x, b]], with [[a1, 0], [x1, b1]] out of the degree
-        # above; each distinct group is built once per call
+        # above; each group but the named ones is built once per call
         d = gcd(a1, b1, x1)
         free = cells - bool(a + b + x) - bool(a * b) - bool(d) - bool(a1 * b1)
         if mod2:
@@ -260,29 +261,38 @@ def block_systems(n: int, coeff: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(block_local_system(n, k) for k in (1, 2)))
 
 
-def path_space_homology(n: int, coeff: str,
-                        degree_bound: int) -> BigradedTable:
-    """Assembled homology table of the space of paths with endpoints on
-    the real locus, bigraded by (degree, filtration level).
+def path_space_homology(n: int, coeff: str, degree_bound: int):
+    """Assembled homology of the space of paths with endpoints on the
+    real locus up to degree_bound: its nonzero cells
+    ((degree, level), value), yielded in (degree, level) order as they
+    are read.
 
     Level 0 is the base projective space; level k >= 1 contributes the
     unit tangent bundle with its block coefficient system, shifted up
     by block_shift(n, k).  Supported coefficients: COEFF_Z (each block
     keeps its own integral system, cells hold AbelianGroups) and
-    COEFF_F2 (cells hold dimensions).
+    COEFF_F2 (cells hold dimensions).  Both refusals, a negative bound
+    and an unsupported system, fire at the call.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     blocks = [unit_tangent_homology(n, c) for c in block_systems(n, coeff)]
-    base = real_proj_homology(n, coeff)[:degree_bound + 1]
-    cells = {(d, 0): v for d, v in enumerate(base)}
-    for k in itertools.count(1):
-        s = block_shift(n, k)
-        if s > degree_bound:
-            break
-        cells.update(((s + d, k), v) for d, v in enumerate(
-            blocks[(k - 1) % len(blocks)][:degree_bound - s + 1]))
-    return BigradedTable.from_dict(cells, degree_bound)
+    return _assembly(n, real_proj_homology(n, coeff), blocks,
+                     block_shift(n, 1), degree_bound)
+
+
+def _assembly(n, base, blocks, s, degree_bound):
+    # block k, of 2n degrees, starts at s + (k - 1) n, so degree d lies
+    # in the blocks of levels max(1, q) to q + 1, q = (d - s) // n, and
+    # in level 0 while d <= n
+    for d in range(degree_bound + 1):
+        if d <= n and base[d]:
+            yield (d, 0), base[d]
+        q = (d - s) // n
+        for k in range(max(q, 1), q + 2):
+            v = blocks[(k - 1) % len(blocks)][d - s - (k - 1) * n]
+            if v:
+                yield (d, k), v
 
 
 def path_space_series(n: int) -> BigradedSeries:
@@ -304,30 +314,20 @@ def path_space_series(n: int) -> BigradedSeries:
 # Mod-2 comparison and internal consistency
 
 
-def uct_f2(table):
-    """Mod-2 dimensions determined by an integral table, graded (a
-    tuple) or bigraded.
+def uct_f2(table: tuple) -> tuple:
+    """Mod-2 dimensions determined by a graded integral table.
 
     dim H_d(-; F2) = rank H_d + t(H_d) + t(H_{d-1}) where t counts
     cyclic summands of even order.  The formula also holds for the
     twisted systems used here because they reduce mod 2 to the trivial
     one.
     """
-    if isinstance(table, tuple):
-        # H_d beside H_(d-1), one degree past each end
-        dims = [g.rank + g._two + below._two
-                for g, below in zip(table + (ZERO_GROUP,),
-                                    (ZERO_GROUP,) + table)]
-        while dims and dims[-1] == 0:
-            dims.pop()
-        return tuple(dims)
-    cells = {}
-    for (d, l), g in table.entries:
-        t = g._two
-        cells[d, l] = cells.get((d, l), 0) + g.rank + t
-        if t and d < table.degree_bound:
-            cells[d + 1, l] = cells.get((d + 1, l), 0) + t
-    return BigradedTable.from_dict(cells, table.degree_bound)
+    # H_d beside H_(d-1), one degree past each end
+    dims = [g.rank + g._two + below._two
+            for g, below in zip(table + (ZERO_GROUP,), (ZERO_GROUP,) + table)]
+    while dims and dims[-1] == 0:
+        dims.pop()
+    return tuple(dims)
 
 
 def stable_ranks(degree: int) -> int:
@@ -371,8 +371,9 @@ def consistency_checks(n: int) -> CheckReport:
         passed=f2_st == f2_st[::-1],
         detail=f"{f2_st}"))
 
-    f2t = path_space_homology(n, COEFF_F2, n - 1)
-    low = [f2t.get(d, 0) + f2t.get(d, 1) for d in range(n)]
+    low = [0] * n
+    for (d, _), v in path_space_homology(n, COEFF_F2, n - 1):
+        low[d] += v
     want = [stable_ranks(d) for d in range(n)]
     items.append(CheckItem(
         name="stable range at levels 0..1",

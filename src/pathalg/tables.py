@@ -1,20 +1,20 @@
 """Shared result containers: bigraded tables and series, and check
 reports.
 
-A BigradedTable holds one value per (degree, level) cell, whatever the
-value is: a mod-2 dimension (the rewriting side's Hilbert counts and
-the homology side's F2 tables), an integral AbelianGroup, or a tuple
-of generator names.  A value that tests false is the zero of its kind
-and is not stored.  Graded tables are plain tuples, one value per
-degree.  A BigradedSeries holds the mod-2 dimensions of every degree
-in closed form.  Both routes produce these types, so the comparison
-layer can stay agnostic about where a table or series came from.
+A BigradedTable holds one value per (degree, level) cell of a finite
+table, whatever the value is: a mod-2 dimension (a series expanded to
+a degree bound, such as the rewriting side's Hilbert counts) or a
+tuple of generator names.  A value that tests false is the zero of its
+kind and is not stored.  Graded tables are plain tuples, one value per
+degree, and the assembled homology is a stream of its nonzero cells.
+A BigradedSeries holds the mod-2 dimensions of every degree in closed
+form.  Both routes produce it, so the comparison layer can stay
+agnostic about where a series came from.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -60,9 +60,9 @@ class BigradedSeries:
     def from_terms(cls, terms, period: int) -> "BigradedSeries":
         """The series whose numerator is the sum of the
         ((degree, level), coefficient) terms."""
-        acc: Counter[tuple[int, int]] = Counter()
+        acc = {}
         for cell, c in terms:
-            acc[cell] += c
+            acc[cell] = acc.get(cell, 0) + c
         return cls(tuple(sorted(filter(itemgetter(1), acc.items()))), period)
 
     def expand(self, degree_bound: int) -> BigradedTable:
@@ -70,11 +70,11 @@ class BigradedSeries:
         coefficient to the cells (d + k*period, l + k), k >= 0."""
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        cells: Counter[tuple[int, int]] = Counter()
+        cells = {}
         for (d, l), c in self.numerator:
             for cell in zip(range(d, degree_bound + 1, self.period),
                             itertools.count(l)):
-                cells[cell] += c
+                cells[cell] = cells.get(cell, 0) + c
         return BigradedTable.from_dict(cells, degree_bound)
 
 

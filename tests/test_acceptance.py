@@ -255,9 +255,9 @@ def test_criterion_10_geometry_invariants():
 
 def test_criterion_11_stable_ranks():
     with criterion(11, "stable low-degree ranks for n = 10"):
-        table = path_space_homology(10, COEFF_F2, 8)
+        cells = dict(path_space_homology(10, COEFF_F2, 8))
         for d in range(9):
-            active = {l for (e, l), _ in table.entries if e == d}
+            active = {l for (e, l) in cells if e == d}
             assert active <= {0, 1}
-            total = sum(table.get(d, l) for l in (0, 1))
+            total = sum(cells.get((d, l), 0) for l in (0, 1))
             assert total == (1 if d == 0 else 2)

@@ -155,8 +155,8 @@ class TestHomologyCommand:
     def test_assembled_section_carries_the_library_cells(self, capsys, n,
                                                          coeff, fmt):
         D = 4 * n + 2
-        table = homology.path_space_homology(
-            n, homology.COEFF_F2 if coeff == "F2" else homology.COEFF_Z, D)
+        cells = tuple(homology.path_space_homology(
+            n, homology.COEFF_F2 if coeff == "F2" else homology.COEFF_Z, D))
         code, out = run(capsys, "homology", "--n", str(n), "--coeff", coeff,
                         "--format", fmt)
         assert code == 0
@@ -171,7 +171,7 @@ class TestHomologyCommand:
                    for c in section["cells"]}
             want = {cell: v if coeff == "F2" else
                     {"rank": v.rank, "torsion": list(v.torsion)}
-                    for cell, v in table.entries}
+                    for cell, v in cells}
         else:
             if fmt == "csv":
                 rows = [r[1:4] for r in csv.reader(io.StringIO(out))
@@ -182,7 +182,7 @@ class TestHomologyCommand:
                         for line in block.splitlines()[1:]]
             got = {(int(d), int(l)): v for d, l, v in rows}
             want = {cell: str(v) if coeff == "F2" else v.render()
-                    for cell, v in table.entries}
+                    for cell, v in cells}
         assert got == want
 
 def reference_cells(entries) -> list[dict]:

@@ -5,8 +5,10 @@ oracles: projective spaces from their cellular complex, unit tangent
 bundles from the two-row Gysin sequence and its known extension.
 """
 
+import itertools
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,29 @@ UT_Z = "unit tangent mod-2 reduction [Z-trivial]"
 UT_PULLBACK = "unit tangent mod-2 reduction [Z-pullback-pi*o]"
 PALINDROME = "unit tangent mod-2 palindrome"
 STABLE = "stable range at levels 0..1"
+
+
+def assembled(n: int, coeff: str, degree_bound: int) -> BigradedTable:
+    """The cells of path_space_homology, read from this module's name,
+    as the finite table they make."""
+    return BigradedTable(tuple(path_space_homology(n, coeff, degree_bound)),
+                         degree_bound)
+
+
+def reference_assembly(n: int, coeff: str, degree_bound: int) -> tuple:
+    """The assembled cells built as a dict of every cell, level by level
+    while the block's shift is within the bound, then sorted."""
+    blocks = [unit_tangent_homology(n, c)
+              for c in homology.block_systems(n, coeff)]
+    base = real_proj_homology(n, coeff)[:degree_bound + 1]
+    cells = {(d, 0): v for d, v in enumerate(base)}
+    for k in itertools.count(1):
+        s = block_shift(n, k)
+        if s > degree_bound:
+            break
+        cells.update(((s + d, k), v) for d, v in enumerate(
+            blocks[(k - 1) % len(blocks)][:degree_bound - s + 1]))
+    return BigradedTable.from_dict(cells, degree_bound).entries
 
 
 class TestAbelianGroup:
@@ -361,7 +386,7 @@ class TestAssembly:
             block_local_system(2, 0)
 
     def test_integral_cells_for_n2(self):
-        table = path_space_homology(2, COEFF_Z, 6)
+        table = assembled(2, COEFF_Z, 6)
         assert table.get(0, 0, ZERO_GROUP) == Z
         assert table.get(1, 0, ZERO_GROUP) == Z2
         assert table.get(1, 1, ZERO_GROUP) == Z
@@ -373,49 +398,85 @@ class TestAssembly:
         assert table.get(2, 2, ZERO_GROUP) == ZERO_GROUP
 
     def test_mod_two_assembly_matches_uct(self):
+        # each level of the integral assembly is a graded table, reduced
+        # mod 2 on its own and cut at the bound
         for n in range(1, 42):
-            zt = path_space_homology(n, COEFF_Z, 4 * n + 2)
-            f2 = path_space_homology(n, COEFF_F2, 4 * n + 2)
-            assert uct_f2(zt).cells == f2.cells, n
+            D = 4 * n + 2
+            zt, f2 = assembled(n, COEFF_Z, D), assembled(n, COEFF_F2, D)
+            for level in {l for (_, l), _ in zt.entries + f2.entries}:
+                graded = tuple(zt.get(d, level, ZERO_GROUP)
+                               for d in range(D + 1))
+                got = {(d, level): v
+                       for d, v in enumerate(uct_f2(graded)[:D + 1]) if v}
+                assert got == {cell: v for cell, v in f2.entries
+                               if cell[1] == level}, (n, level)
+
+    @pytest.mark.parametrize("coeff", [COEFF_Z, COEFF_F2])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cells_are_the_dict_built_assembly(self, n, coeff):
+        for D in (0, 1, n, 3 * n + 1, 97):
+            assert tuple(path_space_homology(n, coeff, D)) \
+                == reference_assembly(n, coeff, D), D
+
+    @pytest.mark.parametrize("coeff, degree_bound, error", [
+        (COEFF_Z, -1, ValueError), (COEFF_F2, -1, ValueError),
+        (COEFF_TWISTED, 10, CoefficientError),
+        (COEFF_PULLBACK, 10, CoefficientError)])
+    def test_refusals_fire_at_the_call(self, coeff, degree_bound, error):
+        # a negative bound or a system the assembly does not support:
+        # the call raises, before any cell of the stream is asked for
+        with pytest.raises(error):
+            path_space_homology(2, coeff, degree_bound)
+
+    def test_reading_the_cells_holds_no_table(self):
+        # read a cell at a time, the assembly's peak does not grow with
+        # the bound, where a dict of every cell takes 3.6 MB at D = 10^4
+        # and 41 MB at D = 10^5
+        peaks = []
+        tracemalloc.start()
+        try:
+            for D in (10 ** 4, 10 ** 5):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in path_space_homology(3, COEFF_Z, D):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1024, peaks
 
     def test_stable_range(self):
         assert [stable_ranks(d) for d in range(4)] == [1, 2, 2, 2]
-        table = path_space_homology(10, COEFF_F2, 8)
+        table = assembled(10, COEFF_F2, 8)
         for d in range(9):
             total = sum(v for (e, _), v in table.entries if e == d)
             assert total == stable_ranks(d)
             assert table.get(d, 0) == 1
             assert table.get(d, 1) == (1 if d >= 1 else 0)
 
-    def test_rejects_unsupported_coefficients(self):
-        with pytest.raises(CoefficientError):
-            path_space_homology(2, COEFF_TWISTED, 10)
-
     @pytest.mark.parametrize("n, D", [*((n, 40) for n in range(1, 13)),
                                       *((n, 840) for n in range(1, 7))])
     def test_series_expands_to_the_mod_two_table(self, n, D):
-        assert path_space_series(n).expand(D) == \
-            path_space_homology(n, COEFF_F2, D)
+        assert path_space_series(n).expand(D) == assembled(n, COEFF_F2, D)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 200))
     def test_series_expands_to_the_mod_two_table_drawn(self, n, D):
-        assert path_space_series(n).expand(D) == \
-            path_space_homology(n, COEFF_F2, D)
+        assert path_space_series(n).expand(D) == assembled(n, COEFF_F2, D)
 
     def test_every_level_reads_block_shift(self, monkeypatch, capsys):
         # one level-offset formula: moving every block up one degree
         # moves both tables and the series alike, and verify sees it
-        before = {n: (path_space_homology(n, COEFF_F2, 40),
+        before = {n: (assembled(n, COEFF_F2, 40),
                       path_space_series(n)) for n in (2, 3)}
         monkeypatch.setattr(homology, "block_shift",
                             lambda n, k: 2 + (k - 1) * n)
         for n, (table, series) in before.items():
-            moved = path_space_homology(n, COEFF_F2, 40)
+            moved = assembled(n, COEFF_F2, 40)
             assert moved != table and path_space_series(n) != series
             assert path_space_series(n).expand(40) == moved
             assert (moved.get(1, 1), moved.get(2, 1)) == (0, 1)
-        integral = path_space_homology(2, COEFF_Z, 10)
+        integral = assembled(2, COEFF_Z, 10)
         assert integral.get(1, 1, ZERO_GROUP) == ZERO_GROUP
         assert integral.get(2, 1, ZERO_GROUP) == Z
         assert main(["verify", "--n", "3"]) == 1
@@ -465,12 +526,12 @@ def _integral_levels_up(f):
     """A mutant of path_space_homology with a branch for COEFF_Z that
     moves every level k >= 1 up one degree; F2 is left alone."""
     def mutant(n, coeff, degree_bound):
-        table = f(n, coeff, degree_bound)
+        cells = f(n, coeff, degree_bound)
         if coeff != COEFF_Z:
-            return table
+            return cells
         return BigradedTable.from_dict(
-            {(d + (l > 0), l): v for (d, l), v in table.entries
-             if d + (l > 0) <= degree_bound}, degree_bound)
+            {(d + (l > 0), l): v for (d, l), v in cells
+             if d + (l > 0) <= degree_bound}, degree_bound).entries
     return mutant
 
 
@@ -577,7 +638,7 @@ class TestGeneratorTable:
         for n in range(1, 5):
             levels = 3 if n == 1 else 2
             table = generator_table(n, levels - 1)
-            hom = path_space_homology(n, COEFF_F2, table.degree_bound)
+            hom = assembled(n, COEFF_F2, table.degree_bound)
             for (d, l), names in table.entries:
                 assert len(names) == hom.get(d, l), (n, d, l, names)
 

@@ -129,6 +129,12 @@ def reference_hilbert(rs: RewriteSystem, degree_bound: int,
     return BigradedTable.from_dict(counts, degree_bound)
 
 
+def target_table(n: int, degree_bound: int) -> BigradedTable:
+    """The mod-2 path-space cells up to degree_bound, as a table."""
+    return BigradedTable(
+        tuple(path_space_homology(n, COEFF_F2, degree_bound)), degree_bound)
+
+
 def degree_totals(table: BigradedTable) -> defaultdict:
     """Sum of the cells over levels, per degree."""
     totals = defaultdict(int)
@@ -467,7 +473,7 @@ class TestIrreducibleWords:
         # the recursive enumerator overflowed the interpreter stack at
         # D = 1000 for n = 1; counting by exponents has no depth limit
         rs = completed(1)
-        assert hilbert(rs, 10_000) == path_space_homology(1, COEFF_F2, 10_000)
+        assert hilbert(rs, 10_000) == target_table(1, 10_000)
 
     @pytest.mark.parametrize("lhss", [("HH", "HSH"), ("SHS", "HSY", "SY"),
                                       ("YY", "YHY", "HYH")])
@@ -584,7 +590,7 @@ def test_series_of_an_extension_of_an_extension(drawn, D):
     except CompletionError:
         return
     n = base.sig.n
-    hom = path_space_homology(n, COEFF_F2, D)
+    hom = target_table(n, D)
     for system in (mid, rs):
         assert compare(hilbert_series(system), path_space_series(n), D) \
             == reference_compare(hilbert(system, D), hom)
@@ -1004,7 +1010,7 @@ def table_report(rs: RewriteSystem, degree_bound: int) -> ComparisonReport:
     """reference_compare of rs's table with the mod-2 target table."""
     n = rs.sig.n
     return reference_compare(hilbert(rs, degree_bound),
-                             path_space_homology(n, COEFF_F2, degree_bound))
+                             target_table(n, degree_bound))
 
 
 class TestSeries:
@@ -1231,7 +1237,7 @@ class TestRepairSearch:
                                                     D):
         # the search judges every system it reaches by its series; cut
         # at D, that comparison is the one its full table gives
-        hom = path_space_homology(n, COEFF_F2, D)
+        hom = target_table(n, D)
         base, target = completed(n), path_space_series(n)
         real = rewriting.complete
         reached = []
