@@ -135,7 +135,8 @@ def cmd_homology(args) -> int:
         label = ring if tag == COEFF_F2 else f"coefficients {tag}"
         graded.append((f"unit tangent bundle, {label}, n={n}",
                        homology.unit_tangent_homology(n, tag)))
-    sections = [(title, (((d, 0), v) for d, v in enumerate(table)))
+    # every section omits its zero groups, as the assembly does
+    sections = [(title, (((d, 0), v) for d, v in enumerate(table) if v))
                 for title, table in graded]
     sections.append((f"assembled path-space table, {ring}, n={n}, "
                      f"degrees 0..{D}",

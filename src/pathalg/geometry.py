@@ -13,17 +13,17 @@ paths are sample matrices with strictly increasing breakpoints in
 
 Batches.  The kernels (underscored) take rows on leading axes and
 round each row as a call on that row alone: one BLAS dot per row, the
-math module for scalar trigonometry.  The per-object functions are
-their batch-of-one case.  The sampling suites run each block of trials
-as one array whatever the trials' n: a row fills its first n + 1
-columns and the rest are exact zeros, which no elementwise operation or
-sum over the coordinates rounds, and each contraction is one call over
-the padded width.  That keeps the bits of every value that reaches a
-report; padding can move only the last bits of a dot of strided .real
-or .imag views, which two guards take over padded rows: _half_circles'
-orthogonality bound and _real_reps' imaginary-part bound, both far
-inside their bounds.  The draws run per width (_padded), so each row
-rounds as it would alone.
+math module for scalar trigonometry.  Each check and draw is defined
+once among them; the per-object functions are their batch-of-one case.
+The sampling suites run each block of trials as one array whatever the
+trials' n: a row fills its first n + 1 columns and the rest are exact
+zeros, which no elementwise operation or sum over the coordinates
+rounds, and each contraction is one call over the padded width, so
+every value and guard keeps its row's bits.  Of the two row norms,
+_row_norms sums squared moduli elementwise (the padded-block tests pin
+its bits); _norms is np.linalg.norm's arithmetic on one vector (the
+per-point draw references pin its bits), whose dots of strided .real
+and .imag views padding may change, so draws run per width (_padded).
 Block b of a suite draws all its inputs as arrays from one generator,
 default_rng([0, b, seed]), and the suite's j-th stream outside its
 blocks is default_rng([1, j, seed]): two one-word prefixes before the
@@ -112,11 +112,8 @@ def _as_complex(vec) -> np.ndarray:
 
 
 def _padded(ns: np.ndarray, width: int, draw) -> np.ndarray:
-    """draw(rows, n + 1) of each run of equal n in the sorted dimensions
-    ns, rows a slice, zero-padded to width columns.  The draws stay per
-    width: each run draws rows of n + 1 normals, and _unit_rows rounds
-    as np.linalg.norm does, through dots of strided .real and .imag
-    views, whose bits padding can change."""
+    """draw(rows, n + 1), rows a slice, of each run of equal n in the
+    sorted ns, padded to width: padding may change the bits of _norms."""
     out = np.zeros((len(ns), width), complex)
     for n in sorted(set(ns.tolist())):
         rows = slice(*np.searchsorted(ns, [n, n + 1]))
@@ -131,21 +128,41 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row norms as np.linalg.norm takes one vector's: a BLAS dot, of
+    the real parts plus one of the imaginary parts for complex rows."""
+    sq = _dots(v.real, v.real)
+    return np.sqrt(sq + _dots(v.imag, v.imag) if np.iscomplexobj(v) else sq)
+
+
 def _row_norms(mat: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; the arithmetic of
-    np.linalg.norm(mat, axis=-1) without its argument handling."""
+    """Euclidean norm of each row as np.linalg.norm(mat, axis=-1) takes
+    it: squared moduli summed elementwise, which zero padding leaves."""
     return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=-1))
 
 
-def _unit_defect(v: np.ndarray) -> np.ndarray:
-    """||v| - 1| of each row, |v| from np.vdot's one BLAS dot."""
-    return np.abs(np.sqrt(_dots(v.conj(), v).real) - 1.0)
+def _norm_defects(v: np.ndarray, norm: float = 1.0) -> np.ndarray:
+    """||row| - norm| of each row by _row_norms (norm 0: size of .imag)."""
+    return np.abs(_row_norms(v) - norm)
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
     """|z| rounded as abs() of one complex scalar; np.abs on an array
     may round differently."""
     return np.hypot(z.real, z.imag)
+
+
+def _real_locus(z: np.ndarray, tol: float) -> tuple:
+    """s = sum z_j^2 of each unit row z, and whether |s| >= 1 - tol: |s|
+    is 1 exactly on the real locus and drops below 1 away from it."""
+    s = np.add.reduce(z * z, axis=-1)
+    return s, _moduli(s) >= 1.0 - tol
+
+
+def _require_tangent(base: np.ndarray, vec: np.ndarray) -> None:
+    """Refuse rows vec not Hermitian-orthogonal to the matching base."""
+    _require(_moduli(_dots(base.conj(), vec)) <= _UNIT_TOL,
+             "tangent vector must be orthogonal to the base")
 
 
 def _each(fn, values) -> np.ndarray:
@@ -156,9 +173,8 @@ def _each(fn, values) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Complex rows over their norms, each norm with np.linalg.norm's
-    arithmetic: the dots of the real and of the imaginary parts."""
-    norm = np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
+    """Complex rows over their norms (_norms)."""
+    norm = _norms(v)
     _require(norm != 0, "cannot normalize the zero vector")
     return v / norm[..., None]
 
@@ -168,16 +184,15 @@ def normalize(vec) -> np.ndarray:
 
 
 def _real_reps(reps: np.ndarray) -> np.ndarray:
-    """Real unit representative of each row on the real locus: the
-    squared-sum modulus |sum z_j^2| equals 1 exactly on such points and
-    drops below 1 away from them; half its phase turns the row real."""
-    s = np.add.reduce(reps * reps, axis=-1)
-    _require(_moduli(s) >= 1.0 - _REAL_TOL, "point has no real representative")
+    """Real unit representative of each row on the real locus: half the
+    phase of its squared sum (_real_locus) turns the row real."""
+    s, real = _real_locus(reps, _REAL_TOL)
+    _require(real, "point has no real representative")
     z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
-    _require(np.sqrt(_dots(z.imag, z.imag)) <= math.sqrt(_REAL_TOL),
+    _require(_norm_defects(z.imag, 0.0) <= math.sqrt(_REAL_TOL),
              "point has no real representative")
     re = np.ascontiguousarray(z.real)
-    return re / np.sqrt(_dots(re, re))[..., None]
+    return re / _norms(re)[..., None]
 
 
 @dataclass(eq=False)
@@ -190,19 +205,19 @@ class ProjPoint:
 
     def __post_init__(self) -> None:
         self.rep = _as_complex(self.rep)
-        if _unit_defect(self.rep) > _UNIT_TOL:
-            raise ValueError("representative must be a unit vector")
+        _require(_norm_defects(self.rep) <= _UNIT_TOL,
+                 "representative must be a unit vector")
 
     @property
     def ambient_dim(self) -> int:
         return self.rep.shape[0]
 
     def equals(self, other: "ProjPoint") -> bool:
-        return abs(np.vdot(self.rep, other.rep)) > 1.0 - _UNIT_TOL
+        return _moduli(_dots(self.rep.conj(), other.rep)) > 1.0 - _UNIT_TOL
 
     def is_real(self) -> bool:
         """Whether some representative has all coordinates real."""
-        return abs(np.add.reduce(self.rep * self.rep)) >= 1.0 - _REAL_TOL
+        return _real_locus(self.rep, _REAL_TOL)[1]
 
     def real_representative(self) -> np.ndarray:
         return _real_reps(self.rep)
@@ -215,7 +230,7 @@ def proj_point(vec) -> ProjPoint:
 def real_point(coords) -> ProjPoint:
     v = np.asarray(coords).reshape(-1)
     _require(np.imag(v) == 0, "coordinates must be real")
-    return ProjPoint(rep=normalize(np.real(v).astype(float)).astype(complex))
+    return ProjPoint(rep=normalize(np.real(v)))
 
 
 @dataclass(eq=False)
@@ -230,12 +245,11 @@ class TangentVector:
         self.vec = _as_complex(self.vec)
         if self.vec.shape != self.base.rep.shape:
             raise ValueError("tangent vector has wrong ambient dimension")
-        if abs(np.vdot(self.base.rep, self.vec)) > _UNIT_TOL:
-            raise ValueError("tangent vector must be orthogonal to the base")
+        _require_tangent(self.base.rep, self.vec)
 
     @property
     def is_unit(self) -> bool:
-        return bool(_unit_defect(self.vec) <= _UNIT_TOL)
+        return bool(_norm_defects(self.vec) <= _UNIT_TOL)
 
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
@@ -247,10 +261,10 @@ def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
 def _geodesics(x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
     """Points at the arclengths s on the geodesics leaving the rows of x
     with the unit velocities v; s broadcasts against the leading axes."""
-    _require(_unit_defect(v) <= _UNIT_TOL,
+    _require(_norm_defects(v) <= _UNIT_TOL,
              "geodesic requires a unit tangent vector")
     pts = _each(math.cos, s)[..., None] * x + _each(math.sin, s)[..., None] * v
-    _require(_unit_defect(pts) <= _UNIT_TOL,
+    _require(_norm_defects(pts) <= _UNIT_TOL,
              "representative must be a unit vector")
     return pts
 
@@ -274,16 +288,14 @@ def _check_paths(samples: np.ndarray, params: np.ndarray) -> None:
              "breakpoints must run from 0 to 1")
     _require(params[..., 1:] > params[..., :-1],
              "breakpoints must be strictly increasing")
-    defect = np.abs(_row_norms(samples) - 1.0)
+    defect = _norm_defects(samples)
     _require(defect <= _SAMPLE_UNIT_TOL, "samples must be unit vectors")
     # each endpoint must also pass ProjPoint's unit check and lie on the
     # real locus within _ENDPOINT_TOL
     for idx in (0, -1):
         _require(defect[..., idx] <= _UNIT_TOL,
                  "representative must be a unit vector")
-        end = samples[..., idx, :]
-        _require(np.abs(np.add.reduce(end * end, axis=-1))
-                 >= 1.0 - _ENDPOINT_TOL,
+        _require(_real_locus(samples[..., idx, :], _ENDPOINT_TOL)[1],
                  "path endpoints must lie on the real locus")
 
 
@@ -414,11 +426,11 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
     if samples < 2:
         raise ValueError("need at least two samples")
     _require(np.isfinite(theta), "angles must be finite")
-    _require((np.sqrt(_dots(u.imag, u.imag)) <= _REAL_TOL)
-             & (_unit_defect(u) <= _UNIT_TOL),
+    _require((_norm_defects(u.imag, 0.0) <= _REAL_TOL)
+             & (_norm_defects(u) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
     ur = u.real[:, None]
-    _require(np.abs(_dots(r, u.real)) <= _REAL_TOL,
+    _require(np.abs(np.add.reduce(r * u.real, axis=-1)) <= _REAL_TOL,
              "direction must be orthogonal to the real base")
     # sin theta, sin 2theta and cos 2theta of theta reduced mod pi, each
     # a column
@@ -512,7 +524,7 @@ def _tangents(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     while redraw.size:
         w = rng.standard_normal((len(redraw), r.shape[1]))
         w -= _dots(w, r[redraw])[:, None] * r[redraw]
-        v[redraw], norm[redraw] = w, np.sqrt(_dots(w, w))
+        v[redraw], norm[redraw] = w, _norms(w)
         redraw = redraw[~(norm[redraw] > _TANGENT_REDRAW)]
     # the rounding left along r by one projection grows by 1/norm when
     # normalizing, which can pass the tangency tolerance when the draw
@@ -520,16 +532,25 @@ def _tangents(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     v /= norm[:, None]
     v -= _dots(v, r)[:, None] * r
     u = _unit_rows(v.astype(complex))
-    _require(_moduli(_dots(r, u)) <= _UNIT_TOL,
-             "tangent vector must be orthogonal to the base")
+    _require_tangent(r, u)
     return u
+
+
+def _draws(rng: np.random.Generator, ns: np.ndarray, x=None) -> tuple:
+    """(x, r, u): padded real points x of the sorted dimensions ns (drawn
+    unless given), their real representatives r and random real unit
+    tangents u there, each width drawn alone."""
+    if x is None:
+        x = _padded(ns, ns[-1] + 1,
+                    lambda s, w: _real_points(rng, len(ns[s]), w - 1))
+    r = _real_reps(x)
+    return x, r, _padded(ns, x.shape[1], lambda s, w: _tangents(r[s, :w], rng))
 
 
 def random_real_tangent(x: ProjPoint, rng: np.random.Generator
                         ) -> TangentVector:
     r = x.real_representative()
-    return TangentVector(base=ProjPoint(r.astype(complex)),
-                         vec=_tangents(r[None], rng)[0])
+    return TangentVector(base=ProjPoint(r), vec=_tangents(r[None], rng)[0])
 
 
 def yk_parameter_count(n: int, k: int) -> int:
@@ -552,9 +573,7 @@ def _chains(rng: np.random.Generator, ns, thetas: list, samples: int,
     width at a time.  Arc j runs on the rows with more than j angles.
     Returns (arc count, rows, paths) by count, rows the paths' indices."""
     ns, counts = np.asarray(ns), np.array([len(row) for row in thetas])
-    rows, parts, path = np.arange(len(ns)), [], None
-    x = _padded(ns, ns[-1] + 1, lambda s, w: _real_points(
-        rng, len(ns[s]), w - 1)) if start is None else start
+    rows, parts, path, x = np.arange(len(ns)), [], None, start
     for j in range(counts.max()):
         if path is not None:
             live = counts[rows] > j
@@ -562,8 +581,7 @@ def _chains(rng: np.random.Generator, ns, thetas: list, samples: int,
             path, rows = tuple(a[live] for a in path), rows[live]
             # the next arc leaves the real representative of this end
             x = _real_reps(arc[0][live, -1]).astype(complex)
-        r = _real_reps(x)
-        u = _padded(ns[rows], len(x[0]), lambda s, w: _tangents(r[s, :w], rng))
+        _, r, u = _draws(rng, ns[rows], x)
         arc = _half_circles(r, u, np.array([thetas[i][j] for i in rows]),
                             samples)
         path = arc if path is None else _concat(path, arc)
@@ -581,10 +599,8 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     every angle is pi/2.  thetas, when given, holds the k angles; a
     non-finite one raises ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    # the family's range of n and k, which yk_parameter_count checks
+    yk_parameter_count(n, k)
     if start is not None and start.ambient_dim != n + 1:
         raise ValueError(f"start point does not lie in dimension n={n}")
     if thetas is None:
@@ -628,8 +644,7 @@ def hopf_vector(x: ProjPoint, which: str = "J") -> TangentVector:
     three quaternionic outputs are mutually orthonormal.
     """
     r = x.real_representative()
-    return TangentVector(base=ProjPoint(r.astype(complex)),
-                         vec=_skew(r, which).astype(complex))
+    return TangentVector(base=ProjPoint(r), vec=_skew(r, which))
 
 
 # ---------------------------------------------------------------------------
@@ -650,24 +665,22 @@ def _segment_count(k: int) -> int:
     return max(8, 4 * k + 4)
 
 
-def _critical_configuration(n: int, k: int, rng: np.random.Generator
+def _critical_configuration(x: np.ndarray, u: np.ndarray, k: int
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Base samples (segments+1, n+1) and frames (segments+1, n+1, 2n)
-    of the level-k critical configuration.
+    of the level-k critical configuration at x and u, real arrays.
 
     The samples lie on the geodesic p(s) = cos s x + i sin s u that
-    leaves a random real point x in the purely imaginary direction i u,
-    evenly spaced over arclength k pi / 2.  The geodesic stays in the
-    complex line of x and u, so one real orthonormal basis E of the
-    complement of that line is normal to it everywhere.  Each frame is
-    [f, E] and i times it, with f = p'(s) inside and, at the two
-    endpoints r (made real by one _real_reps call), the unit vector w of
-    span(x, u) orthogonal to r: their first n columns are the real frame
-    [w, E] of the real locus.  The generator draws x and u only.
+    leaves the real point x in the purely imaginary direction i u (u a
+    real unit tangent at x), evenly spaced over arclength k pi / 2.
+    The geodesic stays in the complex line of x and u, so one real
+    orthonormal basis E of the complement of that line is normal to it
+    everywhere.  Each frame is [f, E] and i times it, with f = p'(s)
+    inside and, at the two endpoints r (made real by one _real_reps
+    call), the unit vector w of span(x, u) orthogonal to r: their first
+    n columns are the real frame [w, E] of the real locus.
     """
-    start = random_real_point(n, rng)
-    u = random_real_tangent(start, rng).vec.real
-    x = start.rep.real
+    n = len(x) - 1
     q, _ = np.linalg.qr(np.column_stack([x, u, np.eye(n + 1)]))
     segments = _segment_count(k)
     s_vals = np.linspace(0.0, 0.5 * math.pi * k, segments + 1)[:, None]
@@ -813,8 +826,8 @@ def critical_index(n: int, k: int,
         raise HessianSizeError(
             f"the second variation at n={n} k={k} has dimension {dim}, "
             f"past the dense limit {_MAX_HESSIAN_DIM}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    grad, diag, off = _bands(*_critical_configuration(n, k, rng))
+    x, _, u = _draws(rng or np.random.default_rng(0), np.array([n]))
+    grad, diag, off = _bands(*_critical_configuration(x[0].real, u[0].real, k))
     gnorm = float(np.linalg.norm(grad))
     if not gnorm < _GRAD_TOL:
         raise GradientCheckError(
@@ -857,6 +870,28 @@ def _trial_blocks(trials: int, seed: int, arcs: int = 0):
         yield ns[order], counts[order], rng
 
 
+def _angles(rng, lo, hi, counts) -> list:
+    """counts[i] angles uniform in [lo, hi) for each row i, one draw."""
+    return np.split(rng.uniform(lo, hi, counts.sum()), np.cumsum(counts)[:-1])
+
+
+def _block_items(trials, seed, arcs, errors, checks) -> list:
+    """A CheckItem per (name, detail) of checks: its largest error in the
+    arrays errors(ns, counts, rng) yields per block, against _CHECK_TOL."""
+    worst = -math.inf
+    for block in _trial_blocks(trials, seed, arcs):
+        for part in errors(*block):
+            worst = np.maximum(worst, [np.max(e) for e in part])
+    return [CheckItem(name, w < _CHECK_TOL, f"{detail} {w:.3e}")
+            for (name, detail), w in zip(checks, worst.tolist())]
+
+
+def _report(name, trials, items) -> CheckReport:
+    """A sampling suite's report, titled with its trials and _CHECK_TOL."""
+    return CheckReport(
+        f"{name} ({trials} trials, tolerance {_CHECK_TOL:.1e})", tuple(items))
+
+
 def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
     """critical_index against the inputs of the homology assembly: the
     index is the block shift 1 + (k-1)n (0 at k = 0), the nullity the
@@ -879,14 +914,8 @@ def index_check(n: int, k: int, seed: int = 0) -> CheckReport:
         (item,))
 
 
-def concat_check(trials: int, seed: int = 0) -> CheckReport:
-    """Norm additivity and associativity of concat_min on chains of
-    half-circles: a of one or two arcs, b and c of one arc each, each
-    starting where the previous one ends.  A block chains a once, which
-    yields a part per arc count, then b and c once each on every row,
-    from a's end rows in block order; each part's rows of b and c are
-    concatenated with its a.  A block draws the angles of every a,
-    then the a chains, then b's angles and chains, then c's."""
+def _concat_errors(ns, counts, rng):
+    """concat_check's two errors of a block, a part at a time."""
     # angles stay above 0.05 because the concatenation error grows like
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
@@ -895,35 +924,38 @@ def concat_check(trials: int, seed: int = 0) -> CheckReport:
     # _CHECK_TOL.  With the floor, seeds 0-149 at 200 trials give a worst
     # of 7.2e-14.
     lo, hi = 0.05, 0.5 * math.pi
-    worst_add = worst_assoc = 0.0
-    for ns, counts, rng in _trial_blocks(trials, seed, arcs=2):
-        parts = _chains(rng, ns, np.split(rng.uniform(lo, hi, counts.sum()),
-                                          np.cumsum(counts)[:-1]), 12)
-        end = np.empty((len(ns), ns[-1] + 1), complex)
-        for _, rows, a in parts:
-            end[rows] = a[0][:, -1]
-        # b, then c, on the whole block
-        bc = []
-        for _ in range(2):
-            [(_, _, path)] = _chains(
-                rng, ns, rng.uniform(lo, hi, (len(ns), 1)), 12, end)
-            bc.append(path)
-            end = path[0][:, -1]
-        for _, rows, a in parts:
-            b, c = (tuple(x[rows] for x in p) for p in bc)
-            ab = _concat(a, b)
-            fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
-            worst_add = max(worst_add, float(np.max(np.abs(fab - fa - fb))))
-            left = _concat(ab, c)
-            right = _concat(a, _concat(b, c))
-            worst_assoc = max(worst_assoc,
-                              float(np.max(np.abs(left[1] - right[1]))))
-    return CheckReport(
-        f"concatenation ({trials} trials, tolerance {_CHECK_TOL:.1e})",
-        (CheckItem("norm is additive", worst_add < _CHECK_TOL,
-                   f"worst error {worst_add:.3e}"),
-         CheckItem("associativity breakpoints agree", worst_assoc < _CHECK_TOL,
-                   f"worst error {worst_assoc:.3e}")))
+    parts = _chains(rng, ns, _angles(rng, lo, hi, counts), 12)
+    end = np.empty((len(ns), ns[-1] + 1), complex)
+    for _, rows, a in parts:
+        end[rows] = a[0][:, -1]
+    # b, then c, on the whole block
+    bc = []
+    for _ in range(2):
+        [(_, _, path)] = _chains(
+            rng, ns, rng.uniform(lo, hi, (len(ns), 1)), 12, end)
+        bc.append(path)
+        end = path[0][:, -1]
+    for _, rows, a in parts:
+        b, c = (tuple(x[rows] for x in p) for p in bc)
+        ab = _concat(a, b)
+        fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
+        left = _concat(ab, c)
+        right = _concat(a, _concat(b, c))
+        yield np.abs(fab - fa - fb), np.abs(left[1] - right[1])
+
+
+def concat_check(trials: int, seed: int = 0) -> CheckReport:
+    """Norm additivity and associativity of concat_min on chains of
+    half-circles: a of one or two arcs, b and c of one arc each, each
+    starting where the previous one ends.  A block chains a once, which
+    yields a part per arc count, then b and c once each on every row,
+    from a's end rows in block order; each part's rows of b and c are
+    concatenated with its a.  A block draws the angles of every a,
+    then the a chains, then b's angles and chains, then c's."""
+    return _report("concatenation", trials, _block_items(
+        trials, seed, 2, _concat_errors,
+        [("norm is additive", "worst error"),
+         ("associativity breakpoints agree", "worst error")]))
 
 
 def _halfcircle_rows(ns: np.ndarray, rng: np.random.Generator) -> tuple:
@@ -934,10 +966,7 @@ def _halfcircle_rows(ns: np.ndarray, rng: np.random.Generator) -> tuple:
     # two points, and recurs after pi (0.3 against 0.3 + pi); compare
     # pairings, not arccos distances, which amplify roundoff
     arclengths = [k * math.pi / 2 for k in range(5)] + [0.3, 0.3 + math.pi]
-    x = _padded(ns, ns[-1] + 1,
-                lambda s, w: _real_points(rng, len(ns[s]), w - 1))
-    r = _real_reps(x)
-    u = _padded(ns, len(x[0]), lambda s, w: _tangents(r[s, :w], rng))
+    x, r, u = _draws(rng, ns)
     theta = rng.uniform(-math.pi, math.pi, len(ns))
     hc, t = _half_circles(r, u, theta, 48)
     end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi), theta))
@@ -960,24 +989,19 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     """Invariants of half_circle and of the geodesic leaving the real
     locus in a normal direction, plus where the norm peaks over a grid
     of angles."""
-    worst = np.full(5, -math.inf)
-    for ns, _, rng in _trial_blocks(trials, seed):
-        worst = np.maximum(worst, [np.max(w) for w in
-                                   _halfcircle_rows(ns, rng)])
-    names = ("endpoint matches the geodesic construction",
-             "norm never exceeds a quarter circumference",
-             "samples stay on the spanned line",
-             "quarter-period antipode distances",
-             "period-pi recurrence")
-    items = [CheckItem(name, bool(w < _CHECK_TOL), f"worst {w:.3e}")
-             for name, w in zip(names, worst)]
+    items = _block_items(
+        trials, seed, 0, lambda ns, _, rng: [_halfcircle_rows(ns, rng)],
+        [(name, "worst") for name in (
+            "endpoint matches the geodesic construction",
+            "norm never exceeds a quarter circumference",
+            "samples stay on the spanned line",
+            "quarter-period antipode distances",
+            "period-pi recurrence")])
     # the closed form (pi/2) sin|theta| peaks at both ends of the grid,
     # which tie up to roundoff; the nearest other grid point is about
     # 7.7e-4 lower
     grid = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 101)
-    rng = np.random.default_rng([1, 0, seed])
-    r = _real_reps(_real_points(rng, 1, 2))
-    u = _tangents(r, rng)
+    _, r, u = _draws(np.random.default_rng([1, 0, seed]), np.array([2]))
     arcs, t = _half_circles(np.repeat(r, grid.size, axis=0),
                             np.repeat(u, grid.size, axis=0), grid, 48)
     peak = float(grid[int(np.argmax(np.sqrt(_energies(arcs, t))))])
@@ -986,23 +1010,17 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
         f"norm peaks at theta = {peak:+.4f}",
         abs(abs(peak) - 0.5 * math.pi) <= step,
         f"within a grid step of the quarter turn {0.5 * math.pi:.4f}"))
-    return CheckReport(
-        f"half-circles ({trials} trials, tolerance {_CHECK_TOL:.1e})",
-        tuple(items))
+    return _report("half-circles", trials, items)
 
 
 def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
-    worst = -math.inf
-    for ns, counts, rng in _trial_blocks(trials, seed, arcs=3):
-        thetas = np.split(rng.uniform(0.0, 0.5 * math.pi, counts.sum()),
-                          np.cumsum(counts)[:-1])
-        for k, _, (pts, t) in _chains(rng, ns, thetas, 16):
-            worst = max(worst, float(np.max(np.sqrt(_energies(pts, t))
-                                            - k * 0.5 * math.pi)))
-    items = [CheckItem("norm stays below k quarter-turns", worst < _CHECK_TOL,
-                       f"worst excess {worst:.3e}")]
+    items = _block_items(trials, seed, 3, lambda ns, counts, rng: (
+        (np.sqrt(_energies(pts, t)) - k * 0.5 * math.pi,)
+        for k, _, (pts, t) in _chains(
+            rng, ns, _angles(rng, 0.0, 0.5 * math.pi, counts), 16)),
+        [("norm stays below k quarter-turns", "worst excess")])
     # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
     # generator, whose paths come in that order: the worst error over
     # seeds 0-199 is 4.9e-13
@@ -1023,6 +1041,4 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
                    and np.max(np.abs(triple @ r[:, :, None])) < _GRAM_TOL)
     items.append(CheckItem(
         "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
-    return CheckReport(
-        f"iterated half-circles ({trials} trials, tolerance {_CHECK_TOL:.1e})",
-        tuple(items))
+    return _report("iterated half-circles", trials, items)

@@ -185,6 +185,32 @@ class TestHomologyCommand:
                     for cell, v in cells}
         assert got == want
 
+    @pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_no_section_lists_a_zero_cell(self, capsys, n, fmt):
+        # the graded sections omit zero groups, as the assembled one does
+        code, out = run(capsys, "homology", "--n", str(n), "--coeff", "Z",
+                        "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            sections = [[homology.AbelianGroup(
+                c["group"]["rank"], tuple(c["group"]["torsion"])).render()
+                for c in section["cells"]]
+                for section in json.loads(out)["sections"]]
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            titles = list(dict.fromkeys(r[0] for r in rows))
+            sections = [[r[3] for r in rows if r[0] == title]
+                        for title in titles]
+        else:
+            sections = [[line.split(None, 3)[2]
+                         for line in block.splitlines()[2:]]
+                        for block in out.strip("\n").split("\n\n")]
+        assert len(sections) == 3 + (n % 2 == 0)
+        for values in sections:
+            assert values and "0" not in values
+
+
 def reference_cells(entries) -> list[dict]:
     """The cells as json dicts, the route md and csv once read too."""
     cells = []
@@ -520,7 +546,7 @@ class TestGeomCommands:
         class Drawn(Exception):
             pass
 
-        def drawn(n, k, rng):
+        def drawn(x, u, k):
             raise Drawn
 
         monkeypatch.setattr(geometry, "_critical_configuration", drawn)

@@ -143,10 +143,18 @@ def pair_of(eig: np.ndarray) -> tuple[int, int]:
     return int(np.sum(eig < -tau)), int(np.sum(np.abs(eig) <= tau))
 
 
+def critical_setup(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """_critical_configuration at a real point and direction drawn from
+    rng as critical_index draws them, through the per-point draws."""
+    x = random_real_point(n, rng)
+    return _critical_configuration(
+        x.rep.real, random_real_tangent(x, rng).vec.real, k)
+
+
 def assert_matches_the_loop(n: int, k: int, seed: int) -> None:
     """The batched gradient and Hessian equal the segment loop's entry
     by entry within 1e-13 * scale, and give critical_index's pair."""
-    base, frames = _critical_configuration(n, k, np.random.default_rng(seed))
+    base, frames = critical_setup(n, k, np.random.default_rng(seed))
     grad, diag, off = _bands(base, frames)
     hess = _hessian_matrix(diag, off)
     want_grad, want_hess = loop_hessian(base, frames)
@@ -576,11 +584,12 @@ class TestCriticalIndex:
                                       (4, 5)])
     def test_frames_are_read_off_the_geodesic(self, n, k):
         rng = np.random.default_rng(5)
-        base, frames = _critical_configuration(n, k, rng)
-        # the configuration draws the base point and the direction only
-        fresh = np.random.default_rng(5)
-        random_real_tangent(random_real_point(n, fresh), fresh)
-        assert rng.bit_generator.state == fresh.bit_generator.state
+        start = random_real_point(n, rng)
+        x = start.rep.real
+        base, frames = _critical_configuration(
+            x, random_real_tangent(start, rng).vec.real, k)
+        # the geodesic leaves x
+        assert np.max(np.abs(base[0] - x)) < 1e-15
         segments = _segment_count(k)
         assert base.shape == (segments + 1, n + 1)
         assert frames.shape == (segments + 1, n + 1, 2 * n)
@@ -599,9 +608,9 @@ class TestCriticalIndex:
                                         spoil_interior_sample])
     def test_gradient_guard_rejects_noncritical_setups(self, monkeypatch,
                                                        damage):
-        def damaged(n, k, rng):
-            base, frames = _critical_configuration(n, k, rng)
-            damage(base, frames, rng)
+        def damaged(x, u, k):
+            base, frames = _critical_configuration(x, u, k)
+            damage(base, frames, np.random.default_rng(1))
             return base, frames
 
         monkeypatch.setattr(geometry, "_critical_configuration", damaged)
@@ -613,7 +622,7 @@ class TestCriticalIndex:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_banded_hessian_matches_dense_reference(self, n, k):
         # finite differences of the whole path's energy
-        base, frames = _critical_configuration(n, k, np.random.default_rng(0))
+        base, frames = critical_setup(n, k, np.random.default_rng(0))
         want = np.linalg.eigvalsh(dense_hessian(base, frames))
         got = critical_index(n, k, rng=np.random.default_rng(0)).eigenvalues
         scale = float(np.max(np.abs(want)))
@@ -630,7 +639,7 @@ class TestCriticalIndex:
         # on the geodesic the interior coupling blocks are symmetric up
         # to rounding; a moved sample with a random frame makes them
         # generic, so each block must sit the right way round
-        base, frames = _critical_configuration(n, k, np.random.default_rng(0))
+        base, frames = critical_setup(n, k, np.random.default_rng(0))
         move_interior_sample(base, frames, np.random.default_rng(1))
         grad, diag, off = _bands(base, frames)
         want_grad, want_hess = loop_hessian(base, frames)
@@ -854,15 +863,6 @@ def scalar_random_real_tangent(x: ProjPoint, rng) -> TangentVector:
                                  vec=scalar_normalize(v))
 
 
-def use_scalar_sampling(monkeypatch) -> None:
-    monkeypatch.setattr(ProjPoint, "real_representative",
-                        scalar_real_representative)
-    monkeypatch.setattr(geometry, "random_real_point",
-                        scalar_random_real_point)
-    monkeypatch.setattr(geometry, "random_real_tangent",
-                        scalar_random_real_tangent)
-
-
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape \
@@ -1030,6 +1030,19 @@ class TestPaddedBlocks:
                 b = zero_padded(a)
                 assert same_bits(np.add.reduce(b * b, axis=-1),
                                  np.add.reduce(a * a, axis=-1))
+            # the guards over padded rows: the real locus and the norms
+            # of the rows and of their .imag, and _half_circles' bound on
+            # the pairing of r and u
+            for a in (x, u, pts, pts[:, -1]):
+                b = zero_padded(a)
+                assert same_bits(geometry._real_locus(b, 0.0)[0],
+                                 geometry._real_locus(a, 0.0)[0])
+                for part in (lambda c: c, lambda c: c.imag):
+                    assert same_bits(geometry._row_norms(part(b)),
+                                     geometry._row_norms(part(a)))
+            assert same_bits(
+                np.add.reduce(zero_padded(r) * zero_padded(u).real, axis=-1),
+                np.add.reduce(r * u.real, axis=-1))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_contractions_over_the_padded_width_keep_their_bits(self, n):
@@ -1132,6 +1145,70 @@ class TestPaddedBlocks:
                     assert not got[i, ..., n + 1:].any(), name
                 for got, want in zip(block, alone, strict=True):
                     assert same_bits(got[i:i + 1], want)
+
+
+def refusal(call):
+    """The message of the ValueError that call raises, or None."""
+    try:
+        call()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestGuardAgreement:
+    """Each per-object check and the kernel guard that serves the same
+    rows accept and refuse the same rows, up to the edge of the
+    tolerance and past it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_check_is_the_path_endpoint_check(self, n):
+        x = batch_inputs(n, 1, 50 + n)[0][0] * np.exp(0.7j)
+        seen = set()
+        for d in np.linspace(-2.0, 2.0, 81) * geometry._UNIT_TOL:
+            row = x * (1.0 + d)
+            want = refusal(lambda: ProjPoint(row))
+            seen.add(want)
+            for samples in ([row, x], [x, row]):
+                assert refusal(lambda: DiscretePath(
+                    samples=samples, params=[0.0, 1.0])) == want
+        assert seen == {None, "representative must be a unit vector"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_real_locus_test_is_the_real_representative_guard(self, n):
+        # z = cos a p + i sin a q, p and q real orthonormal, sits on the
+        # sphere with |sum z_j^2| = cos 2a, which passes 1 - _REAL_TOL
+        # at a = sqrt(_REAL_TOL / 2)
+        p, q = np.linalg.qr(np.random.default_rng(n).standard_normal(
+            (n + 1, 2)))[0].T
+        edge = math.sqrt(geometry._REAL_TOL / 2)
+        seen = set()
+        for a in np.linspace(0.9, 1.1, 81) * edge:
+            point = ProjPoint(np.exp(-1.1j) * (math.cos(a) * p
+                                               + 1j * math.sin(a) * q))
+            got = refusal(lambda: geometry._real_reps(point.rep[None]))
+            assert point.is_real() == (got is None)
+            seen.add(got)
+        assert seen == {None, "point has no real representative"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tangent_check_is_the_tangent_draw_check(self, monkeypatch, n):
+        # _tangents' last unit rows are tilted by d along the point, so
+        # |<r, u>| runs through _UNIT_TOL
+        r = batch_inputs(n, 1, 60 + n)[1]
+        unit_rows, drawn, seen = geometry._unit_rows, [], set()
+        for d in np.linspace(-2.0, 2.0, 81) * geometry._UNIT_TOL:
+            def tilted(v, d=d):
+                drawn.append(unit_rows(v) + d * r)
+                return drawn[-1]
+
+            monkeypatch.setattr(geometry, "_unit_rows", tilted)
+            got = refusal(lambda: geometry._tangents(
+                r, np.random.default_rng(n)))
+            assert refusal(lambda: TangentVector(
+                base=ProjPoint(r[0]), vec=drawn[-1][0])) == got
+            seen.add(got)
+        assert seen == {None, "tangent vector must be orthogonal to the base"}
 
 
 def refusals():
@@ -1307,15 +1384,29 @@ class TestTrialAxis:
             if worst:
                 assert float(worst.group(1)) < geometry._CHECK_TOL
 
-    def test_index_reports_keep_the_per_point_arithmetic(self, monkeypatch):
-        # critical_index draws its configuration through
-        # random_real_point and random_real_tangent, which the sampling
-        # kernels now serve
-        grid = [(n, k) for n in (1, 2, 3) for k in range(6)] + [(5, 4)]
-        use_scalar_sampling(monkeypatch)
-        want = [index_check(n, k).lines() for n, k in grid]
-        monkeypatch.undo()
-        assert [index_check(n, k).lines() for n, k in grid] == want
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_index_draws_keep_the_per_point_arithmetic(self, monkeypatch, n):
+        # critical_index draws its real point and direction through the
+        # sampling kernels: each has the bits of the per-point draw on
+        # the same stream, which is left where the per-point draw leaves
+        # it
+        drawn, configuration = [], _critical_configuration
+
+        def recording(x, u, k):
+            drawn.append((x, u))
+            return configuration(x, u, k)
+
+        monkeypatch.setattr(geometry, "_critical_configuration", recording)
+        for seed in range(20):
+            rng, scalar = (np.random.default_rng([seed, n]) for _ in range(2))
+            critical_index(n, seed % 3, rng=rng)
+            y = scalar_random_real_point(n, scalar)
+            v = scalar_random_real_tangent(y, scalar)
+            [(x, u)] = drawn
+            drawn.clear()
+            assert same_bits(x, y.rep.real)
+            assert same_bits(u, v.vec.real)
+            assert rng.bit_generator.state == scalar.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_point_draws_keep_the_per_point_arithmetic(self, n):
