@@ -44,12 +44,21 @@ import numpy as np
 from . import homology
 from .tables import CheckItem, CheckReport
 
-_UNIT_TOL = 1e-12
-_REAL_TOL = 1e-9
-_ENDPOINT_TOL = 1e-8
 # worst cases below are measured over the four suites at their default
 # sizes, seeds 0-9 (index at (n, k) = (1, 1), (2, 2), (3, 1), (4, 3),
-# (1, 12)), the sampling streams keyed [0, b, seed] and [1, j, seed].
+# (1, 12)), the sampling streams keyed [0, b, seed] and [1, j, seed],
+# unless they say otherwise.
+# each property has one bound, wherever it is tested.  _UNIT_TOL bounds
+# a unit defect, the pairing defect 1 - |<p, q>| of the same point
+# (ProjPoint.equals, concat_min's junction) and a frame's Gram and
+# tangency defects (tangent vectors, yk_check's skew triple); _REAL_TOL
+# bounds 1 - |sum z_j^2| on the real locus (is_real, _real_reps, path
+# endpoints).  Over the sampling suites at (60, 20, 100) and at the
+# default trials, seeds 0-39, the worst junction pairing defect is
+# 4.4e-16, the triple's Gram defect 4.4e-16 and its tangency defect
+# 0.0, and a path endpoint's real-locus defect 4.4e-16
+_UNIT_TOL = 1e-12
+_REAL_TOL = 1e-9
 # DiscretePath's bounds on its end breakpoints' distance from 0 and 1
 # (every constructor sets both exactly: worst 0.0) and on the unit
 # defect of a sample (worst 4.4e-16)
@@ -68,12 +77,12 @@ _SOUTH_A2 = 1e-15
 # random_real_tangent redraws a projection shorter than this; the
 # shortest drawn is 9.2e-5, so none was redrawn
 _TANGENT_REDRAW = 1e-6
-# yk_check's bound on the Gram and tangency defects of the skew-pairing
-# triple: worst 4.4e-16
-_GRAM_TOL = 1e-10
-# critical_index's bound on |grad E|: the largest measured at n = 1..5,
-# k = 0..6, 12 and 30, seeds 0-2, is 7.5e-12, about 1300 times below
-_GRAD_TOL = 1e-8
+# critical_index's bound on |grad E| is _GRAD_TOL * eps * segments^2,
+# the order of its rounding; over the whole documented range (every
+# (n, k) with 2n * segments <= _MAX_HESSIAN_DIM, seeds 0-2) the largest
+# |grad E| / (eps * segments^2) is 13.4 (n = 1, k = 504), 3.6 at n <= 20
+# with k <= 30, and 8.5 at k <= 1 (n up to 256)
+_GRAD_TOL = 1000.0
 # critical_index refuses a Hessian dimension 2n * max(8, 4k + 4) past
 # this: the dense matrix takes dim^2 memory and eigvalsh dim^3 time, and
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
@@ -152,11 +161,11 @@ def _moduli(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _real_locus(z: np.ndarray, tol: float) -> tuple:
-    """s = sum z_j^2 of each unit row z, and whether |s| >= 1 - tol: |s|
-    is 1 exactly on the real locus and drops below 1 away from it."""
+def _real_locus(z: np.ndarray) -> tuple:
+    """s = sum z_j^2 of each unit row z, and whether |s| >= 1 - _REAL_TOL:
+    |s| is 1 exactly on the real locus and drops below 1 away from it."""
     s = np.add.reduce(z * z, axis=-1)
-    return s, _moduli(s) >= 1.0 - tol
+    return s, _moduli(s) >= 1.0 - _REAL_TOL
 
 
 def _require_tangent(base: np.ndarray, vec: np.ndarray) -> None:
@@ -186,7 +195,7 @@ def normalize(vec) -> np.ndarray:
 def _real_reps(reps: np.ndarray) -> np.ndarray:
     """Real unit representative of each row on the real locus: half the
     phase of its squared sum (_real_locus) turns the row real."""
-    s, real = _real_locus(reps, _REAL_TOL)
+    s, real = _real_locus(reps)
     _require(real, "point has no real representative")
     z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
     _require(_norm_defects(z.imag, 0.0) <= math.sqrt(_REAL_TOL),
@@ -217,7 +226,7 @@ class ProjPoint:
 
     def is_real(self) -> bool:
         """Whether some representative has all coordinates real."""
-        return _real_locus(self.rep, _REAL_TOL)[1]
+        return _real_locus(self.rep)[1]
 
     def real_representative(self) -> np.ndarray:
         return _real_reps(self.rep)
@@ -254,8 +263,7 @@ class TangentVector:
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
     """Distance in [0, pi/2]: arccos of the clamped pairing modulus."""
-    c = abs(np.vdot(p.rep, q.rep))
-    return math.acos(min(1.0, max(0.0, c)))
+    return float(_segment_distances(np.stack([p.rep, q.rep]))[0])
 
 
 def _geodesics(x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
@@ -290,12 +298,11 @@ def _check_paths(samples: np.ndarray, params: np.ndarray) -> None:
              "breakpoints must be strictly increasing")
     defect = _norm_defects(samples)
     _require(defect <= _SAMPLE_UNIT_TOL, "samples must be unit vectors")
-    # each endpoint must also pass ProjPoint's unit check and lie on the
-    # real locus within _ENDPOINT_TOL
+    # each endpoint must also pass ProjPoint's unit check and is_real
     for idx in (0, -1):
         _require(defect[..., idx] <= _UNIT_TOL,
                  "representative must be a unit vector")
-        _require(_real_locus(samples[..., idx, :], _ENDPOINT_TOL)[1],
+        _require(_real_locus(samples[..., idx, :])[1],
                  "path endpoints must lie on the real locus")
 
 
@@ -382,11 +389,11 @@ def _concat(gamma: tuple, delta: tuple) -> tuple:
     """concat_min of matching rows of two batches of paths, each batch
     (samples, params) with one leading axis; returns the same pair.
     Two constant factors get the junction s = 1/2."""
-    # the junction check passes only pairings above 1/2, so the phase of
-    # the second factor can always be aligned
+    # the junction rows must be the same point, as ProjPoint.equals
+    # tests, so the phase of the second factor can always be aligned
     z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
     pairing = _moduli(z)
-    _require(pairing > 1.0 - _ENDPOINT_TOL,
+    _require(pairing > 1.0 - _UNIT_TOL,
              "paths do not share the junction point")
     f1, f2 = np.sqrt(_energies(*gamma)), np.sqrt(_energies(*delta))
     constant = f1 + f2 == 0.0
@@ -404,8 +411,8 @@ def _concat(gamma: tuple, delta: tuple) -> tuple:
 def concat_min(gamma: DiscretePath, delta: DiscretePath) -> DiscretePath:
     """Minimum-energy concatenation: the junction sits at
     s = F(gamma) / (F(gamma) + F(delta)), which makes the norm exactly
-    additive; the junction rows must pair to more than 1 - _ENDPOINT_TOL,
-    and the second factor is turned by the phase of that pairing.
+    additive; the junction rows must be the same point (equals), and
+    the second factor is turned by the phase of their pairing.
     Two constant factors leave the junction undetermined; the
     convention s = 1/2 is used."""
     pts, t = _concat(*((p.samples[None], p.params[None])
@@ -774,11 +781,15 @@ def critical_index(n: int, k: int,
     in the ambient projective space (2n each).  The base configuration
     samples the geodesic that leaves a real point in a purely imaginary
     direction and returns to the real locus every quarter period; the
-    discrete energy is exactly critical there, which is verified
-    (|grad E| below _GRAD_TOL, else GradientCheckError) before the
-    Hessian is used.  rng draws the real point and the direction; the
-    frames are read off the geodesic (_critical_configuration), and any
-    other orthonormal frames give an orthogonally congruent Hessian.
+    discrete energy is exactly critical there, which is verified before
+    the Hessian is used (else GradientCheckError).  There |grad E| is
+    rounding error: sample j sits at arclength j k pi / (2 segments),
+    below segments, whose rounding moves it by up to eps * segments,
+    and a sample's displacement enters the gradient times segments; so
+    the guard bounds |grad E| by _GRAD_TOL * eps * segments^2.  rng
+    draws the real point and the direction; the frames are read off the
+    geodesic (_critical_configuration), and any other orthonormal
+    frames give an orthogonally congruent Hessian.
 
     Sample p moves to (p + F s) / |p + F s| along the real coordinates
     s of its frame F.  Every frame column is orthonormal and real-
@@ -821,7 +832,8 @@ def critical_index(n: int, k: int,
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    dim = 2 * n * _segment_count(k)
+    segments = _segment_count(k)
+    dim = 2 * n * segments
     if dim > _MAX_HESSIAN_DIM:
         raise HessianSizeError(
             f"the second variation at n={n} k={k} has dimension {dim}, "
@@ -829,7 +841,7 @@ def critical_index(n: int, k: int,
     x, _, u = _draws(rng or np.random.default_rng(0), np.array([n]))
     grad, diag, off = _bands(*_critical_configuration(x[0].real, u[0].real, k))
     gnorm = float(np.linalg.norm(grad))
-    if not gnorm < _GRAD_TOL:
+    if not gnorm < _GRAD_TOL * np.finfo(float).eps * segments ** 2:
         raise GradientCheckError(
             f"configuration is not critical: |grad E| = {gnorm:.3e}")
 
@@ -1037,8 +1049,8 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
                                 3))
     triple = np.stack([_skew(r, w) for w in ("J1", "J2", "J3")], axis=1)
     gram = triple @ triple.transpose(0, 2, 1)
-    gram_ok = bool(np.max(np.abs(gram - np.eye(3))) < _GRAM_TOL
-                   and np.max(np.abs(triple @ r[:, :, None])) < _GRAM_TOL)
+    gram_ok = bool(np.max(np.abs(gram - np.eye(3))) < _UNIT_TOL
+                   and np.max(np.abs(triple @ r[:, :, None])) < _UNIT_TOL)
     items.append(CheckItem(
         "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
     return _report("iterated half-circles", trials, items)

@@ -325,9 +325,14 @@ class TestPaths:
         t = np.linspace(0.0, 1.0, 5)
         DiscretePath(samples=scaled(s, 0, 1.0 + 5e-13), params=t)
         DiscretePath(samples=scaled(s, 2, 1.0 + 5e-10), params=t)
-        # a phase of 5e-5 on one coordinate lowers |sum z_j^2| by at most
-        # (5e-5)^2 / 2, inside the 1e-8 endpoint tolerance
-        DiscretePath(samples=phased(s, 0, 5e-5), params=t)
+        # a phase of 2e-5 on one coordinate lowers |sum z_j^2| by at most
+        # (2e-5)^2 / 2, inside _REAL_TOL; one of 5e-5 lowers it by 1.2e-9
+        # here, past it, where is_real calls the endpoint not real
+        DiscretePath(samples=phased(s, 0, 2e-5), params=t)
+        with pytest.raises(
+                ValueError,
+                match="^path endpoints must lie on the real locus$"):
+            DiscretePath(samples=phased(s, 0, 5e-5), params=t)
 
     def test_paths_are_immutable(self):
         samples = np.array(constant_path(real_point([1.0, 0.0]), 3).samples)
@@ -415,10 +420,15 @@ class TestConcat:
         with pytest.raises(ValueError,
                            match="^paths do not share the junction point$"):
             concat_min(a, b)
-        # a start 1e-4 away pairs to 1 - 5e-9, inside the junction
-        # tolerance 1e-8; one 3e-4 away pairs to 1 - 4.5e-8, outside it
-        near = constant_path(real_point([1.0, 1e-4, 0.0]))
+        # a start 1e-6 away pairs to 1 - 5e-13, the same point by
+        # ProjPoint.equals (above 1 - _UNIT_TOL); one 1e-4 away pairs to
+        # 1 - 5e-9 and one 3e-4 away to 1 - 4.5e-8, neither the same
+        near = constant_path(real_point([1.0, 1e-6, 0.0]))
         concat_min(a, near)
+        apart = constant_path(real_point([1.0, 1e-4, 0.0]))
+        with pytest.raises(ValueError,
+                           match="^paths do not share the junction point$"):
+            concat_min(a, apart)
         off = constant_path(real_point([1.0, 3e-4, 0.0]))
         with pytest.raises(ValueError,
                            match="^paths do not share the junction point$"):
@@ -614,9 +624,30 @@ class TestCriticalIndex:
             return base, frames
 
         monkeypatch.setattr(geometry, "_critical_configuration", damaged)
-        with pytest.raises(GradientCheckError,
-                           match="configuration is not critical"):
-            critical_index(2, 1)
+        # also at the top of the range for n = 1, where the guard's bound
+        # is 65 536 times that at (2, 1)
+        for n, k in ((2, 1), (1, 511)):
+            with pytest.raises(GradientCheckError,
+                               match="configuration is not critical"):
+                critical_index(n, k)
+
+    def test_gradient_guard_passes_the_top_of_the_range(self, monkeypatch):
+        # n = 1, k = 471..511 end the documented range (k = 511: dimension
+        # 4096); there |grad E| is rounding error of up to about
+        # 13 eps segments^2 (1.2e-8 at k = 511, seed 0).  Each
+        # configuration must reach the Hessian assembly, which is stopped
+        # before the dense matrix is allocated
+        class Assembled(Exception):
+            pass
+
+        def assembled(diag, off):
+            raise Assembled
+
+        monkeypatch.setattr(geometry, "_hessian_matrix", assembled)
+        for k in range(471, 512):
+            for seed in range(3):
+                with pytest.raises(Assembled):
+                    critical_index(1, k, rng=np.random.default_rng(seed))
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -1035,8 +1066,8 @@ class TestPaddedBlocks:
             # the pairing of r and u
             for a in (x, u, pts, pts[:, -1]):
                 b = zero_padded(a)
-                assert same_bits(geometry._real_locus(b, 0.0)[0],
-                                 geometry._real_locus(a, 0.0)[0])
+                assert same_bits(geometry._real_locus(b)[0],
+                                 geometry._real_locus(a)[0])
                 for part in (lambda c: c, lambda c: c.imag):
                     assert same_bits(geometry._row_norms(part(b)),
                                      geometry._row_norms(part(a)))
@@ -1156,6 +1187,18 @@ def refusal(call):
     return None
 
 
+def near_real_rows(n: int) -> tuple[np.ndarray, list]:
+    """A real unit row p and 81 rows of a phase times z = cos a p +
+    i sin a q, q real orthonormal to p: z sits on the sphere with
+    |sum z_j^2| = cos 2a, which passes 1 - _REAL_TOL at
+    a = sqrt(_REAL_TOL / 2), the middle row."""
+    p, q = np.linalg.qr(np.random.default_rng(n).standard_normal(
+        (n + 1, 2)))[0].T
+    edge = math.sqrt(geometry._REAL_TOL / 2)
+    return p, [np.exp(-1.1j) * (math.cos(a) * p + 1j * math.sin(a) * q)
+               for a in np.linspace(0.9, 1.1, 81) * edge]
+
+
 class TestGuardAgreement:
     """Each per-object check and the kernel guard that serves the same
     rows accept and refuse the same rows, up to the edge of the
@@ -1176,20 +1219,46 @@ class TestGuardAgreement:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_real_locus_test_is_the_real_representative_guard(self, n):
-        # z = cos a p + i sin a q, p and q real orthonormal, sits on the
-        # sphere with |sum z_j^2| = cos 2a, which passes 1 - _REAL_TOL
-        # at a = sqrt(_REAL_TOL / 2)
-        p, q = np.linalg.qr(np.random.default_rng(n).standard_normal(
-            (n + 1, 2)))[0].T
-        edge = math.sqrt(geometry._REAL_TOL / 2)
         seen = set()
-        for a in np.linspace(0.9, 1.1, 81) * edge:
-            point = ProjPoint(np.exp(-1.1j) * (math.cos(a) * p
-                                               + 1j * math.sin(a) * q))
+        for row in near_real_rows(n)[1]:
+            point = ProjPoint(row)
             got = refusal(lambda: geometry._real_reps(point.rep[None]))
             assert point.is_real() == (got is None)
             seen.add(got)
         assert seen == {None, "point has no real representative"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_real_locus_test_is_the_path_endpoint_check(self, n):
+        # each row as either end of a two-sample path whose other end is
+        # the real point p
+        p, rows = near_real_rows(n)
+        seen = set()
+        for row in rows:
+            want = (None if ProjPoint(row).is_real()
+                    else "path endpoints must lie on the real locus")
+            seen.add(want)
+            for samples in ([row, p], [p, row]):
+                assert refusal(lambda: DiscretePath(
+                    samples=samples, params=[0.0, 1.0])) == want
+        assert seen == {None, "path endpoints must lie on the real locus"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_is_the_junction_check(self, n):
+        # cos b r + sin b w, w a real unit tangent at the real point r,
+        # pairs with r to cos b, which passes 1 - _UNIT_TOL at
+        # b = sqrt(2 _UNIT_TOL)
+        _, r, w = batch_inputs(n, 1, 70 + n)
+        a = constant_path(ProjPoint(r[0]))
+        edge = math.sqrt(2 * geometry._UNIT_TOL)
+        seen = set()
+        for b in np.linspace(0.9, 1.1, 81) * edge:
+            start = ProjPoint(math.cos(b) * r[0] + math.sin(b) * w[0])
+            want = (None if a.end().equals(start)
+                    else "paths do not share the junction point")
+            seen.add(want)
+            assert refusal(lambda: concat_min(a, constant_path(start))) \
+                == want
+        assert seen == {None, "paths do not share the junction point"}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tangent_check_is_the_tangent_draw_check(self, monkeypatch, n):
