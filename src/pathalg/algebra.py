@@ -90,14 +90,26 @@ def signature(n: int) -> Signature:
                      degree=degree, weight=weight)
 
 
+def _letter_sum(w: Word, values: Mapping[str, int], refusal: str,
+                alphabet=None) -> int:
+    """Sum of the values of w's letters, one str.count per letter of
+    values, so a long H-run costs what a short word does.  A letter
+    without a value raises AlphabetError, refusal.format(c, alphabet) of
+    the first one, c, in w: the counts then fall short of len(w)."""
+    total = count = 0
+    for c, k in values.items():
+        m = w.count(c)
+        total, count = total + k * m, count + m
+    if count != len(w):
+        bad = next(c for c in w if c not in values)
+        raise AlphabetError(refusal.format(bad, alphabet))
+    return total
+
+
 def word_degree(w: Word, sig: Signature) -> int:
     """Sum of letter degrees (H: -1, S: 1, T: 0, Y: n)."""
-    total = 0
-    for c in w:
-        if c not in sig.degree:
-            raise AlphabetError(f"letter {c!r} not in alphabet {sig.alphabet}")
-        total += sig.degree[c]
-    return total
+    return _letter_sum(w, sig.degree, "letter {!r} not in alphabet {}",
+                       sig.alphabet)
 
 
 def unshifted_degree(w: Word, sig: Signature) -> int:
@@ -107,26 +119,15 @@ def unshifted_degree(w: Word, sig: Signature) -> int:
 
 def word_level(w: Word) -> int:
     """Number of S, T and Y letters in the word."""
-    total = 0
-    for c in w:
-        if c not in _LETTER_LEVEL:
-            raise AlphabetError(f"letter {c!r} is not a known generator")
-        total += _LETTER_LEVEL[c]
-    return total
+    return _letter_sum(w, _LETTER_LEVEL,
+                       "letter {!r} is not a known generator")
 
 
 def word_weight(w: Word, sig: Signature) -> int:
-    """Sum of letter weights, one str.count per letter of sig, so a long
-    H-run costs what a short word does.  A letter outside sig's alphabet
-    raises AlphabetError: the counts then fall short of len(w)."""
-    total = count = 0
-    for c, k in sig.weight.items():
-        m = w.count(c)
-        total, count = total + k * m, count + m
-    if count != len(w):
-        bad = next(c for c in w if c not in sig.weight)
-        raise AlphabetError(f"letter {bad!r} not in alphabet {sig.alphabet}")
-    return total
+    """Sum of letter weights.  A letter outside sig's alphabet raises
+    AlphabetError."""
+    return _letter_sum(w, sig.weight, "letter {!r} not in alphabet {}",
+                       sig.alphabet)
 
 
 def order_key(w: Word, sig: Signature):

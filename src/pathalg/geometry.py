@@ -49,21 +49,18 @@ from .tables import CheckItem, CheckReport
 # (1, 12)), the sampling streams keyed [0, b, seed] and [1, j, seed],
 # unless they say otherwise.
 # each property has one bound, wherever it is tested.  _UNIT_TOL bounds
-# a unit defect, the pairing defect 1 - |<p, q>| of the same point
-# (ProjPoint.equals, concat_min's junction) and a frame's Gram and
-# tangency defects (tangent vectors, yk_check's skew triple); _REAL_TOL
-# bounds 1 - |sum z_j^2| on the real locus (is_real, _real_reps, path
-# endpoints).  Over the sampling suites at (60, 20, 100) and at the
-# default trials, seeds 0-39, the worst junction pairing defect is
-# 4.4e-16, the triple's Gram defect 4.4e-16 and its tangency defect
-# 0.0, and a path endpoint's real-locus defect 4.4e-16
+# a unit defect (points, path samples), the pairing defect 1 - |<p, q>|
+# of the same point (ProjPoint.equals, concat_min's junction) and a
+# frame's Gram and tangency defects (tangent vectors, half-circle
+# directions, yk_check's skew triple); _REAL_TOL bounds 1 - |sum z_j^2|
+# on the real locus (is_real, _real_reps, path endpoints).  Over the
+# sampling suites at (60, 20, 100) and at the default trials, seeds
+# 0-39, the worst junction pairing defect is 4.4e-16, the triple's Gram
+# defect 4.4e-16 and its tangency defect 0.0, a path sample's unit
+# defect 4.4e-16 and a path endpoint's real-locus defect 4.4e-16.  Path
+# breakpoints end exactly at 0 and 1, as every constructor sets them
 _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
-# DiscretePath's bounds on its end breakpoints' distance from 0 and 1
-# (every constructor sets both exactly: worst 0.0) and on the unit
-# defect of a sample (worst 4.4e-16)
-_PARAM_END_TOL = 1e-12
-_SAMPLE_UNIT_TOL = 1e-9
 # concat_min keeps the junction breakpoint s this far inside (0, 1), so
 # the breakpoints stay increasing after a zero-norm factor; the smallest
 # min(s, 1 - s) of two nonzero factors is 5.0e-4
@@ -194,12 +191,11 @@ def normalize(vec) -> np.ndarray:
 
 def _real_reps(reps: np.ndarray) -> np.ndarray:
     """Real unit representative of each row on the real locus: half the
-    phase of its squared sum (_real_locus) turns the row real."""
+    phase of its squared sum (_real_locus) turns the row real, up to an
+    imaginary part of squared norm (1 - |s|) / 2 <= _REAL_TOL / 2."""
     s, real = _real_locus(reps)
     _require(real, "point has no real representative")
     z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
-    _require(_norm_defects(z.imag, 0.0) <= math.sqrt(_REAL_TOL),
-             "point has no real representative")
     re = np.ascontiguousarray(z.real)
     return re / _norms(re)[..., None]
 
@@ -292,18 +288,15 @@ def geodesic(x: ProjPoint, v: TangentVector, s: float) -> ProjPoint:
 def _check_paths(samples: np.ndarray, params: np.ndarray) -> None:
     """DiscretePath's value checks, in its order, on paths stacked on
     leading axes; params may also be one grid that all paths share."""
-    _require(np.abs(params[..., [0, -1]] - [0.0, 1.0]) <= _PARAM_END_TOL,
+    _require(params[..., [0, -1]] == [0.0, 1.0],
              "breakpoints must run from 0 to 1")
     _require(params[..., 1:] > params[..., :-1],
              "breakpoints must be strictly increasing")
-    defect = _norm_defects(samples)
-    _require(defect <= _SAMPLE_UNIT_TOL, "samples must be unit vectors")
-    # each endpoint must also pass ProjPoint's unit check and is_real
-    for idx in (0, -1):
-        _require(defect[..., idx] <= _UNIT_TOL,
-                 "representative must be a unit vector")
-        _require(_real_locus(samples[..., idx, :])[1],
-                 "path endpoints must lie on the real locus")
+    # every sample passes ProjPoint's unit check, both ends is_real
+    _require(_norm_defects(samples) <= _UNIT_TOL,
+             "representative must be a unit vector")
+    _require(_real_locus(samples[..., [0, -1], :])[1],
+             "path endpoints must lie on the real locus")
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,9 +429,8 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
     _require((_norm_defects(u.imag, 0.0) <= _REAL_TOL)
              & (_norm_defects(u) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
+    _require_tangent(r, u)
     ur = u.real[:, None]
-    _require(np.abs(np.add.reduce(r * u.real, axis=-1)) <= _REAL_TOL,
-             "direction must be orthogonal to the real base")
     # sin theta, sin 2theta and cos 2theta of theta reduced mod pi, each
     # a column
     sin, sin2, cos2 = np.array(
@@ -947,12 +939,14 @@ def _concat_errors(ns, counts, rng):
             rng, ns, rng.uniform(lo, hi, (len(ns), 1)), 12, end)
         bc.append(path)
         end = path[0][:, -1]
+    # each row rounds alone, so b.c is built once and sliced per part
+    bc.append(_concat(*bc))
     for _, rows, a in parts:
-        b, c = (tuple(x[rows] for x in p) for p in bc)
+        b, c, b_c = (tuple(x[rows] for x in p) for p in bc)
         ab = _concat(a, b)
         fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
         left = _concat(ab, c)
-        right = _concat(a, _concat(b, c))
+        right = _concat(a, b_c)
         yield np.abs(fab - fa - fb), np.abs(left[1] - right[1])
 
 

@@ -186,18 +186,17 @@ REJECTIONS = [
     (lambda s, t: (s, t[:-1]), "one breakpoint per sample required"),
     (lambda s, t: (s, t + 1e-11), "breakpoints must run from 0 to 1"),
     (lambda s, t: (s, t * 0.999), "breakpoints must run from 0 to 1"),
+    # the ends are compared with 0 and 1 exactly
+    (lambda s, t: (s, t - 1e-13), "breakpoints must run from 0 to 1"),
     (lambda s, t: (s, t[[0, 2, 1, 3, 4]]),
      "breakpoints must be strictly increasing"),
     (lambda s, t: (s, np.array([0.0, 0.2, 0.2, 0.6, 1.0])),
      "breakpoints must be strictly increasing"),
+    # every sample, interior or end, has ProjPoint's unit check
     (lambda s, t: (scaled(s, 2, 1.0 + 1e-8), t),
-     "samples must be unit vectors"),
-    # the interior check runs over every row before the endpoint
-    # checks
+     "representative must be a unit vector"),
     (lambda s, t: (scaled(scaled(s, 2, 1.0 + 1e-8), 0, 1.0 + 1e-10), t),
-     "samples must be unit vectors"),
-    # endpoints off by between 1e-12 and 1e-9: the interior tolerance
-    # passes them, ProjPoint's unit check does not
+     "representative must be a unit vector"),
     (lambda s, t: (scaled(s, 0, 1.0 + 1e-10), t),
      "representative must be a unit vector"),
     (lambda s, t: (scaled(s, -1, 1.0 - 5e-11), t),
@@ -206,9 +205,10 @@ REJECTIONS = [
      "path endpoints must lie on the real locus"),
     (lambda s, t: (phased(s, -1), t),
      "path endpoints must lie on the real locus"),
-    # the start is checked in full before the end
+    # the unit check runs over every sample before the ends' real-locus
+    # check
     (lambda s, t: (scaled(phased(s, 0), -1, 1.0 + 1e-10), t),
-     "path endpoints must lie on the real locus"),
+     "representative must be a unit vector"),
     (lambda s, t: (phased(scaled(s, 0, 1.0 + 1e-10), -1), t),
      "representative must be a unit vector"),
 ]
@@ -324,7 +324,11 @@ class TestPaths:
         s = np.array(half_circle(*real_pair(2, 3), 1.1, samples=5).samples)
         t = np.linspace(0.0, 1.0, 5)
         DiscretePath(samples=scaled(s, 0, 1.0 + 5e-13), params=t)
-        DiscretePath(samples=scaled(s, 2, 1.0 + 5e-10), params=t)
+        DiscretePath(samples=scaled(s, 2, 1.0 + 5e-13), params=t)
+        # an interior sample has the ends' unit bound, _UNIT_TOL
+        with pytest.raises(
+                ValueError, match="^representative must be a unit vector$"):
+            DiscretePath(samples=scaled(s, 2, 1.0 + 5e-10), params=t)
         # a phase of 2e-5 on one coordinate lowers |sum z_j^2| by at most
         # (2e-5)^2 / 2, inside _REAL_TOL; one of 5e-5 lowers it by 1.2e-9
         # here, past it, where is_real calls the endpoint not real
@@ -1218,6 +1222,19 @@ class TestGuardAgreement:
         assert seen == {None, "representative must be a unit vector"}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_check_is_the_path_sample_check(self, n):
+        # the row as the middle sample of a path whose ends are x
+        x = batch_inputs(n, 1, 50 + n)[0][0] * np.exp(0.7j)
+        seen = set()
+        for d in np.linspace(-2.0, 2.0, 81) * geometry._UNIT_TOL:
+            row = x * (1.0 + d)
+            want = refusal(lambda: ProjPoint(row))
+            seen.add(want)
+            assert refusal(lambda: DiscretePath(
+                samples=[x, row, x], params=[0.0, 0.5, 1.0])) == want
+        assert seen == {None, "representative must be a unit vector"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_real_locus_test_is_the_real_representative_guard(self, n):
         seen = set()
         for row in near_real_rows(n)[1]:
@@ -1277,6 +1294,21 @@ class TestGuardAgreement:
             assert refusal(lambda: TangentVector(
                 base=ProjPoint(r[0]), vec=drawn[-1][0])) == got
             seen.add(got)
+        assert seen == {None, "tangent vector must be orthogonal to the base"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tangent_check_is_the_half_circle_direction_check(self, n):
+        # the real unit tangent u tilted by d along the real point r, so
+        # |<r, u>| runs through _UNIT_TOL
+        _, r, u = batch_inputs(n, 1, 80 + n)
+        seen = set()
+        for d in np.linspace(-2.0, 2.0, 81) * geometry._UNIT_TOL:
+            v = u + d * r
+            want = refusal(lambda: TangentVector(base=ProjPoint(r[0]),
+                                                 vec=v[0]))
+            seen.add(want)
+            assert refusal(lambda: geometry._half_circles(
+                r, v, np.array([1.1]), 5)) == want
         assert seen == {None, "tangent vector must be orthogonal to the base"}
 
 

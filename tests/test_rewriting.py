@@ -1175,8 +1175,11 @@ class TestRepairSearch:
         assert [a.render() for a in found] == ["{HHT -> HH, HHY -> 0}"]
 
     def test_matching_presentation_is_rejected(self):
-        with pytest.raises(ValueError, match="already matches"):
-            repairs(3)
+        # a completed odd-n system already matches its target series
+        for n in (1, 3, 5, 7):
+            with pytest.raises(ValueError, match="^presentation already "
+                               "matches; nothing to repair$"):
+                repairs(n)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_pools_are_the_smaller_words_of_the_cell(self, n):
