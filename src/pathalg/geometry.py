@@ -1,7 +1,8 @@
 """Numerical model of the metric side: complex projective space with
 the metric normalized so complex lines are round 2-spheres of curvature
 4, the real locus of points with a real representative, vertical
-half-circle paths, minimum-energy concatenation, and the discrete
+half-circle paths (each the orbit of a real point under one rotation of
+its complex line), minimum-energy concatenation, and the discrete
 second-variation computation at the critical geodesics.
 
 Conventions.  Points are unit vectors in complex (n+1)-space up to
@@ -20,10 +21,11 @@ trials' n: a row fills its first n + 1 columns and the rest are exact
 zeros, which no elementwise operation or sum over the coordinates
 rounds, and each contraction is one call over the padded width, so
 every value and guard keeps its row's bits.  Of the two row norms,
-_row_norms sums squared moduli elementwise (the padded-block tests pin
-its bits); _norms is np.linalg.norm's arithmetic on one vector (the
-per-point draw references pin its bits), whose dots of strided .real
-and .imag views padding may change, so draws run per width (_padded).
+_row_norms sums squared moduli elementwise for the unit and real-part
+guards (the padded-block tests pin its bits); _norms is
+np.linalg.norm's arithmetic on one vector (the per-point draw
+references pin its bits), whose dots of strided .real and .imag views
+padding may change, so draws run per width (_padded).
 Block b of a suite draws all its inputs as arrays from one generator,
 default_rng([0, b, seed]), and the suite's j-th stream outside its
 blocks is default_rng([1, j, seed]): two one-word prefixes before the
@@ -57,7 +59,7 @@ from .tables import CheckItem, CheckReport
 # sampling suites at (60, 20, 100) and at the default trials, seeds
 # 0-39, the worst junction pairing defect is 4.4e-16, the triple's Gram
 # defect 4.4e-16 and its tangency defect 0.0, a path sample's unit
-# defect 4.4e-16 and a path endpoint's real-locus defect 4.4e-16.  Path
+# defect 4.4e-16 and a path endpoint's real-locus defect 8.9e-16.  Path
 # breakpoints end exactly at 0 and 1, as every constructor sets them
 _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
@@ -65,12 +67,6 @@ _REAL_TOL = 1e-9
 # the breakpoints stay increasing after a zero-norm factor; the smallest
 # min(s, 1 - s) of two nonzero factors is 5.0e-4
 _JUNCTION_CLAMP = 1e-12
-# half_circle returns the constant path when |sin theta| < _FLAT_SIN
-# (theta = 0 reduced mod pi leaves at most 2.2e-16; the smallest other
-# value is 2.0e-4), and lifts a sample to u itself when a^2 <= _SOUTH_A2
-# (exactly 0.0 at the south pole; the smallest elsewhere is 1.5e-9)
-_FLAT_SIN = 1e-13
-_SOUTH_A2 = 1e-15
 # random_real_tangent redraws a projection shorter than this; the
 # shortest drawn is 9.2e-5, so none was redrawn
 _TANGENT_REDRAW = 1e-6
@@ -85,8 +81,8 @@ _GRAD_TOL = 1000.0
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
-# default trials, seeds 0-9, is 7.1e-14 on the drawn trials, about
-# 14 000 times below, and 4.8e-13 on yk_check's right-angle samples
+# default trials, seeds 0-9, is 6.2e-14 on the drawn trials, about
+# 16 000 times below, and 6.8e-13 on yk_check's right-angle samples
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
@@ -350,6 +346,11 @@ def constant_path(x: ProjPoint, samples: int = 2) -> DiscretePath:
 
 
 def _segment_distances(samples: np.ndarray) -> np.ndarray:
+    """arccos of the pairing modulus of each two consecutive samples.
+    arccos loses precision near 1: a pairing rounded to 1 - k eps reads
+    sqrt(2k eps), so two equal unit samples can read up to about 3e-8
+    apart, and a 48-sample constant_path has path_norm up to 1.4e-6, not
+    0 (517 of 1400 random real points at n = 1..7 read nonzero)."""
     inner = np.abs(np.einsum("...ij,...ij->...i", samples[..., :-1, :],
                              samples[..., 1:, :].conj()))
     # inner >= 0, so this is the clip of inner to [0, 1]
@@ -430,33 +431,15 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
              & (_norm_defects(u) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
     _require_tangent(r, u)
-    ur = u.real[:, None]
-    # sin theta, sin 2theta and cos 2theta of theta reduced mod pi, each
-    # a column
-    sin, sin2, cos2 = np.array(
-        [(math.sin(a), math.sin(2 * a), math.cos(2 * a))
-         for a in (math.remainder(b, math.pi) for b in theta.tolist())]
-    ).reshape(-1, 3).T[..., None]
-    flat = np.abs(sin[:, 0]) < _FLAT_SIN
+    # c and s: cos and sin of half of theta reduced mod pi, each a column
+    half = _each(lambda a: 0.5 * math.remainder(a, math.pi), theta)[:, None]
+    c, s = _each(math.cos, half), _each(math.sin, half)
     t = np.linspace(0.0, 1.0, samples)
-    cos_phi, sin_phi = np.cos(math.pi * t), np.sin(math.pi * t)
-    # the chord runs from x's image (0, 1/2, 0) to the endpoint's image
-    # (sin 2theta, cos 2theta, 0) / 2; the arc is centred at its
-    # midpoint (mx, my, 0), has radius rho, and starts along the unit
-    # vector (-mx, 1/2 - my, 0) / rho, bending towards (0, 0, 1)
-    mx, my = 0.25 * sin2, 0.25 + 0.25 * cos2
-    rho = np.where(flat[:, None], 1.0, 0.5 * np.abs(sin))
-    px = mx + rho * (cos_phi * (-mx / rho))
-    py = my + rho * (cos_phi * ((0.5 - my) / rho))
-    # invert the sphere map: p lifts to a*r + c*u with a real >= 0; at
-    # the south pole (a = 0) the lift is u itself
-    south = (0.5 + py <= _SOUTH_A2)[..., None]
-    a = np.sqrt(np.where(south, 1.0, (0.5 + py)[..., None]))
-    c = (px + 1j * (rho * sin_phi))[..., None] / a
-    pts = np.where(south, ur, a * r[:, None] + c * ur)
-    pts /= _row_norms(pts)[..., None]
-    # theta = 0 (mod pi) gives the constant path at x
-    pts[flat] = r[flat, None]
+    # w = e^(-i pi t), conjugated where theta < 0: the turn by w about the
+    # midpoint c r + s u bends every arc towards Im(conj(a) b) >= 0
+    w = np.cos(math.pi * t) - 1j * np.copysign(1.0, half) * np.sin(math.pi * t)
+    pts = ((c * c + s * s * w)[..., None] * r[:, None]
+           + (c * s * (1.0 - w))[..., None] * u.real[:, None])
     _check_paths(pts, t)
     return pts, np.broadcast_to(t, pts.shape[:2])
 
@@ -466,14 +449,22 @@ def half_circle(x: ProjPoint, u: TangentVector, theta: float,
     """Vertical half-circle from x to exp_x(theta * u), traversed at
     constant speed.
 
-    The complex line spanned by the real point x and the real unit
-    tangent u is a round sphere of radius 1/2 under
-    a*r + c*u -> (Re(conj(a) c), (|a|^2 - |c|^2)/2, Im(conj(a) c));
-    the real locus of the line lands on the equator.  The half-circle
-    is the arc through the upper half-space whose chord joins the
-    images of the two endpoints; its norm is (pi/2) sin|theta|.
-    theta is normalized modulo pi into [-pi/2, pi/2]; theta = 0 gives
-    the constant path, and a non-finite theta raises ValueError.
+    The complex line spanned by the real representative r of x and the
+    real unit tangent u is a round sphere of radius 1/2.  With theta
+    reduced modulo pi into [-pi/2, pi/2], c = cos(theta/2) and
+    s = sin(theta/2), the unitary of the line that fixes the geodesic
+    midpoint m = c r + s u and multiplies -s r + c u by a phase w turns
+    the sphere by arg w about m.  The path is the orbit of x under
+    w = e^(-i pi t) (conjugated for theta < 0), the sample at t being
+
+        (c^2 + s^2 w) r + c s (1 - w) u:
+
+    half a turn about m, along the circle whose diameter is the chord
+    from x to cos(theta) r + sin(theta) u, through the half of the
+    sphere where Im(conj(a) b) >= 0 for the coefficients a of r and b
+    of u.  Its norm is (pi/2) sin|theta|.  Nothing is divided, so no
+    angle needs its own case: theta = 0 (mod pi) gives the constant
+    path at r, and a non-finite theta raises ValueError.
     """
     r = x.real_representative()
     if not u.base.equals(x):
@@ -578,8 +569,9 @@ def _chains(rng: np.random.Generator, ns, thetas: list, samples: int,
             live = counts[rows] > j
             parts.append((j, rows[~live], tuple(a[~live] for a in path)))
             path, rows = tuple(a[live] for a in path), rows[live]
-            # the next arc leaves the real representative of this end
-            x = _real_reps(arc[0][live, -1]).astype(complex)
+            # the next arc leaves this end (_draws takes its real
+            # representative)
+            x = arc[0][live, -1]
         _, r, u = _draws(rng, ns[rows], x)
         arc = _half_circles(r, u, np.array([thetas[i][j] for i in rows]),
                             samples)
@@ -923,10 +915,10 @@ def _concat_errors(ns, counts, rng):
     # angles stay above 0.05 because the concatenation error grows like
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
-    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.3e-12
-    # at factor norm 8.6e-4; a factor at angle 1e-6 gives 2.4e-9, past
+    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.8e-10
+    # at factor norm 5.1e-6; a factor at angle 1e-6 gives 1.6e-9, past
     # _CHECK_TOL.  With the floor, seeds 0-149 at 200 trials give a worst
-    # of 7.2e-14.
+    # of 6.2e-14.
     lo, hi = 0.05, 0.5 * math.pi
     parts = _chains(rng, ns, _angles(rng, lo, hi, counts), 12)
     end = np.empty((len(ns), ns[-1] + 1), complex)
@@ -1029,7 +1021,7 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
         [("norm stays below k quarter-turns", "worst excess")])
     # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
     # generator, whose paths come in that order: the worst error over
-    # seeds 0-199 is 4.9e-13
+    # seeds 0-199 is 9.0e-13
     for k, rows, (pts, t) in _chains(
             np.random.default_rng([1, 0, seed]), [1, 2, 3],
             [np.full(k, 0.5 * math.pi) for k in (2, 2, 3)], 40):

@@ -181,36 +181,51 @@ def defect(p: ProjPoint, q: ProjPoint) -> float:
 # how DiscretePath rejects a changed copy of a good path: the change
 # to (samples, params), and the message
 REJECTIONS = [
-    (lambda s, t: (s[:1], t[:1]), "path needs at least two samples"),
-    (lambda s, t: (s[0], t), "path needs at least two samples"),
-    (lambda s, t: (s, t[:-1]), "one breakpoint per sample required"),
-    (lambda s, t: (s, t + 1e-11), "breakpoints must run from 0 to 1"),
-    (lambda s, t: (s, t * 0.999), "breakpoints must run from 0 to 1"),
+    pytest.param(lambda s, t: (s[:1], t[:1]),
+                 "path needs at least two samples", id="one-sample"),
+    pytest.param(lambda s, t: (s[0], t),
+                 "path needs at least two samples", id="samples-one-row"),
+    pytest.param(lambda s, t: (s, t[:-1]),
+                 "one breakpoint per sample required", id="breakpoint-short"),
+    pytest.param(lambda s, t: (s, t + 1e-11),
+                 "breakpoints must run from 0 to 1", id="breakpoints-raised"),
+    pytest.param(lambda s, t: (s, t * 0.999),
+                 "breakpoints must run from 0 to 1", id="breakpoints-shrunk"),
     # the ends are compared with 0 and 1 exactly
-    (lambda s, t: (s, t - 1e-13), "breakpoints must run from 0 to 1"),
-    (lambda s, t: (s, t[[0, 2, 1, 3, 4]]),
-     "breakpoints must be strictly increasing"),
-    (lambda s, t: (s, np.array([0.0, 0.2, 0.2, 0.6, 1.0])),
-     "breakpoints must be strictly increasing"),
+    pytest.param(lambda s, t: (s, t - 1e-13),
+                 "breakpoints must run from 0 to 1", id="breakpoints-lowered"),
+    pytest.param(lambda s, t: (s, t[[0, 2, 1, 3, 4]]),
+                 "breakpoints must be strictly increasing",
+                 id="breakpoints-swapped"),
+    pytest.param(lambda s, t: (s, np.array([0.0, 0.2, 0.2, 0.6, 1.0])),
+                 "breakpoints must be strictly increasing",
+                 id="breakpoints-repeated"),
     # every sample, interior or end, has ProjPoint's unit check
-    (lambda s, t: (scaled(s, 2, 1.0 + 1e-8), t),
-     "representative must be a unit vector"),
-    (lambda s, t: (scaled(scaled(s, 2, 1.0 + 1e-8), 0, 1.0 + 1e-10), t),
-     "representative must be a unit vector"),
-    (lambda s, t: (scaled(s, 0, 1.0 + 1e-10), t),
-     "representative must be a unit vector"),
-    (lambda s, t: (scaled(s, -1, 1.0 - 5e-11), t),
-     "representative must be a unit vector"),
-    (lambda s, t: (phased(s, 0), t),
-     "path endpoints must lie on the real locus"),
-    (lambda s, t: (phased(s, -1), t),
-     "path endpoints must lie on the real locus"),
+    pytest.param(lambda s, t: (scaled(s, 2, 1.0 + 1e-8), t),
+                 "representative must be a unit vector",
+                 id="interior-scaled"),
+    pytest.param(
+        lambda s, t: (scaled(scaled(s, 2, 1.0 + 1e-8), 0, 1.0 + 1e-10), t),
+        "representative must be a unit vector",
+        id="interior-and-start-scaled"),
+    pytest.param(lambda s, t: (scaled(s, 0, 1.0 + 1e-10), t),
+                 "representative must be a unit vector", id="start-scaled"),
+    pytest.param(lambda s, t: (scaled(s, -1, 1.0 - 5e-11), t),
+                 "representative must be a unit vector", id="end-shrunk"),
+    pytest.param(lambda s, t: (phased(s, 0), t),
+                 "path endpoints must lie on the real locus",
+                 id="start-phased"),
+    pytest.param(lambda s, t: (phased(s, -1), t),
+                 "path endpoints must lie on the real locus",
+                 id="end-phased"),
     # the unit check runs over every sample before the ends' real-locus
     # check
-    (lambda s, t: (scaled(phased(s, 0), -1, 1.0 + 1e-10), t),
-     "representative must be a unit vector"),
-    (lambda s, t: (phased(scaled(s, 0, 1.0 + 1e-10), -1), t),
-     "representative must be a unit vector"),
+    pytest.param(lambda s, t: (scaled(phased(s, 0), -1, 1.0 + 1e-10), t),
+                 "representative must be a unit vector",
+                 id="start-phased-end-scaled"),
+    pytest.param(lambda s, t: (phased(scaled(s, 0, 1.0 + 1e-10), -1), t),
+                 "representative must be a unit vector",
+                 id="start-scaled-end-phased"),
 ]
 
 
@@ -513,9 +528,43 @@ class TestHalfCircle:
                 list(rng.uniform(-math.pi, math.pi, 20)):
             x = random_real_point(int(rng.integers(1, 4)), rng)
             u = random_real_tangent(x, rng)
-            got = half_circle(x, u, float(theta), samples=17)
+            got = half_circle(x, u, float(theta), samples=17).samples
             want = half_circle_reference(x, u, float(theta), samples=17)
-            assert np.max(np.abs(got.samples - want)) < 1e-14
+            # the reference lifts each sample with a real >= 0, a phase
+            # the path does not fix: turn each sample onto its reference
+            z = np.einsum("ij,ij->i", got.conj(), want)
+            assert np.max(np.abs(got * (z / np.abs(z))[:, None] - want)) \
+                < 1e-14
+            # the rotation itself, one scalar sample at a time
+            want = half_circle_rotation(x, u, float(theta), samples=17)
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [
+        0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi,
+        101 * math.pi, 1e-300, 1e-14])
+    def test_angles_near_zero_mod_pi_stay_at_x(self, n, theta):
+        rng = np.random.default_rng(n)
+        x = random_real_point(n, rng)
+        u = random_real_tangent(x, rng)
+        hc = half_circle(x, u, theta, samples=9)
+        assert all(ProjPoint(p).equals(x) for p in hc.samples)
+        if theta in (0.0, math.pi, -math.pi):
+            assert (hc.samples == x.real_representative()).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
+    def test_right_angle_ends_at_the_direction(self, n, theta):
+        rng = np.random.default_rng(n)
+        x = random_real_point(n, rng)
+        u = random_real_tangent(x, rng)
+        hc = half_circle(x, u, theta, samples=9)
+        assert hc.end().equals(ProjPoint(u.vec))
+        assert np.max(np.abs(np.linalg.norm(hc.samples, axis=1) - 1.0)) \
+            < 1e-15
+        basis = np.stack([x.real_representative(), u.vec.real])
+        off = hc.samples - hc.samples @ basis.T @ basis
+        assert np.max(np.abs(off)) < 2e-15
 
     def test_rejects_complex_direction(self):
         x = random_real_point(2, RNG)
@@ -829,6 +878,24 @@ def half_circle_reference(x: ProjPoint, u: TangentVector, theta: float,
     return np.array(pts)
 
 
+def half_circle_rotation(x: ProjPoint, u: TangentVector, theta: float,
+                         samples: int) -> np.ndarray:
+    """Samples of the half-circle as the orbit of x's real
+    representative r under the unitary that fixes the geodesic midpoint
+    m = c r + s u and multiplies m' = -s r + c u by w: since r = c m -
+    s m', the sample is c m - s w m', one scalar w = e^(-i pi t) at a
+    time (conjugated for theta < 0)."""
+    r = x.real_representative()
+    half = 0.5 * math.remainder(theta, math.pi)
+    c, s = math.cos(half), math.sin(half)
+    m, m_perp = c * r + s * u.vec.real, -s * r + c * u.vec.real
+    pts = []
+    for ti in np.linspace(0.0, 1.0, samples).tolist():
+        w = cmath.exp(-1j * math.copysign(math.pi * ti, half))
+        pts.append(c * m - s * w * m_perp)
+    return np.array(pts)
+
+
 class TestCheckSuites:
     def test_index_check_reports_the_pair(self):
         report = index_check(2, 2)
@@ -1022,7 +1089,7 @@ class TestBatchKernels:
     # the changes that keep the shapes, so the bad path stacks with good
     # ones
     @pytest.mark.parametrize("change, message", [
-        case for case in REJECTIONS if case[1] not in (
+        case for case in REJECTIONS if case.values[1] not in (
             "path needs at least two samples",
             "one breakpoint per sample required")])
     def test_one_bad_row_rejects_the_batch_as_discrete_path_does(
