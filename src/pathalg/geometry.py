@@ -24,14 +24,17 @@ every value and guard keeps its row's bits.  Of the two row norms,
 _row_norms sums squared moduli elementwise for the unit and real-part
 guards (the padded-block tests pin its bits); _norms is
 np.linalg.norm's arithmetic on one vector (the per-point draw
-references pin its bits), whose dots of strided .real and .imag views
-padding may change, so draws run per width (_padded).
+references pin its bits): one contiguous dot of a real row, which zero
+padding keeps, or dots of the strided .real and .imag views of a
+complex row, which padding may change.  So a draw normalizes real rows
+and casts them to complex last; only its standard_normal calls run a
+width at a time (_gaussians), and all else runs once on the block.
 Block b of a suite draws all its inputs as arrays from one generator,
 default_rng([0, b, seed]), and the suite's j-th stream outside its
 blocks is default_rng([1, j, seed]): two one-word prefixes before the
 seed, whose words may be many, so no two streams share a key.
 concat_check chains its arcs b and c once per block, whatever a's arc
-count.
+count, and takes each path's norm once: _concat takes the factors'.
 """
 
 from __future__ import annotations
@@ -73,21 +76,21 @@ _TANGENT_REDRAW = 1e-6
 # critical_index's bound on |grad E| is _GRAD_TOL * eps * segments^2,
 # the order of its rounding; over the whole documented range (every
 # (n, k) with 2n * segments <= _MAX_HESSIAN_DIM, seeds 0-2) the largest
-# |grad E| / (eps * segments^2) is 13.4 (n = 1, k = 504), 3.6 at n <= 20
-# with k <= 30, and 8.5 at k <= 1 (n up to 256)
+# |grad E| / (eps * segments^2) is 13.4 (n = 1, k = 504), 3.3 at n <= 20
+# with k <= 30, and 8.1 at k <= 1 (n up to 256)
 _GRAD_TOL = 1000.0
 # critical_index refuses a Hessian dimension 2n * max(8, 4k + 4) past
 # this: the dense matrix takes dim^2 memory and eigvalsh dim^3 time, and
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
-# default trials, seeds 0-9, is 6.2e-14 on the drawn trials, about
-# 16 000 times below, and 6.8e-13 on yk_check's right-angle samples
+# default trials, seeds 0-9, is 5.7e-14 on the drawn trials, about
+# 17 500 times below, and 5.8e-13 on yk_check's right-angle samples
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
-# (seed 3) is 3.09 MB at one block and 3.56 MB at four, where one array
-# per trial would grow without bound
+# (seed 3, numpy 2.4) is 3.67 MB at one block and at four, where one
+# array per trial would grow without bound
 _TRIAL_BLOCK = 256
 
 
@@ -111,16 +114,6 @@ def _require(ok, message: str) -> None:
 
 def _as_complex(vec) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(-1)
-
-
-def _padded(ns: np.ndarray, width: int, draw) -> np.ndarray:
-    """draw(rows, n + 1), rows a slice, of each run of equal n in the
-    sorted ns, padded to width: padding may change the bits of _norms."""
-    out = np.zeros((len(ns), width), complex)
-    for n in sorted(set(ns.tolist())):
-        rows = slice(*np.searchsorted(ns, [n, n + 1]))
-        out[rows, :n + 1] = draw(rows, n + 1)
-    return out
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +168,7 @@ def _each(fn, values) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Complex rows over their norms (_norms)."""
+    """Rows over their norms (_norms)."""
     norm = _norms(v)
     _require(norm != 0, "cannot normalize the zero vector")
     return v / norm[..., None]
@@ -350,7 +343,7 @@ def _segment_distances(samples: np.ndarray) -> np.ndarray:
     arccos loses precision near 1: a pairing rounded to 1 - k eps reads
     sqrt(2k eps), so two equal unit samples can read up to about 3e-8
     apart, and a 48-sample constant_path has path_norm up to 1.4e-6, not
-    0 (517 of 1400 random real points at n = 1..7 read nonzero)."""
+    0 (484 of 1400 random real points at n = 1..7 read nonzero)."""
     inner = np.abs(np.einsum("...ij,...ij->...i", samples[..., :-1, :],
                              samples[..., 1:, :].conj()))
     # inner >= 0, so this is the clip of inner to [0, 1]
@@ -361,6 +354,12 @@ def _energies(samples: np.ndarray, params: np.ndarray) -> np.ndarray:
     d = _segment_distances(samples)
     return np.add.reduce(d * d / (params[..., 1:] - params[..., :-1]),
                          axis=-1)
+
+
+def _path_norms(path: tuple) -> np.ndarray:
+    """Norm, the square root of the energy, of each path of a batch
+    (samples, params)."""
+    return np.sqrt(_energies(*path))
 
 
 def path_energy(path: DiscretePath) -> float:
@@ -379,17 +378,19 @@ def path_length(path: DiscretePath) -> float:
     return float(np.sum(_segment_distances(path.samples)))
 
 
-def _concat(gamma: tuple, delta: tuple) -> tuple:
+def _concat(gamma: tuple, delta: tuple, norms: Optional[tuple] = None
+            ) -> tuple:
     """concat_min of matching rows of two batches of paths, each batch
     (samples, params) with one leading axis; returns the same pair.
-    Two constant factors get the junction s = 1/2."""
+    norms, when given, holds the factors' _path_norms, which the caller
+    already has.  Two constant factors get the junction s = 1/2."""
     # the junction rows must be the same point, as ProjPoint.equals
     # tests, so the phase of the second factor can always be aligned
     z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
     pairing = _moduli(z)
     _require(pairing > 1.0 - _UNIT_TOL,
              "paths do not share the junction point")
-    f1, f2 = np.sqrt(_energies(*gamma)), np.sqrt(_energies(*delta))
+    f1, f2 = norms or (_path_norms(gamma), _path_norms(delta))
     constant = f1 + f2 == 0.0
     s = np.where(constant, 0.5, np.minimum(np.maximum(
         f1 / np.where(constant, 1.0, f1 + f2), _JUNCTION_CLAMP),
@@ -488,10 +489,24 @@ def half_circle_endpoint(x: ProjPoint, u: TangentVector, theta: float
 # Random sampling
 
 
+def _gaussians(rng: np.random.Generator, ns: np.ndarray, width: int
+               ) -> np.ndarray:
+    """A standard normal row of n + 1 entries for each n of the sorted
+    ns, zero-padded to width: one draw for each run of equal n, n
+    ascending."""
+    g = np.zeros((len(ns), width))
+    lo, hi = int(ns[0]), int(ns[-1]) + 1
+    bounds = np.searchsorted(ns, np.arange(lo, hi + 1)).tolist()
+    for n, start, stop in zip(range(lo, hi), bounds, bounds[1:]):
+        if stop > start:
+            g[start:stop, :n + 1] = rng.standard_normal((stop - start, n + 1))
+    return g
+
+
 def _real_points(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """rows random real points of dimension n, as complex unit rows; one
     row is random_real_point's draw."""
-    return _unit_rows(rng.standard_normal((rows, n + 1)).astype(complex))
+    return _unit_rows(rng.standard_normal((rows, n + 1))).astype(complex)
 
 
 def random_real_point(n: int, rng: np.random.Generator) -> ProjPoint:
@@ -500,19 +515,23 @@ def random_real_point(n: int, rng: np.random.Generator) -> ProjPoint:
     return ProjPoint(_real_points(rng, 1, n)[0])
 
 
-def _tangents(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A random real unit tangent at each real unit row of r: a normal
-    draw projected off r, drawn again while the projection is shorter
-    than _TANGENT_REDRAW, one array for the rows left each pass.  A row
-    of one coordinate has no tangent, and every projection would be 0,
-    so it is refused before any draw."""
-    if r.shape[1] < 2:
+def _tangents(r: np.ndarray, rng: np.random.Generator,
+              ns: Optional[np.ndarray] = None) -> np.ndarray:
+    """A random real unit tangent at each real unit row of r, of the
+    sorted dimensions ns (every row's width less one unless given; the
+    rest is zero padding): a normal draw (_gaussians) projected off r,
+    drawn again while the projection is shorter than _TANGENT_REDRAW,
+    one block of draws for the rows left each pass.  A row of one
+    coordinate has no tangent, and every projection would be 0, so it
+    is refused before any draw."""
+    ns = np.full(len(r), r.shape[1] - 1) if ns is None else ns
+    if (ns < 1).any():
         raise ValueError("a point with fewer than two coordinates has "
                          "no tangent")
     v, norm = np.empty_like(r), np.empty(len(r))
     redraw = np.arange(len(r))
     while redraw.size:
-        w = rng.standard_normal((len(redraw), r.shape[1]))
+        w = _gaussians(rng, ns[redraw], r.shape[1])
         w -= _dots(w, r[redraw])[:, None] * r[redraw]
         v[redraw], norm[redraw] = w, _norms(w)
         redraw = redraw[~(norm[redraw] > _TANGENT_REDRAW)]
@@ -521,20 +540,19 @@ def _tangents(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # lay close to r; a second projection of the unit vector removes it
     v /= norm[:, None]
     v -= _dots(v, r)[:, None] * r
-    u = _unit_rows(v.astype(complex))
+    u = _unit_rows(v).astype(complex)
     _require_tangent(r, u)
     return u
 
 
 def _draws(rng: np.random.Generator, ns: np.ndarray, x=None) -> tuple:
-    """(x, r, u): padded real points x of the sorted dimensions ns (drawn
-    unless given), their real representatives r and random real unit
-    tangents u there, each width drawn alone."""
+    """(x, r, u): real points x of the sorted dimensions ns, zero-padded
+    to the widest (drawn unless given), their real representatives r
+    and random real unit tangents u there (_tangents)."""
     if x is None:
-        x = _padded(ns, ns[-1] + 1,
-                    lambda s, w: _real_points(rng, len(ns[s]), w - 1))
+        x = _unit_rows(_gaussians(rng, ns, ns[-1] + 1)).astype(complex)
     r = _real_reps(x)
-    return x, r, _padded(ns, x.shape[1], lambda s, w: _tangents(r[s, :w], rng))
+    return x, r, _tangents(r, rng, ns)
 
 
 def random_real_tangent(x: ProjPoint, rng: np.random.Generator
@@ -553,16 +571,21 @@ def yk_parameter_count(n: int, k: int) -> int:
     return (k + 1) * n
 
 
-def _chains(rng: np.random.Generator, ns, thetas: list, samples: int,
-            start: Optional[np.ndarray] = None) -> list:
+def _chains(rng: np.random.Generator, ns, thetas, samples: int,
+            start: Optional[np.ndarray] = None, counts=None) -> list:
     """sample_yk on a batch, with the arcs in lockstep: row i takes
-    n = ns[i] (ascending), the 1-D angle array thetas[i] (longer first
-    among equal n) and the start row start[i], and gets the path
-    sample_yk makes of the same draws, zero-padded to the widest row.
-    The base points, then each arc's directions, are drawn from rng a
-    width at a time.  Arc j runs on the rows with more than j angles.
-    Returns (arc count, rows, paths) by count, rows the paths' indices."""
-    ns, counts = np.asarray(ns), np.array([len(row) for row in thetas])
+    n = ns[i] (ascending), counts[i] angles (more first among equal n)
+    and the start row start[i], and gets the path sample_yk makes of the
+    same draws, zero-padded to the widest row.  thetas is one array of
+    every row's angles, row by row; without counts it is a sequence of
+    1-D rows, one per row, whose lengths are the counts.  The base
+    points, then each arc's directions, are drawn from rng (_draws).
+    Arc j runs on the rows with more than j angles.  Returns (arc count,
+    rows, paths) by count, rows the paths' indices."""
+    if counts is None:
+        counts, thetas = [len(row) for row in thetas], np.concatenate(thetas)
+    ns, counts = np.asarray(ns), np.asarray(counts)
+    first = np.cumsum(counts) - counts
     rows, parts, path, x = np.arange(len(ns)), [], None, start
     for j in range(counts.max()):
         if path is not None:
@@ -573,8 +596,7 @@ def _chains(rng: np.random.Generator, ns, thetas: list, samples: int,
             # representative)
             x = arc[0][live, -1]
         _, r, u = _draws(rng, ns[rows], x)
-        arc = _half_circles(r, u, np.array([thetas[i][j] for i in rows]),
-                            samples)
+        arc = _half_circles(r, u, thetas[first[rows] + j], samples)
         path = arc if path is None else _concat(path, arc)
     return [p for p in parts if len(p[1])] + [(j + 1, rows, path)]
 
@@ -807,11 +829,11 @@ def critical_index(n: int, k: int,
     each assembled entry.  Expected: (0, n) for k = 0 and
     (1 + (k-1)n, 2n - 1) for k >= 1.  Measured over n = 1..3 with
     k = 0..5, n = 5 with k = 4, and n = 1..4 with k = 12 and 30 (seeds
-    0 to 2), the null eigenvalues stay below 6.2e-16 * scale, at most
+    0 to 2), the null eigenvalues stay below 5.9e-16 * scale, at most
     1.1e-3 * tau, and the smallest non-null eigenvalue, about
     2.47 * scale / segments^2 for k >= 1, stays above 1.1e7 * tau
     (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues agree within
-    2.9e-8 * scale with those of a finite-difference Hessian at step
+    2.8e-8 * scale with those of a finite-difference Hessian at step
     1e-4 (n <= 2, k <= 2, seeds 0 to 2).
     """
     if n < 1 or k < 0:
@@ -866,11 +888,6 @@ def _trial_blocks(trials: int, seed: int, arcs: int = 0):
         yield ns[order], counts[order], rng
 
 
-def _angles(rng, lo, hi, counts) -> list:
-    """counts[i] angles uniform in [lo, hi) for each row i, one draw."""
-    return np.split(rng.uniform(lo, hi, counts.sum()), np.cumsum(counts)[:-1])
-
-
 def _block_items(trials, seed, arcs, errors, checks) -> list:
     """A CheckItem per (name, detail) of checks: its largest error in the
     arrays errors(ns, counts, rng) yields per block, against _CHECK_TOL."""
@@ -915,30 +932,35 @@ def _concat_errors(ns, counts, rng):
     # angles stay above 0.05 because the concatenation error grows like
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
-    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.8e-10
-    # at factor norm 5.1e-6; a factor at angle 1e-6 gives 1.6e-9, past
-    # _CHECK_TOL.  With the floor, seeds 0-149 at 200 trials give a worst
-    # of 6.2e-14.
+    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 3.3e-10
+    # at factor norm 2.2e-6; with b or c at angle 1e-6, 300 trials give
+    # up to 3.3e-9, past _CHECK_TOL.  With the floor, seeds 0-149 at 200
+    # trials give a worst of 5.4e-14.
     lo, hi = 0.05, 0.5 * math.pi
-    parts = _chains(rng, ns, _angles(rng, lo, hi, counts), 12)
+    parts = _chains(rng, ns, rng.uniform(lo, hi, counts.sum()), 12,
+                    counts=counts)
     end = np.empty((len(ns), ns[-1] + 1), complex)
     for _, rows, a in parts:
         end[rows] = a[0][:, -1]
-    # b, then c, on the whole block
-    bc = []
+    # b, then c, on the whole block, each with its norms
+    bc, one = [], np.ones(len(ns), int)
     for _ in range(2):
-        [(_, _, path)] = _chains(
-            rng, ns, rng.uniform(lo, hi, (len(ns), 1)), 12, end)
-        bc.append(path)
+        [(_, _, path)] = _chains(rng, ns, rng.uniform(lo, hi, len(ns)), 12,
+                                 end, one)
+        bc.append((path, _path_norms(path)))
         end = path[0][:, -1]
     # each row rounds alone, so b.c is built once and sliced per part
-    bc.append(_concat(*bc))
+    (b, fb), (c, fc) = bc
+    b_c = _concat(b, c, (fb, fc))
+    bc.append((b_c, _path_norms(b_c)))
     for _, rows, a in parts:
-        b, c, b_c = (tuple(x[rows] for x in p) for p in bc)
-        ab = _concat(a, b)
-        fa, fb, fab = (np.sqrt(_energies(*p)) for p in (a, b, ab))
-        left = _concat(ab, c)
-        right = _concat(a, b_c)
+        (b, fb), (c, fc), (b_c, fbc) = (
+            (tuple(x[rows] for x in p), f[rows]) for p, f in bc)
+        fa = _path_norms(a)
+        ab = _concat(a, b, (fa, fb))
+        fab = _path_norms(ab)
+        left = _concat(ab, c, (fab, fc))
+        right = _concat(a, b_c, (fa, fbc))
         yield np.abs(fab - fa - fb), np.abs(left[1] - right[1])
 
 
@@ -976,7 +998,7 @@ def _halfcircle_rows(ns: np.ndarray, rng: np.random.Generator) -> tuple:
     g = _geodesics(x[:, None], 1j * u[:, None], arclengths)
     c = _moduli(_dots(x.conj()[:, None], g[:, :5]))
     return (1.0 - _moduli(_dots(hc[:, -1].conj(), end)),
-            np.sqrt(_energies(hc, t)) - 0.5 * math.pi,
+            _path_norms((hc, t)) - 0.5 * math.pi,
             off_line,
             np.maximum(0.0, np.maximum(np.max(1.0 - c[:, 0::2], axis=1),
                                        np.max(c[:, 1::2], axis=1))),
@@ -1002,7 +1024,7 @@ def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
     _, r, u = _draws(np.random.default_rng([1, 0, seed]), np.array([2]))
     arcs, t = _half_circles(np.repeat(r, grid.size, axis=0),
                             np.repeat(u, grid.size, axis=0), grid, 48)
-    peak = float(grid[int(np.argmax(np.sqrt(_energies(arcs, t))))])
+    peak = float(grid[int(np.argmax(_path_norms((arcs, t))))])
     step = float(grid[1] - grid[0])
     items.append(CheckItem(
         f"norm peaks at theta = {peak:+.4f}",
@@ -1015,17 +1037,18 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     """Norm bound of the k-fold half-circle family, its right-angle
     samples at the critical norm, and the skew-pairing triple at n = 3."""
     items = _block_items(trials, seed, 3, lambda ns, counts, rng: (
-        (np.sqrt(_energies(pts, t)) - k * 0.5 * math.pi,)
-        for k, _, (pts, t) in _chains(
-            rng, ns, _angles(rng, 0.0, 0.5 * math.pi, counts), 16)),
+        (_path_norms(path) - k * 0.5 * math.pi,)
+        for k, _, path in _chains(
+            rng, ns, rng.uniform(0.0, 0.5 * math.pi, counts.sum()), 16,
+            counts=counts)),
         [("norm stays below k quarter-turns", "worst excess")])
     # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
     # generator, whose paths come in that order: the worst error over
-    # seeds 0-199 is 9.0e-13
-    for k, rows, (pts, t) in _chains(
+    # seeds 0-199 is 6.9e-13
+    for k, rows, path in _chains(
             np.random.default_rng([1, 0, seed]), [1, 2, 3],
             [np.full(k, 0.5 * math.pi) for k in (2, 2, 3)], 40):
-        for n, norm in zip(rows + 1, np.sqrt(_energies(pts, t)).tolist()):
+        for n, norm in zip(rows + 1, _path_norms(path).tolist()):
             err = abs(norm - k * 0.5 * math.pi)
             items.append(CheckItem(
                 f"right-angle sample n={n} k={k} reaches the critical norm",

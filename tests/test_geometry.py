@@ -933,12 +933,6 @@ class TestCheckSuites:
 # Batched kernels and the trial axis of the sampling suites
 
 
-def scalar_normalize(vec) -> np.ndarray:
-    """normalize as it was written for one vector."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    return v / np.linalg.norm(v)
-
-
 def scalar_real_representative(point: ProjPoint) -> np.ndarray:
     """ProjPoint.real_representative as it was written for one point."""
     s = complex(np.add.reduce(point.rep * point.rep))
@@ -947,8 +941,13 @@ def scalar_real_representative(point: ProjPoint) -> np.ndarray:
     return re / math.sqrt(np.vdot(re, re).real)
 
 
+def scalar_unit_real(v: np.ndarray) -> np.ndarray:
+    """A real vector over its norm, cast to complex."""
+    return (v / np.linalg.norm(v)).astype(complex)
+
+
 def scalar_random_real_point(n: int, rng) -> ProjPoint:
-    return ProjPoint(scalar_normalize(rng.standard_normal(n + 1)))
+    return ProjPoint(scalar_unit_real(rng.standard_normal(n + 1)))
 
 
 def scalar_random_real_tangent(x: ProjPoint, rng) -> TangentVector:
@@ -962,7 +961,7 @@ def scalar_random_real_tangent(x: ProjPoint, rng) -> TangentVector:
             v = v / norm
             v = v - np.dot(v, r) * r
             return TangentVector(base=ProjPoint(r.astype(complex)),
-                                 vec=scalar_normalize(v))
+                                 vec=scalar_unit_real(v))
 
 
 def same_bits(a, b) -> bool:
@@ -1025,7 +1024,7 @@ def row_draws(draws, groups) -> dict:
 
 def width_runs(ns: np.ndarray, live) -> list:
     """The rows of each run of equal n among the live rows, n
-    ascending: the rows of one draw of _padded."""
+    ascending: the rows of one standard_normal call of _gaussians."""
     return [np.flatnonzero(live & (ns == n)) for n in sorted(set(ns[live]))]
 
 
@@ -1085,6 +1084,38 @@ class TestBatchKernels:
             assert same_bits(batch[i:i + 1],
                              geometry._tangents(r[i:i + 1], alone))
             assert next(alone.draws, None) is None
+
+    def test_tangents_of_a_mixed_block_redraw_after_every_width(self):
+        # every width draws once before any row is drawn again; rows 1, 5
+        # and 6 first draw along their point, so the redraw has no row of
+        # n = 2, and row 6 again on the redraw.  Row 6 is (1, 0, 0, 0) at
+        # n = 3, so its width is not that of its nonzero coordinates.
+        # Each row keeps the bits it has alone on its share of the draws
+        ns = np.array([1, 1, 2, 2, 2, 3, 3])
+        r = np.concatenate([zero_padded(batch_inputs(n, m, 60 + n)[1])
+                            for n, m in ((1, 2), (2, 3), (3, 2))])
+        r[6] = [1.0, 0.0, 0.0, 0.0]
+        rng = np.random.default_rng(12)
+        draws, shares = [], defaultdict(list)
+        for rows, along in (([0, 1, 2, 3, 4, 5, 6], {1, 5, 6}),
+                            ([1, 5, 6], {6}), ([6], set())):
+            for n in sorted(set(ns[rows].tolist())):
+                run = [i for i in rows if ns[i] == n]
+                out = rng.standard_normal((len(run), n + 1))
+                for k, i in enumerate(run):
+                    if i in along:
+                        out[k] = -2.5 * r[i, :n + 1]
+                    shares[i].append(("standard_normal", out[k]))
+                draws.append(("standard_normal", out))
+        block = Replayed(draws)
+        batch = geometry._tangents(r, block, ns)
+        assert next(block.draws, None) is None
+        for i, n in enumerate(ns.tolist()):
+            alone = Replayed(shares[i])
+            assert same_bits(batch[i:i + 1, :n + 1],
+                             geometry._tangents(r[i:i + 1, :n + 1], alone))
+            assert next(alone.draws, None) is None
+            assert not batch[i, n + 1:].any()
 
     # the changes that keep the shapes, so the bad path stacks with good
     # ones
@@ -1413,6 +1444,12 @@ def refusals():
         *((lambda t=t: half_circle(x, u, t), ValueError,
            "angles must be finite")
           for t in (math.inf, -math.inf, math.nan)),
+        # every arc's angle is read off the one array of angles, the
+        # later arcs' too
+        *((lambda t=t: sample_yk(2, 3, RNG, thetas=t), ValueError,
+           "angles must be finite")
+          for t in ([math.inf, 0.5, 0.5], [0.5, -math.inf, 0.5],
+                    [0.5, 0.5, math.inf], [0.5, 0.5, math.nan])),
         (lambda: real_point(np.array([0.5j, 1.0])), ValueError,
          "coordinates must be real"),
         (lambda: critical_index(0, 1), ValueError,
