@@ -13,26 +13,20 @@ paths are sample matrices with strictly increasing breakpoints in
 [0, 1] and both endpoints on the real locus.
 
 Batches.  The kernels (underscored) take rows on leading axes and
-round each row as a call on that row alone: one BLAS dot per row, the
-math module for scalar trigonometry.  Each check and draw is defined
-once among them; the per-object functions are their batch-of-one case.
-The sampling suites run each block of trials as one array whatever the
-trials' n: a row fills its first n + 1 columns and the rest are exact
-zeros, which no elementwise operation or sum over the coordinates
-rounds, and each contraction is one call over the padded width, so
-every value and guard keeps its row's bits.  Of the two row norms,
-_row_norms sums squared moduli elementwise for the unit and real-part
-guards (the padded-block tests pin its bits); _norms is
-np.linalg.norm's arithmetic on one vector (the per-point draw
-references pin its bits): one contiguous dot of a real row, which zero
-padding keeps, or dots of the strided .real and .imag views of a
-complex row, which padding may change.  So a draw normalizes real rows
-and casts them to complex last; only its standard_normal calls run a
-width at a time (_gaussians), and all else runs once on the block.
-Block b of a suite draws all its inputs as arrays from one generator,
-default_rng([0, b, seed]), and the suite's j-th stream outside its
-blocks is default_rng([1, j, seed]): two one-word prefixes before the
-seed, whose words may be many, so no two streams share a key.
+round each row as a call on that row alone: each sum over the
+coordinates is one einsum (_dots), scalar trigonometry the math
+module's.  Each check and draw is defined once among them; the
+per-object functions are their batch-of-one case.  The sampling suites
+run each block of trials as one array whatever the trials' n: a row
+fills its first n + 1 columns and the rest are exact zeros, which no
+elementwise operation rounds and no _dots sum changes, whatever its
+operands' strides, so every value and guard keeps its row's bits.
+Only a draw's standard_normal calls run a width at a time (_gaussians);
+all else runs once on the block.  Block b of a suite draws all its
+inputs as arrays from one generator, default_rng([0, b, seed]), and
+the suite's j-th stream outside its blocks is default_rng([1, j, seed]):
+two one-word prefixes before the seed, whose words may be many, so no
+two streams share a key.
 concat_check chains its arcs b and c once per block, whatever a's arc
 count, and takes each path's norm once: _concat takes the factors'.
 """
@@ -60,7 +54,7 @@ from .tables import CheckItem, CheckReport
 # directions, yk_check's skew triple); _REAL_TOL bounds 1 - |sum z_j^2|
 # on the real locus (is_real, _real_reps, path endpoints).  Over the
 # sampling suites at (60, 20, 100) and at the default trials, seeds
-# 0-39, the worst junction pairing defect is 4.4e-16, the triple's Gram
+# 0-39, the worst junction pairing defect is 5.6e-16, the triple's Gram
 # defect 4.4e-16 and its tangency defect 0.0, a path sample's unit
 # defect 4.4e-16 and a path endpoint's real-locus defect 8.9e-16.  Path
 # breakpoints end exactly at 0 and 1, as every constructor sets them
@@ -76,20 +70,20 @@ _TANGENT_REDRAW = 1e-6
 # critical_index's bound on |grad E| is _GRAD_TOL * eps * segments^2,
 # the order of its rounding; over the whole documented range (every
 # (n, k) with 2n * segments <= _MAX_HESSIAN_DIM, seeds 0-2) the largest
-# |grad E| / (eps * segments^2) is 13.4 (n = 1, k = 504), 3.3 at n <= 20
-# with k <= 30, and 8.1 at k <= 1 (n up to 256)
+# |grad E| / (eps * segments^2) is 13.4 (n = 1, k = 504), 3.1 at n <= 20
+# with k <= 30, and 8.0 at k <= 1 (n up to 256)
 _GRAD_TOL = 1000.0
 # critical_index refuses a Hessian dimension 2n * max(8, 4k + 4) past
 # this: the dense matrix takes dim^2 memory and eigvalsh dim^3 time, and
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
-# default trials, seeds 0-9, is 5.7e-14 on the drawn trials, about
-# 17 500 times below, and 5.8e-13 on yk_check's right-angle samples
+# default trials, seeds 0-9, is 7.2e-14 on the drawn trials, about
+# 14 000 times below, and 4.3e-13 on yk_check's right-angle samples
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
-# (seed 3, numpy 2.4) is 3.67 MB at one block and at four, where one
+# (seed 3, numpy 2.4) is 3.72 MB at one block and at four, where one
 # array per trial would grow without bound
 _TRIAL_BLOCK = 256
 
@@ -117,23 +111,16 @@ def _as_complex(vec) -> np.ndarray:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows (last axis), one BLAS dot per row
-    with the strides np.dot would pass it, so each rounds as np.dot of
-    its two rows; a.conj() in place of a gives np.vdot."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Row norms as np.linalg.norm takes one vector's: a BLAS dot, of
-    the real parts plus one of the imaginary parts for complex rows."""
-    sq = _dots(v.real, v.real)
-    return np.sqrt(sq + _dots(v.imag, v.imag) if np.iscomplexobj(v) else sq)
+    """Sums of products of matching rows (last axis), one einsum over
+    the axis, so a row's sum keeps its bits past zero padding whatever
+    the operands' strides; a.conj() in place of a gives np.vdot."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row as np.linalg.norm(mat, axis=-1) takes
-    it: squared moduli summed elementwise, which zero padding leaves."""
-    return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=-1))
+    """Euclidean norm of each row: the root of its _dots with its
+    conjugate."""
+    return np.sqrt(_dots(mat.conj(), mat).real)
 
 
 def _norm_defects(v: np.ndarray, norm: float = 1.0) -> np.ndarray:
@@ -141,22 +128,16 @@ def _norm_defects(v: np.ndarray, norm: float = 1.0) -> np.ndarray:
     return np.abs(_row_norms(v) - norm)
 
 
-def _moduli(z: np.ndarray) -> np.ndarray:
-    """|z| rounded as abs() of one complex scalar; np.abs on an array
-    may round differently."""
-    return np.hypot(z.real, z.imag)
-
-
 def _real_locus(z: np.ndarray) -> tuple:
     """s = sum z_j^2 of each unit row z, and whether |s| >= 1 - _REAL_TOL:
     |s| is 1 exactly on the real locus and drops below 1 away from it."""
-    s = np.add.reduce(z * z, axis=-1)
-    return s, _moduli(s) >= 1.0 - _REAL_TOL
+    s = _dots(z, z)
+    return s, np.abs(s) >= 1.0 - _REAL_TOL
 
 
 def _require_tangent(base: np.ndarray, vec: np.ndarray) -> None:
     """Refuse rows vec not Hermitian-orthogonal to the matching base."""
-    _require(_moduli(_dots(base.conj(), vec)) <= _UNIT_TOL,
+    _require(np.abs(_dots(base.conj(), vec)) <= _UNIT_TOL,
              "tangent vector must be orthogonal to the base")
 
 
@@ -168,8 +149,8 @@ def _each(fn, values) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Rows over their norms (_norms)."""
-    norm = _norms(v)
+    """Rows over their norms (_row_norms); a zero row is refused."""
+    norm = _row_norms(v)
     _require(norm != 0, "cannot normalize the zero vector")
     return v / norm[..., None]
 
@@ -185,8 +166,7 @@ def _real_reps(reps: np.ndarray) -> np.ndarray:
     s, real = _real_locus(reps)
     _require(real, "point has no real representative")
     z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
-    re = np.ascontiguousarray(z.real)
-    return re / _norms(re)[..., None]
+    return _unit_rows(z.real)
 
 
 @dataclass(eq=False)
@@ -207,7 +187,7 @@ class ProjPoint:
         return self.rep.shape[0]
 
     def equals(self, other: "ProjPoint") -> bool:
-        return _moduli(_dots(self.rep.conj(), other.rep)) > 1.0 - _UNIT_TOL
+        return np.abs(_dots(self.rep.conj(), other.rep)) > 1.0 - _UNIT_TOL
 
     def is_real(self) -> bool:
         """Whether some representative has all coordinates real."""
@@ -342,10 +322,9 @@ def _segment_distances(samples: np.ndarray) -> np.ndarray:
     """arccos of the pairing modulus of each two consecutive samples.
     arccos loses precision near 1: a pairing rounded to 1 - k eps reads
     sqrt(2k eps), so two equal unit samples can read up to about 3e-8
-    apart, and a 48-sample constant_path has path_norm up to 1.4e-6, not
-    0 (484 of 1400 random real points at n = 1..7 read nonzero)."""
-    inner = np.abs(np.einsum("...ij,...ij->...i", samples[..., :-1, :],
-                             samples[..., 1:, :].conj()))
+    apart, and a 48-sample constant_path has path_norm up to 1.6e-6, not
+    0 (489 of 1400 random real points at n = 1..7 read nonzero)."""
+    inner = np.abs(_dots(samples[..., :-1, :], samples[..., 1:, :].conj()))
     # inner >= 0, so this is the clip of inner to [0, 1]
     return np.arccos(np.minimum(inner, 1.0))
 
@@ -387,7 +366,7 @@ def _concat(gamma: tuple, delta: tuple, norms: Optional[tuple] = None
     # the junction rows must be the same point, as ProjPoint.equals
     # tests, so the phase of the second factor can always be aligned
     z = _dots(delta[0][:, 0].conj(), gamma[0][:, -1])
-    pairing = _moduli(z)
+    pairing = np.abs(z)
     _require(pairing > 1.0 - _UNIT_TOL,
              "paths do not share the junction point")
     f1, f2 = norms or (_path_norms(gamma), _path_norms(delta))
@@ -503,16 +482,17 @@ def _gaussians(rng: np.random.Generator, ns: np.ndarray, width: int
     return g
 
 
-def _real_points(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """rows random real points of dimension n, as complex unit rows; one
-    row is random_real_point's draw."""
-    return _unit_rows(rng.standard_normal((rows, n + 1))).astype(complex)
+def _points(rng: np.random.Generator, ns: np.ndarray) -> np.ndarray:
+    """Random real points of the sorted dimensions ns as complex unit
+    rows, zero-padded to the widest (_gaussians); one row is
+    random_real_point's draw."""
+    return _unit_rows(_gaussians(rng, ns, ns[-1] + 1)).astype(complex)
 
 
 def random_real_point(n: int, rng: np.random.Generator) -> ProjPoint:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ProjPoint(_real_points(rng, 1, n)[0])
+    return ProjPoint(_points(rng, np.array([n]))[0])
 
 
 def _tangents(r: np.ndarray, rng: np.random.Generator,
@@ -533,7 +513,7 @@ def _tangents(r: np.ndarray, rng: np.random.Generator,
     while redraw.size:
         w = _gaussians(rng, ns[redraw], r.shape[1])
         w -= _dots(w, r[redraw])[:, None] * r[redraw]
-        v[redraw], norm[redraw] = w, _norms(w)
+        v[redraw], norm[redraw] = w, _row_norms(w)
         redraw = redraw[~(norm[redraw] > _TANGENT_REDRAW)]
     # the rounding left along r by one projection grows by 1/norm when
     # normalizing, which can pass the tangency tolerance when the draw
@@ -549,8 +529,7 @@ def _draws(rng: np.random.Generator, ns: np.ndarray, x=None) -> tuple:
     """(x, r, u): real points x of the sorted dimensions ns, zero-padded
     to the widest (drawn unless given), their real representatives r
     and random real unit tangents u there (_tangents)."""
-    if x is None:
-        x = _unit_rows(_gaussians(rng, ns, ns[-1] + 1)).astype(complex)
+    x = _points(rng, ns) if x is None else x
     r = _real_reps(x)
     return x, r, _tangents(r, rng, ns)
 
@@ -571,19 +550,16 @@ def yk_parameter_count(n: int, k: int) -> int:
     return (k + 1) * n
 
 
-def _chains(rng: np.random.Generator, ns, thetas, samples: int,
-            start: Optional[np.ndarray] = None, counts=None) -> list:
+def _chains(rng: np.random.Generator, ns, thetas, counts, samples: int,
+            start: Optional[np.ndarray] = None) -> list:
     """sample_yk on a batch, with the arcs in lockstep: row i takes
     n = ns[i] (ascending), counts[i] angles (more first among equal n)
     and the start row start[i], and gets the path sample_yk makes of the
     same draws, zero-padded to the widest row.  thetas is one array of
-    every row's angles, row by row; without counts it is a sequence of
-    1-D rows, one per row, whose lengths are the counts.  The base
-    points, then each arc's directions, are drawn from rng (_draws).
-    Arc j runs on the rows with more than j angles.  Returns (arc count,
-    rows, paths) by count, rows the paths' indices."""
-    if counts is None:
-        counts, thetas = [len(row) for row in thetas], np.concatenate(thetas)
+    every row's angles, row by row.  The base points, then each arc's
+    directions, are drawn from rng (_draws).  Arc j runs on the rows
+    with more than j angles.  Returns (arc count, rows, paths) by count,
+    rows the paths' indices."""
     ns, counts = np.asarray(ns), np.asarray(counts)
     first = np.cumsum(counts) - counts
     rows, parts, path, x = np.arange(len(ns)), [], None, start
@@ -622,7 +598,7 @@ def sample_yk(n: int, k: int, rng: np.random.Generator,
     if thetas.shape != (k,):
         raise ValueError(f"need exactly {k} angles")
     [(_, _, (pts, t))] = _chains(
-        rng, [n], [thetas], samples_per_arc,
+        rng, [n], thetas, [k], samples_per_arc,
         None if start is None else start.rep[None])
     return DiscretePath(samples=pts[0], params=t[0])
 
@@ -739,7 +715,7 @@ def _bands(base: np.ndarray, frames: np.ndarray) -> tuple:
     a = _dots(q.conj(), p)
     beta = (ft @ q.conj()[..., None])[..., 0]
     gamma = (gh @ p[..., None])[..., 0]
-    a2, ac = _moduli(a) ** 2, a.conj()[:, None]
+    a2, ac = np.abs(a) ** 2, a.conj()[:, None]
     cs, ct = 2.0 * (ac * beta).real, 2.0 * (ac * gamma).real
     d1, d2 = _segment_slopes(np.maximum(0.0, 1.0 - a2))
     grad = np.zeros((segments + 1, 2 * n))
@@ -829,12 +805,12 @@ def critical_index(n: int, k: int,
     each assembled entry.  Expected: (0, n) for k = 0 and
     (1 + (k-1)n, 2n - 1) for k >= 1.  Measured over n = 1..3 with
     k = 0..5, n = 5 with k = 4, and n = 1..4 with k = 12 and 30 (seeds
-    0 to 2), the null eigenvalues stay below 5.9e-16 * scale, at most
-    1.1e-3 * tau, and the smallest non-null eigenvalue, about
-    2.47 * scale / segments^2 for k >= 1, stays above 1.1e7 * tau
+    0 to 2), the null eigenvalues stay below 7.1e-16 * scale, at most
+    9.7e-4 * tau, and the smallest non-null eigenvalue, 2.3 to
+    2.5 * scale / segments^2 for k >= 1, stays above 1.1e7 * tau
     (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues agree within
-    2.8e-8 * scale with those of a finite-difference Hessian at step
-    1e-4 (n <= 2, k <= 2, seeds 0 to 2).
+    3.4e-8 * scale with those of the central finite-difference Hessian
+    of the energy at step 1e-4 (n <= 2, k <= 2, seeds 0 to 2).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -932,21 +908,20 @@ def _concat_errors(ns, counts, rng):
     # angles stay above 0.05 because the concatenation error grows like
     # 3e-15 / (smallest factor norm): arccos distances lose precision on
     # short segments.  Measured: with sample_yk's default uniform(0,
-    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 3.3e-10
-    # at factor norm 2.2e-6; with b or c at angle 1e-6, 300 trials give
-    # up to 3.3e-9, past _CHECK_TOL.  With the floor, seeds 0-149 at 200
-    # trials give a worst of 5.4e-14.
+    # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.8e-10
+    # at factor norm 5.1e-6; with b at angle 1e-6, 300 trials (seed 0)
+    # give up to 3.1e-9, past _CHECK_TOL.  With the floor, seeds 0-149 at
+    # 200 trials give a worst of 8.4e-14.
     lo, hi = 0.05, 0.5 * math.pi
-    parts = _chains(rng, ns, rng.uniform(lo, hi, counts.sum()), 12,
-                    counts=counts)
+    parts = _chains(rng, ns, rng.uniform(lo, hi, counts.sum()), counts, 12)
     end = np.empty((len(ns), ns[-1] + 1), complex)
     for _, rows, a in parts:
         end[rows] = a[0][:, -1]
     # b, then c, on the whole block, each with its norms
     bc, one = [], np.ones(len(ns), int)
     for _ in range(2):
-        [(_, _, path)] = _chains(rng, ns, rng.uniform(lo, hi, len(ns)), 12,
-                                 end, one)
+        [(_, _, path)] = _chains(rng, ns, rng.uniform(lo, hi, len(ns)), one,
+                                 12, end)
         bc.append((path, _path_norms(path)))
         end = path[0][:, -1]
     # each row rounds alone, so b.c is built once and sliced per part
@@ -996,13 +971,13 @@ def _halfcircle_rows(ns: np.ndarray, rng: np.random.Generator) -> tuple:
                              - hc), axis=(1, 2))
     # i u is tangent at x: |<x, i u>| = |<x, u>|, bounded by _tangents
     g = _geodesics(x[:, None], 1j * u[:, None], arclengths)
-    c = _moduli(_dots(x.conj()[:, None], g[:, :5]))
-    return (1.0 - _moduli(_dots(hc[:, -1].conj(), end)),
+    c = np.abs(_dots(x.conj()[:, None], g[:, :5]))
+    return (1.0 - np.abs(_dots(hc[:, -1].conj(), end)),
             _path_norms((hc, t)) - 0.5 * math.pi,
             off_line,
             np.maximum(0.0, np.maximum(np.max(1.0 - c[:, 0::2], axis=1),
                                        np.max(c[:, 1::2], axis=1))),
-            1.0 - _moduli(_dots(g[:, 5].conj(), g[:, 6])))
+            1.0 - np.abs(_dots(g[:, 5].conj(), g[:, 6])))
 
 
 def halfcircle_check(trials: int, seed: int = 0) -> CheckReport:
@@ -1039,27 +1014,27 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
     items = _block_items(trials, seed, 3, lambda ns, counts, rng: (
         (_path_norms(path) - k * 0.5 * math.pi,)
         for k, _, path in _chains(
-            rng, ns, rng.uniform(0.0, 0.5 * math.pi, counts.sum()), 16,
-            counts=counts)),
+            rng, ns, rng.uniform(0.0, 0.5 * math.pi, counts.sum()), counts,
+            16)),
         [("norm stays below k quarter-turns", "worst excess")])
     # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
     # generator, whose paths come in that order: the worst error over
-    # seeds 0-199 is 6.9e-13
+    # seeds 0-199 is 6.7e-13
     for k, rows, path in _chains(
             np.random.default_rng([1, 0, seed]), [1, 2, 3],
-            [np.full(k, 0.5 * math.pi) for k in (2, 2, 3)], 40):
+            np.full(7, 0.5 * math.pi), [2, 2, 3], 40):
         for n, norm in zip(rows + 1, _path_norms(path).tolist()):
             err = abs(norm - k * 0.5 * math.pi)
             items.append(CheckItem(
                 f"right-angle sample n={n} k={k} reaches the critical norm",
                 err < _CHECK_TOL, f"error {err:.3e}; family dimension "
                 f"(k+1)n = {yk_parameter_count(n, k)}"))
-    r = _real_reps(_real_points(np.random.default_rng([1, 1, seed]), 20,
-                                3))
+    r = _real_reps(_points(np.random.default_rng([1, 1, seed]),
+                           np.full(20, 3)))
     triple = np.stack([_skew(r, w) for w in ("J1", "J2", "J3")], axis=1)
-    gram = triple @ triple.transpose(0, 2, 1)
+    gram = _dots(triple[:, :, None], triple[:, None])
     gram_ok = bool(np.max(np.abs(gram - np.eye(3))) < _UNIT_TOL
-                   and np.max(np.abs(triple @ r[:, :, None])) < _UNIT_TOL)
+                   and np.max(np.abs(_dots(triple, r[:, None]))) < _UNIT_TOL)
     items.append(CheckItem(
         "skew-pairing triple is orthonormal and tangent (n=3)", gram_ok))
     return _report("iterated half-circles", trials, items)

@@ -933,17 +933,21 @@ class TestCheckSuites:
 # Batched kernels and the trial axis of the sampling suites
 
 
+def dot(a: np.ndarray, b: np.ndarray):
+    """The sum of the products of two vectors, as one einsum."""
+    return np.einsum("i,i->", a, b)
+
+
 def scalar_real_representative(point: ProjPoint) -> np.ndarray:
     """ProjPoint.real_representative as it was written for one point."""
-    s = complex(np.add.reduce(point.rep * point.rep))
-    z = point.rep * cmath.exp(-0.5j * cmath.phase(s))
-    re = np.ascontiguousarray(z.real)
-    return re / math.sqrt(np.vdot(re, re).real)
+    s = complex(dot(point.rep, point.rep))
+    re = (point.rep * cmath.exp(-0.5j * cmath.phase(s))).real
+    return re / math.sqrt(dot(re, re))
 
 
 def scalar_unit_real(v: np.ndarray) -> np.ndarray:
     """A real vector over its norm, cast to complex."""
-    return (v / np.linalg.norm(v)).astype(complex)
+    return (v / math.sqrt(dot(v, v))).astype(complex)
 
 
 def scalar_random_real_point(n: int, rng) -> ProjPoint:
@@ -955,11 +959,11 @@ def scalar_random_real_tangent(x: ProjPoint, rng) -> TangentVector:
     r = scalar_real_representative(x)
     while True:
         v = rng.standard_normal(r.shape[0])
-        v = v - np.dot(v, r) * r
-        norm = math.sqrt(np.vdot(v, v).real)
+        v = v - dot(v, r) * r
+        norm = math.sqrt(dot(v, v))
         if norm > 1e-6:
             v = v / norm
-            v = v - np.dot(v, r) * r
+            v = v - dot(v, r) * r
             return TangentVector(base=ProjPoint(r.astype(complex)),
                                  vec=scalar_unit_real(v))
 
@@ -974,7 +978,7 @@ def batch_inputs(n: int, rows: int, seed: int):
     """Complex points, their real representatives and real unit
     tangents there, one row each, drawn through the kernels."""
     rng = np.random.default_rng(seed)
-    x = geometry._real_points(rng, rows, n)
+    x = geometry._points(rng, np.full(rows, n))
     r = geometry._real_reps(x)
     return x, r, geometry._tangents(r, rng)
 
@@ -1037,8 +1041,8 @@ class TestBatchKernels:
                            -1.2, 1e-6])
         arcs = geometry._half_circles(r, u, thetas, 17)
         chains = geometry._chains(
-            np.random.default_rng(9), [n] * 7, np.full((7, 2), 0.7), 9,
-            arcs[0][:, -1])[0][2]
+            np.random.default_rng(9), [n] * 7, np.full(14, 0.7), [2] * 7,
+            9, arcs[0][:, -1])[0][2]
         arclengths = [0.0, 0.3, math.pi / 2, 2.0]
         cases = [
             (geometry._unit_rows, (x * 3.0 - 1j,)),
@@ -1145,8 +1149,8 @@ def zero_padded(a: np.ndarray, width: int = 4) -> np.ndarray:
 class TestPaddedBlocks:
     """The premise of the sampling suites' one array per block: a row of
     dimension n in zero-padded columns rounds as the row alone, every
-    contraction one call over the padded width, for every value that
-    reaches a report."""
+    sum over the coordinates one _dots over the padded width, whatever
+    its operands' strides, for every value that reaches a report."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_elementwise_and_sums_keep_their_bits(self, n):
@@ -1161,8 +1165,7 @@ class TestPaddedBlocks:
                              geometry._energies(pts, t))
             for a in (x, pts):
                 b = zero_padded(a)
-                assert same_bits(np.add.reduce(b * b, axis=-1),
-                                 np.add.reduce(a * a, axis=-1))
+                assert same_bits(geometry._dots(b, b), geometry._dots(a, a))
             # the guards over padded rows: the real locus and the norms
             # of the rows and of their .imag, and _half_circles' bound on
             # the pairing of r and u
@@ -1174,18 +1177,21 @@ class TestPaddedBlocks:
                     assert same_bits(geometry._row_norms(part(b)),
                                      geometry._row_norms(part(a)))
             assert same_bits(
-                np.add.reduce(zero_padded(r) * zero_padded(u).real, axis=-1),
-                np.add.reduce(r * u.real, axis=-1))
+                geometry._dots(zero_padded(r), zero_padded(u).real),
+                geometry._dots(r, u.real))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_contractions_over_the_padded_width_keep_their_bits(self, n):
         # rows of width n + 1 between rows of widths 2 and 4, as in a
         # block; the operands of each kind of dot whose value reaches a
-        # report, taken of the padded arrays as the suites take them
+        # report, taken of the padded arrays as the suites take them, and
+        # strided .real and .imag views of complex rows, which a padded
+        # block contracts as the row alone too
         def operands(x, r, u, gamma, delta, g):
             return ((r, r), (u.conj(), u),
                     (delta[:, 0].conj(), gamma[:, -1]),
-                    (x.conj()[:, None], g))
+                    (x.conj()[:, None], g),
+                    (u.real, r), (x.real, x.imag), (u.imag, u.imag))
 
         def off_line(h, b):
             return np.max(np.abs(h @ b.conj().transpose(0, 2, 1) @ b - h),
@@ -1226,8 +1232,9 @@ class TestPaddedBlocks:
         counts = np.array([len(row) for row in thetas])
         starts = [batch_inputs(n, 1, 7 * i)[0] for i, n in enumerate(ns)]
         rng = Recorded(np.random.default_rng(31))
-        block = geometry._chains(rng, ns, thetas, 7, np.concatenate(
-            [zero_padded(x) for x in starts]) if start else None)
+        block = geometry._chains(
+            rng, ns, np.concatenate(thetas), counts, 7, np.concatenate(
+                [zero_padded(x) for x in starts]) if start else None)
         draws = row_draws(rng.draws, [
             *([] if start else width_runs(ns, ns > 0)),
             *(run for j in range(3) for run in width_runs(ns, counts > j))])
@@ -1236,7 +1243,7 @@ class TestPaddedBlocks:
         for k, rows, (pts, t) in block:
             for j, i in enumerate(rows.tolist()):
                 [(k_alone, _, (want_pts, want_t))] = geometry._chains(
-                    Replayed(draws[i]), [ns[i]], [thetas[i]],
+                    Replayed(draws[i]), [ns[i]], thetas[i], [counts[i]],
                     7, starts[i] if start else None)
                 assert k == k_alone == len(thetas[i])
                 assert same_bits(pts[j, :, :ns[i] + 1], want_pts[0])
