@@ -12,28 +12,27 @@ orthogonal to the base representative (horizontal lifts).  Discrete
 paths are sample matrices with strictly increasing breakpoints in
 [0, 1] and both endpoints on the real locus.
 
-Batches.  The kernels (underscored) take rows on leading axes and
-round each row as a call on that row alone: each sum over the
-coordinates is one einsum (_dots), scalar trigonometry the math
-module's.  Each check and draw is defined once among them; the
-per-object functions are their batch-of-one case.  The sampling suites
-run each block of trials as one array whatever the trials' n: a row
-fills its first n + 1 columns and the rest are exact zeros, which no
-elementwise operation rounds and no _dots sum changes, whatever its
-operands' strides, so every value and guard keeps its row's bits.
-Only a draw's standard_normal calls run a width at a time (_gaussians);
-all else runs once on the block.  Block b of a suite draws all its
-inputs as arrays from one generator, default_rng([0, b, seed]), and
-the suite's j-th stream outside its blocks is default_rng([1, j, seed]):
-two one-word prefixes before the seed, whose words may be many, so no
-two streams share a key.
+Batches.  The kernels (underscored) take rows on leading axes and round
+each row as a call on that row alone: each sum over the coordinates is
+one einsum (_dots), every other operation a numpy ufunc, and the one
+scalar call is math.remainder (_half_circles).  Each check and draw is
+defined once among them; the per-object functions are their
+batch-of-one case.  The sampling suites run each block of trials as one
+array whatever the trials' n: a row fills its first n + 1 columns and
+the rest are exact zeros, which no elementwise operation rounds and no
+_dots sum changes, whatever its operands' strides, so every value and
+guard keeps its row's bits.  Only a draw's standard_normal calls run a
+width at a time (_gaussians); all else runs once on the block.  Block b
+of a suite draws all its inputs as arrays from one generator,
+default_rng([0, b, seed]), and the suite's j-th stream outside its
+blocks is default_rng([1, j, seed]): two one-word prefixes before the
+seed, whose words may be many, so no two streams share a key.
 concat_check chains its arcs b and c once per block, whatever a's arc
 count, and takes each path's norm once: _concat takes the factors'.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -56,7 +55,7 @@ from .tables import CheckItem, CheckReport
 # sampling suites at (60, 20, 100) and at the default trials, seeds
 # 0-39, the worst junction pairing defect is 5.6e-16, the triple's Gram
 # defect 4.4e-16 and its tangency defect 0.0, a path sample's unit
-# defect 4.4e-16 and a path endpoint's real-locus defect 8.9e-16.  Path
+# defect 4.4e-16 and a path endpoint's real-locus defect 7.8e-16.  Path
 # breakpoints end exactly at 0 and 1, as every constructor sets them
 _UNIT_TOL = 1e-12
 _REAL_TOL = 1e-9
@@ -71,15 +70,15 @@ _TANGENT_REDRAW = 1e-6
 # the order of its rounding; over the whole documented range (every
 # (n, k) with 2n * segments <= _MAX_HESSIAN_DIM, seeds 0-2) the largest
 # |grad E| / (eps * segments^2) is 13.4 (n = 1, k = 504), 3.1 at n <= 20
-# with k <= 30, and 8.0 at k <= 1 (n up to 256)
+# with k <= 30, and 9.2 at k <= 1 (n up to 256)
 _GRAD_TOL = 1000.0
 # critical_index refuses a Hessian dimension 2n * max(8, 4k + 4) past
 # this: the dense matrix takes dim^2 memory and eigvalsh dim^3 time, and
 # n = 10, k = 50 (dim 4080) takes about 4.3 s and 295 MB on a 2-core VM
 _MAX_HESSIAN_DIM = 4096
 # pass bound of the sampling suites: their worst measured error at the
-# default trials, seeds 0-9, is 7.2e-14 on the drawn trials, about
-# 14 000 times below, and 4.3e-13 on yk_check's right-angle samples
+# default trials, seeds 0-9, is 5.7e-14 on the drawn trials, about
+# 17 000 times below, and 4.2e-13 on yk_check's right-angle samples
 _CHECK_TOL = 1e-9
 # the sampling suites take their trials this many at a time, as one
 # array, enough to share each numpy call; concat_check's traced peak
@@ -141,13 +140,6 @@ def _require_tangent(base: np.ndarray, vec: np.ndarray) -> None:
              "tangent vector must be orthogonal to the base")
 
 
-def _each(fn, values) -> np.ndarray:
-    """fn of each entry of values, one Python call each: the math
-    module's rounding, which numpy's vector loops need not share."""
-    return np.reshape([fn(v) for v in np.ravel(values).tolist()],
-                      np.shape(values))
-
-
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Rows over their norms (_row_norms); a zero row is refused."""
     norm = _row_norms(v)
@@ -160,13 +152,13 @@ def normalize(vec) -> np.ndarray:
 
 
 def _real_reps(reps: np.ndarray) -> np.ndarray:
-    """Real unit representative of each row on the real locus: half the
-    phase of its squared sum (_real_locus) turns the row real, up to an
-    imaginary part of squared norm (1 - |s|) / 2 <= _REAL_TOL / 2."""
+    """Real unit representative of each row on the real locus: times the
+    principal root sqrt(conj(s)), s its squared sum (_real_locus), the row
+    is real up to an imaginary part of squared norm at most (1 - |s|) / 2
+    <= _REAL_TOL / 2; _unit_rows takes off the root's modulus |s|^(1/2)."""
     s, real = _real_locus(reps)
     _require(real, "point has no real representative")
-    z = reps * _each(lambda w: cmath.exp(-0.5j * cmath.phase(w)), s)[..., None]
-    return _unit_rows(z.real)
+    return _unit_rows((reps * np.sqrt(s.conj())[..., None]).real)
 
 
 @dataclass(eq=False)
@@ -236,7 +228,7 @@ def _geodesics(x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
     with the unit velocities v; s broadcasts against the leading axes."""
     _require(_norm_defects(v) <= _UNIT_TOL,
              "geodesic requires a unit tangent vector")
-    pts = _each(math.cos, s)[..., None] * x + _each(math.sin, s)[..., None] * v
+    pts = np.cos(s)[..., None] * x + np.sin(s)[..., None] * v
     _require(_norm_defects(pts) <= _UNIT_TOL,
              "representative must be a unit vector")
     return pts
@@ -411,9 +403,12 @@ def _half_circles(r: np.ndarray, u: np.ndarray, theta: np.ndarray,
              & (_norm_defects(u) <= _UNIT_TOL),
              "half-circle direction must be a real unit tangent")
     _require_tangent(r, u)
-    # c and s: cos and sin of half of theta reduced mod pi, each a column
-    half = _each(lambda a: 0.5 * math.remainder(a, math.pi), theta)[:, None]
-    c, s = _each(math.cos, half), _each(math.sin, half)
+    # c and s: cos and sin of half of theta reduced mod pi, each a column;
+    # math.remainder, the IEEE remainder numpy lacks, reduces pi to exactly
+    # 0 and sends a tie (an odd multiple of pi/2) to the even quotient
+    half = 0.5 * np.array([math.remainder(a, math.pi)
+                           for a in theta.tolist()])[:, None]
+    c, s = np.cos(half), np.sin(half)
     t = np.linspace(0.0, 1.0, samples)
     # w = e^(-i pi t), conjugated where theta < 0: the turn by w about the
     # midpoint c r + s u bends every arc towards Im(conj(a) b) >= 0
@@ -806,7 +801,7 @@ def critical_index(n: int, k: int,
     (1 + (k-1)n, 2n - 1) for k >= 1.  Measured over n = 1..3 with
     k = 0..5, n = 5 with k = 4, and n = 1..4 with k = 12 and 30 (seeds
     0 to 2), the null eigenvalues stay below 7.1e-16 * scale, at most
-    9.7e-4 * tau, and the smallest non-null eigenvalue, 2.3 to
+    9.9e-4 * tau, and the smallest non-null eigenvalue, 2.3 to
     2.5 * scale / segments^2 for k >= 1, stays above 1.1e7 * tau
     (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues agree within
     3.4e-8 * scale with those of the central finite-difference Hessian
@@ -911,7 +906,7 @@ def _concat_errors(ns, counts, rng):
     # pi/2) angles, 30 000 trials (seed 0) gave a worst error of 4.8e-10
     # at factor norm 5.1e-6; with b at angle 1e-6, 300 trials (seed 0)
     # give up to 3.1e-9, past _CHECK_TOL.  With the floor, seeds 0-149 at
-    # 200 trials give a worst of 8.4e-14.
+    # 200 trials give a worst of 5.5e-14.
     lo, hi = 0.05, 0.5 * math.pi
     parts = _chains(rng, ns, rng.uniform(lo, hi, counts.sum()), counts, 12)
     end = np.empty((len(ns), ns[-1] + 1), complex)
@@ -964,7 +959,8 @@ def _halfcircle_rows(ns: np.ndarray, rng: np.random.Generator) -> tuple:
     x, r, u = _draws(rng, ns)
     theta = rng.uniform(-math.pi, math.pi, len(ns))
     hc, t = _half_circles(r, u, theta, 48)
-    end = _geodesics(x, u, _each(lambda a: math.remainder(a, math.pi), theta))
+    # geodesics have period pi, and a pairing modulus ignores the sign
+    end = _geodesics(x, u, theta)
     basis = np.stack([r.astype(complex), u], axis=1)
     # each sample's distance from the line
     off_line = np.max(np.abs(hc @ basis.conj().transpose(0, 2, 1) @ basis
@@ -1019,7 +1015,7 @@ def yk_check(trials: int, seed: int = 0) -> CheckReport:
         [("norm stays below k quarter-turns", "worst excess")])
     # right-angle samples, rows n = 1, 2, 3 of one chain drawn from one
     # generator, whose paths come in that order: the worst error over
-    # seeds 0-199 is 6.7e-13
+    # seeds 0-199 is 6.8e-13
     for k, rows, path in _chains(
             np.random.default_rng([1, 0, seed]), [1, 2, 3],
             np.full(7, 0.5 * math.pi), [2, 2, 3], 40):

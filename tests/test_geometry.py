@@ -566,6 +566,24 @@ class TestHalfCircle:
         off = hc.samples - hc.samples @ basis.T @ basis
         assert np.max(np.abs(off)) < 2e-15
 
+    def test_ties_mod_pi_go_to_the_even_quotient(self):
+        # odd multiples of pi/2 are exact floats, ties of the reduction
+        # mod pi, which IEEE remainder rounds to the even quotient: 1.5 pi
+        # and 3.5 pi reduce to -pi/2, 2.5 pi and -1.5 pi to +pi/2, each
+        # bit for bit, where fmod would put 1.5 pi on the other hemisphere
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3):
+            x = random_real_point(n, rng)
+            u = random_real_tangent(x, rng)
+            for quarter, ties in ((-0.5, (1.5, 3.5)), (0.5, (2.5, -1.5))):
+                want = half_circle(x, u, quarter * math.pi, samples=9).samples
+                # each quarter turn runs on its own hemisphere
+                assert np.max(np.abs(want - half_circle_rotation(
+                    x, u, quarter * math.pi, samples=9))) < 1e-14
+                for tie in ties:
+                    got = half_circle(x, u, tie * math.pi, samples=9).samples
+                    assert same_bits(got, want)
+
     def test_rejects_complex_direction(self):
         x = random_real_point(2, RNG)
         u = random_real_tangent(x, RNG)
@@ -649,11 +667,18 @@ class TestCriticalIndex:
         rng = np.random.default_rng(5)
         start = random_real_point(n, rng)
         x = start.rep.real
-        base, frames = _critical_configuration(
-            x, random_real_tangent(start, rng).vec.real, k)
+        u = random_real_tangent(start, rng).vec.real
+        base, frames = _critical_configuration(x, u, k)
         # the geodesic leaves x
         assert np.max(np.abs(base[0] - x)) < 1e-15
         segments = _segment_count(k)
+        # inside, the samples and each frame's first column are the points
+        # of one geodesic, bit for bit: from x along i u, and its velocity
+        arclengths = np.linspace(0.0, 0.5 * math.pi * k, segments + 1)
+        assert same_bits(base[1:-1],
+                         geometry._geodesics(x, 1j * u, arclengths)[1:-1])
+        assert same_bits(frames[1:-1, :, 0],
+                         geometry._geodesics(1j * u, -x, arclengths)[1:-1])
         assert base.shape == (segments + 1, n + 1)
         assert frames.shape == (segments + 1, n + 1, 2 * n)
         for j, (p, frame) in enumerate(zip(base, frames)):
@@ -941,7 +966,7 @@ def dot(a: np.ndarray, b: np.ndarray):
 def scalar_real_representative(point: ProjPoint) -> np.ndarray:
     """ProjPoint.real_representative as it was written for one point."""
     s = complex(dot(point.rep, point.rep))
-    re = (point.rep * cmath.exp(-0.5j * cmath.phase(s))).real
+    re = (point.rep * np.sqrt(s.conjugate())).real
     return re / math.sqrt(dot(re, re))
 
 
