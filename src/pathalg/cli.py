@@ -333,12 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # The cyclic collector is paused for the call: the rewriting route
-    # allocates containers fast enough to start collections mid-command.
-    # Without the pause, 10 alternating bench pairs (--seconds 10, 2-core
-    # VM) read verify-deep wall_s higher in 8 (median 20.8 -> 23.1 ms)
-    # and verify-wide job_s.tail higher in 8 (2.36 -> 2.50 ms).  The only
-    # cycle a command leaves, repair_search's recursive closure, is 74
-    # objects at n = 2 whatever the degree bound.
+    # allocates containers fast enough to start collections mid-command,
+    # none with the pause and, without it, 516-518 in 800 passes of the
+    # bench's verify-deep jobs and 693 in 600 of verify-wide's.  End to
+    # end it moves little: over 16 alternating bench pairs per workload
+    # (--seconds 20, 2-core VM), without the pause verify-deep wall_s
+    # reads higher in 11 (medians +1.6 % and +4.5 %, inside the runs'
+    # spread) and no other end-to-end metric of either verify workload
+    # moves.  The only cycle a command leaves, repair_search's recursive
+    # closure, is 74 objects at n = 2 whatever the degree bound.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -661,8 +661,8 @@ def _critical_configuration(x: np.ndarray, u: np.ndarray, k: int
     orthonormal basis E of the complement of that line is normal to it
     everywhere.  Each frame is [f, E] and i times it, with f = p'(s)
     inside and, at the two endpoints r (made real by one _real_reps
-    call), the unit vector w of span(x, u) orthogonal to r: their first
-    n columns are the real frame [w, E] of the real locus.
+    call), the unit vector w of span(x, u) orthogonal to r; [w, E] is
+    the real frame of the real locus, listed second in the first frame.
     """
     n = len(x) - 1
     q, _ = np.linalg.qr(np.column_stack([x, u, np.eye(n + 1)]))
@@ -676,6 +676,7 @@ def _critical_configuration(x: np.ndarray, u: np.ndarray, k: int
     # r = a x + b u, so w = b x - a u completes it in the plane
     frames[[0, -1], :, 0] = _dots(r, u)[:, None] * x - _dots(r, x)[:, None] * u
     np.multiply(frames[:, :, :n], 1j, out=frames[:, :, n:])
+    frames[0] = np.concatenate([frames[0, :, n:], frames[0, :, :n]], axis=1)
     return base, frames
 
 
@@ -702,8 +703,8 @@ def _segment_slopes(u):
 def _bands(base: np.ndarray, frames: np.ndarray) -> tuple:
     """Gradient and band of the second variation, every segment at once
     on a leading axis: diagonal blocks (segments+1, 2n, 2n) and
-    off-diagonal blocks (segments, 2n, 2n).  The gradient keeps each
-    endpoint's first n coordinates, as _hessian_matrix does."""
+    off-diagonal blocks (segments, 2n, 2n).  The gradient is cut to the
+    real locus by the view [n:-n], as _hessian_matrix cuts the matrix."""
     segments, n = len(base) - 1, frames.shape[2] // 2
     p, q = base[:-1], base[1:]
     ft, gh = frames[:-1].swapaxes(1, 2), frames[1:].conj().swapaxes(1, 2)
@@ -725,26 +726,21 @@ def _bands(base: np.ndarray, frames: np.ndarray) -> tuple:
     cst = 2.0 * (beta[..., None] * gamma.conj()[:, None]
                  + ac[..., None] * (ft @ gh.swapaxes(1, 2))).real
     off = segments * (d2 * (cs[..., None] * ct[:, None]) - d1 * cst)
-    return (np.concatenate([grad[0, :n], grad[1:-1].ravel(), grad[-1, :n]]),
-            diag, off)
+    return grad.ravel()[n:-n], diag, off
 
 
 def _hessian_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The dim x dim Hessian, dim = 2n * segments, written from the band
-    in place: each endpoint keeps its first n coordinates (the real
-    locus), and the interior samples fill the square between them
-    through a view as (segments-1) x (segments-1) blocks of 2n."""
-    segments, n = len(off), diag.shape[1] // 2
-    hess = np.zeros((2 * n * segments,) * 2)
-    inner = hess[n:-n, n:-n].reshape(segments - 1, 2 * n, -1, 2 * n)
-    j = np.arange(segments - 1)
-    inner[j, :, j] = diag[1:-1]
-    inner[j[:-1], :, j[1:]] = off[1:-1]
-    inner[j[1:], :, j[:-1]] = off[1:-1].swapaxes(1, 2)
-    hess[:n, :n], hess[-n:, -n:] = diag[0, :n, :n], diag[-1, :n, :n]
-    hess[:n, n:3 * n], hess[-3 * n:-n, -n:] = off[0, :n], off[-1, :, :n]
-    hess[n:3 * n, :n], hess[-n:, -3 * n:-n] = off[0, :n].T, off[-1, :, :n].T
-    return hess
+    """The dim x dim Hessian, dim = 2n * segments: the band written as
+    blocks of the square over every sample's 2n coordinates, then cut
+    to the real locus by the view [n:-n, n:-n]."""
+    samples, width = diag.shape[:2]
+    blocks = np.zeros((samples, width) * 2)
+    j = np.arange(samples)
+    blocks[j, :, j] = diag
+    blocks[j[:-1], :, j[1:]] = off
+    blocks[j[1:], :, j[:-1]] = off.swapaxes(1, 2)
+    n = width // 2
+    return blocks.reshape(samples * width, -1)[n:-n, n:-n]
 
 
 def critical_index(n: int, k: int,
@@ -788,10 +784,11 @@ def critical_index(n: int, k: int,
     _segment_slopes.  _bands evaluates these for every segment at once
     on a leading axis; each segment adds its blocks to the samples at
     its two ends, so the Hessian is block tridiagonal, and
-    _hessian_matrix writes the band straight into the dense matrix,
-    keeping only each endpoint's real frame [w, E].  Every entry is
-    exact up to rounding.  A matrix past _MAX_HESSIAN_DIM raises
-    HessianSizeError before anything of its size is allocated.
+    _hessian_matrix writes the band straight into the dense matrix.
+    The first frame lists i [w, E] before [w, E], so the slice [n:-n]
+    keeps each endpoint's real frame.  Every entry is exact up to
+    rounding.  A matrix past _MAX_HESSIAN_DIM raises HessianSizeError
+    before anything of its size is allocated.
 
     Eigenvalues below -tau count toward the index, those within tau of
     zero toward the nullity, where tau = 64 * dim * eps * scale and
@@ -800,12 +797,14 @@ def critical_index(n: int, k: int,
     each assembled entry.  Expected: (0, n) for k = 0 and
     (1 + (k-1)n, 2n - 1) for k >= 1.  Measured over n = 1..3 with
     k = 0..5, n = 5 with k = 4, and n = 1..4 with k = 12 and 30 (seeds
-    0 to 2), the null eigenvalues stay below 7.1e-16 * scale, at most
-    9.9e-4 * tau, and the smallest non-null eigenvalue, 2.3 to
+    0 to 2), the null eigenvalues stay below 8.0e-16 * scale, at most
+    1.1e-3 * tau, and the smallest non-null eigenvalue, 2.3 to
     2.5 * scale / segments^2 for k >= 1, stays above 1.1e7 * tau
-    (1.6e-4 * scale at k = 30, n = 4).  The eigenvalues agree within
-    3.4e-8 * scale with those of the central finite-difference Hessian
-    of the energy at step 1e-4 (n <= 2, k <= 2, seeds 0 to 2).
+    (1.6e-4 * scale at k = 30, n = 4).  Over n <= 2, k <= 2 and seeds
+    0 to 2 the eigenvalues agree within 5.9e-8 * scale (n = 2, k = 0,
+    seed 2) with a finite-difference Hessian of the energy at step
+    h = 1e-4: (E(h) - 2 E0 + E(-h)) / h^2 on the diagonal and, off it,
+    (E(h,h) + E(-h,-h) + 2 E0 - the four single steps) / (2 h^2).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
