@@ -14,9 +14,11 @@ paths are sample matrices with strictly increasing breakpoints in
 
 Batches.  The kernels (underscored) take rows on leading axes and round
 each row as a call on that row alone: each sum over the coordinates is
-one einsum (_dots), every other operation a numpy ufunc, and the one
-scalar call is math.remainder (_half_circles).  Each check and draw is
-defined once among them; the per-object functions are their
+one einsum (_dots) but two matmuls, where einsum was slower: _bands'
+unpadded pairing matrix and _halfcircle_rows' padded off-line product,
+its bits pinned by a test.  Every other operation is a numpy ufunc, and
+the one scalar call is math.remainder (_half_circles).  Each check and
+draw is defined once among them; the per-object functions are their
 batch-of-one case.  The sampling suites run each block of trials as one
 array whatever the trials' n: a row fills its first n + 1 columns and
 the rest are exact zeros, which no elementwise operation rounds and no
@@ -706,11 +708,9 @@ def _bands(base: np.ndarray, frames: np.ndarray) -> tuple:
     off-diagonal blocks (segments, 2n, 2n).  The gradient is cut to the
     real locus by the view [n:-n], as _hessian_matrix cuts the matrix."""
     segments, n = len(base) - 1, frames.shape[2] // 2
-    p, q = base[:-1], base[1:]
-    ft, gh = frames[:-1].swapaxes(1, 2), frames[1:].conj().swapaxes(1, 2)
-    a = _dots(q.conj(), p)
-    beta = (ft @ q.conj()[..., None])[..., 0]
-    gamma = (gh @ p[..., None])[..., 0]
+    pf = np.concatenate([base[..., None], frames], axis=2)
+    m = pf[:-1].swapaxes(1, 2) @ pf[1:].conj()
+    a, beta, gamma = m[:, 0, 0], m[:, 1:, 0], m[:, 0, 1:]
     a2, ac = np.abs(a) ** 2, a.conj()[:, None]
     cs, ct = 2.0 * (ac * beta).real, 2.0 * (ac * gamma).real
     d1, d2 = _segment_slopes(np.maximum(0.0, 1.0 - a2))
@@ -724,7 +724,7 @@ def _bands(base: np.ndarray, frames: np.ndarray) -> tuple:
         czz = 2.0 * ((z[..., None] * z.conj()[:, None]).real - eye)
         diag[rows] += segments * (d2 * (c[..., None] * c[:, None]) - d1 * czz)
     cst = 2.0 * (beta[..., None] * gamma.conj()[:, None]
-                 + ac[..., None] * (ft @ gh.swapaxes(1, 2))).real
+                 + ac[..., None] * m[:, 1:, 1:]).real
     off = segments * (d2 * (cs[..., None] * ct[:, None]) - d1 * cst)
     return grad.ravel()[n:-n], diag, off
 
@@ -768,12 +768,12 @@ def critical_index(n: int, k: int,
     s of its frame F.  Every frame column is orthonormal and real-
     orthogonal to its sample, so |p + F s|^2 = 1 + |s|^2, and the
     segment from p to q has energy N g(1 - c) with N = segments,
-    g(u) = arcsin^2(sqrt u) and
+    g(u) = arcsin^2(sqrt u) and, with v = (1, s) and w = (1, t),
 
-        c = |<p + F s, q + G t>|^2 / ((1 + |s|^2)(1 + |t|^2)).
+        c = |v^T m w|^2 / (|v|^2 |w|^2),  m = [p F]^T conj([q G]).
 
-    At s = t = 0, with a = <p, q>, beta = F^T conj(q),
-    gamma = G^H p and D = F^T conj(G):
+    At s = t = 0, m's blocks are a = <p, q> = m_00, beta = F^T conj(q)
+    below it, gamma = G^H p beside it and D = F^T conj(G):
 
         grad c   = 2 Re(conj(a) beta), 2 Re(conj(a) gamma)
         c_ss     = 2 Re(beta beta^H) - 2 |a|^2 I  (c_tt alike, gamma)
@@ -782,13 +782,13 @@ def critical_index(n: int, k: int,
     and the chain rule gives grad = -N g' grad c and
     Hessian = N (g'' grad c grad c^T - g' Hess c), with g' and g'' from
     _segment_slopes.  _bands evaluates these for every segment at once
-    on a leading axis; each segment adds its blocks to the samples at
-    its two ends, so the Hessian is block tridiagonal, and
-    _hessian_matrix writes the band straight into the dense matrix.
-    The first frame lists i [w, E] before [w, E], so the slice [n:-n]
-    keeps each endpoint's real frame.  Every entry is exact up to
-    rounding.  A matrix past _MAX_HESSIAN_DIM raises HessianSizeError
-    before anything of its size is allocated.
+    on a leading axis, m in one batched product; each segment adds its
+    blocks to the samples at its two ends, so the Hessian is block
+    tridiagonal, and _hessian_matrix writes the band straight into the
+    dense matrix.  The first frame lists i [w, E] before [w, E], so the
+    slice [n:-n] keeps each endpoint's real frame.  Every entry is
+    exact up to rounding.  A matrix past _MAX_HESSIAN_DIM raises
+    HessianSizeError before anything of its size is allocated.
 
     Eigenvalues below -tau count toward the index, those within tau of
     zero toward the nullity, where tau = 64 * dim * eps * scale and

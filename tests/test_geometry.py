@@ -764,6 +764,59 @@ class TestCriticalIndex:
         assert np.max(np.abs(hess - want_hess)) <= 1e-13 * scale
         assert np.max(np.abs(grad - want_grad)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, k", INDEX_GRID + HIGH_GRID)
+    def test_band_symmetries(self, n, k, seed):
+        # the isometries that fix x and u move the frame columns j and
+        # n + j, of class j mod n, as one and act alike on every E_j,
+        # and the geodesic is an orbit that carries the frames along
+        # (ROADMAP items 6, 12 and 20).  Spreads are in units of
+        # eps * scale, scale the Hessian's spectral radius, each with
+        # its measured worst (n, k, seed) and its bound
+        base, frames = critical_setup(n, k, np.random.default_rng(seed))
+        _, diag, off = _bands(base, frames)
+        unit = np.finfo(float).eps * np.max(np.abs(np.linalg.eigvalsh(
+            _hessian_matrix(diag, off))))
+
+        def spread(got, want) -> float:
+            return max(np.max(np.abs(g - w), initial=0.0)
+                       for g, w in zip(got, want)) / unit
+
+        def band(j: int) -> list:
+            ix = [j, n + j]
+            return [b[:, ix][:, :, ix] for b in (diag, off)]
+
+        classes = np.arange(2 * n) % n
+        couples = classes[:, None] != classes
+        # no entry couples two classes: 0.40 at (5, 4, 1), bound 4
+        assert spread([diag[:, couples], off[:, couples]], [0.0, 0.0]) <= 4
+        for j in range(n):
+            # class band j is the band of the frames cut to its columns:
+            # 0.80 at (5, 4, 1), bound 4
+            assert spread(band(j), _bands(base, frames[:, :, [j, n + j]])[1:]
+                          ) <= 4
+            # the E_j bands agree: 0.77 at (4, 30, 0), bound 4
+            if j > 1:
+                assert spread(band(j), band(1)) <= 4
+        # the interior blocks are constant along the geodesic: 13.9 at
+        # (3, 30, 1), bound 64
+        assert spread([diag[1:-1], off[1:-1]], [diag[1], off[1]]) <= 64
+
+    @pytest.mark.parametrize("n, k", [(4, 30), (2, 60)])
+    def test_dense_path_holds_one_square(self, n, k):
+        # _hessian_matrix writes one square over every sample's 2n
+        # coordinates and the eigensolver reads its [n:-n] view, so the
+        # traced peak is that square: 1.018 of it at (4, 30) and 1.010
+        # at (2, 60), where a copying cut reads about 2
+        critical_index(n, k)
+        tracemalloc.start()
+        try:
+            critical_index(n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * ((_segment_count(k) + 1) * 2 * n) ** 2
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
     def test_batched_assembly_matches_the_loop_at_drawn_seeds(self, n, k,
